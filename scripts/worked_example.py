@@ -12,7 +12,7 @@ from taylorpade import (
     TaylorParams,
     certify_hessian_pade,
     column_transform,
-    det_modp,
+    eliminate,
     nondefective_hypersurface_check,
     pade_matrix,
     polar_image_rank,
@@ -50,8 +50,8 @@ def main():
 
     point = random_point(P.variables(), field, derive_seed("demo", args.seed))
     lam = random_lambda(P, field, args.seed)
-    d0 = det_modp(P.evaluate(point, field), field.p)
-    d1 = det_modp(column_transform(P, lam, point, field), field.p)
+    d0 = eliminate(P.evaluate(point, field), field).det
+    d1 = eliminate(column_transform(P, lam, point, field), field).det
     print(f"\ncolumn operations preserve det: {d0 == d1}")
 
     residual = verify_relations(params, point, field)

@@ -30,20 +30,15 @@ from .pade import (
     reduced_pade,
 )
 from .detcalc import (
-    EvaluatedMatrix,
     adjugate,
     block_grad_det_at,
     det_berkowitz,
-    det_exact,
-    det_field,
-    det_in_ring,
-    det_modp,
+    eliminate,
     expand_det_poly,
     grad_det_at,
     hessian_det_at,
     jet_grad_det,
     jet_hessian_entry,
-    rank_at,
 )
 from .variety import (
     TaylorParams,

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import hessian as hess
-from .detcalc import det_modp
+from .detcalc import block_grad_det_at, eliminate
 from .errors import DomainError, UsageError
 from .fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
 from .pade import export_m2, pade_matrix
@@ -57,6 +57,10 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
     expect: str | None = None
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise UsageError(f"--trials must be >= 1, got {self.trials}")
 
     def params(self) -> TaylorParams:
         if None in (self.n, self.d, self.e, self.m):
@@ -98,8 +102,13 @@ def known_annotations(params: TaylorParams | None) -> list:
 
 def load_poly(path: str) -> SparsePoly:
     """Polynomial file: JSON list of [exponent-vector, numerator, denominator]."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"polynomial file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, list) or not data:
         raise UsageError("polynomial file must be a non-empty JSON list of terms")
     terms = []
@@ -108,11 +117,15 @@ def load_poly(path: str) -> SparsePoly:
         if not (isinstance(item, list) and len(item) == 3):
             raise UsageError("each term must be [exponents, numerator, denominator]")
         exps, num, den = item
+        try:
+            term = (tuple(int(x) for x in exps), Fraction(int(num), int(den)))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad term {item!r}: {exc}") from None
         if nvars is None:
             nvars = len(exps)
         elif len(exps) != nvars:
             raise UsageError("inconsistent exponent vector lengths")
-        terms.append((tuple(int(x) for x in exps), Fraction(int(num), int(den))))
+        terms.append(term)
     return SparsePoly.from_terms(nvars, terms)
 
 
@@ -182,10 +195,12 @@ def cmd_hessian(config: RunConfig) -> dict:
         point = random_point(
             P.variables(), fld, derive_seed("diag", config.seed)
         )
-        residual = hess.verify_relations(params, point, fld)
+        M = hess.build_M(params, block_grad_det_at(P, point, fld), fld)
         payload["relations"] = {
-            "residual_is_zero": all(fld.is_zero(x) for x in residual),
-            "rank_M": hess.rank_M_at(params, point, fld),
+            "residual_is_zero": all(
+                fld.is_zero(x) for x in hess.relation_residual(M, point, fld)
+            ),
+            "rank_M": eliminate(M.rows, fld).rank,
             "rank_bound": 2 * params.d - 2 * params.e + 5,
         }
     return _report(config, payload, params)
@@ -314,8 +329,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
               if hasattr(args, f)}
-    config = RunConfig(**fields)
     try:
+        config = RunConfig(**fields)
         report = COMMANDS[config.command](config)
         text = render_report(report, config.format)
     except (UsageError, DomainError, FileNotFoundError) as exc:

@@ -1,5 +1,8 @@
 """Exact determinants, ranks, adjugates, and derivatives of determinants.
 
+Determinant, rank and inverse all come from one elimination kernel,
+``eliminate``; ``det_berkowitz`` is the division-free fallback over rings.
+
 Two independent routes to the derivatives of det(P) at a point:
 
 * the adjugate/trace route (Jacobi's formula and its second-order extension),
@@ -13,185 +16,150 @@ matrix is singular; the adjugate route is the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import UsageError
-from .fields import Jet, JetRing, PrimeField
+from .fields import JetRing, PrimeField, Rationals
 from .series import SparsePoly, monomials_upto
 from .pade import SymbolicMatrix
 
 
-@dataclass
-class EvaluatedMatrix:
-    """Numeric matrix plus its provenance (the pattern and point, if any)."""
+class Elimination(NamedTuple):
+    """Rank, determinant and inverse read off one elimination.
 
-    data: list
-    field: object
-    source: SymbolicMatrix | None = None
-    point: dict | None = None
-
-    @property
-    def shape(self):
-        return (len(self.data), len(self.data[0]) if self.data else 0)
-
-
-def evaluate_at(P: SymbolicMatrix, point: dict, field) -> EvaluatedMatrix:
-    return EvaluatedMatrix(P.evaluate(point, field), field, source=P, point=point)
-
-
-def _rows_of(M) -> list:
-    return M.data if isinstance(M, EvaluatedMatrix) else M
-
-
-def det_modp(M, p: int | None = None) -> int:
-    """Determinant over GF(p) by elimination with first-nonzero pivoting."""
-    if p is None:
-        if not (isinstance(M, EvaluatedMatrix) and isinstance(M.field, PrimeField)):
-            raise UsageError("det_modp needs a prime-field matrix or an explicit p")
-        p = M.field.p
-    A = [[x % p for x in row] for row in _rows_of(M)]
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise UsageError("determinant of a non-square matrix")
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if A[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = -det
-        akk = A[k][k]
-        det = det * akk % p
-        inv = pow(akk, -1, p)
-        row_k = A[k]
-        for i in range(k + 1, n):
-            f = A[i][k]
-            if f:
-                f = f * inv % p
-                row_i = A[i]
-                for j in range(k, n):
-                    row_i[j] = (row_i[j] - f * row_k[j]) % p
-    return det % p
-
-
-def det_exact(M) -> Fraction:
-    """Exact determinant of an integer or rational matrix.
-
-    Rows are scaled integral first, then eliminated fraction-free
-    (Bareiss), so intermediate values stay integers that divide exactly.
+    ``det`` is None for a non-square matrix.  ``inverse`` is None unless it
+    was asked for and the matrix is invertible.  ``rank`` is None only over a
+    ring in which some nonzero column has no unit pivot; ``det`` then comes
+    from ``det_berkowitz``.
     """
-    rows = _rows_of(M)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise UsageError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    A = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = lcm(*(f.denominator for f in fr)) if fr else 1
-        scale *= den
-        A.append([int(f * den) for f in fr])
-    return Fraction(_det_bareiss_int(A), 1) / scale
+
+    rank: int | None
+    det: object
+    inverse: list | None
 
 
-def _det_bareiss_int(A: list) -> int:
-    A = [row[:] for row in A]
+def eliminate(A, field, inverse: bool = False) -> Elimination:
+    """Rank-profile elimination of ``A`` (rectangular allowed), with the
+    Gauss-Jordan inverse of a square ``A`` on request.
+
+    Pivot rows are taken column by column and a column without a pivot is
+    skipped (rank-profile elimination, Dumas-Pernet-Sultan, ISSAC 2013).  The
+    body follows from ``field``: inlined integer arithmetic over GF(p);
+    fraction-free Bareiss elimination (Math. Comp. 22, 1968) of the
+    integer-scaled rows over Q; the context's own operations, pivoting on
+    units, over any other ring (jets, and inverses over Q).
+    """
+    ncols = len(A[0]) if A else 0
+    if any(len(row) != ncols for row in A):
+        raise UsageError("ragged matrix")
+    square = len(A) == ncols
+    if inverse and not square:
+        raise UsageError("inverse of a non-square matrix")
+    if isinstance(field, PrimeField):
+        rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
+    elif isinstance(field, Rationals) and not inverse:
+        rank, det, inv = _eliminate_bareiss(A, ncols)
+    else:
+        rank, det, inv = _eliminate_ring(A, ncols, field, inverse)
+    return Elimination(rank, det if square else None, inv)
+
+
+def _eliminate_modp(A, ncols, p, inverse):
     n = len(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if piv is None:
-                return 0
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        pivot = A[k][k]
-        for i in range(k + 1, n):
-            aik = A[i][k]
-            row_i = A[i]
-            row_k = A[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * A[n - 1][n - 1]
-
-
-def rank_at(M, field=None) -> int:
-    """Exact rank over the field of evaluation (rectangular allowed)."""
-    if field is None:
-        if not isinstance(M, EvaluatedMatrix):
-            raise UsageError("rank_at needs a field when given raw rows")
-        field = M.field
-    A = [row[:] for row in _rows_of(M)]
-    if not A:
-        return 0
-    nrows, ncols = len(A), len(A[0])
-    rank = 0
-    row = 0
+    rows = [[x % p for x in row] for row in A]
+    if inverse:
+        for i, row in enumerate(rows):
+            row += [int(i == j) for j in range(n)]
+    det, rank = 1, 0
     for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if not field.is_zero(A[i][col])), None)
+        piv = next((i for i in range(rank, n) if rows[i][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        row = rows[rank]
+        det = det * row[col] % p
+        inv = pow(row[col], -1, p)
+        tail = [x * inv % p for x in row[col + 1:]]
+        row[col + 1:] = tail
+        for i in range(0 if inverse else rank + 1, n):
+            f = rows[i][col]
+            if f and i != rank:
+                rows[i][col + 1:] = [(x - f * y) % p
+                                     for x, y in zip(rows[i][col + 1:], tail)]
+        rank += 1
+        if rank == n:
+            break
+    return rank, det, [row[ncols:] for row in rows] if inverse and rank == n else None
+
+
+def _eliminate_bareiss(A, ncols):
+    # Each row is scaled to integers; every division by the previous pivot is
+    # then exact, since each entry is a minor of the scaled matrix.
+    scale = 1
+    rows = []
+    for row in A:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    n = len(rows)
+    sign, prev, rank = 1, 1, 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, n) if rows[i][col]), None)
         if piv is None:
             continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = field.inv(A[row][col])
-        for i in range(row + 1, nrows):
-            f = A[i][col]
-            if not field.is_zero(f):
-                f = field.mul(f, inv)
-                for j in range(col, ncols):
-                    A[i][j] = field.sub(A[i][j], field.mul(f, A[row][j]))
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        pivot = rows[rank][col]
+        tail = rows[rank][col + 1:]
+        for i in range(rank + 1, n):
+            f = rows[i][col]
+            rows[i][col + 1:] = [(x * pivot - f * y) // prev
+                                 for x, y in zip(rows[i][col + 1:], tail)]
+        prev = pivot
         rank += 1
-        row += 1
-        if row == nrows:
+        if rank == n:
             break
-    return rank
+    return rank, Fraction(sign * prev, scale) if rank == n else Fraction(0), None
 
 
-def inverse_field(A: list, field):
-    """Inverse over a field, or None when singular."""
+def _eliminate_ring(A, ncols, ring, inverse):
     n = len(A)
-    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-           for i, row in enumerate(A)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not field.is_zero(aug[i][k])), None)
+    rows = [list(row) for row in A]
+    if inverse:
+        for i, row in enumerate(rows):
+            row += [ring.one if i == j else ring.zero for j in range(n)]
+    mul, sub = ring.mul, ring.sub
+    det, rank = ring.one, 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, n) if ring.is_unit(rows[i][col])), None)
         if piv is None:
-            return None
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = field.inv(aug[k][k])
-        aug[k] = [field.mul(inv, x) for x in aug[k]]
-        for i in range(n):
-            if i != k and not field.is_zero(aug[i][k]):
-                f = aug[i][k]
-                aug[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
-
-
-def det_field(A: list, field):
-    """Determinant over a field by generic elimination."""
-    A = [row[:] for row in A]
-    n = len(A)
-    det = field.one
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not field.is_zero(A[i][k])), None)
-        if piv is None:
-            return field.zero
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = field.neg(det)
-        det = field.mul(det, A[k][k])
-        inv = field.inv(A[k][k])
-        for i in range(k + 1, n):
-            if not field.is_zero(A[i][k]):
-                f = field.mul(A[i][k], inv)
-                A[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[i], A[k])]
-    return det
+            if any(not ring.is_zero(rows[i][col]) for i in range(rank, n)):
+                return None, det_berkowitz(A, ring) if n == ncols else None, None
+            det = ring.zero
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = ring.neg(det)
+        row = rows[rank]
+        det = mul(det, row[col])
+        inv = ring.inv(row[col])
+        tail = [mul(inv, x) for x in row[col + 1:]]
+        row[col + 1:] = tail
+        for i in range(0 if inverse else rank + 1, n):
+            f = rows[i][col]
+            if i != rank and not ring.is_zero(f):
+                rows[i][col + 1:] = [sub(x, mul(f, y))
+                                     for x, y in zip(rows[i][col + 1:], tail)]
+        rank += 1
+        if rank == n:
+            break
+    return rank, det, [row[ncols:] for row in rows] if inverse and rank == n else None
 
 
 def adjugate(A: list, field) -> list:
@@ -201,10 +169,9 @@ def adjugate(A: list, field) -> list:
         raise UsageError("adjugate of a non-square matrix")
     if n == 1:
         return [[field.one]]
-    det = det_field(A, field)
-    if not field.is_zero(det):
-        inv = inverse_field(A, field)
-        return [[field.mul(det, inv[i][j]) for j in range(n)] for i in range(n)]
+    fac = eliminate(A, field, inverse=True)
+    if fac.inverse is not None:
+        return [[field.mul(fac.det, x) for x in row] for row in fac.inverse]
     # Singular case: cofactor by minors, O(n^5) but exercised rarely.
     adj = [[field.zero] * n for _ in range(n)]
     for i in range(n):
@@ -214,50 +181,11 @@ def adjugate(A: list, field) -> list:
                 for r in range(n)
                 if r != i
             ]
-            cof = det_field(minor, field)
+            cof = eliminate(minor, field).det
             if (i + j) % 2:
                 cof = field.neg(cof)
             adj[j][i] = cof
     return adj
-
-
-class _PivotFailure(Exception):
-    pass
-
-
-def det_in_ring(A: list, ring):
-    """Determinant over a commutative ring.
-
-    Elimination with pivoting on ring units is attempted first (cheap, and
-    always succeeds over a field); if no unit pivot is available the
-    division-free Berkowitz algorithm finishes the job.
-    """
-    try:
-        return _det_elimination_units(A, ring)
-    except _PivotFailure:
-        return det_berkowitz(A, ring)
-
-
-def _det_elimination_units(A: list, ring):
-    A = [row[:] for row in A]
-    n = len(A)
-    det = ring.one
-    for k in range(n):
-        piv = next((i for i in range(k, n) if ring.is_unit(A[i][k])), None)
-        if piv is None:
-            if all(ring.is_zero(A[i][k]) for i in range(k, n)):
-                return ring.zero
-            raise _PivotFailure
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = ring.neg(det)
-        det = ring.mul(det, A[k][k])
-        inv = ring.inv(A[k][k])
-        for i in range(k + 1, n):
-            if not ring.is_zero(A[i][k]):
-                f = ring.mul(A[i][k], inv)
-                A[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(A[i], A[k])]
-    return det
 
 
 def det_berkowitz(A: list, ring):
@@ -373,18 +301,23 @@ def hessian_det_at(
     """
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
+    fac = eliminate(P.evaluate(point, field), field, inverse=True)
+    return hessian_from_factor(P, point, fac, field, variable_set)
+
+
+def hessian_from_factor(
+    P: SymbolicMatrix, point: dict, fac: Elimination, field, variable_set: str
+) -> tuple:
+    """``hessian_det_at`` from the elimination of P at ``point`` that the
+    caller already holds: ``eliminate(P.evaluate(point, field), field,
+    inverse=True)``."""
     labels = _variable_list(P, variable_set)
-    A = P.evaluate(point, field)
-    Ainv = inverse_field(A, field)
-    if Ainv is None:
+    if fac.inverse is None:
         return labels, jet_hessian_at(P, point, field, labels)
-    det = det_field(A, field)
     occ = P.occurrences()
     present = [g for g in labels if g in occ]
-    if isinstance(field, PrimeField):
-        H_small = _hessian_core_modp(Ainv, det, occ, present, field.p)
-    else:
-        H_small = _hessian_core_generic(Ainv, det, occ, present, field)
+    p = field.p if isinstance(field, PrimeField) else None
+    H_small = _hessian_core(fac.inverse, fac.det, occ, present, p)
     # Scatter into the requested label order (zero rows for absent variables).
     index = {g: i for i, g in enumerate(present)}
     V = len(labels)
@@ -401,11 +334,11 @@ def hessian_det_at(
     return labels, H
 
 
-def _hessian_core_modp(Ainv, det, occ, present, p):
+def _hessian_core(Ainv, det, occ, present, p):
+    # Plain + and * on the entries (ints over GF(p), Fractions over Q); over
+    # GF(p) each Hessian entry is reduced once, at the end.
     k = len(present)
-    tr1 = []
-    for g in present:
-        tr1.append(sum(Ainv[c][r] for r, c in occ[g]) % p)
+    tr1 = [sum(Ainv[c][r] for r, c in occ[g]) for g in present]
     H = [[0] * k for _ in range(k)]
     for i in range(k):
         occ_i = occ[present[i]]
@@ -415,30 +348,9 @@ def _hessian_core_modp(Ainv, det, occ, present, p):
             for r, c in occ_i:
                 for r2, c2 in occ_j:
                     tr2 += Ainv[c2][r] * Ainv[c][r2]
-            val = det * (tr1[i] * tr1[j] - tr2) % p
-            H[i][j] = val
-            H[j][i] = val
-    return H
-
-
-def _hessian_core_generic(Ainv, det, occ, present, field):
-    k = len(present)
-    tr1 = []
-    for g in present:
-        s = field.zero
-        for r, c in occ[g]:
-            s = field.add(s, Ainv[c][r])
-        tr1.append(s)
-    H = [[field.zero] * k for _ in range(k)]
-    for i in range(k):
-        occ_i = occ[present[i]]
-        for j in range(i, k):
-            occ_j = occ[present[j]]
-            tr2 = field.zero
-            for r, c in occ_i:
-                for r2, c2 in occ_j:
-                    tr2 = field.add(tr2, field.mul(Ainv[c2][r], Ainv[c][r2]))
-            val = field.mul(det, field.sub(field.mul(tr1[i], tr1[j]), tr2))
+            val = det * (tr1[i] * tr1[j] - tr2)
+            if p:
+                val %= p
             H[i][j] = val
             H[j][i] = val
     return H
@@ -466,7 +378,7 @@ def jet_grad_det(P: SymbolicMatrix, point: dict, field) -> dict:
         ]
         for r, row in enumerate(P.entries)
     ]
-    det = det_in_ring(jets, ring)
+    det = eliminate(jets, ring).det
     return {g: det.d1.get(idx[g], field.zero) for g in vars_}
 
 
@@ -489,7 +401,7 @@ def jet_hessian_entry(P: SymbolicMatrix, point: dict, field, alpha, beta):
             else:
                 jrow.append(ring.constant(v))
         jets.append(jrow)
-    det = det_in_ring(jets, ring)
+    det = eliminate(jets, ring).det
     if same:
         coeff = det.d2.get((0, 0), field.zero)
         return field.add(coeff, coeff)

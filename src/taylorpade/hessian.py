@@ -23,11 +23,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .detcalc import (
     block_grad_det_at,
-    det_field,
-    det_modp,
+    eliminate,
     hessian_det_at,
-    inverse_field,
-    rank_at,
+    hessian_from_factor,
 )
 from .errors import DomainError, UnsupportedParametersError, UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
@@ -133,7 +131,7 @@ def rank_M_at(params: TaylorParams, point: dict, field) -> int:
     P = pade_matrix(*params.astuple())
     bg = block_grad_det_at(P, point, field)
     M = build_M(params, bg, field)
-    return rank_at([list(r) for r in M.rows], field)
+    return eliminate(M.rows, field).rank
 
 
 @dataclass(frozen=True)
@@ -214,6 +212,14 @@ def _finish_certificate(target, degree_bound, records, primes_used, notes=()):
     )
 
 
+def _require_prime_field(ctx):
+    if ctx is not None and not isinstance(ctx, PrimeField):
+        raise UsageError(
+            "a certificate needs a prime field: its error bound multiplies "
+            "degree_bound/p over the trials"
+        )
+
+
 def _trial_field(ctx, t: int) -> PrimeField:
     if ctx is not None:
         return ctx
@@ -234,8 +240,10 @@ def certify_hessian_pade(
     (there the determinant may be identically zero and the question is moot).
     Each trial samples a fresh point over a rotating 62-bit prime, resampling
     up to 8 times if the evaluated Pade matrix happens to be singular, and
-    records det(H) together with the corank of H.
+    records det(H) together with the corank of H.  P is eliminated once per
+    sampled point and H once per trial.
     """
+    _require_prime_field(ctx)
     check = nondefective_hypersurface_check(
         params, trials=gate_trials, ctx=ctx, seed=derive_seed("gate", seed)
     )
@@ -253,26 +261,25 @@ def certify_hessian_pade(
     degree_bound = None
     for t in range(trials):
         fld = _trial_field(ctx, t)
-        trial_seed = derive_seed("hessian", seed, t)
-        point = random_point(variables, fld, trial_seed)
-        for retry in range(8):
-            if inverse_field(P.evaluate(point, fld), fld) is not None:
-                break
-            trial_seed = derive_seed("hessian", seed, t, "resample", retry)
+        seeds = [derive_seed("hessian", seed, t)]
+        seeds += [derive_seed("hessian", seed, t, "resample", r) for r in range(8)]
+        for trial_seed in seeds:
             point = random_point(variables, fld, trial_seed)
-        labels, H = hessian_det_at(P, point, fld, variable_set)
+            fac = eliminate(P.evaluate(point, fld), fld, inverse=True)
+            if fac.inverse is not None:
+                break
+        labels, H = hessian_from_factor(P, point, fac, fld, variable_set)
         if degree_bound is None:
             degree_bound = len(labels) * (P.nrows - 2)
-        value = det_modp(H, fld.p) if isinstance(fld, PrimeField) else det_field(H, fld)
-        corank = len(labels) - rank_at(H, fld)
+        h = eliminate(H, fld)
         records.append(
             TrialRecord(
                 index=t,
                 seed=trial_seed,
                 prime=fld.p,
                 point_digest=point_hash(point),
-                value=int(value),
-                corank=corank,
+                value=h.det,
+                corank=len(labels) - h.rank,
             )
         )
         primes_used.append(fld.p)
@@ -284,6 +291,7 @@ def certify_hessian_poly(
     f: SparsePoly, trials: int = 20, seed=0, ctx: PrimeField | None = None
 ) -> Certificate:
     """Probabilistic test of det(Hessian of f) == 0 for an explicit polynomial."""
+    _require_prime_field(ctx)
     if not f.is_homogeneous() or f.degree() < 2:
         raise UsageError("need a homogeneous polynomial of degree >= 2")
     V = f.nvars
@@ -301,16 +309,15 @@ def certify_hessian_poly(
         rng = random.Random(trial_seed)
         values = [fld.sample(rng) for _ in range(V)]
         H = [[second[i][j].eval(fld, values) for j in range(V)] for i in range(V)]
-        value = det_modp(H, fld.p)
-        corank = V - rank_at(H, fld)
+        h = eliminate(H, fld)
         records.append(
             TrialRecord(
                 index=t,
                 seed=trial_seed,
                 prime=fld.p,
                 point_digest=point_hash(dict(enumerate(values))),
-                value=int(value),
-                corank=corank,
+                value=h.det,
+                corank=V - h.rank,
             )
         )
         primes_used.append(fld.p)
@@ -338,7 +345,7 @@ def polar_image_rank(
             rng = random.Random(derive_seed("polar", seed, t))
             values = [fld.sample(rng) for _ in range(V)]
             H = [[second[i][j].eval(fld, values) for j in range(V)] for i in range(V)]
-            best = max(best, rank_at(H, fld))
+            best = max(best, eliminate(H, fld).rank)
         return best
     params: TaylorParams = target
     P = pade_matrix(*params.astuple())
@@ -347,5 +354,5 @@ def polar_image_rank(
         fld = _trial_field(ctx, t)
         point = random_point(variables, fld, derive_seed("polar", seed, t))
         _, H = hessian_det_at(P, point, fld, variable_set)
-        best = max(best, rank_at(H, fld))
+        best = max(best, eliminate(H, fld).rank)
     return best

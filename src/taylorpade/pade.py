@@ -121,14 +121,6 @@ class SymbolicMatrix:
             out.append(vals)
         return out
 
-    def incidence(self, g) -> list:
-        """0/1 matrix E_g marking where variable ``g`` occurs."""
-        pos = set(self.occurrences().get(g, ()))
-        return [
-            [1 if (r, c) in pos else 0 for c in range(self.ncols)]
-            for r in range(self.nrows)
-        ]
-
     def block_columns(self, j: int) -> list:
         """Column indices belonging to block C_j."""
         if self.col_labels is None:

@@ -17,10 +17,6 @@ from .errors import DomainError, UsageError
 Exponent = tuple  # tuple[int, ...]
 
 
-def exp_degree(g: Exponent) -> int:
-    return sum(g)
-
-
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -70,11 +66,10 @@ class MonomialOrder:
         return sorted(exps, key=self.key)
 
 
-# Layout conventions of the Pade matrix: domain monomials by increasing
-# degree, image monomials by decreasing degree, both lex decreasing within a
-# degree (this reproduces the reference 15x15 layout for (2,5,4,7)).
+# Layout convention of the Pade matrix's domain monomials: by increasing
+# degree, lex decreasing within a degree (this reproduces the reference 15x15
+# layout for (2,5,4,7)).
 DOMAIN_ORDER = MonomialOrder(degree_increasing=True, lex_increasing=False)
-IMAGE_ORDER = MonomialOrder(degree_increasing=False, lex_increasing=False)
 
 
 class TruncatedSeries:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .detcalc import det_modp, rank_at
+from .detcalc import eliminate
 from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, random_point
 from .pade import PadeShape, pade_matrix, pade_shape
@@ -153,7 +153,7 @@ def actual_dimension(
     for t in range(trials):
         pq = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
         _, _, jac = psi_jacobian(pq, params)
-        best = max(best, rank_at(jac, ctx))
+        best = max(best, eliminate(jac, ctx).rank)
     return best
 
 
@@ -165,7 +165,7 @@ def membership(T: dict, params: TaylorParams, ctx) -> bool:
     """
     P = pade_matrix(*params.astuple())
     A = P.evaluate(T, ctx)
-    return rank_at(A, ctx) < P.ncols
+    return eliminate(A, ctx).rank < P.ncols
 
 
 @dataclass(frozen=True)
@@ -205,15 +205,7 @@ def nondefective_hypersurface_check(
         variables = P.variables()
         for t in range(trials):
             point = random_point(variables, ctx, derive_seed("det", seed, t))
-            A = P.evaluate(point, ctx)
-            if isinstance(ctx, PrimeField):
-                val = det_modp(A, ctx.p)
-                ok = val != 0
-            else:
-                from .detcalc import det_exact
-
-                ok = det_exact(A) != 0
-            if ok:
+            if eliminate(P.evaluate(point, ctx), ctx).det != 0:
                 nonzero += 1
     exp_dim = expected_dimension(params)
     act_dim = actual_dimension(params, trials=3, ctx=ctx, seed=seed)

@@ -210,3 +210,55 @@ def test_env_seed_default(capsys, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "777")
     code, out = run_cli(["shape", "-n", "2", "-d", "1", "-e", "1", "-m", "2"], capsys)
     assert json.loads(out)["config"]["seed"] == 777
+
+
+def _usage_error(argv, capsys):
+    """Run argv and return stderr, asserting exit 2 with one error line."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shape", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "0"],
+    ["defect", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "-3"],
+    ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "0"],
+    ["survey", "--e-max", "5", "--trials", "0"],
+    ["export", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "0"],
+], ids=lambda argv: argv[0])
+def test_trials_must_be_positive(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert "--trials" in _usage_error(argv, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("path", ["pade", "poly"])
+def test_hessian_rejects_rational_field(path, tmp_path, capsys):
+    if path == "pade":
+        argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7"]
+    else:
+        poly = tmp_path / "fermat3.json"
+        fermat = [[[3, 0, 0], 1, 1], [[0, 3, 0], 1, 1], [[0, 0, 3], 1, 1]]
+        poly.write_text(json.dumps(fermat))
+        argv = ["hessian", "--poly", str(poly)]
+    assert "prime field" in _usage_error(argv + ["--field", "rational"], capsys)
+
+
+@pytest.mark.parametrize("content", [
+    '[[[2, 0], 1, 0]]',  # zero denominator
+    '[[[2, 0], 1, 1]',  # malformed JSON
+    '[[[2, 0], "x", 1]]',  # non-integer field
+    None,  # a directory, not a file
+], ids=["zero-denominator", "bad-json", "non-integer", "directory"])
+def test_poly_file_malformed(content, tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    _usage_error(["hessian", "--poly", str(path)], capsys)

@@ -1,40 +1,63 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taylorpade.detcalc import (
-    EvaluatedMatrix,
     adjugate,
     block_grad_det_at,
     det_berkowitz,
-    det_exact,
-    det_field,
-    det_in_ring,
-    det_modp,
-    evaluate_at,
+    eliminate,
     expand_det_poly,
     grad_det_at,
     hessian_det_at,
     jet_grad_det,
     jet_hessian_entry,
-    rank_at,
 )
 from taylorpade.errors import UsageError
-from taylorpade.fields import PRIMES_62, JetRing, PrimeField, Rationals, random_point
+from taylorpade.fields import (
+    PRIMES_62,
+    Jet,
+    JetRing,
+    PrimeField,
+    Rationals,
+    random_point,
+)
 from taylorpade.pade import SymbolicMatrix, pade_matrix
 from taylorpade.series import monomials_upto
 
 P62 = PRIMES_62[0]
 
+# Rings of the parametrized elimination test; jets run over GF(P62).
+RINGS = {
+    "gf": PrimeField(P62),
+    "qq": Rationals(),
+    "jet1": JetRing(PrimeField(P62), order=1),
+    "jet2": JetRing(PrimeField(P62), order=2),
+}
 
-def _perm_det(A):
+# Inputs whose determinant is known by hand: (ring, kind) -> [(A, det)].
+KNOWN = {
+    ("gf", "square"): [
+        ([[int(i == j) for j in range(5)] for i in range(5)], 1),
+        ([[1, 2], [3, 4]], P62 - 2),
+    ],
+    ("gf", "singular"): [([[1, 2, 3], [4, 5, 6], [1, 2, 3]], 0)],
+    ("qq", "square"): [
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 30),
+        ([[Fraction(1, 2), 1], [1, Fraction(1, 3)]], Fraction(1, 6) - 1),
+    ],
+    ("qq", "singular"): [([[1, 1, 1]] * 3, 0)],
+}
+
+
+def _perm_det(A, ring):
     """Permutation-expansion determinant, the brute-force oracle."""
     n = len(A)
-    total = 0
+    total = ring.zero
     for perm in permutations(range(n)):
         sign = 1
         seen = [False] * n
@@ -47,70 +70,166 @@ def _perm_det(A):
                     ln += 1
                 if ln % 2 == 0:
                     sign = -sign
-        term = sign
+        term = ring.one if sign == 1 else ring.neg(ring.one)
         for i in range(n):
-            term *= A[i][perm[i]]
-        total += term
+            term = ring.mul(term, A[i][perm[i]])
+        total = ring.add(total, term)
     return total
+
+
+def _brute_rank(A, field):
+    """Size of the largest nonzero minor."""
+    rows, cols = len(A), len(A[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                minor = [[A[r][c] for c in cs] for r in rs]
+                if not field.is_zero(_perm_det(minor, field)):
+                    return k
+    return 0
+
+
+def _matmul(X, Y, ring, cols):
+    """X times Y, where Y has ``cols`` columns (and possibly no rows)."""
+    return [[_dot(ring, row, [y[j] for y in Y]) for j in range(cols)] for row in X]
+
+
+def _dot(ring, xs, ys):
+    s = ring.zero
+    for x, y in zip(xs, ys):
+        s = ring.add(s, ring.mul(x, y))
+    return s
+
+
+def _entry(ring, rng):
+    if isinstance(ring, JetRing):
+        d1 = {rng.randrange(2): rng.randint(1, 9)} if rng.random() < 0.5 else {}
+        return Jet(rng.randint(0, 9), d1)
+    if isinstance(ring, Rationals):
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+    return rng.randint(-9, 9) % ring.p
+
+
+def _inputs(name, kind, rng):
+    """Known inputs plus random ones: square; singular (a last row twice the
+    first, or over jets a first column with no unit entry); and
+    rectangular, of rank k by construction as a product through k."""
+    ring = RINGS[name]
+
+    def rand(r, c):
+        return [[_entry(ring, rng) for _ in range(c)] for _ in range(r)]
+
+    out = list(KNOWN.get((name, kind), []))
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        if kind == "square":
+            A = rand(n, n)
+        elif kind == "singular":
+            A = rand(n, n)
+            if isinstance(ring, JetRing):
+                for row in A:
+                    row[0] = Jet(0, {rng.randrange(2): rng.randint(1, 9)})
+            else:
+                A[-1] = [ring.add(x, x) for x in A[0]]
+        else:
+            c = rng.choice([k for k in range(1, 6) if k != n])
+            k = rng.randint(0, min(n, c))
+            A = _matmul(rand(n, k), rand(k, c), ring, c)
+        out.append((A, None))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["square", "singular", "rectangular"])
+@pytest.mark.parametrize("name", list(RINGS))
+def test_eliminate(name, kind):
+    ring = RINGS[name]
+    rng = random.Random(f"{name}-{kind}")
+    for A, known_det in _inputs(name, kind, rng):
+        e = eliminate(A, ring)
+        if len(A) != len(A[0]):
+            assert e.det is None
+            with pytest.raises(UsageError):
+                eliminate(A, ring, inverse=True)
+        else:
+            det = _perm_det(A, ring)
+            assert e.det == det == det_berkowitz(A, ring)
+            if known_det is not None:
+                assert det == known_det
+            if kind == "singular":
+                assert not ring.is_unit(det)
+            inv = eliminate(A, ring, inverse=True)
+            assert inv.det == det
+            assert (inv.inverse is None) == (not ring.is_unit(det))
+            if inv.inverse is not None:
+                n = len(A)
+                eye = [[ring.one if i == j else ring.zero for j in range(n)]
+                       for i in range(n)]
+                assert _matmul(A, inv.inverse, ring, n) == eye
+        if not isinstance(ring, JetRing):
+            assert e.rank == _brute_rank(A, ring)
+        if name == "qq" and e.det is not None:
+            # the modular route agrees with the rational one
+            gf = RINGS["gf"]
+            Amod = [[gf.of_fraction(x) for x in row] for row in A]
+            assert eliminate(Amod, gf).det == gf.of_fraction(e.det)
 
 
 def _rand_int_matrix(rng, k, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)]
 
 
-def test_det_modp_trivials(gf):
-    k = 5
-    ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    assert det_modp(ident, gf.p) == 1
-    repeated = [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
-    assert det_modp(repeated, gf.p) == 0
-    assert det_modp([[1, 2], [3, 4]], gf.p) == gf.p - 2
+def test_det_exact_trivials(qq):
+    assert eliminate([[1, 1, 1]] * 3, qq).det == 0
+    assert eliminate([[2, 0, 0], [0, 3, 0], [0, 0, 5]], qq).det == 30
+    half = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
+    assert eliminate(half, qq).det == Fraction(1, 6) - 1
 
 
-def test_det_modp_non_square(gf):
-    with pytest.raises(UsageError):
-        det_modp([[1, 2, 3], [4, 5, 6]], gf.p)
-
-
-def test_det_exact_trivials():
-    assert det_exact([[1, 1, 1]] * 3) == 0
-    assert det_exact([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
-    assert det_exact([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(1, 6) - 1
-
-
-def test_det_exact_matches_brute_force():
+def test_det_exact_matches_brute_force(qq):
     rng = random.Random(0)
     for k in range(1, 5):
         for _ in range(5):
             A = _rand_int_matrix(rng, k)
-            assert det_exact(A) == _perm_det(A)
+            assert eliminate(A, qq).det == _perm_det(A, qq)
 
 
-def test_det_exact_cross_det_modp(gf):
+def test_det_exact_cross_det_modp(gf, qq):
     rng = random.Random(1)
     for _ in range(10):
         A = _rand_int_matrix(rng, 6)
-        exact = det_exact(A)
+        exact = eliminate(A, qq).det
         assert exact.denominator == 1
-        assert det_modp(A, gf.p) == exact.numerator % gf.p
+        modular = eliminate([[x % gf.p for x in row] for row in A], gf).det
+        assert modular == exact.numerator % gf.p
         # a nonzero modular value certifies a nonzero exact determinant
-        if det_modp(A, gf.p) != 0:
+        if modular != 0:
             assert exact != 0
 
 
+def test_eliminate_non_square(gf):
+    rect = [[1, 2, 3], [4, 5, 6]]
+    assert eliminate(rect, gf).det is None
+    with pytest.raises(UsageError):
+        eliminate(rect, gf, inverse=True)
+    with pytest.raises(UsageError):
+        adjugate(rect, gf)
+    with pytest.raises(UsageError):
+        eliminate([[1, 2], [3]], gf)
+
+
 def test_rank_trivials(gf):
-    assert rank_at([[0, 0], [0, 0]], gf) == 0
-    assert rank_at([[1, 0, 0], [0, 1, 0], [0, 0, 1]], gf) == 3
+    assert eliminate([[0, 0], [0, 0]], gf).rank == 0
+    assert eliminate([[1, 0, 0], [0, 1, 0], [0, 0, 1]], gf).rank == 3
     rng = random.Random(2)
     u = [rng.randrange(1, gf.p) for _ in range(5)]
     v = [rng.randrange(1, gf.p) for _ in range(7)]
     outer = [[gf.mul(a, b) for b in v] for a in u]
-    assert rank_at(outer, gf) == 1
+    assert eliminate(outer, gf).rank == 1
 
 
 def test_rank_rectangular(qq):
-    assert rank_at([[1, 2, 3], [2, 4, 6]], qq) == 1
-    assert rank_at([[Fraction(1, 2)], [Fraction(1, 3)]], qq) == 1
+    assert eliminate([[1, 2, 3], [2, 4, 6]], qq).rank == 1
+    assert eliminate([[Fraction(1, 2)], [Fraction(1, 3)]], qq).rank == 1
 
 
 def test_adjugate_identity_prime_field(gf):
@@ -118,7 +237,7 @@ def test_adjugate_identity_prime_field(gf):
     for k in range(1, 11):
         A = [[rng.randrange(gf.p) for _ in range(k)] for _ in range(k)]
         adj = adjugate(A, gf)
-        det = det_field(A, gf)
+        det = eliminate(A, gf).det
         prod = [
             [sum(A[i][t] * adj[t][j] for t in range(k)) % gf.p for j in range(k)]
             for i in range(k)
@@ -135,7 +254,7 @@ def test_adjugate_identity_rationals_and_singular(qq):
         if k % 2 == 0:
             A[-1] = A[0][:]  # force singularity on even sizes
         adj = adjugate(A, qq)
-        det = det_field(A, qq)
+        det = eliminate(A, qq).det
         if k % 2 == 0:
             assert det == 0
         for i in range(k):
@@ -147,10 +266,10 @@ def test_adjugate_identity_rationals_and_singular(qq):
 def test_berkowitz_matches_elimination(gf):
     rng = random.Random(5)
     for k in range(1, 7):
-        A = _rand_int_matrix(rng, k)
+        A = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
         Amod = [[x % gf.p for x in row] for row in A]
-        assert det_berkowitz(Amod, gf) == det_modp(Amod, gf.p)
-        assert det_berkowitz(A, Rationals()) == _perm_det(A)
+        assert det_berkowitz(Amod, gf) == eliminate(Amod, gf).det
+        assert det_berkowitz(A, Rationals()) == _perm_det(A, Rationals())
 
 
 def test_jet_det_identity_plus_epsilon(gf):
@@ -167,7 +286,7 @@ def test_jet_det_identity_plus_epsilon(gf):
             else:
                 jets[0][1] = ring.variable(0, 0)
                 expect = ring.one
-            assert det_in_ring(jets, ring) == expect
+            assert eliminate(jets, ring).det == expect
             assert det_berkowitz(jets, ring) == expect
 
 
@@ -196,7 +315,7 @@ def _random_pattern(rng, max_size=8, repeat=True):
 def _nonsingular_point(P, field, rng):
     for _ in range(50):
         pt = {g: field.sample(rng) for g in P.variables()}
-        if det_field(P.evaluate(pt, field), field) != field.zero:
+        if eliminate(P.evaluate(pt, field), field).det != field.zero:
             return pt
     return None
 
@@ -270,7 +389,7 @@ def test_hessian_singular_point_fallback_matches_symbolic(gf):
     for t in range(3):
         pt[names[6 + t]] = (vals[t] + vals[3 + t]) % gf.p
     A = P.evaluate(pt, gf)
-    assert det_field(A, gf) == 0
+    assert eliminate(A, gf).det == 0
     labels, H = hessian_det_at(P, pt, gf, "essential")
     f = expand_det_poly(P, labels)
     values = [pt[g] for g in labels]
@@ -285,7 +404,7 @@ def test_euler_identity_on_patterns(gf):
     for _ in range(5):
         P = _random_pattern(rng, max_size=6)
         pt = {g: gf.sample(rng) for g in P.variables()}
-        f_val = det_field(P.evaluate(pt, gf), gf)
+        f_val = eliminate(P.evaluate(pt, gf), gf).det
         grad = grad_det_at(P, pt, gf)
         s = sum(pt[g] * v for g, v in grad.items()) % gf.p
         assert s == P.nrows * f_val % gf.p
@@ -346,18 +465,8 @@ def test_expand_det_poly_matches_brute_force(gf):
     f = expand_det_poly(P, labels)
     for _ in range(5):
         pt = {g: gf.sample(rng) for g in labels}
-        direct = det_field(P.evaluate(pt, gf), gf)
+        direct = eliminate(P.evaluate(pt, gf), gf).det
         assert f.eval(gf, [pt[g] for g in labels]) == direct
-
-
-def test_evaluated_matrix_wrapper(gf):
-    P = pade_matrix(2, 1, 1, 2)
-    pt = random_point(P.variables(), gf, 12)
-    M = evaluate_at(P, pt, gf)
-    assert M.shape == (3, 3)
-    assert M.source is P and M.point == pt
-    assert det_modp(M) == det_modp(M.data, gf.p)
-    assert rank_at(M) == rank_at(M.data, gf)
 
 
 def test_evaluate_missing_variable_raises(gf):

@@ -2,6 +2,11 @@ import random
 
 import pytest
 
+import taylorpade.cli as cli_mod
+import taylorpade.detcalc as detcalc_mod
+import taylorpade.hessian as hessian_mod
+import taylorpade.variety as variety_mod
+
 from taylorpade.detcalc import block_grad_det_at, grad_det_at
 from taylorpade.errors import DomainError, UnsupportedParametersError, UsageError
 from taylorpade.fields import PRIMES_62, PrimeField, derive_seed, random_point
@@ -240,3 +245,49 @@ def test_cross_path_agreement_2112(gf):
     poly_cert = certify_hessian_poly(f, trials=20, seed=0)
     pade_cert = certify_hessian_pade(params, "full", trials=20, seed=0)
     assert poly_cert.verdict == pade_cert.verdict == VANISHES
+
+
+def _record_eliminations(monkeypatch, mute):
+    """Record the shape of every ``eliminate`` call, leaving out the calls
+    made inside ``mute``, a (module, function name) pair."""
+    shapes = []
+    real = detcalc_mod.eliminate
+
+    def counted(A, field, inverse=False):
+        shapes.append((len(A), len(A[0])))
+        return real(A, field, inverse)
+
+    for mod in (detcalc_mod, hessian_mod, variety_mod, cli_mod):
+        monkeypatch.setattr(mod, "eliminate", counted)
+    owner, name = mute
+    inner = getattr(owner, name)
+
+    def muted(*args, **kwargs):
+        start = len(shapes)
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            del shapes[start:]
+
+    monkeypatch.setattr(owner, name, muted)
+    return shapes
+
+
+@pytest.mark.parametrize("mode,hessian_size", [("full", 36), ("essential", 33)])
+def test_one_elimination_of_P_and_H_per_trial(monkeypatch, mode, hessian_size):
+    shapes = _record_eliminations(
+        monkeypatch, (hessian_mod, "nondefective_hypersurface_check")
+    )
+    cert = certify_hessian_pade(P547, mode, trials=3, seed=0)
+    assert [t.seed for t in cert.trials] == [
+        derive_seed("hessian", 0, t) for t in range(3)
+    ]  # no resamples
+    assert shapes == [(15, 15), (hessian_size, hessian_size)] * 3
+
+
+def test_one_elimination_of_P_at_the_diagnostic_point(monkeypatch, capsys):
+    shapes = _record_eliminations(monkeypatch, (hessian_mod, "certify_hessian_pade"))
+    argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "1"]
+    assert cli_mod.main(argv) == 0
+    capsys.readouterr()
+    assert shapes == [(15, 15), (14, 7)]  # P once, then the relation matrix M
