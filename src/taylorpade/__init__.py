@@ -58,6 +58,7 @@ from .hessian import (
     build_M,
     certify_hessian_pade,
     certify_hessian_poly,
+    full_from_essential,
     polar_image_rank,
     rank_M_at,
     verify_relations,

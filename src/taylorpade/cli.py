@@ -221,20 +221,18 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
         "rank_M": "",
     }
     if check.is_nondefective_hypersurface:
-        full = hess.certify_hessian_pade(
-            params, "full", trials=config.trials, seed=config.seed, ctx=config.context()
-        )
         essential = hess.certify_hessian_pade(
             params,
             "essential",
             trials=config.trials,
             seed=config.seed,
             ctx=config.context(),
+            check=check,
         )
         fld = config.fixed_context()
         P = pade_matrix(*params.astuple())
         point = random_point(P.variables(), fld, derive_seed("survey", config.seed))
-        row["hessian_full"] = full.verdict
+        row["hessian_full"] = hess.full_from_essential(essential, params).verdict
         row["essential_corank"] = min(t.corank for t in essential.trials)
         row["rank_M"] = hess.rank_M_at(params, point, fld)
     return row

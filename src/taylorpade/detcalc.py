@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import UsageError
 from .fields import JetRing, PrimeField, Rationals
-from .series import SparsePoly, monomials_upto
+from .series import SparsePoly
 from .pade import SymbolicMatrix
 
 
@@ -274,64 +274,37 @@ def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
     return out
 
 
-def _variable_list(P: SymbolicMatrix, variable_set: str) -> list:
-    if variable_set == "essential":
-        return P.variables()
-    if variable_set == "full":
-        if P.params is None:
-            raise UsageError("full variable set needs the matrix parameters")
-        n, d, e, m = P.params
-        return monomials_upto(n, m)
-    raise UsageError(f"unknown variable set {variable_set!r}")
+def hessian_det_at(P: SymbolicMatrix, point: dict, field) -> tuple:
+    """Second-derivative matrix of det(P) over the variables of P.
 
-
-def hessian_det_at(
-    P: SymbolicMatrix, point: dict, field, variable_set: str = "essential"
-) -> tuple:
-    """Second-derivative matrix of det(P) at a point.
-
-    Returns (labels, H) with H[a][b] = d^2 det / dc_a dc_b.  When the
-    evaluated matrix is invertible this uses the second-order Jacobi identity
+    Returns (labels, H) with labels = ``P.variables()`` and
+    H[a][b] = d^2 det / dc_a dc_b.  When the evaluated matrix is invertible
+    this uses the second-order Jacobi identity
 
         H_ab = det(A) * (tr(B_a) tr(B_b) - tr(B_a B_b)),   B_g = A^-1 E_g,
 
     reduced to sums over occurrence positions so the B_g are never formed.
-    At singular points it falls back to the jet oracle.  In ``full`` mode the
-    rows and columns of variables absent from P are identically zero.
+    At singular points it falls back to the jet oracle.  An ambient
+    coordinate absent from P would only add a zero row and column;
+    ``hessian.full_from_essential`` accounts for those without building them.
     """
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
     fac = eliminate(P.evaluate(point, field), field, inverse=True)
-    return hessian_from_factor(P, point, fac, field, variable_set)
+    return hessian_from_factor(P, point, fac, field)
 
 
 def hessian_from_factor(
-    P: SymbolicMatrix, point: dict, fac: Elimination, field, variable_set: str
+    P: SymbolicMatrix, point: dict, fac: Elimination, field
 ) -> tuple:
     """``hessian_det_at`` from the elimination of P at ``point`` that the
     caller already holds: ``eliminate(P.evaluate(point, field), field,
     inverse=True)``."""
-    labels = _variable_list(P, variable_set)
+    labels = P.variables()
     if fac.inverse is None:
-        return labels, jet_hessian_at(P, point, field, labels)
-    occ = P.occurrences()
-    present = [g for g in labels if g in occ]
+        return labels, jet_hessian_at(P, point, field)
     p = field.p if isinstance(field, PrimeField) else None
-    H_small = _hessian_core(fac.inverse, fac.det, occ, present, p)
-    # Scatter into the requested label order (zero rows for absent variables).
-    index = {g: i for i, g in enumerate(present)}
-    V = len(labels)
-    H = [[field.zero] * V for _ in range(V)]
-    for i, gi in enumerate(labels):
-        ii = index.get(gi)
-        if ii is None:
-            continue
-        row = H[i]
-        for j, gj in enumerate(labels):
-            jj = index.get(gj)
-            if jj is not None:
-                row[j] = H_small[ii][jj]
-    return labels, H
+    return labels, _hessian_core(fac.inverse, fac.det, P.occurrences(), labels, p)
 
 
 def _hessian_core(Ainv, det, occ, present, p):
@@ -408,17 +381,14 @@ def jet_hessian_entry(P: SymbolicMatrix, point: dict, field, alpha, beta):
     return det.d2.get((0, 1), field.zero)
 
 
-def jet_hessian_at(P: SymbolicMatrix, point: dict, field, labels: list) -> list:
-    """Full second-derivative matrix by pairwise jet evaluation (fallback)."""
-    occ = P.occurrences()
+def jet_hessian_at(P: SymbolicMatrix, point: dict, field) -> list:
+    """Second-derivative matrix over ``P.variables()`` by pairwise jet
+    evaluation (fallback)."""
+    labels = P.variables()
     V = len(labels)
     H = [[field.zero] * V for _ in range(V)]
     for i in range(V):
-        if labels[i] not in occ:
-            continue
         for j in range(i, V):
-            if labels[j] not in occ:
-                continue
             val = jet_hessian_entry(P, point, field, labels[i], labels[j])
             H[i][j] = val
             H[j][i] = val

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 from .detcalc import (
     block_grad_det_at,
@@ -31,7 +31,7 @@ from .errors import DomainError, UnsupportedParametersError, UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
 from .pade import pade_matrix
 from .series import MonomialOrder, SparsePoly, exp_add, monomials_of_degree
-from .variety import TaylorParams, nondefective_hypersurface_check
+from .variety import HypersurfaceCheck, TaylorParams, nondefective_hypersurface_check
 
 VANISHES = "vanishes-probabilistic"
 NONZERO = "nonzero-certified"
@@ -141,19 +141,10 @@ class TrialRecord:
     prime: int
     point_digest: str
     value: int
-    corank: int | None = None
+    corank: int
 
     def to_dict(self):
-        d = {
-            "index": self.index,
-            "seed": self.seed,
-            "prime": self.prime,
-            "point_digest": self.point_digest,
-            "value": self.value,
-        }
-        if self.corank is not None:
-            d["corank"] = self.corank
-        return d
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -186,17 +177,14 @@ class Certificate:
         }
 
 
-def _finish_certificate(target, degree_bound, records, primes_used, notes=()):
-    all_zero = all(t.value == 0 for t in records)
+def _finish_certificate(target, degree_bound, records):
     if not records:
         raise UsageError("need at least one trial")
-    if all_zero:
+    if all(t.value == 0 for t in records):
         verdict = VANISHES
-        log10 = sum(math.log10(degree_bound) - math.log10(p) for p in primes_used)
+        log10 = sum(math.log10(degree_bound) - math.log10(t.prime) for t in records)
         log10 = min(log10, 0.0)
         bound = 10.0 ** log10 if log10 > -320 else 0.0
-        if bound > 1.0:
-            bound = 1.0
     else:
         verdict = NONZERO
         bound = None
@@ -208,7 +196,6 @@ def _finish_certificate(target, degree_bound, records, primes_used, notes=()):
         trials=tuple(records),
         error_bound=bound,
         error_bound_log10=log10,
-        notes=tuple(notes),
     )
 
 
@@ -226,27 +213,42 @@ def _trial_field(ctx, t: int) -> PrimeField:
     return PrimeField(PRIMES_62[t % len(PRIMES_62)])
 
 
+GATE_TRIALS = 8
+
+
 def certify_hessian_pade(
     params: TaylorParams,
     variable_set: str = "full",
     trials: int = 20,
     seed=0,
     ctx: PrimeField | None = None,
-    gate_trials: int = 8,
+    check: HypersurfaceCheck | None = None,
 ) -> Certificate:
     """Probabilistic test of det(Hessian of det(P)) == 0.
 
     Refuses parameters that do not pass the non-defective-hypersurface gate
     (there the determinant may be identically zero and the question is moot).
+    The gate runs here unless the caller passes its outcome as ``check``: a
+    passing check is exact (det(P) certified nonzero, Jacobian rank at the
+    expected dimension, its upper bound), so one gate serves a whole case.
+
     Each trial samples a fresh point over a rotating 62-bit prime, resampling
     up to 8 times if the evaluated Pade matrix happens to be singular, and
-    records det(H) together with the corank of H.  P is eliminated once per
-    sampled point and H once per trial.
+    records det(H) and the corank of H, the Hessian over the variables of P;
+    P is eliminated once per sampled point and H once per trial.  The
+    ``full`` certificate is derived from these trials (``full_from_essential``).
     """
     _require_prime_field(ctx)
-    check = nondefective_hypersurface_check(
-        params, trials=gate_trials, ctx=ctx, seed=derive_seed("gate", seed)
-    )
+    if variable_set not in ("full", "essential"):
+        raise UsageError(f"unknown variable set {variable_set!r}")
+    if check is None:
+        check = nondefective_hypersurface_check(
+            params, trials=GATE_TRIALS, ctx=ctx, seed=derive_seed("gate", seed)
+        )
+    elif check.params != params:
+        raise UsageError(
+            f"gate outcome is for {check.params.astuple()}, not {params.astuple()}"
+        )
     if not check.is_nondefective_hypersurface:
         raise DomainError(
             f"refusing Hessian certificate for {params.astuple()}: "
@@ -257,8 +259,6 @@ def certify_hessian_pade(
     P = pade_matrix(*params.astuple())
     variables = P.variables()
     records = []
-    primes_used = []
-    degree_bound = None
     for t in range(trials):
         fld = _trial_field(ctx, t)
         seeds = [derive_seed("hessian", seed, t)]
@@ -268,9 +268,7 @@ def certify_hessian_pade(
             fac = eliminate(P.evaluate(point, fld), fld, inverse=True)
             if fac.inverse is not None:
                 break
-        labels, H = hessian_from_factor(P, point, fac, fld, variable_set)
-        if degree_bound is None:
-            degree_bound = len(labels) * (P.nrows - 2)
+        _, H = hessian_from_factor(P, point, fac, fld)
         h = eliminate(H, fld)
         records.append(
             TrialRecord(
@@ -279,12 +277,41 @@ def certify_hessian_pade(
                 prime=fld.p,
                 point_digest=point_hash(point),
                 value=h.det,
-                corank=len(labels) - h.rank,
+                corank=len(variables) - h.rank,
             )
         )
-        primes_used.append(fld.p)
-    target = f"hessian-det[pade{params.astuple()}, {variable_set}]"
-    return _finish_certificate(target, degree_bound, records, primes_used)
+    essential = _finish_certificate(
+        f"hessian-det[pade{params.astuple()}, essential]",
+        len(variables) * (P.nrows - 2),
+        records,
+    )
+    if variable_set == "essential":
+        return essential
+    return full_from_essential(essential, params)
+
+
+def full_from_essential(essential: Certificate, params: TaylorParams) -> Certificate:
+    """The certificate over all ambient coordinates c_g, |g| <= m, implied
+    trial by trial by the certificate over the variables of P.
+
+    A coordinate absent from det(P) adds a zero row and column to the ambient
+    Hessian, and ordering the ambient coordinates permutes rows and columns
+    together.  So with ``absent`` such coordinates the ambient det is 0 when
+    ``absent > 0`` and the essential det otherwise, and the ambient corank is
+    the essential corank plus ``absent``.  Points, seeds and primes are those
+    of the essential trials; the degree bound counts all ambient coordinates.
+    """
+    P = pade_matrix(*params.astuple())
+    absent = params.ambient_coords - len(P.variables())
+    records = [
+        replace(t, value=0 if absent else t.value, corank=t.corank + absent)
+        for t in essential.trials
+    ]
+    return _finish_certificate(
+        f"hessian-det[pade{params.astuple()}, full]",
+        params.ambient_coords * (P.nrows - 2),
+        records,
+    )
 
 
 def certify_hessian_poly(
@@ -302,7 +329,6 @@ def certify_hessian_poly(
             second[i][j] = second[j][i] = fi.diff(j)
     degree_bound = V * (f.degree() - 2)
     records = []
-    primes_used = []
     for t in range(trials):
         fld = _trial_field(ctx, t)
         trial_seed = derive_seed("poly-hessian", seed, t)
@@ -320,19 +346,17 @@ def certify_hessian_poly(
                 corank=V - h.rank,
             )
         )
-        primes_used.append(fld.p)
     target = f"hessian-det[poly, {V} vars, degree {f.degree()}]"
-    return _finish_certificate(target, degree_bound, records, primes_used)
+    return _finish_certificate(target, degree_bound, records)
 
 
-def polar_image_rank(
-    target, variable_set: str = "essential", points: int = 3, seed=0, ctx=None
-) -> int:
+def polar_image_rank(target, points: int = 3, seed=0, ctx=None) -> int:
     """Local rank of the differential of the polar map w -> (f_g)(w).
 
     That differential is the Hessian matrix of f, so this is the maximum
     Hessian rank over the sampled points, a certified lower bound for the
-    generic rank.
+    generic rank.  For a Pade target the Hessian is taken over the variables
+    of P; coordinates absent from det(P) would add only zero rows.
     """
     if points < 1:
         raise UsageError("need at least one point")
@@ -353,6 +377,6 @@ def polar_image_rank(
     for t in range(points):
         fld = _trial_field(ctx, t)
         point = random_point(variables, fld, derive_seed("polar", seed, t))
-        _, H = hessian_det_at(P, point, fld, variable_set)
+        _, H = hessian_det_at(P, point, fld)
         best = max(best, eliminate(H, fld).rank)
     return best

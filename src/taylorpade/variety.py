@@ -144,16 +144,22 @@ def actual_dimension(
     """Generic rank of the Jacobian of the coefficient map.
 
     Maximum over ``trials`` random pairs; rank is lower-semicontinuous, so the
-    maximum is a certified lower bound and generically exact.
+    maximum is a certified lower bound and generically exact.  The Jacobian
+    is (C(m+n,n)-1) x (C(d+n,n)+C(e+n,n)-2), so its rank never exceeds
+    ``expected_dimension(params)``, the smaller of the two; the first trial
+    that reaches it ends the loop with the exact answer.
     """
     if trials < 1:
         raise UsageError("need at least one trial")
     ctx = ctx or PrimeField(PRIMES_62[0])
+    ceiling = expected_dimension(params)
     best = 0
     for t in range(trials):
         pq = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
         _, _, jac = psi_jacobian(pq, params)
         best = max(best, eliminate(jac, ctx).rank)
+        if best == ceiling:
+            break
     return best
 
 

@@ -188,7 +188,7 @@ def test_criterion_09_oracle_equivalence():
             pt = {g: GF0.sample(rng) for g in P.variables()}
             assert grad_det_at(P, pt, GF0) == jet_grad_det(P, pt, GF0)
             if eliminate(P.evaluate(pt, GF0), GF0, inverse=True).inverse is not None:
-                labels, H = hessian_det_at(P, pt, GF0, "essential")
+                labels, H = hessian_det_at(P, pt, GF0)
                 idx = rng.randrange(len(labels))
                 jdx = rng.randrange(len(labels))
                 assert H[idx][jdx] == jet_hessian_entry(

@@ -1,6 +1,7 @@
 import json
 import os
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -174,8 +175,44 @@ def test_survey_json_e_max_5(capsys, schema):
     assert code == 0
     report = json.loads(out)
     validate(report, schema)
-    cases = [(r["d"], r["e"], r["m"]) for r in report["payload"]["rows"]]
+    rows = report["payload"]["rows"]
+    cases = [(r["d"], r["e"], r["m"]) for r in rows]
     assert cases == [(5, 4, 7), (8, 5, 10)]
+    for row, rank_M in zip(rows, (6, 10)):
+        assert row["nondefective_hypersurface"] is True
+        assert row["hessian_full"] == "vanishes-probabilistic"
+        assert row["essential_corank"] == 0
+        assert row["rank_M"] == rank_M
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_P547 = ["-n", "2", "-d", "5", "-e", "4", "-m", "7"]
+_P2112 = ["-n", "2", "-d", "1", "-e", "1", "-m", "2"]
+
+
+GOLDEN_RUNS = {
+    "survey_e5_t2_s7.json": ["survey", "--e-max", "5", "--trials", "2", "--seed", "7"],
+    "survey_e5_t2_s7.csv":
+        ["survey", "--e-max", "5", "--trials", "2", "--seed", "7", "--format", "csv"],
+    "hessian_2_5_4_7_t3_s7_full.json":
+        ["hessian", *_P547, "--trials", "3", "--seed", "7", "--mode", "full"],
+    "hessian_2_5_4_7_t3_s7_essential.json":
+        ["hessian", *_P547, "--trials", "3", "--seed", "7", "--mode", "essential"],
+    "hessian_2_1_1_2_t3_full.json":
+        ["hessian", *_P2112, "--trials", "3", "--mode", "full"],
+    "hessian_2_1_1_2_t3_essential.json":
+        ["hessian", *_P2112, "--trials", "3", "--mode", "essential"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_report_matches_golden(name, capsys, monkeypatch):
+    # Reports recorded before the full certificate was derived from the
+    # essential trials; the derivation must reproduce them byte for byte.
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    code, out = run_cli(GOLDEN_RUNS[name], capsys)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_export_writes_script(tmp_path, capsys, schema):

@@ -24,10 +24,13 @@ from taylorpade.fields import (
     JetRing,
     PrimeField,
     Rationals,
+    point_hash,
     random_point,
 )
+from taylorpade.hessian import certify_hessian_pade, certify_hessian_poly
 from taylorpade.pade import SymbolicMatrix, pade_matrix
 from taylorpade.series import monomials_upto
+from taylorpade.variety import TaylorParams
 
 P62 = PRIMES_62[0]
 
@@ -339,7 +342,7 @@ def test_grad_matches_jet_oracle_on_pade(gf):
 def test_hessian_generic_2x2(gf):
     P = SymbolicMatrix([[("a",), ("b",)], [("c",), ("d",)]])
     pt = {("a",): 2, ("b",): 3, ("c",): 5, ("d",): 7}
-    labels, H = hessian_det_at(P, pt, gf, "essential")
+    labels, H = hessian_det_at(P, pt, gf)
     idx = {g: i for i, g in enumerate(labels)}
     assert H[idx[("a",)]][idx[("d",)]] == 1
     assert H[idx[("a",)]][idx[("b",)]] == 0
@@ -355,7 +358,7 @@ def test_hessian_symmetry_and_jet_agreement(gf):
         pt = _nonsingular_point(P, gf, rng)
         if pt is None:
             continue
-        labels, H = hessian_det_at(P, pt, gf, "essential")
+        labels, H = hessian_det_at(P, pt, gf)
         for i in range(len(labels)):
             for j in range(i, len(labels)):
                 assert H[i][j] == H[j][i]
@@ -363,19 +366,48 @@ def test_hessian_symmetry_and_jet_agreement(gf):
         done += 1
 
 
-def test_hessian_full_mode_zero_rows(gf):
-    P = pade_matrix(2, 5, 4, 7)
-    pt = random_point(P.variables(), gf, 10)
-    labels, H = hessian_det_at(P, pt, gf, "full")
-    assert len(labels) == 36
-    occurring = set(P.variables())
-    missing = {g for g in labels if g not in occurring}
-    assert missing == {(0, 0), (1, 0), (0, 1)}
-    for i, g in enumerate(labels):
-        row_is_zero = all(x == 0 for x in H[i])
-        col_is_zero = all(H[r][i] == 0 for r in range(len(labels)))
-        assert row_is_zero == (g in missing)
-        assert col_is_zero == (g in missing)
+def _zero_padded(labels, H, ambient, field):
+    """H over ``labels`` placed inside the ambient Hessian: zero rows and
+    columns for the ambient coordinates that are not labels."""
+    idx = {g: i for i, g in enumerate(labels)}
+    return [
+        [
+            H[idx[a]][idx[b]] if a in idx and b in idx else field.zero
+            for b in ambient
+        ]
+        for a in ambient
+    ]
+
+
+@pytest.mark.parametrize("case", [(2, 5, 4, 7), (2, 8, 5, 10)], ids=["547", "8510"])
+def test_full_certificate_matches_zero_padded_hessian(case):
+    # The full certificate is derived from the essential trials without
+    # building the ambient H; here that H is built, at the certificate's own
+    # points, and eliminated.
+    params = TaylorParams(*case)
+    P = pade_matrix(*case)
+    ambient = monomials_upto(2, params.m)
+    if case == (2, 5, 4, 7):
+        missing = set(ambient) - set(P.variables())
+        assert missing == {(0, 0), (1, 0), (0, 1)}
+    for seed in (0, 7, 123):
+        full = certify_hessian_pade(params, "full", trials=2, seed=seed)
+        assert full.degree_bound == len(ambient) * (P.nrows - 2)
+        for t in full.trials:
+            fld = PrimeField(t.prime)
+            pt = random_point(P.variables(), fld, t.seed)
+            assert point_hash(pt) == t.point_digest
+            labels, H = hessian_det_at(P, pt, fld)
+            h = eliminate(_zero_padded(labels, H, ambient, fld), fld)
+            assert (t.value, t.corank) == (h.det, len(ambient) - h.rank)
+
+
+def test_full_certificate_corank_matches_symbolic_poly_2112():
+    P = pade_matrix(2, 1, 1, 2)
+    f = expand_det_poly(P, monomials_upto(2, 2))
+    poly = certify_hessian_poly(f, trials=5, seed=0)
+    full = certify_hessian_pade(TaylorParams(2, 1, 1, 2), "full", trials=5, seed=0)
+    assert [t.corank for t in full.trials] == [t.corank for t in poly.trials]
 
 
 def test_hessian_singular_point_fallback_matches_symbolic(gf):
@@ -390,7 +422,7 @@ def test_hessian_singular_point_fallback_matches_symbolic(gf):
         pt[names[6 + t]] = (vals[t] + vals[3 + t]) % gf.p
     A = P.evaluate(pt, gf)
     assert eliminate(A, gf).det == 0
-    labels, H = hessian_det_at(P, pt, gf, "essential")
+    labels, H = hessian_det_at(P, pt, gf)
     f = expand_det_poly(P, labels)
     values = [pt[g] for g in labels]
     for i in range(9):

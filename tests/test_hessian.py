@@ -24,7 +24,7 @@ from taylorpade.hessian import (
 )
 from taylorpade.pade import pade_matrix
 from taylorpade.series import SparsePoly, exp_add, monomials_upto
-from taylorpade.variety import TaylorParams
+from taylorpade.variety import TaylorParams, nondefective_hypersurface_check
 from taylorpade.detcalc import expand_det_poly
 
 P547 = TaylorParams(2, 5, 4, 7)
@@ -231,9 +231,7 @@ def test_polar_image_rank_quadric_and_perazzo():
 
 def test_polar_image_rank_pade(gf):
     # measured: the essential polar map is locally bijective here
-    assert polar_image_rank(P547, "essential", points=2, seed=0) == 33
-    # full mode includes the three cone directions
-    assert polar_image_rank(P547, "full", points=2, seed=0) == 33
+    assert polar_image_rank(P547, points=2, seed=0) == 33
 
 
 def test_cross_path_agreement_2112(gf):
@@ -247,9 +245,10 @@ def test_cross_path_agreement_2112(gf):
     assert poly_cert.verdict == pade_cert.verdict == VANISHES
 
 
-def _record_eliminations(monkeypatch, mute):
-    """Record the shape of every ``eliminate`` call, leaving out the calls
-    made inside ``mute``, a (module, function name) pair."""
+def _record_eliminations(monkeypatch, *mute):
+    """Log the shape of every ``eliminate`` call.  Each ``mute`` pair
+    (module, function name) is logged by its name instead, leaving out the
+    eliminations made inside it."""
     shapes = []
     real = detcalc_mod.eliminate
 
@@ -259,30 +258,77 @@ def _record_eliminations(monkeypatch, mute):
 
     for mod in (detcalc_mod, hessian_mod, variety_mod, cli_mod):
         monkeypatch.setattr(mod, "eliminate", counted)
-    owner, name = mute
-    inner = getattr(owner, name)
+    for owner, name in mute:
+        monkeypatch.setattr(owner, name, _muted(shapes, name, getattr(owner, name)))
+    return shapes
 
+
+def _muted(shapes, name, inner):
     def muted(*args, **kwargs):
         start = len(shapes)
         try:
             return inner(*args, **kwargs)
         finally:
-            del shapes[start:]
+            shapes[start:] = [name]
 
-    monkeypatch.setattr(owner, name, muted)
-    return shapes
+    return muted
 
 
-@pytest.mark.parametrize("mode,hessian_size", [("full", 36), ("essential", 33)])
+GATE = "nondefective_hypersurface_check"
+
+
+@pytest.mark.parametrize("mode,hessian_size", [("full", 33), ("essential", 33)])
 def test_one_elimination_of_P_and_H_per_trial(monkeypatch, mode, hessian_size):
-    shapes = _record_eliminations(
-        monkeypatch, (hessian_mod, "nondefective_hypersurface_check")
-    )
+    shapes = _record_eliminations(monkeypatch, (hessian_mod, GATE))
     cert = certify_hessian_pade(P547, mode, trials=3, seed=0)
     assert [t.seed for t in cert.trials] == [
         derive_seed("hessian", 0, t) for t in range(3)
     ]  # no resamples
-    assert shapes == [(15, 15), (hessian_size, hessian_size)] * 3
+    assert shapes == [GATE] + [(15, 15), (hessian_size, hessian_size)] * 3
+
+
+def test_survey_gates_once_and_runs_one_trial_loop_per_case(monkeypatch, capsys):
+    shapes = _record_eliminations(monkeypatch, (cli_mod, GATE), (hessian_mod, GATE))
+    argv = ["survey", "--e-max", "5", "--trials", "2"]
+    assert cli_mod.main(argv) == 0
+    capsys.readouterr()
+    # per case: the gate once, then per trial one P and one H over the
+    # variables of P, then P and M at the rank_M point
+    assert shapes == (
+        [GATE] + [(15, 15), (33, 33)] * 2 + [(15, 15), (14, 7)]
+        + [GATE] + [(21, 21), (56, 56)] * 2 + [(21, 21), (20, 11)]
+    )
+    assert len(pade_matrix(2, 8, 5, 10).variables()) == 56
+
+
+def test_certificate_rejects_unknown_variable_set(monkeypatch):
+    shapes = _record_eliminations(monkeypatch, (hessian_mod, GATE))
+    with pytest.raises(UsageError, match="variable set"):
+        certify_hessian_pade(P547, "ambient", trials=2, seed=0)
+    assert shapes == []
+
+
+def test_certificate_rejects_check_for_other_params(monkeypatch):
+    check = nondefective_hypersurface_check(P8510, trials=2, seed=0)
+    assert check.is_nondefective_hypersurface
+    shapes = _record_eliminations(monkeypatch, (hessian_mod, GATE))
+    with pytest.raises(UsageError, match="gate outcome"):
+        certify_hessian_pade(P547, "essential", trials=2, seed=0, check=check)
+    assert shapes == []
+
+
+def test_certificate_refuses_failing_check():
+    params = TaylorParams(3, 2, 2, 3)
+    check = nondefective_hypersurface_check(params, trials=2, seed=0)
+    with pytest.raises(DomainError, match="refusing"):
+        certify_hessian_pade(params, "essential", trials=2, seed=0, check=check)
+
+
+def test_given_check_matches_own_gate():
+    check = nondefective_hypersurface_check(P547, trials=3, seed=5)
+    for mode in ("full", "essential"):
+        own = certify_hessian_pade(P547, mode, trials=2, seed=1)
+        assert certify_hessian_pade(P547, mode, trials=2, seed=1, check=check) == own
 
 
 def test_one_elimination_of_P_at_the_diagnostic_point(monkeypatch, capsys):
@@ -290,4 +336,5 @@ def test_one_elimination_of_P_at_the_diagnostic_point(monkeypatch, capsys):
     argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "1"]
     assert cli_mod.main(argv) == 0
     capsys.readouterr()
-    assert shapes == [(15, 15), (14, 7)]  # P once, then the relation matrix M
+    # the certificate, then P once and the relation matrix M
+    assert shapes == ["certify_hessian_pade", (15, 15), (14, 7)]

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import taylorpade.variety as variety_mod
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
     PRIMES_62,
@@ -150,6 +152,29 @@ def test_nondefective_check_2112(gf):
     check = nondefective_hypersurface_check(TaylorParams(2, 1, 1, 2), trials=10, ctx=gf, seed=0)
     assert check.square
     assert check.verdict == "non-defective hypersurface"
+
+
+@pytest.mark.parametrize(
+    "params,jacobians", [(P547, 1), (P3223, 3)], ids=["547", "3223"]
+)
+def test_gate_stops_at_expected_dimension(params, jacobians, monkeypatch, gf):
+    # The Jacobian rank cannot exceed the expected dimension, so the gate
+    # stops at the first Jacobian that reaches it; a defective case never
+    # does and runs all three.
+    shapes = []
+    real = variety_mod.eliminate
+
+    def counted(A, field, inverse=False):
+        shapes.append((len(A), len(A[0])))
+        return real(A, field, inverse)
+
+    monkeypatch.setattr(variety_mod, "eliminate", counted)
+    check = nondefective_hypersurface_check(params, trials=2, ctx=gf, seed=0)
+    n, d, e, m = params.astuple()
+    jac = (comb(m + n, n) - 1, comb(d + n, n) + comb(e + n, n) - 2)
+    assert shapes.count(jac) == jacobians
+    assert len(shapes) == 2 + jacobians  # two det trials
+    assert check.actual_dim == actual_dimension(params, trials=3, ctx=gf, seed=0)
 
 
 def test_square_family():
