@@ -121,6 +121,8 @@ def load_poly(path: str) -> SparsePoly:
             term = (tuple(int(x) for x in exps), Fraction(int(num), int(den)))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad term {item!r}: {exc}") from None
+        if any(x < 0 for x in term[0]):
+            raise UsageError(f"bad term {item!r}: negative exponent")
         if nvars is None:
             nvars = len(exps)
         elif len(exps) != nvars:
@@ -252,13 +254,20 @@ def cmd_survey(config: RunConfig) -> dict:
     return _report(config, payload, None)
 
 
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def cmd_export(config: RunConfig) -> dict:
     params = config.params()
     P = pade_matrix(*params.astuple(), within_increasing=(config.order == "reverse"))
     script = export_m2(P)
     path = config.out or f"pade_{params.n}_{params.d}_{params.e}_{params.m}.m2"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(script)
+    write_text(path, script)
     payload = {
         "path": path,
         "rows": P.nrows,
@@ -331,14 +340,13 @@ def main(argv=None) -> int:
         config = RunConfig(**fields)
         report = COMMANDS[config.command](config)
         text = render_report(report, config.format)
-    except (UsageError, DomainError, FileNotFoundError) as exc:
+        if config.out and config.command != "export":
+            write_text(config.out, text)
+        else:
+            sys.stdout.write(text)
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.out and config.command != "export":
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if config.expect is not None:
         verdict = report["payload"].get("verdict")
         if verdict != config.expect:

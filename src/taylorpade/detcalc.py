@@ -3,6 +3,26 @@
 Determinant, rank and inverse all come from one elimination kernel,
 ``eliminate``; ``det_berkowitz`` is the division-free fallback over rings.
 
+Over GF(p) the kernel works on packed rows with delayed modular reduction
+(Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields: the
+FFLAS and FFPACK packages", ACM TOMS 35(3), 2008), carried over to Python
+integers:
+
+* each row is one int; its entries sit in byte-aligned slots of W bits, the
+  current column in the lowest slot, then the later columns, then (for an
+  inverse) the augmented identity block;
+* eliminating one row is one big-int multiply-add done in C,
+  ``R_i <- (R_i >> W) + (p - f_i) * Y``, where ``f_i`` is the row's lowest
+  slot reduced mod p and ``Y`` is the pivot row's tail, reduced and scaled
+  by the pivot's inverse;
+* slots are reduced mod p only where they are read: the pivot column once
+  per step, the pivot row once when it becomes the pivot, and the inverse
+  at the end.  In between a slot only grows, by less than ``p * (p - 1)``
+  per step, over at most ``s = min(rows, cols)`` steps;
+* W is the smallest multiple of 8 with ``p + s * p * (p - 1) < 2^W``, so
+  no slot ever carries into its neighbour (about 136 bits for the 62-bit
+  primes of ``fields.PRIMES_62``).
+
 Two independent routes to the derivatives of det(P) at a point:
 
 * the adjugate/trace route (Jacobi's formula and its second-order extension),
@@ -17,6 +37,7 @@ matrix is singular; the adjugate route is the fast path.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import NamedTuple
 
@@ -46,10 +67,21 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
 
     Pivot rows are taken column by column and a column without a pivot is
     skipped (rank-profile elimination, Dumas-Pernet-Sultan, ISSAC 2013).  The
-    body follows from ``field``: inlined integer arithmetic over GF(p);
-    fraction-free Bareiss elimination (Math. Comp. 22, 1968) of the
-    integer-scaled rows over Q; the context's own operations, pivoting on
-    units, over any other ring (jets, and inverses over Q).
+    body follows from ``field``:
+
+    * over GF(p), packed rows with delayed reduction (module docstring):
+      one multiply-add of W-bit slots per row update, with
+      ``p + min(rows, cols) * p * (p - 1) < 2^W`` so slots never carry,
+      and ``% p`` applied only to the pivot column, to each pivot row and
+      to the final inverse;
+    * over Q, fraction-free Bareiss elimination (Math. Comp. 22, 1968) of
+      the integer-scaled rows;
+    * over any other ring (jets, and inverses over Q), the context's own
+      operations, pivoting on units.
+
+    Every body takes as pivot the first remaining row whose entry is
+    nonzero (a unit over rings) and stops once the rank reaches the row
+    count.
     """
     ncols = len(A[0]) if A else 0
     if any(len(row) != ncols for row in A):
@@ -67,34 +99,59 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
 
 
 def _eliminate_modp(A, ncols, p, inverse):
+    # Packed rows with delayed reduction; the module docstring gives the
+    # layout and the bound on the slot width W (``size`` bytes).
     n = len(A)
-    rows = [[x % p for x in row] for row in A]
+    size = ((p + min(n, ncols) * p * (p - 1)).bit_length() + 7) // 8
+    W = 8 * size
+    mask = (1 << W) - 1
+    rows = [_pack([x % p for x in row], size) for row in A]
     if inverse:
-        for i, row in enumerate(rows):
-            row += [int(i == j) for j in range(n)]
+        rows = [row | 1 << W * (ncols + i) for i, row in enumerate(rows)]
     det, rank = 1, 0
     for col in range(ncols):
-        piv = next((i for i in range(rank, n) if rows[i][col]), None)
+        first = 0 if inverse else rank
+        low = [(row & mask) % p for row in rows]
+        piv = next((i for i in range(rank, n) if low[i]), None)
         if piv is None:
             det = 0
+            rows[first:] = [row >> W for row in rows[first:]]
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
+            low[rank], low[piv] = low[piv], low[rank]
             det = -det
-        row = rows[rank]
-        det = det * row[col] % p
-        inv = pow(row[col], -1, p)
-        tail = [x * inv % p for x in row[col + 1:]]
-        row[col + 1:] = tail
-        for i in range(0 if inverse else rank + 1, n):
-            f = rows[i][col]
-            if f and i != rank:
-                rows[i][col + 1:] = [(x - f * y) % p
-                                     for x, y in zip(rows[i][col + 1:], tail)]
+        pivot = low[rank]
+        det = det * pivot % p
+        inv = pow(pivot, -1, p)
+        tail = rows[rank] >> W
+        slots = ncols - col - 1 + (n if inverse else 0)
+        Y = _pack([x * inv % p for x in _unpack(tail, slots, size)], size)
+        for i in range(first, n):
+            f = low[i]
+            if i == rank:
+                rows[i] = Y
+            elif f:
+                rows[i] = (rows[i] >> W) + (p - f) * Y
+            else:
+                rows[i] >>= W
         rank += 1
         if rank == n:
             break
-    return rank, det, [row[ncols:] for row in rows] if inverse and rank == n else None
+    if not (inverse and rank == n):
+        return rank, det, None
+    return rank, det, [[x % p for x in _unpack(row, n, size)] for row in rows]
+
+
+def _pack(values, size):
+    data = b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
+    return int.from_bytes(data, "little")
+
+
+def _unpack(row, count, size):
+    data = row.to_bytes(count * size, "little")
+    return [int.from_bytes(data[j:j + size], "little")
+            for j in range(0, count * size, size)]
 
 
 def _eliminate_bareiss(A, ncols):

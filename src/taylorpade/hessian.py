@@ -155,6 +155,8 @@ class Certificate:
     degree bound evaluates to zero at every recorded point: the product of
     degree_bound/p over the all-zero trials.  It applies to the
     vanishes-probabilistic verdict; a nonzero-certified verdict is exact.
+    A degree bound of 0 means det(H) is a constant, so one zero value proves
+    it zero: the bound is then 0 and ``error_bound_log10`` is None.
     """
 
     target: str
@@ -182,9 +184,13 @@ def _finish_certificate(target, degree_bound, records):
         raise UsageError("need at least one trial")
     if all(t.value == 0 for t in records):
         verdict = VANISHES
-        log10 = sum(math.log10(degree_bound) - math.log10(t.prime) for t in records)
-        log10 = min(log10, 0.0)
-        bound = 10.0 ** log10 if log10 > -320 else 0.0
+        if degree_bound == 0:
+            bound, log10 = 0.0, None
+        else:
+            log10 = sum(math.log10(degree_bound) - math.log10(t.prime)
+                        for t in records)
+            log10 = min(log10, 0.0)
+            bound = 10.0 ** log10 if log10 > -320 else 0.0
     else:
         verdict = NONZERO
         bound = None
@@ -282,7 +288,7 @@ def certify_hessian_pade(
         )
     essential = _finish_certificate(
         f"hessian-det[pade{params.astuple()}, essential]",
-        len(variables) * (P.nrows - 2),
+        len(variables) * max(P.nrows - 2, 0),
         records,
     )
     if variable_set == "essential":
@@ -309,7 +315,7 @@ def full_from_essential(essential: Certificate, params: TaylorParams) -> Certifi
     ]
     return _finish_certificate(
         f"hessian-det[pade{params.astuple()}, full]",
-        params.ambient_coords * (P.nrows - 2),
+        params.ambient_coords * max(P.nrows - 2, 0),
         records,
     )
 

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylorpade import cli
+from taylorpade.fields import PRIMES_62
 
 
 def run_cli(argv, capsys):
@@ -188,6 +194,7 @@ def test_survey_json_e_max_5(capsys, schema):
 GOLDEN = Path(__file__).parent / "golden"
 _P547 = ["-n", "2", "-d", "5", "-e", "4", "-m", "7"]
 _P2112 = ["-n", "2", "-d", "1", "-e", "1", "-m", "2"]
+_P20822 = ["-n", "2", "-d", "20", "-e", "8", "-m", "22"]
 
 
 GOLDEN_RUNS = {
@@ -202,13 +209,24 @@ GOLDEN_RUNS = {
         ["hessian", *_P2112, "--trials", "3", "--mode", "full"],
     "hessian_2_1_1_2_t3_essential.json":
         ["hessian", *_P2112, "--trials", "3", "--mode", "essential"],
+    "hessian_2_20_8_22_t1_s7_full.json":
+        ["hessian", *_P20822, "--trials", "1", "--seed", "7", "--mode", "full"],
+    "hessian_2_20_8_22_t1_s7_essential.json":
+        ["hessian", *_P20822, "--trials", "1", "--seed", "7", "--mode", "essential"],
+    "defect_2_25_9_27_t4_s7.json":
+        ["defect", "-n", "2", "-d", "25", "-e", "9", "-m", "27",
+         "--trials", "4", "--seed", "7"],
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
 def test_report_matches_golden(name, capsys, monkeypatch):
-    # Reports recorded before the full certificate was derived from the
-    # essential trials; the derivation must reproduce them byte for byte.
+    # Reports recorded with the list-of-ints GF(p) elimination, before the
+    # packed-row kernel, and (the first six) before the full certificate was
+    # derived from the essential trials; both changes must reproduce them
+    # byte for byte.  (2,20,8,22) eliminates a 185x185 Hessian and 45x45
+    # Pade matrices with inverse; (2,25,9,27) a 405x404 Jacobian, the sizes
+    # at which rows span thousands of packed bytes.
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     code, out = run_cli(GOLDEN_RUNS[name], capsys)
     assert code == 0
@@ -290,8 +308,9 @@ def test_hessian_rejects_rational_field(path, tmp_path, capsys):
     '[[[2, 0], 1, 0]]',  # zero denominator
     '[[[2, 0], 1, 1]',  # malformed JSON
     '[[[2, 0], "x", 1]]',  # non-integer field
+    '[[[-1, 3], 1, 1], [[1, 1], 1, 1]]',  # a Laurent term
     None,  # a directory, not a file
-], ids=["zero-denominator", "bad-json", "non-integer", "directory"])
+], ids=["zero-denominator", "bad-json", "non-integer", "negative-exponent", "directory"])
 def test_poly_file_malformed(content, tmp_path, capsys):
     path = tmp_path / "poly.json"
     if content is None:
@@ -299,3 +318,128 @@ def test_poly_file_malformed(content, tmp_path, capsys):
     else:
         path.write_text(content)
     _usage_error(["hessian", "--poly", str(path)], capsys)
+
+
+@pytest.mark.parametrize("target", ["poly", "pade"])
+def test_constant_hessian_det_has_zero_bound(target, tmp_path, capsys, schema):
+    # x0^2 and the 2x2 Pade matrix of (1,1,1,3) have a constant det(H): its
+    # degree bound is 0, and a zero value proves it zero.
+    if target == "poly":
+        poly = tmp_path / "square.json"
+        poly.write_text("[[[2, 0], 1, 1]]")
+        argv = ["hessian", "--poly", str(poly)]
+    else:
+        argv = ["hessian", "-n", "1", "-d", "1", "-e", "1", "-m", "3"]
+    code, out = run_cli(argv + ["--trials", "2"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    validate(report, schema)
+    cert = report["payload"]["certificate"]
+    assert cert["verdict"] == "vanishes-probabilistic"
+    assert cert["degree_bound"] == 0
+    assert (cert["error_bound"], cert["error_bound_log10"]) == (0.0, None)
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("argv", [
+    ["shape", *_P2112],
+    ["hessian", *_P2112, "--trials", "1"],
+    ["export", *_P2112],
+], ids=lambda argv: argv[0])
+def test_out_path_unwritable(argv, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "report" if target == "missing-parent" else tmp_path
+    assert "cannot write" in _usage_error(argv + ["--out", str(out)], capsys)
+    assert not (tmp_path / "missing").exists()
+
+
+def _poly_terms(nvars, exponent, denominator):
+    term = st.tuples(
+        st.lists(exponent, min_size=nvars, max_size=nvars),
+        st.integers(-3, 3),
+        denominator,
+    ).map(list)
+    return st.lists(term, min_size=1, max_size=4).map(json.dumps)
+
+
+_POLY_TEXT = st.one_of(
+    st.sampled_from([
+        "[[[2, 0], 1, 1]]",
+        "[[[1, 1, 0], 1, 1], [[0, 0, 2], -1, 2]]",
+        "[[[3, 0, 0], 1, 1], [[0, 3, 0], 1, 1], [[0, 0, 3], 1, 1]]",
+        "[[[1, 0, 0, 2, 0], 1, 1], [[0, 1, 0, 1, 1], 1, 1], [[0, 0, 1, 0, 2], 1, 1]]",
+    ]),
+    st.integers(1, 4).flatmap(
+        lambda k: _poly_terms(k, st.integers(0, 3), st.integers(1, 3))),
+    st.integers(0, 3).flatmap(
+        lambda k: _poly_terms(k, st.integers(-1, 3), st.integers(-1, 2))),
+    st.sampled_from(["", "[]", "{}", "[1, 2]", "[[[1], 1]]", "[[[1], 1, 1], [[1, 1], 1, 1]]"]),
+    st.text(max_size=20),
+)
+# (n, d, e, m) with a square Pade matrix, so that `hessian` reaches a
+# certificate more often than random parameters would; (3,2,2,3) is the
+# defective one, which the certificate refuses.
+_SQUARE_CASES = st.sampled_from(
+    [(2, 1, 1, 2), (2, 4, 2, 5), (1, 1, 1, 3), (1, 2, 2, 5), (3, 2, 2, 3)])
+
+
+def _mostly(draw, valid, everything):
+    """Draw from ``valid`` three times in four, else from ``everything``, so
+    that most examples get past argument checking."""
+    return draw(valid if draw(st.integers(0, 3)) else everything)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [command]
+    poly = None
+    if command == "hessian" and draw(st.booleans()):
+        poly = draw(_POLY_TEXT)
+    elif command == "survey":
+        argv += ["--e-max", str(_mostly(draw, st.integers(1, 4), st.integers(-1, 4)))]
+    else:
+        if command == "hessian" and draw(st.booleans()):
+            n, d, e, m = draw(_SQUARE_CASES)
+        else:
+            n = _mostly(draw, st.integers(1, 3), st.integers(0, 3))
+            d = draw(st.integers(0, 4))
+            e = draw(st.integers(0, 4))
+            m = _mostly(draw, st.integers(d + 1, 6), st.integers(0, 6))
+        argv += ["-n", str(n), "-d", str(d), "-e", str(e), "-m", str(m)]
+    argv += ["--trials", str(_mostly(draw, st.integers(1, 2), st.integers(-2, 2)))]
+    argv += ["--seed", str(draw(st.integers(0, 3)))]
+    for flag, choices in (("--field", ["prime", "rational"]),
+                          ("--mode", ["full", "essential"]),
+                          ("--order", ["paper", "reverse"]),
+                          ("--format", ["json", "csv"])):
+        argv += [flag, _mostly(draw, st.just(choices[0]), st.sampled_from(choices))]
+    prime = _mostly(draw, st.none(), st.sampled_from([0, 1, 4, 5, PRIMES_62[0]]))
+    if prime is not None:
+        argv += ["--prime", str(prime)]
+    out = _mostly(draw, st.none(), st.sampled_from(["directory", "missing-parent"]))
+    if out == "directory":
+        argv += ["--out", "."]
+    elif out == "missing-parent":
+        argv += ["--out", os.path.join("missing", "report")]
+    if draw(st.booleans()):
+        argv += ["--expect", draw(st.sampled_from(["square", "defective",
+                                                   "vanishes-probabilistic"]))]
+    return argv, poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_cli_argv_fuzz(case):
+    # Valid-choice argv over all five commands: the CLI answers with a
+    # report, an --expect mismatch or a one-line usage error, never a
+    # traceback.
+    argv, poly = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        if poly is not None:
+            Path("poly.json").write_text(poly)
+            argv = argv + ["--poly", "poly.json"]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

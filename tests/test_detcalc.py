@@ -220,6 +220,90 @@ def test_eliminate_non_square(gf):
         eliminate([[1, 2], [3]], gf)
 
 
+def _reference_modp(A, p, inverse):
+    """The list-of-ints GF(p) elimination that the packed-row kernel
+    replaced, kept as its reference: every entry reduced after every update,
+    same pivot rule, det sign and early exit."""
+    n = len(A)
+    ncols = len(A[0]) if A else 0
+    rows = [[x % p for x in row] for row in A]
+    if inverse:
+        for i, row in enumerate(rows):
+            row += [int(i == j) for j in range(n)]
+    det, rank = 1, 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, n) if rows[i][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        row = rows[rank]
+        det = det * row[col] % p
+        inv = pow(row[col], -1, p)
+        tail = [x * inv % p for x in row[col + 1:]]
+        row[col + 1:] = tail
+        for i in range(0 if inverse else rank + 1, n):
+            f = rows[i][col]
+            if f and i != rank:
+                rows[i][col + 1:] = [(x - f * y) % p
+                                     for x, y in zip(rows[i][col + 1:], tail)]
+        rank += 1
+        if rank == n:
+            break
+    inv_rows = [row[ncols:] for row in rows] if inverse and rank == n else None
+    return rank, det if n == ncols else None, inv_rows
+
+
+def _modp_inputs(p, rng):
+    """Matrices that stress the packed GF(p) kernel: degenerate shapes, tall,
+    wide and square up to 60, rank deficiency, zero columns (entries that
+    are multiples of p), and entries that are negative, >= p, or all p - 1,
+    which let unreduced slots grow as far as the slot-width bound allows."""
+
+    def entry():
+        return rng.choice((
+            lambda: rng.randrange(p),
+            lambda: rng.randrange(-3 * p, 0),
+            lambda: rng.randrange(p, 4 * p),
+            lambda: p - 1,
+            lambda: 0,
+        ))()
+
+    def rand(r, c):
+        return [[entry() for _ in range(c)] for _ in range(r)]
+
+    out = [[], [[entry()]], [[p - 1]], [[0]], [[], []], rand(5, 1), rand(1, 5)]
+    for r, c in ((7, 3), (3, 7), (12, 12), (30, 22), (22, 30)):
+        out.append(rand(r, c))
+        out.append([[p - 1] * c for _ in range(r)])
+    for k in (8, 25, 56):
+        A = rand(k, k)
+        A[-1] = [a - 2 * b for a, b in zip(A[0], A[k // 2])]  # rank-deficient
+        out.append(A)
+        B = rand(k, k + 3)
+        for row in B:
+            row[1] = rng.randint(-2, 2) * p  # a zero column mod p
+            row[k // 2] = p * (p - 1)
+        out.append(B)
+        # p - 1 on and below the diagonal: invertible, full slots
+        out.append([[p - 1 if j <= i else entry() for j in range(k)]
+                    for i in range(k)])
+    return out
+
+
+@pytest.mark.parametrize("p", [*PRIMES_62, 2, 3, 2**31 - 1, 2**89 - 1])
+def test_eliminate_modp_matches_list_reference(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for A in _modp_inputs(p, rng):
+        square = len(A) == (len(A[0]) if A else 0)
+        for inverse in (False, True) if square else (False,):
+            got = eliminate(A, field, inverse=inverse)
+            assert tuple(got) == _reference_modp(A, p, inverse)
+
+
 def test_rank_trivials(gf):
     assert eliminate([[0, 0], [0, 0]], gf).rank == 0
     assert eliminate([[1, 0, 0], [0, 1, 0], [0, 0, 1]], gf).rank == 3
