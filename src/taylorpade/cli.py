@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import hessian as hess
-from .detcalc import block_grad_det_at, eliminate
 from .errors import DomainError, UsageError
 from .fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
 from .pade import export_m2, pade_matrix
@@ -61,6 +60,8 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise UsageError(f"--trials must be >= 1, got {self.trials}")
+        if self.format == "csv" and self.command != "survey":
+            raise UsageError("csv format is only available for survey reports")
 
     def params(self) -> TaylorParams:
         if None in (self.n, self.d, self.e, self.m):
@@ -158,7 +159,7 @@ def cmd_shape(config: RunConfig) -> dict:
 def cmd_defect(config: RunConfig) -> dict:
     params = config.params()
     check = nondefective_hypersurface_check(
-        params, trials=config.trials, ctx=config.context() or None, seed=config.seed
+        params, trials=config.trials, ctx=config.context(), seed=config.seed
     )
     payload = {
         "rows": check.rows,
@@ -191,20 +192,11 @@ def cmd_hessian(config: RunConfig) -> dict:
         ctx=config.context(),
     )
     payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
-    if params.n == 2 and params.m == params.d + 2 and params.is_square:
+    if hess.relations_apply(params):
         fld = config.fixed_context()
         P = pade_matrix(*params.astuple())
-        point = random_point(
-            P.variables(), fld, derive_seed("diag", config.seed)
-        )
-        M = hess.build_M(params, block_grad_det_at(P, point, fld), fld)
-        payload["relations"] = {
-            "residual_is_zero": all(
-                fld.is_zero(x) for x in hess.relation_residual(M, point, fld)
-            ),
-            "rank_M": eliminate(M.rows, fld).rank,
-            "rank_bound": 2 * params.d - 2 * params.e + 5,
-        }
+        point = random_point(P.variables(), fld, derive_seed("diag", config.seed))
+        payload["relations"] = hess.relation_check(params, point, fld)
     return _report(config, payload, params)
 
 
@@ -236,7 +228,7 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
         point = random_point(P.variables(), fld, derive_seed("survey", config.seed))
         row["hessian_full"] = hess.full_from_essential(essential, params).verdict
         row["essential_corank"] = min(t.corank for t in essential.trials)
-        row["rank_M"] = hess.rank_M_at(params, point, fld)
+        row["rank_M"] = hess.relation_check(params, point, fld)["rank_M"]
     return row
 
 
@@ -288,17 +280,16 @@ COMMANDS = {
 
 
 def render_report(report: dict, fmt: str) -> str:
+    """JSON for every report; CSV for a survey (``RunConfig`` allows no other)."""
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     payload = report["payload"]
-    if "rows" in payload and "columns" in payload:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=payload["columns"], lineterminator="\n")
-        writer.writeheader()
-        for row in payload["rows"]:
-            writer.writerow(row)
-        return buf.getvalue()
-    raise UsageError("csv format is only available for survey reports")
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=payload["columns"], lineterminator="\n")
+    writer.writeheader()
+    for row in payload["rows"]:
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         "shapes, defectivity, and vanishing-Hessian certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get(SEED_ENV, "0"))
+    # a string default: argparse converts it with ``type`` only when --seed
+    # is absent, and reports a malformed value as a usage error
+    default_seed = os.environ.get(SEED_ENV, "0")
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("-n", type=int, default=None)
@@ -316,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-e", type=int, default=None)
         sp.add_argument("-m", type=int, default=None)
         sp.add_argument("--trials", type=int, default=20)
-        sp.add_argument("--seed", type=int, default=default_seed)
+        sp.add_argument("--seed", type=int, default=default_seed,
+                        help=f"default: ${SEED_ENV}, else 0")
         sp.add_argument("--prime", type=int, default=None)
         sp.add_argument("--prime-index", type=int, default=None)
         sp.add_argument("--field", choices=["prime", "rational"], default="prime")

@@ -77,12 +77,8 @@ class PrimeField:
             raise UsageError(f"modulus {p} is not prime")
         self.p = p
 
-    name = "prime-field"
     zero = 0
     one = 1
-
-    def describe(self) -> str:
-        return f"prime-field({self.p})"
 
     def of_int(self, k: int) -> int:
         return k % self.p
@@ -141,12 +137,8 @@ class Rationals:
     def __init__(self, sample_bound: int = DEFAULT_RATIONAL_BOUND):
         self.sample_bound = sample_bound
 
-    name = "exact-rational"
     zero = Fraction(0)
     one = Fraction(1)
-
-    def describe(self) -> str:
-        return "exact-rational"
 
     def of_int(self, k: int) -> Fraction:
         return Fraction(k)
@@ -231,8 +223,6 @@ class JetRing:
 
     __slots__ = ("base", "order", "zero", "one")
 
-    name = "jet"
-
     def __init__(self, base, order: int = 2):
         if order not in (1, 2):
             raise UsageError("jet truncation order must be 1 or 2")
@@ -240,12 +230,6 @@ class JetRing:
         self.order = order
         self.zero = Jet(base.zero)
         self.one = Jet(base.one)
-
-    def describe(self) -> str:
-        return f"jet({self.base.describe()}, order {self.order})"
-
-    def of_int(self, k: int) -> Jet:
-        return Jet(self.base.of_int(k))
 
     def constant(self, v) -> Jet:
         return Jet(v)

@@ -7,8 +7,8 @@ relations sum_b c_b f^(j)_{a+b} = 0, where f^(j)_g is the cofactor sum of
 det(P) over the occurrences of c_g inside block C_j.  In this family a
 variable occurs in two adjacent blocks, so the block-restricted sums f^(j)_g
 are the objects the identity genuinely constrains (their sum over blocks is
-the full partial derivative f_g).  The identity M.c = 0 holds at every point
-and bounds rk(M) < 2d-2e+5.
+the full partial derivative f_g).  The identity M.c = 0 holds at every point;
+as c is nonzero, the rank of M stays below its number of columns.
 
 Certificates report randomized polynomial identity tests: a nonzero value
 modulo any prime certifies a nonzero polynomial, while an all-zero run leaves
@@ -21,12 +21,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field as dc_field, replace
 
-from .detcalc import (
-    block_grad_det_at,
-    eliminate,
-    hessian_det_at,
-    hessian_from_factor,
-)
+from .detcalc import block_grad_det_at, eliminate, hessian_from_factor
 from .errors import DomainError, UnsupportedParametersError, UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
 from .pade import pade_matrix
@@ -39,13 +34,18 @@ NONZERO = "nonzero-certified"
 _WITHIN_DEC = MonomialOrder(degree_increasing=True, lex_increasing=False)
 
 
+def relations_apply(params: TaylorParams) -> bool:
+    """Whether the relation identity is built for these parameters: the
+    square two-variable family with m = d+2."""
+    return params.n == 2 and params.m == params.d + 2 and params.is_square
+
+
 def _require_relation_params(params: TaylorParams):
-    if params.n != 2:
-        raise UnsupportedParametersError("relation matrix is built for n = 2 only")
-    if params.m != params.d + 2:
-        raise UnsupportedParametersError("relation matrix needs m = d + 2")
-    if not params.is_square:
-        raise UnsupportedParametersError("relation matrix needs a square Pade matrix")
+    if not relations_apply(params):
+        raise UnsupportedParametersError(
+            f"the relation matrix needs n = 2, m = d + 2 and a square Pade "
+            f"matrix, not {params.astuple()}"
+        )
 
 
 def relation_column_labels(params: TaylorParams) -> list:
@@ -118,20 +118,23 @@ def relation_residual(M: RelationMatrix, point: dict, field) -> list:
     return out
 
 
-def verify_relations(params: TaylorParams, point: dict, field) -> list:
-    """Residual M.c at a point; exactly zero for every point (an identity)."""
+def relation_check(params: TaylorParams, point: dict, field) -> dict:
+    """The relation identity M.c = 0 and the rank of M at one point.
+
+    P is eliminated once (for its per-block gradient) and M once.  The
+    coefficient vector c is nonzero and lies in the kernel of M, so the rank
+    of M stays below ``rank_bound``, the number of columns of M.
+    """
     _require_relation_params(params)
     P = pade_matrix(*params.astuple())
-    bg = block_grad_det_at(P, point, field)
-    M = build_M(params, bg, field)
-    return relation_residual(M, point, field)
-
-
-def rank_M_at(params: TaylorParams, point: dict, field) -> int:
-    P = pade_matrix(*params.astuple())
-    bg = block_grad_det_at(P, point, field)
-    M = build_M(params, bg, field)
-    return eliminate(M.rows, field).rank
+    M = build_M(params, block_grad_det_at(P, point, field), field)
+    return {
+        "residual_is_zero": all(
+            field.is_zero(x) for x in relation_residual(M, point, field)
+        ),
+        "rank_M": eliminate(M.rows, field).rank,
+        "rank_bound": len(M.col_labels),
+    }
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,16 @@ class Certificate:
     degree bound evaluates to zero at every recorded point: the product of
     degree_bound/p over the all-zero trials.  It applies to the
     vanishes-probabilistic verdict; a nonzero-certified verdict is exact.
+
+    The bound assumes that det(H), reduced mod p, is a nonzero polynomial of
+    total degree at most ``degree_bound`` (Schwartz-Zippel); a polynomial
+    whose coefficients are all divisible by p is outside it.  A Pade trial
+    resamples while P is singular at its point, which conditions the sample
+    on det(P) != 0, an event of probability at least 1 - size/p for P of
+    order ``size``; that multiplies the per-trial bound by 1/(1 - size/p).
+    The reported bound leaves this factor out: for the builtin 62-bit primes
+    and P of order below 400 it is under 1 + 1e-16 per trial.
+
     A degree bound of 0 means det(H) is a constant, so one zero value proves
     it zero: the bound is then 0 and ``error_bound_log10`` is None.
     """
@@ -219,6 +232,27 @@ def _trial_field(ctx, t: int) -> PrimeField:
     return PrimeField(PRIMES_62[t % len(PRIMES_62)])
 
 
+def _hessian_trials(trials: int, ctx, sample) -> list:
+    """One record per trial.  ``sample(t, fld)`` returns ``(seed, point, H)``
+    over the trial's field; H is eliminated once for its det and corank."""
+    records = []
+    for t in range(trials):
+        fld = _trial_field(ctx, t)
+        trial_seed, point, H = sample(t, fld)
+        h = eliminate(H, fld)
+        records.append(
+            TrialRecord(
+                index=t,
+                seed=trial_seed,
+                prime=fld.p,
+                point_digest=point_hash(point),
+                value=h.det,
+                corank=len(H) - h.rank,
+            )
+        )
+    return records
+
+
 GATE_TRIALS = 8
 
 
@@ -264,9 +298,8 @@ def certify_hessian_pade(
         )
     P = pade_matrix(*params.astuple())
     variables = P.variables()
-    records = []
-    for t in range(trials):
-        fld = _trial_field(ctx, t)
+
+    def sample(t, fld):
         seeds = [derive_seed("hessian", seed, t)]
         seeds += [derive_seed("hessian", seed, t, "resample", r) for r in range(8)]
         for trial_seed in seeds:
@@ -274,22 +307,12 @@ def certify_hessian_pade(
             fac = eliminate(P.evaluate(point, fld), fld, inverse=True)
             if fac.inverse is not None:
                 break
-        _, H = hessian_from_factor(P, point, fac, fld)
-        h = eliminate(H, fld)
-        records.append(
-            TrialRecord(
-                index=t,
-                seed=trial_seed,
-                prime=fld.p,
-                point_digest=point_hash(point),
-                value=h.det,
-                corank=len(variables) - h.rank,
-            )
-        )
+        return trial_seed, point, hessian_from_factor(P, point, fac, fld)[1]
+
     essential = _finish_certificate(
         f"hessian-det[pade{params.astuple()}, essential]",
         len(variables) * max(P.nrows - 2, 0),
-        records,
+        _hessian_trials(trials, ctx, sample),
     )
     if variable_set == "essential":
         return essential
@@ -333,56 +356,14 @@ def certify_hessian_poly(
         fi = f.diff(i)
         for j in range(i, V):
             second[i][j] = second[j][i] = fi.diff(j)
-    degree_bound = V * (f.degree() - 2)
-    records = []
-    for t in range(trials):
-        fld = _trial_field(ctx, t)
+
+    def sample(t, fld):
         trial_seed = derive_seed("poly-hessian", seed, t)
         rng = random.Random(trial_seed)
         values = [fld.sample(rng) for _ in range(V)]
         H = [[second[i][j].eval(fld, values) for j in range(V)] for i in range(V)]
-        h = eliminate(H, fld)
-        records.append(
-            TrialRecord(
-                index=t,
-                seed=trial_seed,
-                prime=fld.p,
-                point_digest=point_hash(dict(enumerate(values))),
-                value=h.det,
-                corank=V - h.rank,
-            )
-        )
+        return trial_seed, dict(enumerate(values)), H
+
+    records = _hessian_trials(trials, ctx, sample)
     target = f"hessian-det[poly, {V} vars, degree {f.degree()}]"
-    return _finish_certificate(target, degree_bound, records)
-
-
-def polar_image_rank(target, points: int = 3, seed=0, ctx=None) -> int:
-    """Local rank of the differential of the polar map w -> (f_g)(w).
-
-    That differential is the Hessian matrix of f, so this is the maximum
-    Hessian rank over the sampled points, a certified lower bound for the
-    generic rank.  For a Pade target the Hessian is taken over the variables
-    of P; coordinates absent from det(P) would add only zero rows.
-    """
-    if points < 1:
-        raise UsageError("need at least one point")
-    best = 0
-    if isinstance(target, SparsePoly):
-        V = target.nvars
-        second = [[target.diff(i).diff(j) for j in range(V)] for i in range(V)]
-        for t in range(points):
-            fld = _trial_field(ctx, t)
-            rng = random.Random(derive_seed("polar", seed, t))
-            values = [fld.sample(rng) for _ in range(V)]
-            H = [[second[i][j].eval(fld, values) for j in range(V)] for i in range(V)]
-            best = max(best, eliminate(H, fld).rank)
-        return best
-    params: TaylorParams = target
-    P = pade_matrix(*params.astuple())
-    variables = P.variables()
-    for t in range(points):
-        fld = _trial_field(ctx, t)
-        point = random_point(variables, fld, derive_seed("polar", seed, t))
-        _, H = hessian_det_at(P, point, fld)
-        best = max(best, eliminate(H, fld).rank)
-    return best
+    return _finish_certificate(target, V * (f.degree() - 2), records)

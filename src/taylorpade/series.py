@@ -104,25 +104,11 @@ class TruncatedSeries:
     def one(cls, field, nvars: int, order: int) -> "TruncatedSeries":
         return cls(field, nvars, order, {(0,) * nvars: field.one})
 
-    @classmethod
-    def from_terms(cls, field, nvars, order, terms) -> "TruncatedSeries":
-        """Build from an iterable of (exponent, coefficient), summing repeats."""
-        acc: dict = {}
-        for g, c in terms:
-            g = tuple(g)
-            prev = acc.get(g, field.zero)
-            acc[g] = field.add(prev, c)
-        return cls(field, nvars, order, acc)
-
     def coeff(self, g: Exponent):
         return self.coeffs.get(tuple(g), self.field.zero)
 
     def constant_term(self):
         return self.coeff((0,) * self.nvars)
-
-    def degree(self) -> int:
-        """Largest stored total degree (-1 for the zero series)."""
-        return max((sum(g) for g in self.coeffs), default=-1)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -146,25 +132,6 @@ class TruncatedSeries:
         f = self.field
         return TruncatedSeries(
             f, self.nvars, self.order, {g: f.neg(c) for g, c in self.coeffs.items()}
-        )
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "TruncatedSeries":
-        f = self.field
-        return TruncatedSeries(
-            f, self.nvars, self.order, {g: f.mul(c, v) for g, v in self.coeffs.items()}
-        )
-
-    def shift(self, g: Exponent) -> "TruncatedSeries":
-        """Multiply by the monomial x^g (truncating at the series order)."""
-        g = tuple(g)
-        return TruncatedSeries(
-            self.field,
-            self.nvars,
-            self.order,
-            {exp_add(h, g): c for h, c in self.coeffs.items() if sum(h) + sum(g) <= self.order},
         )
 
     def __eq__(self, other) -> bool:
@@ -292,10 +259,6 @@ class SparsePoly:
                 k = exp_add(g, h)
                 out[k] = out.get(k, Fraction(0)) + ca * cb
         return SparsePoly(self.nvars, out)
-
-    def scale(self, c) -> "SparsePoly":
-        c = Fraction(c)
-        return SparsePoly(self.nvars, {g: c * v for g, v in self.coeffs.items()})
 
     def diff(self, i: int) -> "SparsePoly":
         out = {}

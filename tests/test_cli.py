@@ -216,6 +216,9 @@ GOLDEN_RUNS = {
     "defect_2_25_9_27_t4_s7.json":
         ["defect", "-n", "2", "-d", "25", "-e", "9", "-m", "27",
          "--trials", "4", "--seed", "7"],
+    # run from the golden directory, so that config.poly is the bare name
+    "hessian_poly_perazzo_t3_s7.json":
+        ["hessian", "--poly", "perazzo.json", "--trials", "3", "--seed", "7"],
 }
 
 
@@ -228,6 +231,7 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     # Pade matrices with inverse; (2,25,9,27) a 405x404 Jacobian, the sizes
     # at which rows span thousands of packed bytes.
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    monkeypatch.chdir(GOLDEN)
     code, out = run_cli(GOLDEN_RUNS[name], capsys)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
@@ -265,6 +269,23 @@ def test_env_seed_default(capsys, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "777")
     code, out = run_cli(["shape", "-n", "2", "-d", "1", "-e", "1", "-m", "2"], capsys)
     assert json.loads(out)["config"]["seed"] == 777
+    argv = ["defect", *_P2112, "--trials", "2"]
+    from_env = run_cli(argv, capsys)
+    monkeypatch.delenv(cli.SEED_ENV)
+    assert from_env == run_cli(argv + ["--seed", "777"], capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_env_seed_malformed(value, capsys, monkeypatch):
+    # argparse's usage error, not a ValueError escaping before main's try
+    monkeypatch.setenv(cli.SEED_ENV, value)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["shape", *_P2112])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "--seed" in captured.err
 
 
 def _usage_error(argv, capsys):
@@ -289,6 +310,14 @@ def _usage_error(argv, capsys):
 def test_trials_must_be_positive(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert "--trials" in _usage_error(argv, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["export", "shape"])
+def test_csv_only_for_survey(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_P547, "--format", "csv"]
+    assert "csv" in _usage_error(argv, capsys)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -16,11 +16,9 @@ from taylorpade.hessian import (
     build_M,
     certify_hessian_pade,
     certify_hessian_poly,
-    polar_image_rank,
-    rank_M_at,
+    relation_check,
     relation_column_labels,
     relation_residual,
-    verify_relations,
 )
 from taylorpade.pade import pade_matrix
 from taylorpade.series import SparsePoly, exp_add, monomials_upto
@@ -102,22 +100,34 @@ def test_relations_identity_random_points(gf):
     P = pade_matrix(2, 5, 4, 7)
     for t in range(10):
         pt = random_point(P.variables(), gf, derive_seed("rel", t))
-        res = verify_relations(P547, pt, gf)
-        assert all(x == 0 for x in res)
+        assert relation_check(P547, pt, gf)["residual_is_zero"] is True
 
 
 def test_relations_zero_point(gf):
     P = pade_matrix(2, 5, 4, 7)
     pt = {g: 0 for g in P.variables()}
-    assert all(x == 0 for x in verify_relations(P547, pt, gf))
+    assert relation_check(P547, pt, gf)["residual_is_zero"] is True
 
 
 def test_rank_M_bounds(gf):
     P = pade_matrix(2, 5, 4, 7)
     for t in range(5):
         pt = random_point(P.variables(), gf, derive_seed("rk", t))
-        r = rank_M_at(P547, pt, gf)
-        assert 1 <= r <= 6
+        rel = relation_check(P547, pt, gf)
+        assert rel["rank_bound"] == 7
+        assert 1 <= rel["rank_M"] <= 6
+
+
+@pytest.mark.parametrize("params", [
+    TaylorParams(3, 2, 2, 3),  # n = 3
+    TaylorParams(2, 1, 1, 2),  # m = d + 1
+    TaylorParams(2, 4, 4, 6),  # m = d + 2, not square
+])
+def test_relation_check_rejects_params_outside_the_family(params, gf, monkeypatch):
+    shapes = _record_eliminations(monkeypatch)
+    with pytest.raises(UnsupportedParametersError):
+        relation_check(params, {}, gf)
+    assert shapes == []
 
 
 def test_corruption_is_detected(gf):
@@ -221,17 +231,22 @@ def test_certify_poly_rejects_inhomogeneous():
         certify_hessian_poly(linear, trials=2, seed=0)
 
 
-def test_polar_image_rank_quadric_and_perazzo():
+def test_corank_quadric_and_perazzo():
+    # the rank of the polar map is V - min corank over a certificate's trials
     quadric = SparsePoly.from_terms(
         4, [((2, 0, 0, 0), 1), ((0, 2, 0, 0), 1), ((0, 0, 2, 0), 1), ((0, 0, 0, 2), 1)]
     )
-    assert polar_image_rank(quadric, points=2, seed=0) == 4
-    assert polar_image_rank(PERAZZO, points=3, seed=0) <= 4
+    cert = certify_hessian_poly(quadric, trials=2, seed=0)
+    assert [t.corank for t in cert.trials] == [0, 0]
+    cert = certify_hessian_poly(PERAZZO, trials=3, seed=0)
+    assert min(t.corank for t in cert.trials) >= 1
 
 
-def test_polar_image_rank_pade(gf):
+def test_corank_pade_essential(gf):
     # measured: the essential polar map is locally bijective here
-    assert polar_image_rank(P547, points=2, seed=0) == 33
+    cert = certify_hessian_pade(P547, "essential", trials=2, seed=0)
+    assert len(pade_matrix(2, 5, 4, 7).variables()) == 33
+    assert [t.corank for t in cert.trials] == [0, 0]
 
 
 def test_cross_path_agreement_2112(gf):
@@ -256,7 +271,7 @@ def _record_eliminations(monkeypatch, *mute):
         shapes.append((len(A), len(A[0])))
         return real(A, field, inverse)
 
-    for mod in (detcalc_mod, hessian_mod, variety_mod, cli_mod):
+    for mod in (detcalc_mod, hessian_mod, variety_mod):
         monkeypatch.setattr(mod, "eliminate", counted)
     for owner, name in mute:
         monkeypatch.setattr(owner, name, _muted(shapes, name, getattr(owner, name)))

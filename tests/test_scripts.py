@@ -33,3 +33,11 @@ def test_worked_example_runs():
     assert script.returncode == 0, script.stderr
     assert "hessian [full     ]: vanishes-probabilistic" in script.stdout
     assert "hessian [essential]: nonzero-certified" in script.stdout
+
+
+def test_worked_example_matches_golden():
+    # recorded before the relation check and the polar rank were read from
+    # one factorisation of P and the certificate's coranks
+    script = _run_script("worked_example.py", "--trials", "2", "--seed", "7")
+    assert script.returncode == 0, script.stderr
+    assert script.stdout == (ROOT / "tests" / "golden" / "worked_example_t2_s7.txt").read_text()
