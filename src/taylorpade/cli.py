@@ -299,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shapes, defectivity, and vanishing-Hessian certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default: argparse converts it with ``type`` only when --seed
-    # is absent, and reports a malformed value as a usage error
-    default_seed = os.environ.get(SEED_ENV, "0")
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("-n", type=int, default=None)
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-e", type=int, default=None)
         sp.add_argument("-m", type=int, default=None)
         sp.add_argument("--trials", type=int, default=20)
-        sp.add_argument("--seed", type=int, default=default_seed,
+        sp.add_argument("--seed", type=int, default=None,
                         help=f"default: ${SEED_ENV}, else 0")
         sp.add_argument("--prime", type=int, default=None)
         sp.add_argument("--prime-index", type=int, default=None)
@@ -327,7 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is None:
+        env = os.environ.get(SEED_ENV, "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            parser.error(f"argument --seed: ${SEED_ENV} is not an integer: {env!r}")
     fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
               if hasattr(args, f)}
     try:

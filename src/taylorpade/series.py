@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 
 Exponent = tuple  # tuple[int, ...]
 
@@ -128,12 +128,6 @@ class TruncatedSeries:
             out[g] = f.add(out.get(g, f.zero), c)
         return TruncatedSeries(f, self.nvars, order, out)
 
-    def neg(self) -> "TruncatedSeries":
-        f = self.field
-        return TruncatedSeries(
-            f, self.nvars, self.order, {g: f.neg(c) for g, c in self.coeffs.items()}
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedSeries)
@@ -145,65 +139,6 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         terms = ", ".join(f"{g}: {c}" for g, c in sorted(self.coeffs.items()))
         return f"TruncatedSeries(order={self.order}, {{{terms}}})"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Product of two series with all terms of degree > ``order`` removed."""
-    a._check_compatible(b)
-    f = a.field
-    out: dict = {}
-    for g, ca in a.coeffs.items():
-        dg = sum(g)
-        if dg > order:
-            continue
-        for h, cb in b.coeffs.items():
-            if dg + sum(h) > order:
-                continue
-            k = exp_add(g, h)
-            prev = out.get(k)
-            term = f.mul(ca, cb)
-            out[k] = term if prev is None else f.add(prev, term)
-    return TruncatedSeries(f, a.nvars, order, out)
-
-
-def series_inverse(q: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Inverse series r with q*r = 1 up to degree ``order``.
-
-    Requires the constant term of q to be exactly 1; no normalization is
-    applied.  The graded recursion r_k = -sum_{j>=1} q_j r_{k-j} uses ring
-    operations only, so it also runs over jet coefficients.
-    """
-    f = q.field
-    one = (0,) * q.nvars
-    if q.coeff(one) != f.one:
-        raise DomainError("series_inverse requires constant term exactly 1")
-    # q split into homogeneous layers of positive degree
-    layers: dict = {}
-    for g, c in q.coeffs.items():
-        d = sum(g)
-        if d == 0 or d > order:
-            continue
-        layers.setdefault(d, {})[g] = c
-    r: dict = {one: f.one}
-    by_degree: dict = {0: {one: f.one}}
-    for k in range(1, order + 1):
-        acc: dict = {}
-        for j, qj in layers.items():
-            if j > k:
-                continue
-            rk = by_degree.get(k - j)
-            if not rk:
-                continue
-            for g, qc in qj.items():
-                for h, rc in rk.items():
-                    t = exp_add(g, h)
-                    prev = acc.get(t, f.zero)
-                    acc[t] = f.add(prev, f.mul(qc, rc))
-        layer = {g: f.neg(c) for g, c in acc.items() if not f.is_zero(c)}
-        if layer:
-            by_degree[k] = layer
-            r.update(layer)
-    return TruncatedSeries(f, q.nvars, order, r)
 
 
 class SparsePoly:

@@ -2,8 +2,17 @@
 
 A point of the variety is the coefficient vector (c_g, 0 < |g| <= m) of the
 order-m expansion of P/Q with P(0) = Q(0) = 1, deg P <= d, deg Q <= e.
-Dimension questions are answered by the generic rank of the Jacobian of the
-coefficient map; membership questions by the kernel of the Pade matrix.
+Dimension questions are answered by the generic rank of the Jacobian J of the
+coefficient map, membership questions by the kernel of the Pade matrix.  Both
+are Pade-matrix questions: at a point T of the variety,
+
+    rank J = C(d+n, n) - 1 + rank of the Pade matrix at T without its
+             constant (sigma = 0) column,
+
+because multiplying J's columns by the denominator Q turns them into x^b
+(0 < |b| <= d), which span degrees 1..d, and -x^b T (0 < |b| <= e), whose
+part in degrees d+1..m is that Pade matrix (proof in ``actual_dimension``).
+The gate therefore ranks a matrix of the Pade matrix's size, not J.
 """
 
 from __future__ import annotations
@@ -11,19 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .detcalc import eliminate
 from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, random_point
-from .pade import PadeShape, pade_matrix, pade_shape
-from .series import (
-    DOMAIN_ORDER,
-    TruncatedSeries,
-    exp_sub,
-    monomials_upto,
-    series_inverse,
-    series_mul,
-)
+from .pade import PadeShape, pade_matrix, pade_shape, reduced_pade
+from .series import TruncatedSeries, monomials_of_degree, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,31 @@ def random_rational_pair(params: TaylorParams, ctx, seed) -> RationalPair:
 
 
 def taylor_coeffs(pq: RationalPair, m: int) -> dict:
-    """Coefficients (c_g, 0 < |g| <= m) of the expansion of P/Q.
+    """Coefficients (c_g, 0 < |g| <= m) of the expansion T of P/Q.
 
-    Defining identity: Q * (1 + sum c_g x^g) = P modulo degree m+1.
+    Every such g is present, zeros included, so the result evaluates a Pade
+    matrix directly.  T is read off the defining identity Q*T = P modulo
+    degree m+1 by the graded recursion T_k = P_k - sum_{j>=1} Q_j T_{k-j}:
+    ring operations only, so it also runs over jet coefficients.
     """
-    qinv = series_inverse(pq.q, m)
-    t = series_mul(pq.p, qinv, m)
-    zero = (0,) * pq.p.nvars
-    return {g: c for g, c in t.coeffs.items() if g != zero}
+    f, n = pq.p.field, pq.p.nvars
+    q = [(b, sum(b), c) for b, c in pq.q.coeffs.items() if any(b)]
+    acc: dict = {}  # acc[g]: sum of Q_b T_{g-b} over the layers pushed so far
+    out: dict = {}
+    layer = [((0,) * n, f.one)]  # T_0 = 1
+    for k in range(1, m + 1):
+        for h, th in layer:  # degree k-1, now final: push Q_b T_h to h+b
+            if f.is_zero(th):
+                continue
+            for b, db, qb in q:
+                if k - 1 + db <= m:
+                    g = tuple(map(add, h, b))
+                    term = f.mul(qb, th)
+                    acc[g] = f.add(acc[g], term) if g in acc else term
+        layer = [(g, f.sub(pq.p.coeff(g), acc.get(g, f.zero)))
+                 for g in monomials_of_degree(n, k)]
+        out.update(layer)
+    return out
 
 
 def expected_dimension(params: TaylorParams) -> int:
@@ -110,54 +130,49 @@ def expected_dimension(params: TaylorParams) -> int:
     return min(comb(d + n, n) + comb(e + n, n) - 2, comb(m + n, n) - 1)
 
 
-def psi_jacobian(pq: RationalPair, params: TaylorParams):
-    """Jacobian of the coefficient map (P, Q) -> (c_g) at the given pair.
-
-    Columns are d/dp_b followed by d/dq_b over the free coefficients
-    (0 < |b| <= d resp. e); rows run over 0 < |g| <= m.  The column series are
-    exact:  dT/dp_b = x^b / Q  and  dT/dq_b = -x^b P / Q^2, truncated at m.
-    """
-    n, d, e, m = params.astuple()
-    field = pq.p.field
-    qinv = series_inverse(pq.q, m)
-    s = series_mul(series_mul(pq.p, qinv, m), qinv, m).neg()  # -P/Q^2
-    zero = (0,) * n
-    rows = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, m)) if g != zero]
-    p_cols = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, d)) if g != zero]
-    q_cols = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, e)) if g != zero]
-    jac = []
-    for g in rows:
-        row = []
-        for b in p_cols:
-            h = exp_sub(g, b)
-            row.append(qinv.coeff(h) if h is not None else field.zero)
-        for b in q_cols:
-            h = exp_sub(g, b)
-            row.append(s.coeff(h) if h is not None else field.zero)
-        jac.append(row)
-    return rows, p_cols + q_cols, jac
-
-
 def actual_dimension(
-    params: TaylorParams, trials: int = 3, ctx=None, seed=0
+    params: TaylorParams, trials: int = 3, ctx=None, seed=0, P=None
 ) -> int:
-    """Generic rank of the Jacobian of the coefficient map.
+    """Generic rank of the Jacobian J of the coefficient map (p, q) -> (c_g).
 
-    Maximum over ``trials`` random pairs; rank is lower-semicontinuous, so the
-    maximum is a certified lower bound and generically exact.  The Jacobian
-    is (C(m+n,n)-1) x (C(d+n,n)+C(e+n,n)-2), so its rank never exceeds
-    ``expected_dimension(params)``, the smaller of the two; the first trial
-    that reaches it ends the loop with the exact answer.
+    J is never built: at each sampled pair (p, q), with T = p/q and ``P`` the
+    Pade matrix of ``params`` (built here when not given),
+
+        rank J = C(d+n, n) - 1 + rank(reduced_pade(P).evaluate(T)).
+
+    Proof.  The columns of J are the series dT/dp_b = x^b/q (0 < |b| <= d)
+    and dT/dq_b = -x^b p/q^2 = -x^b T/q (0 < |b| <= e), in degrees 1..m.
+    Multiplying by q is invertible on such series (q(0) = 1), so J has the
+    rank of the columns x^b and -x^b T.  The x^b span every monomial of
+    degree 1..d; reducing the -x^b T by them leaves their projection onto
+    degrees d+1..m, whose entry in row rho is T_{rho-b}: the Pade matrix at T
+    without its sigma = 0 column (the tangent-space, or Terracini,
+    description of the variety).  That column adds no rank, as q is a kernel
+    vector of the full Pade matrix at T with q_0 = 1; dropping it saves a
+    column.  With e = 0 there is no other column, and the rank is
+    C(d+n, n) - 1 at every pair, so nothing is sampled.
+
+    The answer is the maximum over ``trials`` random pairs; rank is
+    lower-semicontinuous, so the maximum is a certified lower bound and
+    generically exact.  J is (C(m+n,n)-1) x (C(d+n,n)+C(e+n,n)-2), so the
+    rank never exceeds ``expected_dimension(params)``, the smaller of the
+    two; the first trial that reaches it ends the loop with the exact answer.
     """
     if trials < 1:
         raise UsageError("need at least one trial")
     ctx = ctx or PrimeField(PRIMES_62[0])
+    if P is None:
+        P = pade_matrix(*params.astuple())
+    base = comb(params.d + params.n, params.n) - 1
+    if P.ncols == 1:
+        return base
+    R = reduced_pade(P)
     ceiling = expected_dimension(params)
     best = 0
     for t in range(trials):
         pq = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
-        _, _, jac = psi_jacobian(pq, params)
-        best = max(best, eliminate(jac, ctx).rank)
+        A = R.evaluate(taylor_coeffs(pq, params.m), ctx)
+        best = max(best, base + eliminate(A, ctx).rank)
         if best == ceiling:
             break
     return best
@@ -201,20 +216,21 @@ def nondefective_hypersurface_check(
 
     Requires (a) a square Pade matrix, (b) a nonzero determinant at some
     random point (which certifies det != 0 as a polynomial), and (c) actual
-    dimension equal to the expected dimension equal to N-1.
+    dimension equal to the expected dimension equal to N-1.  The Pade matrix
+    is built once and serves both the determinant trials and the rank.
     """
     shape = params.shape
     ctx = ctx or PrimeField(PRIMES_62[0])
+    P = pade_matrix(*params.astuple())
     nonzero = 0
     if shape.square:
-        P = pade_matrix(*params.astuple())
         variables = P.variables()
         for t in range(trials):
             point = random_point(variables, ctx, derive_seed("det", seed, t))
             if eliminate(P.evaluate(point, ctx), ctx).det != 0:
                 nonzero += 1
     exp_dim = expected_dimension(params)
-    act_dim = actual_dimension(params, trials=3, ctx=ctx, seed=seed)
+    act_dim = actual_dimension(params, trials=3, ctx=ctx, seed=seed, P=P)
     certified = nonzero > 0
     if act_dim < exp_dim:
         verdict = "defective"

@@ -1,0 +1,105 @@
+"""Independent routes the tests check the program against.
+
+The coefficient map (p, q) -> (c_g) of a Taylor variety, expanded the direct
+way: the series product and the series inverse, and from them the full
+Jacobian of the map.  The program ranks the reduced Pade matrix at T = p/q
+instead (``variety.actual_dimension``); these give the same rank by another
+route.
+"""
+
+from __future__ import annotations
+
+from taylorpade.errors import DomainError
+from taylorpade.series import (
+    DOMAIN_ORDER,
+    TruncatedSeries,
+    exp_add,
+    exp_sub,
+    monomials_upto,
+)
+
+
+def series_mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Product of two series with all terms of degree > ``order`` removed."""
+    a._check_compatible(b)
+    f = a.field
+    out: dict = {}
+    for g, ca in a.coeffs.items():
+        dg = sum(g)
+        if dg > order:
+            continue
+        for h, cb in b.coeffs.items():
+            if dg + sum(h) > order:
+                continue
+            k = exp_add(g, h)
+            prev = out.get(k)
+            term = f.mul(ca, cb)
+            out[k] = term if prev is None else f.add(prev, term)
+    return TruncatedSeries(f, a.nvars, order, out)
+
+
+def series_inverse(q: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Inverse series r with q*r = 1 up to degree ``order``.
+
+    Requires the constant term of q to be exactly 1.  The graded recursion
+    r_k = -sum_{j>=1} q_j r_{k-j} uses ring operations only.
+    """
+    f = q.field
+    one = (0,) * q.nvars
+    if q.coeff(one) != f.one:
+        raise DomainError("series_inverse requires constant term exactly 1")
+    # q split into homogeneous layers of positive degree
+    layers: dict = {}
+    for g, c in q.coeffs.items():
+        d = sum(g)
+        if d == 0 or d > order:
+            continue
+        layers.setdefault(d, {})[g] = c
+    r: dict = {one: f.one}
+    by_degree: dict = {0: {one: f.one}}
+    for k in range(1, order + 1):
+        acc: dict = {}
+        for j, qj in layers.items():
+            if j > k:
+                continue
+            rk = by_degree.get(k - j)
+            if not rk:
+                continue
+            for g, qc in qj.items():
+                for h, rc in rk.items():
+                    t = exp_add(g, h)
+                    prev = acc.get(t, f.zero)
+                    acc[t] = f.add(prev, f.mul(qc, rc))
+        layer = {g: f.neg(c) for g, c in acc.items() if not f.is_zero(c)}
+        if layer:
+            by_degree[k] = layer
+            r.update(layer)
+    return TruncatedSeries(f, q.nvars, order, r)
+
+
+def psi_jacobian(pq, params):
+    """Jacobian of the coefficient map (p, q) -> (c_g) at the given pair.
+
+    Columns are d/dp_b followed by d/dq_b over the free coefficients
+    (0 < |b| <= d resp. e); rows run over 0 < |g| <= m.  The column series are
+    exact:  dT/dp_b = x^b / q  and  dT/dq_b = -x^b p / q^2, truncated at m.
+    """
+    n, d, e, m = params.astuple()
+    field = pq.p.field
+    qinv = series_inverse(pq.q, m)
+    p_over_q2 = series_mul(series_mul(pq.p, qinv, m), qinv, m)
+    zero = (0,) * n
+    rows = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, m)) if g != zero]
+    p_cols = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, d)) if g != zero]
+    q_cols = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, e)) if g != zero]
+    jac = []
+    for g in rows:
+        row = []
+        for b in p_cols:
+            h = exp_sub(g, b)
+            row.append(qinv.coeff(h) if h is not None else field.zero)
+        for b in q_cols:
+            h = exp_sub(g, b)
+            row.append(field.neg(p_over_q2.coeff(h)) if h is not None else field.zero)
+        jac.append(row)
+    return rows, p_cols + q_cols, jac

@@ -219,6 +219,15 @@ GOLDEN_RUNS = {
     # run from the golden directory, so that config.poly is the bare name
     "hessian_poly_perazzo_t3_s7.json":
         ["hessian", "--poly", "perazzo.json", "--trials", "3", "--seed", "7"],
+    "defect_3_2_2_3_t4_s7_rational.json":
+        ["defect", "-n", "3", "-d", "2", "-e", "2", "-m", "3",
+         "--trials", "4", "--seed", "7", "--field", "rational"],
+    "defect_2_12_6_14_t4_s7_rational.json":
+        ["defect", "-n", "2", "-d", "12", "-e", "6", "-m", "14",
+         "--trials", "4", "--seed", "7", "--field", "rational"],
+    "defect_2_3_0_4_t4_s7.json":
+        ["defect", "-n", "2", "-d", "3", "-e", "0", "-m", "4",
+         "--trials", "4", "--seed", "7"],
 }
 
 
@@ -229,7 +238,10 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     # derived from the essential trials; both changes must reproduce them
     # byte for byte.  (2,20,8,22) eliminates a 185x185 Hessian and 45x45
     # Pade matrices with inverse; (2,25,9,27) a 405x404 Jacobian, the sizes
-    # at which rows span thousands of packed bytes.
+    # at which rows span thousands of packed bytes.  The last three were
+    # recorded while the gate still ranked the Jacobian of the coefficient
+    # map: two over Q (one defective) and one with e = 0, where the Pade
+    # matrix has no column besides sigma = 0.
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     monkeypatch.chdir(GOLDEN)
     code, out = run_cli(GOLDEN_RUNS[name], capsys)
@@ -277,7 +289,8 @@ def test_env_seed_default(capsys, monkeypatch):
 
 @pytest.mark.parametrize("value", ["abc", "", "1.5"])
 def test_env_seed_malformed(value, capsys, monkeypatch):
-    # argparse's usage error, not a ValueError escaping before main's try
+    # argparse's usage error, not a ValueError escaping before main's try,
+    # and it names the variable the value came from
     monkeypatch.setenv(cli.SEED_ENV, value)
     with pytest.raises(SystemExit) as exit_:
         cli.main(["shape", *_P2112])
@@ -286,6 +299,10 @@ def test_env_seed_malformed(value, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.count("error:") == 1
     assert "--seed" in captured.err
+    assert "TAYLORPADE_SEED" in captured.err
+    # an explicit --seed wins over the malformed variable
+    assert cli.main(["shape", *_P2112, "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
 
 
 def _usage_error(argv, capsys):

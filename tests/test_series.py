@@ -13,9 +13,9 @@ from taylorpade.series import (
     TruncatedSeries,
     monomials_of_degree,
     monomials_upto,
-    series_inverse,
-    series_mul,
 )
+
+from oracles import series_inverse, series_mul
 
 
 def ts(field, nvars, order, terms):

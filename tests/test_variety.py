@@ -15,7 +15,9 @@ from taylorpade.fields import (
     derive_seed,
     random_point,
 )
-from taylorpade.series import TruncatedSeries, monomials_upto, series_mul
+from taylorpade.detcalc import eliminate
+from taylorpade.pade import pade_matrix, reduced_pade
+from taylorpade.series import TruncatedSeries, monomials_upto
 from taylorpade.variety import (
     RationalPair,
     TaylorParams,
@@ -23,11 +25,12 @@ from taylorpade.variety import (
     expected_dimension,
     membership,
     nondefective_hypersurface_check,
-    psi_jacobian,
     random_rational_pair,
     square_family,
     taylor_coeffs,
 )
+
+from oracles import psi_jacobian, series_mul
 
 P547 = TaylorParams(2, 5, 4, 7)
 P3223 = TaylorParams(3, 2, 2, 3)
@@ -46,7 +49,9 @@ def test_params_validation():
 def test_taylor_coeffs_p_equals_q(qq):
     pq = random_rational_pair(TaylorParams(2, 3, 3, 5), qq, 1)
     same = RationalPair(pq.p, pq.p)
-    assert taylor_coeffs(same, 5) == {}
+    # every 0 < |g| <= m is present, so the Pade matrix evaluates at it
+    coords = [g for g in monomials_upto(2, 5) if any(g)]
+    assert taylor_coeffs(same, 5) == {g: qq.zero for g in coords}
 
 
 def test_taylor_coeffs_geometric(qq):
@@ -159,8 +164,9 @@ def test_nondefective_check_2112(gf):
 )
 def test_gate_stops_at_expected_dimension(params, jacobians, monkeypatch, gf):
     # The Jacobian rank cannot exceed the expected dimension, so the gate
-    # stops at the first Jacobian that reaches it; a defective case never
-    # does and runs all three.
+    # stops at the first sample that reaches it; a defective case never
+    # does and ranks all three.  Each sample eliminates the reduced Pade
+    # matrix at T (rows x (cols-1)), not the Jacobian.
     shapes = []
     real = variety_mod.eliminate
 
@@ -170,11 +176,59 @@ def test_gate_stops_at_expected_dimension(params, jacobians, monkeypatch, gf):
 
     monkeypatch.setattr(variety_mod, "eliminate", counted)
     check = nondefective_hypersurface_check(params, trials=2, ctx=gf, seed=0)
-    n, d, e, m = params.astuple()
-    jac = (comb(m + n, n) - 1, comb(d + n, n) + comb(e + n, n) - 2)
-    assert shapes.count(jac) == jacobians
+    shape = params.shape
+    assert shapes.count((shape.rows, shape.cols - 1)) == jacobians
     assert len(shapes) == 2 + jacobians  # two det trials
     assert check.actual_dim == actual_dimension(params, trials=3, ctx=gf, seed=0)
+
+
+ORACLE_CASES = [
+    ((3, 2, 2, 3), ("gf", "qq"), (0, 7)),  # defective
+    ((2, 1, 1, 2), ("gf", "qq"), (0, 7)),  # a cone
+    ((2, 3, 5, 4), ("gf", "qq"), (0, 7)),  # e > d: the Pade matrix holds c_0 = 1
+    ((1, 0, 3, 4), ("gf", "qq"), (0, 7)),  # d = 0: no p-columns
+    ((2, 3, 0, 4), ("gf", "qq"), (0, 7)),  # e = 0: no q-columns
+    ((2, 25, 9, 27), ("gf",), (0,)),  # the largest gate-e9 case, 405 x 404
+]
+
+
+@pytest.mark.parametrize(
+    "case,field,seed",
+    [
+        pytest.param(case, f, s, id=f"{''.join(map(str, case))}-{f}-s{s}")
+        for case, fields, seeds in ORACLE_CASES
+        for f in fields
+        for s in seeds
+    ],
+)
+def test_gate_rank_matches_jacobian_oracle(case, field, seed, request):
+    # On the gate's own samples, C(d+n,n) - 1 plus the rank of the reduced
+    # Pade matrix at T = p/q is the rank of the full Jacobian of (p, q) ->
+    # (c_g), expanded by series products in the oracle.
+    ctx = request.getfixturevalue(field)
+    params = TaylorParams(*case)
+    n, d, e, m = case
+    P = pade_matrix(*case)
+    jacobian_ranks = []
+    for t in range(3):
+        pq = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
+        jac_rank = eliminate(psi_jacobian(pq, params)[2], ctx).rank
+        if e == 0:
+            pade_rank = 0
+        else:
+            A = reduced_pade(P).evaluate(taylor_coeffs(pq, m), ctx)
+            pade_rank = eliminate(A, ctx).rank
+        assert comb(d + n, n) - 1 + pade_rank == jac_rank
+        jacobian_ranks.append(jac_rank)
+    assert actual_dimension(params, trials=3, ctx=ctx, seed=seed) == max(jacobian_ranks)
+
+
+def test_gate_without_q_columns_ranks_nothing(monkeypatch, gf):
+    # e = 0: the rank is C(d+n,n) - 1 at every pair, so no pair is sampled
+    # and nothing is eliminated.
+    monkeypatch.setattr(variety_mod, "eliminate", None)
+    monkeypatch.setattr(variety_mod, "random_rational_pair", None)
+    assert actual_dimension(TaylorParams(2, 3, 0, 4), ctx=gf) == comb(5, 2) - 1
 
 
 def test_square_family():
