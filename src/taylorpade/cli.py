@@ -184,25 +184,27 @@ def cmd_hessian(config: RunConfig) -> dict:
         payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
         return _report(config, payload, None)
     params = config.params()
+    P = pade_matrix(*params.astuple())
     cert = hess.certify_hessian_pade(
         params,
         variable_set=config.mode,
         trials=config.trials,
         seed=config.seed,
         ctx=config.context(),
+        P=P,
     )
     payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
     if hess.relations_apply(params):
         fld = config.fixed_context()
-        P = pade_matrix(*params.astuple())
         point = random_point(P.variables(), fld, derive_seed("diag", config.seed))
-        payload["relations"] = hess.relation_check(params, point, fld)
+        payload["relations"] = hess.relation_check(params, point, fld, P)
     return _report(config, payload, params)
 
 
 def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
+    P = pade_matrix(*params.astuple())
     check = nondefective_hypersurface_check(
-        params, trials=config.trials, ctx=config.context(), seed=config.seed
+        params, trials=config.trials, ctx=config.context(), seed=config.seed, P=P
     )
     row = {
         "d": params.d,
@@ -215,6 +217,9 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
         "rank_M": "",
     }
     if check.is_nondefective_hypersurface:
+        # The first trial of corank 0 fixes both printed fields: the minimum
+        # corank is then 0, and its nonzero det(H) fixes the full verdict
+        # (see full_from_essential).  So the trials stop there.
         essential = hess.certify_hessian_pade(
             params,
             "essential",
@@ -222,13 +227,14 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
             seed=config.seed,
             ctx=config.context(),
             check=check,
+            P=P,
+            stop_at_full_rank=True,
         )
         fld = config.fixed_context()
-        P = pade_matrix(*params.astuple())
         point = random_point(P.variables(), fld, derive_seed("survey", config.seed))
-        row["hessian_full"] = hess.full_from_essential(essential, params).verdict
+        row["hessian_full"] = hess.full_from_essential(essential, params, P).verdict
         row["essential_corank"] = min(t.corank for t in essential.trials)
-        row["rank_M"] = hess.relation_check(params, point, fld)["rank_M"]
+        row["rank_M"] = hess.relation_check(params, point, fld, P)["rank_M"]
     return row
 
 

@@ -118,15 +118,17 @@ def relation_residual(M: RelationMatrix, point: dict, field) -> list:
     return out
 
 
-def relation_check(params: TaylorParams, point: dict, field) -> dict:
+def relation_check(params: TaylorParams, point: dict, field, P=None) -> dict:
     """The relation identity M.c = 0 and the rank of M at one point.
 
-    P is eliminated once (for its per-block gradient) and M once.  The
+    ``P`` is the Pade matrix of ``params``, built here when not given.  It is
+    eliminated once (for its per-block gradient) and M once.  The
     coefficient vector c is nonzero and lies in the kernel of M, so the rank
     of M stays below ``rank_bound``, the number of columns of M.
     """
     _require_relation_params(params)
-    P = pade_matrix(*params.astuple())
+    if P is None:
+        P = pade_matrix(*params.astuple())
     M = build_M(params, block_grad_det_at(P, point, field), field)
     return {
         "residual_is_zero": all(
@@ -232,9 +234,11 @@ def _trial_field(ctx, t: int) -> PrimeField:
     return PrimeField(PRIMES_62[t % len(PRIMES_62)])
 
 
-def _hessian_trials(trials: int, ctx, sample) -> list:
+def _hessian_trials(trials: int, ctx, sample, stop_at_full_rank=False) -> list:
     """One record per trial.  ``sample(t, fld)`` returns ``(seed, point, H)``
-    over the trial's field; H is eliminated once for its det and corank."""
+    over the trial's field; H is eliminated once for its det and corank.
+    With ``stop_at_full_rank`` the loop ends after the first trial whose H
+    has corank 0."""
     records = []
     for t in range(trials):
         fld = _trial_field(ctx, t)
@@ -250,6 +254,8 @@ def _hessian_trials(trials: int, ctx, sample) -> list:
                 corank=len(H) - h.rank,
             )
         )
+        if stop_at_full_rank and h.rank == len(H):
+            break
     return records
 
 
@@ -263,6 +269,8 @@ def certify_hessian_pade(
     seed=0,
     ctx: PrimeField | None = None,
     check: HypersurfaceCheck | None = None,
+    P=None,
+    stop_at_full_rank: bool = False,
 ) -> Certificate:
     """Probabilistic test of det(Hessian of det(P)) == 0.
 
@@ -271,19 +279,27 @@ def certify_hessian_pade(
     The gate runs here unless the caller passes its outcome as ``check``: a
     passing check is exact (det(P) certified nonzero, Jacobian rank at the
     expected dimension, its upper bound), so one gate serves a whole case.
+    ``P`` is the Pade matrix of ``params``, built here when not given.
 
     Each trial samples a fresh point over a rotating 62-bit prime, resampling
     up to 8 times if the evaluated Pade matrix happens to be singular, and
     records det(H) and the corank of H, the Hessian over the variables of P;
     P is eliminated once per sampled point and H once per trial.  The
     ``full`` certificate is derived from these trials (``full_from_essential``).
+
+    ``stop_at_full_rank`` ends the trials after the first H of corank 0.
+    That trial fixes the minimum corank (0) and the verdicts of both
+    certificates exactly, but the certificate then lists only the trials
+    run, and its error bound covers only those.
     """
     _require_prime_field(ctx)
     if variable_set not in ("full", "essential"):
         raise UsageError(f"unknown variable set {variable_set!r}")
+    if P is None:
+        P = pade_matrix(*params.astuple())
     if check is None:
         check = nondefective_hypersurface_check(
-            params, trials=GATE_TRIALS, ctx=ctx, seed=derive_seed("gate", seed)
+            params, trials=GATE_TRIALS, ctx=ctx, seed=derive_seed("gate", seed), P=P
         )
     elif check.params != params:
         raise UsageError(
@@ -296,7 +312,6 @@ def certify_hessian_pade(
             f"(det nonzero in {check.det_nonzero_count}/{check.det_trials} trials, "
             f"dimension {check.actual_dim} vs expected {check.expected_dim})"
         )
-    P = pade_matrix(*params.astuple())
     variables = P.variables()
 
     def sample(t, fld):
@@ -312,14 +327,16 @@ def certify_hessian_pade(
     essential = _finish_certificate(
         f"hessian-det[pade{params.astuple()}, essential]",
         len(variables) * max(P.nrows - 2, 0),
-        _hessian_trials(trials, ctx, sample),
+        _hessian_trials(trials, ctx, sample, stop_at_full_rank),
     )
     if variable_set == "essential":
         return essential
-    return full_from_essential(essential, params)
+    return full_from_essential(essential, params, P)
 
 
-def full_from_essential(essential: Certificate, params: TaylorParams) -> Certificate:
+def full_from_essential(
+    essential: Certificate, params: TaylorParams, P=None
+) -> Certificate:
     """The certificate over all ambient coordinates c_g, |g| <= m, implied
     trial by trial by the certificate over the variables of P.
 
@@ -329,8 +346,10 @@ def full_from_essential(essential: Certificate, params: TaylorParams) -> Certifi
     ``absent > 0`` and the essential det otherwise, and the ambient corank is
     the essential corank plus ``absent``.  Points, seeds and primes are those
     of the essential trials; the degree bound counts all ambient coordinates.
+    ``P`` is the Pade matrix of ``params``, built here when not given.
     """
-    P = pade_matrix(*params.astuple())
+    if P is None:
+        P = pade_matrix(*params.astuple())
     absent = params.ambient_coords - len(P.variables())
     records = [
         replace(t, value=0 if absent else t.value, corank=t.corank + absent)

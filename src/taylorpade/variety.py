@@ -210,18 +210,20 @@ class HypersurfaceCheck:
 
 
 def nondefective_hypersurface_check(
-    params: TaylorParams, trials: int = 20, ctx=None, seed=0
+    params: TaylorParams, trials: int = 20, ctx=None, seed=0, P=None
 ) -> HypersurfaceCheck:
     """Randomized test for 'non-defective hypersurface'.
 
     Requires (a) a square Pade matrix, (b) a nonzero determinant at some
     random point (which certifies det != 0 as a polynomial), and (c) actual
     dimension equal to the expected dimension equal to N-1.  The Pade matrix
-    is built once and serves both the determinant trials and the rank.
+    ``P`` (built here when not given) serves both the determinant trials and
+    the rank.
     """
     shape = params.shape
     ctx = ctx or PrimeField(PRIMES_62[0])
-    P = pade_matrix(*params.astuple())
+    if P is None:
+        P = pade_matrix(*params.astuple())
     nonzero = 0
     if shape.square:
         variables = P.variables()

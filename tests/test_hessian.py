@@ -1,10 +1,13 @@
+import json
 import random
+import sys
 
 import pytest
 
 import taylorpade.cli as cli_mod
 import taylorpade.detcalc as detcalc_mod
 import taylorpade.hessian as hessian_mod
+import taylorpade.pade as pade_mod
 import taylorpade.variety as variety_mod
 
 from taylorpade.detcalc import block_grad_det_at, grad_det_at
@@ -22,7 +25,11 @@ from taylorpade.hessian import (
 )
 from taylorpade.pade import pade_matrix
 from taylorpade.series import SparsePoly, exp_add, monomials_upto
-from taylorpade.variety import TaylorParams, nondefective_hypersurface_check
+from taylorpade.variety import (
+    TaylorParams,
+    nondefective_hypersurface_check,
+    square_family,
+)
 from taylorpade.detcalc import expand_det_poly
 
 P547 = TaylorParams(2, 5, 4, 7)
@@ -307,13 +314,123 @@ def test_survey_gates_once_and_runs_one_trial_loop_per_case(monkeypatch, capsys)
     argv = ["survey", "--e-max", "5", "--trials", "2"]
     assert cli_mod.main(argv) == 0
     capsys.readouterr()
-    # per case: the gate once, then per trial one P and one H over the
-    # variables of P, then P and M at the rank_M point
+    # per case: the gate once, then one P and one H over the variables of P
+    # (the first trial has full rank, which ends the loop), then P and M at
+    # the rank_M point
     assert shapes == (
-        [GATE] + [(15, 15), (33, 33)] * 2 + [(15, 15), (14, 7)]
-        + [GATE] + [(21, 21), (56, 56)] * 2 + [(21, 21), (20, 11)]
+        [GATE] + [(15, 15), (33, 33)] * 1 + [(15, 15), (14, 7)]
+        + [GATE] + [(21, 21), (56, 56)] * 1 + [(21, 21), (20, 11)]
     )
     assert len(pade_matrix(2, 8, 5, 10).variables()) == 56
+
+
+def _singular_hessians(monkeypatch, zero_rows):
+    """Zero the first ``zero_rows[t]`` rows of the t-th Hessian built by the
+    certificate trials; return the list of Hessian sizes built."""
+    built = []
+    real = hessian_mod.hessian_from_factor
+
+    def patched(*args):
+        labels, H = real(*args)
+        for i in range(zero_rows[len(built)]):
+            H[i] = [0] * len(H)
+        built.append(len(H))
+        return labels, H
+
+    monkeypatch.setattr(hessian_mod, "hessian_from_factor", patched)
+    return built
+
+
+def _survey_rows(argv, capsys):
+    assert cli_mod.main(argv) == 0
+    return json.loads(capsys.readouterr().out)["payload"]["rows"]
+
+
+def test_survey_goes_on_after_a_singular_first_trial(monkeypatch, capsys):
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    built = _singular_hessians(monkeypatch, [1, 0, 1, 0])
+    rows = _survey_rows(["survey", "--e-max", "5", "--trials", "4"], capsys)
+    # (2,5,4,7): trial 0 singular, trial 1 full rank; (2,8,5,10): trial 0
+    # singular (the third H built), trial 1 full rank
+    assert built == [33, 33, 56, 56]
+    assert [r["essential_corank"] for r in rows] == [0, 0]
+    assert [r["hessian_full"] for r in rows] == [VANISHES, VANISHES]
+
+
+def test_survey_runs_every_trial_when_none_has_full_rank(monkeypatch, capsys):
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    # coranks 2, 2, 1 on the first case, then 3, 2, 3 on the second: each
+    # minimum is reached on one trial only, not the first
+    built = _singular_hessians(monkeypatch, [2, 2, 1, 3, 2, 3])
+    rows = _survey_rows(["survey", "--e-max", "5", "--trials", "3"], capsys)
+    assert built == [33] * 3 + [56] * 3
+    assert [r["essential_corank"] for r in rows] == [1, 2]
+    assert [r["hessian_full"] for r in rows] == [VANISHES, VANISHES]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_survey_rows_match_the_full_trial_loop(seed):
+    config = cli_mod.RunConfig(command="survey", trials=5, seed=seed)
+    for params in square_family(8):
+        row = cli_mod._survey_case(params, config)
+        check = nondefective_hypersurface_check(params, trials=5, seed=seed)
+        essential = certify_hessian_pade(params, "essential", trials=5,
+                                         seed=seed, check=check)
+        assert len(essential.trials) == 5
+        want = dict(
+            row,
+            hessian_full=hessian_mod.full_from_essential(essential, params).verdict,
+            essential_corank=min(t.corank for t in essential.trials),
+        )
+        assert row == want
+
+
+@pytest.mark.parametrize("mode", ["full", "essential"])
+def test_hessian_report_keeps_every_trial(mode, capsys, monkeypatch):
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7",
+            "--trials", "3", "--mode", mode]
+    assert cli_mod.main(argv) == 0
+    trials = json.loads(capsys.readouterr().out)["payload"]["certificate"]["trials"]
+    assert [t["index"] for t in trials] == [0, 1, 2]
+
+
+def _count_pade_builds(monkeypatch):
+    """Wrap every binding of ``pade_matrix`` in the package; return the list
+    of parameter tuples built."""
+    built = []
+    real = pade_mod.pade_matrix
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    bound = [mod for name, mod in sorted(sys.modules.items())
+             if name.split(".")[0] == "taylorpade"
+             and getattr(mod, "pade_matrix", None) is real]
+    assert {pade_mod, cli_mod, hessian_mod, variety_mod} <= set(bound)
+    for mod in bound:
+        monkeypatch.setattr(mod, "pade_matrix", counted)
+    return built
+
+
+def test_survey_builds_P_once_per_case(monkeypatch, capsys):
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    built = _count_pade_builds(monkeypatch)
+    _survey_rows(["survey", "--e-max", "5", "--trials", "2"], capsys)
+    assert built == [(2, 5, 4, 7), (2, 8, 5, 10)]
+
+
+@pytest.mark.parametrize("case", [(2, 5, 4, 7), (2, 1, 1, 2)])
+@pytest.mark.parametrize("mode", ["full", "essential"])
+def test_hessian_builds_P_once(case, mode, monkeypatch, capsys):
+    built = _count_pade_builds(monkeypatch)
+    n, d, e, m = case
+    argv = ["hessian", "-n", str(n), "-d", str(d), "-e", str(e), "-m", str(m),
+            "--trials", "2", "--mode", mode]
+    assert cli_mod.main(argv) == 0
+    capsys.readouterr()
+    assert built == [case]
 
 
 def test_certificate_rejects_unknown_variable_set(monkeypatch):
