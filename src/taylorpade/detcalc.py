@@ -30,8 +30,33 @@ Two independent routes to the derivatives of det(P) at a point:
 * a forward-mode jet route that evaluates the determinant over the base field
   extended by infinitesimals and reads derivatives off epsilon coefficients.
 
-The jet route is the oracle and the fallback at points where the evaluated
-matrix is singular; the adjugate route is the fast path.
+The adjugate route is the one the program uses; the jet route is the oracle
+the tests check it against.
+
+The Hessian at an invertible point A = P(x), with X = A^-1, is
+``H_ab = det(A) * (t_a t_b - G_ab)``.  If c_a occurs at (r_a(i), cA_i) for
+i = 1..|cA|, then ``t_a = sum_i X[cA_i][r_a(i)]`` and
+
+    G_ab = sum_{i, j} X[cB_j][r_a(i)] * X[cA_i][r_b(j)].
+
+The index set of that sum depends only on the column tuples cA and cB, so
+the variables are grouped into classes by the tuple of columns of their
+occurrences, in occurrence order (exact for any pattern, a variable repeated
+within a column included).  For two classes A and B every term is needed,
+and the block G[A, B] is one dense product of the vectors
+``u_a = (X[cB_j][r_a(i)])_(i,j)`` and ``w_b = (X[cA_i][r_b(j)])_(i,j)``.  In
+a Pade matrix c_a occurs in column s exactly when ``d+1 <= |s|+|a| <= m``,
+so the classes are the degrees |a|: 185 variables fall into 10 classes at
+(2,20,8,22), 553 into 14 at (2,43,12,45).
+
+Over GF(p) the w_b of one class pair are packed over B's members in the
+byte-aligned slots above, one int ``Wcols[i, j]`` per index, and discarded
+after the pair; the row G[a, B] is then one C-level
+``sum(map(mul, u_a, Wcols))``.  A slot holds a sum of ``|cA| * |cB|``
+products of entries below p, so W is the smallest multiple of 8 with
+``|cA| * |cB| * (p - 1)^2 < 2^W``, and each slot is reduced mod p once, when
+it is unpacked.  Over any other field each entry is
+``sum(map(mul, u_a, w_b))`` on the same lists.
 """
 
 from __future__ import annotations
@@ -39,9 +64,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .fields import JetRing, PrimeField, Rationals
 from .series import SparsePoly
 from .pade import SymbolicMatrix
@@ -146,6 +172,14 @@ def _eliminate_modp(A, ncols, p, inverse):
 def _pack(values, size):
     data = b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
     return int.from_bytes(data, "little")
+
+
+def _pack_chunks(values, count, size):
+    # _pack of each run of ``count`` values, from one bytes object
+    data = b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
+    step = count * size
+    return [int.from_bytes(data[j:j + step], "little")
+            for j in range(0, len(data), step)]
 
 
 def _unpack(row, count, size):
@@ -335,54 +369,76 @@ def hessian_det_at(P: SymbolicMatrix, point: dict, field) -> tuple:
     """Second-derivative matrix of det(P) over the variables of P.
 
     Returns (labels, H) with labels = ``P.variables()`` and
-    H[a][b] = d^2 det / dc_a dc_b.  When the evaluated matrix is invertible
-    this uses the second-order Jacobi identity
+    H[a][b] = d^2 det / dc_a dc_b, by the second-order Jacobi identity
 
-        H_ab = det(A) * (tr(B_a) tr(B_b) - tr(B_a B_b)),   B_g = A^-1 E_g,
+        H_ab = det(A) * (t_a t_b - G_ab),   t_a = tr(X E_a),
+        G_ab = tr(X E_a X E_b),   X = A^-1,
 
-    reduced to sums over occurrence positions so the B_g are never formed.
-    At singular points it falls back to the jet oracle.  An ambient
-    coordinate absent from P would only add a zero row and column;
-    ``hessian.full_from_essential`` accounts for those without building them.
+    assembled one pair of variable classes at a time (module docstring):
+    each block G[A, B] is one dense product, and over GF(p) each of its rows
+    is one sum of scalar times packed-int products, with slots of W bits,
+    ``|cA| * |cB| * (p - 1)^2 < 2^W``.  A point where the evaluated matrix
+    is singular raises ``DomainError``.  An ambient coordinate absent from P
+    would only add a zero row and column; ``hessian.full_from_essential``
+    accounts for those without building them.
     """
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
     fac = eliminate(P.evaluate(point, field), field, inverse=True)
-    return hessian_from_factor(P, point, fac, field)
+    return hessian_from_factor(P, fac, field)
 
 
-def hessian_from_factor(
-    P: SymbolicMatrix, point: dict, fac: Elimination, field
-) -> tuple:
-    """``hessian_det_at`` from the elimination of P at ``point`` that the
+def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
+    """``hessian_det_at`` from the elimination of P at a point that the
     caller already holds: ``eliminate(P.evaluate(point, field), field,
-    inverse=True)``."""
-    labels = P.variables()
+    inverse=True)``.  Raises ``DomainError`` when that elimination found P
+    singular (``fac.inverse`` is None): the class-pair product needs X."""
     if fac.inverse is None:
-        return labels, jet_hessian_at(P, point, field)
+        raise DomainError(
+            f"the Hessian of det(P) needs P invertible, and P is singular "
+            f"at this point over {field!r}"
+        )
+    labels = P.variables()
+    return labels, _hessian_core(fac.inverse, fac.det, P.occurrences(), labels, field)
+
+
+def _hessian_core(X, det, occ, labels, field):
+    # Class-pair assembly (module docstring).  A class is keyed by the tuple
+    # of columns of its members' occurrences, in occurrence order; each
+    # member keeps its label index and its own tuple of rows.
+    classes: dict = {}
+    for i, g in enumerate(labels):
+        cols = tuple(c for _, c in occ[g])
+        classes.setdefault(cols, []).append((i, tuple(r for r, _ in occ[g])))
+    groups = [(cols, *zip(*members)) for cols, members in classes.items()]
     p = field.p if isinstance(field, PrimeField) else None
-    return labels, _hessian_core(fac.inverse, fac.det, P.occurrences(), labels, p)
-
-
-def _hessian_core(Ainv, det, occ, present, p):
-    # Plain + and * on the entries (ints over GF(p), Fractions over Q); over
-    # GF(p) each Hessian entry is reduced once, at the end.
-    k = len(present)
-    tr1 = [sum(Ainv[c][r] for r, c in occ[g]) for g in present]
+    t = [sum(X[c][r] for r, c in occ[g]) for g in labels]
+    XT = list(zip(*X))
+    k = len(labels)
     H = [[0] * k for _ in range(k)]
-    for i in range(k):
-        occ_i = occ[present[i]]
-        for j in range(i, k):
-            occ_j = occ[present[j]]
-            tr2 = 0
-            for r, c in occ_i:
-                for r2, c2 in occ_j:
-                    tr2 += Ainv[c2][r] * Ainv[c][r2]
-            val = det * (tr1[i] * tr1[j] - tr2)
+    for first, (cA, idxA, rowsA) in enumerate(groups):
+        for cB, idxB, rowsB in groups[first:]:
+            # Wcols[i, j] holds X[cA_i][r_b(j)] for every member b of B, and
+            # u[i, j] is X[cB_j][r_a(i)], so G_ab = sum over (i, j) of u * w_b.
+            Rs = list(zip(*rowsB))
+            tB = [t[b] for b in idxB]
             if p:
-                val %= p
-            H[i][j] = val
-            H[j][i] = val
+                size = ((len(cA) * len(cB) * (p - 1) ** 2).bit_length() + 7) // 8
+                Wcols = [w for c in cA for w in _pack_chunks(
+                    [X[c][r] for R in Rs for r in R], len(idxB), size)]
+            else:
+                Wcols = list(zip(*[[X[c][r] for r in R] for c in cA for R in Rs]))
+            for a, ra in zip(idxA, rowsA):
+                u = [x for r in ra for x in map(XT[r].__getitem__, cB)]
+                ta, Ha = t[a], H[a]
+                if p:
+                    G = _unpack(sum(map(mul, u, Wcols)), len(idxB), size)
+                    row = [det * (ta * tb - g) % p for tb, g in zip(tB, G)]
+                else:
+                    row = [det * (ta * tb - sum(map(mul, u, w)))
+                           for tb, w in zip(tB, Wcols)]
+                for b, val in zip(idxB, row):
+                    Ha[b] = H[b][a] = val
     return H
 
 
@@ -436,20 +492,6 @@ def jet_hessian_entry(P: SymbolicMatrix, point: dict, field, alpha, beta):
         coeff = det.d2.get((0, 0), field.zero)
         return field.add(coeff, coeff)
     return det.d2.get((0, 1), field.zero)
-
-
-def jet_hessian_at(P: SymbolicMatrix, point: dict, field) -> list:
-    """Second-derivative matrix over ``P.variables()`` by pairwise jet
-    evaluation (fallback)."""
-    labels = P.variables()
-    V = len(labels)
-    H = [[field.zero] * V for _ in range(V)]
-    for i in range(V):
-        for j in range(i, V):
-            val = jet_hessian_entry(P, point, field, labels[i], labels[j])
-            H[i][j] = val
-            H[j][i] = val
-    return H
 
 
 def expand_det_poly(P: SymbolicMatrix, ambient: list) -> SparsePoly:

@@ -282,8 +282,9 @@ def certify_hessian_pade(
     ``P`` is the Pade matrix of ``params``, built here when not given.
 
     Each trial samples a fresh point over a rotating 62-bit prime, resampling
-    up to 8 times if the evaluated Pade matrix happens to be singular, and
-    records det(H) and the corank of H, the Hessian over the variables of P;
+    up to 8 times if the evaluated Pade matrix happens to be singular (and
+    raising ``DomainError`` if it is singular at all 9 points), and records
+    det(H) and the corank of H, the Hessian over the variables of P;
     P is eliminated once per sampled point and H once per trial.  The
     ``full`` certificate is derived from these trials (``full_from_essential``).
 
@@ -321,8 +322,11 @@ def certify_hessian_pade(
             point = random_point(variables, fld, trial_seed)
             fac = eliminate(P.evaluate(point, fld), fld, inverse=True)
             if fac.inverse is not None:
-                break
-        return trial_seed, point, hessian_from_factor(P, point, fac, fld)[1]
+                return trial_seed, point, hessian_from_factor(P, fac, fld)[1]
+        raise DomainError(
+            f"Hessian trial {t}: the Pade matrix is singular mod {fld.p} at "
+            f"all {len(seeds)} sampled points; use a larger prime"
+        )
 
     essential = _finish_certificate(
         f"hessian-det[pade{params.astuple()}, essential]",

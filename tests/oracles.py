@@ -5,11 +5,17 @@ way: the series product and the series inverse, and from them the full
 Jacobian of the map.  The program ranks the reduced Pade matrix at T = p/q
 instead (``variety.actual_dimension``); these give the same rank by another
 route.
+
+The bilinear form of the Hessian of det(P), read off one determinant of
+second-order jets (``jet_bilinear``); the program assembles H from P^-1
+instead (``detcalc.hessian_det_at``).
 """
 
 from __future__ import annotations
 
+from taylorpade.detcalc import eliminate
 from taylorpade.errors import DomainError
+from taylorpade.fields import Jet, JetRing
 from taylorpade.series import (
     DOMAIN_ORDER,
     TruncatedSeries,
@@ -103,3 +109,25 @@ def psi_jacobian(pq, params):
             row.append(field.neg(p_over_q2.coeff(h)) if h is not None else field.zero)
         jac.append(row)
     return rows, p_cols + q_cols, jac
+
+
+def jet_bilinear(P, point, field, u: dict, w: dict):
+    """u^T H w for the Hessian H of det(P) at ``point``, without P^-1.
+
+    The st-coefficient of det(P(x + s*u + t*w)), computed as one determinant
+    over second-order jets in s and t; ``u`` and ``w`` map variables to field
+    elements, a missing variable counting as 0.  Unit vectors give single
+    entries of H, and the elimination needs no inverse of P(x), so singular
+    points are covered too.  For random u and w over GF(p), a wrong H passes
+    with probability at most 2/p (Schwartz-Zippel in u and w).
+    """
+    numeric = P.evaluate(point, field)
+    jets = []
+    for row, vals in zip(P.entries, numeric):
+        jrow = []
+        for g, v in zip(row, vals):
+            d1 = {} if g is None else {i: x for i, x in ((0, u.get(g)), (1, w.get(g))) if x}
+            jrow.append(Jet(v, d1))
+        jets.append(jrow)
+    det = eliminate(jets, JetRing(field, order=2)).det
+    return det.d2.get((0, 1), field.zero)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -351,6 +352,17 @@ def test_hessian_rejects_rational_field(path, tmp_path, capsys):
         poly.write_text(json.dumps(fermat))
         argv = ["hessian", "--poly", str(poly)]
     assert "prime field" in _usage_error(argv + ["--field", "rational"], capsys)
+
+
+def test_hessian_exits_2_when_every_sample_is_singular(capsys):
+    # at p = 2 the Pade matrix of (2,8,5,10) is singular at all 9 samples of
+    # trial 0 for this seed: the trial is refused at once, naming the prime
+    start = time.perf_counter()
+    argv = ["hessian", "-n", "2", "-d", "8", "-e", "5", "-m", "10",
+            "--trials", "3", "--prime", "2", "--seed", "2"]
+    err = _usage_error(argv, capsys)
+    assert "singular mod 2 at all 9 sampled points" in err
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("content", [

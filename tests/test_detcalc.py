@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taylorpade.detcalc import (
+    _hessian_core,
     adjugate,
     block_grad_det_at,
     det_berkowitz,
@@ -17,7 +18,7 @@ from taylorpade.detcalc import (
     jet_grad_det,
     jet_hessian_entry,
 )
-from taylorpade.errors import UsageError
+from taylorpade.errors import DomainError, UsageError
 from taylorpade.fields import (
     PRIMES_62,
     Jet,
@@ -30,7 +31,9 @@ from taylorpade.fields import (
 from taylorpade.hessian import certify_hessian_pade, certify_hessian_poly
 from taylorpade.pade import SymbolicMatrix, pade_matrix
 from taylorpade.series import monomials_upto
-from taylorpade.variety import TaylorParams
+from taylorpade.variety import TaylorParams, square_family
+
+from oracles import jet_bilinear
 
 P62 = PRIMES_62[0]
 
@@ -434,20 +437,94 @@ def test_hessian_generic_2x2(gf):
     assert H[idx[("b",)]][idx[("c",)]] == gf.p - 1
 
 
-def test_hessian_symmetry_and_jet_agreement(gf):
-    rng = random.Random(7)
-    done = 0
-    while done < 10:
-        P = _random_pattern(rng, max_size=5)
-        pt = _nonsingular_point(P, gf, rng)
-        if pt is None:
+def test_hessian_symmetry_and_jet_agreement(gf, qq):
+    for fld in (gf, qq):
+        rng = random.Random(7)
+        done = 0
+        while done < 10:
+            P = _random_pattern(rng, max_size=5)
+            pt = _nonsingular_point(P, fld, rng)
+            if pt is None:
+                continue
+            labels, H = hessian_det_at(P, pt, fld)
+            for i in range(len(labels)):
+                for j in range(i, len(labels)):
+                    assert H[i][j] == H[j][i]
+                    assert H[i][j] == jet_hessian_entry(P, pt, fld, labels[i], labels[j])
+            done += 1
+
+
+def _reference_hessian_core(Ainv, det, occ, present, p):
+    """The occurrence-pair loop that the class-pair kernel replaced, kept as
+    its reference: one scalar product per pair of occurrences, each entry
+    reduced once at the end over GF(p) (``p`` is None over Q)."""
+    k = len(present)
+    tr1 = [sum(Ainv[c][r] for r, c in occ[g]) for g in present]
+    H = [[0] * k for _ in range(k)]
+    for i in range(k):
+        occ_i = occ[present[i]]
+        for j in range(i, k):
+            occ_j = occ[present[j]]
+            tr2 = 0
+            for r, c in occ_i:
+                for r2, c2 in occ_j:
+                    tr2 += Ainv[c2][r] * Ainv[c][r2]
+            val = det * (tr1[i] * tr1[j] - tr2)
+            if p:
+                val %= p
+            H[i][j] = val
+            H[j][i] = val
+    return H
+
+
+HESSIAN_PRIMES = (2, 3, 2**31 - 1, 2**89 - 1, *PRIMES_62)
+
+
+def _hessian_core_patterns():
+    """Random patterns, which repeat variables within a column, and Pade
+    matrices: every square-family case with e <= 9, (2,1,1,2), and the
+    within-increasing layout of (2,8,5,10)."""
+    rng = random.Random(12)
+    out = [(f"random{i}", _random_pattern(rng, max_size=8)) for i in range(12)]
+    out += [(str(c.astuple()), pade_matrix(*c.astuple())) for c in square_family(9)]
+    out.append(("(2, 1, 1, 2)", pade_matrix(2, 1, 1, 2)))
+    out.append(("(2, 8, 5, 10) within-increasing",
+                pade_matrix(2, 8, 5, 10, within_increasing=True)))
+    return out
+
+
+def _column_repeats(P):
+    return any(len({c for _, c in ps}) < len(ps) for ps in P.occurrences().values())
+
+
+def test_hessian_core_matches_reference():
+    # The kernel is checked on any matrix X, not only on inverses: a random
+    # X, and X with every entry p - 1, which fills each packed slot to its
+    # bound |cA| * |cB| * (p - 1)^2, so a slot one byte narrower carries.
+    # The reference costs 0.3 s at (2,20,8,22) and 0.6 s at (2,25,9,27) over
+    # GF(p), so those two cases take the full X at 2^89 - 1 and a random X
+    # at a 62-bit prime, and the others take both at every prime and over Q.
+    patterns = _hessian_core_patterns()
+    assert any(_column_repeats(P) for _, P in patterns)
+    rng = random.Random(13)
+    for name, P in patterns:
+        labels, occ, k = P.variables(), P.occurrences(), P.nrows
+        full = lambda p: [[p - 1] * k for _ in range(k)]
+        rand = lambda p: [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+        if k > 40:
+            inputs = [(2**89 - 1, full), (PRIMES_62[3], rand)]
+        else:
+            inputs = [(p, X) for p in HESSIAN_PRIMES for X in (full, rand)]
+        for p, make in inputs:
+            X, det = make(p), rng.randrange(1, p)
+            got = _hessian_core(X, det, occ, labels, PrimeField(p))
+            assert got == _reference_hessian_core(X, det, occ, labels, p), (name, p)
+        if k > 40:
             continue
-        labels, H = hessian_det_at(P, pt, gf)
-        for i in range(len(labels)):
-            for j in range(i, len(labels)):
-                assert H[i][j] == H[j][i]
-                assert H[i][j] == jet_hessian_entry(P, pt, gf, labels[i], labels[j])
-        done += 1
+        X = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+             for _ in range(k)]
+        got = _hessian_core(X, Fraction(3, 7), occ, labels, Rationals())
+        assert got == _reference_hessian_core(X, Fraction(3, 7), occ, labels, None), name
 
 
 def _zero_padded(labels, H, ambient, field):
@@ -494,9 +571,10 @@ def test_full_certificate_corank_matches_symbolic_poly_2112():
     assert [t.corank for t in full.trials] == [t.corank for t in poly.trials]
 
 
-def test_hessian_singular_point_fallback_matches_symbolic(gf):
+def test_jet_bilinear_at_a_singular_point_matches_symbolic(gf):
     # generic 3x3 pattern, point chosen with row3 = row1 + row2 so the
-    # evaluation is singular and the jet fallback is exercised
+    # evaluation is singular: the Jacobi route refuses it, and unit vectors
+    # in jet_bilinear give the symbolic second derivatives
     names = [(i,) for i in range(9)]
     P = SymbolicMatrix([names[0:3], names[3:6], names[6:9]])
     rng = random.Random(8)
@@ -506,13 +584,13 @@ def test_hessian_singular_point_fallback_matches_symbolic(gf):
         pt[names[6 + t]] = (vals[t] + vals[3 + t]) % gf.p
     A = P.evaluate(pt, gf)
     assert eliminate(A, gf).det == 0
-    labels, H = hessian_det_at(P, pt, gf)
-    f = expand_det_poly(P, labels)
-    values = [pt[g] for g in labels]
+    with pytest.raises(DomainError, match="singular"):
+        hessian_det_at(P, pt, gf)
+    f = expand_det_poly(P, names)
     for i in range(9):
         for j in range(9):
-            expect = f.diff(i).diff(j).eval(gf, values)
-            assert H[i][j] == expect
+            expect = f.diff(i).diff(j).eval(gf, vals + [pt[g] for g in names[6:]])
+            assert jet_bilinear(P, pt, gf, {names[i]: 1}, {names[j]: 1}) == expect
 
 
 def test_euler_identity_on_patterns(gf):

@@ -10,9 +10,15 @@ import taylorpade.hessian as hessian_mod
 import taylorpade.pade as pade_mod
 import taylorpade.variety as variety_mod
 
-from taylorpade.detcalc import block_grad_det_at, grad_det_at
+from taylorpade.detcalc import block_grad_det_at, grad_det_at, hessian_det_at
 from taylorpade.errors import DomainError, UnsupportedParametersError, UsageError
-from taylorpade.fields import PRIMES_62, PrimeField, derive_seed, random_point
+from taylorpade.fields import (
+    PRIMES_62,
+    PrimeField,
+    derive_seed,
+    point_hash,
+    random_point,
+)
 from taylorpade.hessian import (
     NONZERO,
     VANISHES,
@@ -31,6 +37,8 @@ from taylorpade.variety import (
     square_family,
 )
 from taylorpade.detcalc import expand_det_poly
+
+from oracles import jet_bilinear
 
 P547 = TaylorParams(2, 5, 4, 7)
 P8510 = TaylorParams(2, 8, 5, 10)
@@ -322,6 +330,35 @@ def test_survey_gates_once_and_runs_one_trial_loop_per_case(monkeypatch, capsys)
         + [GATE] + [(21, 21), (56, 56)] * 1 + [(21, 21), (20, 11)]
     )
     assert len(pade_matrix(2, 8, 5, 10).variables()) == 56
+
+
+@pytest.mark.parametrize("case,modes", [
+    ((2, 20, 8, 22), ("full", "essential")),
+    ((2, 25, 9, 27), ("essential",)),
+], ids=["certify-e8", "e9"])
+def test_hessian_bilinear_form_matches_jets_at_certificate_points(case, modes):
+    # u^T H w of the Jacobi-route H, against one jet determinant at each trial
+    # point of the certificates (the two modes share their points); a wrong
+    # H passes with probability at most 2/p per point.
+    params, P = TaylorParams(*case), pade_matrix(*case)
+    variables = P.variables()
+    points = set()
+    for mode in modes:
+        cert = certify_hessian_pade(params, mode, trials=1, seed=0, P=P)
+        points |= {(t.prime, t.seed, t.point_digest) for t in cert.trials}
+    assert len(points) == 1
+    rng = random.Random(14)
+    for prime, seed, digest in points:
+        fld = PrimeField(prime)
+        point = random_point(variables, fld, seed)
+        assert point_hash(point) == digest
+        labels, H = hessian_det_at(P, point, fld)
+        u = {g: fld.sample(rng) for g in labels}
+        w = {g: fld.sample(rng) for g in labels}
+        uH = [sum(u[a] * x for a, x in zip(labels, col)) for col in zip(*H)]
+        assert sum(x * w[b] for x, b in zip(uH, labels)) % prime == jet_bilinear(
+            P, point, fld, u, w
+        )
 
 
 def _singular_hessians(monkeypatch, zero_rows):
