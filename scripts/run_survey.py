@@ -24,7 +24,9 @@ def main():
 
     cols = SURVEY_COLUMNS + (["time_s"] if args.timings else [])
     print(",".join(cols))
-    for params in square_family(args.e_max):
+    cases = square_family(args.e_max)
+    while cases:  # popped, so that each case's cached Pade matrix is freed
+        params = cases.pop(0)
         config = RunConfig(command="survey", trials=args.trials, seed=args.seed)
         start = time.time()
         row = _survey_case(params, config)

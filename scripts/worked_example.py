@@ -16,7 +16,6 @@ from taylorpade import (
     eliminate,
     full_from_essential,
     nondefective_hypersurface_check,
-    pade_matrix,
     random_lambda,
     relation_check,
 )
@@ -35,7 +34,7 @@ def main():
 
     params = TaylorParams(2, 5, 4, 7)
     field = PrimeField(PRIMES_62[0])
-    P = pade_matrix(*params.astuple())
+    P = params.pade
 
     print(f"Pade matrix for (n,d,e,m) = {params.astuple()}: {P.nrows}x{P.ncols}")
     print("entries (c_ab tokens, '.' = 0):")

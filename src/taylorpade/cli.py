@@ -62,6 +62,8 @@ class RunConfig:
             raise UsageError(f"--trials must be >= 1, got {self.trials}")
         if self.format == "csv" and self.command != "survey":
             raise UsageError("csv format is only available for survey reports")
+        if self.prime is not None:
+            PrimeField(self.prime)  # raises UsageError unless prime
 
     def params(self) -> TaylorParams:
         if None in (self.n, self.d, self.e, self.m):
@@ -184,27 +186,26 @@ def cmd_hessian(config: RunConfig) -> dict:
         payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
         return _report(config, payload, None)
     params = config.params()
-    P = pade_matrix(*params.astuple())
     cert = hess.certify_hessian_pade(
         params,
         variable_set=config.mode,
         trials=config.trials,
         seed=config.seed,
         ctx=config.context(),
-        P=P,
     )
     payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
     if hess.relations_apply(params):
         fld = config.fixed_context()
-        point = random_point(P.variables(), fld, derive_seed("diag", config.seed))
-        payload["relations"] = hess.relation_check(params, point, fld, P)
+        point = random_point(
+            params.pade.variables(), fld, derive_seed("diag", config.seed)
+        )
+        payload["relations"] = hess.relation_check(params, point, fld)
     return _report(config, payload, params)
 
 
 def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
-    P = pade_matrix(*params.astuple())
     check = nondefective_hypersurface_check(
-        params, trials=config.trials, ctx=config.context(), seed=config.seed, P=P
+        params, trials=config.trials, ctx=config.context(), seed=config.seed
     )
     row = {
         "d": params.d,
@@ -227,14 +228,15 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
             seed=config.seed,
             ctx=config.context(),
             check=check,
-            P=P,
             stop_at_full_rank=True,
         )
         fld = config.fixed_context()
-        point = random_point(P.variables(), fld, derive_seed("survey", config.seed))
-        row["hessian_full"] = hess.full_from_essential(essential, params, P).verdict
+        point = random_point(
+            params.pade.variables(), fld, derive_seed("survey", config.seed)
+        )
+        row["hessian_full"] = hess.full_from_essential(essential, params).verdict
         row["essential_corank"] = min(t.corank for t in essential.trials)
-        row["rank_M"] = hess.relation_check(params, point, fld, P)["rank_M"]
+        row["rank_M"] = hess.relation_check(params, point, fld)["rank_M"]
     return row
 
 
@@ -247,7 +249,9 @@ SURVEY_COLUMNS = [
 def cmd_survey(config: RunConfig) -> dict:
     if config.e_max is None:
         raise UsageError("survey needs --e-max")
-    rows = [_survey_case(p, config) for p in square_family(config.e_max)]
+    # Popped, so that each case's cached Pade matrix is freed after its row.
+    cases = square_family(config.e_max)
+    rows = [_survey_case(cases.pop(0), config) for _ in range(len(cases))]
     payload = {"columns": SURVEY_COLUMNS, "rows": rows, "verdict": "completed"}
     return _report(config, payload, None)
 

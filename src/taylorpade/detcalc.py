@@ -328,17 +328,7 @@ def grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
     occurrence positions of g (Jacobi's formula: d det = tr(adj(A) dA)).
     Defined also when the evaluation is singular.
     """
-    if not P.is_square:
-        raise UsageError("gradient of det needs a square matrix")
-    A = P.evaluate(point, field)
-    adj = adjugate(A, field)
-    grad = {}
-    for g, occ in P.occurrences().items():
-        s = field.zero
-        for r, c in occ:
-            s = field.add(s, adj[c][r])
-        grad[g] = s
-    return grad
+    return _cofactor_sums(P, point, field, by_block=False)
 
 
 def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
@@ -350,18 +340,22 @@ def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
     derivative of a column operation supported on one block produces, and
     they are the entries of the relation matrix.
     """
+    return _cofactor_sums(P, point, field, by_block=True)
+
+
+def _cofactor_sums(P, point, field, by_block) -> dict:
+    # Sum of adj(A)[c][r] over the occurrences (r, c) of each variable g,
+    # keyed by g, or by (block of column c, g) when ``by_block``.
     if not P.is_square:
         raise UsageError("gradient of det needs a square matrix")
-    if P.col_labels is None:
+    if by_block and P.col_labels is None:
         raise UsageError("block gradient needs a matrix with column blocks")
-    A = P.evaluate(point, field)
-    adj = adjugate(A, field)
+    adj = adjugate(P.evaluate(point, field), field)
     out: dict = {}
     for g, occ in P.occurrences().items():
         for r, c in occ:
-            key = (P.col_labels[c].block, g)
-            prev = out.get(key, field.zero)
-            out[key] = field.add(prev, adj[c][r])
+            k = (P.col_labels[c].block, g) if by_block else g
+            out[k] = field.add(out.get(k, field.zero), adj[c][r])
     return out
 
 

@@ -127,15 +127,12 @@ class PrimeField:
 class Rationals:
     """Exact rational arithmetic on ``fractions.Fraction`` values.
 
-    ``sample_bound`` controls random sampling: uniform integers in
-    ``[-B, B]``.  The default keeps Bareiss determinant bit growth manageable
-    at the matrix sizes this package works with.
+    Random samples are uniform integers in ``[-B, B]``, B =
+    ``DEFAULT_RATIONAL_BOUND``, which keeps Bareiss determinant bit growth
+    manageable at the matrix sizes this package works with.
     """
 
-    __slots__ = ("sample_bound",)
-
-    def __init__(self, sample_bound: int = DEFAULT_RATIONAL_BOUND):
-        self.sample_bound = sample_bound
+    __slots__ = ()
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -170,7 +167,7 @@ class Rationals:
         return a != 0
 
     def sample(self, rng: random.Random) -> Fraction:
-        return Fraction(rng.randint(-self.sample_bound, self.sample_bound))
+        return Fraction(rng.randint(-DEFAULT_RATIONAL_BOUND, DEFAULT_RATIONAL_BOUND))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
@@ -179,7 +176,7 @@ class Rationals:
         return hash("Rationals")
 
     def __repr__(self) -> str:
-        return f"Rationals(sample_bound={self.sample_bound})"
+        return "Rationals()"
 
 
 class Jet:
@@ -343,7 +340,7 @@ def random_point(variables: Sequence[Hashable], ctx, seed) -> dict:
     """Assign an independent uniform field element to each listed variable.
 
     Prime field: uniform in ``{0, ..., p-1}``.  Rationals: uniform integers in
-    ``[-B, B]`` with ``B = ctx.sample_bound``.  Deterministic under a fixed
+    ``[-B, B]`` with ``B = DEFAULT_RATIONAL_BOUND``.  Deterministic under a fixed
     seed.
     """
     if isinstance(ctx, JetRing):

@@ -24,14 +24,11 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 from .detcalc import block_grad_det_at, eliminate, hessian_from_factor
 from .errors import DomainError, UnsupportedParametersError, UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
-from .pade import pade_matrix
-from .series import MonomialOrder, SparsePoly, exp_add, monomials_of_degree
+from .series import DOMAIN_ORDER, SparsePoly, exp_add, monomials_of_degree
 from .variety import HypersurfaceCheck, TaylorParams, nondefective_hypersurface_check
 
 VANISHES = "vanishes-probabilistic"
 NONZERO = "nonzero-certified"
-
-_WITHIN_DEC = MonomialOrder(degree_increasing=True, lex_increasing=False)
 
 
 def relations_apply(params: TaylorParams) -> bool:
@@ -70,9 +67,6 @@ class RelationMatrix:
     def shape(self):
         return (len(self.rows), len(self.col_labels))
 
-    def block(self, j: int) -> list:
-        return [row for (jj, _), row in zip(self.row_labels, self.rows) if jj == j]
-
 
 def build_M(params: TaylorParams, block_grad: dict, field) -> RelationMatrix:
     """Relation matrix from the per-block gradient of det(P).
@@ -90,7 +84,7 @@ def build_M(params: TaylorParams, block_grad: dict, field) -> RelationMatrix:
     rows = []
     for j in range(m, base, -1):
         dj = j - base
-        for alpha in sorted(monomials_of_degree(2, dj), key=_WITHIN_DEC.key):
+        for alpha in sorted(monomials_of_degree(2, dj), key=DOMAIN_ORDER.key):
             row = []
             for beta in cols:
                 g = (j, exp_add(alpha, beta))
@@ -118,18 +112,16 @@ def relation_residual(M: RelationMatrix, point: dict, field) -> list:
     return out
 
 
-def relation_check(params: TaylorParams, point: dict, field, P=None) -> dict:
+def relation_check(params: TaylorParams, point: dict, field) -> dict:
     """The relation identity M.c = 0 and the rank of M at one point.
 
-    ``P`` is the Pade matrix of ``params``, built here when not given.  It is
-    eliminated once (for its per-block gradient) and M once.  The
-    coefficient vector c is nonzero and lies in the kernel of M, so the rank
-    of M stays below ``rank_bound``, the number of columns of M.
+    The Pade matrix ``params.pade`` is eliminated once (for its per-block
+    gradient) and M once.  The coefficient vector c is nonzero and lies in
+    the kernel of M, so the rank of M stays below ``rank_bound``, the number
+    of columns of M.
     """
     _require_relation_params(params)
-    if P is None:
-        P = pade_matrix(*params.astuple())
-    M = build_M(params, block_grad_det_at(P, point, field), field)
+    M = build_M(params, block_grad_det_at(params.pade, point, field), field)
     return {
         "residual_is_zero": all(
             field.is_zero(x) for x in relation_residual(M, point, field)
@@ -269,17 +261,15 @@ def certify_hessian_pade(
     seed=0,
     ctx: PrimeField | None = None,
     check: HypersurfaceCheck | None = None,
-    P=None,
     stop_at_full_rank: bool = False,
 ) -> Certificate:
-    """Probabilistic test of det(Hessian of det(P)) == 0.
+    """Probabilistic test of det(Hessian of det(P)) == 0, P = ``params.pade``.
 
     Refuses parameters that do not pass the non-defective-hypersurface gate
     (there the determinant may be identically zero and the question is moot).
     The gate runs here unless the caller passes its outcome as ``check``: a
     passing check is exact (det(P) certified nonzero, Jacobian rank at the
     expected dimension, its upper bound), so one gate serves a whole case.
-    ``P`` is the Pade matrix of ``params``, built here when not given.
 
     Each trial samples a fresh point over a rotating 62-bit prime, resampling
     up to 8 times if the evaluated Pade matrix happens to be singular (and
@@ -296,11 +286,9 @@ def certify_hessian_pade(
     _require_prime_field(ctx)
     if variable_set not in ("full", "essential"):
         raise UsageError(f"unknown variable set {variable_set!r}")
-    if P is None:
-        P = pade_matrix(*params.astuple())
     if check is None:
         check = nondefective_hypersurface_check(
-            params, trials=GATE_TRIALS, ctx=ctx, seed=derive_seed("gate", seed), P=P
+            params, trials=GATE_TRIALS, ctx=ctx, seed=derive_seed("gate", seed)
         )
     elif check.params != params:
         raise UsageError(
@@ -313,6 +301,7 @@ def certify_hessian_pade(
             f"(det nonzero in {check.det_nonzero_count}/{check.det_trials} trials, "
             f"dimension {check.actual_dim} vs expected {check.expected_dim})"
         )
+    P = params.pade
     variables = P.variables()
 
     def sample(t, fld):
@@ -335,14 +324,12 @@ def certify_hessian_pade(
     )
     if variable_set == "essential":
         return essential
-    return full_from_essential(essential, params, P)
+    return full_from_essential(essential, params)
 
 
-def full_from_essential(
-    essential: Certificate, params: TaylorParams, P=None
-) -> Certificate:
+def full_from_essential(essential: Certificate, params: TaylorParams) -> Certificate:
     """The certificate over all ambient coordinates c_g, |g| <= m, implied
-    trial by trial by the certificate over the variables of P.
+    trial by trial by the certificate over the variables of ``params.pade``.
 
     A coordinate absent from det(P) adds a zero row and column to the ambient
     Hessian, and ordering the ambient coordinates permutes rows and columns
@@ -350,10 +337,8 @@ def full_from_essential(
     ``absent > 0`` and the essential det otherwise, and the ambient corank is
     the essential corank plus ``absent``.  Points, seeds and primes are those
     of the essential trials; the degree bound counts all ambient coordinates.
-    ``P`` is the Pade matrix of ``params``, built here when not given.
     """
-    if P is None:
-        P = pade_matrix(*params.astuple())
+    P = params.pade
     absent = params.ambient_coords - len(P.variables())
     records = [
         replace(t, value=0 if absent else t.value, corank=t.corank + absent)

@@ -17,22 +17,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .errors import UsageError
 from .fields import derive_seed
 from .series import (
+    DOMAIN_ORDER,
     Exponent,
     MonomialOrder,
     exp_sub,
     monomials_of_degree,
     monomials_upto,
 )
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -130,16 +126,6 @@ class SymbolicMatrix:
             raise UsageError(f"no block C_{j} in this matrix")
         return cols
 
-    def blocks(self) -> list:
-        """Block indices present, in column order (decreasing j)."""
-        if self.col_labels is None:
-            raise UsageError("matrix has no column block structure")
-        seen = []
-        for lab in self.col_labels:
-            if lab.block not in seen:
-                seen.append(lab.block)
-        return seen
-
     def __repr__(self) -> str:
         return f"SymbolicMatrix({self.nrows}x{self.ncols})"
 
@@ -150,8 +136,8 @@ def pade_shape(n: int, d: int, e: int, m: int) -> PadeShape:
         raise UsageError("need n >= 1, d >= 0, e >= 0")
     if m <= d:
         raise UsageError("need m > d (empty row window otherwise)")
-    rows = _binom(m + n, n) - _binom(d + n, n)
-    cols = _binom(e + n, n)
+    rows = comb(m + n, n) - comb(d + n, n)
+    cols = comb(e + n, n)
     return PadeShape(rows, cols)
 
 
@@ -191,24 +177,15 @@ def reduced_pade(P: SymbolicMatrix) -> SymbolicMatrix:
     return SymbolicMatrix(entries, P.row_labels, col_labels, P.params)
 
 
-def block_view(P: SymbolicMatrix, j: int) -> SymbolicMatrix:
-    """The columns of P forming block C_j (domain monomials of degree m-j)."""
-    cols = P.block_columns(j)
-    entries = [[row[c] for c in cols] for row in P.entries]
-    labels = [P.col_labels[c] for c in cols]
-    return SymbolicMatrix(entries, P.row_labels, labels, P.params)
-
-
 def lambda_shape(params) -> dict:
     """Expected component layout of a lambda assignment for square m=d+2
     matrices: block j -> list of exponents of degree d_j, in column order."""
     n, d, e, m = params
     base = d - e + 2
-    order = MonomialOrder(degree_increasing=True, lex_increasing=False)
     out = {}
     for j in range(base + 1, m + 1):
         dj = j - base
-        out[j] = order.sorted(monomials_of_degree(n, dj))
+        out[j] = DOMAIN_ORDER.sorted(monomials_of_degree(n, dj))
     return out
 
 

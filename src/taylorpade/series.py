@@ -171,29 +171,12 @@ class SparsePoly:
             acc[g] = acc.get(g, Fraction(0)) + Fraction(c)
         return cls(nvars, acc)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         return max((sum(g) for g in self.coeffs), default=-1)
 
     def is_homogeneous(self) -> bool:
         degs = {sum(g) for g in self.coeffs}
         return len(degs) <= 1
-
-    def add(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + c
-        return SparsePoly(self.nvars, out)
-
-    def mul(self, other: "SparsePoly") -> "SparsePoly":
-        out: dict = {}
-        for g, ca in self.coeffs.items():
-            for h, cb in other.coeffs.items():
-                k = exp_add(g, h)
-                out[k] = out.get(k, Fraction(0)) + ca * cb
-        return SparsePoly(self.nvars, out)
 
     def diff(self, i: int) -> "SparsePoly":
         out = {}

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from operator import add
 
 from .detcalc import eliminate
 from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, random_point
-from .pade import PadeShape, pade_matrix, pade_shape, reduced_pade
+from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape, reduced_pade
 from .series import TruncatedSeries, monomials_of_degree, monomials_upto
 
 
@@ -61,6 +62,13 @@ class TaylorParams:
     @property
     def is_square(self) -> bool:
         return self.shape.square
+
+    @cached_property
+    def pade(self) -> SymbolicMatrix:
+        """The Pade matrix of these parameters, built on first use and kept by
+        this instance: every stage of a case reads this one matrix, and an
+        equal but distinct instance builds its own."""
+        return pade_matrix(*self.astuple())
 
     def astuple(self):
         return (self.n, self.d, self.e, self.m)
@@ -130,13 +138,11 @@ def expected_dimension(params: TaylorParams) -> int:
     return min(comb(d + n, n) + comb(e + n, n) - 2, comb(m + n, n) - 1)
 
 
-def actual_dimension(
-    params: TaylorParams, trials: int = 3, ctx=None, seed=0, P=None
-) -> int:
+def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) -> int:
     """Generic rank of the Jacobian J of the coefficient map (p, q) -> (c_g).
 
-    J is never built: at each sampled pair (p, q), with T = p/q and ``P`` the
-    Pade matrix of ``params`` (built here when not given),
+    J is never built: at each sampled pair (p, q), with T = p/q and
+    P = ``params.pade``,
 
         rank J = C(d+n, n) - 1 + rank(reduced_pade(P).evaluate(T)).
 
@@ -161,8 +167,7 @@ def actual_dimension(
     if trials < 1:
         raise UsageError("need at least one trial")
     ctx = ctx or PrimeField(PRIMES_62[0])
-    if P is None:
-        P = pade_matrix(*params.astuple())
+    P = params.pade
     base = comb(params.d + params.n, params.n) - 1
     if P.ncols == 1:
         return base
@@ -184,7 +189,7 @@ def membership(T: dict, params: TaylorParams, ctx) -> bool:
     True iff the Pade matrix evaluated at T has non-trivial kernel, i.e. rank
     strictly below its column count.  The constant coordinate is taken as 1.
     """
-    P = pade_matrix(*params.astuple())
+    P = params.pade
     A = P.evaluate(T, ctx)
     return eliminate(A, ctx).rank < P.ncols
 
@@ -210,20 +215,18 @@ class HypersurfaceCheck:
 
 
 def nondefective_hypersurface_check(
-    params: TaylorParams, trials: int = 20, ctx=None, seed=0, P=None
+    params: TaylorParams, trials: int = 20, ctx=None, seed=0
 ) -> HypersurfaceCheck:
     """Randomized test for 'non-defective hypersurface'.
 
     Requires (a) a square Pade matrix, (b) a nonzero determinant at some
     random point (which certifies det != 0 as a polynomial), and (c) actual
     dimension equal to the expected dimension equal to N-1.  The Pade matrix
-    ``P`` (built here when not given) serves both the determinant trials and
-    the rank.
+    ``params.pade`` serves both the determinant trials and the rank.
     """
     shape = params.shape
     ctx = ctx or PrimeField(PRIMES_62[0])
-    if P is None:
-        P = pade_matrix(*params.astuple())
+    P = params.pade
     nonzero = 0
     if shape.square:
         variables = P.variables()
@@ -232,7 +235,7 @@ def nondefective_hypersurface_check(
             if eliminate(P.evaluate(point, ctx), ctx).det != 0:
                 nonzero += 1
     exp_dim = expected_dimension(params)
-    act_dim = actual_dimension(params, trials=3, ctx=ctx, seed=seed, P=P)
+    act_dim = actual_dimension(params, trials=3, ctx=ctx, seed=seed)
     certified = nonzero > 0
     if act_dim < exp_dim:
         verdict = "defective"

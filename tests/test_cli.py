@@ -334,6 +334,18 @@ def test_trials_must_be_positive(argv, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["shape", *_P547, "--prime", "4"],
+    ["export", *_P547, "--prime", "4"],
+    ["defect", *_P547, "--field", "rational", "--prime", "4"],
+], ids=["shape", "export", "defect-rational"])
+def test_prime_must_be_prime(argv, capsys, tmp_path, monkeypatch):
+    # Rejected before any command runs, also where it builds no prime field.
+    monkeypatch.chdir(tmp_path)
+    assert "modulus 4 is not prime" in _usage_error(argv, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["export", "shape"])
 def test_csv_only_for_survey(command, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

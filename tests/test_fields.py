@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
+    DEFAULT_RATIONAL_BOUND,
     PRIMES_62,
     Jet,
     JetRing,
@@ -54,9 +55,10 @@ def test_random_point_deterministic(gf):
 
 
 def test_random_point_rational_bound():
-    ctx = Rationals(sample_bound=7)
-    pt = random_point([(i,) for i in range(50)], ctx, 0)
-    assert all(-7 <= v <= 7 for v in pt.values())
+    pt = random_point([(i,) for i in range(50)], Rationals(), 0)
+    bound = DEFAULT_RATIONAL_BOUND
+    assert all(-bound <= v <= bound and v.denominator == 1 for v in pt.values())
+    assert max(abs(v) for v in pt.values()) > bound // 2
 
 
 def test_random_point_errors(gf, qq):

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -76,8 +77,8 @@ def test_build_M_shape_and_row_layout(gf):
     assert M.shape == (14, 7)
     assert M.row_labels[0] == (7, (4, 0))
     assert M.row_labels[-1] == (4, (0, 1))
-    assert len(M.block(7)) == 5
-    assert len(M.block(4)) == 2
+    assert sum(j == 7 for j, _ in M.row_labels) == 5
+    assert sum(j == 4 for j, _ in M.row_labels) == 2
     # the (j=4, alpha=(1,0)) row must hold the values tied to the variables
     # [c40 c31 c22 c13 | c30 c21 c12], i.e. alpha+beta over the column labels
     alpha = (1, 0)
@@ -344,7 +345,7 @@ def test_hessian_bilinear_form_matches_jets_at_certificate_points(case, modes):
     variables = P.variables()
     points = set()
     for mode in modes:
-        cert = certify_hessian_pade(params, mode, trials=1, seed=0, P=P)
+        cert = certify_hessian_pade(params, mode, trials=1, seed=0)
         points |= {(t.prime, t.seed, t.point_digest) for t in cert.trials}
     assert len(points) == 1
     rng = random.Random(14)
@@ -445,7 +446,7 @@ def _count_pade_builds(monkeypatch):
     bound = [mod for name, mod in sorted(sys.modules.items())
              if name.split(".")[0] == "taylorpade"
              and getattr(mod, "pade_matrix", None) is real]
-    assert {pade_mod, cli_mod, hessian_mod, variety_mod} <= set(bound)
+    assert {pade_mod, cli_mod, variety_mod} <= set(bound)
     for mod in bound:
         monkeypatch.setattr(mod, "pade_matrix", counted)
     return built
@@ -458,16 +459,39 @@ def test_survey_builds_P_once_per_case(monkeypatch, capsys):
     assert built == [(2, 5, 4, 7), (2, 8, 5, 10)]
 
 
+def test_survey_frees_each_P_before_building_the_next(monkeypatch, capsys):
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    alive = []
+    real = pade_mod.pade_matrix
+
+    def tracked(*args):
+        assert [ref() for ref in alive] == [None] * len(alive)
+        P = real(*args)
+        alive.append(weakref.ref(P))
+        return P
+
+    monkeypatch.setattr(variety_mod, "pade_matrix", tracked)
+    _survey_rows(["survey", "--e-max", "8", "--trials", "2"], capsys)
+    assert len(alive) == 3
+
+
 @pytest.mark.parametrize("case", [(2, 5, 4, 7), (2, 1, 1, 2)])
 @pytest.mark.parametrize("mode", ["full", "essential"])
 def test_hessian_builds_P_once(case, mode, monkeypatch, capsys):
+    # Each run builds its own P: two runs in one process build it twice.
     built = _count_pade_builds(monkeypatch)
     n, d, e, m = case
     argv = ["hessian", "-n", str(n), "-d", str(d), "-e", str(e), "-m", str(m),
             "--trials", "2", "--mode", mode]
     assert cli_mod.main(argv) == 0
+    assert cli_mod.main(argv) == 0
     capsys.readouterr()
-    assert built == [case]
+    assert built == [case, case]
+    params, twin = TaylorParams(*case), TaylorParams(*case)
+    assert params.pade is params.pade
+    assert built == [case, case, case]
+    assert twin == params and twin.pade is not params.pade
+    assert built == [case, case, case, case]
 
 
 def test_certificate_rejects_unknown_variable_set(monkeypatch):

@@ -8,7 +8,6 @@ from taylorpade.detcalc import eliminate
 from taylorpade.errors import UsageError
 from taylorpade.fields import PRIMES_62, PrimeField, random_point
 from taylorpade.pade import (
-    block_view,
     column_transform,
     export_m2,
     pade_matrix,
@@ -143,8 +142,8 @@ def test_reduced_pade():
         assert R.entries[r][0] == P.entries[r][1]
         assert R.entries[r] == P.entries[r][1:]
     # the width-1 constant-column block disappears; other blocks keep width
-    assert R.blocks() == [6, 5, 4, 3]
-    for j in R.blocks():
+    assert list(dict.fromkeys(lab.block for lab in R.col_labels)) == [6, 5, 4, 3]
+    for j in (6, 5, 4, 3):
         assert len(R.block_columns(j)) == len(P.block_columns(j))
 
 
@@ -157,16 +156,16 @@ def test_reduced_pade_single_column_error():
 
 def test_block_view_widths():
     P = pade_matrix(2, 5, 4, 7)
-    widths = {j: block_view(P, j).ncols for j in (7, 6, 5, 4, 3)}
+    widths = {j: len(P.block_columns(j)) for j in (7, 6, 5, 4, 3)}
     assert widths == {7: 1, 6: 2, 5: 3, 4: 4, 3: 5}
     assert sum(widths.values()) == P.ncols
-    B = block_view(P, 5)
-    for g in (x for row in B.entries for x in row if x is not None):
+    cols = P.block_columns(5)
+    for g in (row[c] for row in P.entries for c in cols if row[c] is not None):
         assert sum(g) in (4, 5)
     with pytest.raises(UsageError):
-        block_view(P, 2)
+        P.block_columns(2)
     with pytest.raises(UsageError):
-        block_view(P, 8)
+        P.block_columns(8)
 
 
 def test_squareness_condition_for_d_plus_2_family():

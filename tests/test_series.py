@@ -173,11 +173,3 @@ def test_sparse_poly_basics():
     assert f.eval(gf, [3, 1]) == 8
     mixed = SparsePoly.from_terms(2, [((2, 0), 1), ((1, 0), 1)])
     assert not mixed.is_homogeneous()
-
-
-def test_sparse_poly_mul():
-    x = SparsePoly.from_terms(1, [((1,), 1)])
-    one_plus_x = SparsePoly.from_terms(1, [((0,), 1), ((1,), 1)])
-    sq = one_plus_x.mul(one_plus_x)
-    assert sq == SparsePoly.from_terms(1, [((0,), 1), ((1,), 2), ((2,), 1)])
-    assert x.mul(SparsePoly(1)).is_zero()
