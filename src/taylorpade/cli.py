@@ -64,6 +64,10 @@ class RunConfig:
             raise UsageError("csv format is only available for survey reports")
         if self.prime is not None:
             PrimeField(self.prime)  # raises UsageError unless prime
+        if self.prime is not None and self.prime_index is not None:
+            raise UsageError("give --prime or --prime-index, not both")
+        if self.field == "rational" and (self.prime, self.prime_index) != (None, None):
+            raise UsageError("--field rational takes no --prime or --prime-index")
 
     def params(self) -> TaylorParams:
         if None in (self.n, self.d, self.e, self.m):
@@ -204,8 +208,10 @@ def cmd_hessian(config: RunConfig) -> dict:
 
 
 def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
+    # A row reads only whether the gate passes, so one nonzero det suffices.
     check = nondefective_hypersurface_check(
-        params, trials=config.trials, ctx=config.context(), seed=config.seed
+        params, trials=config.trials, ctx=config.context(), seed=config.seed,
+        stop_at_nonzero=True,
     )
     row = {
         "d": params.d,

@@ -23,6 +23,21 @@ integers:
   no slot ever carries into its neighbour (about 136 bits for the 62-bit
   primes of ``fields.PRIMES_62``).
 
+A symmetric square matrix (a Hessian) with no inverse asked takes a body
+that stores and updates only the upper triangle, about half the slot
+arithmetic of the general one.  Its indices are first permuted, rows and
+columns together, so that the nonzero diagonal entries come first; that
+keeps det and rank.  Row k holds columns k..n-1, its diagonal in the lowest
+slot, with the same W.  Step k takes the pivot row's tail f (columns k+1..,
+reduced mod p), packs ``Y = f * pivot^-1`` and adds ``(p - f_i) * Y``,
+shifted down by the i-k-1 slots that row i does not hold, to each later row
+i with ``f_i != 0``.  The Schur complement of a symmetric matrix is
+symmetric, so the column below the pivot is f itself, no row moves, and det
+is the product of the pivots.  At the first zero pivot the remaining Schur
+complement is unpacked, mirrored into a full matrix and eliminated by the
+general body, whose rank and det complete the answer: exact for every
+symmetric matrix over every GF(p), p = 2 included.
+
 Two independent routes to the derivatives of det(P) at a point:
 
 * the adjugate/trace route (Jacobi's formula and its second-order extension),
@@ -100,6 +115,10 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
       ``p + min(rows, cols) * p * (p - 1) < 2^W`` so slots never carry,
       and ``% p`` applied only to the pivot column, to each pivot row and
       to the final inverse;
+    * over GF(p), for a square ``A == A^T`` with no inverse asked, the
+      upper triangle only, in slots of the same W and without row swaps
+      (module docstring); the Schur complement left at the first zero
+      pivot goes to the general body, so rank and det stay exact;
     * over Q, fraction-free Bareiss elimination (Math. Comp. 22, 1968) of
       the integer-scaled rows;
     * over any other ring (jets, and inverses over Q), the context's own
@@ -116,7 +135,10 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
     if inverse and not square:
         raise UsageError("inverse of a non-square matrix")
     if isinstance(field, PrimeField):
-        rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
+        if square and not inverse and _is_symmetric(A):
+            rank, det, inv = _eliminate_symmetric_modp(A, field.p)
+        else:
+            rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
     elif isinstance(field, Rationals) and not inverse:
         rank, det, inv = _eliminate_bareiss(A, ncols)
     else:
@@ -167,6 +189,44 @@ def _eliminate_modp(A, ncols, p, inverse):
     if not (inverse and rank == n):
         return rank, det, None
     return rank, det, [[x % p for x in _unpack(row, n, size)] for row in rows]
+
+
+def _is_symmetric(A):
+    # Row i against column i, stopping at the first mismatch.
+    return all(map(tuple.__eq__, map(tuple, A), zip(*A)))
+
+
+def _eliminate_symmetric_modp(A, p):
+    # Upper-triangle packed rows of a symmetric A (module docstring); W is
+    # the bound of _eliminate_modp.
+    n = len(A)
+    size = ((p + n * p * (p - 1)).bit_length() + 7) // 8
+    W = 8 * size
+    mask = (1 << W) - 1
+    order = sorted(range(n), key=lambda i: not A[i][i] % p)
+    rows = [_pack([A[i][j] % p for j in order[k:]], size)
+            for k, i in enumerate(order)]
+    det = 1
+    for k in range(n):
+        pivot = (rows[k] & mask) % p
+        if not pivot:
+            # Hand the Schur complement, mirrored, to the general body.
+            s = n - k
+            S = [[0] * s for _ in range(s)]
+            for a in range(s):
+                for b, x in enumerate(_unpack(rows[k + a], s - a, size), a):
+                    S[a][b] = S[b][a] = x % p
+            rank, sdet, _ = _eliminate_modp(S, s, p, False)
+            return k + rank, det * sdet % p, None
+        det = det * pivot % p
+        f = [x % p for x in _unpack(rows[k] >> W, n - k - 1, size)]
+        rows[k] = None
+        inv = pow(pivot, -1, p)
+        Y = _pack([x * inv % p for x in f], size)
+        for j, fi in enumerate(f):
+            if fi:
+                rows[k + 1 + j] += (p - fi) * (Y >> W * j)
+    return n, det, None
 
 
 def _pack(values, size):

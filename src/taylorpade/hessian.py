@@ -270,6 +270,7 @@ def certify_hessian_pade(
     The gate runs here unless the caller passes its outcome as ``check``: a
     passing check is exact (det(P) certified nonzero, Jacobian rank at the
     expected dimension, its upper bound), so one gate serves a whole case.
+    The gate run here stops its det(P) trials at the first nonzero det.
 
     Each trial samples a fresh point over a rotating 62-bit prime, resampling
     up to 8 times if the evaluated Pade matrix happens to be singular (and
@@ -288,7 +289,8 @@ def certify_hessian_pade(
         raise UsageError(f"unknown variable set {variable_set!r}")
     if check is None:
         check = nondefective_hypersurface_check(
-            params, trials=GATE_TRIALS, ctx=ctx, seed=derive_seed("gate", seed)
+            params, trials=GATE_TRIALS, ctx=ctx, seed=derive_seed("gate", seed),
+            stop_at_nonzero=True,
         )
     elif check.params != params:
         raise UsageError(

@@ -75,9 +75,9 @@ DOMAIN_ORDER = MonomialOrder(degree_increasing=True, lex_increasing=False)
 class TruncatedSeries:
     """Power series truncated at total degree ``order``.
 
-    Stored coefficients are nonzero and of degree <= order; multiplication
-    drops any product term of higher degree.  Instances are immutable by
-    convention: all operations return fresh series.
+    Stored coefficients are nonzero and of degree <= order; a term of higher
+    degree is dropped on construction.  Instances are immutable by
+    convention.
     """
 
     __slots__ = ("field", "nvars", "order", "coeffs")
@@ -96,37 +96,11 @@ class TruncatedSeries:
                 clean[g] = c
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, field, nvars: int, order: int) -> "TruncatedSeries":
-        return cls(field, nvars, order, {})
-
-    @classmethod
-    def one(cls, field, nvars: int, order: int) -> "TruncatedSeries":
-        return cls(field, nvars, order, {(0,) * nvars: field.one})
-
     def coeff(self, g: Exponent):
         return self.coeffs.get(tuple(g), self.field.zero)
 
     def constant_term(self):
         return self.coeff((0,) * self.nvars)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check_compatible(self, other: "TruncatedSeries"):
-        if self.nvars != other.nvars:
-            raise UsageError("series have different numbers of variables")
-        if self.field != other.field:
-            raise UsageError("series live over different field contexts")
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        f = self.field
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = f.add(out.get(g, f.zero), c)
-        return TruncatedSeries(f, self.nvars, order, out)
 
     def __eq__(self, other) -> bool:
         return (

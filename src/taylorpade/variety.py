@@ -3,8 +3,7 @@
 A point of the variety is the coefficient vector (c_g, 0 < |g| <= m) of the
 order-m expansion of P/Q with P(0) = Q(0) = 1, deg P <= d, deg Q <= e.
 Dimension questions are answered by the generic rank of the Jacobian J of the
-coefficient map, membership questions by the kernel of the Pade matrix.  Both
-are Pade-matrix questions: at a point T of the variety,
+coefficient map, which is a Pade-matrix question: at a point T of the variety,
 
     rank J = C(d+n, n) - 1 + rank of the Pade matrix at T without its
              constant (sigma = 0) column,
@@ -183,17 +182,6 @@ def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) ->
     return best
 
 
-def membership(T: dict, params: TaylorParams, ctx) -> bool:
-    """Whether the coefficient vector admits a nonzero annihilating Q.
-
-    True iff the Pade matrix evaluated at T has non-trivial kernel, i.e. rank
-    strictly below its column count.  The constant coordinate is taken as 1.
-    """
-    P = params.pade
-    A = P.evaluate(T, ctx)
-    return eliminate(A, ctx).rank < P.ncols
-
-
 @dataclass(frozen=True)
 class HypersurfaceCheck:
     """Outcome of the randomized non-defective-hypersurface test."""
@@ -215,7 +203,8 @@ class HypersurfaceCheck:
 
 
 def nondefective_hypersurface_check(
-    params: TaylorParams, trials: int = 20, ctx=None, seed=0
+    params: TaylorParams, trials: int = 20, ctx=None, seed=0,
+    stop_at_nonzero: bool = False,
 ) -> HypersurfaceCheck:
     """Randomized test for 'non-defective hypersurface'.
 
@@ -223,17 +212,23 @@ def nondefective_hypersurface_check(
     random point (which certifies det != 0 as a polynomial), and (c) actual
     dimension equal to the expected dimension equal to N-1.  The Pade matrix
     ``params.pade`` serves both the determinant trials and the rank.
+
+    ``stop_at_nonzero`` ends the determinant trials at the first nonzero
+    det, which fixes (b) exactly; ``det_trials`` then counts the trials run.
     """
     shape = params.shape
     ctx = ctx or PrimeField(PRIMES_62[0])
     P = params.pade
-    nonzero = 0
+    nonzero = run = 0
     if shape.square:
         variables = P.variables()
         for t in range(trials):
+            run = t + 1
             point = random_point(variables, ctx, derive_seed("det", seed, t))
             if eliminate(P.evaluate(point, ctx), ctx).det != 0:
                 nonzero += 1
+                if stop_at_nonzero:
+                    break
     exp_dim = expected_dimension(params)
     act_dim = actual_dimension(params, trials=3, ctx=ctx, seed=seed)
     certified = nonzero > 0
@@ -248,7 +243,7 @@ def nondefective_hypersurface_check(
         rows=shape.rows,
         cols=shape.cols,
         square=shape.square,
-        det_trials=trials if shape.square else 0,
+        det_trials=run,
         det_nonzero_count=nonzero,
         det_certified_nonzero=certified,
         expected_dim=exp_dim,

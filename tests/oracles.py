@@ -1,10 +1,11 @@
 """Independent routes the tests check the program against.
 
 The coefficient map (p, q) -> (c_g) of a Taylor variety, expanded the direct
-way: the series product and the series inverse, and from them the full
-Jacobian of the map.  The program ranks the reduced Pade matrix at T = p/q
-instead (``variety.actual_dimension``); these give the same rank by another
-route.
+way: the series sum, product and inverse, and from them the full Jacobian of
+the map.  The program ranks the reduced Pade matrix at T = p/q instead
+(``variety.actual_dimension``); these give the same rank by another route.
+Membership of a coefficient vector in the variety, read off the kernel of
+the Pade matrix at it.
 
 The bilinear form of the Hessian of det(P), read off one determinant of
 second-order jets (``jet_bilinear``); the program assembles H from P^-1
@@ -14,7 +15,7 @@ instead (``detcalc.hessian_det_at``).
 from __future__ import annotations
 
 from taylorpade.detcalc import eliminate
-from taylorpade.errors import DomainError
+from taylorpade.errors import DomainError, UsageError
 from taylorpade.fields import Jet, JetRing
 from taylorpade.series import (
     DOMAIN_ORDER,
@@ -25,9 +26,38 @@ from taylorpade.series import (
 )
 
 
+def _check_compatible(a: TruncatedSeries, b: TruncatedSeries):
+    if a.nvars != b.nvars:
+        raise UsageError("series have different numbers of variables")
+    if a.field != b.field:
+        raise UsageError("series live over different field contexts")
+
+
+def series_zero(field, nvars: int, order: int) -> TruncatedSeries:
+    return TruncatedSeries(field, nvars, order, {})
+
+
+def series_one(field, nvars: int, order: int) -> TruncatedSeries:
+    return TruncatedSeries(field, nvars, order, {(0,) * nvars: field.one})
+
+
+def series_is_zero(a: TruncatedSeries) -> bool:
+    return not a.coeffs
+
+
+def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Sum of two series, truncated at the smaller of their orders."""
+    _check_compatible(a, b)
+    f = a.field
+    out = dict(a.coeffs)
+    for g, c in b.coeffs.items():
+        out[g] = f.add(out.get(g, f.zero), c)
+    return TruncatedSeries(f, a.nvars, min(a.order, b.order), out)
+
+
 def series_mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """Product of two series with all terms of degree > ``order`` removed."""
-    a._check_compatible(b)
+    _check_compatible(a, b)
     f = a.field
     out: dict = {}
     for g, ca in a.coeffs.items():
@@ -109,6 +139,17 @@ def psi_jacobian(pq, params):
             row.append(field.neg(p_over_q2.coeff(h)) if h is not None else field.zero)
         jac.append(row)
     return rows, p_cols + q_cols, jac
+
+
+def membership(T: dict, params, ctx) -> bool:
+    """Whether the coefficient vector admits a nonzero annihilating Q.
+
+    True iff the Pade matrix evaluated at T has non-trivial kernel, i.e. rank
+    strictly below its column count.  The constant coordinate is taken as 1.
+    """
+    P = params.pade
+    A = P.evaluate(T, ctx)
+    return eliminate(A, ctx).rank < P.ncols
 
 
 def jet_bilinear(P, point, field, u: dict, w: dict):

@@ -346,6 +346,27 @@ def test_prime_must_be_prime(argv, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["defect", *_P547, "--field", "rational", "--prime", "7"], "--field rational"),
+    (["defect", *_P547, "--field", "rational", "--prime-index", "3"], "--field rational"),
+    (["hessian", *_P547, "--prime", "7", "--prime-index", "3"], "--prime-index"),
+    (["survey", "--e-max", "5", "--prime", "7", "--prime-index", "3"], "--prime-index"),
+], ids=["rational-prime", "rational-prime-index", "hessian-both", "survey-both"])
+def test_conflicting_field_options(argv, flags, capsys, tmp_path, monkeypatch):
+    # Each used to run with one of the options silently dropped.
+    monkeypatch.chdir(tmp_path)
+    assert flags in _usage_error(argv, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_defect_counts_every_det_trial(capsys):
+    # defect keeps all --trials det(P) evaluations; survey and hessian stop
+    # at the first nonzero one
+    assert cli.main(["defect", *_P547, "--trials", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["det_trials"], payload["det_nonzero_count"]) == (4, 4)
+
+
 @pytest.mark.parametrize("command", ["export", "shape"])
 def test_csv_only_for_survey(command, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taylorpade.detcalc as detcalc_mod
 from taylorpade.detcalc import (
+    _eliminate_modp,
+    _eliminate_symmetric_modp,
     _hessian_core,
     adjugate,
     block_grad_det_at,
@@ -305,6 +308,99 @@ def test_eliminate_modp_matches_list_reference(p):
         for inverse in (False, True) if square else (False,):
             got = eliminate(A, field, inverse=inverse)
             assert tuple(got) == _reference_modp(A, p, inverse)
+
+
+def _symmetric_inputs(p, rng):
+    """Symmetric matrices for the symmetric GF(p) body: empty, 1x1, all zero,
+    all p - 1, and at each size a random one, one whose diagonal is zero mod
+    p (entries that are multiples of p), and one of deficient rank (a sum of
+    fewer than n symmetric rank-one terms); entries negative or >= p let
+    unreduced slots grow as far as the slot-width bound allows."""
+
+    def entry():
+        return rng.choice((
+            lambda: rng.randrange(p),
+            lambda: rng.randrange(-3 * p, 0),
+            lambda: rng.randrange(p, 4 * p),
+            lambda: p - 1,
+            lambda: 0,
+        ))()
+
+    def sym(n, diagonal):
+        A = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = entry()
+            A[i][i] = entry() if diagonal else rng.randint(-2, 2) * p
+        return A
+
+    out = [[], [[entry()]], [[0]], [[p - 1]], [[0] * 5 for _ in range(5)],
+           [[p - 1] * 12 for _ in range(12)]]
+    for n in (2, 3, 7, 16, 40):
+        out += [sym(n, True), sym(n, False)]
+        vs = [[entry() for _ in range(n)] for _ in range(rng.randrange(n))]
+        out.append([[sum(v[i] * v[j] for v in vs) for j in range(n)]
+                    for i in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("p", [*PRIMES_62, 2, 3, 2**31 - 1])
+def test_symmetric_body_matches_general_body(p, monkeypatch):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    log = []
+
+    def logged(name, body):
+        def run(A, *args):
+            log.append((name, len(A)))
+            return body(A, *args)
+        return run
+
+    monkeypatch.setattr(detcalc_mod, "_eliminate_modp",
+                        logged("general", _eliminate_modp))
+    monkeypatch.setattr(detcalc_mod, "_eliminate_symmetric_modp",
+                        logged("symmetric", _eliminate_symmetric_modp))
+    midway = 0
+    for A in _symmetric_inputs(p, rng):
+        n = len(A)
+        want = _eliminate_modp(A, n, p, False)
+        log.clear()
+        assert _eliminate_symmetric_modp(A, p) == want
+        # at most one hand-off, of the Schur complement left at a zero pivot
+        assert len(log) <= 1 and all(s <= n for _, s in log)
+        midway += any(0 < s < n for _, s in log)
+        # eliminate takes the symmetric body, and the general one when an
+        # inverse is asked
+        log.clear()
+        assert tuple(eliminate(A, field)) == want
+        assert log[0] == ("symmetric", n)
+        log.clear()
+        eliminate(A, field, inverse=True)
+        assert log == [("general", n)]
+    assert midway  # some Schur complement is handed off after a pivot
+
+
+def test_symmetric_body_hands_off_its_schur_complement(monkeypatch, gf):
+    calls = []
+
+    def general(A, ncols, p, inverse):
+        calls.append([row[:] for row in A])
+        return _eliminate_modp(A, ncols, p, inverse)
+
+    monkeypatch.setattr(detcalc_mod, "_eliminate_modp", general)
+    # pivots 1, then 0: the 2x2 Schur complement [[0, 1], [1, 0]] is left
+    A = [[1, 1, 0], [1, 1, 1], [0, 1, 0]]
+    assert tuple(eliminate(A, gf)) == (3, gf.p - 1, None)
+    assert calls == [[[0, 1], [1, 0]]]
+    # the zero diagonal entry is moved last: pivots 2, 1, -1/2, no hand-off
+    calls.clear()
+    assert tuple(eliminate([[0, 1, 0], [1, 2, 0], [0, 0, 1]], gf)) == (3, gf.p - 1, None)
+    assert calls == []
+    # a square matrix that is not symmetric takes the general body whole
+    calls.clear()
+    B = [[1, 1, 0], [1, 1, 1], [1, 1, 0]]
+    assert tuple(eliminate(B, gf)) == (2, 0, None)
+    assert calls == [B]
 
 
 def test_rank_trivials(gf):

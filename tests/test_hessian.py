@@ -306,31 +306,72 @@ def _muted(shapes, name, inner):
 
 
 GATE = "nondefective_hypersurface_check"
+DIM = "actual_dimension"
 
 
 @pytest.mark.parametrize("mode,hessian_size", [("full", 33), ("essential", 33)])
 def test_one_elimination_of_P_and_H_per_trial(monkeypatch, mode, hessian_size):
-    shapes = _record_eliminations(monkeypatch, (hessian_mod, GATE))
+    shapes = _record_eliminations(monkeypatch, (variety_mod, DIM))
     cert = certify_hessian_pade(P547, mode, trials=3, seed=0)
     assert [t.seed for t in cert.trials] == [
         derive_seed("hessian", 0, t) for t in range(3)
     ]  # no resamples
-    assert shapes == [GATE] + [(15, 15), (hessian_size, hessian_size)] * 3
+    # the gate's first det(P) is nonzero, which ends its det trials
+    assert shapes == [(15, 15), DIM] + [(15, 15), (hessian_size, hessian_size)] * 3
 
 
 def test_survey_gates_once_and_runs_one_trial_loop_per_case(monkeypatch, capsys):
-    shapes = _record_eliminations(monkeypatch, (cli_mod, GATE), (hessian_mod, GATE))
+    shapes = _record_eliminations(monkeypatch, (variety_mod, DIM))
     argv = ["survey", "--e-max", "5", "--trials", "2"]
     assert cli_mod.main(argv) == 0
     capsys.readouterr()
-    # per case: the gate once, then one P and one H over the variables of P
-    # (the first trial has full rank, which ends the loop), then P and M at
-    # the rank_M point
+    # per case: the gate once (one det(P), nonzero, then the dimension), then
+    # one P and one H over the variables of P (the first trial has full
+    # rank, which ends the loop), then P and M at the rank_M point
     assert shapes == (
-        [GATE] + [(15, 15), (33, 33)] * 1 + [(15, 15), (14, 7)]
-        + [GATE] + [(21, 21), (56, 56)] * 1 + [(21, 21), (20, 11)]
+        [(15, 15), DIM] + [(15, 15), (33, 33)] * 1 + [(15, 15), (14, 7)]
+        + [(21, 21), DIM] + [(21, 21), (56, 56)] * 1 + [(21, 21), (20, 11)]
     )
     assert len(pade_matrix(2, 8, 5, 10).variables()) == 56
+
+
+def _zero_gate_dets(monkeypatch, zeros):
+    """Report the first ``zeros`` det(P) values of the gate as 0; return the
+    list of dets the gate's trials computed."""
+    dets = []
+    real = variety_mod.eliminate
+
+    def patched(A, field, inverse=False):
+        out = real(A, field, inverse)
+        if out.det is None:  # the rank of the reduced Pade matrix
+            return out
+        dets.append(out.det)
+        return out._replace(det=0) if len(dets) <= zeros else out
+
+    monkeypatch.setattr(variety_mod, "eliminate", patched)
+    return dets
+
+
+@pytest.mark.parametrize("zeros,run,nonzero", [(1, 2, 1), (3, 4, 1), (5, 5, 0)])
+def test_gate_goes_on_after_a_zero_det(monkeypatch, zeros, run, nonzero):
+    dets = _zero_gate_dets(monkeypatch, zeros)
+    check = nondefective_hypersurface_check(P547, trials=5, seed=0,
+                                            stop_at_nonzero=True)
+    assert len(dets) == run and all(dets)
+    assert (check.det_trials, check.det_nonzero_count) == (run, nonzero)
+    assert check.det_certified_nonzero == bool(nonzero)
+    assert check.is_nondefective_hypersurface == bool(nonzero)
+
+
+def test_survey_gate_goes_on_after_a_zero_first_det(monkeypatch, capsys):
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    argv = ["survey", "--e-max", "5", "--trials", "3"]
+    want = _survey_rows(argv, capsys)
+    dets = _zero_gate_dets(monkeypatch, 1)
+    # the first case's gate runs a second det trial; the second case's gate
+    # stops at its first
+    assert _survey_rows(argv, capsys) == want
+    assert len(dets) == 3
 
 
 @pytest.mark.parametrize("case,modes", [
@@ -363,20 +404,45 @@ def test_hessian_bilinear_form_matches_jets_at_certificate_points(case, modes):
 
 
 def _singular_hessians(monkeypatch, zero_rows):
-    """Zero the first ``zero_rows[t]`` rows of the t-th Hessian built by the
-    certificate trials; return the list of Hessian sizes built."""
+    """Zero the first ``zero_rows[t]`` rows and columns of the t-th Hessian
+    built by the certificate trials, keeping it symmetric; return the list
+    of Hessian sizes built."""
     built = []
     real = hessian_mod.hessian_from_factor
 
     def patched(*args):
         labels, H = real(*args)
-        for i in range(zero_rows[len(built)]):
-            H[i] = [0] * len(H)
+        k = zero_rows[len(built)]
+        H = [[0] * len(H) if i < k else [0] * k + row[k:]
+             for i, row in enumerate(H)]
         built.append(len(H))
         return labels, H
 
     monkeypatch.setattr(hessian_mod, "hessian_from_factor", patched)
     return built
+
+
+def _symmetric_handoffs(monkeypatch):
+    """Return the list of sizes of the Schur complements that the symmetric
+    GF(p) body hands to the general one."""
+    sizes, inside = [], []
+    symmetric, general = detcalc_mod._eliminate_symmetric_modp, detcalc_mod._eliminate_modp
+
+    def outer(*args):
+        inside.append(True)
+        try:
+            return symmetric(*args)
+        finally:
+            inside.pop()
+
+    def inner(A, *args):
+        if inside:
+            sizes.append(len(A))
+        return general(A, *args)
+
+    monkeypatch.setattr(detcalc_mod, "_eliminate_symmetric_modp", outer)
+    monkeypatch.setattr(detcalc_mod, "_eliminate_modp", inner)
+    return sizes
 
 
 def _survey_rows(argv, capsys):
@@ -387,10 +453,15 @@ def _survey_rows(argv, capsys):
 def test_survey_goes_on_after_a_singular_first_trial(monkeypatch, capsys):
     monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     built = _singular_hessians(monkeypatch, [1, 0, 1, 0])
+    handoffs = _symmetric_handoffs(monkeypatch)
     rows = _survey_rows(["survey", "--e-max", "5", "--trials", "4"], capsys)
     # (2,5,4,7): trial 0 singular, trial 1 full rank; (2,8,5,10): trial 0
     # singular (the third H built), trial 1 full rank
     assert built == [33, 33, 56, 56]
+    # the symmetric body orders last the zero diagonal, which is 8 entries of
+    # H at (2,5,4,7) and 11 at (2,8,5,10) plus the zeroed rows; a zeroed row
+    # comes first among them, so each singular H hands off all of them
+    assert handoffs == [8 + 1, 11 + 1]
     assert [r["essential_corank"] for r in rows] == [0, 0]
     assert [r["hessian_full"] for r in rows] == [VANISHES, VANISHES]
 
@@ -400,8 +471,10 @@ def test_survey_runs_every_trial_when_none_has_full_rank(monkeypatch, capsys):
     # coranks 2, 2, 1 on the first case, then 3, 2, 3 on the second: each
     # minimum is reached on one trial only, not the first
     built = _singular_hessians(monkeypatch, [2, 2, 1, 3, 2, 3])
+    handoffs = _symmetric_handoffs(monkeypatch)
     rows = _survey_rows(["survey", "--e-max", "5", "--trials", "3"], capsys)
     assert built == [33] * 3 + [56] * 3
+    assert handoffs == [8 + 2, 8 + 2, 8 + 1, 11 + 3, 11 + 2, 11 + 3]
     assert [r["essential_corank"] for r in rows] == [1, 2]
     assert [r["hessian_full"] for r in rows] == [VANISHES, VANISHES]
 
@@ -515,6 +588,15 @@ def test_certificate_refuses_failing_check():
     check = nondefective_hypersurface_check(params, trials=2, seed=0)
     with pytest.raises(DomainError, match="refusing"):
         certify_hessian_pade(params, "essential", trials=2, seed=0, check=check)
+
+
+def test_refusal_counts_the_gate_trials_run(monkeypatch, capsys):
+    # A gate that fails on the dimension after a nonzero det(P): the
+    # refusal names the one det trial the gate ran, not all GATE_TRIALS.
+    monkeypatch.setattr(variety_mod, "actual_dimension", lambda *a, **k: 0)
+    argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "2"]
+    assert cli_mod.main(argv) == 2
+    assert "verdict 'defective' (det nonzero in 1/1 trials" in capsys.readouterr().err
 
 
 def test_given_check_matches_own_gate():

@@ -15,7 +15,14 @@ from taylorpade.series import (
     monomials_upto,
 )
 
-from oracles import series_inverse, series_mul
+from oracles import (
+    series_add,
+    series_inverse,
+    series_is_zero,
+    series_mul,
+    series_one,
+    series_zero,
+)
 
 
 def ts(field, nvars, order, terms):
@@ -31,8 +38,8 @@ def test_difference_of_squares(qq):
 
 def test_mul_by_zero(qq):
     a = ts(qq, 2, 3, {(1, 0): Fraction(2), (0, 2): Fraction(5)})
-    z = TruncatedSeries.zero(qq, 2, 3)
-    assert series_mul(a, z, 3).is_zero()
+    z = series_zero(qq, 2, 3)
+    assert series_is_zero(series_mul(a, z, 3))
 
 
 def _brute_convolution(a, b, order):
@@ -79,21 +86,23 @@ def test_mul_distributes(qq):
     a = _random_series(qq, 2, 2, 4, rng)
     b = _random_series(qq, 2, 2, 4, rng)
     c = _random_series(qq, 2, 2, 4, rng)
-    assert series_mul(a, b.add(c), 4) == series_mul(a, b, 4).add(series_mul(a, c, 4))
+    assert series_mul(a, series_add(b, c), 4) == series_add(
+        series_mul(a, b, 4), series_mul(a, c, 4)
+    )
 
 
 def test_mismatched_contexts_rejected(qq, gf):
-    a = TruncatedSeries.one(qq, 2, 3)
-    b = TruncatedSeries.one(qq, 3, 3)
+    a = series_one(qq, 2, 3)
+    b = series_one(qq, 3, 3)
     with pytest.raises(UsageError):
         series_mul(a, b, 3)
-    c = TruncatedSeries.one(gf, 2, 3)
+    c = series_one(gf, 2, 3)
     with pytest.raises(UsageError):
         series_mul(a, c, 3)
 
 
 def test_inverse_of_one(qq):
-    one = TruncatedSeries.one(qq, 2, 5)
+    one = series_one(qq, 2, 5)
     assert series_inverse(one, 5) == one
 
 
@@ -121,7 +130,7 @@ def test_inverse_two_vars(qq):
     )
     assert inv == expected
     # multiply back to 1 modulo degree 3
-    assert series_mul(q, inv, 2) == TruncatedSeries.one(qq, 2, 2)
+    assert series_mul(q, inv, 2) == series_one(qq, 2, 2)
 
 
 @settings(max_examples=30)
@@ -132,9 +141,7 @@ def test_inverse_roundtrip(seed, nvars, order):
     coeffs = {g: gf.of_int(rng.randint(-9, 9)) for g in monomials_upto(nvars, 3)}
     coeffs[(0,) * nvars] = gf.one
     q = TruncatedSeries(gf, nvars, order, coeffs)
-    assert series_mul(q, series_inverse(q, order), order) == TruncatedSeries.one(
-        gf, nvars, order
-    )
+    assert series_mul(q, series_inverse(q, order), order) == series_one(gf, nvars, order)
 
 
 def test_inverse_requires_unit_constant(qq):
@@ -142,13 +149,13 @@ def test_inverse_requires_unit_constant(qq):
     with pytest.raises(DomainError):
         series_inverse(q, 3)
     with pytest.raises(DomainError):
-        series_inverse(TruncatedSeries.zero(qq, 1, 3), 3)
+        series_inverse(series_zero(qq, 1, 3), 3)
 
 
 def test_truncation_drops_high_degrees(qq):
     a = ts(qq, 1, 4, {(3,): Fraction(1)})
     prod = series_mul(a, a, 4)
-    assert prod.is_zero()  # degree 6 term truncated
+    assert series_is_zero(prod)  # degree 6 term truncated
 
 
 def test_monomials_counts_and_order():

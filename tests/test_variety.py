@@ -23,14 +23,13 @@ from taylorpade.variety import (
     TaylorParams,
     actual_dimension,
     expected_dimension,
-    membership,
     nondefective_hypersurface_check,
     random_rational_pair,
     square_family,
     taylor_coeffs,
 )
 
-from oracles import psi_jacobian, series_mul
+from oracles import membership, psi_jacobian, series_mul, series_one
 
 P547 = TaylorParams(2, 5, 4, 7)
 P3223 = TaylorParams(3, 2, 2, 3)
@@ -55,7 +54,7 @@ def test_taylor_coeffs_p_equals_q(qq):
 
 
 def test_taylor_coeffs_geometric(qq):
-    p = TruncatedSeries.one(qq, 1, 1)
+    p = series_one(qq, 1, 1)
     q = TruncatedSeries(qq, 1, 1, {(0,): Fraction(1), (1,): Fraction(-1)})
     coeffs = taylor_coeffs(RationalPair(p, q), 4)
     assert coeffs == {(k,): Fraction(1) for k in range(1, 5)}
@@ -75,7 +74,7 @@ def test_taylor_coeffs_defining_identity(qq):
 
 def test_rational_pair_validation(qq):
     bad = TruncatedSeries(qq, 2, 2, {(0, 0): Fraction(2)})
-    good = TruncatedSeries.one(qq, 2, 2)
+    good = series_one(qq, 2, 2)
     with pytest.raises(UsageError):
         RationalPair(bad, good)
 
