@@ -68,6 +68,10 @@ class RunConfig:
             raise UsageError("give --prime or --prime-index, not both")
         if self.field == "rational" and (self.prime, self.prime_index) != (None, None):
             raise UsageError("--field rational takes no --prime or --prime-index")
+        if self.order == "reverse" and self.command != "export":
+            raise UsageError("--order reverse is read only by export")
+        if self.mode == "essential" and (self.command, self.poly) != ("hessian", None):
+            raise UsageError("--mode essential is read only by hessian without --poly")
 
     def params(self) -> TaylorParams:
         if None in (self.n, self.d, self.e, self.m):

@@ -1,7 +1,8 @@
 """Exact determinants, ranks, adjugates, and derivatives of determinants.
 
 Determinant, rank and inverse all come from one elimination kernel,
-``eliminate``; ``det_berkowitz`` is the division-free fallback over rings.
+``eliminate``, with three bodies: general and symmetric over GF(p), and
+Bareiss over Q (no inverse).
 
 Over GF(p) the kernel works on packed rows with delayed modular reduction
 (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields: the
@@ -38,17 +39,9 @@ complement is unpacked, mirrored into a full matrix and eliminated by the
 general body, whose rank and det complete the answer: exact for every
 symmetric matrix over every GF(p), p = 2 included.
 
-Two independent routes to the derivatives of det(P) at a point:
-
-* the adjugate/trace route (Jacobi's formula and its second-order extension),
-  which costs one matrix inversion plus trace products, and
-* a forward-mode jet route that evaluates the determinant over the base field
-  extended by infinitesimals and reads derivatives off epsilon coefficients.
-
-The adjugate route is the one the program uses; the jet route is the oracle
-the tests check it against.
-
-The Hessian at an invertible point A = P(x), with X = A^-1, is
+The derivatives of det(P) at a point come from the adjugate, or from one
+inversion plus trace products (Jacobi's formula and its second-order
+extension).  The Hessian at an invertible point A = P(x), with X = A^-1, is
 ``H_ab = det(A) * (t_a t_b - G_ab)``.  If c_a occurs at (r_a(i), cA_i) for
 i = 1..|cA|, then ``t_a = sum_i X[cA_i][r_a(i)]`` and
 
@@ -64,14 +57,13 @@ a Pade matrix c_a occurs in column s exactly when ``d+1 <= |s|+|a| <= m``,
 so the classes are the degrees |a|: 185 variables fall into 10 classes at
 (2,20,8,22), 553 into 14 at (2,43,12,45).
 
-Over GF(p) the w_b of one class pair are packed over B's members in the
+The w_b of one class pair are packed over B's members in the
 byte-aligned slots above, one int ``Wcols[i, j]`` per index, and discarded
 after the pair; the row G[a, B] is then one C-level
 ``sum(map(mul, u_a, Wcols))``.  A slot holds a sum of ``|cA| * |cB|``
 products of entries below p, so W is the smallest multiple of 8 with
 ``|cA| * |cB| * (p - 1)^2 < 2^W``, and each slot is reduced mod p once, when
-it is unpacked.  Over any other field each entry is
-``sum(map(mul, u_a, w_b))`` on the same lists.
+it is unpacked.
 """
 
 from __future__ import annotations
@@ -83,8 +75,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, UsageError
-from .fields import JetRing, PrimeField, Rationals
-from .series import SparsePoly
+from .fields import PrimeField, Rationals
 from .pade import SymbolicMatrix
 
 
@@ -92,12 +83,10 @@ class Elimination(NamedTuple):
     """Rank, determinant and inverse read off one elimination.
 
     ``det`` is None for a non-square matrix.  ``inverse`` is None unless it
-    was asked for and the matrix is invertible.  ``rank`` is None only over a
-    ring in which some nonzero column has no unit pivot; ``det`` then comes
-    from ``det_berkowitz``.
+    was asked for and the matrix is invertible.
     """
 
-    rank: int | None
+    rank: int
     det: object
     inverse: list | None
 
@@ -119,14 +108,12 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
       upper triangle only, in slots of the same W and without row swaps
       (module docstring); the Schur complement left at the first zero
       pivot goes to the general body, so rank and det stay exact;
-    * over Q, fraction-free Bareiss elimination (Math. Comp. 22, 1968) of
-      the integer-scaled rows;
-    * over any other ring (jets, and inverses over Q), the context's own
-      operations, pivoting on units.
+    * over Q, with no inverse asked, fraction-free Bareiss elimination
+      (Math. Comp. 22, 1968) of the integer-scaled rows.
 
-    Every body takes as pivot the first remaining row whose entry is
-    nonzero (a unit over rings) and stops once the rank reaches the row
-    count.
+    Any other field, and an inverse over Q, raise ``UsageError``.  Every
+    body takes as pivot the first remaining row whose entry is nonzero and
+    stops once the rank reaches the row count.
     """
     ncols = len(A[0]) if A else 0
     if any(len(row) != ncols for row in A):
@@ -142,7 +129,11 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
     elif isinstance(field, Rationals) and not inverse:
         rank, det, inv = _eliminate_bareiss(A, ncols)
     else:
-        rank, det, inv = _eliminate_ring(A, ncols, field, inverse)
+        what = f"an inverse over {field!r}" if inverse else repr(field)
+        raise UsageError(
+            f"no elimination for {what}: eliminate runs over GF(p), and over "
+            f"Q without an inverse"
+        )
     return Elimination(rank, det if square else None, inv)
 
 
@@ -279,42 +270,9 @@ def _eliminate_bareiss(A, ncols):
     return rank, Fraction(sign * prev, scale) if rank == n else Fraction(0), None
 
 
-def _eliminate_ring(A, ncols, ring, inverse):
-    n = len(A)
-    rows = [list(row) for row in A]
-    if inverse:
-        for i, row in enumerate(rows):
-            row += [ring.one if i == j else ring.zero for j in range(n)]
-    mul, sub = ring.mul, ring.sub
-    det, rank = ring.one, 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, n) if ring.is_unit(rows[i][col])), None)
-        if piv is None:
-            if any(not ring.is_zero(rows[i][col]) for i in range(rank, n)):
-                return None, det_berkowitz(A, ring) if n == ncols else None, None
-            det = ring.zero
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            det = ring.neg(det)
-        row = rows[rank]
-        det = mul(det, row[col])
-        inv = ring.inv(row[col])
-        tail = [mul(inv, x) for x in row[col + 1:]]
-        row[col + 1:] = tail
-        for i in range(0 if inverse else rank + 1, n):
-            f = rows[i][col]
-            if i != rank and not ring.is_zero(f):
-                rows[i][col + 1:] = [sub(x, mul(f, y))
-                                     for x, y in zip(rows[i][col + 1:], tail)]
-        rank += 1
-        if rank == n:
-            break
-    return rank, det, [row[ncols:] for row in rows] if inverse and rank == n else None
-
-
 def adjugate(A: list, field) -> list:
-    """adj(A) with A*adj(A) = det(A)*I, defined also for singular A."""
+    """adj(A) with A*adj(A) = det(A)*I over GF(p), defined also for singular
+    A.  Over Q ``eliminate`` has no inverse, so this raises ``UsageError``."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise UsageError("adjugate of a non-square matrix")
@@ -339,88 +297,32 @@ def adjugate(A: list, field) -> list:
     return adj
 
 
-def det_berkowitz(A: list, ring):
-    """Division-free determinant (Berkowitz), valid over any commutative ring."""
-    n = len(A)
-    if n == 0:
-        return ring.one
-    if any(len(row) != n for row in A):
-        raise UsageError("determinant of a non-square matrix")
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    # vec holds the characteristic vector of the leading k x k submatrix.
-    vec = [ring.one, neg(A[0][0])]
-    for k in range(2, n + 1):
-        a = A[k - 1][k - 1]
-        R = A[k - 1][: k - 1]
-        C = [A[i][k - 1] for i in range(k - 1)]
-        t = [ring.one, neg(a)]
-        v = C
-        for _ in range(k - 1):
-            s = ring.zero
-            for x, y in zip(R, v):
-                s = add(s, mul(x, y))
-            t.append(neg(s))
-            if len(t) == k + 1:
-                break
-            v = [_dot(ring, A[i][: k - 1], v) for i in range(k - 1)]
-        new = []
-        for i in range(k + 1):
-            s = ring.zero
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                s = add(s, mul(t[i - j], vec[j]))
-            new.append(s)
-        vec = new
-    det = vec[n]
-    return det if n % 2 == 0 else neg(det)
-
-
-def _dot(ring, xs, ys):
-    s = ring.zero
-    for x, y in zip(xs, ys):
-        s = ring.add(s, ring.mul(x, y))
-    return s
-
-
-def grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
-    """All partial derivatives of det(P) with respect to its variables.
-
-    For each variable g, sums the cofactors of the evaluated matrix at the
-    occurrence positions of g (Jacobi's formula: d det = tr(adj(A) dA)).
-    Defined also when the evaluation is singular.
-    """
-    return _cofactor_sums(P, point, field, by_block=False)
-
-
 def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
     """Per-block cofactor sums of det(P): (block j, variable g) -> value.
 
-    A variable occurring in several column blocks contributes separately per
-    block; summing over blocks recovers the full partial derivative from
-    ``grad_det_at``.  These block-restricted sums are exactly what the
-    derivative of a column operation supported on one block produces, and
-    they are the entries of the relation matrix.
+    Sums adj(A)[c][r], A = P(point), over the occurrences (r, c) of g in the
+    columns of block j, so summing over blocks gives the partial derivative
+    of det(P) in g (Jacobi's formula: d det = tr(adj(A) dA)).  Defined also
+    when the evaluation is singular.  These block-restricted sums are
+    exactly what the derivative of a column operation supported on one
+    block produces, and they are the entries of the relation matrix.
     """
-    return _cofactor_sums(P, point, field, by_block=True)
-
-
-def _cofactor_sums(P, point, field, by_block) -> dict:
-    # Sum of adj(A)[c][r] over the occurrences (r, c) of each variable g,
-    # keyed by g, or by (block of column c, g) when ``by_block``.
     if not P.is_square:
         raise UsageError("gradient of det needs a square matrix")
-    if by_block and P.col_labels is None:
+    if P.col_labels is None:
         raise UsageError("block gradient needs a matrix with column blocks")
     adj = adjugate(P.evaluate(point, field), field)
     out: dict = {}
     for g, occ in P.occurrences().items():
         for r, c in occ:
-            k = (P.col_labels[c].block, g) if by_block else g
+            k = (P.col_labels[c].block, g)
             out[k] = field.add(out.get(k, field.zero), adj[c][r])
     return out
 
 
-def hessian_det_at(P: SymbolicMatrix, point: dict, field) -> tuple:
-    """Second-derivative matrix of det(P) over the variables of P.
+def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
+    """Second-derivative matrix of det(P) over GF(p), from the elimination
+    ``fac = eliminate(P.evaluate(point, field), field, inverse=True)``.
 
     Returns (labels, H) with labels = ``P.variables()`` and
     H[a][b] = d^2 det / dc_a dc_b, by the second-order Jacobi identity
@@ -429,24 +331,14 @@ def hessian_det_at(P: SymbolicMatrix, point: dict, field) -> tuple:
         G_ab = tr(X E_a X E_b),   X = A^-1,
 
     assembled one pair of variable classes at a time (module docstring):
-    each block G[A, B] is one dense product, and over GF(p) each of its rows
-    is one sum of scalar times packed-int products, with slots of W bits,
-    ``|cA| * |cB| * (p - 1)^2 < 2^W``.  A point where the evaluated matrix
-    is singular raises ``DomainError``.  An ambient coordinate absent from P
-    would only add a zero row and column; ``hessian.full_from_essential``
-    accounts for those without building them.
+    each block G[A, B] is one dense product, and each of its rows is one
+    sum of scalar times packed-int products, with slots of W bits,
+    ``|cA| * |cB| * (p - 1)^2 < 2^W``.  Raises ``DomainError`` when the
+    elimination found P singular (``fac.inverse`` is None): the class-pair
+    product needs X.  An ambient coordinate absent from P would only add a
+    zero row and column; ``hessian.full_from_essential`` accounts for those
+    without building them.
     """
-    if not P.is_square:
-        raise UsageError("Hessian of det needs a square matrix")
-    fac = eliminate(P.evaluate(point, field), field, inverse=True)
-    return hessian_from_factor(P, fac, field)
-
-
-def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
-    """``hessian_det_at`` from the elimination of P at a point that the
-    caller already holds: ``eliminate(P.evaluate(point, field), field,
-    inverse=True)``.  Raises ``DomainError`` when that elimination found P
-    singular (``fac.inverse`` is None): the class-pair product needs X."""
     if fac.inverse is None:
         raise DomainError(
             f"the Hessian of det(P) needs P invertible, and P is singular "
@@ -465,7 +357,7 @@ def _hessian_core(X, det, occ, labels, field):
         cols = tuple(c for _, c in occ[g])
         classes.setdefault(cols, []).append((i, tuple(r for r, _ in occ[g])))
     groups = [(cols, *zip(*members)) for cols, members in classes.items()]
-    p = field.p if isinstance(field, PrimeField) else None
+    p = field.p
     t = [sum(X[c][r] for r, c in occ[g]) for g in labels]
     XT = list(zip(*X))
     k = len(labels)
@@ -476,120 +368,14 @@ def _hessian_core(X, det, occ, labels, field):
             # u[i, j] is X[cB_j][r_a(i)], so G_ab = sum over (i, j) of u * w_b.
             Rs = list(zip(*rowsB))
             tB = [t[b] for b in idxB]
-            if p:
-                size = ((len(cA) * len(cB) * (p - 1) ** 2).bit_length() + 7) // 8
-                Wcols = [w for c in cA for w in _pack_chunks(
-                    [X[c][r] for R in Rs for r in R], len(idxB), size)]
-            else:
-                Wcols = list(zip(*[[X[c][r] for r in R] for c in cA for R in Rs]))
+            size = ((len(cA) * len(cB) * (p - 1) ** 2).bit_length() + 7) // 8
+            Wcols = [w for c in cA for w in _pack_chunks(
+                [X[c][r] for R in Rs for r in R], len(idxB), size)]
             for a, ra in zip(idxA, rowsA):
                 u = [x for r in ra for x in map(XT[r].__getitem__, cB)]
                 ta, Ha = t[a], H[a]
-                if p:
-                    G = _unpack(sum(map(mul, u, Wcols)), len(idxB), size)
-                    row = [det * (ta * tb - g) % p for tb, g in zip(tB, G)]
-                else:
-                    row = [det * (ta * tb - sum(map(mul, u, w)))
-                           for tb, w in zip(tB, Wcols)]
+                G = _unpack(sum(map(mul, u, Wcols)), len(idxB), size)
+                row = [det * (ta * tb - g) % p for tb, g in zip(tB, G)]
                 for b, val in zip(idxB, row):
                     Ha[b] = H[b][a] = val
     return H
-
-
-def jet_grad_det(P: SymbolicMatrix, point: dict, field) -> dict:
-    """Gradient of det(P) read off first-order jet coefficients.
-
-    Independent of the adjugate route: the matrix is evaluated over the base
-    field extended by one infinitesimal per variable and the determinant is
-    computed in that ring.
-    """
-    if not P.is_square:
-        raise UsageError("gradient of det needs a square matrix")
-    ring = JetRing(field, order=1)
-    vars_ = P.variables()
-    idx = {g: i for i, g in enumerate(vars_)}
-    numeric = P.evaluate(point, field)
-    jets = [
-        [
-            ring.constant(numeric[r][c])
-            if g is None or g not in idx
-            else ring.variable(numeric[r][c], idx[g])
-            for c, g in enumerate(row)
-        ]
-        for r, row in enumerate(P.entries)
-    ]
-    det = eliminate(jets, ring).det
-    return {g: det.d1.get(idx[g], field.zero) for g in vars_}
-
-
-def jet_hessian_entry(P: SymbolicMatrix, point: dict, field, alpha, beta):
-    """One second partial of det(P) via two-infinitesimal second-order jets."""
-    if not P.is_square:
-        raise UsageError("Hessian of det needs a square matrix")
-    ring = JetRing(field, order=2)
-    numeric = P.evaluate(point, field)
-    same = alpha == beta
-    jets = []
-    for r, row in enumerate(P.entries):
-        jrow = []
-        for c, g in enumerate(row):
-            v = numeric[r][c]
-            if g == alpha:
-                jrow.append(ring.variable(v, 0))
-            elif g == beta:
-                jrow.append(ring.variable(v, 1))
-            else:
-                jrow.append(ring.constant(v))
-        jets.append(jrow)
-    det = eliminate(jets, ring).det
-    if same:
-        coeff = det.d2.get((0, 0), field.zero)
-        return field.add(coeff, coeff)
-    return det.d2.get((0, 1), field.zero)
-
-
-def expand_det_poly(P: SymbolicMatrix, ambient: list) -> SparsePoly:
-    """Symbolic determinant of a small pattern as a polynomial in the ambient
-    coordinates (permutation expansion; guarded to tiny sizes)."""
-    from itertools import permutations
-
-    if not P.is_square:
-        raise UsageError("determinant of a non-square matrix")
-    k = P.nrows
-    if k > 6:
-        raise UsageError("symbolic expansion is limited to size <= 6")
-    idx = {g: i for i, g in enumerate(ambient)}
-    nv = len(ambient)
-    terms: dict = {}
-    for perm in permutations(range(k)):
-        exps = [0] * nv
-        ok = True
-        for r, c in enumerate(perm):
-            g = P.entries[r][c]
-            if g is None:
-                ok = False
-                break
-            exps[idx[g]] += 1
-        if not ok:
-            continue
-        sign = _perm_sign(perm)
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + sign
-    return SparsePoly(nv, {g: Fraction(c) for g, c in terms.items() if c})
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

@@ -110,7 +110,8 @@ def taylor_coeffs(pq: RationalPair, m: int) -> dict:
     Every such g is present, zeros included, so the result evaluates a Pade
     matrix directly.  T is read off the defining identity Q*T = P modulo
     degree m+1 by the graded recursion T_k = P_k - sum_{j>=1} Q_j T_{k-j}:
-    ring operations only, so it also runs over jet coefficients.
+    ring operations only.  Its one caller over jet coefficients is an oracle
+    test, which reads the Jacobian of the map off first-order jets.
     """
     f, n = pq.p.field, pq.p.nvars
     q = [(b, sum(b), c) for b, c in pq.q.coeffs.items() if any(b)]

@@ -7,18 +7,33 @@ the map.  The program ranks the reduced Pade matrix at T = p/q instead
 Membership of a coefficient vector in the variety, read off the kernel of
 the Pade matrix at it.
 
-The bilinear form of the Hessian of det(P), read off one determinant of
-second-order jets (``jet_bilinear``); the program assembles H from P^-1
-instead (``detcalc.hessian_det_at``).
+Second-order jets (``Jet``, ``JetRing``) and elimination over any
+commutative ring with unit pivots (``eliminate_ring``), falling back to the
+division-free Berkowitz determinant; it also gives inverses over Q, which
+``detcalc.eliminate`` does not.  From them, the derivatives of det(P) read
+off jet coefficients: the gradient (``jet_grad_det``), single Hessian
+entries (``jet_hessian_entry``) and the bilinear form of the Hessian
+(``jet_bilinear``).  The program reads them off the adjugate and P^-1
+instead; ``grad_det_at`` and ``hessian_det_at`` are those program routes at
+one point, over the whole matrix.  The permutation expansion of a small
+symbolic determinant (``expand_det_poly``).
 """
 
 from __future__ import annotations
 
-from taylorpade.detcalc import eliminate
+from fractions import Fraction
+from itertools import permutations
+
+from taylorpade.detcalc import (
+    Elimination,
+    adjugate,
+    eliminate,
+    hessian_from_factor,
+)
 from taylorpade.errors import DomainError, UsageError
-from taylorpade.fields import Jet, JetRing
 from taylorpade.series import (
     DOMAIN_ORDER,
+    SparsePoly,
     TruncatedSeries,
     exp_add,
     exp_sub,
@@ -152,6 +167,379 @@ def membership(T: dict, params, ctx) -> bool:
     return eliminate(A, ctx).rank < P.ncols
 
 
+class Jet:
+    """Truncated polynomial in infinitesimals over a base field.
+
+    ``val`` is the constant part, ``d1[i]`` the coefficient of eps_i and
+    ``d2[(i, j)]`` (with i <= j) the coefficient of eps_i*eps_j.  Products of
+    three infinitesimals vanish, so evaluating a polynomial on jets reads off
+    first and second derivatives exactly.
+    """
+
+    __slots__ = ("val", "d1", "d2")
+
+    def __init__(self, val, d1=None, d2=None):
+        self.val = val
+        self.d1 = d1 or {}
+        self.d2 = d2 or {}
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Jet)
+            and self.val == other.val
+            and self.d1 == other.d1
+            and self.d2 == other.d2
+        )
+
+    def __hash__(self):
+        return hash((self.val, tuple(sorted(self.d1.items()))))
+
+    def __repr__(self) -> str:
+        return f"Jet({self.val!r}, {self.d1!r}, {self.d2!r})"
+
+
+class JetRing:
+    """Second-order jets over a base field context.
+
+    With ``order=1`` the quadratic part is never produced, which makes
+    many-infinitesimal gradient evaluation cheap.  Jets form a ring, not a
+    field: only elements with an invertible constant part have inverses.
+    """
+
+    __slots__ = ("base", "order", "zero", "one")
+
+    def __init__(self, base, order: int = 2):
+        if order not in (1, 2):
+            raise UsageError("jet truncation order must be 1 or 2")
+        self.base = base
+        self.order = order
+        self.zero = Jet(base.zero)
+        self.one = Jet(base.one)
+
+    def constant(self, v) -> Jet:
+        return Jet(v)
+
+    def variable(self, v, idx) -> Jet:
+        """Constant ``v`` plus one infinitesimal tagged ``idx``."""
+        return Jet(v, {idx: self.base.one})
+
+    def add(self, a: Jet, b: Jet) -> Jet:
+        base = self.base
+        d1 = dict(a.d1)
+        for i, c in b.d1.items():
+            s = base.add(d1.get(i, base.zero), c)
+            if base.is_zero(s):
+                d1.pop(i, None)
+            else:
+                d1[i] = s
+        d2 = dict(a.d2)
+        for ij, c in b.d2.items():
+            s = base.add(d2.get(ij, base.zero), c)
+            if base.is_zero(s):
+                d2.pop(ij, None)
+            else:
+                d2[ij] = s
+        return Jet(base.add(a.val, b.val), d1, d2)
+
+    def neg(self, a: Jet) -> Jet:
+        base = self.base
+        return Jet(
+            base.neg(a.val),
+            {i: base.neg(c) for i, c in a.d1.items()},
+            {ij: base.neg(c) for ij, c in a.d2.items()},
+        )
+
+    def sub(self, a: Jet, b: Jet) -> Jet:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: Jet, b: Jet) -> Jet:
+        base = self.base
+        av, bv = a.val, b.val
+        a_zero = base.is_zero(av)
+        b_zero = base.is_zero(bv)
+        d1 = {}
+        if not a_zero:
+            for i, c in b.d1.items():
+                d1[i] = base.mul(av, c)
+        if not b_zero:
+            for i, c in a.d1.items():
+                s = base.add(d1.get(i, base.zero), base.mul(c, bv))
+                if base.is_zero(s):
+                    d1.pop(i, None)
+                else:
+                    d1[i] = s
+        d2 = {}
+        if self.order == 2:
+            if not a_zero:
+                for ij, c in b.d2.items():
+                    d2[ij] = base.mul(av, c)
+            if not b_zero:
+                for ij, c in a.d2.items():
+                    s = base.add(d2.get(ij, base.zero), base.mul(c, bv))
+                    if base.is_zero(s):
+                        d2.pop(ij, None)
+                    else:
+                        d2[ij] = s
+            for i, ca in a.d1.items():
+                for j, cb in b.d1.items():
+                    ij = (i, j) if i <= j else (j, i)
+                    s = base.add(d2.get(ij, base.zero), base.mul(ca, cb))
+                    if base.is_zero(s):
+                        d2.pop(ij, None)
+                    else:
+                        d2[ij] = s
+        return Jet(base.mul(av, bv), d1, d2)
+
+    def inv(self, a: Jet) -> Jet:
+        # 1/(v + w) = (1/v)(1 - w/v + (w/v)^2) with w the infinitesimal part;
+        # the cube of w is already zero at truncation order 2.
+        base = self.base
+        if base.is_zero(a.val):
+            raise ZeroDivisionError("jet with zero constant part is not invertible")
+        v_inv = base.inv(a.val)
+        w = Jet(base.zero, dict(a.d1), dict(a.d2))
+        t = self.mul(w, self.constant(v_inv))  # w/v
+        res = self.sub(self.one, t)
+        if self.order == 2:
+            res = self.add(res, self.mul(t, t))
+        return self.mul(res, self.constant(v_inv))
+
+    def is_zero(self, a: Jet) -> bool:
+        return self.base.is_zero(a.val) and not a.d1 and not a.d2
+
+    def is_unit(self, a: Jet) -> bool:
+        return not self.base.is_zero(a.val)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, JetRing)
+            and other.base == self.base
+            and other.order == self.order
+        )
+
+    def __hash__(self):
+        return hash(("JetRing", self.base, self.order))
+
+    def __repr__(self) -> str:
+        return f"JetRing({self.base!r}, order={self.order})"
+
+
+def eliminate_ring(A, ring, inverse: bool = False) -> Elimination:
+    """``detcalc.eliminate`` over any commutative ring: the context's own
+    operations, pivoting on units, with the same pivot rule, det sign and
+    early exit.  Serves jets, and inverses over Q.
+
+    When some nonzero column has no unit pivot, ``rank`` is None and
+    ``det`` comes from ``det_berkowitz``.
+    """
+    ncols = len(A[0]) if A else 0
+    if any(len(row) != ncols for row in A):
+        raise UsageError("ragged matrix")
+    n = len(A)
+    square = n == ncols
+    if inverse and not square:
+        raise UsageError("inverse of a non-square matrix")
+    rows = [list(row) for row in A]
+    if inverse:
+        for i, row in enumerate(rows):
+            row += [ring.one if i == j else ring.zero for j in range(n)]
+    mul, sub = ring.mul, ring.sub
+    det, rank = ring.one, 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, n) if ring.is_unit(rows[i][col])), None)
+        if piv is None:
+            if any(not ring.is_zero(rows[i][col]) for i in range(rank, n)):
+                return Elimination(None, det_berkowitz(A, ring) if square else None, None)
+            det = ring.zero
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = ring.neg(det)
+        row = rows[rank]
+        det = mul(det, row[col])
+        inv = ring.inv(row[col])
+        tail = [mul(inv, x) for x in row[col + 1:]]
+        row[col + 1:] = tail
+        for i in range(0 if inverse else rank + 1, n):
+            f = rows[i][col]
+            if i != rank and not ring.is_zero(f):
+                rows[i][col + 1:] = [sub(x, mul(f, y))
+                                     for x, y in zip(rows[i][col + 1:], tail)]
+        rank += 1
+        if rank == n:
+            break
+    inv_rows = [row[ncols:] for row in rows] if inverse and rank == n else None
+    return Elimination(rank, det if square else None, inv_rows)
+
+
+def det_berkowitz(A: list, ring):
+    """Division-free determinant (Berkowitz), valid over any commutative ring."""
+    n = len(A)
+    if n == 0:
+        return ring.one
+    if any(len(row) != n for row in A):
+        raise UsageError("determinant of a non-square matrix")
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    # vec holds the characteristic vector of the leading k x k submatrix.
+    vec = [ring.one, neg(A[0][0])]
+    for k in range(2, n + 1):
+        a = A[k - 1][k - 1]
+        R = A[k - 1][: k - 1]
+        C = [A[i][k - 1] for i in range(k - 1)]
+        t = [ring.one, neg(a)]
+        v = C
+        for _ in range(k - 1):
+            s = ring.zero
+            for x, y in zip(R, v):
+                s = add(s, mul(x, y))
+            t.append(neg(s))
+            if len(t) == k + 1:
+                break
+            v = [_dot(ring, A[i][: k - 1], v) for i in range(k - 1)]
+        new = []
+        for i in range(k + 1):
+            s = ring.zero
+            for j in range(max(0, i - k), min(i, k - 1) + 1):
+                s = add(s, mul(t[i - j], vec[j]))
+            new.append(s)
+        vec = new
+    det = vec[n]
+    return det if n % 2 == 0 else neg(det)
+
+
+def _dot(ring, xs, ys):
+    s = ring.zero
+    for x, y in zip(xs, ys):
+        s = ring.add(s, ring.mul(x, y))
+    return s
+
+
+def grad_det_at(P, point: dict, field) -> dict:
+    """All partial derivatives of det(P) with respect to its variables.
+
+    For each variable g, sums the cofactors of the evaluated matrix at the
+    occurrence positions of g (Jacobi's formula: d det = tr(adj(A) dA)),
+    reading ``detcalc.adjugate``.  Defined also when the evaluation is
+    singular.
+    """
+    if not P.is_square:
+        raise UsageError("gradient of det needs a square matrix")
+    adj = adjugate(P.evaluate(point, field), field)
+    out: dict = {}
+    for g, occ in P.occurrences().items():
+        for r, c in occ:
+            out[g] = field.add(out.get(g, field.zero), adj[c][r])
+    return out
+
+
+def hessian_det_at(P, point: dict, field) -> tuple:
+    """(labels, H), the Hessian of det(P) at ``point`` over GF(p), by the
+    program's own route: P eliminated once with its inverse, then
+    ``detcalc.hessian_from_factor``.  A point where P is singular raises
+    ``DomainError``."""
+    if not P.is_square:
+        raise UsageError("Hessian of det needs a square matrix")
+    fac = eliminate(P.evaluate(point, field), field, inverse=True)
+    return hessian_from_factor(P, fac, field)
+
+
+def jet_grad_det(P, point: dict, field) -> dict:
+    """Gradient of det(P) read off first-order jet coefficients.
+
+    Independent of the adjugate route: the matrix is evaluated over the base
+    field extended by one infinitesimal per variable and the determinant is
+    computed in that ring.
+    """
+    if not P.is_square:
+        raise UsageError("gradient of det needs a square matrix")
+    ring = JetRing(field, order=1)
+    vars_ = P.variables()
+    idx = {g: i for i, g in enumerate(vars_)}
+    numeric = P.evaluate(point, field)
+    jets = [
+        [
+            ring.constant(numeric[r][c])
+            if g is None or g not in idx
+            else ring.variable(numeric[r][c], idx[g])
+            for c, g in enumerate(row)
+        ]
+        for r, row in enumerate(P.entries)
+    ]
+    det = eliminate_ring(jets, ring).det
+    return {g: det.d1.get(idx[g], field.zero) for g in vars_}
+
+
+def jet_hessian_entry(P, point: dict, field, alpha, beta):
+    """One second partial of det(P) via two-infinitesimal second-order jets."""
+    if not P.is_square:
+        raise UsageError("Hessian of det needs a square matrix")
+    ring = JetRing(field, order=2)
+    numeric = P.evaluate(point, field)
+    same = alpha == beta
+    jets = []
+    for r, row in enumerate(P.entries):
+        jrow = []
+        for c, g in enumerate(row):
+            v = numeric[r][c]
+            if g == alpha:
+                jrow.append(ring.variable(v, 0))
+            elif g == beta:
+                jrow.append(ring.variable(v, 1))
+            else:
+                jrow.append(ring.constant(v))
+        jets.append(jrow)
+    det = eliminate_ring(jets, ring).det
+    if same:
+        coeff = det.d2.get((0, 0), field.zero)
+        return field.add(coeff, coeff)
+    return det.d2.get((0, 1), field.zero)
+
+
+def expand_det_poly(P, ambient: list) -> SparsePoly:
+    """Symbolic determinant of a small pattern as a polynomial in the ambient
+    coordinates (permutation expansion; guarded to tiny sizes)."""
+    if not P.is_square:
+        raise UsageError("determinant of a non-square matrix")
+    k = P.nrows
+    if k > 6:
+        raise UsageError("symbolic expansion is limited to size <= 6")
+    idx = {g: i for i, g in enumerate(ambient)}
+    nv = len(ambient)
+    terms: dict = {}
+    for perm in permutations(range(k)):
+        exps = [0] * nv
+        ok = True
+        for r, c in enumerate(perm):
+            g = P.entries[r][c]
+            if g is None:
+                ok = False
+                break
+            exps[idx[g]] += 1
+        if not ok:
+            continue
+        sign = _perm_sign(perm)
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + sign
+    return SparsePoly(nv, {g: Fraction(c) for g, c in terms.items() if c})
+
+
+def _perm_sign(perm) -> int:
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def jet_bilinear(P, point, field, u: dict, w: dict):
     """u^T H w for the Hessian H of det(P) at ``point``, without P^-1.
 
@@ -170,5 +558,5 @@ def jet_bilinear(P, point, field, u: dict, w: dict):
             d1 = {} if g is None else {i: x for i, x in ((0, u.get(g)), (1, w.get(g))) if x}
             jrow.append(Jet(v, d1))
         jets.append(jrow)
-    det = eliminate(jets, JetRing(field, order=2)).det
+    det = eliminate_ring(jets, JetRing(field, order=2)).det
     return det.d2.get((0, 1), field.zero)

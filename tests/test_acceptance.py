@@ -10,15 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from taylorpade.detcalc import (
-    block_grad_det_at,
-    eliminate,
-    expand_det_poly,
-    grad_det_at,
-    hessian_det_at,
-    jet_grad_det,
-    jet_hessian_entry,
-)
+from taylorpade.detcalc import block_grad_det_at, eliminate
 from taylorpade.fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
 from taylorpade.hessian import (
     NONZERO,
@@ -39,6 +31,14 @@ from taylorpade.variety import (
 )
 from test_hessian import FERMAT3, GEN_PERAZZO, PERAZZO
 from test_pade import GOLDEN_SUSPECTED_TYPOS, _parse_golden
+
+from oracles import (
+    expand_det_poly,
+    grad_det_at,
+    hessian_det_at,
+    jet_grad_det,
+    jet_hessian_entry,
+)
 
 P547 = TaylorParams(2, 5, 4, 7)
 P8510 = TaylorParams(2, 8, 5, 10)

@@ -359,6 +359,27 @@ def test_conflicting_field_options(argv, flags, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["hessian", *_P547, "--trials", "1", "--order", "reverse"], "--order"),
+    (["survey", "--e-max", "5", "--order", "reverse"], "--order"),
+    (["defect", *_P547, "--order", "reverse"], "--order"),
+    (["shape", *_P547, "--order", "reverse"], "--order"),
+    (["survey", "--e-max", "5", "--mode", "essential"], "--mode"),
+    (["defect", *_P547, "--mode", "essential"], "--mode"),
+    (["shape", *_P547, "--mode", "essential"], "--mode"),
+    (["export", *_P547, "--mode", "essential"], "--mode"),
+    (["hessian", "--poly", str(GOLDEN / "perazzo.json"), "--mode", "essential"],
+     "--mode"),
+], ids=["hessian-order", "survey-order", "defect-order", "shape-order",
+        "survey-mode", "defect-mode", "shape-mode", "export-mode", "poly-mode"])
+def test_ignored_option_is_refused(argv, flag, capsys, tmp_path, monkeypatch):
+    # Each used to run as if the option were absent, yet record it in the
+    # report config.
+    monkeypatch.chdir(tmp_path)
+    assert flag in _usage_error(argv, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_defect_counts_every_det_trial(capsys):
     # defect keeps all --trials det(P) evaluations; survey and hessian stop
     # at the first nonzero one

@@ -13,19 +13,11 @@ from taylorpade.detcalc import (
     _hessian_core,
     adjugate,
     block_grad_det_at,
-    det_berkowitz,
     eliminate,
-    expand_det_poly,
-    grad_det_at,
-    hessian_det_at,
-    jet_grad_det,
-    jet_hessian_entry,
 )
 from taylorpade.errors import DomainError, UsageError
 from taylorpade.fields import (
     PRIMES_62,
-    Jet,
-    JetRing,
     PrimeField,
     Rationals,
     point_hash,
@@ -36,7 +28,18 @@ from taylorpade.pade import SymbolicMatrix, pade_matrix
 from taylorpade.series import monomials_upto
 from taylorpade.variety import TaylorParams, square_family
 
-from oracles import jet_bilinear
+from oracles import (
+    Jet,
+    JetRing,
+    det_berkowitz,
+    eliminate_ring,
+    expand_det_poly,
+    grad_det_at,
+    hessian_det_at,
+    jet_bilinear,
+    jet_grad_det,
+    jet_hessian_entry,
+)
 
 P62 = PRIMES_62[0]
 
@@ -151,14 +154,18 @@ def _inputs(name, kind, rng):
 @pytest.mark.parametrize("kind", ["square", "singular", "rectangular"])
 @pytest.mark.parametrize("name", list(RINGS))
 def test_eliminate(name, kind):
+    # eliminate has no body over jets, and none for an inverse over Q; the
+    # oracle eliminate_ring serves those
     ring = RINGS[name]
+    elim = eliminate_ring if name.startswith("jet") else eliminate
+    elim_inv = eliminate if name == "gf" else eliminate_ring
     rng = random.Random(f"{name}-{kind}")
     for A, known_det in _inputs(name, kind, rng):
-        e = eliminate(A, ring)
+        e = elim(A, ring)
         if len(A) != len(A[0]):
             assert e.det is None
             with pytest.raises(UsageError):
-                eliminate(A, ring, inverse=True)
+                elim_inv(A, ring, inverse=True)
         else:
             det = _perm_det(A, ring)
             assert e.det == det == det_berkowitz(A, ring)
@@ -166,7 +173,7 @@ def test_eliminate(name, kind):
                 assert det == known_det
             if kind == "singular":
                 assert not ring.is_unit(det)
-            inv = eliminate(A, ring, inverse=True)
+            inv = elim_inv(A, ring, inverse=True)
             assert inv.det == det
             assert (inv.inverse is None) == (not ring.is_unit(det))
             if inv.inverse is not None:
@@ -176,11 +183,51 @@ def test_eliminate(name, kind):
                 assert _matmul(A, inv.inverse, ring, n) == eye
         if not isinstance(ring, JetRing):
             assert e.rank == _brute_rank(A, ring)
+        if name == "qq":
+            with pytest.raises(UsageError):
+                eliminate(A, ring, inverse=True)
         if name == "qq" and e.det is not None:
             # the modular route agrees with the rational one
             gf = RINGS["gf"]
             Amod = [[gf.of_fraction(x) for x in row] for row in A]
             assert eliminate(Amod, gf).det == gf.of_fraction(e.det)
+
+
+def test_eliminate_refuses_rings_without_a_body(monkeypatch, gf, qq):
+    A = [[1, 2], [3, 4]]
+    for order in (1, 2):
+        ring = JetRing(gf, order=order)
+        jets = [[ring.constant(x) for x in row] for row in A]
+        for inverse in (False, True):
+            with pytest.raises(UsageError, match="no elimination"):
+                eliminate(jets, ring, inverse=inverse)
+    with pytest.raises(UsageError, match="no elimination for an inverse over"):
+        eliminate(A, qq, inverse=True)
+    # each of the three bodies gives an int rank, a zero matrix included
+    general, symmetric, bareiss = bodies = (
+        "_eliminate_modp", "_eliminate_symmetric_modp", "_eliminate_bareiss")
+    taken = []
+    for name in bodies:
+        def run(*args, body=getattr(detcalc_mod, name), name=name):
+            taken.append(name)
+            return body(*args)
+        monkeypatch.setattr(detcalc_mod, name, run)
+    S = [[1, 2], [2, 1]]
+    Z = [[0, 0], [0, 0]]
+    cases = [
+        (A, gf, True, [general]),
+        (A, gf, False, [general]),
+        (S, gf, False, [symmetric]),
+        (Z, gf, False, [symmetric, general]),  # hand-off at the zero pivot
+        (A, qq, False, [bareiss]),
+        (Z, qq, False, [bareiss]),
+        ([[1, 2, 3]], qq, False, [bareiss]),
+    ]
+    for B, field, inverse, want in cases:
+        taken.clear()
+        rank = eliminate(B, field, inverse=inverse).rank
+        assert type(rank) is int and rank == (0 if B is Z else len(B))
+        assert taken == want
 
 
 def _rand_int_matrix(rng, k, lo=-9, hi=9):
@@ -433,20 +480,32 @@ def test_adjugate_identity_prime_field(gf):
                 assert prod[i][j] == (det if i == j else 0)
 
 
-def test_adjugate_identity_rationals_and_singular(qq):
+def test_adjugate_identity_rationals_and_singular(gf, qq):
+    # the singular branch (cofactors by minors) over GF(p); over Q there is
+    # no inverse to start from, so adjugate refuses
     rng = random.Random(4)
+    p = gf.p
     for k in range(2, 11):
-        A = [[Fraction(rng.randint(-5, 5)) for _ in range(k)] for _ in range(k)]
+        A = [[rng.randint(-5, 5) % p for _ in range(k)] for _ in range(k)]
         if k % 2 == 0:
             A[-1] = A[0][:]  # force singularity on even sizes
-        adj = adjugate(A, qq)
-        det = eliminate(A, qq).det
+        adj = adjugate(A, gf)
+        det = eliminate(A, gf).det
         if k % 2 == 0:
             assert det == 0
         for i in range(k):
             for j in range(k):
-                s = sum(A[i][t] * adj[t][j] for t in range(k))
+                s = sum(A[i][t] * adj[t][j] for t in range(k)) % p
                 assert s == (det if i == j else 0)
+        # A.adj(A) = 0 holds for any multiple of a singular A's adjugate;
+        # det(A + u v^T) = det(A) + v^T adj(A) u pins the adjugate itself
+        u = [rng.randrange(p) for _ in range(k)]
+        v = [rng.randrange(p) for _ in range(k)]
+        B = [[(A[i][j] + u[i] * v[j]) % p for j in range(k)] for i in range(k)]
+        vadj = sum(v[i] * adj[i][j] * u[j] for i in range(k) for j in range(k))
+        assert eliminate(B, gf).det == (det + vadj) % p
+        with pytest.raises(UsageError):
+            adjugate([[Fraction(x) for x in row] for row in A], qq)
 
 
 def test_berkowitz_matches_elimination(gf):
@@ -472,7 +531,7 @@ def test_jet_det_identity_plus_epsilon(gf):
             else:
                 jets[0][1] = ring.variable(0, 0)
                 expect = ring.one
-            assert eliminate(jets, ring).det == expect
+            assert eliminate_ring(jets, ring).det == expect
             assert det_berkowitz(jets, ring) == expect
 
 
@@ -533,27 +592,26 @@ def test_hessian_generic_2x2(gf):
     assert H[idx[("b",)]][idx[("c",)]] == gf.p - 1
 
 
-def test_hessian_symmetry_and_jet_agreement(gf, qq):
-    for fld in (gf, qq):
-        rng = random.Random(7)
-        done = 0
-        while done < 10:
-            P = _random_pattern(rng, max_size=5)
-            pt = _nonsingular_point(P, fld, rng)
-            if pt is None:
-                continue
-            labels, H = hessian_det_at(P, pt, fld)
-            for i in range(len(labels)):
-                for j in range(i, len(labels)):
-                    assert H[i][j] == H[j][i]
-                    assert H[i][j] == jet_hessian_entry(P, pt, fld, labels[i], labels[j])
-            done += 1
+def test_hessian_symmetry_and_jet_agreement(gf):
+    rng = random.Random(7)
+    done = 0
+    while done < 10:
+        P = _random_pattern(rng, max_size=5)
+        pt = _nonsingular_point(P, gf, rng)
+        if pt is None:
+            continue
+        labels, H = hessian_det_at(P, pt, gf)
+        for i in range(len(labels)):
+            for j in range(i, len(labels)):
+                assert H[i][j] == H[j][i]
+                assert H[i][j] == jet_hessian_entry(P, pt, gf, labels[i], labels[j])
+        done += 1
 
 
 def _reference_hessian_core(Ainv, det, occ, present, p):
     """The occurrence-pair loop that the class-pair kernel replaced, kept as
     its reference: one scalar product per pair of occurrences, each entry
-    reduced once at the end over GF(p) (``p`` is None over Q)."""
+    reduced mod p once at the end."""
     k = len(present)
     tr1 = [sum(Ainv[c][r] for r, c in occ[g]) for g in present]
     H = [[0] * k for _ in range(k)]
@@ -565,9 +623,7 @@ def _reference_hessian_core(Ainv, det, occ, present, p):
             for r, c in occ_i:
                 for r2, c2 in occ_j:
                     tr2 += Ainv[c2][r] * Ainv[c][r2]
-            val = det * (tr1[i] * tr1[j] - tr2)
-            if p:
-                val %= p
+            val = det * (tr1[i] * tr1[j] - tr2) % p
             H[i][j] = val
             H[j][i] = val
     return H
@@ -599,7 +655,7 @@ def test_hessian_core_matches_reference():
     # bound |cA| * |cB| * (p - 1)^2, so a slot one byte narrower carries.
     # The reference costs 0.3 s at (2,20,8,22) and 0.6 s at (2,25,9,27) over
     # GF(p), so those two cases take the full X at 2^89 - 1 and a random X
-    # at a 62-bit prime, and the others take both at every prime and over Q.
+    # at a 62-bit prime, and the others take both at every prime.
     patterns = _hessian_core_patterns()
     assert any(_column_repeats(P) for _, P in patterns)
     rng = random.Random(13)
@@ -615,12 +671,6 @@ def test_hessian_core_matches_reference():
             X, det = make(p), rng.randrange(1, p)
             got = _hessian_core(X, det, occ, labels, PrimeField(p))
             assert got == _reference_hessian_core(X, det, occ, labels, p), (name, p)
-        if k > 40:
-            continue
-        X = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
-             for _ in range(k)]
-        got = _hessian_core(X, Fraction(3, 7), occ, labels, Rationals())
-        assert got == _reference_hessian_core(X, Fraction(3, 7), occ, labels, None), name
 
 
 def _zero_padded(labels, H, ambient, field):
@@ -734,7 +784,7 @@ def test_gradient_matches_central_finite_differences(qq):
     rng = random.Random(10)
     P = _random_pattern(rng, max_size=4)
     pt = {g: Fraction(rng.randint(1, 9)) for g in P.variables()}
-    grad = grad_det_at(P, pt, qq)
+    grad = jet_grad_det(P, pt, qq)
     h = 1e-6
     for g, exact in grad.items():
         up = dict(pt)

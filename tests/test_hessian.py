@@ -11,7 +11,7 @@ import taylorpade.hessian as hessian_mod
 import taylorpade.pade as pade_mod
 import taylorpade.variety as variety_mod
 
-from taylorpade.detcalc import block_grad_det_at, grad_det_at, hessian_det_at
+from taylorpade.detcalc import block_grad_det_at
 from taylorpade.errors import DomainError, UnsupportedParametersError, UsageError
 from taylorpade.fields import (
     PRIMES_62,
@@ -37,9 +37,8 @@ from taylorpade.variety import (
     nondefective_hypersurface_check,
     square_family,
 )
-from taylorpade.detcalc import expand_det_poly
 
-from oracles import jet_bilinear
+from oracles import expand_det_poly, grad_det_at, hessian_det_at, jet_bilinear
 
 P547 = TaylorParams(2, 5, 4, 7)
 P8510 = TaylorParams(2, 8, 5, 10)

@@ -8,8 +8,6 @@ import taylorpade.variety as variety_mod
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
     PRIMES_62,
-    Jet,
-    JetRing,
     PrimeField,
     Rationals,
     derive_seed,
@@ -29,7 +27,7 @@ from taylorpade.variety import (
     taylor_coeffs,
 )
 
-from oracles import membership, psi_jacobian, series_mul, series_one
+from oracles import Jet, JetRing, membership, psi_jacobian, series_mul, series_one
 
 P547 = TaylorParams(2, 5, 4, 7)
 P3223 = TaylorParams(3, 2, 2, 3)
