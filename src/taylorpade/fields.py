@@ -2,7 +2,7 @@
 fields.
 
 A *field context* bundles the operations the rest of the package needs
-(``add``, ``mul``, ``inv``, sampling, ...) while keeping the element
+(``add``, ``sub``, ``mul``, sampling, ...) while keeping the element
 representation cheap: prime-field elements are plain ints in ``[0, p)``,
 rational elements are ``fractions.Fraction``.  Matrix and series code is
 written against this context protocol.
@@ -79,9 +79,6 @@ class PrimeField:
     zero = 0
     one = 1
 
-    def of_int(self, k: int) -> int:
-        return k % self.p
-
     def of_fraction(self, fr: Fraction) -> int:
         if fr.denominator % self.p == 0:
             raise DomainError(f"denominator divisible by p={self.p}")
@@ -99,16 +96,8 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, -1, self.p)
-
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
-
-    def is_unit(self, a: int) -> bool:
-        return a % self.p != 0
 
     def sample(self, rng: random.Random) -> int:
         return rng.randrange(self.p)
@@ -136,9 +125,6 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def of_int(self, k: int) -> Fraction:
-        return Fraction(k)
-
     def of_fraction(self, fr: Fraction) -> Fraction:
         return fr
 
@@ -154,16 +140,8 @@ class Rationals:
     def mul(self, a, b):
         return a * b
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
-
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def is_unit(self, a) -> bool:
-        return a != 0
 
     def sample(self, rng: random.Random) -> Fraction:
         return Fraction(rng.randint(-DEFAULT_RATIONAL_BOUND, DEFAULT_RATIONAL_BOUND))

@@ -1,9 +1,9 @@
-"""Sparse multivariate polynomials and truncated power series.
+"""Exponents, monomial orders and sparse multivariate polynomials.
 
 Exponents are plain tuples of non-negative ints; a monomial x^g with
-g = (g1, ..., gn) is keyed by that tuple.  Series and polynomials store a
-``dict`` from exponent to a nonzero coefficient of the owning field context,
-so equality of values is equality of maps.
+g = (g1, ..., gn) is keyed by that tuple.  A polynomial stores a ``dict``
+from exponent to a nonzero coefficient, so equality of values is equality
+of maps.
 """
 
 from __future__ import annotations
@@ -70,49 +70,6 @@ class MonomialOrder:
 # degree, lex decreasing within a degree (this reproduces the reference 15x15
 # layout for (2,5,4,7)).
 DOMAIN_ORDER = MonomialOrder(degree_increasing=True, lex_increasing=False)
-
-
-class TruncatedSeries:
-    """Power series truncated at total degree ``order``.
-
-    Stored coefficients are nonzero and of degree <= order; a term of higher
-    degree is dropped on construction.  Instances are immutable by
-    convention.
-    """
-
-    __slots__ = ("field", "nvars", "order", "coeffs")
-
-    def __init__(self, field, nvars: int, order: int, coeffs: dict | None = None):
-        self.field = field
-        self.nvars = nvars
-        self.order = order
-        clean = {}
-        for g, c in (coeffs or {}).items():
-            if len(g) != nvars:
-                raise UsageError(f"exponent {g} has wrong arity (nvars={nvars})")
-            if sum(g) > order:
-                continue
-            if not field.is_zero(c):
-                clean[g] = c
-        self.coeffs = clean
-
-    def coeff(self, g: Exponent):
-        return self.coeffs.get(tuple(g), self.field.zero)
-
-    def constant_term(self):
-        return self.coeff((0,) * self.nvars)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.field == other.field
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{g}: {c}" for g, c in sorted(self.coeffs.items()))
-        return f"TruncatedSeries(order={self.order}, {{{terms}}})"
 
 
 class SparsePoly:

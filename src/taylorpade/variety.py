@@ -12,21 +12,26 @@ because multiplying J's columns by the denominator Q turns them into x^b
 (0 < |b| <= d), which span degrees 1..d, and -x^b T (0 < |b| <= e), whose
 part in degrees d+1..m is that Pade matrix (proof in ``actual_dimension``).
 The gate therefore ranks a matrix of the Pade matrix's size, not J.
+
+A sampled pair is two coefficient dicts, and T = p/q is expanded on plain
+numbers (``taylor_coeffs``): exponents become Kronecker keys, so an exponent
+sum is one int addition, and products are reduced once per coefficient.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import add
+from operator import mul
 
 from .detcalc import eliminate
 from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, random_point
 from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape, reduced_pade
-from .series import TruncatedSeries, monomials_of_degree, monomials_upto
+from .series import monomials_of_degree, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -73,63 +78,67 @@ class TaylorParams:
         return (self.n, self.d, self.e, self.m)
 
 
-@dataclass(frozen=True)
-class RationalPair:
-    """Numerator/denominator series with constant term exactly 1."""
-
-    p: TruncatedSeries
-    q: TruncatedSeries
-
-    def __post_init__(self):
-        for s, bound, name in ((self.p, self.p.order, "P"), (self.q, self.q.order, "Q")):
-            if s.constant_term() != s.field.one:
-                raise UsageError(f"{name} must have constant term 1")
-        if self.p.nvars != self.q.nvars or self.p.field != self.q.field:
-            raise UsageError("P and Q must share variables and field")
-
-
-def random_rational_pair(params: TaylorParams, ctx, seed) -> RationalPair:
-    """Random pair with uniform coefficients and fixed constant terms."""
-    n, d, e = params.n, params.d, params.e
+def random_rational_pair(params: TaylorParams, ctx, seed) -> tuple:
+    """Random pair (p, q) of coefficient dicts, exponent -> element of
+    ``ctx``, over every monomial of degree <= d resp. e: constant terms 1,
+    the others uniform, drawn in ``monomials_upto`` order, p first."""
     rng = random.Random(derive_seed("pair", seed))
-    zero = (0,) * n
 
-    def sample_series(deg: int) -> TruncatedSeries:
-        coeffs = {zero: ctx.one}
-        for g in monomials_upto(n, deg):
-            if g != zero:
-                coeffs[g] = ctx.sample(rng)
-        return TruncatedSeries(ctx, n, deg, coeffs)
+    def sample(deg: int) -> dict:
+        return {g: ctx.sample(rng) if any(g) else ctx.one
+                for g in monomials_upto(params.n, deg)}
 
-    return RationalPair(sample_series(d), sample_series(e))
+    return sample(params.d), sample(params.e)
 
 
-def taylor_coeffs(pq: RationalPair, m: int) -> dict:
-    """Coefficients (c_g, 0 < |g| <= m) of the expansion T of P/Q.
+def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
+    """Coefficients (c_g, 0 < |g| <= m) of the expansion T of p/q.
 
-    Every such g is present, zeros included, so the result evaluates a Pade
-    matrix directly.  T is read off the defining identity Q*T = P modulo
-    degree m+1 by the graded recursion T_k = P_k - sum_{j>=1} Q_j T_{k-j}:
-    ring operations only.  Its one caller over jet coefficients is an oracle
-    test, which reads the Jacobian of the map off first-order jets.
+    ``p`` and ``q`` map exponent tuples to elements of ``ctx`` and must have
+    constant term exactly 1.  Every 0 < |g| <= m is present in the result,
+    zeros included, so it evaluates a Pade matrix directly.
+
+    T is read off the defining identity Q*T = P modulo degree m+1 by the
+    graded recursion T_k = P_k - sum_{b != 0} Q_b T_{k-|b|}, run on plain
+    numbers.  An exponent g with |g| <= m is keyed by the int
+    sum_i g_i (m+1)^i (Kronecker substitution), so the exponent sum h + b is
+    one int addition.  Q's nonconstant terms are sorted by degree, so the
+    layer of degree k-1, once final, pushes Q_b T_h to h + b over a prefix
+    of them (|b| <= m-k+1).  The products accumulate unreduced, and each
+    coefficient is finished by one ``ctx.sub(P_g, acc_g)``: one ``% p`` over
+    GF(p), an exact Fraction over Q.
     """
-    f, n = pq.p.field, pq.p.nvars
-    q = [(b, sum(b), c) for b, c in pq.q.coeffs.items() if any(b)]
-    acc: dict = {}  # acc[g]: sum of Q_b T_{g-b} over the layers pushed so far
+    n = len(next(iter(p), ()))
+    const = (0,) * n
+    if not n or p.get(const) != ctx.one or q.get(const) != ctx.one:
+        raise UsageError("P and Q must have constant term 1")
+    if any(len(g) != n for g in (*p, *q)):
+        raise UsageError("P and Q must share their variables")
+    weights = [(m + 1) ** i for i in range(n)]
+
+    def key(g):
+        return sum(map(mul, g, weights))
+
+    qs = sorted((sum(b), key(b), c) for b, c in q.items() if any(b) and c)
+    q_degrees = [db for db, _, _ in qs]
+    pk = {key(g): c for g, c in p.items() if 0 < sum(g) <= m}
+    sub, zero = ctx.sub, ctx.zero
+    acc: dict = {}  # acc[key(g)]: sum of Q_b T_{g-b} over the layers pushed so far
+    get = acc.get
     out: dict = {}
-    layer = [((0,) * n, f.one)]  # T_0 = 1
+    layer = [(0, ctx.one)]  # (key(h), T_h) over degree k-1; T_0 = 1
     for k in range(1, m + 1):
-        for h, th in layer:  # degree k-1, now final: push Q_b T_h to h+b
-            if f.is_zero(th):
-                continue
-            for b, db, qb in q:
-                if k - 1 + db <= m:
-                    g = tuple(map(add, h, b))
-                    term = f.mul(qb, th)
-                    acc[g] = f.add(acc[g], term) if g in acc else term
-        layer = [(g, f.sub(pq.p.coeff(g), acc.get(g, f.zero)))
-                 for g in monomials_of_degree(n, k)]
-        out.update(layer)
+        push = [(bk, c) for _, bk, c in qs[:bisect_right(q_degrees, m - k + 1)]]
+        for hk, th in layer:
+            if th:
+                for bk, qb in push:
+                    g = hk + bk
+                    acc[g] = get(g, 0) + qb * th
+        layer = []
+        for g in monomials_of_degree(n, k):
+            gk = key(g)
+            out[g] = t = sub(pk.get(gk, zero), acc.pop(gk, 0))
+            layer.append((gk, t))
     return out
 
 
@@ -175,8 +184,8 @@ def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) ->
     ceiling = expected_dimension(params)
     best = 0
     for t in range(trials):
-        pq = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
-        A = R.evaluate(taylor_coeffs(pq, params.m), ctx)
+        p, q = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
+        A = R.evaluate(taylor_coeffs(p, q, params.m, ctx), ctx)
         best = max(best, base + eliminate(A, ctx).rank)
         if best == ceiling:
             break

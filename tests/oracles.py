@@ -1,28 +1,36 @@
 """Independent routes the tests check the program against.
 
 The coefficient map (p, q) -> (c_g) of a Taylor variety, expanded the direct
-way: the series sum, product and inverse, and from them the full Jacobian of
-the map.  The program ranks the reduced Pade matrix at T = p/q instead
-(``variety.actual_dimension``); these give the same rank by another route.
-Membership of a coefficient vector in the variety, read off the kernel of
-the Pade matrix at it.
+way over any commutative ring: truncated series (``TruncatedSeries``) and
+their sum, product and inverse, a pair with constant terms 1
+(``RationalPair``), the expansion of p/q by ring operations
+(``taylor_coeffs_ring``), and the full Jacobian of the map.  The program
+expands p/q on plain numbers with Kronecker keys
+(``variety.taylor_coeffs``) and ranks the reduced Pade matrix at T = p/q
+instead (``variety.actual_dimension``); these give the same T and the same
+rank by another route.  Membership of a coefficient vector in the variety,
+read off the kernel of the Pade matrix at it.
 
 Second-order jets (``Jet``, ``JetRing``) and elimination over any
 commutative ring with unit pivots (``eliminate_ring``), falling back to the
 division-free Berkowitz determinant; it also gives inverses over Q, which
-``detcalc.eliminate`` does not.  From them, the derivatives of det(P) read
-off jet coefficients: the gradient (``jet_grad_det``), single Hessian
-entries (``jet_hessian_entry``) and the bilinear form of the Hessian
-(``jet_bilinear``).  The program reads them off the adjugate and P^-1
-instead; ``grad_det_at`` and ``hessian_det_at`` are those program routes at
-one point, over the whole matrix.  The permutation expansion of a small
-symbolic determinant (``expand_det_poly``).
+``detcalc.eliminate`` does not.  Its units and inverses come from
+``is_unit`` and ``ring_inv``, which also serve GF(p) and Q: the program's
+field contexts offer no inverse.  From jets and ``eliminate_ring``, the
+derivatives of det(P) read off jet coefficients: the gradient
+(``jet_grad_det``), single Hessian entries (``jet_hessian_entry``) and the
+bilinear form of the Hessian (``jet_bilinear``).  The program reads them
+off the adjugate and P^-1 instead; ``grad_det_at`` and ``hessian_det_at``
+are those program routes at one point, over the whole matrix.  The
+permutation expansion of a small symbolic determinant (``expand_det_poly``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from taylorpade.detcalc import (
     Elimination,
@@ -31,14 +39,59 @@ from taylorpade.detcalc import (
     hessian_from_factor,
 )
 from taylorpade.errors import DomainError, UsageError
+from taylorpade.fields import PrimeField
 from taylorpade.series import (
     DOMAIN_ORDER,
+    Exponent,
     SparsePoly,
-    TruncatedSeries,
     exp_add,
     exp_sub,
+    monomials_of_degree,
     monomials_upto,
 )
+
+
+class TruncatedSeries:
+    """Power series truncated at total degree ``order``.
+
+    Stored coefficients are nonzero and of degree <= order; a term of higher
+    degree is dropped on construction.  Instances are immutable by
+    convention.
+    """
+
+    __slots__ = ("field", "nvars", "order", "coeffs")
+
+    def __init__(self, field, nvars: int, order: int, coeffs: dict | None = None):
+        self.field = field
+        self.nvars = nvars
+        self.order = order
+        clean = {}
+        for g, c in (coeffs or {}).items():
+            if len(g) != nvars:
+                raise UsageError(f"exponent {g} has wrong arity (nvars={nvars})")
+            if sum(g) > order:
+                continue
+            if not field.is_zero(c):
+                clean[g] = c
+        self.coeffs = clean
+
+    def coeff(self, g: Exponent):
+        return self.coeffs.get(tuple(g), self.field.zero)
+
+    def constant_term(self):
+        return self.coeff((0,) * self.nvars)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TruncatedSeries)
+            and self.field == other.field
+            and self.nvars == other.nvars
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self) -> str:
+        terms = ", ".join(f"{g}: {c}" for g, c in sorted(self.coeffs.items()))
+        return f"TruncatedSeries(order={self.order}, {{{terms}}})"
 
 
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries):
@@ -128,15 +181,65 @@ def series_inverse(q: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(f, q.nvars, order, r)
 
 
-def psi_jacobian(pq, params):
-    """Jacobian of the coefficient map (p, q) -> (c_g) at the given pair.
+@dataclass(frozen=True)
+class RationalPair:
+    """Numerator/denominator series with constant term exactly 1."""
+
+    p: TruncatedSeries
+    q: TruncatedSeries
+
+    def __post_init__(self):
+        for s, name in ((self.p, "P"), (self.q, "Q")):
+            if s.constant_term() != s.field.one:
+                raise UsageError(f"{name} must have constant term 1")
+        if self.p.nvars != self.q.nvars or self.p.field != self.q.field:
+            raise UsageError("P and Q must share variables and field")
+
+    @classmethod
+    def of_dicts(cls, p: dict, q: dict, params, ring) -> "RationalPair":
+        """The pair of coefficient dicts that ``variety.random_rational_pair``
+        returns, as series over ``ring``."""
+        n, d, e, _ = params.astuple()
+        return cls(TruncatedSeries(ring, n, d, p), TruncatedSeries(ring, n, e, q))
+
+
+def taylor_coeffs_ring(pq: RationalPair, m: int) -> dict:
+    """Coefficients (c_g, 0 < |g| <= m) of the expansion T of P/Q, every such
+    g present, zeros included: ``variety.taylor_coeffs`` by ring operations
+    only, one tuple exponent and one reducing ``mul`` per product.  It also
+    runs over jets, and so reads the Jacobian of the map off first-order
+    jets.
+    """
+    f, n = pq.p.field, pq.p.nvars
+    q = [(b, sum(b), c) for b, c in pq.q.coeffs.items() if any(b)]
+    acc: dict = {}  # acc[g]: sum of Q_b T_{g-b} over the layers pushed so far
+    out: dict = {}
+    layer = [((0,) * n, f.one)]  # T_0 = 1
+    for k in range(1, m + 1):
+        for h, th in layer:  # degree k-1, now final: push Q_b T_h to h+b
+            if f.is_zero(th):
+                continue
+            for b, db, qb in q:
+                if k - 1 + db <= m:
+                    g = tuple(map(add, h, b))
+                    term = f.mul(qb, th)
+                    acc[g] = f.add(acc[g], term) if g in acc else term
+        layer = [(g, f.sub(pq.p.coeff(g), acc.get(g, f.zero)))
+                 for g in monomials_of_degree(n, k)]
+        out.update(layer)
+    return out
+
+
+def psi_jacobian(p: dict, q: dict, params, field):
+    """Jacobian of the coefficient map (p, q) -> (c_g) at the given pair of
+    coefficient dicts, over ``field``.
 
     Columns are d/dp_b followed by d/dq_b over the free coefficients
     (0 < |b| <= d resp. e); rows run over 0 < |g| <= m.  The column series are
     exact:  dT/dp_b = x^b / q  and  dT/dq_b = -x^b p / q^2, truncated at m.
     """
     n, d, e, m = params.astuple()
-    field = pq.p.field
+    pq = RationalPair.of_dicts(p, q, params, field)
     qinv = series_inverse(pq.q, m)
     p_over_q2 = series_mul(series_mul(pq.p, qinv, m), qinv, m)
     zero = (0,) * n
@@ -296,7 +399,7 @@ class JetRing:
         base = self.base
         if base.is_zero(a.val):
             raise ZeroDivisionError("jet with zero constant part is not invertible")
-        v_inv = base.inv(a.val)
+        v_inv = ring_inv(base, a.val)
         w = Jet(base.zero, dict(a.d1), dict(a.d2))
         t = self.mul(w, self.constant(v_inv))  # w/v
         res = self.sub(self.one, t)
@@ -306,9 +409,6 @@ class JetRing:
 
     def is_zero(self, a: Jet) -> bool:
         return self.base.is_zero(a.val) and not a.d1 and not a.d2
-
-    def is_unit(self, a: Jet) -> bool:
-        return not self.base.is_zero(a.val)
 
     def __eq__(self, other) -> bool:
         return (
@@ -322,6 +422,22 @@ class JetRing:
 
     def __repr__(self) -> str:
         return f"JetRing({self.base!r}, order={self.order})"
+
+
+def is_unit(ring, a) -> bool:
+    """Whether ``a`` is invertible in ``ring``: a jet ring, GF(p) or Q."""
+    if isinstance(ring, JetRing):
+        return not ring.base.is_zero(a.val)
+    return not ring.is_zero(a)
+
+
+def ring_inv(ring, a):
+    """The inverse of the unit ``a`` of ``ring``: a jet ring, GF(p) or Q."""
+    if isinstance(ring, JetRing):
+        return ring.inv(a)
+    if ring.is_zero(a):
+        raise ZeroDivisionError(f"inverse of 0 in {ring!r}")
+    return pow(a, -1, ring.p) if isinstance(ring, PrimeField) else 1 / Fraction(a)
 
 
 def eliminate_ring(A, ring, inverse: bool = False) -> Elimination:
@@ -346,7 +462,7 @@ def eliminate_ring(A, ring, inverse: bool = False) -> Elimination:
     mul, sub = ring.mul, ring.sub
     det, rank = ring.one, 0
     for col in range(ncols):
-        piv = next((i for i in range(rank, n) if ring.is_unit(rows[i][col])), None)
+        piv = next((i for i in range(rank, n) if is_unit(ring, rows[i][col])), None)
         if piv is None:
             if any(not ring.is_zero(rows[i][col]) for i in range(rank, n)):
                 return Elimination(None, det_berkowitz(A, ring) if square else None, None)
@@ -357,7 +473,7 @@ def eliminate_ring(A, ring, inverse: bool = False) -> Elimination:
             det = ring.neg(det)
         row = rows[rank]
         det = mul(det, row[col])
-        inv = ring.inv(row[col])
+        inv = ring_inv(ring, row[col])
         tail = [mul(inv, x) for x in row[col + 1:]]
         row[col + 1:] = tail
         for i in range(0 if inverse else rank + 1, n):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taylorpade.variety as variety_mod
 from taylorpade import cli
 from taylorpade.fields import PRIMES_62
 
@@ -232,6 +233,14 @@ GOLDEN_RUNS = {
     "defect_2_3_0_4_t4_s7.json":
         ["defect", "-n", "2", "-d", "3", "-e", "0", "-m", "4",
          "--trials", "4", "--seed", "7"],
+    # recorded before taylor_coeffs ran on Kronecker keys: a GF(p) gate with
+    # n = 3, and a rational one with n = 1
+    "defect_3_4_3_6_t4_s7.json":
+        ["defect", "-n", "3", "-d", "4", "-e", "3", "-m", "6",
+         "--trials", "4", "--seed", "7"],
+    "defect_1_3_2_6_t4_s7_rational.json":
+        ["defect", "-n", "1", "-d", "3", "-e", "2", "-m", "6",
+         "--trials", "4", "--seed", "7", "--field", "rational"],
 }
 
 
@@ -417,6 +426,19 @@ def test_hessian_exits_2_when_every_sample_is_singular(capsys):
     err = _usage_error(argv, capsys)
     assert "singular mod 2 at all 9 sampled points" in err
     assert time.perf_counter() - start < 10
+
+
+def test_pair_without_constant_term_1_exits_2(monkeypatch, capsys):
+    # taylor_coeffs refuses a pair with P(0) != 1; the CLI reports it as a
+    # one-line usage error
+    def bad_pair(params, ctx, seed):
+        p, q = real(params, ctx, seed)
+        return {**p, (0,) * params.n: 2}, q
+
+    real = variety_mod.random_rational_pair
+    monkeypatch.setattr(variety_mod, "random_rational_pair", bad_pair)
+    argv = ["defect", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "2"]
+    assert "constant term 1" in _usage_error(argv, capsys)
 
 
 @pytest.mark.parametrize("content", [

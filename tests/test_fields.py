@@ -15,7 +15,7 @@ from taylorpade.fields import (
     random_point,
 )
 
-from oracles import Jet, JetRing
+from oracles import Jet, JetRing, is_unit, ring_inv
 
 
 def test_builtin_primes_are_prime_and_62_bit():
@@ -40,8 +40,21 @@ def test_prime_field_ops(gf):
     p = gf.p
     assert gf.mul(p - 1, p - 1) == 1
     assert gf.add(p - 1, 1) == 0
-    assert gf.mul(gf.inv(12345), 12345) == 1
-    assert gf.of_fraction(Fraction(-2, 3)) == gf.mul(gf.of_int(-2), gf.inv(3))
+    assert gf.of_fraction(Fraction(-2, 3)) * 3 % p == p - 2
+    assert gf.of_fraction(Fraction(-2)) == p - 2
+
+
+@pytest.mark.parametrize("field", ["gf", "qq"])
+def test_oracle_base_field_inverse(field, request):
+    # the field contexts offer no inverse; the oracles' helper does, for
+    # eliminate_ring and JetRing.inv over GF(p) and Q
+    ctx = request.getfixturevalue(field)
+    for a in (ctx.of_fraction(Fraction(k)) for k in (1, -2, 3, 12345)):
+        assert is_unit(ctx, a)
+        assert ctx.mul(ring_inv(ctx, a), a) == ctx.one
+    assert not is_unit(ctx, ctx.zero)
+    with pytest.raises(ZeroDivisionError):
+        ring_inv(ctx, ctx.zero)
 
 
 def test_random_point_deterministic(gf):
@@ -142,10 +155,14 @@ def test_first_order_ring_drops_quadratic(gf):
 def test_prime_field_agrees_with_rationals_mod_p(xs):
     # random expression (a*b - c) * d + a, evaluated both ways
     gf = PrimeField(PRIMES_62[1])
+
+    def of_int(k):
+        return gf.of_fraction(Fraction(k))
+
     a, b, c, d = xs
     exact = (a * b - c) * d + a
     modular = gf.add(
-        gf.mul(gf.sub(gf.mul(gf.of_int(a), gf.of_int(b)), gf.of_int(c)), gf.of_int(d)),
-        gf.of_int(a),
+        gf.mul(gf.sub(gf.mul(of_int(a), of_int(b)), of_int(c)), of_int(d)),
+        of_int(a),
     )
     assert modular == exact % gf.p

@@ -15,9 +15,8 @@ from taylorpade.fields import (
 )
 from taylorpade.detcalc import eliminate
 from taylorpade.pade import pade_matrix, reduced_pade
-from taylorpade.series import TruncatedSeries, monomials_upto
+from taylorpade.series import monomials_of_degree, monomials_upto
 from taylorpade.variety import (
-    RationalPair,
     TaylorParams,
     actual_dimension,
     expected_dimension,
@@ -27,7 +26,16 @@ from taylorpade.variety import (
     taylor_coeffs,
 )
 
-from oracles import Jet, JetRing, membership, psi_jacobian, series_mul, series_one
+from oracles import (
+    Jet,
+    JetRing,
+    RationalPair,
+    TruncatedSeries,
+    membership,
+    psi_jacobian,
+    series_mul,
+    taylor_coeffs_ring,
+)
 
 P547 = TaylorParams(2, 5, 4, 7)
 P3223 = TaylorParams(3, 2, 2, 3)
@@ -44,26 +52,23 @@ def test_params_validation():
 
 
 def test_taylor_coeffs_p_equals_q(qq):
-    pq = random_rational_pair(TaylorParams(2, 3, 3, 5), qq, 1)
-    same = RationalPair(pq.p, pq.p)
+    p, _ = random_rational_pair(TaylorParams(2, 3, 3, 5), qq, 1)
     # every 0 < |g| <= m is present, so the Pade matrix evaluates at it
     coords = [g for g in monomials_upto(2, 5) if any(g)]
-    assert taylor_coeffs(same, 5) == {g: qq.zero for g in coords}
+    assert taylor_coeffs(p, p, 5, qq) == {g: qq.zero for g in coords}
 
 
 def test_taylor_coeffs_geometric(qq):
-    p = series_one(qq, 1, 1)
-    q = TruncatedSeries(qq, 1, 1, {(0,): Fraction(1), (1,): Fraction(-1)})
-    coeffs = taylor_coeffs(RationalPair(p, q), 4)
+    coeffs = taylor_coeffs({(0,): Fraction(1)}, {(0,): Fraction(1), (1,): Fraction(-1)}, 4, qq)
     assert coeffs == {(k,): Fraction(1) for k in range(1, 5)}
 
 
 def test_taylor_coeffs_defining_identity(qq):
     # Q * (1 + sum c_g x^g) = P modulo degree m+1, exactly
     for seed in range(5):
-        pq = random_rational_pair(P547, qq, seed)
+        pq = RationalPair.of_dicts(*random_rational_pair(P547, qq, seed), P547, qq)
         m = 7
-        c = taylor_coeffs(pq, m)
+        c = taylor_coeffs(pq.p.coeffs, pq.q.coeffs, m, qq)
         t = TruncatedSeries(qq, 2, m, {**c, (0, 0): qq.one})
         lhs = series_mul(pq.q, t, m)
         rhs = TruncatedSeries(qq, 2, m, pq.p.coeffs)
@@ -71,10 +76,60 @@ def test_taylor_coeffs_defining_identity(qq):
 
 
 def test_rational_pair_validation(qq):
-    bad = TruncatedSeries(qq, 2, 2, {(0, 0): Fraction(2)})
-    good = series_one(qq, 2, 2)
+    # taylor_coeffs makes the checks of oracles.RationalPair on the
+    # program's coefficient dicts
+    one = Fraction(1)
+    bad_pairs = [
+        ({(0, 0): Fraction(2)}, {(0, 0): one}),
+        ({(0, 0): one}, {(1, 0): one}),  # no constant term
+        ({}, {(0, 0): one}),
+        ({(0, 0): one}, {(0, 0): one, (1, 0, 0): Fraction(3)}),  # arity
+    ]
+    for p, q in bad_pairs:
+        with pytest.raises(UsageError):
+            taylor_coeffs(p, q, 3, qq)
     with pytest.raises(UsageError):
-        RationalPair(bad, good)
+        RationalPair.of_dicts(*bad_pairs[0], TaylorParams(2, 1, 1, 3), qq)
+
+
+EQUALITY_FIELDS = [2, 3, 547, PRIMES_62[0], None]  # None: Q
+EQUALITY_CASES = [
+    (1, 0, 0, 3), (1, 2, 1, 5), (1, 3, 4, 6),
+    (2, 2, 0, 4), (2, 3, 2, 6), (2, 1, 3, 4), (2, 5, 4, 7),
+    (3, 2, 2, 4), (3, 1, 0, 2), (3, 3, 2, 5),
+    (4, 1, 2, 3), (4, 2, 1, 3), (4, 0, 2, 2),
+]
+
+
+@pytest.mark.parametrize("modulus", EQUALITY_FIELDS,
+                         ids=lambda p: "Q" if p is None else f"GF{p}"[:10])
+def test_taylor_coeffs_matches_ring_oracle(modulus):
+    # Kronecker keys and unreduced sums give the ring-operation expansion key
+    # for key, in the same order.  Over GF(2) and GF(3) zero coefficients of
+    # P, Q and T, and whole zero layers of T, occur.
+    ctx = Rationals() if modulus is None else PrimeField(modulus)
+    zero_layers = 0
+    for case in EQUALITY_CASES:
+        params = TaylorParams(*case)
+        n, m = params.n, params.m
+        for seed in range(12):
+            p, q = random_rational_pair(params, ctx, derive_seed("eq", seed))
+            got = taylor_coeffs(p, q, m, ctx)
+            want = taylor_coeffs_ring(RationalPair.of_dicts(p, q, params, ctx), m)
+            assert list(got.items()) == list(want.items())
+            if seed == 0:
+                # a numerator reaching degree m+1: its terms beyond m are
+                # ignored, not aliased onto lower Kronecker keys
+                long_p = random_rational_pair(
+                    TaylorParams(n, m + 1, 0, m + 2), ctx, derive_seed("long", seed))[0]
+                pq = RationalPair(TruncatedSeries(ctx, n, m + 1, long_p),
+                                  TruncatedSeries(ctx, n, params.e, q))
+                assert taylor_coeffs(long_p, q, m, ctx) == taylor_coeffs_ring(pq, m)
+            zero_layers += sum(
+                all(ctx.is_zero(got[g]) for g in monomials_of_degree(n, k))
+                for k in range(1, m + 1))
+    if modulus in (2, 3):
+        assert zero_layers > 0
 
 
 def test_expected_dimension_examples():
@@ -92,14 +147,16 @@ def test_actual_dimension_examples(gf):
 
 def test_jacobian_columns_match_jet_perturbation(gf):
     # perturb a single numerator/denominator coefficient by epsilon and read
-    # the epsilon part of the coefficient vector: must equal the Jacobian column
+    # the epsilon part of the coefficient vector, expanded over jets by the
+    # oracle's ring copy of taylor_coeffs: must equal the Jacobian column
     params = TaylorParams(2, 2, 2, 4)
     ring = JetRing(gf, order=1)
     rng = random.Random(0)
     n_p_cols = len(monomials_upto(2, params.d)) - 1  # leading columns vary P
     for trial in range(10):
-        pq = random_rational_pair(params, gf, derive_seed("jac", trial))
-        rows, cols, jac = psi_jacobian(pq, params)
+        p, q = random_rational_pair(params, gf, derive_seed("jac", trial))
+        pq = RationalPair.of_dicts(p, q, params, gf)
+        rows, cols, jac = psi_jacobian(p, q, params, gf)
         col_index = rng.randrange(len(cols))
         beta = cols[col_index]
         perturb_p = col_index < n_p_cols
@@ -111,7 +168,7 @@ def test_jacobian_columns_match_jet_perturbation(gf):
             return TruncatedSeries(ring, series.nvars, series.order, coeffs)
 
         jet_pq = RationalPair(lift(pq.p, perturb_p), lift(pq.q, not perturb_p))
-        coeffs = taylor_coeffs(jet_pq, params.m)
+        coeffs = taylor_coeffs_ring(jet_pq, params.m)
         for r, g in enumerate(rows):
             eps = coeffs.get(g, ring.zero).d1.get(0, gf.zero)
             assert eps == jac[r][col_index]
@@ -119,8 +176,8 @@ def test_jacobian_columns_match_jet_perturbation(gf):
 
 def test_membership_roundtrip(gf):
     for seed in range(50):
-        pq = random_rational_pair(P547, gf, seed)
-        T = taylor_coeffs(pq, 7)
+        p, q = random_rational_pair(P547, gf, seed)
+        T = taylor_coeffs(p, q, 7, gf)
         assert membership(T, P547, gf)
 
 
@@ -208,12 +265,12 @@ def test_gate_rank_matches_jacobian_oracle(case, field, seed, request):
     P = pade_matrix(*case)
     jacobian_ranks = []
     for t in range(3):
-        pq = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
-        jac_rank = eliminate(psi_jacobian(pq, params)[2], ctx).rank
+        p, q = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
+        jac_rank = eliminate(psi_jacobian(p, q, params, ctx)[2], ctx).rank
         if e == 0:
             pade_rank = 0
         else:
-            A = reduced_pade(P).evaluate(taylor_coeffs(pq, m), ctx)
+            A = reduced_pade(P).evaluate(taylor_coeffs(p, q, m, ctx), ctx)
             pade_rank = eliminate(A, ctx).rank
         assert comb(d + n, n) - 1 + pade_rank == jac_rank
         jacobian_ranks.append(jac_rank)
