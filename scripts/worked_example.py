@@ -57,9 +57,7 @@ def main():
     print(f"relation identity M.c = 0: {rel['residual_is_zero']}")
     print(f"rank(M) at this point: {rel['rank_M']} (bound {rel['rank_bound']})")
 
-    essential = certify_hessian_pade(
-        params, "essential", trials=args.trials, seed=args.seed, check=check
-    )
+    essential = certify_hessian_pade(check, trials=args.trials, seed=args.seed)
     full = full_from_essential(essential, params)
     for mode, cert in (("full", full), ("essential", essential)):
         coranks = sorted({t.corank for t in cert.trials})

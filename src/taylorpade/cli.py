@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -35,6 +36,7 @@ from .variety import (
 
 SCHEMA_VERSION = 1
 SEED_ENV = "TAYLORPADE_SEED"
+GATE_TRIALS = 8
 
 
 @dataclass
@@ -72,6 +74,14 @@ class RunConfig:
             raise UsageError("--order reverse is read only by export")
         if self.mode == "essential" and (self.command, self.poly) != ("hessian", None):
             raise UsageError("--mode essential is read only by hessian without --poly")
+        if (self.command == "survey" or self.poly is not None) and (
+                self.n, self.d, self.e, self.m) != (None,) * 4:
+            raise UsageError("survey and hessian --poly take no -n, -d, -e or -m")
+        if self.field == "rational" and self.command in ("hessian", "survey"):
+            raise UsageError(
+                f"{self.command} takes no --field rational: a certificate needs a "
+                "prime field, as its error bound multiplies degree_bound/p"
+            )
 
     def params(self) -> TaylorParams:
         if None in (self.n, self.d, self.e, self.m):
@@ -171,15 +181,16 @@ def cmd_defect(config: RunConfig) -> dict:
     check = nondefective_hypersurface_check(
         params, trials=config.trials, ctx=config.context(), seed=config.seed
     )
+    shape = params.shape
     payload = {
-        "rows": check.rows,
-        "cols": check.cols,
-        "square": check.square,
+        "rows": shape.rows,
+        "cols": shape.cols,
+        "square": shape.square,
         "expected_dimension": check.expected_dim,
         "actual_dimension": check.actual_dim,
         "det_trials": check.det_trials,
         "det_nonzero_count": check.det_nonzero_count,
-        "det_certified_nonzero": check.det_certified_nonzero,
+        "det_certified_nonzero": check.det_nonzero_count > 0,
         "verdict": check.verdict,
     }
     return _report(config, payload, params)
@@ -194,13 +205,17 @@ def cmd_hessian(config: RunConfig) -> dict:
         payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
         return _report(config, payload, None)
     params = config.params()
-    cert = hess.certify_hessian_pade(
-        params,
-        variable_set=config.mode,
-        trials=config.trials,
-        seed=config.seed,
-        ctx=config.context(),
+    # The gate, then the certificate, which refuses a case the gate fails.
+    # It reads only whether the gate passes, so one nonzero det suffices.
+    check = nondefective_hypersurface_check(
+        params, trials=GATE_TRIALS, ctx=config.context(),
+        seed=derive_seed("gate", config.seed), stop_at_nonzero=True,
     )
+    cert = hess.certify_hessian_pade(
+        check, trials=config.trials, seed=config.seed, ctx=config.context()
+    )
+    if config.mode == "full":
+        cert = hess.full_from_essential(cert, params)
     payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
     if hess.relations_apply(params):
         fld = config.fixed_context()
@@ -232,12 +247,7 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
         # corank is then 0, and its nonzero det(H) fixes the full verdict
         # (see full_from_essential).  So the trials stop there.
         essential = hess.certify_hessian_pade(
-            params,
-            "essential",
-            trials=config.trials,
-            seed=config.seed,
-            ctx=config.context(),
-            check=check,
+            check, trials=config.trials, seed=config.seed, ctx=config.context(),
             stop_at_full_rank=True,
         )
         fld = config.fixed_context()
@@ -312,6 +322,7 @@ def render_report(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taylorpade",

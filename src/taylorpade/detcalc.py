@@ -320,12 +320,12 @@ def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
     return out
 
 
-def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
+def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> list:
     """Second-derivative matrix of det(P) over GF(p), from the elimination
     ``fac = eliminate(P.evaluate(point, field), field, inverse=True)``.
 
-    Returns (labels, H) with labels = ``P.variables()`` and
-    H[a][b] = d^2 det / dc_a dc_b, by the second-order Jacobi identity
+    Returns H with H[a][b] = d^2 det / dc_a dc_b over the variables
+    ``P.variables()``, in that order, by the second-order Jacobi identity
 
         H_ab = det(A) * (t_a t_b - G_ab),   t_a = tr(X E_a),
         G_ab = tr(X E_a X E_b),   X = A^-1,
@@ -344,8 +344,7 @@ def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
             f"the Hessian of det(P) needs P invertible, and P is singular "
             f"at this point over {field!r}"
         )
-    labels = P.variables()
-    return labels, _hessian_core(fac.inverse, fac.det, P.occurrences(), labels, field)
+    return _hessian_core(fac.inverse, fac.det, P.occurrences(), P.variables(), field)
 
 
 def _hessian_core(X, det, occ, labels, field):

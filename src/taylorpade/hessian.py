@@ -12,7 +12,9 @@ as c is nonzero, the rank of M stays below its number of columns.
 
 Certificates report randomized polynomial identity tests: a nonzero value
 modulo any prime certifies a nonzero polynomial, while an all-zero run leaves
-a quantified Schwartz-Zippel failure probability.
+a quantified Schwartz-Zippel failure probability.  A Pade certificate reads
+only the outcome of the non-defectiveness gate, which its caller runs first,
+and covers the variables of det(P); the ambient one is derived from it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .detcalc import block_grad_det_at, eliminate, hessian_from_factor
 from .errors import DomainError, UnsupportedParametersError, UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
 from .series import DOMAIN_ORDER, SparsePoly, exp_add, monomials_of_degree
-from .variety import HypersurfaceCheck, TaylorParams, nondefective_hypersurface_check
+from .variety import HypersurfaceCheck, TaylorParams
 
 VANISHES = "vanishes-probabilistic"
 NONZERO = "nonzero-certified"
@@ -140,9 +142,6 @@ class TrialRecord:
     value: int
     corank: int
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -175,15 +174,7 @@ class Certificate:
     notes: tuple = dc_field(default=())
 
     def to_dict(self):
-        return {
-            "target": self.target,
-            "verdict": self.verdict,
-            "degree_bound": self.degree_bound,
-            "trials": [t.to_dict() for t in self.trials],
-            "error_bound": self.error_bound,
-            "error_bound_log10": self.error_bound_log10,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _finish_certificate(target, degree_bound, records):
@@ -251,26 +242,20 @@ def _hessian_trials(trials: int, ctx, sample, stop_at_full_rank=False) -> list:
     return records
 
 
-GATE_TRIALS = 8
-
-
 def certify_hessian_pade(
-    params: TaylorParams,
-    variable_set: str = "full",
+    check: HypersurfaceCheck,
     trials: int = 20,
     seed=0,
     ctx: PrimeField | None = None,
-    check: HypersurfaceCheck | None = None,
     stop_at_full_rank: bool = False,
 ) -> Certificate:
-    """Probabilistic test of det(Hessian of det(P)) == 0, P = ``params.pade``.
-
-    Refuses parameters that do not pass the non-defective-hypersurface gate
-    (there the determinant may be identically zero and the question is moot).
-    The gate runs here unless the caller passes its outcome as ``check``: a
-    passing check is exact (det(P) certified nonzero, Jacobian rank at the
-    expected dimension, its upper bound), so one gate serves a whole case.
-    The gate run here stops its det(P) trials at the first nonzero det.
+    """Essential certificate of det(Hessian of det(P)) == 0, where P is
+    ``check.params.pade`` and ``check`` the outcome of the caller's run of the
+    non-defective-hypersurface gate (``variety``).  A failing check is refused
+    with ``DomainError``: there the determinant may be identically zero and
+    the question is moot.  A passing check is exact (det(P) certified
+    nonzero, Jacobian rank at the expected dimension, its upper bound), so
+    one gate serves a whole case.
 
     Each trial samples a fresh point over a rotating 62-bit prime, resampling
     up to 8 times if the evaluated Pade matrix happens to be singular (and
@@ -285,17 +270,7 @@ def certify_hessian_pade(
     run, and its error bound covers only those.
     """
     _require_prime_field(ctx)
-    if variable_set not in ("full", "essential"):
-        raise UsageError(f"unknown variable set {variable_set!r}")
-    if check is None:
-        check = nondefective_hypersurface_check(
-            params, trials=GATE_TRIALS, ctx=ctx, seed=derive_seed("gate", seed),
-            stop_at_nonzero=True,
-        )
-    elif check.params != params:
-        raise UsageError(
-            f"gate outcome is for {check.params.astuple()}, not {params.astuple()}"
-        )
+    params = check.params
     if not check.is_nondefective_hypersurface:
         raise DomainError(
             f"refusing Hessian certificate for {params.astuple()}: "
@@ -313,20 +288,17 @@ def certify_hessian_pade(
             point = random_point(variables, fld, trial_seed)
             fac = eliminate(P.evaluate(point, fld), fld, inverse=True)
             if fac.inverse is not None:
-                return trial_seed, point, hessian_from_factor(P, fac, fld)[1]
+                return trial_seed, point, hessian_from_factor(P, fac, fld)
         raise DomainError(
             f"Hessian trial {t}: the Pade matrix is singular mod {fld.p} at "
             f"all {len(seeds)} sampled points; use a larger prime"
         )
 
-    essential = _finish_certificate(
+    return _finish_certificate(
         f"hessian-det[pade{params.astuple()}, essential]",
         len(variables) * max(P.nrows - 2, 0),
         _hessian_trials(trials, ctx, sample, stop_at_full_rank),
     )
-    if variable_set == "essential":
-        return essential
-    return full_from_essential(essential, params)
 
 
 def full_from_essential(essential: Certificate, params: TaylorParams) -> Certificate:

@@ -197,12 +197,8 @@ class HypersurfaceCheck:
     """Outcome of the randomized non-defective-hypersurface test."""
 
     params: TaylorParams
-    rows: int
-    cols: int
-    square: bool
     det_trials: int
     det_nonzero_count: int
-    det_certified_nonzero: bool
     expected_dim: int
     actual_dim: int
     verdict: str
@@ -226,11 +222,10 @@ def nondefective_hypersurface_check(
     ``stop_at_nonzero`` ends the determinant trials at the first nonzero
     det, which fixes (b) exactly; ``det_trials`` then counts the trials run.
     """
-    shape = params.shape
     ctx = ctx or PrimeField(PRIMES_62[0])
     P = params.pade
     nonzero = run = 0
-    if shape.square:
+    if params.is_square:
         variables = P.variables()
         for t in range(trials):
             run = t + 1
@@ -241,21 +236,16 @@ def nondefective_hypersurface_check(
                     break
     exp_dim = expected_dimension(params)
     act_dim = actual_dimension(params, trials=3, ctx=ctx, seed=seed)
-    certified = nonzero > 0
     if act_dim < exp_dim:
         verdict = "defective"
-    elif shape.square and certified and act_dim == exp_dim == params.ambient_dim - 1:
+    elif params.is_square and nonzero and act_dim == exp_dim == params.ambient_dim - 1:
         verdict = "non-defective hypersurface"
     else:
         verdict = "non-defective"
     return HypersurfaceCheck(
         params=params,
-        rows=shape.rows,
-        cols=shape.cols,
-        square=shape.square,
         det_trials=run,
         det_nonzero_count=nonzero,
-        det_certified_nonzero=certified,
         expected_dim=exp_dim,
         actual_dim=act_dim,
         verdict=verdict,

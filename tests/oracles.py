@@ -556,7 +556,7 @@ def hessian_det_at(P, point: dict, field) -> tuple:
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
     fac = eliminate(P.evaluate(point, field), field, inverse=True)
-    return hessian_from_factor(P, fac, field)
+    return P.variables(), hessian_from_factor(P, fac, field)
 
 
 def jet_grad_det(P, point: dict, field) -> dict:

@@ -18,6 +18,7 @@ from taylorpade.hessian import (
     build_M,
     certify_hessian_pade,
     certify_hessian_poly,
+    full_from_essential,
     relation_check,
     relation_residual,
 )
@@ -94,7 +95,8 @@ def test_criterion_03_defectivity_3223():
 
 def test_criterion_04_main_theorem_desk_scale():
     with criterion(4, "(2,5,4,7): 36x36 ambient Hessian det = 0 at 20/20 points", 60.0):
-        cert = certify_hessian_pade(P547, "full", trials=20, seed=0)
+        check = nondefective_hypersurface_check(P547, trials=8, stop_at_nonzero=True)
+        cert = full_from_essential(certify_hessian_pade(check, trials=20, seed=0), P547)
         assert cert.verdict == VANISHES
         assert len(cert.trials) == 20
         assert all(t.value == 0 for t in cert.trials)
@@ -107,9 +109,10 @@ def test_criterion_04_main_theorem_desk_scale():
 def test_criterion_05_second_square_case_8510():
     with criterion(5, "(2,8,5,10): full pipeline, 21x21, vanishing ambient Hessian", 300.0):
         check = nondefective_hypersurface_check(P8510, trials=20, ctx=GF0, seed=0)
-        assert check.rows == check.cols == 21
+        shape = check.params.shape
+        assert shape.rows == shape.cols == 21
         assert check.verdict == "non-defective hypersurface"
-        cert = certify_hessian_pade(P8510, "full", trials=20, seed=0)
+        cert = full_from_essential(certify_hessian_pade(check, trials=20, seed=0), P8510)
         assert cert.verdict == VANISHES
         assert len(cert.trials) == 20
 
@@ -209,7 +212,9 @@ def test_criterion_09_oracle_equivalence():
 def test_criterion_10_cone_case_cross_path():
     with criterion(10, "(2,1,1,2): ambient certificate agrees with symbolic poly path", 30.0):
         params = TaylorParams(2, 1, 1, 2)
-        pade_cert = certify_hessian_pade(params, "full", trials=20, seed=0)
+        check = nondefective_hypersurface_check(params, trials=8, stop_at_nonzero=True)
+        pade_cert = full_from_essential(
+            certify_hessian_pade(check, trials=20, seed=0), params)
         assert pade_cert.verdict == VANISHES
         P = pade_matrix(2, 1, 1, 2)
         f = expand_det_poly(P, monomials_upto(2, 2))

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from importlib import resources
@@ -12,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taylorpade.detcalc as detcalc_mod
+import taylorpade.hessian as hessian_mod
 import taylorpade.variety as variety_mod
 from taylorpade import cli
 from taylorpade.fields import PRIMES_62
@@ -379,14 +383,61 @@ def test_conflicting_field_options(argv, flags, capsys, tmp_path, monkeypatch):
     (["export", *_P547, "--mode", "essential"], "--mode"),
     (["hessian", "--poly", str(GOLDEN / "perazzo.json"), "--mode", "essential"],
      "--mode"),
+    (["survey", "--e-max", "2", "-n", "3", "-d", "9"], "-n, -d, -e or -m"),
+    (["survey", "--e-max", "5", "-m", "7"], "-n, -d, -e or -m"),
+    (["hessian", "--poly", str(GOLDEN / "perazzo.json"), *_P547], "-n, -d, -e or -m"),
 ], ids=["hessian-order", "survey-order", "defect-order", "shape-order",
-        "survey-mode", "defect-mode", "shape-mode", "export-mode", "poly-mode"])
+        "survey-mode", "defect-mode", "shape-mode", "export-mode", "poly-mode",
+        "survey-params", "survey-m", "poly-params"])
 def test_ignored_option_is_refused(argv, flag, capsys, tmp_path, monkeypatch):
     # Each used to run as if the option were absent, yet record it in the
     # report config.
     monkeypatch.chdir(tmp_path)
     assert flag in _usage_error(argv, capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+def _count_eliminations(monkeypatch):
+    """Return the list that every later ``eliminate`` call appends to."""
+    calls = []
+    real = detcalc_mod.eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (detcalc_mod, hessian_mod, variety_mod):
+        monkeypatch.setattr(mod, "eliminate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("e_max", ["3", "8"], ids=["no-case", "e8"])
+def test_survey_rejects_rational_field(e_max, capsys, monkeypatch):
+    # --e-max 3 has no case and used to exit 0; --e-max 8 used to run a gate
+    # over Q before its first certificate refused the field
+    calls = _count_eliminations(monkeypatch)
+    argv = ["survey", "--e-max", e_max, "--trials", "1", "--field", "rational"]
+    assert "prime field" in _usage_error(argv, capsys)
+    assert calls == []
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["survey", "--e-max", "5", "--trials", "1", "--format", "csv"]) == 0
+    capsys.readouterr()
+    code, out = run_cli(["shape", *_P547], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["e_max"], config["format"]) == (None, "json")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    env.pop(cli.SEED_ENV, None)
+    fresh = subprocess.run([sys.executable, "-m", "taylorpade", "shape", *_P547],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (fresh.returncode, fresh.stdout) == (0, out)
 
 
 def test_defect_counts_every_det_trial(capsys):
@@ -406,7 +457,8 @@ def test_csv_only_for_survey(command, capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("path", ["pade", "poly"])
-def test_hessian_rejects_rational_field(path, tmp_path, capsys):
+def test_hessian_rejects_rational_field(path, tmp_path, capsys, monkeypatch):
+    calls = _count_eliminations(monkeypatch)
     if path == "pade":
         argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7"]
     else:
@@ -415,6 +467,7 @@ def test_hessian_rejects_rational_field(path, tmp_path, capsys):
         poly.write_text(json.dumps(fermat))
         argv = ["hessian", "--poly", str(poly)]
     assert "prime field" in _usage_error(argv + ["--field", "rational"], capsys)
+    assert calls == []
 
 
 def test_hessian_exits_2_when_every_sample_is_singular(capsys):

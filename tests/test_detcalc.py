@@ -23,10 +23,18 @@ from taylorpade.fields import (
     point_hash,
     random_point,
 )
-from taylorpade.hessian import certify_hessian_pade, certify_hessian_poly
+from taylorpade.hessian import (
+    certify_hessian_pade,
+    certify_hessian_poly,
+    full_from_essential,
+)
 from taylorpade.pade import SymbolicMatrix, pade_matrix
 from taylorpade.series import monomials_upto
-from taylorpade.variety import TaylorParams, square_family
+from taylorpade.variety import (
+    TaylorParams,
+    nondefective_hypersurface_check,
+    square_family,
+)
 
 from oracles import (
     Jet,
@@ -698,8 +706,10 @@ def test_full_certificate_matches_zero_padded_hessian(case):
     if case == (2, 5, 4, 7):
         missing = set(ambient) - set(P.variables())
         assert missing == {(0, 0), (1, 0), (0, 1)}
+    check = nondefective_hypersurface_check(params, trials=8, stop_at_nonzero=True)
     for seed in (0, 7, 123):
-        full = certify_hessian_pade(params, "full", trials=2, seed=seed)
+        full = full_from_essential(
+            certify_hessian_pade(check, trials=2, seed=seed), params)
         assert full.degree_bound == len(ambient) * (P.nrows - 2)
         for t in full.trials:
             fld = PrimeField(t.prime)
@@ -714,7 +724,9 @@ def test_full_certificate_corank_matches_symbolic_poly_2112():
     P = pade_matrix(2, 1, 1, 2)
     f = expand_det_poly(P, monomials_upto(2, 2))
     poly = certify_hessian_poly(f, trials=5, seed=0)
-    full = certify_hessian_pade(TaylorParams(2, 1, 1, 2), "full", trials=5, seed=0)
+    params = TaylorParams(2, 1, 1, 2)
+    check = nondefective_hypersurface_check(params, trials=8, stop_at_nonzero=True)
+    full = full_from_essential(certify_hessian_pade(check, trials=5, seed=0), params)
     assert [t.corank for t in full.trials] == [t.corank for t in poly.trials]
 
 

@@ -26,6 +26,7 @@ from taylorpade.hessian import (
     build_M,
     certify_hessian_pade,
     certify_hessian_poly,
+    full_from_essential,
     relation_check,
     relation_column_labels,
     relation_residual,
@@ -42,6 +43,12 @@ from oracles import expand_det_poly, grad_det_at, hessian_det_at, jet_bilinear
 
 P547 = TaylorParams(2, 5, 4, 7)
 P8510 = TaylorParams(2, 8, 5, 10)
+
+
+def _gate(params, trials=8, seed=0):
+    """The gate outcome a Pade certificate takes."""
+    return nondefective_hypersurface_check(params, trials=trials, seed=seed,
+                                           stop_at_nonzero=True)
 
 PERAZZO = SparsePoly.from_terms(
     5, [((1, 0, 0, 2, 0), 1), ((0, 1, 0, 1, 1), 1), ((0, 0, 1, 0, 2), 1)]
@@ -174,7 +181,8 @@ def test_full_gradient_does_not_satisfy_relations(gf):
 
 
 def test_certify_pade_full_547(gf):
-    cert = certify_hessian_pade(P547, "full", trials=5, seed=0)
+    cert = full_from_essential(
+        certify_hessian_pade(_gate(P547), trials=5, seed=0), P547)
     assert cert.verdict == VANISHES
     assert cert.degree_bound == 36 * 13
     assert all(t.value == 0 for t in cert.trials)
@@ -186,7 +194,7 @@ def test_certify_pade_essential_547_measured_nonzero(gf):
     # The essential-variable Hessian of this determinant is nonsingular at
     # generic points: the ambient vanishing comes from the three coordinates
     # absent from det(P), not from a deeper polar degeneracy.
-    cert = certify_hessian_pade(P547, "essential", trials=3, seed=0)
+    cert = certify_hessian_pade(_gate(P547), trials=3, seed=0)
     assert cert.verdict == NONZERO
     assert cert.error_bound is None
     assert any(t.value != 0 for t in cert.trials)
@@ -195,8 +203,8 @@ def test_certify_pade_essential_547_measured_nonzero(gf):
 
 def test_certify_pade_2112_both_modes(gf):
     params = TaylorParams(2, 1, 1, 2)
-    full = certify_hessian_pade(params, "full", trials=20, seed=0)
-    essential = certify_hessian_pade(params, "essential", trials=20, seed=0)
+    essential = certify_hessian_pade(_gate(params), trials=20, seed=0)
+    full = full_from_essential(essential, params)
     assert full.verdict == VANISHES
     assert essential.verdict == VANISHES
     assert all(t.corank >= 1 for t in essential.trials)
@@ -204,21 +212,21 @@ def test_certify_pade_2112_both_modes(gf):
 
 def test_certify_pade_refuses_defective(gf):
     with pytest.raises(DomainError, match="refusing"):
-        certify_hessian_pade(TaylorParams(3, 2, 2, 3), "full", trials=2, seed=0)
+        certify_hessian_pade(_gate(TaylorParams(3, 2, 2, 3)), trials=2, seed=0)
 
 
 def test_certify_pade_rejects_rectangular(gf):
     with pytest.raises(DomainError):
-        certify_hessian_pade(TaylorParams(2, 1, 1, 3), "full", trials=2, seed=0)
+        certify_hessian_pade(_gate(TaylorParams(2, 1, 1, 3)), trials=2, seed=0)
 
 
 def test_certificate_trial_records(gf):
-    cert = certify_hessian_pade(P547, "full", trials=3, seed=1)
+    cert = certify_hessian_pade(_gate(P547), trials=3, seed=1)
     assert [t.index for t in cert.trials] == [0, 1, 2]
     assert {t.prime for t in cert.trials} == set(PRIMES_62[:3])
     assert all(len(t.point_digest) == 16 for t in cert.trials)
     # determinism: same seed, same records
-    again = certify_hessian_pade(P547, "full", trials=3, seed=1)
+    again = certify_hessian_pade(_gate(P547), trials=3, seed=1)
     assert again == cert
 
 
@@ -259,7 +267,7 @@ def test_corank_quadric_and_perazzo():
 
 def test_corank_pade_essential(gf):
     # measured: the essential polar map is locally bijective here
-    cert = certify_hessian_pade(P547, "essential", trials=2, seed=0)
+    cert = certify_hessian_pade(_gate(P547), trials=2, seed=0)
     assert len(pade_matrix(2, 5, 4, 7).variables()) == 33
     assert [t.corank for t in cert.trials] == [0, 0]
 
@@ -271,7 +279,8 @@ def test_cross_path_agreement_2112(gf):
     f = expand_det_poly(P, ambient)
     assert f.is_homogeneous() and f.degree() == 3
     poly_cert = certify_hessian_poly(f, trials=20, seed=0)
-    pade_cert = certify_hessian_pade(params, "full", trials=20, seed=0)
+    pade_cert = full_from_essential(
+        certify_hessian_pade(_gate(params), trials=20, seed=0), params)
     assert poly_cert.verdict == pade_cert.verdict == VANISHES
 
 
@@ -309,14 +318,20 @@ DIM = "actual_dimension"
 
 
 @pytest.mark.parametrize("mode,hessian_size", [("full", 33), ("essential", 33)])
-def test_one_elimination_of_P_and_H_per_trial(monkeypatch, mode, hessian_size):
+def test_one_elimination_of_P_and_H_per_trial(monkeypatch, capsys, mode, hessian_size):
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     shapes = _record_eliminations(monkeypatch, (variety_mod, DIM))
-    cert = certify_hessian_pade(P547, mode, trials=3, seed=0)
-    assert [t.seed for t in cert.trials] == [
+    argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7",
+            "--trials", "3", "--mode", mode]
+    assert cli_mod.main(argv) == 0
+    trials = json.loads(capsys.readouterr().out)["payload"]["certificate"]["trials"]
+    assert [t["seed"] for t in trials] == [
         derive_seed("hessian", 0, t) for t in range(3)
     ]  # no resamples
-    # the gate's first det(P) is nonzero, which ends its det trials
-    assert shapes == [(15, 15), DIM] + [(15, 15), (hessian_size, hessian_size)] * 3
+    # the gate's first det(P) is nonzero, which ends its det trials; then P
+    # and H per trial, and P and M at the diagnostic point
+    assert shapes == ([(15, 15), DIM] + [(15, 15), (hessian_size, hessian_size)] * 3
+                      + [(15, 15), (14, 7)])
 
 
 def test_survey_gates_once_and_runs_one_trial_loop_per_case(monkeypatch, capsys):
@@ -358,7 +373,6 @@ def test_gate_goes_on_after_a_zero_det(monkeypatch, zeros, run, nonzero):
                                             stop_at_nonzero=True)
     assert len(dets) == run and all(dets)
     assert (check.det_trials, check.det_nonzero_count) == (run, nonzero)
-    assert check.det_certified_nonzero == bool(nonzero)
     assert check.is_nondefective_hypersurface == bool(nonzero)
 
 
@@ -373,33 +387,26 @@ def test_survey_gate_goes_on_after_a_zero_first_det(monkeypatch, capsys):
     assert len(dets) == 3
 
 
-@pytest.mark.parametrize("case,modes", [
-    ((2, 20, 8, 22), ("full", "essential")),
-    ((2, 25, 9, 27), ("essential",)),
-], ids=["certify-e8", "e9"])
-def test_hessian_bilinear_form_matches_jets_at_certificate_points(case, modes):
-    # u^T H w of the Jacobi-route H, against one jet determinant at each trial
-    # point of the certificates (the two modes share their points); a wrong
-    # H passes with probability at most 2/p per point.
+@pytest.mark.parametrize("case", [(2, 20, 8, 22), (2, 25, 9, 27)],
+                         ids=["certify-e8", "e9"])
+def test_hessian_bilinear_form_matches_jets_at_certificate_points(case):
+    # u^T H w of the Jacobi-route H, against one jet determinant at the trial
+    # point of the certificate (the full one shares it); a wrong H passes
+    # with probability at most 2/p.
     params, P = TaylorParams(*case), pade_matrix(*case)
     variables = P.variables()
-    points = set()
-    for mode in modes:
-        cert = certify_hessian_pade(params, mode, trials=1, seed=0)
-        points |= {(t.prime, t.seed, t.point_digest) for t in cert.trials}
-    assert len(points) == 1
+    (trial,) = certify_hessian_pade(_gate(params), trials=1, seed=0).trials
+    fld = PrimeField(trial.prime)
+    point = random_point(variables, fld, trial.seed)
+    assert point_hash(point) == trial.point_digest
+    labels, H = hessian_det_at(P, point, fld)
     rng = random.Random(14)
-    for prime, seed, digest in points:
-        fld = PrimeField(prime)
-        point = random_point(variables, fld, seed)
-        assert point_hash(point) == digest
-        labels, H = hessian_det_at(P, point, fld)
-        u = {g: fld.sample(rng) for g in labels}
-        w = {g: fld.sample(rng) for g in labels}
-        uH = [sum(u[a] * x for a, x in zip(labels, col)) for col in zip(*H)]
-        assert sum(x * w[b] for x, b in zip(uH, labels)) % prime == jet_bilinear(
-            P, point, fld, u, w
-        )
+    u = {g: fld.sample(rng) for g in labels}
+    w = {g: fld.sample(rng) for g in labels}
+    uH = [sum(u[a] * x for a, x in zip(labels, col)) for col in zip(*H)]
+    assert sum(x * w[b] for x, b in zip(uH, labels)) % fld.p == jet_bilinear(
+        P, point, fld, u, w
+    )
 
 
 def _singular_hessians(monkeypatch, zero_rows):
@@ -410,12 +417,12 @@ def _singular_hessians(monkeypatch, zero_rows):
     real = hessian_mod.hessian_from_factor
 
     def patched(*args):
-        labels, H = real(*args)
+        H = real(*args)
         k = zero_rows[len(built)]
         H = [[0] * len(H) if i < k else [0] * k + row[k:]
              for i, row in enumerate(H)]
         built.append(len(H))
-        return labels, H
+        return H
 
     monkeypatch.setattr(hessian_mod, "hessian_from_factor", patched)
     return built
@@ -484,12 +491,11 @@ def test_survey_rows_match_the_full_trial_loop(seed):
     for params in square_family(8):
         row = cli_mod._survey_case(params, config)
         check = nondefective_hypersurface_check(params, trials=5, seed=seed)
-        essential = certify_hessian_pade(params, "essential", trials=5,
-                                         seed=seed, check=check)
+        essential = certify_hessian_pade(check, trials=5, seed=seed)
         assert len(essential.trials) == 5
         want = dict(
             row,
-            hessian_full=hessian_mod.full_from_essential(essential, params).verdict,
+            hessian_full=full_from_essential(essential, params).verdict,
             essential_corank=min(t.corank for t in essential.trials),
         )
         assert row == want
@@ -566,27 +572,11 @@ def test_hessian_builds_P_once(case, mode, monkeypatch, capsys):
     assert built == [case, case, case, case]
 
 
-def test_certificate_rejects_unknown_variable_set(monkeypatch):
-    shapes = _record_eliminations(monkeypatch, (hessian_mod, GATE))
-    with pytest.raises(UsageError, match="variable set"):
-        certify_hessian_pade(P547, "ambient", trials=2, seed=0)
-    assert shapes == []
-
-
-def test_certificate_rejects_check_for_other_params(monkeypatch):
-    check = nondefective_hypersurface_check(P8510, trials=2, seed=0)
-    assert check.is_nondefective_hypersurface
-    shapes = _record_eliminations(monkeypatch, (hessian_mod, GATE))
-    with pytest.raises(UsageError, match="gate outcome"):
-        certify_hessian_pade(P547, "essential", trials=2, seed=0, check=check)
-    assert shapes == []
-
-
 def test_certificate_refuses_failing_check():
     params = TaylorParams(3, 2, 2, 3)
     check = nondefective_hypersurface_check(params, trials=2, seed=0)
     with pytest.raises(DomainError, match="refusing"):
-        certify_hessian_pade(params, "essential", trials=2, seed=0, check=check)
+        certify_hessian_pade(check, trials=2, seed=0)
 
 
 def test_refusal_counts_the_gate_trials_run(monkeypatch, capsys):
@@ -598,17 +588,23 @@ def test_refusal_counts_the_gate_trials_run(monkeypatch, capsys):
     assert "verdict 'defective' (det nonzero in 1/1 trials" in capsys.readouterr().err
 
 
-def test_given_check_matches_own_gate():
-    check = nondefective_hypersurface_check(P547, trials=3, seed=5)
-    for mode in ("full", "essential"):
-        own = certify_hessian_pade(P547, mode, trials=2, seed=1)
-        assert certify_hessian_pade(P547, mode, trials=2, seed=1, check=check) == own
+def test_certificate_depends_on_check_only_through_params():
+    # two passing gates that ran different trials at different seeds
+    first = nondefective_hypersurface_check(P547, trials=3, seed=5)
+    second = _gate(P547, trials=8, seed=0)
+    assert (first.det_trials, second.det_trials) == (3, 1)
+    assert first.is_nondefective_hypersurface and second.is_nondefective_hypersurface
+    essential = [certify_hessian_pade(c, trials=2, seed=1) for c in (first, second)]
+    assert essential[0] == essential[1]
+    assert full_from_essential(essential[0], P547) == full_from_essential(
+        essential[1], P547)
 
 
 def test_one_elimination_of_P_at_the_diagnostic_point(monkeypatch, capsys):
-    shapes = _record_eliminations(monkeypatch, (hessian_mod, "certify_hessian_pade"))
+    shapes = _record_eliminations(monkeypatch, (cli_mod, GATE),
+                                  (hessian_mod, "certify_hessian_pade"))
     argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "1"]
     assert cli_mod.main(argv) == 0
     capsys.readouterr()
-    # the certificate, then P once and the relation matrix M
-    assert shapes == ["certify_hessian_pade", (15, 15), (14, 7)]
+    # the gate, the certificate, then P once and the relation matrix M
+    assert shapes == [GATE, "certify_hessian_pade", (15, 15), (14, 7)]

@@ -209,7 +209,7 @@ def test_nondefective_check_3223(gf):
 
 def test_nondefective_check_2112(gf):
     check = nondefective_hypersurface_check(TaylorParams(2, 1, 1, 2), trials=10, ctx=gf, seed=0)
-    assert check.square
+    assert check.params.shape.square
     assert check.verdict == "non-defective hypersurface"
 
 
