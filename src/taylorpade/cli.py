@@ -62,26 +62,16 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise UsageError(f"--trials must be >= 1, got {self.trials}")
-        if self.format == "csv" and self.command != "survey":
-            raise UsageError("csv format is only available for survey reports")
         if self.prime is not None:
             PrimeField(self.prime)  # raises UsageError unless prime
         if self.prime is not None and self.prime_index is not None:
             raise UsageError("give --prime or --prime-index, not both")
         if self.field == "rational" and (self.prime, self.prime_index) != (None, None):
             raise UsageError("--field rational takes no --prime or --prime-index")
-        if self.order == "reverse" and self.command != "export":
-            raise UsageError("--order reverse is read only by export")
-        if self.mode == "essential" and (self.command, self.poly) != ("hessian", None):
-            raise UsageError("--mode essential is read only by hessian without --poly")
-        if (self.command == "survey" or self.poly is not None) and (
-                self.n, self.d, self.e, self.m) != (None,) * 4:
-            raise UsageError("survey and hessian --poly take no -n, -d, -e or -m")
-        if self.field == "rational" and self.command in ("hessian", "survey"):
+        if self.poly is not None and (self.mode, self.n, self.d, self.e, self.m) != (
+                "full", None, None, None, None):
             raise UsageError(
-                f"{self.command} takes no --field rational: a certificate needs a "
-                "prime field, as its error bound multiplies degree_bound/p"
-            )
+                "hessian --poly takes no --mode essential and no -n, -d, -e or -m")
 
     def params(self) -> TaylorParams:
         if None in (self.n, self.d, self.e, self.m):
@@ -138,12 +128,14 @@ def load_poly(path: str) -> SparsePoly:
         if not (isinstance(item, list) and len(item) == 3):
             raise UsageError("each term must be [exponents, numerator, denominator]")
         exps, num, den = item
-        try:
-            term = (tuple(int(x) for x in exps), Fraction(int(num), int(den)))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad term {item!r}: {exc}") from None
-        if any(x < 0 for x in term[0]):
+        # not isinstance: a JSON boolean is an int, and int() would truncate a float
+        if not (isinstance(exps, list) and all(type(x) is int for x in (*exps, num, den))):
+            raise UsageError(f"bad term {item!r}: entries must be JSON integers")
+        if den == 0:
+            raise UsageError(f"bad term {item!r}: zero denominator")
+        if any(x < 0 for x in exps):
             raise UsageError(f"bad term {item!r}: negative exponent")
+        term = (tuple(exps), Fraction(num, den))
         if nvars is None:
             nvars = len(exps)
         elif len(exps) != nvars:
@@ -310,7 +302,7 @@ COMMANDS = {
 
 
 def render_report(report: dict, fmt: str) -> str:
-    """JSON for every report; CSV for a survey (``RunConfig`` allows no other)."""
+    """JSON for every report; CSV for a survey (no other command takes ``--format``)."""
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     payload = report["payload"]
@@ -322,6 +314,29 @@ def render_report(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
+# The options each command reads; every command also takes --expect and --out.
+OPTIONS = {
+    "shape": ("-n", "-d", "-e", "-m"),
+    "defect": ("-n", "-d", "-e", "-m", "--trials", "--seed", "--prime", "--prime-index",
+               "--field"),
+    "hessian": ("-n", "-d", "-e", "-m", "--trials", "--seed", "--prime", "--prime-index",
+                "--mode", "--poly"),
+    "survey": ("--e-max", "--trials", "--seed", "--prime", "--prime-index", "--format"),
+    "export": ("-n", "-d", "-e", "-m", "--order"),
+}
+# argparse keywords of each option; an option left out takes RunConfig's default
+_ARGUMENTS = {
+    **dict.fromkeys(("-n", "-d", "-e", "-m", "--e-max", "--trials", "--prime",
+                     "--prime-index"), {"type": int}),
+    "--seed": {"type": int, "help": f"default: ${SEED_ENV}, else 0"},
+    "--field": {"choices": ["prime", "rational"]},
+    "--mode": {"choices": ["full", "essential"]},
+    "--order": {"choices": ["paper", "reverse"]},
+    "--format": {"choices": ["json", "csv"]},
+    "--poly": {}, "--expect": {}, "--out": {},
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -330,42 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
         "shapes, defectivity, and vanishing-Hessian certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, flags in OPTIONS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("-n", type=int, default=None)
-        sp.add_argument("-d", type=int, default=None)
-        sp.add_argument("-e", type=int, default=None)
-        sp.add_argument("-m", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=20)
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"default: ${SEED_ENV}, else 0")
-        sp.add_argument("--prime", type=int, default=None)
-        sp.add_argument("--prime-index", type=int, default=None)
-        sp.add_argument("--field", choices=["prime", "rational"], default="prime")
-        sp.add_argument("--mode", choices=["full", "essential"], default="full")
-        sp.add_argument("--order", choices=["paper", "reverse"], default="paper")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--expect", default=None)
-        sp.add_argument("--out", default=None)
-        if name == "hessian":
-            sp.add_argument("--poly", default=None)
-        if name == "survey":
-            sp.add_argument("--e-max", dest="e_max", type=int, default=None)
+        for flag in (*flags, "--expect", "--out"):
+            sp.add_argument(flag, **_ARGUMENTS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is None:
+    args, extra = parser.parse_known_args(argv)
+    if "--seed" in OPTIONS[args.command] and args.seed is None:
         env = os.environ.get(SEED_ENV, "0")
         try:
             args.seed = int(env)
         except ValueError:
             parser.error(f"argument --seed: ${SEED_ENV} is not an integer: {env!r}")
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
-              if hasattr(args, f)}
+    fields = {f: v for f, v in vars(args).items() if v is not None}
     try:
+        if extra:
+            raise UsageError(f"{args.command} takes no {' '.join(extra)}")
         config = RunConfig(**fields)
         report = COMMANDS[config.command](config)
         text = render_report(report, config.format)

@@ -43,11 +43,10 @@ class PadeShape:
 
 @dataclass(frozen=True)
 class ColumnLabel:
-    """Column of the Pade matrix: generating block j, position inside the
-    block (0-based), and the domain monomial sigma."""
+    """Column of the Pade matrix: generating block j and the domain monomial
+    sigma."""
 
     block: int
-    pos: int
     sigma: Exponent
 
 
@@ -157,13 +156,7 @@ def pade_matrix(
         g for deg in range(d + 1, m + 1) for g in monomials_of_degree(n, deg)
     )
     sigmas = domain.sorted(monomials_upto(n, e))
-    col_labels = []
-    block_pos: dict = {}
-    for s in sigmas:
-        j = m - sum(s)
-        p = block_pos.get(j, 0)
-        block_pos[j] = p + 1
-        col_labels.append(ColumnLabel(block=j, pos=p, sigma=s))
+    col_labels = [ColumnLabel(block=m - sum(s), sigma=s) for s in sigmas]
     entries = [[exp_sub(rho, lab.sigma) for lab in col_labels] for rho in rows]
     return SymbolicMatrix(entries, rows, col_labels, params=(n, d, e, m))
 

@@ -118,16 +118,16 @@ class SparsePoly:
             out[h] = out.get(h, Fraction(0)) + c * g[i]
         return SparsePoly(self.nvars, out)
 
-    def eval(self, field, values) -> object:
-        """Evaluate at a point; coefficients are mapped into ``field``."""
+    def eval(self, field, values) -> int:
+        """Evaluate at a point over a ``PrimeField``; coefficients are mapped
+        into it, and each power costs O(log e) through ``pow``."""
         if len(values) != self.nvars:
             raise UsageError("wrong number of coordinate values")
         total = field.zero
         for g, c in self.coeffs.items():
             term = field.of_fraction(c)
             for i, e in enumerate(g):
-                for _ in range(e):
-                    term = field.mul(term, values[i])
+                term = field.mul(term, pow(values[i], e, field.p))
             total = field.add(total, term)
         return total
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -296,10 +297,11 @@ def test_out_file_for_json(tmp_path, capsys, schema):
 
 def test_env_seed_default(capsys, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "777")
-    code, out = run_cli(["shape", "-n", "2", "-d", "1", "-e", "1", "-m", "2"], capsys)
-    assert json.loads(out)["config"]["seed"] == 777
-    argv = ["defect", *_P2112, "--trials", "2"]
+    argv = ["defect", *_P2112, "--trials", "1"]
     from_env = run_cli(argv, capsys)
+    assert json.loads(from_env[1])["config"]["seed"] == 777
+    # shape takes no --seed, so it leaves the variable unread
+    assert json.loads(run_cli(["shape", *_P2112], capsys)[1])["config"]["seed"] == 0
     monkeypatch.delenv(cli.SEED_ENV)
     assert from_env == run_cli(argv + ["--seed", "777"], capsys)
 
@@ -309,8 +311,9 @@ def test_env_seed_malformed(value, capsys, monkeypatch):
     # argparse's usage error, not a ValueError escaping before main's try,
     # and it names the variable the value came from
     monkeypatch.setenv(cli.SEED_ENV, value)
+    argv = ["defect", *_P2112, "--trials", "1"]
     with pytest.raises(SystemExit) as exit_:
-        cli.main(["shape", *_P2112])
+        cli.main(argv)
     assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -318,8 +321,11 @@ def test_env_seed_malformed(value, capsys, monkeypatch):
     assert "--seed" in captured.err
     assert "TAYLORPADE_SEED" in captured.err
     # an explicit --seed wins over the malformed variable
-    assert cli.main(["shape", *_P2112, "--seed", "3"]) == 0
+    assert cli.main([*argv, "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+    # shape takes no --seed and never reads the variable
+    assert cli.main(["shape", *_P2112]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
 
 
 def _usage_error(argv, capsys):
@@ -335,11 +341,9 @@ def _usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["shape", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "0"],
     ["defect", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "-3"],
     ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "0"],
     ["survey", "--e-max", "5", "--trials", "0"],
-    ["export", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "0"],
 ], ids=lambda argv: argv[0])
 def test_trials_must_be_positive(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -348,10 +352,8 @@ def test_trials_must_be_positive(argv, capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["shape", *_P547, "--prime", "4"],
-    ["export", *_P547, "--prime", "4"],
     ["defect", *_P547, "--field", "rational", "--prime", "4"],
-], ids=["shape", "export", "defect-rational"])
+], ids=["defect-rational"])
 def test_prime_must_be_prime(argv, capsys, tmp_path, monkeypatch):
     # Rejected before any command runs, also where it builds no prime field.
     monkeypatch.chdir(tmp_path)
@@ -383,8 +385,8 @@ def test_conflicting_field_options(argv, flags, capsys, tmp_path, monkeypatch):
     (["export", *_P547, "--mode", "essential"], "--mode"),
     (["hessian", "--poly", str(GOLDEN / "perazzo.json"), "--mode", "essential"],
      "--mode"),
-    (["survey", "--e-max", "2", "-n", "3", "-d", "9"], "-n, -d, -e or -m"),
-    (["survey", "--e-max", "5", "-m", "7"], "-n, -d, -e or -m"),
+    (["survey", "--e-max", "2", "-n", "3", "-d", "9"], "-n"),
+    (["survey", "--e-max", "5", "-m", "7"], "-m"),
     (["hessian", "--poly", str(GOLDEN / "perazzo.json"), *_P547], "-n, -d, -e or -m"),
 ], ids=["hessian-order", "survey-order", "defect-order", "shape-order",
         "survey-mode", "defect-mode", "shape-mode", "export-mode", "poly-mode",
@@ -417,8 +419,14 @@ def test_survey_rejects_rational_field(e_max, capsys, monkeypatch):
     # over Q before its first certificate refused the field
     calls = _count_eliminations(monkeypatch)
     argv = ["survey", "--e-max", e_max, "--trials", "1", "--field", "rational"]
-    assert "prime field" in _usage_error(argv, capsys)
+    assert "--field" in _usage_error(argv, capsys)
     assert calls == []
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = dict(re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", readme, re.MULTILINE))
+    assert table == {command: " ".join(flags) for command, flags in cli.OPTIONS.items()}
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
@@ -448,12 +456,29 @@ def test_defect_counts_every_det_trial(capsys):
     assert (payload["det_trials"], payload["det_nonzero_count"]) == (4, 4)
 
 
-@pytest.mark.parametrize("command", ["export", "shape"])
-def test_csv_only_for_survey(command, capsys, tmp_path, monkeypatch):
+# A value to follow each option, so that the refusal names both.
+_VALUES = {
+    "-n": "2", "-d": "5", "-e": "4", "-m": "7", "--e-max": "5", "--trials": "0",
+    "--seed": "9", "--prime": "4", "--prime-index": "3", "--field": "rational",
+    "--mode": "essential", "--order": "reverse", "--format": "csv",
+    "--poly": str(GOLDEN / "perazzo.json"),
+}
+_UNDECLARED = [(command, flag) for command, flags in cli.OPTIONS.items()
+               for flag in _VALUES if flag not in flags]
+
+
+@pytest.mark.parametrize("command,flag", _UNDECLARED,
+                         ids=[c + f for c, f in _UNDECLARED])
+def test_undeclared_option_is_refused(command, flag, capsys, tmp_path, monkeypatch):
+    # shape and export used to run with --trials, --seed, --prime or --field
+    # ignored, yet recorded in the report config.
+    calls = _count_eliminations(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    argv = [command, *_P547, "--format", "csv"]
-    assert "csv" in _usage_error(argv, capsys)
+    base = ["survey", "--e-max", "5"] if command == "survey" else [command, *_P547]
+    err = _usage_error([*base, flag, _VALUES[flag]], capsys)
+    assert f"{command} takes no {flag} {_VALUES[flag]}" in err
     assert list(tmp_path.iterdir()) == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("path", ["pade", "poly"])
@@ -466,7 +491,7 @@ def test_hessian_rejects_rational_field(path, tmp_path, capsys, monkeypatch):
         fermat = [[[3, 0, 0], 1, 1], [[0, 3, 0], 1, 1], [[0, 0, 3], 1, 1]]
         poly.write_text(json.dumps(fermat))
         argv = ["hessian", "--poly", str(poly)]
-    assert "prime field" in _usage_error(argv + ["--field", "rational"], capsys)
+    assert "--field" in _usage_error(argv + ["--field", "rational"], capsys)
     assert calls == []
 
 
@@ -500,8 +525,13 @@ def test_pair_without_constant_term_1_exits_2(monkeypatch, capsys):
     '[[[2, 0], "x", 1]]',  # non-integer field
     '[[[-1, 3], 1, 1], [[1, 1], 1, 1]]',  # a Laurent term
     None,  # a directory, not a file
-], ids=["zero-denominator", "bad-json", "non-integer", "negative-exponent", "directory"])
+    '[[[1, 2.9, 0], 1, 1], [[0, 1, 2], 1, 1], [[0, 0, 3], 1, 1]]',
+    '[[[1, 2, 0], 1, 1], [[0, 1, 2], 2.7, 1], [[0, 0, 3], 1, 1]]',
+    '[[[1, 2, 0], 1, 1], [[0, 1, 2], 1, 1], [[0, 0, 3], true, 1]]',
+], ids=["zero-denominator", "bad-json", "non-integer", "negative-exponent", "directory",
+        "float-exponent", "float-coefficient", "bool-coefficient"])
 def test_poly_file_malformed(content, tmp_path, capsys):
+    # a float or a boolean used to be truncated by int() and run
     path = tmp_path / "poly.json"
     if content is None:
         path.mkdir()
@@ -580,12 +610,15 @@ def _mostly(draw, valid, everything):
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    """(argv, poly text, undeclared flag): three draws in four take options
+    from ``cli.OPTIONS[command]`` only, the fourth adds one it does not."""
+    command = draw(st.sampled_from(sorted(cli.OPTIONS)))
+    declared = cli.OPTIONS[command]
     argv = [command]
     poly = None
-    if command == "hessian" and draw(st.booleans()):
+    if "--poly" in declared and draw(st.booleans()):
         poly = draw(_POLY_TEXT)
-    elif command == "survey":
+    elif "--e-max" in declared:
         argv += ["--e-max", str(_mostly(draw, st.integers(1, 4), st.integers(-1, 4)))]
     else:
         if command == "hessian" and draw(st.booleans()):
@@ -596,15 +629,18 @@ def _argv(draw):
             e = draw(st.integers(0, 4))
             m = _mostly(draw, st.integers(d + 1, 6), st.integers(0, 6))
         argv += ["-n", str(n), "-d", str(d), "-e", str(e), "-m", str(m)]
-    argv += ["--trials", str(_mostly(draw, st.integers(1, 2), st.integers(-2, 2)))]
-    argv += ["--seed", str(draw(st.integers(0, 3)))]
+    if "--trials" in declared:
+        argv += ["--trials", str(_mostly(draw, st.integers(1, 2), st.integers(-2, 2)))]
+    if "--seed" in declared:
+        argv += ["--seed", str(draw(st.integers(0, 3)))]
     for flag, choices in (("--field", ["prime", "rational"]),
                           ("--mode", ["full", "essential"]),
                           ("--order", ["paper", "reverse"]),
                           ("--format", ["json", "csv"])):
-        argv += [flag, _mostly(draw, st.just(choices[0]), st.sampled_from(choices))]
+        if flag in declared:
+            argv += [flag, _mostly(draw, st.just(choices[0]), st.sampled_from(choices))]
     prime = _mostly(draw, st.none(), st.sampled_from([0, 1, 4, 5, PRIMES_62[0]]))
-    if prime is not None:
+    if prime is not None and "--prime" in declared:
         argv += ["--prime", str(prime)]
     out = _mostly(draw, st.none(), st.sampled_from(["directory", "missing-parent"]))
     if out == "directory":
@@ -614,16 +650,20 @@ def _argv(draw):
     if draw(st.booleans()):
         argv += ["--expect", draw(st.sampled_from(["square", "defective",
                                                    "vanishes-probabilistic"]))]
-    return argv, poly
+    undeclared = _mostly(draw, st.none(), st.sampled_from(
+        sorted(flag for flag in _VALUES if flag not in declared)))
+    if undeclared is not None:
+        argv += [undeclared, _VALUES[undeclared]]
+    return argv, poly, undeclared
 
 
 @settings(max_examples=60, deadline=None)
 @given(_argv())
 def test_cli_argv_fuzz(case):
-    # Valid-choice argv over all five commands: the CLI answers with a
-    # report, an --expect mismatch or a one-line usage error, never a
-    # traceback.
-    argv, poly = case
+    # Argv over all five commands: the CLI answers with a report, an
+    # --expect mismatch or a one-line usage error, never a traceback, and an
+    # option its command does not declare is always a usage error.
+    argv, poly, undeclared = case
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         if poly is not None:
@@ -633,3 +673,6 @@ def test_cli_argv_fuzz(case):
             code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+    if undeclared is not None:
+        assert code == 2
+        assert f"takes no {undeclared} " in stderr.getvalue()

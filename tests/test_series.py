@@ -182,3 +182,19 @@ def test_sparse_poly_basics():
     assert f.eval(gf, [3, 1]) == 8
     mixed = SparsePoly.from_terms(2, [((2, 0), 1), ((1, 0), 1)])
     assert not mixed.is_homogeneous()
+
+
+def test_sparse_poly_eval_costs_log_of_the_exponent(monkeypatch):
+    # x^(10^6) used to take 10^6 multiplications, one per unit of exponent
+    gf = PrimeField(PRIMES_62[0])
+    calls = []
+    real = PrimeField.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(PrimeField, "mul", counted)
+    value = SparsePoly.from_terms(1, [((10**6,), 1)]).eval(gf, [3])
+    assert value == pow(3, 10**6, gf.p)
+    assert len(calls) <= 64
