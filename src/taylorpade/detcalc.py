@@ -24,46 +24,51 @@ integers:
   no slot ever carries into its neighbour (about 136 bits for the 62-bit
   primes of ``fields.PRIMES_62``).
 
-A symmetric square matrix (a Hessian) with no inverse asked takes a body
-that stores and updates only the upper triangle, about half the slot
-arithmetic of the general one.  Its indices are first permuted, rows and
-columns together, so that the nonzero diagonal entries come first; that
-keeps det and rank.  Row k holds columns k..n-1, its diagonal in the lowest
-slot, with the same W.  Step k takes the pivot row's tail f (columns k+1..,
-reduced mod p), packs ``Y = f * pivot^-1`` and adds ``(p - f_i) * Y``,
-shifted down by the i-k-1 slots that row i does not hold, to each later row
-i with ``f_i != 0``.  The Schur complement of a symmetric matrix is
-symmetric, so the column below the pivot is f itself, no row moves, and det
-is the product of the pivots.  At the first zero pivot the remaining Schur
-complement is unpacked, mirrored into a full matrix and eliminated by the
-general body, whose rank and det complete the answer: exact for every
-symmetric matrix over every GF(p), p = 2 included.
+The symmetric body, ``eliminate_symmetric``, stores and updates only the
+upper triangle, about half the slot arithmetic of the general one.  Row k
+holds columns k..n-1, its diagonal in the lowest slot.  Step k takes the
+pivot row's tail f (columns k+1.., reduced mod p), packs
+``Y = f * pivot^-1`` and adds ``(p - f_i) * Y``, shifted down by the i-k-1
+slots that row i does not hold, to each later row i with ``f_i != 0``.  The
+Schur complement of a symmetric matrix is symmetric, so the column below the
+pivot is f itself, no row moves, and det is the product of the pivots.  At
+the first zero pivot the remaining Schur complement is mirrored into a full
+matrix for the general body, whose rank and det complete the answer: exact
+for every symmetric matrix over every GF(p), in any row order.  A slot that
+starts below ``2^W - n * p * (p - 1)`` never carries, reduced or not.
 
 The derivatives of det(P) at a point come from the adjugate, or from one
 inversion plus trace products (Jacobi's formula and its second-order
 extension).  The Hessian at an invertible point A = P(x), with X = A^-1, is
-``H_ab = det(A) * (t_a t_b - G_ab)``.  If c_a occurs at (r_a(i), cA_i) for
-i = 1..|cA|, then ``t_a = sum_i X[cA_i][r_a(i)]`` and
+``H = det(A) * K``, ``K_ab = t_a t_b - G_ab``, so ``rank H = rank K`` and
+``det H = det(A)^V * det K`` for V variables.  If c_a occurs at
+(r_a(i), cA_i) for i = 1..|cA|, then ``t_a = sum_i X[cA_i][r_a(i)]`` and
 
     G_ab = sum_{i, j} X[cB_j][r_a(i)] * X[cA_i][r_b(j)].
 
 The index set of that sum depends only on the column tuples cA and cB, so
 the variables are grouped into classes by the tuple of columns of their
 occurrences, in occurrence order (exact for any pattern, a variable repeated
-within a column included).  For two classes A and B every term is needed,
-and the block G[A, B] is one dense product of the vectors
-``u_a = (X[cB_j][r_a(i)])_(i,j)`` and ``w_b = (X[cA_i][r_b(j)])_(i,j)``.  In
-a Pade matrix c_a occurs in column s exactly when ``d+1 <= |s|+|a| <= m``,
-so the classes are the degrees |a|: 185 variables fall into 10 classes at
-(2,20,8,22), 553 into 14 at (2,43,12,45).
+within a column included).  For two classes A and B the block G[A, B] is
+one dense product of ``u_a = (X[cB_j][r_a(i)])_(i,j)`` and
+``w_b = (X[cA_i][r_b(j)])_(i,j)``.  In a Pade matrix c_a occurs in column s
+exactly when ``d+1 <= |s|+|a| <= m``, so the classes are the degrees |a|:
+185 variables fall into 10 classes at (2,20,8,22), 553 into 14 at
+(2,43,12,45).
 
-The w_b of one class pair are packed over B's members in the
-byte-aligned slots above, one int ``Wcols[i, j]`` per index, and discarded
-after the pair; the row G[a, B] is then one C-level
-``sum(map(mul, u_a, Wcols))``.  A slot holds a sum of ``|cA| * |cB|``
-products of entries below p, so W is the smallest multiple of 8 with
-``|cA| * |cB| * (p - 1)^2 < 2^W``, and each slot is reduced mod p once, when
-it is unpacked.
+K is assembled straight into the symmetric body's rows.  Classes with a
+one-column key come last: a single occurrence (r, c) gives
+``t_a = X[c][r]`` and ``G_aa = t_a^2``, so they are K's structurally zero
+diagonal (23 of 185 entries at (2,20,8,22)) and need no diagonal scan.  Per
+class pair the w_b are packed over B's members, one int ``Wcols[i, j]`` per
+index, and a's block is one C-level
+``t_a * T_B + OFF - sum(map(mul, u_a, Wcols))``: ``T_B`` packs B's t values,
+reduced mod p, and each slot of OFF holds ``|cA| * |cB| * p^2``, which keeps
+the entry nonnegative and below ``(|cA| * |cB| + 1) * p^2``.  A row joins
+its blocks, the diagonal one shifted past the members before a.  With c the
+widest class key, W is the smallest multiple of 8 with
+``(|c|^2 + 1) * p^2 + V * p * (p - 1) < 2^W``: 136 bits at every family
+case up to e = 20 for ``fields.PRIMES_62``, as for a reduced H.
 """
 
 from __future__ import annotations
@@ -104,10 +109,11 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
       ``p + min(rows, cols) * p * (p - 1) < 2^W`` so slots never carry,
       and ``% p`` applied only to the pivot column, to each pivot row and
       to the final inverse;
-    * over GF(p), for a square ``A == A^T`` with no inverse asked, the
-      upper triangle only, in slots of the same W and without row swaps
-      (module docstring); the Schur complement left at the first zero
-      pivot goes to the general body, so rank and det stay exact;
+    * over GF(p), for a square ``A == A^T`` with no inverse asked,
+      ``eliminate_symmetric`` on its reduced upper triangle, in slots of
+      the same W, the nonzero diagonal entries first (permuting rows and
+      columns together keeps rank and det); the Hessian certificate packs
+      its rows itself and calls that body directly;
     * over Q, with no inverse asked, fraction-free Bareiss elimination
       (Math. Comp. 22, 1968) of the integer-scaled rows.
 
@@ -123,7 +129,8 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
         raise UsageError("inverse of a non-square matrix")
     if isinstance(field, PrimeField):
         if square and not inverse and _is_symmetric(A):
-            rank, det, inv = _eliminate_symmetric_modp(A, field.p)
+            rank, det = eliminate_symmetric(*_pack_symmetric(A, field.p), field.p)
+            inv = None
         else:
             rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
     elif isinstance(field, Rationals) and not inverse:
@@ -187,16 +194,24 @@ def _is_symmetric(A):
     return all(map(tuple.__eq__, map(tuple, A), zip(*A)))
 
 
-def _eliminate_symmetric_modp(A, p):
-    # Upper-triangle packed rows of a symmetric A (module docstring); W is
-    # the bound of _eliminate_modp.
+def _pack_symmetric(A, p):
+    # Upper-triangle rows of a symmetric A, its nonzero diagonal entries
+    # first, reduced mod p; W is the bound of _eliminate_modp.
     n = len(A)
     size = ((p + n * p * (p - 1)).bit_length() + 7) // 8
+    order = sorted(range(n), key=lambda i: not A[i][i] % p)
+    return [_pack([A[i][j] % p for j in order[k:]], size)
+            for k, i in enumerate(order)], size
+
+
+def eliminate_symmetric(rows: list, size: int, p: int) -> tuple:
+    """(rank, det) over GF(p) of the symmetric matrix whose upper triangle
+    is ``rows``: row k holds columns k..n-1 in slots of ``size`` bytes,
+    W = 8 * size, each starting below ``2^W - n * p * (p - 1)`` (module
+    docstring).  Pivots run in row order; ``rows`` is consumed."""
+    n = len(rows)
     W = 8 * size
     mask = (1 << W) - 1
-    order = sorted(range(n), key=lambda i: not A[i][i] % p)
-    rows = [_pack([A[i][j] % p for j in order[k:]], size)
-            for k, i in enumerate(order)]
     det = 1
     for k in range(n):
         pivot = (rows[k] & mask) % p
@@ -208,7 +223,7 @@ def _eliminate_symmetric_modp(A, p):
                 for b, x in enumerate(_unpack(rows[k + a], s - a, size), a):
                     S[a][b] = S[b][a] = x % p
             rank, sdet, _ = _eliminate_modp(S, s, p, False)
-            return k + rank, det * sdet % p, None
+            return k + rank, det * sdet % p
         det = det * pivot % p
         f = [x % p for x in _unpack(rows[k] >> W, n - k - 1, size)]
         rows[k] = None
@@ -217,7 +232,7 @@ def _eliminate_symmetric_modp(A, p):
         for j, fi in enumerate(f):
             if fi:
                 rows[k + 1 + j] += (p - fi) * (Y >> W * j)
-    return n, det, None
+    return n, det
 
 
 def _pack(values, size):
@@ -320,61 +335,60 @@ def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
     return out
 
 
-def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> list:
-    """Second-derivative matrix of det(P) over GF(p), from the elimination
-    ``fac = eliminate(P.evaluate(point, field), field, inverse=True)``.
+def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
+    """Hessian H of det(P) over GF(p) as the packed rows of K = H / det(P),
+    from ``fac = eliminate(P.evaluate(point, field), field, inverse=True)``.
 
-    Returns H with H[a][b] = d^2 det / dc_a dc_b over the variables
-    ``P.variables()``, in that order, by the second-order Jacobi identity
-
-        H_ab = det(A) * (t_a t_b - G_ab),   t_a = tr(X E_a),
-        G_ab = tr(X E_a X E_b),   X = A^-1,
-
-    assembled one pair of variable classes at a time (module docstring):
-    each block G[A, B] is one dense product, and each of its rows is one
-    sum of scalar times packed-int products, with slots of W bits,
-    ``|cA| * |cB| * (p - 1)^2 < 2^W``.  Raises ``DomainError`` when the
-    elimination found P singular (``fac.inverse`` is None): the class-pair
-    product needs X.  An ambient coordinate absent from P would only add a
-    zero row and column; ``hessian.full_from_essential`` accounts for those
-    without building them.
+    With X = A^-1, H = det(A) * K by the second-order Jacobi identity,
+    ``K_ab = tr(X E_a) tr(X E_b) - tr(X E_a X E_b)`` over the variables
+    ``P.variables()``.  Returns ``(rows, size, order)`` for
+    ``eliminate_symmetric``: ``order`` lists the variables by class,
+    single-occurrence classes last, and row k holds K[order[k]][order[j]]
+    for j >= k, unreduced, in slots of ``size`` bytes (module docstring).
+    Raises ``DomainError`` when P is singular (``fac.inverse`` is None).
+    An ambient coordinate absent from P would only add a zero row and
+    column; ``hessian.full_from_essential`` accounts for those.
     """
     if fac.inverse is None:
         raise DomainError(
             f"the Hessian of det(P) needs P invertible, and P is singular "
             f"at this point over {field!r}"
         )
-    return _hessian_core(fac.inverse, fac.det, P.occurrences(), P.variables(), field)
+    return _hessian_core(fac.inverse, P.occurrences(), P.variables(), field.p)
 
 
-def _hessian_core(X, det, occ, labels, field):
-    # Class-pair assembly (module docstring).  A class is keyed by the tuple
-    # of columns of its members' occurrences, in occurrence order; each
-    # member keeps its label index and its own tuple of rows.
+def _hessian_core(X, occ, labels, p):
+    # Class-pair assembly of K (module docstring).  A class is keyed by the
+    # tuple of columns of its members' occurrences, in occurrence order;
+    # each member keeps its label and its own tuple of rows.
     classes: dict = {}
-    for i, g in enumerate(labels):
+    for g in labels:
         cols = tuple(c for _, c in occ[g])
-        classes.setdefault(cols, []).append((i, tuple(r for r, _ in occ[g])))
-    groups = [(cols, *zip(*members)) for cols, members in classes.items()]
-    p = field.p
-    t = [sum(X[c][r] for r, c in occ[g]) for g in labels]
+        classes.setdefault(cols, []).append((g, tuple(r for r, _ in occ[g])))
+    groups = [(cols, *zip(*members)) for cols, members
+              in sorted(classes.items(), key=lambda item: len(item[0]) == 1)]
+    t = {g: sum(X[c][r] for r, c in occ[g]) % p for g in labels}
+    widest = max(map(len, classes), default=0)
+    size = (((widest**2 + 1) * p * p + len(labels) * p * (p - 1)).bit_length() + 7) // 8
+    W = 8 * size
     XT = list(zip(*X))
-    k = len(labels)
-    H = [[0] * k for _ in range(k)]
-    for first, (cA, idxA, rowsA) in enumerate(groups):
-        for cB, idxB, rowsB in groups[first:]:
+    rows = []
+    for first, (cA, gA, rowsA) in enumerate(groups):
+        parts = [[] for _ in gA]
+        for cB, gB, rowsB in groups[first:]:
             # Wcols[i, j] holds X[cA_i][r_b(j)] for every member b of B, and
             # u[i, j] is X[cB_j][r_a(i)], so G_ab = sum over (i, j) of u * w_b.
+            n = len(gB)
             Rs = list(zip(*rowsB))
-            tB = [t[b] for b in idxB]
-            size = ((len(cA) * len(cB) * (p - 1) ** 2).bit_length() + 7) // 8
-            Wcols = [w for c in cA for w in _pack_chunks(
-                [X[c][r] for R in Rs for r in R], len(idxB), size)]
-            for a, ra in zip(idxA, rowsA):
+            TB = _pack([t[b] for b in gB], size)
+            OFF = _pack([len(cA) * len(cB) * p * p] * n, size)
+            Wcols = _pack_chunks([X[c][r] for c in cA for R in Rs for r in R], n, size)
+            for part, g, ra in zip(parts, gA, rowsA):
                 u = [x for r in ra for x in map(XT[r].__getitem__, cB)]
-                ta, Ha = t[a], H[a]
-                G = _unpack(sum(map(mul, u, Wcols)), len(idxB), size)
-                row = [det * (ta * tb - g) % p for tb, g in zip(tB, G)]
-                for b, val in zip(idxB, row):
-                    Ha[b] = H[b][a] = val
-    return H
+                block = t[g] * TB + OFF - sum(map(mul, u, Wcols))
+                part.append(block.to_bytes(n * size, "little"))
+        # The diagonal block starts at A's first member: drop the slots
+        # before each member's own.
+        rows += [int.from_bytes(b"".join(part), "little") >> W * i
+                 for i, part in enumerate(parts)]
+    return rows, size, [g for _, gA, _ in groups for g in gA]

@@ -23,7 +23,12 @@ import math
 import random
 from dataclasses import asdict, dataclass, field as dc_field, replace
 
-from .detcalc import block_grad_det_at, eliminate, hessian_from_factor
+from .detcalc import (
+    block_grad_det_at,
+    eliminate,
+    eliminate_symmetric,
+    hessian_from_factor,
+)
 from .errors import DomainError, UnsupportedParametersError, UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
 from .series import DOMAIN_ORDER, SparsePoly, exp_add, monomials_of_degree
@@ -217,27 +222,26 @@ def _trial_field(ctx, t: int) -> PrimeField:
     return PrimeField(PRIMES_62[t % len(PRIMES_62)])
 
 
-def _hessian_trials(trials: int, ctx, sample, stop_at_full_rank=False) -> list:
-    """One record per trial.  ``sample(t, fld)`` returns ``(seed, point, H)``
-    over the trial's field; H is eliminated once for its det and corank.
-    With ``stop_at_full_rank`` the loop ends after the first trial whose H
-    has corank 0."""
+def _hessian_trials(trials: int, ctx, n: int, sample, stop_at_full_rank=False) -> list:
+    """One record per trial.  ``sample(t, fld)`` returns ``(seed, point,
+    rank, det)``, the rank and det of the trial's n x n Hessian over the
+    trial's field.  With ``stop_at_full_rank`` the loop ends after the
+    first trial whose Hessian has corank 0."""
     records = []
     for t in range(trials):
         fld = _trial_field(ctx, t)
-        trial_seed, point, H = sample(t, fld)
-        h = eliminate(H, fld)
+        trial_seed, point, rank, det = sample(t, fld)
         records.append(
             TrialRecord(
                 index=t,
                 seed=trial_seed,
                 prime=fld.p,
                 point_digest=point_hash(point),
-                value=h.det,
-                corank=len(H) - h.rank,
+                value=det,
+                corank=n - rank,
             )
         )
-        if stop_at_full_rank and h.rank == len(H):
+        if stop_at_full_rank and rank == n:
             break
     return records
 
@@ -260,9 +264,12 @@ def certify_hessian_pade(
     Each trial samples a fresh point over a rotating 62-bit prime, resampling
     up to 8 times if the evaluated Pade matrix happens to be singular (and
     raising ``DomainError`` if it is singular at all 9 points), and records
-    det(H) and the corank of H, the Hessian over the variables of P;
-    P is eliminated once per sampled point and H once per trial.  The
-    ``full`` certificate is derived from these trials (``full_from_essential``).
+    det(H) and the corank of H, the Hessian over the variables of P.  P is
+    eliminated once per sampled point, with its inverse, and H = det(P) * K
+    once per trial as K: its packed rows (``hessian_from_factor``) go
+    straight to ``eliminate_symmetric``, and the trial records ``corank K``
+    and ``det(P)^V * det K`` for V variables.  The ``full`` certificate is
+    derived from these trials (``full_from_essential``).
 
     ``stop_at_full_rank`` ends the trials after the first H of corank 0.
     That trial fixes the minimum corank (0) and the verdicts of both
@@ -280,6 +287,7 @@ def certify_hessian_pade(
         )
     P = params.pade
     variables = P.variables()
+    V = len(variables)
 
     def sample(t, fld):
         seeds = [derive_seed("hessian", seed, t)]
@@ -288,7 +296,9 @@ def certify_hessian_pade(
             point = random_point(variables, fld, trial_seed)
             fac = eliminate(P.evaluate(point, fld), fld, inverse=True)
             if fac.inverse is not None:
-                return trial_seed, point, hessian_from_factor(P, fac, fld)
+                rows, size, _ = hessian_from_factor(P, fac, fld)
+                rank, det = eliminate_symmetric(rows, size, fld.p)
+                return trial_seed, point, rank, pow(fac.det, V, fld.p) * det % fld.p
         raise DomainError(
             f"Hessian trial {t}: the Pade matrix is singular mod {fld.p} at "
             f"all {len(seeds)} sampled points; use a larger prime"
@@ -296,8 +306,8 @@ def certify_hessian_pade(
 
     return _finish_certificate(
         f"hessian-det[pade{params.astuple()}, essential]",
-        len(variables) * max(P.nrows - 2, 0),
-        _hessian_trials(trials, ctx, sample, stop_at_full_rank),
+        V * max(P.nrows - 2, 0),
+        _hessian_trials(trials, ctx, V, sample, stop_at_full_rank),
     )
 
 
@@ -344,8 +354,9 @@ def certify_hessian_poly(
         rng = random.Random(trial_seed)
         values = [fld.sample(rng) for _ in range(V)]
         H = [[second[i][j].eval(fld, values) for j in range(V)] for i in range(V)]
-        return trial_seed, dict(enumerate(values)), H
+        h = eliminate(H, fld)
+        return trial_seed, dict(enumerate(values)), h.rank, h.det
 
-    records = _hessian_trials(trials, ctx, sample)
+    records = _hessian_trials(trials, ctx, V, sample)
     target = f"hessian-det[poly, {V} vars, degree {f.degree()}]"
     return _finish_certificate(target, V * (f.degree() - 2), records)

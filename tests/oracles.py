@@ -21,7 +21,8 @@ derivatives of det(P) read off jet coefficients: the gradient
 (``jet_grad_det``), single Hessian entries (``jet_hessian_entry``) and the
 bilinear form of the Hessian (``jet_bilinear``).  The program reads them
 off the adjugate and P^-1 instead; ``grad_det_at`` and ``hessian_det_at``
-are those program routes at one point, over the whole matrix.  The
+are those program routes at one point, over the whole matrix, the latter
+through ``unpack_hessian``, which reads the program's packed K.  The
 permutation expansion of a small symbolic determinant (``expand_det_poly``).
 """
 
@@ -551,12 +552,35 @@ def grad_det_at(P, point: dict, field) -> dict:
 def hessian_det_at(P, point: dict, field) -> tuple:
     """(labels, H), the Hessian of det(P) at ``point`` over GF(p), by the
     program's own route: P eliminated once with its inverse, then
-    ``detcalc.hessian_from_factor``.  A point where P is singular raises
-    ``DomainError``."""
+    ``detcalc.hessian_from_factor``, whose packed K is unpacked
+    (``unpack_hessian``) and scaled by det(P).  A point where P is singular
+    raises ``DomainError``."""
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
     fac = eliminate(P.evaluate(point, field), field, inverse=True)
-    return P.variables(), hessian_from_factor(P, fac, field)
+    labels = P.variables()
+    K = unpack_hessian(labels, hessian_from_factor(P, fac, field), field.p)
+    return labels, [[fac.det * x % field.p for x in row] for row in K]
+
+
+def unpack_hessian(labels, packed, p) -> list:
+    """The full matrix K over ``labels`` from the packed upper-triangle rows
+    ``(rows, size, order)`` of ``detcalc.hessian_from_factor``: row k holds
+    K[order[k]][order[j]] for j >= k, unreduced, in little-endian slots of
+    ``size`` bytes.  Each entry is reduced mod p, mirrored, and put back in
+    the order of ``labels``; a row that overflows its slots raises
+    ``OverflowError``."""
+    rows, size, order = packed
+    n = len(labels)
+    pos = [labels.index(g) for g in order]
+    assert sorted(pos) == list(range(n)) and len(rows) == n
+    K = [[None] * n for _ in range(n)]
+    for k, row in enumerate(rows):
+        data = row.to_bytes((n - k) * size, "little")
+        for j in range(k, n):
+            x = int.from_bytes(data[(j - k) * size:(j - k + 1) * size], "little")
+            K[pos[k]][pos[j]] = K[pos[j]][pos[k]] = x % p
+    return K
 
 
 def jet_grad_det(P, point: dict, field) -> dict:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 import taylorpade.detcalc as detcalc_mod
 from taylorpade.detcalc import (
     _eliminate_modp,
-    _eliminate_symmetric_modp,
     _hessian_core,
+    _pack_symmetric,
     adjugate,
     block_grad_det_at,
     eliminate,
+    eliminate_symmetric,
+    hessian_from_factor,
 )
 from taylorpade.errors import DomainError, UsageError
 from taylorpade.fields import (
@@ -48,6 +50,7 @@ from oracles import (
     jet_bilinear,
     jet_grad_det,
     jet_hessian_entry,
+    unpack_hessian,
 )
 
 P62 = PRIMES_62[0]
@@ -214,7 +217,7 @@ def test_eliminate_refuses_rings_without_a_body(monkeypatch, gf, qq):
         eliminate(A, qq, inverse=True)
     # each of the three bodies gives an int rank, a zero matrix included
     general, symmetric, bareiss = bodies = (
-        "_eliminate_modp", "_eliminate_symmetric_modp", "_eliminate_bareiss")
+        "_eliminate_modp", "eliminate_symmetric", "_eliminate_bareiss")
     taken = []
     for name in bodies:
         def run(*args, body=getattr(detcalc_mod, name), name=name):
@@ -400,7 +403,23 @@ def _symmetric_inputs(p, rng):
     return out
 
 
-@pytest.mark.parametrize("p", [*PRIMES_62, 2, 3, 2**31 - 1])
+def _packed_upper(S, p, size, rng):
+    """Upper-triangle rows of the symmetric S, in its own order, for
+    ``eliminate_symmetric`` with slots of ``size`` bytes: each entry raised
+    by a multiple of p, often to the largest value below the slot bound
+    ``2^W - n * p * (p - 1)``."""
+    n, W = len(S), 8 * size
+    top = (1 << W) - n * p * (p - 1)
+    assert top > p
+
+    def lift(x):
+        most = (top - 1 - x % p) // p
+        return x % p + p * rng.choice((most, rng.randrange(most + 1)))
+
+    return [sum(lift(S[i][j]) << W * (j - i) for j in range(i, n)) for i in range(n)]
+
+
+@pytest.mark.parametrize("p", [*PRIMES_62, 2, 3, 5, 2**31 - 1])
 def test_symmetric_body_matches_general_body(p, monkeypatch):
     field = PrimeField(p)
     rng = random.Random(p)
@@ -414,14 +433,14 @@ def test_symmetric_body_matches_general_body(p, monkeypatch):
 
     monkeypatch.setattr(detcalc_mod, "_eliminate_modp",
                         logged("general", _eliminate_modp))
-    monkeypatch.setattr(detcalc_mod, "_eliminate_symmetric_modp",
-                        logged("symmetric", _eliminate_symmetric_modp))
-    midway = 0
+    monkeypatch.setattr(detcalc_mod, "eliminate_symmetric",
+                        logged("symmetric", eliminate_symmetric))
+    midway = first = 0
     for A in _symmetric_inputs(p, rng):
         n = len(A)
         want = _eliminate_modp(A, n, p, False)
         log.clear()
-        assert _eliminate_symmetric_modp(A, p) == want
+        assert eliminate_symmetric(*_pack_symmetric(A, p), p) == want[:2]
         # at most one hand-off, of the Schur complement left at a zero pivot
         assert len(log) <= 1 and all(s <= n for _, s in log)
         midway += any(0 < s < n for _, s in log)
@@ -433,7 +452,16 @@ def test_symmetric_body_matches_general_body(p, monkeypatch):
         log.clear()
         eliminate(A, field, inverse=True)
         assert log == [("general", n)]
+        # the body as the certificate calls it: A's own order, slots filled
+        # up to the bound that leaves room for the elimination's growth
+        least = ((p + n * p * (p - 1)).bit_length() + 7) // 8
+        for size in (least, least + 1):
+            log.clear()
+            assert eliminate_symmetric(_packed_upper(A, p, size, rng), size, p) == want[:2]
+            assert len(log) == 1 if want[0] < n else len(log) <= 1
+            first += log == [("general", n)] and n > 1
     assert midway  # some Schur complement is handed off after a pivot
+    assert first  # and, unsorted, at a zero first diagonal entry
 
 
 def test_symmetric_body_hands_off_its_schur_complement(monkeypatch, gf):
@@ -660,26 +688,49 @@ def _column_repeats(P):
 
 def test_hessian_core_matches_reference():
     # The kernel is checked on any matrix X, not only on inverses: a random
-    # X, and X with every entry p - 1, which fills each packed slot to its
-    # bound |cA| * |cB| * (p - 1)^2, so a slot one byte narrower carries.
-    # The reference costs 0.3 s at (2,20,8,22) and 0.6 s at (2,25,9,27) over
-    # GF(p), so those two cases take the full X at 2^89 - 1 and a random X
-    # at a 62-bit prime, and the others take both at every prime.
+    # X, X with every entry p - 1, which makes each G slot |cA| * |cB| *
+    # (p - 1)^2, and X = 0, which leaves each K slot at its offset
+    # |cA| * |cB| * p^2, so a slot one byte narrower carries.  det(P) * K,
+    # unpacked, must be the reference H.  The reference costs 0.3 s at
+    # (2,20,8,22) and 0.6 s at (2,25,9,27) over GF(p), so those two cases
+    # take the full X at 2^89 - 1 and a random X at a 62-bit prime, and the
+    # others take all three at every prime.
     patterns = _hessian_core_patterns()
     assert any(_column_repeats(P) for _, P in patterns)
     rng = random.Random(13)
     for name, P in patterns:
         labels, occ, k = P.variables(), P.occurrences(), P.nrows
         full = lambda p: [[p - 1] * k for _ in range(k)]
+        zero = lambda p: [[0] * k for _ in range(k)]
         rand = lambda p: [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
         if k > 40:
             inputs = [(2**89 - 1, full), (PRIMES_62[3], rand)]
         else:
-            inputs = [(p, X) for p in HESSIAN_PRIMES for X in (full, rand)]
+            inputs = [(p, X) for p in HESSIAN_PRIMES for X in (full, zero, rand)]
         for p, make in inputs:
             X, det = make(p), rng.randrange(1, p)
-            got = _hessian_core(X, det, occ, labels, PrimeField(p))
-            assert got == _reference_hessian_core(X, det, occ, labels, p), (name, p)
+            packed = _hessian_core(X, occ, labels, p)
+            H = [[det * x % p for x in row] for row in unpack_hessian(labels, packed, p)]
+            assert H == _reference_hessian_core(X, det, occ, labels, p), (name, p)
+
+
+def test_hessian_orders_the_single_occurrence_classes_last(gf):
+    # Their diagonal entries are K's structural zeros; every other class of
+    # a Pade matrix has a nonzero diagonal at a random point.
+    rng = random.Random(15)
+    for _, P in _hessian_core_patterns():
+        pt = _nonsingular_point(P, gf, rng)
+        if pt is None:
+            continue
+        fac = eliminate(P.evaluate(pt, gf), gf, inverse=True)
+        rows, size, order = hessian_from_factor(P, fac, gf)
+        occ, mask = P.occurrences(), (1 << 8 * size) - 1
+        single = [len(occ[g]) == 1 for g in order]
+        assert single == sorted(single)
+        diagonal = [row & mask for row in rows]
+        assert all(x % gf.p == 0 for x, s in zip(diagonal, single) if s)
+        if P.col_labels is not None:
+            assert all(x % gf.p for x, s in zip(diagonal, single) if not s)
 
 
 def _zero_padded(labels, H, ambient, field):
@@ -708,14 +759,17 @@ def test_full_certificate_matches_zero_padded_hessian(case):
         assert missing == {(0, 0), (1, 0), (0, 1)}
     check = nondefective_hypersurface_check(params, trials=8, stop_at_nonzero=True)
     for seed in (0, 7, 123):
-        full = full_from_essential(
-            certify_hessian_pade(check, trials=2, seed=seed), params)
+        essential = certify_hessian_pade(check, trials=2, seed=seed)
+        full = full_from_essential(essential, params)
         assert full.degree_bound == len(ambient) * (P.nrows - 2)
-        for t in full.trials:
+        for s, t in zip(essential.trials, full.trials):
             fld = PrimeField(t.prime)
             pt = random_point(P.variables(), fld, t.seed)
             assert point_hash(pt) == t.point_digest
             labels, H = hessian_det_at(P, pt, fld)
+            # the essential trial eliminated K = H / det(P), not H
+            h = eliminate(H, fld)
+            assert (s.value, s.corank) == (h.det, len(labels) - h.rank)
             h = eliminate(_zero_padded(labels, H, ambient, fld), fld)
             assert (t.value, t.corank) == (h.det, len(ambient) - h.rank)
 

@@ -285,18 +285,24 @@ def test_cross_path_agreement_2112(gf):
 
 
 def _record_eliminations(monkeypatch, *mute):
-    """Log the shape of every ``eliminate`` call.  Each ``mute`` pair
-    (module, function name) is logged by its name instead, leaving out the
-    eliminations made inside it."""
+    """Log the shape of every ``eliminate`` call, and of every packed
+    Hessian the certificate hands to ``eliminate_symmetric``.  Each ``mute``
+    pair (module, function name) is logged by its name instead, leaving out
+    the eliminations made inside it."""
     shapes = []
-    real = detcalc_mod.eliminate
+    real, symmetric = detcalc_mod.eliminate, hessian_mod.eliminate_symmetric
 
     def counted(A, field, inverse=False):
         shapes.append((len(A), len(A[0])))
         return real(A, field, inverse)
 
+    def packed(rows, size, p):
+        shapes.append((len(rows), len(rows)))
+        return symmetric(rows, size, p)
+
     for mod in (detcalc_mod, hessian_mod, variety_mod):
         monkeypatch.setattr(mod, "eliminate", counted)
+    monkeypatch.setattr(hessian_mod, "eliminate_symmetric", packed)
     for owner, name in mute:
         monkeypatch.setattr(owner, name, _muted(shapes, name, getattr(owner, name)))
     return shapes
@@ -394,11 +400,24 @@ def test_hessian_bilinear_form_matches_jets_at_certificate_points(case):
     # point of the certificate (the full one shares it); a wrong H passes
     # with probability at most 2/p.
     params, P = TaylorParams(*case), pade_matrix(*case)
-    variables = P.variables()
     (trial,) = certify_hessian_pade(_gate(params), trials=1, seed=0).trials
     fld = PrimeField(trial.prime)
-    point = random_point(variables, fld, trial.seed)
+    point = random_point(P.variables(), fld, trial.seed)
     assert point_hash(point) == trial.point_digest
+    _assert_bilinear_form_matches_jets(P, point, fld)
+
+
+def test_hessian_bilinear_form_matches_jets_at_e12():
+    # (2,43,12,45): 553 variables in 14 classes, at the point of the first
+    # trial for seed 0, where P is invertible (no resample); the certificate
+    # itself is left out, as it adds 2.5 s to the 6-9 s of this check.
+    P = pade_matrix(2, 43, 12, 45)
+    fld = PrimeField(PRIMES_62[0])
+    point = random_point(P.variables(), fld, derive_seed("hessian", 0, 0))
+    _assert_bilinear_form_matches_jets(P, point, fld)
+
+
+def _assert_bilinear_form_matches_jets(P, point, fld):
     labels, H = hessian_det_at(P, point, fld)
     rng = random.Random(14)
     u = {g: fld.sample(rng) for g in labels}
@@ -410,19 +429,25 @@ def test_hessian_bilinear_form_matches_jets_at_certificate_points(case):
 
 
 def _singular_hessians(monkeypatch, zero_rows):
-    """Zero the first ``zero_rows[t]`` rows and columns of the t-th Hessian
-    built by the certificate trials, keeping it symmetric; return the list
-    of Hessian sizes built."""
+    """Zero ``zero_rows[t]`` rows and columns of the t-th packed K built by
+    the certificate trials: the last ones of its multi-occurrence classes,
+    just before the single-occurrence classes, whose diagonal is zero.
+    Return the list of the orders of K built."""
     built = []
     real = hessian_mod.hessian_from_factor
 
-    def patched(*args):
-        H = real(*args)
-        k = zero_rows[len(built)]
-        H = [[0] * len(H) if i < k else [0] * k + row[k:]
-             for i, row in enumerate(H)]
-        built.append(len(H))
-        return H
+    def patched(P, fac, field):
+        rows, size, order = real(P, fac, field)
+        occ = P.occurrences()
+        end = sum(len(occ[g]) > 1 for g in order)
+        assert all(len(occ[g]) > 1 for g in order[:end])
+        k, W = zero_rows[len(built)], 8 * size
+        # row i holds columns i.. of K, column j in slot j - i
+        columns = ((1 << W * k) - 1) << W * (end - k)
+        rows = [0 if end - k <= i < end else row & ~(columns >> W * i)
+                for i, row in enumerate(rows)]
+        built.append(len(rows))
+        return rows, size, order
 
     monkeypatch.setattr(hessian_mod, "hessian_from_factor", patched)
     return built
@@ -430,9 +455,9 @@ def _singular_hessians(monkeypatch, zero_rows):
 
 def _symmetric_handoffs(monkeypatch):
     """Return the list of sizes of the Schur complements that the symmetric
-    GF(p) body hands to the general one."""
+    GF(p) body hands to the general one, on the certificate's packed K."""
     sizes, inside = [], []
-    symmetric, general = detcalc_mod._eliminate_symmetric_modp, detcalc_mod._eliminate_modp
+    symmetric, general = hessian_mod.eliminate_symmetric, detcalc_mod._eliminate_modp
 
     def outer(*args):
         inside.append(True)
@@ -446,7 +471,7 @@ def _symmetric_handoffs(monkeypatch):
             sizes.append(len(A))
         return general(A, *args)
 
-    monkeypatch.setattr(detcalc_mod, "_eliminate_symmetric_modp", outer)
+    monkeypatch.setattr(hessian_mod, "eliminate_symmetric", outer)
     monkeypatch.setattr(detcalc_mod, "_eliminate_modp", inner)
     return sizes
 
@@ -464,9 +489,9 @@ def test_survey_goes_on_after_a_singular_first_trial(monkeypatch, capsys):
     # (2,5,4,7): trial 0 singular, trial 1 full rank; (2,8,5,10): trial 0
     # singular (the third H built), trial 1 full rank
     assert built == [33, 33, 56, 56]
-    # the symmetric body orders last the zero diagonal, which is 8 entries of
-    # H at (2,5,4,7) and 11 at (2,8,5,10) plus the zeroed rows; a zeroed row
-    # comes first among them, so each singular H hands off all of them
+    # K's single-occurrence classes come last, and their diagonal is zero:
+    # 8 entries at (2,5,4,7) and 11 at (2,8,5,10); the zeroed row comes just
+    # before them, so each singular K hands off all of them
     assert handoffs == [8 + 1, 11 + 1]
     assert [r["essential_corank"] for r in rows] == [0, 0]
     assert [r["hessian_full"] for r in rows] == [VANISHES, VANISHES]
