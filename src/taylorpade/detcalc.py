@@ -1,8 +1,9 @@
 """Exact determinants, ranks, adjugates, and derivatives of determinants.
 
 Determinant, rank and inverse all come from one elimination kernel,
-``eliminate``, with three bodies: general and symmetric over GF(p), and
-Bareiss over Q (no inverse).
+``eliminate``, with two bodies: general over GF(p), and Bareiss over Q (no
+inverse).  The Hessian certificate calls a third, ``eliminate_symmetric``,
+directly on the packed rows it assembles.
 
 Over GF(p) the kernel works on packed rows with delayed modular reduction
 (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields: the
@@ -24,12 +25,12 @@ integers:
   no slot ever carries into its neighbour (about 136 bits for the 62-bit
   primes of ``fields.PRIMES_62``).
 
-The symmetric body, ``eliminate_symmetric``, stores and updates only the
-upper triangle, about half the slot arithmetic of the general one.  Row k
-holds columns k..n-1, its diagonal in the lowest slot.  Step k takes the
-pivot row's tail f (columns k+1.., reduced mod p), packs
-``Y = f * pivot^-1`` and adds ``(p - f_i) * Y``, shifted down by the i-k-1
-slots that row i does not hold, to each later row i with ``f_i != 0``.  The
+The symmetric body stores and updates only the upper triangle, about half
+the slot arithmetic of the general one.  Row k holds columns k..n-1, its
+diagonal in the lowest slot.  Step k takes the pivot row's tail f
+(columns k+1.., reduced mod p), packs ``Y = f * pivot^-1`` and adds
+``(p - f_i) * Y``, shifted down by the i-k-1 slots that row i does not
+hold, to each later row i with ``f_i != 0``.  The
 Schur complement of a symmetric matrix is symmetric, so the column below the
 pivot is f itself, no row moves, and det is the product of the pivots.  At
 the first zero pivot the remaining Schur complement is mirrored into a full
@@ -39,10 +40,12 @@ starts below ``2^W - n * p * (p - 1)`` never carries, reduced or not.
 
 The derivatives of det(P) at a point come from the adjugate, or from one
 inversion plus trace products (Jacobi's formula and its second-order
-extension).  The Hessian at an invertible point A = P(x), with X = A^-1, is
-``H = det(A) * K``, ``K_ab = t_a t_b - G_ab``, so ``rank H = rank K`` and
-``det H = det(A)^V * det K`` for V variables.  If c_a occurs at
-(r_a(i), cA_i) for i = 1..|cA|, then ``t_a = sum_i X[cA_i][r_a(i)]`` and
+extension).  The adjugate costs O(n^3) also where A is singular, through a
+bordered matrix (``adjugate``).  The Hessian at an invertible point
+A = P(x), with X = A^-1, is ``H = det(A) * K``, ``K_ab = t_a t_b - G_ab``,
+so ``rank H = rank K`` and ``det H = det(A)^V * det K`` for V variables.
+If c_a occurs at (r_a(i), cA_i) for i = 1..|cA|, then
+``t_a = sum_i X[cA_i][r_a(i)]`` and
 
     G_ab = sum_{i, j} X[cB_j][r_a(i)] * X[cA_i][r_b(j)].
 
@@ -73,6 +76,7 @@ case up to e = 20 for ``fields.PRIMES_62``, as for a reduced H.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -109,11 +113,6 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
       ``p + min(rows, cols) * p * (p - 1) < 2^W`` so slots never carry,
       and ``% p`` applied only to the pivot column, to each pivot row and
       to the final inverse;
-    * over GF(p), for a square ``A == A^T`` with no inverse asked,
-      ``eliminate_symmetric`` on its reduced upper triangle, in slots of
-      the same W, the nonzero diagonal entries first (permuting rows and
-      columns together keeps rank and det); the Hessian certificate packs
-      its rows itself and calls that body directly;
     * over Q, with no inverse asked, fraction-free Bareiss elimination
       (Math. Comp. 22, 1968) of the integer-scaled rows.
 
@@ -128,11 +127,7 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
     if inverse and not square:
         raise UsageError("inverse of a non-square matrix")
     if isinstance(field, PrimeField):
-        if square and not inverse and _is_symmetric(A):
-            rank, det = eliminate_symmetric(*_pack_symmetric(A, field.p), field.p)
-            inv = None
-        else:
-            rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
+        rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
     elif isinstance(field, Rationals) and not inverse:
         rank, det, inv = _eliminate_bareiss(A, ncols)
     else:
@@ -189,21 +184,6 @@ def _eliminate_modp(A, ncols, p, inverse):
     return rank, det, [[x % p for x in _unpack(row, n, size)] for row in rows]
 
 
-def _is_symmetric(A):
-    # Row i against column i, stopping at the first mismatch.
-    return all(map(tuple.__eq__, map(tuple, A), zip(*A)))
-
-
-def _pack_symmetric(A, p):
-    # Upper-triangle rows of a symmetric A, its nonzero diagonal entries
-    # first, reduced mod p; W is the bound of _eliminate_modp.
-    n = len(A)
-    size = ((p + n * p * (p - 1)).bit_length() + 7) // 8
-    order = sorted(range(n), key=lambda i: not A[i][i] % p)
-    return [_pack([A[i][j] % p for j in order[k:]], size)
-            for k, i in enumerate(order)], size
-
-
 def eliminate_symmetric(rows: list, size: int, p: int) -> tuple:
     """(rank, det) over GF(p) of the symmetric matrix whose upper triangle
     is ``rows``: row k holds columns k..n-1 in slots of ``size`` bytes,
@@ -256,7 +236,8 @@ def _unpack(row, count, size):
 
 def _eliminate_bareiss(A, ncols):
     # Each row is scaled to integers; every division by the previous pivot is
-    # then exact, since each entry is a minor of the scaled matrix.
+    # then exact, since each entry is the determinant of a square submatrix
+    # of the scaled matrix.
     scale = 1
     rows = []
     for row in A:
@@ -287,29 +268,35 @@ def _eliminate_bareiss(A, ncols):
 
 def adjugate(A: list, field) -> list:
     """adj(A) with A*adj(A) = det(A)*I over GF(p), defined also for singular
-    A.  Over Q ``eliminate`` has no inverse, so this raises ``UsageError``."""
+    A, in O(n^3): one elimination of A with inverse, and at rank n - 1 one
+    more per draw of a bordered matrix.
+
+    An invertible A gives det(A) * A^-1, and rank n - 2 or less gives 0.  At
+    rank n - 1, with B = [[A, u], [v^T, 0]] for u, v drawn from a fixed
+    seed, ``adj(A)[i][j] = -det(B) * B^-1[i][n] * B^-1[n][j]``: adj(A) =
+    c * x y^T with A x = 0 and y^T A = 0, so B^-1[:n, n] = x / (v.x),
+    B^-1[n, :n] = y^T / (y.u) and det(B) = -c (v.x)(y.u).  B is invertible
+    when v.x != 0 and y.u != 0, so a draw succeeds with probability at least
+    (1 - 1/p)^2; a singular B is drawn again.  Over Q ``eliminate`` has no
+    inverse, so this raises ``UsageError``."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise UsageError("adjugate of a non-square matrix")
-    if n == 1:
-        return [[field.one]]
     fac = eliminate(A, field, inverse=True)
     if fac.inverse is not None:
         return [[field.mul(fac.det, x) for x in row] for row in fac.inverse]
-    # Singular case: cofactor by minors, O(n^5) but exercised rarely.
-    adj = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [A[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = eliminate(minor, field).det
-            if (i + j) % 2:
-                cof = field.neg(cof)
-            adj[j][i] = cof
-    return adj
+    if fac.rank < n - 1:
+        return [[field.zero] * n for _ in range(n)]
+    rng = random.Random(0)
+    while True:
+        u = [field.sample(rng) for _ in range(n)]
+        v = [field.sample(rng) for _ in range(n)]
+        B = [*([*row, x] for row, x in zip(A, u)), [*v, field.zero]]
+        border = eliminate(B, field, inverse=True)
+        if border.inverse is not None:
+            break
+    X, scale = border.inverse, field.p - border.det
+    return [[scale * X[i][n] * y % field.p for y in X[n][:n]] for i in range(n)]
 
 
 def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:

@@ -22,8 +22,10 @@ derivatives of det(P) read off jet coefficients: the gradient
 bilinear form of the Hessian (``jet_bilinear``).  The program reads them
 off the adjugate and P^-1 instead; ``grad_det_at`` and ``hessian_det_at``
 are those program routes at one point, over the whole matrix, the latter
-through ``unpack_hessian``, which reads the program's packed K.  The
-permutation expansion of a small symbolic determinant (``expand_det_poly``).
+through ``unpack_hessian``, which reads the program's packed K.
+``pack_symmetric`` packs a symmetric matrix the other way, for the
+symmetric body.  The permutation expansion of a small symbolic determinant
+(``expand_det_poly``).
 """
 
 from __future__ import annotations
@@ -581,6 +583,19 @@ def unpack_hessian(labels, packed, p) -> list:
             x = int.from_bytes(data[(j - k) * size:(j - k + 1) * size], "little")
             K[pos[k]][pos[j]] = K[pos[j]][pos[k]] = x % p
     return K
+
+
+def pack_symmetric(A, p) -> tuple:
+    """``(rows, size)`` for ``detcalc.eliminate_symmetric`` from the
+    symmetric A: its upper triangle reduced mod p, the nonzero diagonal
+    entries first (permuting rows and columns together keeps rank and det),
+    in slots of the general body's width, ``p + n * p * (p - 1) < 2^W``."""
+    n = len(A)
+    size = ((p + n * p * (p - 1)).bit_length() + 7) // 8
+    order = sorted(range(n), key=lambda i: not A[i][i] % p)
+    rows = [sum(A[i][j] % p << 8 * size * t for t, j in enumerate(order[k:]))
+            for k, i in enumerate(order)]
+    return rows, size
 
 
 def jet_grad_det(P, point: dict, field) -> dict:

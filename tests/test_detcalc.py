@@ -10,7 +10,6 @@ import taylorpade.detcalc as detcalc_mod
 from taylorpade.detcalc import (
     _eliminate_modp,
     _hessian_core,
-    _pack_symmetric,
     adjugate,
     block_grad_det_at,
     eliminate,
@@ -29,6 +28,7 @@ from taylorpade.hessian import (
     certify_hessian_pade,
     certify_hessian_poly,
     full_from_essential,
+    relation_check,
 )
 from taylorpade.pade import SymbolicMatrix, pade_matrix
 from taylorpade.series import monomials_upto
@@ -50,6 +50,7 @@ from oracles import (
     jet_bilinear,
     jet_grad_det,
     jet_hessian_entry,
+    pack_symmetric,
     unpack_hessian,
 )
 
@@ -215,9 +216,10 @@ def test_eliminate_refuses_rings_without_a_body(monkeypatch, gf, qq):
                 eliminate(jets, ring, inverse=inverse)
     with pytest.raises(UsageError, match="no elimination for an inverse over"):
         eliminate(A, qq, inverse=True)
-    # each of the three bodies gives an int rank, a zero matrix included
-    general, symmetric, bareiss = bodies = (
-        "_eliminate_modp", "eliminate_symmetric", "_eliminate_bareiss")
+    # each of the two bodies gives an int rank, a zero matrix included; the
+    # symmetric body is watched too, and no eliminate call takes it
+    general, bareiss = "_eliminate_modp", "_eliminate_bareiss"
+    bodies = (general, "eliminate_symmetric", bareiss)
     taken = []
     for name in bodies:
         def run(*args, body=getattr(detcalc_mod, name), name=name):
@@ -229,8 +231,8 @@ def test_eliminate_refuses_rings_without_a_body(monkeypatch, gf, qq):
     cases = [
         (A, gf, True, [general]),
         (A, gf, False, [general]),
-        (S, gf, False, [symmetric]),
-        (Z, gf, False, [symmetric, general]),  # hand-off at the zero pivot
+        (S, gf, False, [general]),
+        (Z, gf, False, [general]),
         (A, qq, False, [bareiss]),
         (Z, qq, False, [bareiss]),
         ([[1, 2, 3]], qq, False, [bareiss]),
@@ -440,15 +442,14 @@ def test_symmetric_body_matches_general_body(p, monkeypatch):
         n = len(A)
         want = _eliminate_modp(A, n, p, False)
         log.clear()
-        assert eliminate_symmetric(*_pack_symmetric(A, p), p) == want[:2]
+        assert eliminate_symmetric(*pack_symmetric(A, p), p) == want[:2]
         # at most one hand-off, of the Schur complement left at a zero pivot
         assert len(log) <= 1 and all(s <= n for _, s in log)
         midway += any(0 < s < n for _, s in log)
-        # eliminate takes the symmetric body, and the general one when an
-        # inverse is asked
+        # eliminate takes the general body, with an inverse or without
         log.clear()
         assert tuple(eliminate(A, field)) == want
-        assert log[0] == ("symmetric", n)
+        assert log == [("general", n)]
         log.clear()
         eliminate(A, field, inverse=True)
         assert log == [("general", n)]
@@ -474,17 +475,13 @@ def test_symmetric_body_hands_off_its_schur_complement(monkeypatch, gf):
     monkeypatch.setattr(detcalc_mod, "_eliminate_modp", general)
     # pivots 1, then 0: the 2x2 Schur complement [[0, 1], [1, 0]] is left
     A = [[1, 1, 0], [1, 1, 1], [0, 1, 0]]
-    assert tuple(eliminate(A, gf)) == (3, gf.p - 1, None)
+    assert eliminate_symmetric(*pack_symmetric(A, gf.p), gf.p) == (3, gf.p - 1)
     assert calls == [[[0, 1], [1, 0]]]
-    # the zero diagonal entry is moved last: pivots 2, 1, -1/2, no hand-off
+    # the zero diagonal entry is packed last: pivots 2, 1, -1/2, no hand-off
     calls.clear()
-    assert tuple(eliminate([[0, 1, 0], [1, 2, 0], [0, 0, 1]], gf)) == (3, gf.p - 1, None)
+    B = [[0, 1, 0], [1, 2, 0], [0, 0, 1]]
+    assert eliminate_symmetric(*pack_symmetric(B, gf.p), gf.p) == (3, gf.p - 1)
     assert calls == []
-    # a square matrix that is not symmetric takes the general body whole
-    calls.clear()
-    B = [[1, 1, 0], [1, 1, 1], [1, 1, 0]]
-    assert tuple(eliminate(B, gf)) == (2, 0, None)
-    assert calls == [B]
 
 
 def test_rank_trivials(gf):
@@ -517,32 +514,81 @@ def test_adjugate_identity_prime_field(gf):
                 assert prod[i][j] == (det if i == j else 0)
 
 
-def test_adjugate_identity_rationals_and_singular(gf, qq):
-    # the singular branch (cofactors by minors) over GF(p); over Q there is
-    # no inverse to start from, so adjugate refuses
-    rng = random.Random(4)
-    p = gf.p
-    for k in range(2, 11):
-        A = [[rng.randint(-5, 5) % p for _ in range(k)] for _ in range(k)]
-        if k % 2 == 0:
-            A[-1] = A[0][:]  # force singularity on even sizes
-        adj = adjugate(A, gf)
-        det = eliminate(A, gf).det
-        if k % 2 == 0:
-            assert det == 0
-        for i in range(k):
-            for j in range(k):
-                s = sum(A[i][t] * adj[t][j] for t in range(k)) % p
-                assert s == (det if i == j else 0)
-        # A.adj(A) = 0 holds for any multiple of a singular A's adjugate;
-        # det(A + u v^T) = det(A) + v^T adj(A) u pins the adjugate itself
-        u = [rng.randrange(p) for _ in range(k)]
-        v = [rng.randrange(p) for _ in range(k)]
-        B = [[(A[i][j] + u[i] * v[j]) % p for j in range(k)] for i in range(k)]
-        vadj = sum(v[i] * adj[i][j] * u[j] for i in range(k) for j in range(k))
-        assert eliminate(B, gf).det == (det + vadj) % p
-        with pytest.raises(UsageError):
-            adjugate([[Fraction(x) for x in row] for row in A], qq)
+def _minors_adjugate(A, field):
+    """adj(A) by cofactors: n^2 determinants of (n-1)x(n-1) minors, the
+    reference for ``adjugate``'s singular branch."""
+    n = len(A)
+    if n == 1:
+        return [[field.one]]
+    adj = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[A[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            adj[j][i] = (-1) ** (i + j) * eliminate(minor, field).det % field.p
+    return adj
+
+
+def _rank_r_matrix(n, r, field, rng):
+    """An n x n matrix of rank r over ``field``: a sum of r rank-one products,
+    drawn again until the rank is exactly r."""
+    p = field.p
+    while True:
+        us = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+        vs = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+        A = [[sum(u[i] * v[j] for u, v in zip(us, vs)) % p for j in range(n)]
+             for i in range(n)]
+        if eliminate(A, field).rank == r:
+            return A
+
+
+def test_adjugate_identity_rationals_and_singular(qq):
+    # every rank r = 0..k at sizes k = 1..8: rank k reads det * A^-1, rank
+    # k - 1 the bordered matrix, lower ranks give 0; over Q there is no
+    # inverse to start from, so adjugate refuses
+    for p in (2, 3, 5, PRIMES_62[3]):
+        gf = PrimeField(p)
+        rng = random.Random(p)
+        for k, r in [(k, r) for k in range(1, 9) for r in range(k + 1)]:
+            A = [[0]] if (k, r) == (1, 0) else _rank_r_matrix(k, r, gf, rng)
+            adj = adjugate(A, gf)
+            det = eliminate(A, gf).det
+            assert (det != 0) == (r == k)
+            assert adj == _minors_adjugate(A, gf)
+            for i in range(k):
+                for j in range(k):
+                    s = sum(A[i][t] * adj[t][j] for t in range(k)) % p
+                    assert s == (det if i == j else 0)
+            # A.adj(A) = 0 holds for any multiple of a singular A's adjugate;
+            # det(A + u v^T) = det(A) + v^T adj(A) u pins the adjugate itself
+            u = [rng.randrange(p) for _ in range(k)]
+            v = [rng.randrange(p) for _ in range(k)]
+            B = [[(A[i][j] + u[i] * v[j]) % p for j in range(k)] for i in range(k)]
+            vadj = sum(v[i] * adj[i][j] * u[j] for i in range(k) for j in range(k))
+            assert eliminate(B, gf).det == (det + vadj) % p
+            with pytest.raises(UsageError):
+                adjugate([[Fraction(x) for x in row] for row in A], qq)
+
+
+def test_relation_check_at_a_singular_point_eliminates_at_most_three_times(monkeypatch):
+    # P of (2,5,4,7) is 15 x 15 and singular at both points: P once with its
+    # inverse, B = [[P, u], [v^T, 0]] once (rank 14 only) and M once, not a
+    # determinant per minor
+    params = TaylorParams(2, 5, 4, 7)
+    P = params.pade
+    calls = []
+
+    def counted(A, *args):
+        calls.append(len(A))
+        return _eliminate_modp(A, *args)
+
+    monkeypatch.setattr(detcalc_mod, "_eliminate_modp", counted)
+    for p, seed, rank in ((547, 301, 14), (5, 141, 13)):
+        field = PrimeField(p)
+        point = random_point(P.variables(), field, seed)
+        assert _eliminate_modp(P.evaluate(point, field), 15, p, False)[0] == rank
+        calls.clear()
+        assert relation_check(params, point, field)["residual_is_zero"]
+        assert calls[:-1] == ([15, 16] if rank == 14 else [15])
 
 
 def test_berkowitz_matches_elimination(gf):
@@ -616,6 +662,35 @@ def test_grad_matches_jet_oracle_on_pade(gf):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 9)
     assert grad_det_at(P, pt, gf) == jet_grad_det(P, pt, gf)
+
+
+def test_grad_matches_jet_oracle_at_singular_points():
+    # the adjugate route against the jet route where P has rank n - 1 (the
+    # bordered matrix) and rank <= n - 2 (adj = 0); the ranks are asserted,
+    # so no seed can miss a branch
+    P = pade_matrix(2, 5, 4, 7)
+    for p, seed, rank in ((2, 2, 14), (2, 0, 13), (3, 1, 14), (3, 4, 13), (5, 5, 14),
+                          (5, 141, 13)):
+        field = PrimeField(p)
+        pt = random_point(P.variables(), field, seed)
+        assert eliminate(P.evaluate(pt, field), field).rank == rank
+        grad = grad_det_at(P, pt, field)
+        assert grad == jet_grad_det(P, pt, field)
+        assert any(grad.values()) == (rank == 14)
+    rng = random.Random(10)
+    seen = {"n-1": 0, "low": 0}
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for _ in range(15):
+            P = _random_pattern(rng, max_size=6)
+            n = P.nrows
+            for _ in range(10):
+                pt = {g: field.sample(rng) for g in P.variables()}
+                rank = eliminate(P.evaluate(pt, field), field).rank
+                if rank < n:
+                    assert grad_det_at(P, pt, field) == jet_grad_det(P, pt, field)
+                    seen["n-1" if rank == n - 1 else "low"] += 1
+    assert min(seen.values()) >= 10
 
 
 def test_hessian_generic_2x2(gf):
