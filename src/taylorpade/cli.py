@@ -24,7 +24,9 @@ from fractions import Fraction
 
 from . import hessian as hess
 from .errors import DomainError, UsageError
-from .fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
+from .fields import (
+    PRIMES_62, SURVEY_PRIME, PrimeField, Rationals, derive_seed, random_point,
+)
 from .pade import export_m2, pade_matrix
 from .series import SparsePoly
 from .variety import (
@@ -235,12 +237,12 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
         "rank_M": "",
     }
     if check.is_nondefective_hypersurface:
-        # The first trial of corank 0 fixes both printed fields: the minimum
-        # corank is then 0, and its nonzero det(H) fixes the full verdict
-        # (see full_from_essential).  So the trials stop there.
+        # The first trial of corank 0 fixes both printed fields, over any
+        # prime: the minimum corank is then 0, and its nonzero det(H) fixes the
+        # full verdict (see full_from_essential).  So the trials stop there.
         essential = hess.certify_hessian_pade(
-            check, trials=config.trials, seed=config.seed, ctx=config.context(),
-            stop_at_full_rank=True,
+            check, trials=config.trials, seed=config.seed,
+            ctx=config.context() or PrimeField(SURVEY_PRIME), stop_at_full_rank=True,
         )
         fld = config.fixed_context()
         point = random_point(

@@ -22,8 +22,8 @@ integers:
   at the end.  In between a slot only grows, by less than ``p * (p - 1)``
   per step, over at most ``s = min(rows, cols)`` steps;
 * W is the smallest multiple of 8 with ``p + s * p * (p - 1) < 2^W``, so
-  no slot ever carries into its neighbour (about 136 bits for the 62-bit
-  primes of ``fields.PRIMES_62``).
+  no slot ever carries into its neighbour (about 136 bits for
+  ``fields.PRIMES_62``, and 72, 9-byte slots, for ``fields.SURVEY_PRIME``).
 
 The symmetric body stores and updates only the upper triangle, about half
 the slot arithmetic of the general one.  Row k holds columns k..n-1, its
@@ -70,8 +70,8 @@ reduced mod p, and each slot of OFF holds ``|cA| * |cB| * p^2``, which keeps
 the entry nonnegative and below ``(|cA| * |cB| + 1) * p^2``.  A row joins
 its blocks, the diagonal one shifted past the members before a.  With c the
 widest class key, W is the smallest multiple of 8 with
-``(|c|^2 + 1) * p^2 + V * p * (p - 1) < 2^W``: 136 bits at every family
-case up to e = 20 for ``fields.PRIMES_62``, as for a reduced H.
+``(|c|^2 + 1) * p^2 + V * p * (p - 1) < 2^W``: at every family case up to
+e = 20, 136 bits for ``fields.PRIMES_62`` and 72 for ``fields.SURVEY_PRIME``.
 """
 
 from __future__ import annotations

@@ -31,6 +31,10 @@ PRIMES_62 = (
     4611686018427387709,
 )
 
+# Survey certificate trials: below 2^30, so each multiplier p - f is one
+# CPython digit (a 31-bit prime needs two and measured slower).
+SURVEY_PRIME = 2**30 - 35
+
 DEFAULT_RATIONAL_BOUND = 100
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -90,9 +94,6 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
 
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
@@ -133,9 +134,6 @@ class Rationals:
 
     def sub(self, a, b):
         return a - b
-
-    def neg(self, a):
-        return -a
 
     def mul(self, a, b):
         return a * b

@@ -163,8 +163,9 @@ class Certificate:
     resamples while P is singular at its point, which conditions the sample
     on det(P) != 0, an event of probability at least 1 - size/p for P of
     order ``size``; that multiplies the per-trial bound by 1/(1 - size/p).
-    The reported bound leaves this factor out: for the builtin 62-bit primes
-    and P of order below 400 it is under 1 + 1e-16 per trial.
+    The reported bound leaves this factor out: per trial it is under 1 + 1e-16
+    for a 62-bit prime and size < 400, and under 1 + 3e-7 for size <= 253 at
+    ``fields.SURVEY_PRIME`` = 2^30 - 35.
 
     A degree bound of 0 means det(H) is a constant, so one zero value proves
     it zero: the bound is then 0 and ``error_bound_log10`` is None.
@@ -261,15 +262,15 @@ def certify_hessian_pade(
     nonzero, Jacobian rank at the expected dimension, its upper bound), so
     one gate serves a whole case.
 
-    Each trial samples a fresh point over a rotating 62-bit prime, resampling
-    up to 8 times if the evaluated Pade matrix happens to be singular (and
-    raising ``DomainError`` if it is singular at all 9 points), and records
-    det(H) and the corank of H, the Hessian over the variables of P.  P is
-    eliminated once per sampled point, with its inverse, and H = det(P) * K
-    once per trial as K: its packed rows (``hessian_from_factor``) go
-    straight to ``eliminate_symmetric``, and the trial records ``corank K``
-    and ``det(P)^V * det K`` for V variables.  The ``full`` certificate is
-    derived from these trials (``full_from_essential``).
+    Each trial samples a fresh point over the prime of ``ctx``, else of the
+    rotation ``PRIMES_62``, resampling up to 8 times while the evaluated Pade
+    matrix is singular (raising ``DomainError`` if it is singular at all 9
+    points), and records det(H) and the corank of H, the Hessian over the
+    variables of P.  P is eliminated once per sampled point, with its
+    inverse, and H = det(P) * K once per trial as K: its packed rows
+    (``hessian_from_factor``) go straight to ``eliminate_symmetric``, and the
+    trial records ``corank K`` and ``det(P)^V * det K`` for V variables.  The
+    ``full`` certificate is derived from these trials (``full_from_essential``).
 
     ``stop_at_full_rank`` ends the trials after the first H of corank 0.
     That trial fixes the minimum corank (0) and the verdicts of both

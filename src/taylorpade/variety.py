@@ -94,39 +94,39 @@ def random_rational_pair(params: TaylorParams, ctx, seed) -> tuple:
 def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     """Coefficients (c_g, 0 < |g| <= m) of the expansion T of p/q.
 
-    ``p`` and ``q`` map exponent tuples to elements of ``ctx`` and must have
-    constant term exactly 1.  Every 0 < |g| <= m is present in the result,
-    zeros included, so it evaluates a Pade matrix directly.
+    ``p`` and ``q`` map exponent tuples to elements of ``ctx``, integers over
+    Q, and must have constant term exactly 1.  Every 0 < |g| <= m is present
+    in the result, zeros included, so it evaluates a Pade matrix directly.
 
     T is read off the defining identity Q*T = P modulo degree m+1 by the
-    graded recursion T_k = P_k - sum_{b != 0} Q_b T_{k-|b|}, run on plain
-    numbers.  An exponent g with |g| <= m is keyed by the int
+    graded recursion T_k = P_k - sum_{b != 0} Q_b T_{k-|b|}, run on ints (the
+    numerators over Q).  An exponent g with |g| <= m is keyed by the int
     sum_i g_i (m+1)^i (Kronecker substitution), so the exponent sum h + b is
     one int addition.  Q's nonconstant terms are sorted by degree, so the
     layer of degree k-1, once final, pushes Q_b T_h to h + b over a prefix
     of them (|b| <= m-k+1).  The products accumulate unreduced, and each
     coefficient is finished by one ``ctx.sub(P_g, acc_g)``: one ``% p`` over
-    GF(p), an exact Fraction over Q.
+    GF(p), an integral Fraction over Q, whose numerator the next layer reads.
     """
     n = len(next(iter(p), ()))
     const = (0,) * n
     if not n or p.get(const) != ctx.one or q.get(const) != ctx.one:
         raise UsageError("P and Q must have constant term 1")
-    if any(len(g) != n for g in (*p, *q)):
-        raise UsageError("P and Q must share their variables")
+    if any(len(g) != n or c.denominator != 1 for g, c in (*p.items(), *q.items())):
+        raise UsageError("P and Q need shared variables and integer coefficients")
     weights = [(m + 1) ** i for i in range(n)]
 
     def key(g):
         return sum(map(mul, g, weights))
 
-    qs = sorted((sum(b), key(b), c) for b, c in q.items() if any(b) and c)
+    qs = sorted((sum(b), key(b), c.numerator) for b, c in q.items() if any(b) and c)
     q_degrees = [db for db, _, _ in qs]
     pk = {key(g): c for g, c in p.items() if 0 < sum(g) <= m}
     sub, zero = ctx.sub, ctx.zero
     acc: dict = {}  # acc[key(g)]: sum of Q_b T_{g-b} over the layers pushed so far
     get = acc.get
     out: dict = {}
-    layer = [(0, ctx.one)]  # (key(h), T_h) over degree k-1; T_0 = 1
+    layer = [(0, 1)]  # (key(h), T_h) over degree k-1; T_0 = 1
     for k in range(1, m + 1):
         push = [(bk, c) for _, bk, c in qs[:bisect_right(q_degrees, m - k + 1)]]
         for hk, th in layer:
@@ -138,7 +138,7 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
         for g in monomials_of_degree(n, k):
             gk = key(g)
             out[g] = t = sub(pk.get(gk, zero), acc.pop(gk, 0))
-            layer.append((gk, t))
+            layer.append((gk, t.numerator))
     return out
 
 

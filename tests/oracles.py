@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from operator import add
 
@@ -177,7 +178,7 @@ def series_inverse(q: TruncatedSeries, order: int) -> TruncatedSeries:
                     t = exp_add(g, h)
                     prev = acc.get(t, f.zero)
                     acc[t] = f.add(prev, f.mul(qc, rc))
-        layer = {g: f.neg(c) for g, c in acc.items() if not f.is_zero(c)}
+        layer = {g: f.sub(f.zero, c) for g, c in acc.items() if not f.is_zero(c)}
         if layer:
             by_degree[k] = layer
             r.update(layer)
@@ -257,7 +258,8 @@ def psi_jacobian(p: dict, q: dict, params, field):
             row.append(qinv.coeff(h) if h is not None else field.zero)
         for b in q_cols:
             h = exp_sub(g, b)
-            row.append(field.neg(p_over_q2.coeff(h)) if h is not None else field.zero)
+            row.append(field.sub(field.zero, p_over_q2.coeff(h)) if h is not None
+                       else field.zero)
         jac.append(row)
     return rows, p_cols + q_cols, jac
 
@@ -348,11 +350,11 @@ class JetRing:
         return Jet(base.add(a.val, b.val), d1, d2)
 
     def neg(self, a: Jet) -> Jet:
-        base = self.base
+        sub, zero = self.base.sub, self.base.zero
         return Jet(
-            base.neg(a.val),
-            {i: base.neg(c) for i, c in a.d1.items()},
-            {ij: base.neg(c) for ij, c in a.d2.items()},
+            sub(zero, a.val),
+            {i: sub(zero, c) for i, c in a.d1.items()},
+            {ij: sub(zero, c) for ij, c in a.d2.items()},
         )
 
     def sub(self, a: Jet, b: Jet) -> Jet:
@@ -473,7 +475,7 @@ def eliminate_ring(A, ring, inverse: bool = False) -> Elimination:
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            det = ring.neg(det)
+            det = sub(ring.zero, det)
         row = rows[rank]
         det = mul(det, row[col])
         inv = ring_inv(ring, row[col])
@@ -498,7 +500,7 @@ def det_berkowitz(A: list, ring):
         return ring.one
     if any(len(row) != n for row in A):
         raise UsageError("determinant of a non-square matrix")
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    add, mul, neg = ring.add, ring.mul, partial(ring.sub, ring.zero)
     # vec holds the characteristic vector of the leading k x k submatrix.
     vec = [ring.one, neg(A[0][0])]
     for k in range(2, n + 1):

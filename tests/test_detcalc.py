@@ -19,6 +19,7 @@ from taylorpade.detcalc import (
 from taylorpade.errors import DomainError, UsageError
 from taylorpade.fields import (
     PRIMES_62,
+    SURVEY_PRIME,
     PrimeField,
     Rationals,
     point_hash,
@@ -95,7 +96,7 @@ def _perm_det(A, ring):
                     ln += 1
                 if ln % 2 == 0:
                     sign = -sign
-        term = ring.one if sign == 1 else ring.neg(ring.one)
+        term = ring.one if sign == 1 else ring.sub(ring.zero, ring.one)
         for i in range(n):
             term = ring.mul(term, A[i][perm[i]])
         total = ring.add(total, term)
@@ -624,8 +625,8 @@ def test_grad_generic_2x2(gf):
     grad = grad_det_at(P, pt, gf)
     assert grad[("a",)] == 7
     assert grad[("d",)] == 2
-    assert grad[("b",)] == gf.neg(5)
-    assert grad[("c",)] == gf.neg(3)
+    assert grad[("b",)] == gf.sub(gf.zero, 5)
+    assert grad[("c",)] == gf.sub(gf.zero, 3)
     assert ("z",) not in grad
 
 
@@ -806,6 +807,26 @@ def test_hessian_orders_the_single_occurrence_classes_last(gf):
         assert all(x % gf.p == 0 for x, s in zip(diagonal, single) if s)
         if P.col_labels is not None:
             assert all(x % gf.p for x, s in zip(diagonal, single) if not s)
+
+
+@pytest.mark.parametrize("prime, size", [(SURVEY_PRIME, 9), (P62, 17)],
+                         ids=["survey", "p62"])
+def test_hessian_slot_width_follows_the_prime(prime, size):
+    # A 30-bit prime packs K of (2,20,8,22) in 9-byte slots, a 62-bit one in
+    # 17; both ranks agree with the general body on the unpacked K.
+    field = PrimeField(prime)
+    P = pade_matrix(2, 20, 8, 22)
+    pt = _nonsingular_point(P, field, random.Random(17))
+    fac = eliminate(P.evaluate(pt, field), field, inverse=True)
+    packed = hessian_from_factor(P, fac, field)
+    assert packed[1] == size
+    labels = P.variables()
+    K = unpack_hessian(labels, packed, prime)
+    general = eliminate(K, field)
+    assert general.rank == len(labels)
+    assert eliminate_symmetric(*packed[:2], prime) == (general.rank, general.det)
+    assert eliminate_symmetric(*pack_symmetric(K, prime), prime) == (
+        general.rank, general.det)
 
 
 def _zero_padded(labels, H, ambient, field):

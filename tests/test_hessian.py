@@ -15,6 +15,7 @@ from taylorpade.detcalc import block_grad_det_at
 from taylorpade.errors import DomainError, UnsupportedParametersError, UsageError
 from taylorpade.fields import (
     PRIMES_62,
+    SURVEY_PRIME,
     PrimeField,
     derive_seed,
     point_hash,
@@ -510,20 +511,53 @@ def test_survey_runs_every_trial_when_none_has_full_rank(monkeypatch, capsys):
     assert [r["hessian_full"] for r in rows] == [VANISHES, VANISHES]
 
 
+def _certificate_primes(monkeypatch):
+    """Record, per Pade certificate the CLI runs, the primes of its trials."""
+    primes = []
+    real = hessian_mod.certify_hessian_pade
+
+    def recorded(*args, **kwargs):
+        certificate = real(*args, **kwargs)
+        primes.append([t.prime for t in certificate.trials])
+        return certificate
+
+    monkeypatch.setattr(hessian_mod, "certify_hessian_pade", recorded)
+    return primes
+
+
 @pytest.mark.parametrize("seed", [0, 7, 123])
-def test_survey_rows_match_the_full_trial_loop(seed):
+def test_survey_rows_match_the_full_trial_loop(seed, monkeypatch):
+    # A survey row stops its trials at the first corank 0, over SURVEY_PRIME;
+    # the full loop runs every trial over the PRIMES_62 rotation.  The rows
+    # agree on every case up to e = 9.
+    primes = _certificate_primes(monkeypatch)
     config = cli_mod.RunConfig(command="survey", trials=5, seed=seed)
-    for params in square_family(8):
+    for params in square_family(9):
         row = cli_mod._survey_case(params, config)
         check = nondefective_hypersurface_check(params, trials=5, seed=seed)
         essential = certify_hessian_pade(check, trials=5, seed=seed)
-        assert len(essential.trials) == 5
+        assert [t.prime for t in essential.trials] == list(PRIMES_62[:5])
         want = dict(
             row,
             hessian_full=full_from_essential(essential, params).verdict,
             essential_corank=min(t.corank for t in essential.trials),
         )
         assert row == want
+    assert len(primes) == 4
+    assert {p for trial_primes in primes for p in trial_primes} == {SURVEY_PRIME}
+
+
+@pytest.mark.parametrize("flags, prime", [
+    (["--prime", "547"], 547),
+    (["--prime-index", "2"], PRIMES_62[2]),
+], ids=["prime", "prime-index"])
+def test_survey_certificate_prime_follows_the_flags(flags, prime, monkeypatch, capsys):
+    # A prime given on the command line replaces SURVEY_PRIME
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    primes = _certificate_primes(monkeypatch)
+    _survey_rows(["survey", "--e-max", "5", "--trials", "3", *flags], capsys)
+    assert len(primes) == 2
+    assert {p for trial_primes in primes for p in trial_primes} == {prime}
 
 
 @pytest.mark.parametrize("mode", ["full", "essential"])
@@ -534,6 +568,8 @@ def test_hessian_report_keeps_every_trial(mode, capsys, monkeypatch):
     assert cli_mod.main(argv) == 0
     trials = json.loads(capsys.readouterr().out)["payload"]["certificate"]["trials"]
     assert [t["index"] for t in trials] == [0, 1, 2]
+    # hessian keeps the rotation: its report prints each trial's prime
+    assert [t["prime"] for t in trials] == list(PRIMES_62[:3])
 
 
 def _count_pade_builds(monkeypatch):

@@ -84,6 +84,8 @@ def test_rational_pair_validation(qq):
         ({(0, 0): one}, {(1, 0): one}),  # no constant term
         ({}, {(0, 0): one}),
         ({(0, 0): one}, {(0, 0): one, (1, 0, 0): Fraction(3)}),  # arity
+        ({(0, 0): one, (1, 0): Fraction(1, 2)}, {(0, 0): one}),  # not integral
+        ({(0, 0): one}, {(0, 0): one, (0, 1): Fraction(-2, 3)}),
     ]
     for p, q in bad_pairs:
         with pytest.raises(UsageError):
