@@ -25,7 +25,8 @@ from fractions import Fraction
 from . import hessian as hess
 from .errors import DomainError, UsageError
 from .fields import (
-    PRIMES_62, SURVEY_PRIME, PrimeField, Rationals, derive_seed, random_point,
+    MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals, derive_seed,
+    random_point,
 )
 from .pade import export_m2, pade_matrix
 from .series import SparsePoly
@@ -64,6 +65,9 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise UsageError(f"--trials must be >= 1, got {self.trials}")
+        if self.prime is not None and self.prime >= MR_EXACT_BELOW:
+            raise UsageError(f"--prime must be below {MR_EXACT_BELOW}, "
+                             "where the primality test is exact")
         if self.prime is not None:
             PrimeField(self.prime)  # raises UsageError unless prime
         if self.prime is not None and self.prime_index is not None:
@@ -88,9 +92,6 @@ class RunConfig:
         if self.prime_index is not None:
             return PrimeField(PRIMES_62[self.prime_index % len(PRIMES_62)])
         return None  # rotate through the builtin list where supported
-
-    def fixed_context(self):
-        return self.context() or PrimeField(PRIMES_62[0])
 
 
 def known_annotations(params: TaylorParams | None) -> list:
@@ -190,6 +191,21 @@ def cmd_defect(config: RunConfig) -> dict:
     return _report(config, payload, params)
 
 
+def _gate(params: TaylorParams, config: RunConfig):
+    # hessian and survey share this gate and _relations, so a survey row
+    # reproduces from a hessian run; one nonzero det suffices to pass.
+    return nondefective_hypersurface_check(
+        params, trials=GATE_TRIALS, ctx=config.context(),
+        seed=derive_seed("gate", config.seed), stop_at_nonzero=True,
+    )
+
+
+def _relations(params: TaylorParams, config: RunConfig) -> dict:
+    fld = config.context() or PrimeField(PRIMES_62[0])
+    point = random_point(params.pade.variables(), fld, derive_seed("diag", config.seed))
+    return hess.relation_check(params, point, fld)
+
+
 def cmd_hessian(config: RunConfig) -> dict:
     if config.poly is not None:
         poly = load_poly(config.poly)
@@ -200,11 +216,7 @@ def cmd_hessian(config: RunConfig) -> dict:
         return _report(config, payload, None)
     params = config.params()
     # The gate, then the certificate, which refuses a case the gate fails.
-    # It reads only whether the gate passes, so one nonzero det suffices.
-    check = nondefective_hypersurface_check(
-        params, trials=GATE_TRIALS, ctx=config.context(),
-        seed=derive_seed("gate", config.seed), stop_at_nonzero=True,
-    )
+    check = _gate(params, config)
     cert = hess.certify_hessian_pade(
         check, trials=config.trials, seed=config.seed, ctx=config.context()
     )
@@ -212,20 +224,12 @@ def cmd_hessian(config: RunConfig) -> dict:
         cert = hess.full_from_essential(cert, params)
     payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
     if hess.relations_apply(params):
-        fld = config.fixed_context()
-        point = random_point(
-            params.pade.variables(), fld, derive_seed("diag", config.seed)
-        )
-        payload["relations"] = hess.relation_check(params, point, fld)
+        payload["relations"] = _relations(params, config)
     return _report(config, payload, params)
 
 
 def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
-    # A row reads only whether the gate passes, so one nonzero det suffices.
-    check = nondefective_hypersurface_check(
-        params, trials=config.trials, ctx=config.context(), seed=config.seed,
-        stop_at_nonzero=True,
-    )
+    check = _gate(params, config)
     row = {
         "d": params.d,
         "e": params.e,
@@ -244,13 +248,9 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
             check, trials=config.trials, seed=config.seed,
             ctx=config.context() or PrimeField(SURVEY_PRIME), stop_at_full_rank=True,
         )
-        fld = config.fixed_context()
-        point = random_point(
-            params.pade.variables(), fld, derive_seed("survey", config.seed)
-        )
         row["hessian_full"] = hess.full_from_essential(essential, params).verdict
         row["essential_corank"] = min(t.corank for t in essential.trials)
-        row["rank_M"] = hess.relation_check(params, point, fld)["rank_M"]
+        row["rank_M"] = _relations(params, config)["rank_M"]
     return row
 
 

@@ -37,11 +37,13 @@ SURVEY_PRIME = 2**30 - 35
 
 DEFAULT_RATIONAL_BOUND = 100
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a base set that is deterministic below 3.3e24."""
+    """Miller-Rabin to the prime bases 2 to 41, exact below ``MR_EXACT_BELOW`` =
+    psi_13 = 3317044064679887385961981, the least strong pseudoprime to them all."""
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -224,9 +224,7 @@ def column_transform(P: SymbolicMatrix, lam: dict, point: dict, field) -> list:
 
 
 def _m2_var(g: Exponent) -> str:
-    if len(g) == 1:
-        return f"c_{g[0]}"
-    return "c_(" + ",".join(str(x) for x in g) + ")"
+    return "c_" + _m2_seq(g)
 
 
 def export_m2(P: SymbolicMatrix) -> str:

@@ -356,14 +356,24 @@ def test_trials_must_be_positive(argv, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["defect", *_P547, "--field", "rational", "--prime", "4"],
-], ids=["defect-rational"])
-def test_prime_must_be_prime(argv, capsys, tmp_path, monkeypatch):
+_PSI_12, _PSI_13 = "318665857834031151167461", "3317044064679887385961981"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["defect", *_P547, "--field", "rational", "--prime", "4"], "modulus 4 is not prime"),
+    (["hessian", *_P547, "--trials", "2", "--mode", "essential", "--prime", _PSI_12],
+     f"modulus {_PSI_12} is not prime"),
+    (["survey", "--e-max", "5", "--prime", _PSI_13], f"--prime must be below {_PSI_13}"),
+], ids=["defect-rational", "psi12", "psi13"])
+def test_prime_must_be_prime(argv, message, capsys, tmp_path, monkeypatch):
     # Rejected before any command runs, also where it builds no prime field.
+    # psi_12 is a strong pseudoprime to the bases 2..37, and psi_13 to 2..41,
+    # where the primality test stops being exact.
+    calls = _count_eliminations(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    assert "modulus 4 is not prime" in _usage_error(argv, capsys)
+    assert message in _usage_error(argv, capsys)
     assert list(tmp_path.iterdir()) == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv,flags", [

@@ -25,7 +25,8 @@ def test_builtin_primes_are_prime_and_62_bit():
 
 
 def test_miller_rabin_composites():
-    for n in (1, 0, 561, 41041, 2**62 - 1, 3215031751):
+    # psi_12 = 399165290221 * 798330580441 passes every prime base up to 37
+    for n in (1, 0, 561, 41041, 2**62 - 1, 3215031751, 318665857834031151167461):
         assert not is_probable_prime(n)
     for n in (2, 3, 5, 97, 2**31 - 1):
         assert is_probable_prime(n)

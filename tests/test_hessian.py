@@ -649,6 +649,85 @@ def test_refusal_counts_the_gate_trials_run(monkeypatch, capsys):
     assert "verdict 'defective' (det nonzero in 1/1 trials" in capsys.readouterr().err
 
 
+def _record_case_stages(monkeypatch):
+    """Record (stage, case) for each certificate and relation check run;
+    return the list."""
+    stages = []
+    certify, relations = hessian_mod.certify_hessian_pade, hessian_mod.relation_check
+
+    def certified(check, *args, **kwargs):
+        stages.append(("certificate", check.params.astuple()))
+        return certify(check, *args, **kwargs)
+
+    def related(params, *args, **kwargs):
+        stages.append(("relations", params.astuple()))
+        return relations(params, *args, **kwargs)
+
+    monkeypatch.setattr(hessian_mod, "certify_hessian_pade", certified)
+    monkeypatch.setattr(hessian_mod, "relation_check", related)
+    return stages
+
+
+@pytest.mark.parametrize("e_max,flags,dimension_0,failing", [
+    ("5", [], True, [(2, 5, 4, 7), (2, 8, 5, 10)]),
+    ("8", ["--prime", "2"], False, [(2, 20, 8, 22)]),
+], ids=["dimension-0", "prime-2"])
+def test_survey_row_of_a_failing_gate(e_max, flags, dimension_0, failing, monkeypatch,
+                                      capsys):
+    # A row whose gate fails leaves the certificate and relation fields
+    # blank and runs neither stage; the hessian run of its case refuses it.
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    if dimension_0:
+        monkeypatch.setattr(variety_mod, "actual_dimension", lambda *a, **k: 0)
+    stages = _record_case_stages(monkeypatch)
+    rows = _survey_rows(["survey", "--e-max", e_max, "--trials", "2", *flags], capsys)
+    cases = [(2, r["d"], r["e"], r["m"]) for r in rows]
+    assert [c for c, r in zip(cases, rows) if not r["nondefective_hypersurface"]] == failing
+    for case, row in zip(cases, rows):
+        if case in failing:
+            assert (row["hessian_full"], row["essential_corank"], row["rank_M"]) == ("",) * 3
+    assert stages == [(stage, c) for c in cases if c not in failing
+                      for stage in ("certificate", "relations")]
+    for n, d, e, m in failing:
+        argv = ["hessian", "-n", str(n), "-d", str(d), "-e", str(e), "-m", str(m),
+                "--trials", "2", *flags]
+        assert cli_mod.main(argv) == 2
+        assert f"refusing Hessian certificate for {(n, d, e, m)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--prime", "7", "--seed", "0"],
+    ["--prime", "5", "--seed", "3"],
+    ["--seed", "1"],
+], ids=["p7-s0", "p5-s3", "default-s1"])
+def test_survey_row_is_its_case_hessian_run(flags, monkeypatch, capsys):
+    # survey samples each case's gate and relation check at the points of
+    # hessian, so every row up to e = 8 reproduces from the hessian runs of
+    # its case, at tiny primes too, where samples often disagree
+    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+    common = ["--trials", "3", *flags]
+    rows = _survey_rows(["survey", "--e-max", "8", *common], capsys)
+    assert len(rows) == len(square_family(8))
+    for row in rows:
+        case = ["-n", "2", "-d", str(row["d"]), "-e", str(row["e"]), "-m", str(row["m"])]
+        payload = {}
+        for mode in ("essential", "full"):
+            code = cli_mod.main(["hessian", *case, *common, "--mode", mode])
+            out, err = capsys.readouterr()
+            assert code == 0 or (code == 2 and "refusing" in err)
+            payload[mode] = json.loads(out)["payload"] if code == 0 else None
+        if payload["essential"] is None:
+            assert payload["full"] is None
+            want = (False, "", "", "")
+        else:
+            essential = payload["essential"]
+            want = (True, payload["full"]["verdict"],
+                    min(t["corank"] for t in essential["certificate"]["trials"]),
+                    essential["relations"]["rank_M"])
+        assert (row["nondefective_hypersurface"], row["hessian_full"],
+                row["essential_corank"], row["rank_M"]) == want
+
+
 def test_certificate_depends_on_check_only_through_params():
     # two passing gates that ran different trials at different seeds
     first = nondefective_hypersurface_check(P547, trials=3, seed=5)
