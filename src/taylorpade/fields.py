@@ -119,8 +119,8 @@ class Rationals:
     """Exact rational arithmetic on ``fractions.Fraction`` values.
 
     Random samples are uniform integers in ``[-B, B]``, B =
-    ``DEFAULT_RATIONAL_BOUND``, which keeps Bareiss determinant bit growth
-    manageable at the matrix sizes this package works with.
+    ``DEFAULT_RATIONAL_BOUND``; small integers keep down the bit growth of
+    Bareiss, which ranks over Q only where GF(p) falls short (``variety``).
     """
 
     __slots__ = ()

@@ -27,9 +27,9 @@ from functools import cached_property
 from math import comb
 from operator import mul
 
-from .detcalc import eliminate
+from .detcalc import Elimination, eliminate
 from .errors import UsageError
-from .fields import PRIMES_62, PrimeField, derive_seed, random_point
+from .fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
 from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape, reduced_pade
 from .series import monomials_of_degree, monomials_upto
 
@@ -142,6 +142,18 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     return out
 
 
+def _eliminate_exact(A, ctx) -> Elimination:
+    """``eliminate(A, ctx)``; over Q, first mod p = ``PRIMES_62[0]``, where a
+    rank of min(rows, cols) is exact (a minor nonzero mod p is nonzero over
+    Q), so Bareiss runs only when that rank falls short."""
+    if isinstance(ctx, Rationals):
+        gf = PrimeField(PRIMES_62[0])
+        mod = eliminate([[gf.of_fraction(x) for x in row] for row in A], gf)
+        if mod.rank == min(len(A), len(A[0])):
+            return mod
+    return eliminate(A, ctx)
+
+
 def expected_dimension(params: TaylorParams) -> int:
     n, d, e, m = params.astuple()
     return min(comb(d + n, n) + comb(e + n, n) - 2, comb(m + n, n) - 1)
@@ -172,6 +184,8 @@ def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) ->
     generically exact.  J is (C(m+n,n)-1) x (C(d+n,n)+C(e+n,n)-2), so the
     rank never exceeds ``expected_dimension(params)``, the smaller of the
     two; the first trial that reaches it ends the loop with the exact answer.
+    Over Q each rank goes through the GF(p) prefilter ``_eliminate_exact``,
+    which runs Bareiss only when the rank mod ``PRIMES_62[0]`` falls short.
     """
     if trials < 1:
         raise UsageError("need at least one trial")
@@ -186,7 +200,7 @@ def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) ->
     for t in range(trials):
         p, q = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
         A = R.evaluate(taylor_coeffs(p, q, params.m, ctx), ctx)
-        best = max(best, base + eliminate(A, ctx).rank)
+        best = max(best, base + _eliminate_exact(A, ctx).rank)
         if best == ceiling:
             break
     return best
@@ -217,7 +231,8 @@ def nondefective_hypersurface_check(
     Requires (a) a square Pade matrix, (b) a nonzero determinant at some
     random point (which certifies det != 0 as a polynomial), and (c) actual
     dimension equal to the expected dimension equal to N-1.  The Pade matrix
-    ``params.pade`` serves both the determinant trials and the rank.
+    ``params.pade`` serves both the determinant trials and the rank, over Q
+    through the GF(p) prefilter ``_eliminate_exact``.
 
     ``stop_at_nonzero`` ends the determinant trials at the first nonzero
     det, which fixes (b) exactly; ``det_trials`` then counts the trials run.
@@ -230,7 +245,7 @@ def nondefective_hypersurface_check(
         for t in range(trials):
             run = t + 1
             point = random_point(variables, ctx, derive_seed("det", seed, t))
-            if eliminate(P.evaluate(point, ctx), ctx).det != 0:
+            if _eliminate_exact(P.evaluate(point, ctx), ctx).det != 0:
                 nonzero += 1
                 if stop_at_nonzero:
                     break

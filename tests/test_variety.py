@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import taylorpade.detcalc as detcalc_mod
 import taylorpade.variety as variety_mod
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
@@ -277,6 +278,75 @@ def test_gate_rank_matches_jacobian_oracle(case, field, seed, request):
         assert comb(d + n, n) - 1 + pade_rank == jac_rank
         jacobian_ranks.append(jac_rank)
     assert actual_dimension(params, trials=3, ctx=ctx, seed=seed) == max(jacobian_ranks)
+
+
+# every exact-q and gate-e9 case, (1,3,2,6), (2,3,0,4) (e = 0), and the
+# square family up to e = 9: (2,5,4,7), (2,8,5,10), (2,20,8,22), (2,25,9,27)
+PREFILTER_CASES = sorted({
+    (2, 8, 5, 10), (2, 12, 6, 14), (3, 4, 3, 6), (3, 2, 2, 3), (2, 25, 9, 27),
+    (1, 3, 2, 6), (2, 3, 0, 4), *(p.astuple() for p in square_family(9)),
+})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("case", PREFILTER_CASES, ids=lambda c: "".join(map(str, c)))
+def test_rational_prefilter_agrees_with_bareiss(case, seed, qq):
+    # The gate's two matrices over Q, the reduced Pade matrix at the gate's
+    # first T and P at its first det point: the GF(p) prefilter reads the
+    # same rank and det != 0 as Bareiss.  With e = 0 only P has columns.
+    params = TaylorParams(*case)
+    P = params.pade
+    matrices = [P.evaluate(random_point(P.variables(), qq, derive_seed("det", seed, 0)), qq)]
+    if case[2]:
+        p, q = random_rational_pair(params, qq, derive_seed("dim", seed, 0))
+        matrices.append(reduced_pade(P).evaluate(taylor_coeffs(p, q, params.m, qq), qq))
+    for A in matrices:
+        fast, exact = variety_mod._eliminate_exact(A, qq), eliminate(A, qq)
+        assert (fast.rank, fast.det != 0) == (exact.rank, exact.det != 0)
+
+
+def _count_bareiss(monkeypatch):
+    runs = []
+    real = detcalc_mod._eliminate_bareiss
+
+    def counted(A, ncols):
+        runs.append((len(A), ncols))
+        return real(A, ncols)
+
+    monkeypatch.setattr(detcalc_mod, "_eliminate_bareiss", counted)
+    return runs
+
+
+@pytest.mark.parametrize("case,actual,bareiss", [
+    ((2, 8, 5, 10), 64, 0),
+    ((2, 12, 6, 14), 117, 0),
+    ((3, 4, 3, 6), 53, 0),
+    ((2, 25, 9, 27), 404, 0),
+    # det(P) = 0 identically and the reduced matrix has rank 8 of 9 at every
+    # pair over Q, so neither is ever full mod p: the four det trials and
+    # the three pairs all fall back to Bareiss
+    ((3, 2, 2, 3), 17, 7),
+], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_rational_gate_runs_bareiss_only_below_full_rank(case, actual, bareiss,
+                                                         monkeypatch, qq):
+    runs = _count_bareiss(monkeypatch)
+    check = nondefective_hypersurface_check(TaylorParams(*case), trials=4,
+                                            ctx=qq, seed=0)
+    assert check.actual_dim == actual
+    assert len(runs) == bareiss
+
+
+def test_rational_prefilter_falls_back_below_full_rank_mod_p(monkeypatch, qq, gf):
+    # Full rank over Q, rank 1 mod PRIMES_62[0]: the Q answer comes from
+    # exactly one Bareiss run.  Over GF(p) the helper is plain eliminate.
+    p = PRIMES_62[0]
+    A = [[Fraction(p), Fraction(0)], [Fraction(0), Fraction(1)]]
+    runs = _count_bareiss(monkeypatch)
+    out = variety_mod._eliminate_exact(A, qq)
+    assert (out.rank, out.det) == (2, Fraction(p))
+    assert runs == [(2, 2)]
+    B = [[p, 0], [0, 1]]
+    assert variety_mod._eliminate_exact(B, gf) == eliminate(B, gf) == (1, 0, None)
 
 
 def test_gate_without_q_columns_ranks_nothing(monkeypatch, gf):
