@@ -1,9 +1,10 @@
 """Exact determinants, ranks, adjugates, and derivatives of determinants.
 
-Determinant, rank and inverse all come from one elimination kernel,
-``eliminate``, with two bodies: general over GF(p), and Bareiss over Q (no
-inverse).  The Hessian certificate calls a third, ``eliminate_symmetric``,
-directly on the packed rows it assembles.
+Determinant, rank and inverse all come from one elimination kernel over
+GF(p), ``eliminate``.  The Hessian certificate calls a second body,
+``eliminate_symmetric``, directly on the packed rows it assembles.  A rank
+over Q is the GF(p) rank mod enough primes to certify it
+(``rank_rational``).
 
 Over GF(p) the kernel works on packed rows with delayed modular reduction
 (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields: the
@@ -77,22 +78,21 @@ e = 20, 136 bits for ``fields.PRIMES_62`` and 72 for ``fields.SURVEY_PRIME``.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from itertools import repeat
-from math import lcm
+from itertools import chain, count, repeat
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, UsageError
-from .fields import PrimeField, Rationals
+from .fields import PRIMES_62, PrimeField, is_probable_prime
 from .pade import SymbolicMatrix
 
 
 class Elimination(NamedTuple):
     """Rank, determinant and inverse read off one elimination.
 
-    ``det`` is None for a non-square matrix.  ``inverse`` is None unless it
-    was asked for and the matrix is invertible.
+    ``det`` is None for a non-square matrix, else a residue mod p; ``inverse``
+    is None unless it was asked for and the matrix is invertible.
     """
 
     rank: int
@@ -101,42 +101,64 @@ class Elimination(NamedTuple):
 
 
 def eliminate(A, field, inverse: bool = False) -> Elimination:
-    """Rank-profile elimination of ``A`` (rectangular allowed), with the
-    Gauss-Jordan inverse of a square ``A`` on request.
+    """Rank-profile elimination of ``A`` (rectangular allowed) over GF(p),
+    with the Gauss-Jordan inverse of a square ``A`` on request.
 
     Pivot rows are taken column by column and a column without a pivot is
-    skipped (rank-profile elimination, Dumas-Pernet-Sultan, ISSAC 2013).  The
-    body follows from ``field``:
-
-    * over GF(p), packed rows with delayed reduction (module docstring):
-      one multiply-add of W-bit slots per row update, with
-      ``p + min(rows, cols) * p * (p - 1) < 2^W`` so slots never carry,
-      and ``% p`` applied only to the pivot column, to each pivot row and
-      to the final inverse;
-    * over Q, with no inverse asked, fraction-free Bareiss elimination
-      (Math. Comp. 22, 1968) of the integer-scaled rows.
-
-    Any other field, and an inverse over Q, raise ``UsageError``.  Every
-    body takes as pivot the first remaining row whose entry is nonzero and
-    stops once the rank reaches the row count.
+    skipped (rank-profile elimination, Dumas-Pernet-Sultan, ISSAC 2013); the
+    pivot is the first remaining row whose entry is nonzero, and elimination
+    stops once the rank reaches the row count.  Rows are packed with delayed
+    reduction (module docstring): one multiply-add of W-bit slots per row
+    update, with ``p + min(rows, cols) * p * (p - 1) < 2^W`` so slots never
+    carry, and ``% p`` applied only to the pivot column, to each pivot row
+    and to the final inverse.  Any other field raises ``UsageError``.
     """
-    ncols = len(A[0]) if A else 0
-    if any(len(row) != ncols for row in A):
-        raise UsageError("ragged matrix")
+    ncols = _columns(A)
     square = len(A) == ncols
     if inverse and not square:
         raise UsageError("inverse of a non-square matrix")
-    if isinstance(field, PrimeField):
-        rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
-    elif isinstance(field, Rationals) and not inverse:
-        rank, det, inv = _eliminate_bareiss(A, ncols)
-    else:
-        what = f"an inverse over {field!r}" if inverse else repr(field)
-        raise UsageError(
-            f"no elimination for {what}: eliminate runs over GF(p), and over "
-            f"Q without an inverse"
-        )
+    if not isinstance(field, PrimeField):
+        raise UsageError(f"no elimination over {field!r}: eliminate runs over GF(p)")
+    rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
     return Elimination(rank, det if square else None, inv)
+
+
+def rank_rational(A) -> int:
+    """Exact rank over Q of ``A`` (Fractions or ints) from the GF(p) body,
+    mod ``fields.PRIMES_62`` in order and then each smaller prime.
+
+    Rows are scaled to integers.  A minor nonzero mod p is a nonzero
+    integer, so a rank mod p never exceeds the rank over Q and a full one
+    is exact at once.  Otherwise r, the largest rank seen, is exact once the
+    primes that gave r, each dividing every (r+1)-minor, multiply past the
+    Hadamard bound B on every minor, the product over rows of
+    ``isqrt(|row|^2) + 1``.  A zero matrix has B = 1 and takes one prime.
+    """
+    ncols = _columns(A)
+    rows = []
+    for row in A:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    full = min(len(rows), ncols)
+    bound = prod(isqrt(sum(x * x for x in row)) + 1 for row in rows)
+    best, certified = -1, 1
+    for p in chain(PRIMES_62, filter(is_probable_prime, count(PRIMES_62[-1] - 2, -2))):
+        rank = _eliminate_modp(rows, ncols, p, False)[0]
+        if rank == full:
+            return rank
+        if rank > best:
+            best, certified = rank, 1
+        if rank == best:
+            certified *= p
+            if certified > bound:
+                return best
+
+
+def _columns(A):
+    ncols = len(A[0]) if A else 0
+    if any(len(row) != ncols for row in A):
+        raise UsageError("ragged matrix")
+    return ncols
 
 
 def _eliminate_modp(A, ncols, p, inverse):
@@ -234,38 +256,6 @@ def _unpack(row, count, size):
             for j in range(0, count * size, size)]
 
 
-def _eliminate_bareiss(A, ncols):
-    # Each row is scaled to integers; every division by the previous pivot is
-    # then exact, since each entry is the determinant of a square submatrix
-    # of the scaled matrix.
-    scale = 1
-    rows = []
-    for row in A:
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    n = len(rows)
-    sign, prev, rank = 1, 1, 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        pivot = rows[rank][col]
-        tail = rows[rank][col + 1:]
-        for i in range(rank + 1, n):
-            f = rows[i][col]
-            rows[i][col + 1:] = [(x * pivot - f * y) // prev
-                                 for x, y in zip(rows[i][col + 1:], tail)]
-        prev = pivot
-        rank += 1
-        if rank == n:
-            break
-    return rank, Fraction(sign * prev, scale) if rank == n else Fraction(0), None
-
-
 def adjugate(A: list, field) -> list:
     """adj(A) with A*adj(A) = det(A)*I over GF(p), defined also for singular
     A, in O(n^3): one elimination of A with inverse, and at rank n - 1 one
@@ -277,8 +267,8 @@ def adjugate(A: list, field) -> list:
     c * x y^T with A x = 0 and y^T A = 0, so B^-1[:n, n] = x / (v.x),
     B^-1[n, :n] = y^T / (y.u) and det(B) = -c (v.x)(y.u).  B is invertible
     when v.x != 0 and y.u != 0, so a draw succeeds with probability at least
-    (1 - 1/p)^2; a singular B is drawn again.  Over Q ``eliminate`` has no
-    inverse, so this raises ``UsageError``."""
+    (1 - 1/p)^2; a singular B is drawn again.  Any other field raises
+    ``UsageError``."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise UsageError("adjugate of a non-square matrix")

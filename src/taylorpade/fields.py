@@ -119,8 +119,8 @@ class Rationals:
     """Exact rational arithmetic on ``fractions.Fraction`` values.
 
     Random samples are uniform integers in ``[-B, B]``, B =
-    ``DEFAULT_RATIONAL_BOUND``; small integers keep down the bit growth of
-    Bareiss, which ranks over Q only where GF(p) falls short (``variety``).
+    ``DEFAULT_RATIONAL_BOUND``; small integers keep down the Hadamard bound,
+    and with it the primes a rank over Q needs (``detcalc.rank_rational``).
     """
 
     __slots__ = ()

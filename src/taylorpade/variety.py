@@ -27,7 +27,7 @@ from functools import cached_property
 from math import comb
 from operator import mul
 
-from .detcalc import Elimination, eliminate
+from .detcalc import eliminate, rank_rational
 from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
 from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape, reduced_pade
@@ -142,16 +142,9 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     return out
 
 
-def _eliminate_exact(A, ctx) -> Elimination:
-    """``eliminate(A, ctx)``; over Q, first mod p = ``PRIMES_62[0]``, where a
-    rank of min(rows, cols) is exact (a minor nonzero mod p is nonzero over
-    Q), so Bareiss runs only when that rank falls short."""
-    if isinstance(ctx, Rationals):
-        gf = PrimeField(PRIMES_62[0])
-        mod = eliminate([[gf.of_fraction(x) for x in row] for row in A], gf)
-        if mod.rank == min(len(A), len(A[0])):
-            return mod
-    return eliminate(A, ctx)
+def _rank(A, ctx) -> int:
+    """Rank of ``A`` over ``ctx``, GF(p) or Q, exact over either."""
+    return rank_rational(A) if isinstance(ctx, Rationals) else eliminate(A, ctx).rank
 
 
 def expected_dimension(params: TaylorParams) -> int:
@@ -184,8 +177,7 @@ def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) ->
     generically exact.  J is (C(m+n,n)-1) x (C(d+n,n)+C(e+n,n)-2), so the
     rank never exceeds ``expected_dimension(params)``, the smaller of the
     two; the first trial that reaches it ends the loop with the exact answer.
-    Over Q each rank goes through the GF(p) prefilter ``_eliminate_exact``,
-    which runs Bareiss only when the rank mod ``PRIMES_62[0]`` falls short.
+    Over Q each rank is ``detcalc.rank_rational``, certified mod primes.
     """
     if trials < 1:
         raise UsageError("need at least one trial")
@@ -200,7 +192,7 @@ def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) ->
     for t in range(trials):
         p, q = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
         A = R.evaluate(taylor_coeffs(p, q, params.m, ctx), ctx)
-        best = max(best, base + _eliminate_exact(A, ctx).rank)
+        best = max(best, base + _rank(A, ctx))
         if best == ceiling:
             break
     return best
@@ -231,8 +223,8 @@ def nondefective_hypersurface_check(
     Requires (a) a square Pade matrix, (b) a nonzero determinant at some
     random point (which certifies det != 0 as a polynomial), and (c) actual
     dimension equal to the expected dimension equal to N-1.  The Pade matrix
-    ``params.pade`` serves both the determinant trials and the rank, over Q
-    through the GF(p) prefilter ``_eliminate_exact``.
+    ``params.pade`` serves both the determinant trials and the rank.  A
+    trial reads det != 0 as full rank, over Q from ``detcalc.rank_rational``.
 
     ``stop_at_nonzero`` ends the determinant trials at the first nonzero
     det, which fixes (b) exactly; ``det_trials`` then counts the trials run.
@@ -245,7 +237,7 @@ def nondefective_hypersurface_check(
         for t in range(trials):
             run = t + 1
             point = random_point(variables, ctx, derive_seed("det", seed, t))
-            if _eliminate_exact(P.evaluate(point, ctx), ctx).det != 0:
+            if _rank(P.evaluate(point, ctx), ctx) == P.nrows:
                 nonzero += 1
                 if stop_at_nonzero:
                     break

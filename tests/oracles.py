@@ -11,10 +11,13 @@ instead (``variety.actual_dimension``); these give the same T and the same
 rank by another route.  Membership of a coefficient vector in the variety,
 read off the kernel of the Pade matrix at it.
 
-Second-order jets (``Jet``, ``JetRing``) and elimination over any
-commutative ring with unit pivots (``eliminate_ring``), falling back to the
-division-free Berkowitz determinant; it also gives inverses over Q, which
-``detcalc.eliminate`` does not.  Its units and inverses come from
+Fraction-free Bareiss elimination over Q (``eliminate_bareiss``) is the
+reference for exact determinants over Q and for the program's ranks over Q,
+which ``detcalc.rank_rational`` certifies mod primes; ``rank_of`` ranks by
+it over Q and by ``detcalc.eliminate`` over GF(p).  Second-order jets
+(``Jet``, ``JetRing``) and elimination over any commutative ring with unit
+pivots (``eliminate_ring``), falling back to the division-free Berkowitz
+determinant; it also gives inverses over Q.  Its units and inverses come from
 ``is_unit`` and ``ring_inv``, which also serve GF(p) and Q: the program's
 field contexts offer no inverse.  From jets and ``eliminate_ring``, the
 derivatives of det(P) read off jet coefficients: the gradient
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
+from math import lcm
 from operator import add
 
 from taylorpade.detcalc import (
@@ -43,7 +47,7 @@ from taylorpade.detcalc import (
     hessian_from_factor,
 )
 from taylorpade.errors import DomainError, UsageError
-from taylorpade.fields import PrimeField
+from taylorpade.fields import PrimeField, Rationals
 from taylorpade.series import (
     DOMAIN_ORDER,
     Exponent,
@@ -271,8 +275,54 @@ def membership(T: dict, params, ctx) -> bool:
     strictly below its column count.  The constant coordinate is taken as 1.
     """
     P = params.pade
-    A = P.evaluate(T, ctx)
-    return eliminate(A, ctx).rank < P.ncols
+    return rank_of(P.evaluate(T, ctx), ctx) < P.ncols
+
+
+def rank_of(A, ctx) -> int:
+    """Rank of ``A`` over ``ctx``: Bareiss over Q, ``eliminate`` over GF(p)."""
+    return eliminate_bareiss(A).rank if isinstance(ctx, Rationals) else eliminate(A, ctx).rank
+
+
+def eliminate_bareiss(A) -> Elimination:
+    """Rank and det over Q of ``A`` (Fractions or ints) by fraction-free
+    Bareiss elimination (Math. Comp. 22, 1968), with the pivot rule, det
+    sign and early exit of ``detcalc.eliminate``; no inverse.
+
+    Each row is scaled to integers; every division by the previous pivot is
+    then exact, since each entry is the determinant of a square submatrix
+    of the scaled matrix.  Kept apart from ``eliminate_ring`` over Q for
+    speed: no Fraction arithmetic inside the loop.
+    """
+    ncols = len(A[0]) if A else 0
+    if any(len(row) != ncols for row in A):
+        raise UsageError("ragged matrix")
+    scale = 1
+    rows = []
+    for row in A:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    n = len(rows)
+    sign, prev, rank = 1, 1, 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        pivot = rows[rank][col]
+        tail = rows[rank][col + 1:]
+        for i in range(rank + 1, n):
+            f = rows[i][col]
+            rows[i][col + 1:] = [(x * pivot - f * y) // prev
+                                 for x, y in zip(rows[i][col + 1:], tail)]
+        prev = pivot
+        rank += 1
+        if rank == n:
+            break
+    det = Fraction(sign * prev, scale) if rank == n else Fraction(0)
+    return Elimination(rank, det if n == ncols else None, None)
 
 
 class Jet:

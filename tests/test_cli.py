@@ -251,8 +251,8 @@ GOLDEN_RUNS = {
     "defect_1_3_2_6_t4_s7_rational.json":
         ["defect", "-n", "1", "-d", "3", "-e", "2", "-m", "6",
          "--trials", "4", "--seed", "7", "--field", "rational"],
-    # recorded while every rank and det over Q ran Bareiss (about 1.3 s and
-    # 15 s), before the GF(p) prefilter
+    # recorded when every rank and det over Q ran Bareiss over Fractions
+    # (about 1.3 s and 15 s); ranks over Q are now certified mod primes
     "defect_2_25_9_27_t4_s7_rational.json":
         ["defect", "-n", "2", "-d", "25", "-e", "9", "-m", "27",
          "--trials", "4", "--seed", "7", "--field", "rational"],

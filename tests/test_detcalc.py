@@ -15,6 +15,7 @@ from taylorpade.detcalc import (
     eliminate,
     eliminate_symmetric,
     hessian_from_factor,
+    rank_rational,
 )
 from taylorpade.errors import DomainError, UsageError
 from taylorpade.fields import (
@@ -22,6 +23,7 @@ from taylorpade.fields import (
     SURVEY_PRIME,
     PrimeField,
     Rationals,
+    is_probable_prime,
     point_hash,
     random_point,
 )
@@ -43,6 +45,7 @@ from oracles import (
     Jet,
     JetRing,
     det_berkowitz,
+    eliminate_bareiss,
     eliminate_ring,
     expand_det_poly,
     grad_det_at,
@@ -168,10 +171,11 @@ def _inputs(name, kind, rng):
 @pytest.mark.parametrize("kind", ["square", "singular", "rectangular"])
 @pytest.mark.parametrize("name", list(RINGS))
 def test_eliminate(name, kind):
-    # eliminate has no body over jets, and none for an inverse over Q; the
-    # oracle eliminate_ring serves those
+    # eliminate runs over GF(p) only; over Q the oracle Bareiss gives rank
+    # and det, and the oracle eliminate_ring serves jets and inverses over Q
     ring = RINGS[name]
-    elim = eliminate_ring if name.startswith("jet") else eliminate
+    elim = {"gf": eliminate, "qq": lambda A, _: eliminate_bareiss(A)}.get(
+        name, eliminate_ring)
     elim_inv = eliminate if name == "gf" else eliminate_ring
     rng = random.Random(f"{name}-{kind}")
     for A, known_det in _inputs(name, kind, rng):
@@ -198,8 +202,10 @@ def test_eliminate(name, kind):
         if not isinstance(ring, JetRing):
             assert e.rank == _brute_rank(A, ring)
         if name == "qq":
-            with pytest.raises(UsageError):
-                eliminate(A, ring, inverse=True)
+            assert rank_rational(A) == e.rank
+            for inverse in (False, True):
+                with pytest.raises(UsageError):
+                    eliminate(A, ring, inverse=inverse)
         if name == "qq" and e.det is not None:
             # the modular route agrees with the rational one
             gf = RINGS["gf"]
@@ -209,18 +215,17 @@ def test_eliminate(name, kind):
 
 def test_eliminate_refuses_rings_without_a_body(monkeypatch, gf, qq):
     A = [[1, 2], [3, 4]]
-    for order in (1, 2):
-        ring = JetRing(gf, order=order)
-        jets = [[ring.constant(x) for x in row] for row in A]
+    refused = [([[ring.constant(x) for x in row] for row in A], ring)
+               for ring in (JetRing(gf, order=1), JetRing(gf, order=2))]
+    refused.append(([[Fraction(x) for x in row] for row in A], qq))
+    for B, ring in refused:
         for inverse in (False, True):
             with pytest.raises(UsageError, match="no elimination"):
-                eliminate(jets, ring, inverse=inverse)
-    with pytest.raises(UsageError, match="no elimination for an inverse over"):
-        eliminate(A, qq, inverse=True)
-    # each of the two bodies gives an int rank, a zero matrix included; the
+                eliminate(B, ring, inverse=inverse)
+    # the general body gives an int rank, a zero matrix included; the
     # symmetric body is watched too, and no eliminate call takes it
-    general, bareiss = "_eliminate_modp", "_eliminate_bareiss"
-    bodies = (general, "eliminate_symmetric", bareiss)
+    general = "_eliminate_modp"
+    bodies = (general, "eliminate_symmetric")
     taken = []
     for name in bodies:
         def run(*args, body=getattr(detcalc_mod, name), name=name):
@@ -234,9 +239,6 @@ def test_eliminate_refuses_rings_without_a_body(monkeypatch, gf, qq):
         (A, gf, False, [general]),
         (S, gf, False, [general]),
         (Z, gf, False, [general]),
-        (A, qq, False, [bareiss]),
-        (Z, qq, False, [bareiss]),
-        ([[1, 2, 3]], qq, False, [bareiss]),
     ]
     for B, field, inverse, want in cases:
         taken.clear()
@@ -249,11 +251,11 @@ def _rand_int_matrix(rng, k, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)]
 
 
-def test_det_exact_trivials(qq):
-    assert eliminate([[1, 1, 1]] * 3, qq).det == 0
-    assert eliminate([[2, 0, 0], [0, 3, 0], [0, 0, 5]], qq).det == 30
+def test_det_exact_trivials():
+    assert eliminate_bareiss([[1, 1, 1]] * 3).det == 0
+    assert eliminate_bareiss([[2, 0, 0], [0, 3, 0], [0, 0, 5]]).det == 30
     half = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
-    assert eliminate(half, qq).det == Fraction(1, 6) - 1
+    assert eliminate_bareiss(half).det == Fraction(1, 6) - 1
 
 
 def test_det_exact_matches_brute_force(qq):
@@ -261,14 +263,14 @@ def test_det_exact_matches_brute_force(qq):
     for k in range(1, 5):
         for _ in range(5):
             A = _rand_int_matrix(rng, k)
-            assert eliminate(A, qq).det == _perm_det(A, qq)
+            assert eliminate_bareiss(A).det == _perm_det(A, qq)
 
 
-def test_det_exact_cross_det_modp(gf, qq):
+def test_det_exact_cross_det_modp(gf):
     rng = random.Random(1)
     for _ in range(10):
         A = _rand_int_matrix(rng, 6)
-        exact = eliminate(A, qq).det
+        exact = eliminate_bareiss(A).det
         assert exact.denominator == 1
         modular = eliminate([[x % gf.p for x in row] for row in A], gf).det
         assert modular == exact.numerator % gf.p
@@ -495,9 +497,56 @@ def test_rank_trivials(gf):
     assert eliminate(outer, gf).rank == 1
 
 
-def test_rank_rectangular(qq):
-    assert eliminate([[1, 2, 3], [2, 4, 6]], qq).rank == 1
-    assert eliminate([[Fraction(1, 2)], [Fraction(1, 3)]], qq).rank == 1
+def test_rank_rectangular():
+    assert rank_rational([[1, 2, 3], [2, 4, 6]]) == 1
+    assert rank_rational([[Fraction(1, 2)], [Fraction(1, 3)]]) == 1
+
+
+def _primes_taken(monkeypatch):
+    """The moduli of each GF(p) elimination that ``rank_rational`` runs."""
+    taken = []
+
+    def body(A, ncols, p, inverse):
+        taken.append(p)
+        return _eliminate_modp(A, ncols, p, inverse)
+
+    monkeypatch.setattr(detcalc_mod, "_eliminate_modp", body)
+    return taken
+
+
+def test_rank_rational_needs_a_third_prime(monkeypatch):
+    # Full rank over Q, rank 1 mod each of the first two primes; their
+    # product is below the Hadamard bound 2 * (p0 * p1 + 1), so the answer
+    # comes from the third prime, where the rank is full.
+    p0, p1 = PRIMES_62[:2]
+    A = [[Fraction(p0 * p1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    taken = _primes_taken(monkeypatch)
+    assert rank_rational(A) == eliminate_bareiss(A).rank == 2
+    assert taken == list(PRIMES_62[:3])
+    assert eliminate([[p0 * p1, 0], [0, 1]], PrimeField(p0)) == (1, 0, None)
+
+
+def test_rank_rational_runs_past_the_listed_primes(monkeypatch):
+    # Rank 1 with entries near 2^300: the Hadamard bound, about 2^603,
+    # exceeds the product of the eight PRIMES_62 (about 2^496), so the
+    # certificate takes primes below them.
+    rng = random.Random(4)
+    u = [2**300 + rng.randrange(2**64) for _ in range(2)]
+    A = [u, [3 * x for x in u]]
+    taken = _primes_taken(monkeypatch)
+    assert rank_rational(A) == eliminate_bareiss(A).rank == 1
+    assert taken[:8] == list(PRIMES_62) and len(taken) > 8
+    # PRIMES_62 are the eight largest primes below 2^62, and the primes
+    # taken after them are every smaller one, in descending order
+    assert taken == [n for n in range(2**62 - 1, taken[-1] - 1, -1)
+                     if is_probable_prime(n)]
+
+
+def test_rank_rational_of_a_zero_matrix_takes_one_prime(monkeypatch):
+    for A in ([[0, 0], [0, 0]], [[Fraction(0)] * 3]):
+        taken = _primes_taken(monkeypatch)
+        assert rank_rational(A) == eliminate_bareiss(A).rank == 0
+        assert taken == [PRIMES_62[0]]
 
 
 def test_adjugate_identity_prime_field(gf):

@@ -357,8 +357,9 @@ def test_survey_gates_once_and_runs_one_trial_loop_per_case(monkeypatch, capsys)
 
 
 def _zero_gate_dets(monkeypatch, zeros):
-    """Report the first ``zeros`` det(P) values of the gate as 0; return the
-    list of dets the gate's trials computed."""
+    """Report the first ``zeros`` det(P) values of the gate as 0, with the
+    rank one short of full, which is what the gate reads; return the list
+    of dets the gate's trials computed."""
     dets = []
     real = variety_mod.eliminate
 
@@ -367,7 +368,7 @@ def _zero_gate_dets(monkeypatch, zeros):
         if out.det is None:  # the rank of the reduced Pade matrix
             return out
         dets.append(out.det)
-        return out._replace(det=0) if len(dets) <= zeros else out
+        return out._replace(rank=out.rank - 1, det=0) if len(dets) <= zeros else out
 
     monkeypatch.setattr(variety_mod, "eliminate", patched)
     return dets

@@ -14,7 +14,7 @@ from taylorpade.fields import (
     derive_seed,
     random_point,
 )
-from taylorpade.detcalc import eliminate
+from taylorpade.detcalc import rank_rational
 from taylorpade.pade import pade_matrix, reduced_pade
 from taylorpade.series import monomials_of_degree, monomials_upto
 from taylorpade.variety import (
@@ -32,7 +32,9 @@ from oracles import (
     JetRing,
     RationalPair,
     TruncatedSeries,
+    eliminate_bareiss,
     membership,
+    rank_of,
     psi_jacobian,
     series_mul,
     taylor_coeffs_ring,
@@ -269,12 +271,12 @@ def test_gate_rank_matches_jacobian_oracle(case, field, seed, request):
     jacobian_ranks = []
     for t in range(3):
         p, q = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
-        jac_rank = eliminate(psi_jacobian(p, q, params, ctx)[2], ctx).rank
+        jac_rank = rank_of(psi_jacobian(p, q, params, ctx)[2], ctx)
         if e == 0:
             pade_rank = 0
         else:
             A = reduced_pade(P).evaluate(taylor_coeffs(p, q, m, ctx), ctx)
-            pade_rank = eliminate(A, ctx).rank
+            pade_rank = rank_of(A, ctx)
         assert comb(d + n, n) - 1 + pade_rank == jac_rank
         jacobian_ranks.append(jac_rank)
     assert actual_dimension(params, trials=3, ctx=ctx, seed=seed) == max(jacobian_ranks)
@@ -292,8 +294,9 @@ PREFILTER_CASES = sorted({
 @pytest.mark.parametrize("case", PREFILTER_CASES, ids=lambda c: "".join(map(str, c)))
 def test_rational_prefilter_agrees_with_bareiss(case, seed, qq):
     # The gate's two matrices over Q, the reduced Pade matrix at the gate's
-    # first T and P at its first det point: the GF(p) prefilter reads the
-    # same rank and det != 0 as Bareiss.  With e = 0 only P has columns.
+    # first T and P at its first det point: the rank certified mod primes
+    # is Bareiss's, and a square one is full exactly when its det is
+    # nonzero.  With e = 0 only P has columns.
     params = TaylorParams(*case)
     P = params.pade
     matrices = [P.evaluate(random_point(P.variables(), qq, derive_seed("det", seed, 0)), qq)]
@@ -301,52 +304,49 @@ def test_rational_prefilter_agrees_with_bareiss(case, seed, qq):
         p, q = random_rational_pair(params, qq, derive_seed("dim", seed, 0))
         matrices.append(reduced_pade(P).evaluate(taylor_coeffs(p, q, params.m, qq), qq))
     for A in matrices:
-        fast, exact = variety_mod._eliminate_exact(A, qq), eliminate(A, qq)
-        assert (fast.rank, fast.det != 0) == (exact.rank, exact.det != 0)
+        fast, exact = rank_rational(A), eliminate_bareiss(A)
+        assert fast == exact.rank
+        if exact.det is not None:
+            assert (fast == len(A)) == (exact.det != 0)
 
 
-def _count_bareiss(monkeypatch):
-    runs = []
-    real = detcalc_mod._eliminate_bareiss
+def _primes_per_rank(monkeypatch):
+    """Primes each ``rank_rational`` call of the gate takes, in call order."""
+    taken, counts = [], []
+    body, rank = detcalc_mod._eliminate_modp, variety_mod.rank_rational
 
-    def counted(A, ncols):
-        runs.append((len(A), ncols))
-        return real(A, ncols)
+    def counted_body(A, ncols, p, inverse):
+        taken.append(p)
+        return body(A, ncols, p, inverse)
 
-    monkeypatch.setattr(detcalc_mod, "_eliminate_bareiss", counted)
-    return runs
+    def counted_rank(A):
+        taken.clear()
+        out = rank(A)
+        assert taken == list(PRIMES_62[:len(taken)])
+        counts.append(len(taken))
+        return out
+
+    monkeypatch.setattr(detcalc_mod, "_eliminate_modp", counted_body)
+    monkeypatch.setattr(variety_mod, "rank_rational", counted_rank)
+    return counts
 
 
-@pytest.mark.parametrize("case,actual,bareiss", [
-    ((2, 8, 5, 10), 64, 0),
-    ((2, 12, 6, 14), 117, 0),
-    ((3, 4, 3, 6), 53, 0),
-    ((2, 25, 9, 27), 404, 0),
+@pytest.mark.parametrize("case,actual,primes", [
+    ((2, 8, 5, 10), 64, (1,) * 5),
+    ((2, 12, 6, 14), 117, (1,)),
+    ((3, 4, 3, 6), 53, (1,)),
+    ((2, 25, 9, 27), 404, (1,) * 5),
     # det(P) = 0 identically and the reduced matrix has rank 8 of 9 at every
-    # pair over Q, so neither is ever full mod p: the four det trials and
-    # the three pairs all fall back to Bareiss
-    ((3, 2, 2, 3), 17, 7),
+    # pair over Q, so no elimination is full rank mod p: each of the four
+    # det trials and the three pairs certifies its rank with more primes
+    ((3, 2, 2, 3), 17, (2, 2, 2, 2, 2, 3, 2)),
 ], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else None)
-def test_rational_gate_runs_bareiss_only_below_full_rank(case, actual, bareiss,
-                                                         monkeypatch, qq):
-    runs = _count_bareiss(monkeypatch)
+def test_rational_gate_primes_per_elimination(case, actual, primes, monkeypatch, qq):
+    counts = _primes_per_rank(monkeypatch)
     check = nondefective_hypersurface_check(TaylorParams(*case), trials=4,
                                             ctx=qq, seed=0)
     assert check.actual_dim == actual
-    assert len(runs) == bareiss
-
-
-def test_rational_prefilter_falls_back_below_full_rank_mod_p(monkeypatch, qq, gf):
-    # Full rank over Q, rank 1 mod PRIMES_62[0]: the Q answer comes from
-    # exactly one Bareiss run.  Over GF(p) the helper is plain eliminate.
-    p = PRIMES_62[0]
-    A = [[Fraction(p), Fraction(0)], [Fraction(0), Fraction(1)]]
-    runs = _count_bareiss(monkeypatch)
-    out = variety_mod._eliminate_exact(A, qq)
-    assert (out.rank, out.det) == (2, Fraction(p))
-    assert runs == [(2, 2)]
-    B = [[p, 0], [0, 1]]
-    assert variety_mod._eliminate_exact(B, gf) == eliminate(B, gf) == (1, 0, None)
+    assert counts == list(primes)
 
 
 def test_gate_without_q_columns_ranks_nothing(monkeypatch, gf):
