@@ -72,6 +72,9 @@ class RunConfig:
             PrimeField(self.prime)  # raises UsageError unless prime
         if self.prime is not None and self.prime_index is not None:
             raise UsageError("give --prime or --prime-index, not both")
+        if self.prime_index is not None and not 0 <= self.prime_index < len(PRIMES_62):
+            raise UsageError(f"--prime-index must be in 0..{len(PRIMES_62) - 1}, "
+                             f"got {self.prime_index}")
         if self.field == "rational" and (self.prime, self.prime_index) != (None, None):
             raise UsageError("--field rational takes no --prime or --prime-index")
         if self.poly is not None and (self.mode, self.n, self.d, self.e, self.m) != (
@@ -90,7 +93,7 @@ class RunConfig:
         if self.prime is not None:
             return PrimeField(self.prime)
         if self.prime_index is not None:
-            return PrimeField(PRIMES_62[self.prime_index % len(PRIMES_62)])
+            return PrimeField(PRIMES_62[self.prime_index])
         return None  # rotate through the builtin list where supported
 
 
@@ -191,73 +194,70 @@ def cmd_defect(config: RunConfig) -> dict:
     return _report(config, payload, params)
 
 
-def _gate(params: TaylorParams, config: RunConfig):
-    # hessian and survey share this gate and _relations, so a survey row
-    # reproduces from a hessian run; one nonzero det suffices to pass.
-    return nondefective_hypersurface_check(
-        params, trials=GATE_TRIALS, ctx=config.context(),
+def _run_case(params: TaylorParams, config: RunConfig, survey: bool = False):
+    """One Pade case as ``hessian`` and ``survey`` both run it, so that a survey
+    row reproduces from a hessian run: ``(check, essential, full, relations)``.
+    The gate samples ``GATE_TRIALS`` points from ``derive_seed("gate", seed)``
+    and passes at the first nonzero det; the relation check, None where
+    ``hessian.relations_apply`` is false, reads the ``derive_seed("diag", seed)``
+    point.  The certificate refuses a case whose gate fails.
+
+    ``survey`` makes the survey's two choices: the ``SURVEY_PRIME`` default, and
+    trials that stop at the first H of corank 0, which fixes both printed fields
+    over any prime (the minimum corank is then 0, and its nonzero det(H) fixes
+    the full verdict).  A survey case whose gate fails runs no later stage.
+    """
+    ctx = config.context()
+    check = nondefective_hypersurface_check(
+        params, trials=GATE_TRIALS, ctx=ctx,
         seed=derive_seed("gate", config.seed), stop_at_nonzero=True,
     )
-
-
-def _relations(params: TaylorParams, config: RunConfig) -> dict:
-    fld = config.context() or PrimeField(PRIMES_62[0])
-    point = random_point(params.pade.variables(), fld, derive_seed("diag", config.seed))
-    return hess.relation_check(params, point, fld)
+    if survey and not check.is_nondefective_hypersurface:
+        return check, None, None, None
+    essential = hess.certify_hessian_pade(
+        check, trials=config.trials, seed=config.seed,
+        ctx=ctx or (PrimeField(SURVEY_PRIME) if survey else None),
+        stop_at_full_rank=survey,
+    )
+    full = hess.full_from_essential(essential, params)
+    relations = None
+    if hess.relations_apply(params):
+        fld = ctx or PrimeField(PRIMES_62[0])
+        point = random_point(params.pade.variables(), fld, derive_seed("diag", config.seed))
+        relations = hess.relation_check(params, point, fld)
+    return check, essential, full, relations
 
 
 def cmd_hessian(config: RunConfig) -> dict:
+    params = relations = None
     if config.poly is not None:
-        poly = load_poly(config.poly)
         cert = hess.certify_hessian_poly(
-            poly, trials=config.trials, seed=config.seed, ctx=config.context()
+            load_poly(config.poly), trials=config.trials, seed=config.seed,
+            ctx=config.context(),
         )
-        payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
-        return _report(config, payload, None)
-    params = config.params()
-    # The gate, then the certificate, which refuses a case the gate fails.
-    check = _gate(params, config)
-    cert = hess.certify_hessian_pade(
-        check, trials=config.trials, seed=config.seed, ctx=config.context()
-    )
-    if config.mode == "full":
-        cert = hess.full_from_essential(cert, params)
+    else:
+        params = config.params()
+        _, essential, full, relations = _run_case(params, config)
+        cert = full if config.mode == "full" else essential
     payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
-    if hess.relations_apply(params):
-        payload["relations"] = _relations(params, config)
+    if relations is not None:
+        payload["relations"] = relations
     return _report(config, payload, params)
-
-
-def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
-    check = _gate(params, config)
-    row = {
-        "d": params.d,
-        "e": params.e,
-        "m": params.m,
-        "size": params.shape.rows,
-        "nondefective_hypersurface": check.is_nondefective_hypersurface,
-        "hessian_full": "",
-        "essential_corank": "",
-        "rank_M": "",
-    }
-    if check.is_nondefective_hypersurface:
-        # The first trial of corank 0 fixes both printed fields, over any
-        # prime: the minimum corank is then 0, and its nonzero det(H) fixes the
-        # full verdict (see full_from_essential).  So the trials stop there.
-        essential = hess.certify_hessian_pade(
-            check, trials=config.trials, seed=config.seed,
-            ctx=config.context() or PrimeField(SURVEY_PRIME), stop_at_full_rank=True,
-        )
-        row["hessian_full"] = hess.full_from_essential(essential, params).verdict
-        row["essential_corank"] = min(t.corank for t in essential.trials)
-        row["rank_M"] = _relations(params, config)["rank_M"]
-    return row
 
 
 SURVEY_COLUMNS = [
     "d", "e", "m", "size",
     "nondefective_hypersurface", "hessian_full", "essential_corank", "rank_M",
 ]
+
+
+def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
+    check, essential, full, relations = _run_case(params, config, survey=True)
+    stages = ("", "", "")
+    if essential is not None:
+        stages = (full.verdict, min(t.corank for t in essential.trials), relations["rank_M"])
+    return dict(zip(SURVEY_COLUMNS, (params.d, params.e, params.m, params.shape.rows,
+                                     check.is_nondefective_hypersurface, *stages)))
 
 
 def cmd_survey(config: RunConfig) -> dict:

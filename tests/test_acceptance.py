@@ -8,8 +8,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from taylorpade.detcalc import block_grad_det_at, eliminate
 from taylorpade.fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
 from taylorpade.hessian import (

@@ -372,11 +372,16 @@ _PSI_12, _PSI_13 = "318665857834031151167461", "3317044064679887385961981"
     (["hessian", *_P547, "--trials", "2", "--mode", "essential", "--prime", _PSI_12],
      f"modulus {_PSI_12} is not prime"),
     (["survey", "--e-max", "5", "--prime", _PSI_13], f"--prime must be below {_PSI_13}"),
-], ids=["defect-rational", "psi12", "psi13"])
+    (["defect", *_P547, "--trials", "1", "--prime-index", "8"],
+     "--prime-index must be in 0..7, got 8"),
+    (["hessian", *_P547, "--trials", "1", "--prime-index", "-1"],
+     "--prime-index must be in 0..7, got -1"),
+], ids=["defect-rational", "psi12", "psi13", "index-8", "index-minus-1"])
 def test_prime_must_be_prime(argv, message, capsys, tmp_path, monkeypatch):
     # Rejected before any command runs, also where it builds no prime field.
     # psi_12 is a strong pseudoprime to the bases 2..37, and psi_13 to 2..41,
-    # where the primality test stops being exact.
+    # where the primality test stops being exact.  A --prime-index outside the
+    # list used to wrap round it, while the report recorded the index given.
     calls = _count_eliminations(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert message in _usage_error(argv, capsys)

@@ -3,8 +3,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import taylorpade.detcalc as detcalc_mod
 from taylorpade.detcalc import (

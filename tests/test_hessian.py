@@ -1,7 +1,9 @@
+import ast
 import json
 import random
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -727,6 +729,32 @@ def test_survey_row_is_its_case_hessian_run(flags, monkeypatch, capsys):
                     essential["relations"]["rank_M"])
         assert (row["nondefective_hypersurface"], row["hessian_full"],
                 row["essential_corank"], row["rank_M"]) == want
+
+
+def _call_sites(name):
+    """(module, innermost enclosing function) of each call of ``name`` in the
+    package, one entry per call."""
+    sites = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                sites.append((module, function))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else function)
+
+    for path in sorted(Path(cli_mod.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    return sites
+
+
+@pytest.mark.parametrize("stage", ["certify_hessian_pade", "full_from_essential",
+                                   "relation_check"])
+def test_each_case_stage_has_one_call_site(stage):
+    # hessian and survey each used to chain the stages of a case by hand,
+    # and the two chains drifted apart; the runner is now their only caller.
+    assert _call_sites(stage) == [("cli.py", "_run_case")]
 
 
 def test_certificate_depends_on_check_only_through_params():

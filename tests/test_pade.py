@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from taylorpade.detcalc import eliminate
 from taylorpade.errors import UsageError
-from taylorpade.fields import PRIMES_62, PrimeField, random_point
+from taylorpade.fields import random_point
 from taylorpade.pade import (
     column_transform,
     export_m2,

@@ -51,3 +51,31 @@ def test_scripts_import_no_private_name():
             private += [(path.name, name) for name in names
                         if any(part.startswith("_") for part in name.split("."))]
     assert private == []
+
+
+def _unread_imports(path):
+    """Names that ``path`` imports and never reads; ``__future__`` is exempt."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # An import nothing reads hides what a module depends on.  A package's
+    # __init__.py imports to re-export, so it is exempt.
+    unread = []
+    for folder in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name != "__init__.py":
+                unread += [(str(path.relative_to(ROOT)), line, name)
+                           for line, name in _unread_imports(path)]
+    assert unread == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taylorpade.errors import DomainError, UsageError
-from taylorpade.fields import PRIMES_62, PrimeField, Rationals
+from taylorpade.fields import PRIMES_62, PrimeField
 from taylorpade.series import (
     MonomialOrder,
     SparsePoly,
