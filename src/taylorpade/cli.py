@@ -13,14 +13,12 @@ assertion for CI pipelines.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import hessian as hess
 from .errors import DomainError, UsageError
@@ -42,8 +40,7 @@ SEED_ENV = "TAYLORPADE_SEED"
 GATE_TRIALS = 8
 
 
-@dataclass
-class RunConfig:
+class _Options(NamedTuple):
     command: str
     n: int | None = None
     d: int | None = None
@@ -62,7 +59,12 @@ class RunConfig:
     out: str | None = None
     expect: str | None = None
 
-    def __post_init__(self):
+
+class RunConfig(_Options):
+    """One command line's settings, checked on construction."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.trials < 1:
             raise UsageError(f"--trials must be >= 1, got {self.trials}")
         if self.prime is not None and self.prime >= MR_EXACT_BELOW:
@@ -81,6 +83,7 @@ class RunConfig:
                 "full", None, None, None, None):
             raise UsageError(
                 "hessian --poly takes no --mode essential and no -n, -d, -e or -m")
+        return self
 
     def params(self) -> TaylorParams:
         if None in (self.n, self.d, self.e, self.m):
@@ -119,6 +122,7 @@ def known_annotations(params: TaylorParams | None) -> list:
 
 def load_poly(path: str) -> SparsePoly:
     """Polynomial file: JSON list of [exponent-vector, numerator, denominator]."""
+    from fractions import Fraction
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -153,7 +157,7 @@ def load_poly(path: str) -> SparsePoly:
 def _report(config: RunConfig, payload: dict, params=None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": asdict(config),
+        "config": config._asdict(),
         "payload": payload,
         "annotations": known_annotations(params),
     }
@@ -307,6 +311,7 @@ def render_report(report: dict, fmt: str) -> str:
     """JSON for every report; CSV for a survey (no other command takes ``--format``)."""
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    import csv
     payload = report["payload"]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=payload["columns"], lineterminator="\n")

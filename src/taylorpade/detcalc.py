@@ -124,14 +124,14 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
 
 
 def rank_rational(A) -> int:
-    """Exact rank over Q of ``A`` (Fractions or ints) from the GF(p) body,
-    mod ``fields.PRIMES_62`` in order and then each smaller prime.
+    """Exact rank over Q of ``A`` (ints, or a caller's Fractions) from the
+    GF(p) body, mod ``fields.PRIMES_62`` in order and then each smaller prime.
 
-    Rows are scaled to integers.  A minor nonzero mod p is a nonzero
-    integer, so a rank mod p never exceeds the rank over Q and a full one
-    is exact at once.  Otherwise r, the largest rank seen, is exact once the
-    primes that gave r, each dividing every (r+1)-minor, multiply past the
-    Hadamard bound B on every minor, the product over rows of
+    Rows of Fractions are scaled to integers.  A minor nonzero mod p is a
+    nonzero integer, so a rank mod p never exceeds the rank over Q and a full
+    one is exact at once.  Otherwise r, the largest rank seen, is exact once
+    the primes that gave r, each dividing every (r+1)-minor, multiply past
+    the Hadamard bound B on every minor, the product over rows of
     ``isqrt(|row|^2) + 1``.  A zero matrix has B = 1 and takes one prime.
     """
     ncols = _columns(A)

@@ -1,21 +1,26 @@
-"""Coefficient arithmetic: arbitrary-precision rationals and word-sized prime
-fields.
+"""Coefficient arithmetic: the rationals and word-sized prime fields.
 
 A *field context* bundles the operations the rest of the package needs
 (``add``, ``sub``, ``mul``, sampling, ...) while keeping the element
-representation cheap: prime-field elements are plain ints in ``[0, p)``,
-rational elements are ``fractions.Fraction``.  Matrix and series code is
-written against this context protocol.
+representation cheap: prime-field elements are plain ints in ``[0, p)``, and
+over Q every value the package samples or computes is an integer, held as a
+plain int.  Matrix and series code is written against this context protocol.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
-from fractions import Fraction
 from typing import Hashable, Sequence
 
 from .errors import DomainError, UsageError
+
+try:  # hashlib loads OpenSSL; CPython's builtin module gives the same digests sooner
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 on
+    except ImportError:
+        from hashlib import sha256
 
 # Fixed evaluation primes, all just below 2^62: single-word arithmetic with a
 # negligible per-trial Schwartz-Zippel failure probability.  Randomized runs
@@ -69,7 +74,7 @@ def is_probable_prime(n: int) -> bool:
 def derive_seed(*parts: Hashable) -> int:
     """Deterministic, platform-independent sub-seed from arbitrary labels."""
     blob = repr(parts).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+    return int.from_bytes(sha256(blob).digest()[:8], "big")
 
 
 class PrimeField:
@@ -85,7 +90,7 @@ class PrimeField:
     zero = 0
     one = 1
 
-    def of_fraction(self, fr: Fraction) -> int:
+    def of_fraction(self, fr) -> int:
         if fr.denominator % self.p == 0:
             raise DomainError(f"denominator divisible by p={self.p}")
         return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
@@ -116,7 +121,8 @@ class PrimeField:
 
 
 class Rationals:
-    """Exact rational arithmetic on ``fractions.Fraction`` values.
+    """Exact arithmetic over Q on plain ints, as every value the package
+    samples or computes over Q is an integer; a caller's Fractions mix in.
 
     Random samples are uniform integers in ``[-B, B]``, B =
     ``DEFAULT_RATIONAL_BOUND``; small integers keep down the Hadamard bound,
@@ -125,10 +131,10 @@ class Rationals:
 
     __slots__ = ()
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of_fraction(self, fr: Fraction) -> Fraction:
+    def of_fraction(self, fr):
         return fr
 
     def add(self, a, b):
@@ -143,8 +149,8 @@ class Rationals:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def sample(self, rng: random.Random) -> Fraction:
-        return Fraction(rng.randint(-DEFAULT_RATIONAL_BOUND, DEFAULT_RATIONAL_BOUND))
+    def sample(self, rng: random.Random) -> int:
+        return rng.randint(-DEFAULT_RATIONAL_BOUND, DEFAULT_RATIONAL_BOUND)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
@@ -174,4 +180,4 @@ def point_hash(point: dict) -> str:
     """Short stable digest of a point assignment, for trial records."""
     items = sorted(point.items(), key=lambda kv: kv[0])
     blob = repr(items).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]

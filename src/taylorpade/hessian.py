@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 from .detcalc import (
     block_grad_det_at,
@@ -61,8 +61,7 @@ def relation_column_labels(params: TaylorParams) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(NamedTuple):
     """Stacked blocks M_j with entries f_{a+b}, j = d+2 down to d-e+3."""
 
     params: TaylorParams
@@ -138,8 +137,7 @@ def relation_check(params: TaylorParams, point: dict, field) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     index: int
     seed: int
     prime: int
@@ -148,8 +146,7 @@ class TrialRecord:
     corank: int
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Verdict of a randomized vanishing test with its error accounting.
 
     ``error_bound`` is the probability that a nonzero polynomial of the given
@@ -177,10 +174,10 @@ class Certificate:
     trials: tuple
     error_bound: float | None
     error_bound_log10: float | None
-    notes: tuple = dc_field(default=())
+    notes: tuple = ()
 
     def to_dict(self):
-        return asdict(self)
+        return {**self._asdict(), "trials": [t._asdict() for t in self.trials]}
 
 
 def _finish_certificate(target, degree_bound, records):
@@ -326,7 +323,7 @@ def full_from_essential(essential: Certificate, params: TaylorParams) -> Certifi
     P = params.pade
     absent = params.ambient_coords - len(P.variables())
     records = [
-        replace(t, value=0 if absent else t.value, corank=t.corank + absent)
+        t._replace(value=0 if absent else t.value, corank=t.corank + absent)
         for t in essential.trials
     ]
     return _finish_certificate(

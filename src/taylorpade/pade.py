@@ -16,8 +16,8 @@ with the degree j-1 layer hitting the lower row degrees).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import UsageError
 from .fields import derive_seed
@@ -31,8 +31,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class PadeShape:
+class PadeShape(NamedTuple):
     rows: int
     cols: int
 
@@ -41,8 +40,7 @@ class PadeShape:
         return self.rows == self.cols
 
 
-@dataclass(frozen=True)
-class ColumnLabel:
+class ColumnLabel(NamedTuple):
     """Column of the Pade matrix: generating block j and the domain monomial
     sigma."""
 

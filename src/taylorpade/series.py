@@ -8,9 +8,7 @@ of maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import UsageError
 
@@ -49,8 +47,7 @@ def monomials_upto(n: int, max_deg: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """Total order on bounded-degree exponents: by degree, then lex on parts."""
 
     degree_increasing: bool = True
@@ -73,7 +70,8 @@ DOMAIN_ORDER = MonomialOrder(degree_increasing=True, lex_increasing=False)
 
 
 class SparsePoly:
-    """Exact sparse polynomial with Fraction coefficients.
+    """Exact sparse polynomial with int or ``Fraction`` coefficients, stored as
+    given; a float, whose binary expansion would enter a verdict, is refused.
 
     Used for explicit hypersurface fixtures (Perazzo, Fermat, ...) where the
     Hessian is formed by formal differentiation.  Variables are indexed
@@ -89,7 +87,8 @@ class SparsePoly:
             g = tuple(g)
             if len(g) != nvars:
                 raise UsageError(f"exponent {g} has wrong arity (nvars={nvars})")
-            c = Fraction(c)
+            if not hasattr(c, "denominator"):
+                raise UsageError(f"coefficient {c!r} of {g} is not an int or a Fraction")
             if c != 0:
                 clean[g] = c
         self.coeffs = clean
@@ -99,7 +98,7 @@ class SparsePoly:
         acc: dict = {}
         for g, c in terms:
             g = tuple(g)
-            acc[g] = acc.get(g, Fraction(0)) + Fraction(c)
+            acc[g] = acc.get(g, 0) + c
         return cls(nvars, acc)
 
     def degree(self) -> int:
@@ -115,7 +114,7 @@ class SparsePoly:
             if g[i] == 0:
                 continue
             h = g[:i] + (g[i] - 1,) + g[i + 1 :]
-            out[h] = out.get(h, Fraction(0)) + c * g[i]
+            out[h] = out.get(h, 0) + c * g[i]
         return SparsePoly(self.nvars, out)
 
     def eval(self, field, values) -> int:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .detcalc import eliminate, rank_rational
 from .errors import UsageError
@@ -34,20 +34,24 @@ from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape, reduced_pa
 from .series import monomials_of_degree, monomials_upto
 
 
-@dataclass(frozen=True)
-class TaylorParams:
-    """Parameters (n, d, e, m) of a Taylor variety."""
-
+class _ParamsTuple(NamedTuple):
     n: int
     d: int
     e: int
     m: int
 
-    def __post_init__(self):
-        if self.n < 1 or self.d < 0 or self.e < 0:
+
+class TaylorParams(_ParamsTuple):
+    """Parameters (n, d, e, m) of a Taylor variety, read-only and hashed as a tuple."""
+
+    def __new__(cls, n: int, d: int, e: int, m: int):
+        if n < 1 or d < 0 or e < 0:
             raise UsageError("need n >= 1, d >= 0, e >= 0")
-        if self.m <= self.d:
+        if m <= d:
             raise UsageError("need m > d")
+        return super().__new__(cls, n, d, e, m)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates
 
     @property
     def ambient_coords(self) -> int:
@@ -75,7 +79,7 @@ class TaylorParams:
         return pade_matrix(*self.astuple())
 
     def astuple(self):
-        return (self.n, self.d, self.e, self.m)
+        return tuple(self)
 
 
 def random_rational_pair(params: TaylorParams, ctx, seed) -> tuple:
@@ -106,7 +110,7 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     layer of degree k-1, once final, pushes Q_b T_h to h + b over a prefix
     of them (|b| <= m-k+1).  The products accumulate unreduced, and each
     coefficient is finished by one ``ctx.sub(P_g, acc_g)``: one ``% p`` over
-    GF(p), an integral Fraction over Q, whose numerator the next layer reads.
+    GF(p), an integer over Q, whose numerator the next layer reads.
     """
     n = len(next(iter(p), ()))
     const = (0,) * n
@@ -198,8 +202,7 @@ def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) ->
     return best
 
 
-@dataclass(frozen=True)
-class HypersurfaceCheck:
+class HypersurfaceCheck(NamedTuple):
     """Outcome of the randomized non-defective-hypersurface test."""
 
     params: TaylorParams

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -474,6 +475,21 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     fresh = subprocess.run([sys.executable, "-m", "taylorpade", "shape", *_P547],
                            capture_output=True, text=True, env=env, timeout=60)
     assert (fresh.returncode, fresh.stdout) == (0, out)
+
+
+def test_cli_starts_without_modules_no_verdict_reads():
+    # Every run imports the CLI first.  dataclasses pulls in inspect, fractions
+    # pulls in decimal, csv serves only --format csv and hashlib loads OpenSSL;
+    # -S keeps site's own imports out of the count.
+    code = "import sys, taylorpade.cli as c; c.build_parser(); print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
+    if any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
+        heavy.add("_hashlib")
+    assert heavy.isdisjoint(run.stdout.split())
 
 
 def test_defect_counts_every_det_trial(capsys):

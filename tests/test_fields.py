@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from taylorpade.fields import (
     Rationals,
     derive_seed,
     is_probable_prime,
+    point_hash,
     random_point,
 )
 
@@ -71,7 +73,7 @@ def test_random_point_deterministic(gf):
 def test_random_point_rational_bound():
     pt = random_point([(i,) for i in range(50)], Rationals(), 0)
     bound = DEFAULT_RATIONAL_BOUND
-    assert all(-bound <= v <= bound and v.denominator == 1 for v in pt.values())
+    assert all(-bound <= v <= bound and type(v) is int for v in pt.values())
     assert max(abs(v) for v in pt.values()) > bound // 2
 
 
@@ -83,6 +85,16 @@ def test_random_point_errors(gf, qq):
 def test_derive_seed_stable():
     assert derive_seed("a", 1) == derive_seed("a", 1)
     assert derive_seed("a", 1) != derive_seed("a", 2)
+
+
+def test_digests_are_hashlib_sha256():
+    # fields takes sha256 from the builtin module where it exists
+    for parts in [(), ("gate", 0), ("hessian", 7, 3, "resample", 2), ("det", -1, 10**30)]:
+        digest = hashlib.sha256(repr(parts).encode()).digest()
+        assert derive_seed(*parts) == int.from_bytes(digest[:8], "big")
+    for point in ({(0,): 0}, {(1, 0): -3, (0, 1): 5}, {(i, 2): i * i for i in range(40)}):
+        blob = repr(sorted(point.items())).encode()
+        assert point_hash(point) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _jet_eval_poly(ring, coeffs, x):

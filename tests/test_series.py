@@ -184,6 +184,16 @@ def test_sparse_poly_basics():
     assert not mixed.is_homogeneous()
 
 
+def test_sparse_poly_refuses_floats():
+    # 0.1 used to be stored as its binary expansion and certified as exact
+    with pytest.raises(UsageError, match="0.1"):
+        SparsePoly(2, {(2, 0): 0.1, (1, 1): 1, (0, 2): 1})
+    with pytest.raises(UsageError):
+        SparsePoly.from_terms(2, [((2, 0), 1), ((2, 0), 1.0)])
+    f = SparsePoly(2, {(2, 0): Fraction(1, 10), (1, 1): 1, (0, 2): 0})
+    assert f.coeffs == {(2, 0): Fraction(1, 10), (1, 1): 1}
+
+
 def test_sparse_poly_eval_costs_log_of_the_exponent(monkeypatch):
     # x^(10^6) used to take 10^6 multiplications, one per unit of exponent
     gf = PrimeField(PRIMES_62[0])

@@ -54,6 +54,18 @@ def test_params_validation():
     assert P547.is_square
 
 
+def test_params_are_read_only_values():
+    params, twin = TaylorParams(2, 5, 4, 7), TaylorParams(2, 5, 4, 7)
+    with pytest.raises(AttributeError):
+        params.d = 8  # the cached Pade matrix would go stale
+    with pytest.raises(UsageError):
+        params._replace(m=5)
+    assert params == twin and hash(params) == hash(twin) and {params: 1}[twin] == 1
+    assert params != TaylorParams(2, 8, 5, 10)
+    assert params.pade is params.pade and twin.pade is not params.pade
+    assert params.pade.params == (2, 5, 4, 7)
+
+
 def test_taylor_coeffs_p_equals_q(qq):
     p, _ = random_rational_pair(TaylorParams(2, 3, 3, 5), qq, 1)
     # every 0 < |g| <= m is present, so the Pade matrix evaluates at it
