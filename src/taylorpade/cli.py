@@ -35,7 +35,7 @@ from .variety import (
     square_family,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SEED_ENV = "TAYLORPADE_SEED"
 GATE_TRIALS = 8
 
@@ -51,10 +51,8 @@ class _Options(NamedTuple):
     trials: int = 20
     seed: int = 0
     prime: int | None = None
-    prime_index: int | None = None
     field: str = "prime"
     mode: str = "full"
-    order: str = "paper"
     format: str = "json"
     out: str | None = None
     expect: str | None = None
@@ -72,13 +70,8 @@ class RunConfig(_Options):
                              "where the primality test is exact")
         if self.prime is not None:
             PrimeField(self.prime)  # raises UsageError unless prime
-        if self.prime is not None and self.prime_index is not None:
-            raise UsageError("give --prime or --prime-index, not both")
-        if self.prime_index is not None and not 0 <= self.prime_index < len(PRIMES_62):
-            raise UsageError(f"--prime-index must be in 0..{len(PRIMES_62) - 1}, "
-                             f"got {self.prime_index}")
-        if self.field == "rational" and (self.prime, self.prime_index) != (None, None):
-            raise UsageError("--field rational takes no --prime or --prime-index")
+        if self.field == "rational" and self.prime is not None:
+            raise UsageError("--field rational takes no --prime")
         if self.poly is not None and (self.mode, self.n, self.d, self.e, self.m) != (
                 "full", None, None, None, None):
             raise UsageError(
@@ -95,8 +88,6 @@ class RunConfig(_Options):
             return Rationals()
         if self.prime is not None:
             return PrimeField(self.prime)
-        if self.prime_index is not None:
-            return PrimeField(PRIMES_62[self.prime_index])
         return None  # rotate through the builtin list where supported
 
 
@@ -284,7 +275,7 @@ def write_text(path: str, text: str) -> None:
 
 def cmd_export(config: RunConfig) -> dict:
     params = config.params()
-    P = pade_matrix(*params.astuple(), within_increasing=(config.order == "reverse"))
+    P = pade_matrix(*params.astuple())
     script = export_m2(P)
     path = config.out or f"pade_{params.n}_{params.d}_{params.e}_{params.m}.m2"
     write_text(path, script)
@@ -324,21 +315,18 @@ def render_report(report: dict, fmt: str) -> str:
 # The options each command reads; every command also takes --expect and --out.
 OPTIONS = {
     "shape": ("-n", "-d", "-e", "-m"),
-    "defect": ("-n", "-d", "-e", "-m", "--trials", "--seed", "--prime", "--prime-index",
-               "--field"),
-    "hessian": ("-n", "-d", "-e", "-m", "--trials", "--seed", "--prime", "--prime-index",
-                "--mode", "--poly"),
-    "survey": ("--e-max", "--trials", "--seed", "--prime", "--prime-index", "--format"),
-    "export": ("-n", "-d", "-e", "-m", "--order"),
+    "defect": ("-n", "-d", "-e", "-m", "--trials", "--seed", "--prime", "--field"),
+    "hessian": ("-n", "-d", "-e", "-m", "--trials", "--seed", "--prime", "--mode", "--poly"),
+    "survey": ("--e-max", "--trials", "--seed", "--prime", "--format"),
+    "export": ("-n", "-d", "-e", "-m"),
 }
 # argparse keywords of each option; an option left out takes RunConfig's default
 _ARGUMENTS = {
-    **dict.fromkeys(("-n", "-d", "-e", "-m", "--e-max", "--trials", "--prime",
-                     "--prime-index"), {"type": int}),
+    **dict.fromkeys(("-n", "-d", "-e", "-m", "--e-max", "--trials", "--prime"),
+                    {"type": int}),
     "--seed": {"type": int, "help": f"default: ${SEED_ENV}, else 0"},
     "--field": {"choices": ["prime", "rational"]},
     "--mode": {"choices": ["full", "essential"]},
-    "--order": {"choices": ["paper", "reverse"]},
     "--format": {"choices": ["json", "csv"]},
     "--poly": {}, "--expect": {}, "--out": {},
 }

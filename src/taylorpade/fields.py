@@ -134,9 +134,6 @@ class Rationals:
     zero = 0
     one = 1
 
-    def of_fraction(self, fr):
-        return fr
-
     def add(self, a, b):
         return a + b
 

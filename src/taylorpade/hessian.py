@@ -31,7 +31,7 @@ from .detcalc import (
 )
 from .errors import DomainError, UnsupportedParametersError, UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
-from .series import DOMAIN_ORDER, SparsePoly, exp_add, monomials_of_degree
+from .series import SparsePoly, exp_add, monomials_of_degree
 from .variety import HypersurfaceCheck, TaylorParams
 
 VANISHES = "vanishes-probabilistic"
@@ -90,7 +90,7 @@ def build_M(params: TaylorParams, block_grad: dict, field) -> RelationMatrix:
     rows = []
     for j in range(m, base, -1):
         dj = j - base
-        for alpha in sorted(monomials_of_degree(2, dj), key=DOMAIN_ORDER.key):
+        for alpha in monomials_of_degree(2, dj):
             row = []
             for beta in cols:
                 g = (j, exp_add(alpha, beta))

@@ -21,14 +21,7 @@ from typing import NamedTuple
 
 from .errors import UsageError
 from .fields import derive_seed
-from .series import (
-    DOMAIN_ORDER,
-    Exponent,
-    MonomialOrder,
-    exp_sub,
-    monomials_of_degree,
-    monomials_upto,
-)
+from .series import Exponent, exp_sub, monomials_of_degree, monomials_upto
 
 
 class PadeShape(NamedTuple):
@@ -138,23 +131,16 @@ def pade_shape(n: int, d: int, e: int, m: int) -> PadeShape:
     return PadeShape(rows, cols)
 
 
-def pade_matrix(
-    n: int, d: int, e: int, m: int, within_increasing: bool = False
-) -> SymbolicMatrix:
+def pade_matrix(n: int, d: int, e: int, m: int) -> SymbolicMatrix:
     """The symbolic Pade matrix for the given parameters.
 
-    ``within_increasing`` flips the within-degree direction of the monomial
-    orders (both row and column labels); the default reproduces the reference
-    layout for (2,5,4,7).
+    Rows go by decreasing degree and columns by increasing degree, both lex
+    decreasing within a degree; this reproduces the reference layout for
+    (2,5,4,7).
     """
     pade_shape(n, d, e, m)  # validates
-    domain = MonomialOrder(degree_increasing=True, lex_increasing=within_increasing)
-    image = MonomialOrder(degree_increasing=False, lex_increasing=within_increasing)
-    rows = image.sorted(
-        g for deg in range(d + 1, m + 1) for g in monomials_of_degree(n, deg)
-    )
-    sigmas = domain.sorted(monomials_upto(n, e))
-    col_labels = [ColumnLabel(block=m - sum(s), sigma=s) for s in sigmas]
+    rows = [g for deg in range(m, d, -1) for g in monomials_of_degree(n, deg)]
+    col_labels = [ColumnLabel(block=m - sum(s), sigma=s) for s in monomials_upto(n, e)]
     entries = [[exp_sub(rho, lab.sigma) for lab in col_labels] for rho in rows]
     return SymbolicMatrix(entries, rows, col_labels, params=(n, d, e, m))
 
@@ -173,11 +159,7 @@ def lambda_shape(params) -> dict:
     matrices: block j -> list of exponents of degree d_j, in column order."""
     n, d, e, m = params
     base = d - e + 2
-    out = {}
-    for j in range(base + 1, m + 1):
-        dj = j - base
-        out[j] = DOMAIN_ORDER.sorted(monomials_of_degree(n, dj))
-    return out
+    return {j: monomials_of_degree(n, j - base) for j in range(base + 1, m + 1)}
 
 
 def random_lambda(P: SymbolicMatrix, field, seed) -> dict:
@@ -241,9 +223,7 @@ def export_m2(P: SymbolicMatrix) -> str:
         f"-- Pade matrix, parameters (n, d, e, m) = ({n}, {d}, {e}, {m})",
         "-- rows: monomials of degree d+1..m, degree decreasing;",
         "-- columns: monomials of degree 0..e, degree increasing;",
-        "-- lex decreasing within each degree on both sides."
-        if P.col_labels and not _within_increasing_of(P)
-        else "-- lex increasing within each degree on both sides.",
+        "-- lex decreasing within each degree on both sides.",
         "L = {" + ", ".join(_m2_seq(g) for g in ambient) + "};",
         "C = QQ[apply(L, g -> c_g)];",
         "P = matrix {",
@@ -267,15 +247,3 @@ def _m2_seq(g: Exponent) -> str:
     if len(g) == 1:
         return str(g[0])
     return "(" + ",".join(str(x) for x in g) + ")"
-
-
-def _within_increasing_of(P: SymbolicMatrix) -> bool:
-    # Recover the within-degree convention from the first multi-column degree.
-    if P.col_labels is not None:
-        degs: dict = {}
-        for lab in P.col_labels:
-            degs.setdefault(sum(lab.sigma), []).append(lab.sigma)
-        for group in degs.values():
-            if len(group) > 1:
-                return group[0] < group[-1]
-    return False

@@ -1,4 +1,4 @@
-"""Exponents, monomial orders and sparse multivariate polynomials.
+"""Exponents, monomials and sparse multivariate polynomials.
 
 Exponents are plain tuples of non-negative ints; a monomial x^g with
 g = (g1, ..., gn) is keyed by that tuple.  A polynomial stores a ``dict``
@@ -8,7 +8,7 @@ of maps.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Optional
 
 from .errors import UsageError
 
@@ -41,32 +41,12 @@ def monomials_of_degree(n: int, deg: int) -> list:
 
 
 def monomials_upto(n: int, max_deg: int) -> list:
+    """All exponents of total degree <= ``max_deg``: by increasing degree, lex
+    decreasing within a degree."""
     out = []
     for deg in range(max_deg + 1):
         out.extend(monomials_of_degree(n, deg))
     return out
-
-
-class MonomialOrder(NamedTuple):
-    """Total order on bounded-degree exponents: by degree, then lex on parts."""
-
-    degree_increasing: bool = True
-    lex_increasing: bool = False
-
-    def key(self, g: Exponent):
-        deg = sum(g)
-        d = deg if self.degree_increasing else -deg
-        parts = g if self.lex_increasing else tuple(-x for x in g)
-        return (d, parts)
-
-    def sorted(self, exps: Iterable[Exponent]) -> list:
-        return sorted(exps, key=self.key)
-
-
-# Layout convention of the Pade matrix's domain monomials: by increasing
-# degree, lex decreasing within a degree (this reproduces the reference 15x15
-# layout for (2,5,4,7)).
-DOMAIN_ORDER = MonomialOrder(degree_increasing=True, lex_increasing=False)
 
 
 class SparsePoly:

@@ -45,10 +45,7 @@ class TaylorParams(_ParamsTuple):
     """Parameters (n, d, e, m) of a Taylor variety, read-only and hashed as a tuple."""
 
     def __new__(cls, n: int, d: int, e: int, m: int):
-        if n < 1 or d < 0 or e < 0:
-            raise UsageError("need n >= 1, d >= 0, e >= 0")
-        if m <= d:
-            raise UsageError("need m > d")
+        pade_shape(n, d, e, m)  # validates
         return super().__new__(cls, n, d, e, m)
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates

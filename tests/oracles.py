@@ -28,7 +28,8 @@ are those program routes at one point, over the whole matrix, the latter
 through ``unpack_hessian``, which reads the program's packed K.
 ``pack_symmetric`` packs a symmetric matrix the other way, for the
 symmetric body.  The permutation expansion of a small symbolic determinant
-(``expand_det_poly``).
+(``expand_det_poly``).  A second layout of a Pade matrix, with the lex order
+inside each degree reversed on rows and columns (``reverse_within_degree``).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from taylorpade.detcalc import (
 )
 from taylorpade.errors import DomainError, UsageError
 from taylorpade.fields import PrimeField, Rationals
+from taylorpade.pade import SymbolicMatrix
 from taylorpade.series import (
-    DOMAIN_ORDER,
     Exponent,
     SparsePoly,
     exp_add,
@@ -251,9 +252,9 @@ def psi_jacobian(p: dict, q: dict, params, field):
     qinv = series_inverse(pq.q, m)
     p_over_q2 = series_mul(series_mul(pq.p, qinv, m), qinv, m)
     zero = (0,) * n
-    rows = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, m)) if g != zero]
-    p_cols = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, d)) if g != zero]
-    q_cols = [g for g in DOMAIN_ORDER.sorted(monomials_upto(n, e)) if g != zero]
+    rows = [g for g in monomials_upto(n, m) if g != zero]
+    p_cols = [g for g in monomials_upto(n, d) if g != zero]
+    q_cols = [g for g in monomials_upto(n, e) if g != zero]
     jac = []
     for g in rows:
         row = []
@@ -767,3 +768,21 @@ def jet_bilinear(P, point, field, u: dict, w: dict):
         jets.append(jrow)
     det = eliminate_ring(jets, JetRing(field, order=2)).det
     return det.d2.get((0, 1), field.zero)
+
+
+def _reversed_within_groups(labels, degree) -> list:
+    # Positions of ``labels`` with each run of one degree read backwards.
+    first: dict = {}
+    for i, lab in enumerate(labels):
+        first.setdefault(degree(lab), i)
+    return sorted(range(len(labels)), key=lambda i: (first[degree(labels[i])], -i))
+
+
+def reverse_within_degree(P) -> SymbolicMatrix:
+    """P with the lex order inside each degree reversed on its rows and on its
+    columns: a permutation of both, so det is kept up to sign."""
+    rows = _reversed_within_groups(P.row_labels, sum)
+    cols = _reversed_within_groups(P.col_labels, lambda lab: sum(lab.sigma))
+    entries = [[P.entries[r][c] for c in cols] for r in rows]
+    return SymbolicMatrix(entries, [P.row_labels[r] for r in rows],
+                          [P.col_labels[c] for c in cols], P.params)

@@ -39,6 +39,13 @@ def validate(report, schema):
     jsonschema.validate(report, schema)
 
 
+def test_schema_matches_the_run_config(schema):
+    # additionalProperties: false catches a config field the schema lacks; this
+    # also catches a schema property, or version, that the CLI no longer writes
+    assert set(schema["properties"]["config"]["properties"]) == set(cli.RunConfig._fields)
+    assert schema["properties"]["schema_version"]["const"] == cli.SCHEMA_VERSION
+
+
 def test_shape_report(capsys, schema):
     code, out = run_cli(["shape", "-n", "2", "-d", "5", "-e", "4", "-m", "7"], capsys)
     assert code == 0
@@ -373,16 +380,11 @@ _PSI_12, _PSI_13 = "318665857834031151167461", "3317044064679887385961981"
     (["hessian", *_P547, "--trials", "2", "--mode", "essential", "--prime", _PSI_12],
      f"modulus {_PSI_12} is not prime"),
     (["survey", "--e-max", "5", "--prime", _PSI_13], f"--prime must be below {_PSI_13}"),
-    (["defect", *_P547, "--trials", "1", "--prime-index", "8"],
-     "--prime-index must be in 0..7, got 8"),
-    (["hessian", *_P547, "--trials", "1", "--prime-index", "-1"],
-     "--prime-index must be in 0..7, got -1"),
-], ids=["defect-rational", "psi12", "psi13", "index-8", "index-minus-1"])
+], ids=["defect-rational", "psi12", "psi13"])
 def test_prime_must_be_prime(argv, message, capsys, tmp_path, monkeypatch):
     # Rejected before any command runs, also where it builds no prime field.
     # psi_12 is a strong pseudoprime to the bases 2..37, and psi_13 to 2..41,
-    # where the primality test stops being exact.  A --prime-index outside the
-    # list used to wrap round it, while the report recorded the index given.
+    # where the primality test stops being exact.
     calls = _count_eliminations(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert message in _usage_error(argv, capsys)
@@ -392,12 +394,9 @@ def test_prime_must_be_prime(argv, message, capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv,flags", [
     (["defect", *_P547, "--field", "rational", "--prime", "7"], "--field rational"),
-    (["defect", *_P547, "--field", "rational", "--prime-index", "3"], "--field rational"),
-    (["hessian", *_P547, "--prime", "7", "--prime-index", "3"], "--prime-index"),
-    (["survey", "--e-max", "5", "--prime", "7", "--prime-index", "3"], "--prime-index"),
-], ids=["rational-prime", "rational-prime-index", "hessian-both", "survey-both"])
+], ids=["rational-prime"])
 def test_conflicting_field_options(argv, flags, capsys, tmp_path, monkeypatch):
-    # Each used to run with one of the options silently dropped.
+    # It used to run with --prime silently dropped.
     monkeypatch.chdir(tmp_path)
     assert flags in _usage_error(argv, capsys)
     assert list(tmp_path.iterdir()) == []
@@ -679,7 +678,6 @@ def _argv(draw):
         argv += ["--seed", str(draw(st.integers(0, 3)))]
     for flag, choices in (("--field", ["prime", "rational"]),
                           ("--mode", ["full", "essential"]),
-                          ("--order", ["paper", "reverse"]),
                           ("--format", ["json", "csv"])):
         if flag in declared:
             argv += [flag, _mostly(draw, st.just(choices[0]), st.sampled_from(choices))]

@@ -53,6 +53,7 @@ from oracles import (
     jet_grad_det,
     jet_hessian_entry,
     pack_symmetric,
+    reverse_within_degree,
     unpack_hessian,
 )
 
@@ -794,14 +795,14 @@ HESSIAN_PRIMES = (2, 3, 2**31 - 1, 2**89 - 1, *PRIMES_62)
 
 def _hessian_core_patterns():
     """Random patterns, which repeat variables within a column, and Pade
-    matrices: every square-family case with e <= 9, (2,1,1,2), and the
-    within-increasing layout of (2,8,5,10)."""
+    matrices: every square-family case with e <= 9, (2,1,1,2), and (2,8,5,10)
+    with the lex order inside each degree reversed."""
     rng = random.Random(12)
     out = [(f"random{i}", _random_pattern(rng, max_size=8)) for i in range(12)]
     out += [(str(c.astuple()), pade_matrix(*c.astuple())) for c in square_family(9)]
     out.append(("(2, 1, 1, 2)", pade_matrix(2, 1, 1, 2)))
-    out.append(("(2, 8, 5, 10) within-increasing",
-                pade_matrix(2, 8, 5, 10, within_increasing=True)))
+    out.append(("(2, 8, 5, 10) within-degree reversed",
+                reverse_within_degree(pade_matrix(2, 8, 5, 10))))
     return out
 
 

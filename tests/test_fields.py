@@ -52,7 +52,7 @@ def test_oracle_base_field_inverse(field, request):
     # the field contexts offer no inverse; the oracles' helper does, for
     # eliminate_ring and JetRing.inv over GF(p) and Q
     ctx = request.getfixturevalue(field)
-    for a in (ctx.of_fraction(Fraction(k)) for k in (1, -2, 3, 12345)):
+    for a in (ctx.sub(k, ctx.zero) for k in (1, -2, 3, 12345)):
         assert is_unit(ctx, a)
         assert ctx.mul(ring_inv(ctx, a), a) == ctx.one
     assert not is_unit(ctx, ctx.zero)

@@ -552,8 +552,7 @@ def test_survey_rows_match_the_full_trial_loop(seed, monkeypatch):
 
 @pytest.mark.parametrize("flags, prime", [
     (["--prime", "547"], 547),
-    (["--prime-index", "2"], PRIMES_62[2]),
-], ids=["prime", "prime-index"])
+], ids=["prime"])
 def test_survey_certificate_prime_follows_the_flags(flags, prime, monkeypatch, capsys):
     # A prime given on the command line replaces SURVEY_PRIME
     monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)

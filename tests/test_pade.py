@@ -17,6 +17,8 @@ from taylorpade.pade import (
 )
 from taylorpade.series import exp_sub, monomials_of_degree, monomials_upto
 
+from oracles import reverse_within_degree
+
 # The 15x15 layout for (n,d,e,m) = (2,5,4,7) as displayed in the worked
 # example, transcribed cell by cell ('.' = zero, 'ab' = c_(a,b)).  It is kept
 # verbatim, including its one suspected typo; the comparison test records the
@@ -237,13 +239,12 @@ def test_export_m2_variable_counts():
 def test_export_m2_idempotent():
     P = pade_matrix(2, 5, 4, 7)
     assert export_m2(P) == export_m2(P)
-    Q = pade_matrix(2, 5, 4, 7, within_increasing=True)
-    assert export_m2(Q) != export_m2(P)
+    assert export_m2(reverse_within_degree(P)) != export_m2(P)
 
 
 def test_order_variant_preserves_determinant_up_to_sign(gf):
     P = pade_matrix(2, 5, 4, 7)
-    Q = pade_matrix(2, 5, 4, 7, within_increasing=True)
+    Q = reverse_within_degree(P)
     point = random_point(P.variables(), gf, 31)
     d1 = eliminate(P.evaluate(point, gf), gf).det
     d2 = eliminate(Q.evaluate(point, gf), gf).det
