@@ -36,7 +36,7 @@ def main():
     field = PrimeField(PRIMES_62[0])
     P = params.pade
 
-    print(f"Pade matrix for (n,d,e,m) = {params.astuple()}: {P.nrows}x{P.ncols}")
+    print(f"Pade matrix for (n,d,e,m) = {tuple(params)}: {P.nrows}x{P.ncols}")
     print("entries (c_ab tokens, '.' = 0):")
     for row in P.entries:
         print("   " + "".join(fmt(x) for x in row))

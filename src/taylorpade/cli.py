@@ -5,9 +5,9 @@ dimension), ``hessian`` (vanishing certificates for Pade determinants or
 explicit polynomials), ``survey`` (the whole pipeline over the square family),
 ``export`` (Macaulay2 cross-check script).
 
-Reports are deterministic: the same command line and seed produce byte
-identical output.  ``--expect VERDICT`` turns the process exit code into an
-assertion for CI pipelines.
+Reports are deterministic: the command line alone fixes the output, byte for
+byte (no environment variable is read).  ``--expect VERDICT`` turns the process
+exit code into an assertion for CI pipelines.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import functools
 import io
 import json
-import os
 import sys
 from typing import NamedTuple
 
@@ -36,7 +35,6 @@ from .variety import (
 )
 
 SCHEMA_VERSION = 2
-SEED_ENV = "TAYLORPADE_SEED"
 GATE_TRIALS = 8
 
 
@@ -96,13 +94,13 @@ def known_annotations(params: TaylorParams | None) -> list:
     notes = []
     if params is None:
         return notes
-    if params.astuple() == (2, 5, 4, 7):
+    if params == (2, 5, 4, 7):
         notes.append(
             "golden 15x15 layout: the transcribed display disagrees with the "
             "entry law c_(rho-sigma) at row (2,5), column sigma=(0,1) "
             "(shows c_(2,3); the law gives c_(2,4)); this package follows the law"
         )
-    if params.astuple() == (2, 1, 1, 2):
+    if params == (2, 1, 1, 2):
         notes.append(
             "ambient space for (2,1,1,2): the coordinate count gives P^5 "
             "(6 coordinates of degree <= 2); a sometimes-quoted P^7 does not "
@@ -275,7 +273,7 @@ def write_text(path: str, text: str) -> None:
 
 def cmd_export(config: RunConfig) -> dict:
     params = config.params()
-    P = pade_matrix(*params.astuple())
+    P = pade_matrix(*params)
     script = export_m2(P)
     path = config.out or f"pade_{params.n}_{params.d}_{params.e}_{params.m}.m2"
     write_text(path, script)
@@ -322,9 +320,8 @@ OPTIONS = {
 }
 # argparse keywords of each option; an option left out takes RunConfig's default
 _ARGUMENTS = {
-    **dict.fromkeys(("-n", "-d", "-e", "-m", "--e-max", "--trials", "--prime"),
+    **dict.fromkeys(("-n", "-d", "-e", "-m", "--e-max", "--trials", "--seed", "--prime"),
                     {"type": int}),
-    "--seed": {"type": int, "help": f"default: ${SEED_ENV}, else 0"},
     "--field": {"choices": ["prime", "rational"]},
     "--mode": {"choices": ["full", "essential"]},
     "--format": {"choices": ["json", "csv"]},
@@ -348,14 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if "--seed" in OPTIONS[args.command] and args.seed is None:
-        env = os.environ.get(SEED_ENV, "0")
-        try:
-            args.seed = int(env)
-        except ValueError:
-            parser.error(f"argument --seed: ${SEED_ENV} is not an integer: {env!r}")
+    args, extra = build_parser().parse_known_args(argv)
     fields = {f: v for f, v in vars(args).items() if v is not None}
     try:
         if extra:

@@ -2,12 +2,9 @@
 
 
 class UsageError(ValueError):
-    """Caller violated a precondition (bad shapes, mismatched contexts, ...)."""
+    """Caller violated a precondition (bad shapes, mismatched contexts,
+    parameters outside the family an operation is built for, ...)."""
 
 
 class DomainError(ValueError):
     """Input is outside the mathematical domain of the operation."""
-
-
-class UnsupportedParametersError(UsageError):
-    """The operation is only implemented for a restricted parameter family."""

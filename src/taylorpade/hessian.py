@@ -29,7 +29,7 @@ from .detcalc import (
     eliminate_symmetric,
     hessian_from_factor,
 )
-from .errors import DomainError, UnsupportedParametersError, UsageError
+from .errors import DomainError, UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
 from .series import SparsePoly, exp_add, monomials_of_degree
 from .variety import HypersurfaceCheck, TaylorParams
@@ -40,15 +40,16 @@ NONZERO = "nonzero-certified"
 
 def relations_apply(params: TaylorParams) -> bool:
     """Whether the relation identity is built for these parameters: the
-    square two-variable family with m = d+2."""
+    square two-variable family with m = d+2.  Outside it ``build_M`` and
+    ``relation_check`` raise ``UsageError``."""
     return params.n == 2 and params.m == params.d + 2 and params.is_square
 
 
 def _require_relation_params(params: TaylorParams):
     if not relations_apply(params):
-        raise UnsupportedParametersError(
+        raise UsageError(
             f"the relation matrix needs n = 2, m = d + 2 and a square Pade "
-            f"matrix, not {params.astuple()}"
+            f"matrix, not {tuple(params)}"
         )
 
 
@@ -74,7 +75,7 @@ class RelationMatrix(NamedTuple):
         return (len(self.rows), len(self.col_labels))
 
 
-def build_M(params: TaylorParams, block_grad: dict, field) -> RelationMatrix:
+def build_M(params: TaylorParams, block_grad: dict) -> RelationMatrix:
     """Relation matrix from the per-block gradient of det(P).
 
     ``block_grad`` maps (block j, exponent g) to the cofactor sum of the
@@ -127,7 +128,7 @@ def relation_check(params: TaylorParams, point: dict, field) -> dict:
     of columns of M.
     """
     _require_relation_params(params)
-    M = build_M(params, block_grad_det_at(params.pade, point, field), field)
+    M = build_M(params, block_grad_det_at(params.pade, point, field))
     return {
         "residual_is_zero": all(
             field.is_zero(x) for x in relation_residual(M, point, field)
@@ -278,7 +279,7 @@ def certify_hessian_pade(
     params = check.params
     if not check.is_nondefective_hypersurface:
         raise DomainError(
-            f"refusing Hessian certificate for {params.astuple()}: "
+            f"refusing Hessian certificate for {tuple(params)}: "
             f"verdict {check.verdict!r} "
             f"(det nonzero in {check.det_nonzero_count}/{check.det_trials} trials, "
             f"dimension {check.actual_dim} vs expected {check.expected_dim})"
@@ -303,7 +304,7 @@ def certify_hessian_pade(
         )
 
     return _finish_certificate(
-        f"hessian-det[pade{params.astuple()}, essential]",
+        f"hessian-det[pade{tuple(params)}, essential]",
         V * max(P.nrows - 2, 0),
         _hessian_trials(trials, ctx, V, sample, stop_at_full_rank),
     )
@@ -327,7 +328,7 @@ def full_from_essential(essential: Certificate, params: TaylorParams) -> Certifi
         for t in essential.trials
     ]
     return _finish_certificate(
-        f"hessian-det[pade{params.astuple()}, full]",
+        f"hessian-det[pade{tuple(params)}, full]",
         params.ambient_coords * max(P.nrows - 2, 0),
         records,
     )

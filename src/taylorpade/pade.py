@@ -145,15 +145,6 @@ def pade_matrix(n: int, d: int, e: int, m: int) -> SymbolicMatrix:
     return SymbolicMatrix(entries, rows, col_labels, params=(n, d, e, m))
 
 
-def reduced_pade(P: SymbolicMatrix) -> SymbolicMatrix:
-    """P with its first column (the constant monomial) deleted."""
-    if P.ncols < 2:
-        raise UsageError("reduced Pade matrix needs at least 2 columns")
-    entries = [row[1:] for row in P.entries]
-    col_labels = P.col_labels[1:] if P.col_labels is not None else None
-    return SymbolicMatrix(entries, P.row_labels, col_labels, P.params)
-
-
 def lambda_shape(params) -> dict:
     """Expected component layout of a lambda assignment for square m=d+2
     matrices: block j -> list of exponents of degree d_j, in column order."""

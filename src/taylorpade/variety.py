@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .detcalc import eliminate, rank_rational
 from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
-from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape, reduced_pade
+from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape
 from .series import monomials_of_degree, monomials_upto
 
 
@@ -73,10 +73,7 @@ class TaylorParams(_ParamsTuple):
         """The Pade matrix of these parameters, built on first use and kept by
         this instance: every stage of a case reads this one matrix, and an
         equal but distinct instance builds its own."""
-        return pade_matrix(*self.astuple())
-
-    def astuple(self):
-        return tuple(self)
+        return pade_matrix(*self)
 
 
 def random_rational_pair(params: TaylorParams, ctx, seed) -> tuple:
@@ -149,17 +146,20 @@ def _rank(A, ctx) -> int:
 
 
 def expected_dimension(params: TaylorParams) -> int:
-    n, d, e, m = params.astuple()
+    n, d, e, m = params
     return min(comb(d + n, n) + comb(e + n, n) - 2, comb(m + n, n) - 1)
 
 
-def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) -> int:
+DIM_TRIALS = 3
+
+
+def actual_dimension(params: TaylorParams, ctx=None, seed=0) -> int:
     """Generic rank of the Jacobian J of the coefficient map (p, q) -> (c_g).
 
     J is never built: at each sampled pair (p, q), with T = p/q and
     P = ``params.pade``,
 
-        rank J = C(d+n, n) - 1 + rank(reduced_pade(P).evaluate(T)).
+        rank J = C(d+n, n) - 1 + rank([row[1:] for row in P.evaluate(T)]).
 
     Proof.  The columns of J are the series dT/dp_b = x^b/q (0 < |b| <= d)
     and dT/dq_b = -x^b p/q^2 = -x^b T/q (0 < |b| <= e), in degrees 1..m.
@@ -173,26 +173,23 @@ def actual_dimension(params: TaylorParams, trials: int = 3, ctx=None, seed=0) ->
     column.  With e = 0 there is no other column, and the rank is
     C(d+n, n) - 1 at every pair, so nothing is sampled.
 
-    The answer is the maximum over ``trials`` random pairs; rank is
+    The answer is the maximum over ``DIM_TRIALS`` random pairs; rank is
     lower-semicontinuous, so the maximum is a certified lower bound and
     generically exact.  J is (C(m+n,n)-1) x (C(d+n,n)+C(e+n,n)-2), so the
     rank never exceeds ``expected_dimension(params)``, the smaller of the
     two; the first trial that reaches it ends the loop with the exact answer.
     Over Q each rank is ``detcalc.rank_rational``, certified mod primes.
     """
-    if trials < 1:
-        raise UsageError("need at least one trial")
     ctx = ctx or PrimeField(PRIMES_62[0])
     P = params.pade
     base = comb(params.d + params.n, params.n) - 1
     if P.ncols == 1:
         return base
-    R = reduced_pade(P)
     ceiling = expected_dimension(params)
     best = 0
-    for t in range(trials):
+    for t in range(DIM_TRIALS):
         p, q = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
-        A = R.evaluate(taylor_coeffs(p, q, params.m, ctx), ctx)
+        A = [row[1:] for row in P.evaluate(taylor_coeffs(p, q, params.m, ctx), ctx)]
         best = max(best, base + _rank(A, ctx))
         if best == ceiling:
             break
@@ -222,9 +219,10 @@ def nondefective_hypersurface_check(
 
     Requires (a) a square Pade matrix, (b) a nonzero determinant at some
     random point (which certifies det != 0 as a polynomial), and (c) actual
-    dimension equal to the expected dimension equal to N-1.  The Pade matrix
-    ``params.pade`` serves both the determinant trials and the rank.  A
-    trial reads det != 0 as full rank, over Q from ``detcalc.rank_rational``.
+    dimension equal to the expected dimension, which (a) makes N-1: rows = cols
+    reads C(m+n,n) - C(d+n,n) = C(e+n,n), so C(d+n,n) + C(e+n,n) - 2 = N-1.
+    The Pade matrix ``params.pade`` serves both the determinant trials and the
+    rank.  A trial reads det != 0 as full rank, over Q from ``rank_rational``.
 
     ``stop_at_nonzero`` ends the determinant trials at the first nonzero
     det, which fixes (b) exactly; ``det_trials`` then counts the trials run.
@@ -242,10 +240,10 @@ def nondefective_hypersurface_check(
                 if stop_at_nonzero:
                     break
     exp_dim = expected_dimension(params)
-    act_dim = actual_dimension(params, trials=3, ctx=ctx, seed=seed)
+    act_dim = actual_dimension(params, ctx=ctx, seed=seed)
     if act_dim < exp_dim:
         verdict = "defective"
-    elif params.is_square and nonzero and act_dim == exp_dim == params.ambient_dim - 1:
+    elif params.is_square and nonzero and act_dim == exp_dim:
         verdict = "non-defective hypersurface"
     else:
         verdict = "non-defective"

@@ -6,8 +6,8 @@ their sum, product and inverse, a pair with constant terms 1
 (``RationalPair``), the expansion of p/q by ring operations
 (``taylor_coeffs_ring``), and the full Jacobian of the map.  The program
 expands p/q on plain numbers with Kronecker keys
-(``variety.taylor_coeffs``) and ranks the reduced Pade matrix at T = p/q
-instead (``variety.actual_dimension``); these give the same T and the same
+(``variety.taylor_coeffs``) and ranks the Pade matrix at T = p/q, less its
+sigma = 0 column, instead (``variety.actual_dimension``); these give the same T and the same
 rank by another route.  Membership of a coefficient vector in the variety,
 read off the kernel of the Pade matrix at it.
 
@@ -208,7 +208,7 @@ class RationalPair:
     def of_dicts(cls, p: dict, q: dict, params, ring) -> "RationalPair":
         """The pair of coefficient dicts that ``variety.random_rational_pair``
         returns, as series over ``ring``."""
-        n, d, e, _ = params.astuple()
+        n, d, e, _ = params
         return cls(TruncatedSeries(ring, n, d, p), TruncatedSeries(ring, n, e, q))
 
 
@@ -247,7 +247,7 @@ def psi_jacobian(p: dict, q: dict, params, field):
     (0 < |b| <= d resp. e); rows run over 0 < |g| <= m.  The column series are
     exact:  dT/dp_b = x^b / q  and  dT/dq_b = -x^b p / q^2, truncated at m.
     """
-    n, d, e, m = params.astuple()
+    n, d, e, m = params
     pq = RationalPair.of_dicts(p, q, params, field)
     qinv = series_inverse(pq.q, m)
     p_over_q2 = series_mul(series_mul(pq.p, qinv, m), qinv, m)

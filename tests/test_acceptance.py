@@ -86,7 +86,7 @@ def test_criterion_02_nondefectiveness_547():
 def test_criterion_03_defectivity_3223():
     with criterion(3, "(3,2,2,3): exact rank 17 < 18 expected, 3 rational points", 5.0):
         params = TaylorParams(3, 2, 2, 3)
-        actual = actual_dimension(params, trials=3, ctx=Rationals(), seed=0)
+        actual = actual_dimension(params, ctx=Rationals(), seed=0)
         assert actual == 17
         assert expected_dimension(params) == 18
 
@@ -118,7 +118,7 @@ def test_criterion_05_second_square_case_8510():
 def test_criterion_06_relation_identity():
     with criterion(6, "M.c = 0 at 50 points, rank bound, corruption detected", 120.0):
         for params, bound in ((P547, 7), (P8510, 11)):
-            P = pade_matrix(*params.astuple())
+            P = pade_matrix(*params)
             variables = P.variables()
             for t in range(50):
                 pt = random_point(variables, GF0, derive_seed("acc6", t))
@@ -138,7 +138,7 @@ def test_criterion_06_relation_identity():
             rng = random.Random(t)
             key = rng.choice([k for k in sorted(bg) if k[0] > base_block])
             bg[key] = GF0.add(bg[key], 1)
-            M = build_M(P547, bg, GF0)
+            M = build_M(P547, bg)
             if any(x != 0 for x in relation_residual(M, pt, GF0)):
                 detected += 1
         assert detected >= 49

@@ -281,7 +281,6 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     # recorded while the gate still ranked the Jacobian of the coefficient
     # map: two over Q (one defective) and one with e = 0, where the Pade
     # matrix has no column besides sigma = 0.
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     monkeypatch.chdir(GOLDEN)
     code, out = run_cli(GOLDEN_RUNS[name], capsys)
     assert code == 0
@@ -316,37 +315,32 @@ def test_out_file_for_json(tmp_path, capsys, schema):
     validate(json.loads(out_path.read_text()), schema)
 
 
-def test_env_seed_default(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "777")
-    argv = ["defect", *_P2112, "--trials", "1"]
-    from_env = run_cli(argv, capsys)
-    assert json.loads(from_env[1])["config"]["seed"] == 777
-    # shape takes no --seed, so it leaves the variable unread
-    assert json.loads(run_cli(["shape", *_P2112], capsys)[1])["config"]["seed"] == 0
-    monkeypatch.delenv(cli.SEED_ENV)
-    assert from_env == run_cli(argv + ["--seed", "777"], capsys)
+def _python_env(base=os.environ):
+    """``base`` with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(base)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
-@pytest.mark.parametrize("value", ["abc", "", "1.5"])
-def test_env_seed_malformed(value, capsys, monkeypatch):
-    # argparse's usage error, not a ValueError escaping before main's try,
-    # and it names the variable the value came from
-    monkeypatch.setenv(cli.SEED_ENV, value)
-    argv = ["defect", *_P2112, "--trials", "1"]
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(argv)
-    assert exit_.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("error:") == 1
-    assert "--seed" in captured.err
-    assert "TAYLORPADE_SEED" in captured.err
-    # an explicit --seed wins over the malformed variable
-    assert cli.main([*argv, "--seed", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
-    # shape takes no --seed and never reads the variable
-    assert cli.main(["shape", *_P2112]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+def test_output_depends_on_argv_alone():
+    # Without --seed a run takes seed 0: neither TAYLORPADE_SEED nor str
+    # hashing's seed (PYTHONHASHSEED) changes any output.
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("TAYLORPADE_SEED", "PYTHONHASHSEED")}
+    envs = [{}, {"TAYLORPADE_SEED": "777", "PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1"}]
+    for argv in (["defect", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "2"],
+                 ["survey", "--e-max", "5", "--trials", "1"]):
+        outs = []
+        for extra in envs:
+            run = subprocess.run([sys.executable, "-m", "taylorpade", *argv],
+                                 capture_output=True, text=True, timeout=60,
+                                 env=_python_env({**clean, **extra}))
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["config"]["seed"] == 0
 
 
 def _usage_error(argv, capsys):
@@ -457,8 +451,7 @@ def test_readme_option_table_matches_the_parser():
     assert table == {command: " ".join(flags) for command, flags in cli.OPTIONS.items()}
 
 
-def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
     assert cli.main(["survey", "--e-max", "5", "--trials", "1", "--format", "csv"]) == 0
     capsys.readouterr()
@@ -466,13 +459,8 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert code == 0
     config = json.loads(out)["config"]
     assert (config["e_max"], config["format"]) == (None, "json")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH")) if p
-    )
-    env.pop(cli.SEED_ENV, None)
     fresh = subprocess.run([sys.executable, "-m", "taylorpade", "shape", *_P547],
-                           capture_output=True, text=True, env=env, timeout=60)
+                           capture_output=True, text=True, env=_python_env(), timeout=60)
     assert (fresh.returncode, fresh.stdout) == (0, out)
 
 

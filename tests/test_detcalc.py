@@ -799,7 +799,7 @@ def _hessian_core_patterns():
     with the lex order inside each degree reversed."""
     rng = random.Random(12)
     out = [(f"random{i}", _random_pattern(rng, max_size=8)) for i in range(12)]
-    out += [(str(c.astuple()), pade_matrix(*c.astuple())) for c in square_family(9)]
+    out += [(str(tuple(c)), pade_matrix(*c)) for c in square_family(9)]
     out.append(("(2, 1, 1, 2)", pade_matrix(2, 1, 1, 2)))
     out.append(("(2, 8, 5, 10) within-degree reversed",
                 reverse_within_degree(pade_matrix(2, 8, 5, 10))))

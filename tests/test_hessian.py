@@ -14,7 +14,7 @@ import taylorpade.pade as pade_mod
 import taylorpade.variety as variety_mod
 
 from taylorpade.detcalc import block_grad_det_at
-from taylorpade.errors import DomainError, UnsupportedParametersError, UsageError
+from taylorpade.errors import DomainError, UsageError
 from taylorpade.fields import (
     PRIMES_62,
     SURVEY_PRIME,
@@ -82,7 +82,7 @@ def test_build_M_shape_and_row_layout(gf):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 0)
     bg = block_grad_det_at(P, pt, gf)
-    M = build_M(P547, bg, gf)
+    M = build_M(P547, bg)
     assert M.shape == (14, 7)
     assert M.row_labels[0] == (7, (4, 0))
     assert M.row_labels[-1] == (4, (0, 1))
@@ -100,25 +100,26 @@ def test_build_M_shape_and_row_layout(gf):
     assert row == tuple(bg[(4, g)] for g in expected_vars)
 
 
-def test_build_M_zero_gradient(gf):
+def test_build_M_zero_gradient():
     zero_bg = {}
     P = pade_matrix(2, 5, 4, 7)
     for g, occ in P.occurrences().items():
         for _, c in occ:
             zero_bg[(P.col_labels[c].block, g)] = 0
-    M = build_M(P547, zero_bg, gf)
+    M = build_M(P547, zero_bg)
     assert all(all(x == 0 for x in row) for row in M.rows)
 
 
-def test_build_M_parameter_guards(gf):
-    with pytest.raises(UnsupportedParametersError):
-        build_M(TaylorParams(3, 2, 2, 3), {}, gf)
-    with pytest.raises(UnsupportedParametersError):
-        build_M(TaylorParams(2, 5, 4, 6), {}, gf)
-    with pytest.raises(UnsupportedParametersError):
-        build_M(TaylorParams(2, 4, 4, 6), {}, gf)  # square fails
-    with pytest.raises(UsageError):
-        build_M(P547, {}, gf)  # missing entries
+def test_build_M_parameter_guards():
+    outside = "relation matrix needs n = 2, m = d [+] 2 and a square Pade matrix"
+    with pytest.raises(UsageError, match=outside):
+        build_M(TaylorParams(3, 2, 2, 3), {})
+    with pytest.raises(UsageError, match=outside):
+        build_M(TaylorParams(2, 5, 4, 6), {})
+    with pytest.raises(UsageError, match=outside):
+        build_M(TaylorParams(2, 4, 4, 6), {})  # square fails
+    with pytest.raises(UsageError, match="block gradient is missing"):
+        build_M(P547, {})  # missing entries
 
 
 def test_relations_identity_random_points(gf):
@@ -150,7 +151,7 @@ def test_rank_M_bounds(gf):
 ])
 def test_relation_check_rejects_params_outside_the_family(params, gf, monkeypatch):
     shapes = _record_eliminations(monkeypatch)
-    with pytest.raises(UnsupportedParametersError):
+    with pytest.raises(UsageError, match="relation matrix needs"):
         relation_check(params, {}, gf)
     assert shapes == []
 
@@ -162,7 +163,7 @@ def test_corruption_is_detected(gf):
     key = (6, (5, 1))  # a variable read by block C_6 rows
     assert key in bg
     bg[key] = gf.add(bg[key], 1)
-    M = build_M(P547, bg, gf)
+    M = build_M(P547, bg)
     res = relation_residual(M, pt, gf)
     assert any(x != 0 for x in res)
 
@@ -178,7 +179,7 @@ def test_full_gradient_does_not_satisfy_relations(gf):
     for g, occ in P.occurrences().items():
         for _, c in occ:
             fake[(P.col_labels[c].block, g)] = full[g]
-    M = build_M(P547, fake, gf)
+    M = build_M(P547, fake)
     res = relation_residual(M, pt, gf)
     assert any(x != 0 for x in res)
 
@@ -328,7 +329,6 @@ DIM = "actual_dimension"
 
 @pytest.mark.parametrize("mode,hessian_size", [("full", 33), ("essential", 33)])
 def test_one_elimination_of_P_and_H_per_trial(monkeypatch, capsys, mode, hessian_size):
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     shapes = _record_eliminations(monkeypatch, (variety_mod, DIM))
     argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7",
             "--trials", "3", "--mode", mode]
@@ -367,7 +367,7 @@ def _zero_gate_dets(monkeypatch, zeros):
 
     def patched(A, field, inverse=False):
         out = real(A, field, inverse)
-        if out.det is None:  # the rank of the reduced Pade matrix
+        if out.det is None:  # the rank of P at T, less its sigma = 0 column
             return out
         dets.append(out.det)
         return out._replace(rank=out.rank - 1, det=0) if len(dets) <= zeros else out
@@ -387,7 +387,6 @@ def test_gate_goes_on_after_a_zero_det(monkeypatch, zeros, run, nonzero):
 
 
 def test_survey_gate_goes_on_after_a_zero_first_det(monkeypatch, capsys):
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     argv = ["survey", "--e-max", "5", "--trials", "3"]
     want = _survey_rows(argv, capsys)
     dets = _zero_gate_dets(monkeypatch, 1)
@@ -486,7 +485,6 @@ def _survey_rows(argv, capsys):
 
 
 def test_survey_goes_on_after_a_singular_first_trial(monkeypatch, capsys):
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     built = _singular_hessians(monkeypatch, [1, 0, 1, 0])
     handoffs = _symmetric_handoffs(monkeypatch)
     rows = _survey_rows(["survey", "--e-max", "5", "--trials", "4"], capsys)
@@ -502,7 +500,6 @@ def test_survey_goes_on_after_a_singular_first_trial(monkeypatch, capsys):
 
 
 def test_survey_runs_every_trial_when_none_has_full_rank(monkeypatch, capsys):
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     # coranks 2, 2, 1 on the first case, then 3, 2, 3 on the second: each
     # minimum is reached on one trial only, not the first
     built = _singular_hessians(monkeypatch, [2, 2, 1, 3, 2, 3])
@@ -555,7 +552,6 @@ def test_survey_rows_match_the_full_trial_loop(seed, monkeypatch):
 ], ids=["prime"])
 def test_survey_certificate_prime_follows_the_flags(flags, prime, monkeypatch, capsys):
     # A prime given on the command line replaces SURVEY_PRIME
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     primes = _certificate_primes(monkeypatch)
     _survey_rows(["survey", "--e-max", "5", "--trials", "3", *flags], capsys)
     assert len(primes) == 2
@@ -563,8 +559,7 @@ def test_survey_certificate_prime_follows_the_flags(flags, prime, monkeypatch, c
 
 
 @pytest.mark.parametrize("mode", ["full", "essential"])
-def test_hessian_report_keeps_every_trial(mode, capsys, monkeypatch):
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
+def test_hessian_report_keeps_every_trial(mode, capsys):
     argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7",
             "--trials", "3", "--mode", mode]
     assert cli_mod.main(argv) == 0
@@ -594,14 +589,12 @@ def _count_pade_builds(monkeypatch):
 
 
 def test_survey_builds_P_once_per_case(monkeypatch, capsys):
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     built = _count_pade_builds(monkeypatch)
     _survey_rows(["survey", "--e-max", "5", "--trials", "2"], capsys)
     assert built == [(2, 5, 4, 7), (2, 8, 5, 10)]
 
 
 def test_survey_frees_each_P_before_building_the_next(monkeypatch, capsys):
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     alive = []
     real = pade_mod.pade_matrix
 
@@ -658,11 +651,11 @@ def _record_case_stages(monkeypatch):
     certify, relations = hessian_mod.certify_hessian_pade, hessian_mod.relation_check
 
     def certified(check, *args, **kwargs):
-        stages.append(("certificate", check.params.astuple()))
+        stages.append(("certificate", tuple(check.params)))
         return certify(check, *args, **kwargs)
 
     def related(params, *args, **kwargs):
-        stages.append(("relations", params.astuple()))
+        stages.append(("relations", tuple(params)))
         return relations(params, *args, **kwargs)
 
     monkeypatch.setattr(hessian_mod, "certify_hessian_pade", certified)
@@ -678,7 +671,6 @@ def test_survey_row_of_a_failing_gate(e_max, flags, dimension_0, failing, monkey
                                       capsys):
     # A row whose gate fails leaves the certificate and relation fields
     # blank and runs neither stage; the hessian run of its case refuses it.
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     if dimension_0:
         monkeypatch.setattr(variety_mod, "actual_dimension", lambda *a, **k: 0)
     stages = _record_case_stages(monkeypatch)
@@ -702,11 +694,10 @@ def test_survey_row_of_a_failing_gate(e_max, flags, dimension_0, failing, monkey
     ["--prime", "5", "--seed", "3"],
     ["--seed", "1"],
 ], ids=["p7-s0", "p5-s3", "default-s1"])
-def test_survey_row_is_its_case_hessian_run(flags, monkeypatch, capsys):
+def test_survey_row_is_its_case_hessian_run(flags, capsys):
     # survey samples each case's gate and relation check at the points of
     # hessian, so every row up to e = 8 reproduces from the hessian runs of
     # its case, at tiny primes too, where samples often disagree
-    monkeypatch.delenv(cli_mod.SEED_ENV, raising=False)
     common = ["--trials", "3", *flags]
     rows = _survey_rows(["survey", "--e-max", "8", *common], capsys)
     assert len(rows) == len(square_family(8))

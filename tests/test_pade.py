@@ -13,7 +13,6 @@ from taylorpade.pade import (
     pade_matrix,
     pade_shape,
     random_lambda,
-    reduced_pade,
 )
 from taylorpade.series import exp_sub, monomials_of_degree, monomials_upto
 
@@ -134,26 +133,6 @@ def test_occurrence_positions_match_direct_enumeration():
             if 6 <= sum(rho) <= 7:
                 expected.add((rows[rho], cols[sigma]))
         assert set(occ[g]) == expected
-
-
-def test_reduced_pade():
-    P = pade_matrix(2, 5, 4, 7)
-    R = reduced_pade(P)
-    assert R.shape == (15, 14)
-    for r in range(15):
-        assert R.entries[r][0] == P.entries[r][1]
-        assert R.entries[r] == P.entries[r][1:]
-    # the width-1 constant-column block disappears; other blocks keep width
-    assert list(dict.fromkeys(lab.block for lab in R.col_labels)) == [6, 5, 4, 3]
-    for j in (6, 5, 4, 3):
-        assert len(R.block_columns(j)) == len(P.block_columns(j))
-
-
-def test_reduced_pade_single_column_error():
-    P = pade_matrix(1, 0, 0, 1)
-    assert P.ncols == 1
-    with pytest.raises(UsageError):
-        reduced_pade(P)
 
 
 def test_block_view_widths():

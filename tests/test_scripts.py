@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from taylorpade import cli
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -14,7 +12,6 @@ def _run_script(name, *args):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    env.pop(cli.SEED_ENV, None)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
@@ -78,4 +75,31 @@ def test_no_module_imports_a_name_it_never_reads():
             if path.name != "__init__.py":
                 unread += [(str(path.relative_to(ROOT)), line, name)
                            for line, name in _unread_imports(path)]
+    assert unread == []
+
+
+def _unread_parameters(path):
+    """(line, function, parameter) for each parameter of a function or lambda
+    that its body never reads; ``self`` and ``cls`` are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")]
+    return out
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    # A parameter nothing reads asks every caller for a value that changes
+    # nothing.  Tests are exempt: pytest fixtures are requested by name.
+    unread = []
+    for folder in ("src", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            unread += [(str(path.relative_to(ROOT)), *hit) for hit in _unread_parameters(path)]
     assert unread == []

@@ -15,7 +15,7 @@ from taylorpade.fields import (
     random_point,
 )
 from taylorpade.detcalc import rank_rational
-from taylorpade.pade import pade_matrix, reduced_pade
+from taylorpade.pade import pade_matrix, pade_shape
 from taylorpade.series import monomials_of_degree, monomials_upto
 from taylorpade.variety import (
     TaylorParams,
@@ -155,11 +155,26 @@ def test_expected_dimension_examples():
     assert expected_dimension(TaylorParams(1, 0, 0, 1)) == 0
 
 
+def test_square_cases_expect_a_hypersurface():
+    # The gate's hypersurface verdict compares the actual dimension with the
+    # expected one only: rows = cols makes C(d+n,n) + C(e+n,n) - 2 equal
+    # C(m+n,n) - 2, so a square Pade matrix expects dimension N - 1.
+    square = []
+    for n in range(1, 6):
+        for d in range(40):
+            for e in range(40):
+                square += [TaylorParams(n, d, e, m) for m in range(d + 1, d + 30)
+                           if pade_shape(n, d, e, m).square]
+    assert len(square) == 1235
+    for params in square:
+        assert expected_dimension(params) == params.ambient_dim - 1
+
+
 def test_actual_dimension_examples(gf):
-    assert actual_dimension(P3223, trials=3, ctx=gf, seed=0) == 17
-    assert actual_dimension(P3223, trials=3, ctx=Rationals(), seed=0) == 17
-    assert actual_dimension(P547, trials=3, ctx=gf, seed=0) == 34
-    assert actual_dimension(TaylorParams(1, 1, 1, 3), trials=3, ctx=gf, seed=0) <= 2
+    assert actual_dimension(P3223, ctx=gf, seed=0) == 17
+    assert actual_dimension(P3223, ctx=Rationals(), seed=0) == 17
+    assert actual_dimension(P547, ctx=gf, seed=0) == 34
+    assert actual_dimension(TaylorParams(1, 1, 1, 3), ctx=gf, seed=0) <= 2
 
 
 def test_jacobian_columns_match_jet_perturbation(gf):
@@ -236,8 +251,8 @@ def test_nondefective_check_2112(gf):
 def test_gate_stops_at_expected_dimension(params, jacobians, monkeypatch, gf):
     # The Jacobian rank cannot exceed the expected dimension, so the gate
     # stops at the first sample that reaches it; a defective case never
-    # does and ranks all three.  Each sample eliminates the reduced Pade
-    # matrix at T (rows x (cols-1)), not the Jacobian.
+    # does and ranks all three.  Each sample eliminates the Pade matrix at T
+    # without its sigma = 0 column (rows x (cols-1)), not the Jacobian.
     shapes = []
     real = variety_mod.eliminate
 
@@ -250,7 +265,7 @@ def test_gate_stops_at_expected_dimension(params, jacobians, monkeypatch, gf):
     shape = params.shape
     assert shapes.count((shape.rows, shape.cols - 1)) == jacobians
     assert len(shapes) == 2 + jacobians  # two det trials
-    assert check.actual_dim == actual_dimension(params, trials=3, ctx=gf, seed=0)
+    assert check.actual_dim == actual_dimension(params, ctx=gf, seed=0)
 
 
 ORACLE_CASES = [
@@ -273,9 +288,9 @@ ORACLE_CASES = [
     ],
 )
 def test_gate_rank_matches_jacobian_oracle(case, field, seed, request):
-    # On the gate's own samples, C(d+n,n) - 1 plus the rank of the reduced
-    # Pade matrix at T = p/q is the rank of the full Jacobian of (p, q) ->
-    # (c_g), expanded by series products in the oracle.
+    # On the gate's own samples, C(d+n,n) - 1 plus the rank of the Pade
+    # matrix at T = p/q without its sigma = 0 column is the rank of the full
+    # Jacobian of (p, q) -> (c_g), expanded by series products in the oracle.
     ctx = request.getfixturevalue(field)
     params = TaylorParams(*case)
     n, d, e, m = case
@@ -287,26 +302,26 @@ def test_gate_rank_matches_jacobian_oracle(case, field, seed, request):
         if e == 0:
             pade_rank = 0
         else:
-            A = reduced_pade(P).evaluate(taylor_coeffs(p, q, m, ctx), ctx)
+            A = [row[1:] for row in P.evaluate(taylor_coeffs(p, q, m, ctx), ctx)]
             pade_rank = rank_of(A, ctx)
         assert comb(d + n, n) - 1 + pade_rank == jac_rank
         jacobian_ranks.append(jac_rank)
-    assert actual_dimension(params, trials=3, ctx=ctx, seed=seed) == max(jacobian_ranks)
+    assert actual_dimension(params, ctx=ctx, seed=seed) == max(jacobian_ranks)
 
 
 # every exact-q and gate-e9 case, (1,3,2,6), (2,3,0,4) (e = 0), and the
 # square family up to e = 9: (2,5,4,7), (2,8,5,10), (2,20,8,22), (2,25,9,27)
 PREFILTER_CASES = sorted({
     (2, 8, 5, 10), (2, 12, 6, 14), (3, 4, 3, 6), (3, 2, 2, 3), (2, 25, 9, 27),
-    (1, 3, 2, 6), (2, 3, 0, 4), *(p.astuple() for p in square_family(9)),
+    (1, 3, 2, 6), (2, 3, 0, 4), *map(tuple, square_family(9)),
 })
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
 @pytest.mark.parametrize("case", PREFILTER_CASES, ids=lambda c: "".join(map(str, c)))
 def test_rational_prefilter_agrees_with_bareiss(case, seed, qq):
-    # The gate's two matrices over Q, the reduced Pade matrix at the gate's
-    # first T and P at its first det point: the rank certified mod primes
+    # The gate's two matrices over Q, P without its sigma = 0 column at the
+    # gate's first T and P at its first det point: the rank certified mod primes
     # is Bareiss's, and a square one is full exactly when its det is
     # nonzero.  With e = 0 only P has columns.
     params = TaylorParams(*case)
@@ -314,7 +329,8 @@ def test_rational_prefilter_agrees_with_bareiss(case, seed, qq):
     matrices = [P.evaluate(random_point(P.variables(), qq, derive_seed("det", seed, 0)), qq)]
     if case[2]:
         p, q = random_rational_pair(params, qq, derive_seed("dim", seed, 0))
-        matrices.append(reduced_pade(P).evaluate(taylor_coeffs(p, q, params.m, qq), qq))
+        T = taylor_coeffs(p, q, params.m, qq)
+        matrices.append([row[1:] for row in P.evaluate(T, qq)])
     for A in matrices:
         fast, exact = rank_rational(A), eliminate_bareiss(A)
         assert fast == exact.rank
@@ -348,7 +364,7 @@ def _primes_per_rank(monkeypatch):
     ((2, 12, 6, 14), 117, (1,)),
     ((3, 4, 3, 6), 53, (1,)),
     ((2, 25, 9, 27), 404, (1,) * 5),
-    # det(P) = 0 identically and the reduced matrix has rank 8 of 9 at every
+    # det(P) = 0 identically and P at T less column 0 has rank 8 of 9 at every
     # pair over Q, so no elimination is full rank mod p: each of the four
     # det trials and the three pairs certifies its rank with more primes
     ((3, 2, 2, 3), 17, (2, 2, 2, 2, 2, 3, 2)),
