@@ -63,9 +63,11 @@ exactly when ``d+1 <= |s|+|a| <= m``, so the classes are the degrees |a|:
 K is assembled straight into the symmetric body's rows.  Classes with a
 one-column key come last: a single occurrence (r, c) gives
 ``t_a = X[c][r]`` and ``G_aa = t_a^2``, so they are K's structurally zero
-diagonal (23 of 185 entries at (2,20,8,22)) and need no diagonal scan.  Per
-class pair the w_b are packed over B's members, one int ``Wcols[i, j]`` per
-index, and a's block is one C-level
+diagonal (23 of 185 entries at (2,20,8,22)) and need no diagonal scan.  Both
+gathers of X run in C: each class keeps one ``operator.itemgetter`` per index
+i, over its members' rows r_a(i).  Per class pair, B's getter j joins row cA_i
+of X, held as slot bytes, into ``Wcols[i, j]``, the w_b packed over B; A's
+getter i on row cB_j gives ``u[i, j]`` for all of A.  a's block is one C-level
 ``t_a * T_B + OFF - sum(map(mul, u_a, Wcols))``: ``T_B`` packs B's t values,
 reduced mod p, and each slot of OFF holds ``|cA| * |cB| * p^2``, which keeps
 the entry nonnegative and below ``(|cA| * |cB| + 1) * p^2``.  A row joins
@@ -80,7 +82,7 @@ from __future__ import annotations
 import random
 from itertools import chain, count, repeat
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import DomainError, UsageError
@@ -242,14 +244,6 @@ def _pack(values, size):
     return int.from_bytes(data, "little")
 
 
-def _pack_chunks(values, count, size):
-    # _pack of each run of ``count`` values, from one bytes object
-    data = b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
-    step = count * size
-    return [int.from_bytes(data[j:j + step], "little")
-            for j in range(0, len(data), step)]
-
-
 def _unpack(row, count, size):
     data = row.to_bytes(count * size, "little")
     return [int.from_bytes(data[j:j + size], "little")
@@ -336,32 +330,36 @@ def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
 
 def _hessian_core(X, occ, labels, p):
     # Class-pair assembly of K (module docstring).  A class is keyed by the
-    # tuple of columns of its members' occurrences, in occurrence order;
-    # each member keeps its label and its own tuple of rows.
+    # columns of its members' occurrences, in order.  A lone member's getter
+    # takes a one-entry slice, as itemgetter of one index returns a bare entry.
     classes: dict = {}
     for g in labels:
-        cols = tuple(c for _, c in occ[g])
-        classes.setdefault(cols, []).append((g, tuple(r for r, _ in occ[g])))
-    groups = [(cols, *zip(*members)) for cols, members
-              in sorted(classes.items(), key=lambda item: len(item[0]) == 1)]
+        rs, cols = zip(*occ[g])
+        classes.setdefault(cols, []).append((g, rs))
+    groups = []
+    for cols, members in sorted(classes.items(), key=lambda item: len(item[0]) == 1):
+        gA, rowsA = zip(*members)
+        gets = [itemgetter(*R) if len(R) > 1 else itemgetter(slice(R[0], R[0] + 1))
+                for R in zip(*rowsA)]
+        groups.append((cols, gA, gets))
     t = {g: sum(X[c][r] for r, c in occ[g]) % p for g in labels}
     widest = max(map(len, classes), default=0)
     size = (((widest**2 + 1) * p * p + len(labels) * p * (p - 1)).bit_length() + 7) // 8
     W = 8 * size
-    XT = list(zip(*X))
+    cells = [list(map(int.to_bytes, row, repeat(size), repeat("little"))) for row in X]
     rows = []
-    for first, (cA, gA, rowsA) in enumerate(groups):
+    for first, (cA, gA, getA) in enumerate(groups):
         parts = [[] for _ in gA]
-        for cB, gB, rowsB in groups[first:]:
-            # Wcols[i, j] holds X[cA_i][r_b(j)] for every member b of B, and
-            # u[i, j] is X[cB_j][r_a(i)], so G_ab = sum over (i, j) of u * w_b.
+        for cB, gB, getB in groups[first:]:
+            # Wcols[i, j] packs X[cA_i][r_b(j)] over B's members b, ucols[i, j]
+            # holds X[cB_j][r_a(i)] over A's members a: G_ab = sum of u_a * w_b.
             n = len(gB)
-            Rs = list(zip(*rowsB))
             TB = _pack([t[b] for b in gB], size)
             OFF = _pack([len(cA) * len(cB) * p * p] * n, size)
-            Wcols = _pack_chunks([X[c][r] for c in cA for R in Rs for r in R], n, size)
-            for part, g, ra in zip(parts, gA, rowsA):
-                u = [x for r in ra for x in map(XT[r].__getitem__, cB)]
+            Wcols = [int.from_bytes(b"".join(get(cells[c])), "little")
+                     for c in cA for get in getB]
+            ucols = [get(X[c]) for get in getA for c in cB]
+            for part, g, u in zip(parts, gA, zip(*ucols)):
                 block = t[g] * TB + OFF - sum(map(mul, u, Wcols))
                 part.append(block.to_bytes(n * size, "little"))
         # The diagonal block starts at A's first member: drop the slots

@@ -40,6 +40,8 @@ PRIMES_62 = (
 # CPython digit (a 31-bit prime needs two and measured slower).
 SURVEY_PRIME = 2**30 - 35
 
+_BUILTIN_PRIMES = frozenset((*PRIMES_62, SURVEY_PRIME))  # PrimeField skips Miller-Rabin on these
+
 DEFAULT_RATIONAL_BOUND = 100
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -83,7 +85,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not is_probable_prime(p):
+        if p not in _BUILTIN_PRIMES and not is_probable_prime(p):
             raise UsageError(f"modulus {p} is not prime")
         self.p = p
 

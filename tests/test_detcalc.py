@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -810,6 +811,12 @@ def _column_repeats(P):
     return any(len({c for _, c in ps}) < len(ps) for ps in P.occurrences().values())
 
 
+def _class_sizes(P):
+    # The kernel's classes: variables keyed by the columns of their
+    # occurrences, in occurrence order.
+    return Counter(tuple(c for _, c in ps) for ps in P.occurrences().values())
+
+
 def test_hessian_core_matches_reference():
     # The kernel is checked on any matrix X, not only on inverses: a random
     # X, X with every entry p - 1, which makes each G slot |cA| * |cB| *
@@ -821,6 +828,9 @@ def test_hessian_core_matches_reference():
     # others take all three at every prime.
     patterns = _hessian_core_patterns()
     assert any(_column_repeats(P) for _, P in patterns)
+    # A one-member class takes the getter that is not a plain itemgetter.
+    assert any(1 in _class_sizes(P).values() for _, P in patterns)
+    assert any(len(key) == 1 for _, P in patterns for key in _class_sizes(P))
     rng = random.Random(13)
     for name, P in patterns:
         labels, occ, k = P.variables(), P.occurrences(), P.nrows

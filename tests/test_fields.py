@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
+    _BUILTIN_PRIMES,
     DEFAULT_RATIONAL_BOUND,
     PRIMES_62,
+    SURVEY_PRIME,
     PrimeField,
     Rationals,
     derive_seed,
@@ -24,6 +26,12 @@ def test_builtin_primes_are_prime_and_62_bit():
     for p in PRIMES_62:
         assert is_probable_prime(p)
         assert 2**61 < p < 2**62
+
+
+def test_prime_field_skips_miller_rabin_only_for_the_builtin_primes():
+    # PrimeField trusts these without a test, so prove each one here.
+    assert _BUILTIN_PRIMES == {*PRIMES_62, SURVEY_PRIME}
+    assert all(map(is_probable_prime, _BUILTIN_PRIMES))
 
 
 def test_miller_rabin_composites():

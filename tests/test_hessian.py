@@ -184,7 +184,7 @@ def test_full_gradient_does_not_satisfy_relations(gf):
     assert any(x != 0 for x in res)
 
 
-def test_certify_pade_full_547(gf):
+def test_certify_pade_full_547():
     cert = full_from_essential(
         certify_hessian_pade(_gate(P547), trials=5, seed=0), P547)
     assert cert.verdict == VANISHES
@@ -194,7 +194,7 @@ def test_certify_pade_full_547(gf):
     assert cert.error_bound_log10 < -75  # 5 trials at ~1e-16 each
 
 
-def test_certify_pade_essential_547_measured_nonzero(gf):
+def test_certify_pade_essential_547_measured_nonzero():
     # The essential-variable Hessian of this determinant is nonsingular at
     # generic points: the ambient vanishing comes from the three coordinates
     # absent from det(P), not from a deeper polar degeneracy.
@@ -205,7 +205,7 @@ def test_certify_pade_essential_547_measured_nonzero(gf):
     assert all(t.corank == 0 for t in cert.trials)
 
 
-def test_certify_pade_2112_both_modes(gf):
+def test_certify_pade_2112_both_modes():
     params = TaylorParams(2, 1, 1, 2)
     essential = certify_hessian_pade(_gate(params), trials=20, seed=0)
     full = full_from_essential(essential, params)
@@ -214,17 +214,17 @@ def test_certify_pade_2112_both_modes(gf):
     assert all(t.corank >= 1 for t in essential.trials)
 
 
-def test_certify_pade_refuses_defective(gf):
+def test_certify_pade_refuses_defective():
     with pytest.raises(DomainError, match="refusing"):
         certify_hessian_pade(_gate(TaylorParams(3, 2, 2, 3)), trials=2, seed=0)
 
 
-def test_certify_pade_rejects_rectangular(gf):
+def test_certify_pade_rejects_rectangular():
     with pytest.raises(DomainError):
         certify_hessian_pade(_gate(TaylorParams(2, 1, 1, 3)), trials=2, seed=0)
 
 
-def test_certificate_trial_records(gf):
+def test_certificate_trial_records():
     cert = certify_hessian_pade(_gate(P547), trials=3, seed=1)
     assert [t.index for t in cert.trials] == [0, 1, 2]
     assert {t.prime for t in cert.trials} == set(PRIMES_62[:3])
@@ -269,14 +269,14 @@ def test_corank_quadric_and_perazzo():
     assert min(t.corank for t in cert.trials) >= 1
 
 
-def test_corank_pade_essential(gf):
+def test_corank_pade_essential():
     # measured: the essential polar map is locally bijective here
     cert = certify_hessian_pade(_gate(P547), trials=2, seed=0)
     assert len(pade_matrix(2, 5, 4, 7).variables()) == 33
     assert [t.corank for t in cert.trials] == [0, 0]
 
 
-def test_cross_path_agreement_2112(gf):
+def test_cross_path_agreement_2112():
     params = TaylorParams(2, 1, 1, 2)
     P = pade_matrix(2, 1, 1, 2)
     ambient = monomials_upto(2, 2)
