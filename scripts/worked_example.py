@@ -19,7 +19,7 @@ from taylorpade import (
     random_lambda,
     relation_check,
 )
-from taylorpade.fields import PRIMES_62, PrimeField, derive_seed, random_point
+from taylorpade.fields import DEFAULT_FIELD, derive_seed, random_point
 
 
 def fmt(entry):
@@ -33,7 +33,7 @@ def main():
     args = ap.parse_args()
 
     params = TaylorParams(2, 5, 4, 7)
-    field = PrimeField(PRIMES_62[0])
+    field = DEFAULT_FIELD
     P = params.pade
 
     print(f"Pade matrix for (n,d,e,m) = {tuple(params)}: {P.nrows}x{P.ncols}")

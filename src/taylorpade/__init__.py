@@ -1,6 +1,6 @@
 """Exact and modular linear algebra for Pade matrices of Taylor varieties."""
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .pade import column_transform, pade_matrix, random_lambda
 from .detcalc import eliminate
 from .variety import TaylorParams, nondefective_hypersurface_check

@@ -20,10 +20,10 @@ import sys
 from typing import NamedTuple
 
 from . import hessian as hess
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .fields import (
-    MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals, derive_seed,
-    random_point,
+    DEFAULT_FIELD, MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals,
+    derive_seed, random_point,
 )
 from .pade import export_m2, pade_matrix
 from .series import SparsePoly
@@ -86,7 +86,11 @@ class RunConfig(_Options):
             return Rationals()
         if self.prime is not None:
             return PrimeField(self.prime)
-        return None  # rotate through the builtin list where supported
+        return DEFAULT_FIELD
+
+    def primes(self, default=PRIMES_62) -> tuple:
+        """The primes a certificate's trials rotate through."""
+        return default if self.prime is None else (self.prime,)
 
 
 def known_annotations(params: TaylorParams | None) -> list:
@@ -195,8 +199,10 @@ def _run_case(params: TaylorParams, config: RunConfig, survey: bool = False):
     ``hessian.relations_apply`` is false, reads the ``derive_seed("diag", seed)``
     point.  The certificate refuses a case whose gate fails.
 
-    ``survey`` makes the survey's two choices: the ``SURVEY_PRIME`` default, and
-    trials that stop at the first H of corank 0, which fixes both printed fields
+    The gate and the relation check run over ``config.context()``, the
+    certificate over ``config.primes()``.  ``survey`` makes the survey's two
+    choices: the ``SURVEY_PRIME`` default for the certificate, and trials
+    that stop at the first H of corank 0, which fixes both printed fields
     over any prime (the minimum corank is then 0, and its nonzero det(H) fixes
     the full verdict).  A survey case whose gate fails runs no later stage.
     """
@@ -209,15 +215,14 @@ def _run_case(params: TaylorParams, config: RunConfig, survey: bool = False):
         return check, None, None, None
     essential = hess.certify_hessian_pade(
         check, trials=config.trials, seed=config.seed,
-        ctx=ctx or (PrimeField(SURVEY_PRIME) if survey else None),
+        primes=config.primes((SURVEY_PRIME,) if survey else PRIMES_62),
         stop_at_full_rank=survey,
     )
     full = hess.full_from_essential(essential, params)
     relations = None
     if hess.relations_apply(params):
-        fld = ctx or PrimeField(PRIMES_62[0])
-        point = random_point(params.pade.variables(), fld, derive_seed("diag", config.seed))
-        relations = hess.relation_check(params, point, fld)
+        point = random_point(params.pade.variables(), ctx, derive_seed("diag", config.seed))
+        relations = hess.relation_check(params, point, ctx)
     return check, essential, full, relations
 
 
@@ -226,7 +231,7 @@ def cmd_hessian(config: RunConfig) -> dict:
     if config.poly is not None:
         cert = hess.certify_hessian_poly(
             load_poly(config.poly), trials=config.trials, seed=config.seed,
-            ctx=config.context(),
+            primes=config.primes(),
         )
     else:
         params = config.params()
@@ -357,7 +362,7 @@ def main(argv=None) -> int:
             write_text(config.out, text)
         else:
             sys.stdout.write(text)
-    except (UsageError, DomainError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.expect is not None:

@@ -85,7 +85,7 @@ from math import isqrt, lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, is_probable_prime
 from .pade import SymbolicMatrix
 
@@ -316,12 +316,12 @@ def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
     ``eliminate_symmetric``: ``order`` lists the variables by class,
     single-occurrence classes last, and row k holds K[order[k]][order[j]]
     for j >= k, unreduced, in slots of ``size`` bytes (module docstring).
-    Raises ``DomainError`` when P is singular (``fac.inverse`` is None).
+    Raises ``UsageError`` when P is singular (``fac.inverse`` is None).
     An ambient coordinate absent from P would only add a zero row and
     column; ``hessian.full_from_essential`` accounts for those.
     """
     if fac.inverse is None:
-        raise DomainError(
+        raise UsageError(
             f"the Hessian of det(P) needs P invertible, and P is singular "
             f"at this point over {field!r}"
         )

@@ -1,10 +1,7 @@
-"""Exception types shared across the package."""
+"""The exception type shared across the package."""
 
 
 class UsageError(ValueError):
     """Caller violated a precondition (bad shapes, mismatched contexts,
-    parameters outside the family an operation is built for, ...)."""
-
-
-class DomainError(ValueError):
-    """Input is outside the mathematical domain of the operation."""
+    parameters outside the family an operation is built for, input outside
+    the mathematical domain of the operation, ...)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Hashable, Sequence
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 
 try:  # hashlib loads OpenSSL; CPython's builtin module gives the same digests sooner
     from _sha256 import sha256
@@ -23,8 +23,9 @@ except ImportError:
         from hashlib import sha256
 
 # Fixed evaluation primes, all just below 2^62: single-word arithmetic with a
-# negligible per-trial Schwartz-Zippel failure probability.  Randomized runs
-# rotate through this list unless an explicit prime is requested.
+# negligible per-trial Schwartz-Zippel failure probability.  Hessian trials
+# rotate through this list, and the other stages run over its first prime
+# (``DEFAULT_FIELD``), unless the caller picks a field.
 PRIMES_62 = (
     4611686018427387847,
     4611686018427387817,
@@ -94,7 +95,7 @@ class PrimeField:
 
     def of_fraction(self, fr) -> int:
         if fr.denominator % self.p == 0:
-            raise DomainError(f"denominator divisible by p={self.p}")
+            raise UsageError(f"denominator divisible by p={self.p}")
         return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
 
     def add(self, a: int, b: int) -> int:
@@ -115,11 +116,11 @@ class PrimeField:
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
+
+
+DEFAULT_FIELD = PrimeField(PRIMES_62[0])  # every stage's but the Hessian trials', unless picked
 
 
 class Rationals:
@@ -153,9 +154,6 @@ class Rationals:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
-
-    def __hash__(self) -> int:
-        return hash("Rationals")
 
     def __repr__(self) -> str:
         return "Rationals()"

@@ -29,7 +29,7 @@ from .detcalc import (
     eliminate_symmetric,
     hessian_from_factor,
 )
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
 from .series import SparsePoly, exp_add, monomials_of_degree
 from .variety import HypersurfaceCheck, TaylorParams
@@ -207,28 +207,15 @@ def _finish_certificate(target, degree_bound, records):
     )
 
 
-def _require_prime_field(ctx):
-    if ctx is not None and not isinstance(ctx, PrimeField):
-        raise UsageError(
-            "a certificate needs a prime field: its error bound multiplies "
-            "degree_bound/p over the trials"
-        )
-
-
-def _trial_field(ctx, t: int) -> PrimeField:
-    if ctx is not None:
-        return ctx
-    return PrimeField(PRIMES_62[t % len(PRIMES_62)])
-
-
-def _hessian_trials(trials: int, ctx, n: int, sample, stop_at_full_rank=False) -> list:
-    """One record per trial.  ``sample(t, fld)`` returns ``(seed, point,
-    rank, det)``, the rank and det of the trial's n x n Hessian over the
-    trial's field.  With ``stop_at_full_rank`` the loop ends after the
-    first trial whose Hessian has corank 0."""
+def _hessian_trials(trials: int, primes, n: int, sample, stop_at_full_rank=False) -> list:
+    """One record per trial, trial t over GF(``primes[t % len(primes)]``).
+    ``sample(t, fld)`` returns ``(seed, point, rank, det)``, the rank and det
+    of the trial's n x n Hessian over ``fld``.  With ``stop_at_full_rank``
+    the loop ends after the first trial whose Hessian has corank 0."""
+    fields = [PrimeField(p) for p in primes]  # each prime tested once, not per trial
     records = []
     for t in range(trials):
-        fld = _trial_field(ctx, t)
+        fld = fields[t % len(fields)]
         trial_seed, point, rank, det = sample(t, fld)
         records.append(
             TrialRecord(
@@ -249,36 +236,35 @@ def certify_hessian_pade(
     check: HypersurfaceCheck,
     trials: int = 20,
     seed=0,
-    ctx: PrimeField | None = None,
+    primes: tuple = PRIMES_62,
     stop_at_full_rank: bool = False,
 ) -> Certificate:
     """Essential certificate of det(Hessian of det(P)) == 0, where P is
     ``check.params.pade`` and ``check`` the outcome of the caller's run of the
     non-defective-hypersurface gate (``variety``).  A failing check is refused
-    with ``DomainError``: there the determinant may be identically zero and
+    with ``UsageError``: there the determinant may be identically zero and
     the question is moot.  A passing check is exact (det(P) certified
     nonzero, Jacobian rank at the expected dimension, its upper bound), so
     one gate serves a whole case.
 
-    Each trial samples a fresh point over the prime of ``ctx``, else of the
-    rotation ``PRIMES_62``, resampling up to 8 times while the evaluated Pade
-    matrix is singular (raising ``DomainError`` if it is singular at all 9
-    points), and records det(H) and the corank of H, the Hessian over the
-    variables of P.  P is eliminated once per sampled point, with its
-    inverse, and H = det(P) * K once per trial as K: its packed rows
-    (``hessian_from_factor``) go straight to ``eliminate_symmetric``, and the
-    trial records ``corank K`` and ``det(P)^V * det K`` for V variables.  The
-    ``full`` certificate is derived from these trials (``full_from_essential``).
+    Trial t samples a fresh point over GF(``primes[t % len(primes)]``),
+    resampling up to 8 times while the evaluated Pade matrix is singular
+    (raising ``UsageError`` if it is singular at all 9 points), and records
+    det(H) and the corank of H, the Hessian over the variables of P.  P is
+    eliminated once per sampled point, with its inverse, and H = det(P) * K
+    once per trial as K: its packed rows (``hessian_from_factor``) go
+    straight to ``eliminate_symmetric``, and the trial records ``corank K``
+    and ``det(P)^V * det K`` for V variables.  The ``full`` certificate is
+    derived from these trials (``full_from_essential``).
 
     ``stop_at_full_rank`` ends the trials after the first H of corank 0.
     That trial fixes the minimum corank (0) and the verdicts of both
     certificates exactly, but the certificate then lists only the trials
     run, and its error bound covers only those.
     """
-    _require_prime_field(ctx)
     params = check.params
     if not check.is_nondefective_hypersurface:
-        raise DomainError(
+        raise UsageError(
             f"refusing Hessian certificate for {tuple(params)}: "
             f"verdict {check.verdict!r} "
             f"(det nonzero in {check.det_nonzero_count}/{check.det_trials} trials, "
@@ -298,7 +284,7 @@ def certify_hessian_pade(
                 rows, size, _ = hessian_from_factor(P, fac, fld)
                 rank, det = eliminate_symmetric(rows, size, fld.p)
                 return trial_seed, point, rank, pow(fac.det, V, fld.p) * det % fld.p
-        raise DomainError(
+        raise UsageError(
             f"Hessian trial {t}: the Pade matrix is singular mod {fld.p} at "
             f"all {len(seeds)} sampled points; use a larger prime"
         )
@@ -306,7 +292,7 @@ def certify_hessian_pade(
     return _finish_certificate(
         f"hessian-det[pade{tuple(params)}, essential]",
         V * max(P.nrows - 2, 0),
-        _hessian_trials(trials, ctx, V, sample, stop_at_full_rank),
+        _hessian_trials(trials, primes, V, sample, stop_at_full_rank),
     )
 
 
@@ -335,10 +321,10 @@ def full_from_essential(essential: Certificate, params: TaylorParams) -> Certifi
 
 
 def certify_hessian_poly(
-    f: SparsePoly, trials: int = 20, seed=0, ctx: PrimeField | None = None
+    f: SparsePoly, trials: int = 20, seed=0, primes: tuple = PRIMES_62
 ) -> Certificate:
-    """Probabilistic test of det(Hessian of f) == 0 for an explicit polynomial."""
-    _require_prime_field(ctx)
+    """Probabilistic test of det(Hessian of f) == 0 for an explicit polynomial,
+    trial t over GF(``primes[t % len(primes)]``)."""
     if not f.is_homogeneous() or f.degree() < 2:
         raise UsageError("need a homogeneous polynomial of degree >= 2")
     V = f.nvars
@@ -356,6 +342,6 @@ def certify_hessian_poly(
         h = eliminate(H, fld)
         return trial_seed, dict(enumerate(values)), h.rank, h.det
 
-    records = _hessian_trials(trials, ctx, V, sample)
+    records = _hessian_trials(trials, primes, V, sample)
     target = f"hessian-det[poly, {V} vars, degree {f.degree()}]"
     return _finish_certificate(target, V * (f.degree() - 2), records)

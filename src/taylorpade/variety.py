@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .detcalc import eliminate, rank_rational
 from .errors import UsageError
-from .fields import PRIMES_62, PrimeField, Rationals, derive_seed, random_point
+from .fields import DEFAULT_FIELD, Rationals, derive_seed, random_point
 from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape
 from .series import monomials_of_degree, monomials_upto
 
@@ -153,7 +153,7 @@ def expected_dimension(params: TaylorParams) -> int:
 DIM_TRIALS = 3
 
 
-def actual_dimension(params: TaylorParams, ctx=None, seed=0) -> int:
+def actual_dimension(params: TaylorParams, ctx=DEFAULT_FIELD, seed=0) -> int:
     """Generic rank of the Jacobian J of the coefficient map (p, q) -> (c_g).
 
     J is never built: at each sampled pair (p, q), with T = p/q and
@@ -180,7 +180,6 @@ def actual_dimension(params: TaylorParams, ctx=None, seed=0) -> int:
     two; the first trial that reaches it ends the loop with the exact answer.
     Over Q each rank is ``detcalc.rank_rational``, certified mod primes.
     """
-    ctx = ctx or PrimeField(PRIMES_62[0])
     P = params.pade
     base = comb(params.d + params.n, params.n) - 1
     if P.ncols == 1:
@@ -212,7 +211,7 @@ class HypersurfaceCheck(NamedTuple):
 
 
 def nondefective_hypersurface_check(
-    params: TaylorParams, trials: int = 20, ctx=None, seed=0,
+    params: TaylorParams, trials: int = 20, ctx=DEFAULT_FIELD, seed=0,
     stop_at_nonzero: bool = False,
 ) -> HypersurfaceCheck:
     """Randomized test for 'non-defective hypersurface'.
@@ -227,7 +226,6 @@ def nondefective_hypersurface_check(
     ``stop_at_nonzero`` ends the determinant trials at the first nonzero
     det, which fixes (b) exactly; ``det_trials`` then counts the trials run.
     """
-    ctx = ctx or PrimeField(PRIMES_62[0])
     P = params.pade
     nonzero = run = 0
     if params.is_square:

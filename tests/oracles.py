@@ -47,7 +47,7 @@ from taylorpade.detcalc import (
     eliminate,
     hessian_from_factor,
 )
-from taylorpade.errors import DomainError, UsageError
+from taylorpade.errors import UsageError
 from taylorpade.fields import PrimeField, Rationals
 from taylorpade.pade import SymbolicMatrix
 from taylorpade.series import (
@@ -160,7 +160,7 @@ def series_inverse(q: TruncatedSeries, order: int) -> TruncatedSeries:
     f = q.field
     one = (0,) * q.nvars
     if q.coeff(one) != f.one:
-        raise DomainError("series_inverse requires constant term exactly 1")
+        raise UsageError("series_inverse requires constant term exactly 1")
     # q split into homogeneous layers of positive degree
     layers: dict = {}
     for g, c in q.coeffs.items():
@@ -609,7 +609,7 @@ def hessian_det_at(P, point: dict, field) -> tuple:
     program's own route: P eliminated once with its inverse, then
     ``detcalc.hessian_from_factor``, whose packed K is unpacked
     (``unpack_hessian``) and scaled by det(P).  A point where P is singular
-    raises ``DomainError``."""
+    raises ``UsageError``."""
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
     fac = eliminate(P.evaluate(point, field), field, inverse=True)

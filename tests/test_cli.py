@@ -421,6 +421,18 @@ def test_ignored_option_is_refused(argv, flag, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["shape", "-d", "5", "-e", "4", "-m", "7"], "this command needs -n, -d, -e and -m"),
+    (["survey", "--trials", "2"], "survey needs --e-max"),
+    (["hessian", "--poly", "poly.json", "--prime", "3"], "denominator divisible by p=3"),
+], ids=["shape-without-n", "survey-without-e-max", "poly-denominator-mod-p"])
+def test_missing_or_unusable_input_is_refused(argv, message, capsys, tmp_path, monkeypatch):
+    # x0^2/3 + x1^2 has no image in GF(3)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poly.json").write_text("[[[2, 0], 1, 3], [[0, 2], 1, 1]]")
+    assert message in _usage_error(argv, capsys)
+
+
 def _count_eliminations(monkeypatch):
     """Return the list that every later ``eliminate`` call appends to."""
     calls = []
@@ -559,8 +571,11 @@ def test_pair_without_constant_term_1_exits_2(monkeypatch, capsys):
     '[[[1, 2.9, 0], 1, 1], [[0, 1, 2], 1, 1], [[0, 0, 3], 1, 1]]',
     '[[[1, 2, 0], 1, 1], [[0, 1, 2], 2.7, 1], [[0, 0, 3], 1, 1]]',
     '[[[1, 2, 0], 1, 1], [[0, 1, 2], 1, 1], [[0, 0, 3], true, 1]]',
+    '[[[1, 0], 1]]',  # a term without its denominator
+    '[[[2, 0], 1, 1], [[1], 1, 1]]',  # exponent vectors of two lengths
 ], ids=["zero-denominator", "bad-json", "non-integer", "negative-exponent", "directory",
-        "float-exponent", "float-coefficient", "bool-coefficient"])
+        "float-exponent", "float-coefficient", "bool-coefficient", "two-entry-term",
+        "mixed-lengths"])
 def test_poly_file_malformed(content, tmp_path, capsys):
     # a float or a boolean used to be truncated by int() and run
     path = tmp_path / "poly.json"

@@ -14,11 +14,12 @@ import taylorpade.pade as pade_mod
 import taylorpade.variety as variety_mod
 
 from taylorpade.detcalc import block_grad_det_at
-from taylorpade.errors import DomainError, UsageError
+from taylorpade.errors import UsageError
 from taylorpade.fields import (
     PRIMES_62,
     SURVEY_PRIME,
     PrimeField,
+    Rationals,
     derive_seed,
     point_hash,
     random_point,
@@ -215,12 +216,12 @@ def test_certify_pade_2112_both_modes():
 
 
 def test_certify_pade_refuses_defective():
-    with pytest.raises(DomainError, match="refusing"):
+    with pytest.raises(UsageError, match="refusing"):
         certify_hessian_pade(_gate(TaylorParams(3, 2, 2, 3)), trials=2, seed=0)
 
 
 def test_certify_pade_rejects_rectangular():
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="refusing"):
         certify_hessian_pade(_gate(TaylorParams(2, 1, 1, 3)), trials=2, seed=0)
 
 
@@ -512,16 +513,18 @@ def test_survey_runs_every_trial_when_none_has_full_rank(monkeypatch, capsys):
 
 
 def _certificate_primes(monkeypatch):
-    """Record, per Pade certificate the CLI runs, the primes of its trials."""
+    """Record, per certificate the CLI runs, the primes of its trials."""
     primes = []
-    real = hessian_mod.certify_hessian_pade
 
-    def recorded(*args, **kwargs):
-        certificate = real(*args, **kwargs)
-        primes.append([t.prime for t in certificate.trials])
-        return certificate
+    def recorder(real):
+        def recorded(*args, **kwargs):
+            certificate = real(*args, **kwargs)
+            primes.append([t.prime for t in certificate.trials])
+            return certificate
+        return recorded
 
-    monkeypatch.setattr(hessian_mod, "certify_hessian_pade", recorded)
+    for name in ("certify_hessian_pade", "certify_hessian_poly"):
+        monkeypatch.setattr(hessian_mod, name, recorder(getattr(hessian_mod, name)))
     return primes
 
 
@@ -556,6 +559,55 @@ def test_survey_certificate_prime_follows_the_flags(flags, prime, monkeypatch, c
     _survey_rows(["survey", "--e-max", "5", "--trials", "3", *flags], capsys)
     assert len(primes) == 2
     assert {p for trial_primes in primes for p in trial_primes} == {prime}
+
+
+_F0, _F547 = PrimeField(PRIMES_62[0]), PrimeField(547)
+_CASE = ["-n", "2", "-d", "5", "-e", "4", "-m", "7"]
+_PERAZZO_FILE = str(Path(__file__).parent / "golden" / "perazzo.json")
+
+
+@pytest.mark.parametrize("argv, gates, certificates, relations", [
+    (["hessian", *_CASE, "--trials", "3"],
+     [_F0], [list(PRIMES_62[:3])], [_F0]),
+    (["hessian", *_CASE, "--trials", "3", "--prime", "547"],
+     [_F547], [[547] * 3], [_F547]),
+    (["survey", "--e-max", "5", "--trials", "2"],
+     [_F0] * 2, [[SURVEY_PRIME]] * 2, [_F0] * 2),
+    (["survey", "--e-max", "5", "--trials", "2", "--prime", "547"],
+     [_F547] * 2, [[547]] * 2, [_F547] * 2),
+    (["defect", *_CASE], [_F0], [], []),
+    (["defect", *_CASE, "--prime", "547"], [_F547], [], []),
+    (["defect", *_CASE, "--field", "rational"], [Rationals()], [], []),
+    (["hessian", "--poly", _PERAZZO_FILE, "--trials", "3"],
+     [], [list(PRIMES_62[:3])], []),
+    (["hessian", "--poly", _PERAZZO_FILE, "--trials", "3", "--prime", "547"],
+     [], [[547] * 3], []),
+], ids=["hessian", "hessian-prime", "survey", "survey-prime", "defect", "defect-prime",
+        "defect-rational", "poly", "poly-prime"])
+def test_each_stage_runs_over_the_field_the_cli_picks(
+        argv, gates, certificates, relations, monkeypatch, capsys):
+    # The gate and the relation check run over PRIMES_62[0], a certificate
+    # rotates through PRIMES_62 (a survey's over SURVEY_PRIME), and --prime
+    # replaces every one of them.  The gate's field is read where it ranks
+    # the Jacobian, once per gate.
+    seen = {"gate": [], "relation": []}
+
+    def recorder(real, stage, read_field):
+        def recorded(*args, **kwargs):
+            seen[stage].append(read_field(args, kwargs))
+            return real(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(variety_mod, "actual_dimension", recorder(
+        variety_mod.actual_dimension, "gate", lambda a, kw: kw["ctx"]))
+    monkeypatch.setattr(hessian_mod, "relation_check", recorder(
+        hessian_mod.relation_check, "relation", lambda a, kw: a[2]))
+    primes = _certificate_primes(monkeypatch)
+    assert cli_mod.main(argv) == 0
+    capsys.readouterr()
+    assert seen["gate"] == gates
+    assert primes == certificates
+    assert seen["relation"] == relations
 
 
 @pytest.mark.parametrize("mode", ["full", "essential"])
@@ -631,7 +683,7 @@ def test_hessian_builds_P_once(case, mode, monkeypatch, capsys):
 def test_certificate_refuses_failing_check():
     params = TaylorParams(3, 2, 2, 3)
     check = nondefective_hypersurface_check(params, trials=2, seed=0)
-    with pytest.raises(DomainError, match="refusing"):
+    with pytest.raises(UsageError, match="refusing"):
         certify_hessian_pade(check, trials=2, seed=0)
 
 

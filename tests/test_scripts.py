@@ -103,3 +103,32 @@ def test_no_function_takes_a_parameter_it_never_reads():
         for path in sorted((ROOT / folder).rglob("*.py")):
             unread += [(str(path.relative_to(ROOT)), *hit) for hit in _unread_parameters(path)]
     assert unread == []
+
+
+def _field_parameters_defaulting_to_none(path):
+    """(line, function, parameter) for each parameter named ``ctx``, ``field``,
+    ``fld`` or ``primes`` whose default is ``None``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                 *zip(a.kwonlyargs, a.kw_defaults)]
+        out += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg) for p, default in pairs
+                if p.arg in ("ctx", "field", "fld", "primes")
+                and isinstance(default, ast.Constant) and default.value is None]
+    return out
+
+
+def test_no_field_parameter_defaults_to_none():
+    # A field that defaults to None leaves each function to pick its own
+    # stand-in, and two functions picked two (the first builtin prime, or the
+    # rotation through them); a default names the field itself.
+    found = []
+    for folder in ("src", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            found += [(str(path.relative_to(ROOT)), *hit)
+                      for hit in _field_parameters_defaulting_to_none(path)]
+    assert found == []
