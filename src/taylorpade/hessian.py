@@ -65,7 +65,6 @@ def relation_column_labels(params: TaylorParams) -> list:
 class RelationMatrix(NamedTuple):
     """Stacked blocks M_j with entries f_{a+b}, j = d+2 down to d-e+3."""
 
-    params: TaylorParams
     row_labels: tuple  # (j, alpha) pairs
     col_labels: tuple  # beta exponents
     rows: tuple  # numeric entries
@@ -100,7 +99,7 @@ def build_M(params: TaylorParams, block_grad: dict) -> RelationMatrix:
                 row.append(block_grad[g])
             row_labels.append((j, alpha))
             rows.append(tuple(row))
-    M = RelationMatrix(params, tuple(row_labels), tuple(cols), tuple(rows))
+    M = RelationMatrix(tuple(row_labels), tuple(cols), tuple(rows))
     expect_rows = (e + 1) * (e + 2) // 2 - 1
     expect_cols = 2 * d - 2 * e + 5
     assert M.shape == (expect_rows, expect_cols)

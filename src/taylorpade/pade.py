@@ -116,9 +116,6 @@ class SymbolicMatrix:
             raise UsageError(f"no block C_{j} in this matrix")
         return cols
 
-    def __repr__(self) -> str:
-        return f"SymbolicMatrix({self.nrows}x{self.ncols})"
-
 
 def pade_shape(n: int, d: int, e: int, m: int) -> PadeShape:
     """Row and column counts of the Pade matrix."""

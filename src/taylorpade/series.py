@@ -116,6 +116,3 @@ class SparsePoly:
             and self.nvars == other.nvars
             and self.coeffs == other.coeffs
         )
-
-    def __repr__(self) -> str:
-        return f"SparsePoly(nvars={self.nvars}, terms={len(self.coeffs)})"

@@ -471,9 +471,10 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert code == 0
     config = json.loads(out)["config"]
     assert (config["e_max"], config["format"]) == (None, "json")
-    fresh = subprocess.run([sys.executable, "-m", "taylorpade", "shape", *_P547],
-                           capture_output=True, text=True, env=_python_env(), timeout=60)
-    assert (fresh.returncode, fresh.stdout) == (0, out)
+    for module in ("taylorpade", "taylorpade.cli"):
+        fresh = subprocess.run([sys.executable, "-m", module, "shape", *_P547],
+                               capture_output=True, text=True, env=_python_env(), timeout=60)
+        assert (fresh.returncode, fresh.stdout) == (0, out)
 
 
 def test_cli_starts_without_modules_no_verdict_reads():

@@ -288,6 +288,8 @@ def test_eliminate_non_square(gf):
         adjugate(rect, gf)
     with pytest.raises(UsageError):
         eliminate([[1, 2], [3]], gf)
+    with pytest.raises(UsageError, match="gradient of det needs a square matrix"):
+        block_grad_det_at(pade_matrix(2, 1, 1, 3), {}, gf)
 
 
 def _reference_modp(A, p, inverse):

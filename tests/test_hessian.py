@@ -259,6 +259,11 @@ def test_certify_poly_rejects_inhomogeneous():
         certify_hessian_poly(linear, trials=2, seed=0)
 
 
+def test_certificate_needs_a_trial():
+    with pytest.raises(UsageError, match="need at least one trial"):
+        certify_hessian_poly(PERAZZO, trials=0)
+
+
 def test_corank_quadric_and_perazzo():
     # the rank of the polar map is V - min corank over a certificate's trials
     quadric = SparsePoly.from_terms(

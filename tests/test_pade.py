@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taylorpade.detcalc import eliminate
+from taylorpade.detcalc import block_grad_det_at, eliminate
 from taylorpade.errors import UsageError
 from taylorpade.fields import random_point
 from taylorpade.pade import (
+    SymbolicMatrix,
     column_transform,
     export_m2,
     pade_matrix,
@@ -147,6 +148,8 @@ def test_block_view_widths():
         P.block_columns(2)
     with pytest.raises(UsageError):
         P.block_columns(8)
+    with pytest.raises(UsageError, match="no column block structure"):
+        SymbolicMatrix([[None]]).block_columns(0)
 
 
 def test_squareness_condition_for_d_plus_2_family():
@@ -204,6 +207,24 @@ def test_column_transform_rejects_bad_lambda(gf):
         column_transform(P, lam, point, gf)
 
 
+# A square matrix built without pade_matrix: no labels, no parameters.
+_UNLABELLED = SymbolicMatrix([[(1, 0), None], [None, (0, 1)]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda gf: SymbolicMatrix([[None, (1, 0)], [None]]), "ragged entry grid"),
+    (lambda gf: column_transform(pade_matrix(2, 1, 1, 3), {}, {}, gf),
+     "expects a square Pade matrix"),
+    (lambda gf: column_transform(_UNLABELLED, {}, {}, gf), "needs a matrix built by pade_matrix"),
+    (lambda gf: export_m2(_UNLABELLED), "export needs a matrix built by pade_matrix"),
+    (lambda gf: block_grad_det_at(_UNLABELLED, {}, gf), "needs a matrix with column blocks"),
+], ids=["ragged", "transform-rectangular", "transform-unlabelled", "export-unlabelled",
+        "block-grad-unlabelled"])
+def test_matrix_without_the_pade_structure_is_refused(call, message, gf):
+    with pytest.raises(UsageError, match=message):
+        call(gf)
+
+
 def test_export_m2_variable_counts():
     script = export_m2(pade_matrix(2, 5, 4, 7))
     l_line = next(line for line in script.splitlines() if line.startswith("L = "))
@@ -213,6 +234,13 @@ def test_export_m2_variable_counts():
     script2 = export_m2(pade_matrix(2, 1, 1, 2))
     l2 = next(line for line in script2.splitlines() if line.startswith("L = "))
     assert l2.count("(") == 6
+    # one variable: each exponent is printed bare, not as a sequence
+    assert "L = {0, 1, 2, 3, 4};" in export_m2(pade_matrix(1, 2, 1, 4)).splitlines()
+
+
+def test_export_m2_checks_det_when_square_and_rank_otherwise():
+    assert export_m2(pade_matrix(2, 5, 4, 7)).endswith("print det sub(P, vals);\n")
+    assert export_m2(pade_matrix(2, 1, 1, 3)).endswith("print rank sub(P, vals);\n")
 
 
 def test_export_m2_idempotent():

@@ -183,6 +183,13 @@ def test_sparse_poly_refuses_floats():
     assert f.coeffs == {(2, 0): Fraction(1, 10), (1, 1): 1}
 
 
+def test_sparse_poly_refuses_wrong_arity():
+    with pytest.raises(UsageError, match="wrong arity"):
+        SparsePoly(2, {(1,): 1})
+    with pytest.raises(UsageError, match="wrong number of coordinate values"):
+        SparsePoly(2, {(1, 1): 1}).eval(PrimeField(PRIMES_62[0]), [1])
+
+
 def test_sparse_poly_eval_costs_log_of_the_exponent(monkeypatch):
     # x^(10^6) used to take 10^6 multiplications, one per unit of exponent
     gf = PrimeField(PRIMES_62[0])
