@@ -25,7 +25,7 @@ from .fields import (
     DEFAULT_FIELD, MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals,
     derive_seed, random_point,
 )
-from .pade import export_m2, pade_matrix
+from .pade import export_m2
 from .series import SparsePoly
 from .variety import (
     TaylorParams,
@@ -88,16 +88,16 @@ class RunConfig(_Options):
             return PrimeField(self.prime)
         return DEFAULT_FIELD
 
-    def primes(self, default=PRIMES_62) -> tuple:
+    def primes(self) -> tuple:
         """The primes a certificate's trials rotate through."""
-        return default if self.prime is None else (self.prime,)
+        if self.prime is not None:
+            return (self.prime,)
+        return (SURVEY_PRIME,) if self.command == "survey" else PRIMES_62
 
 
 def known_annotations(params: TaylorParams | None) -> list:
     """Documented discrepancies attached to specific parameter values."""
     notes = []
-    if params is None:
-        return notes
     if params == (2, 5, 4, 7):
         notes.append(
             "golden 15x15 layout: the transcribed display disagrees with the "
@@ -191,7 +191,7 @@ def cmd_defect(config: RunConfig) -> dict:
     return _report(config, payload, params)
 
 
-def _run_case(params: TaylorParams, config: RunConfig, survey: bool = False):
+def _run_case(params: TaylorParams, config: RunConfig):
     """One Pade case as ``hessian`` and ``survey`` both run it, so that a survey
     row reproduces from a hessian run: ``(check, essential, full, relations)``.
     The gate samples ``GATE_TRIALS`` points from ``derive_seed("gate", seed)``
@@ -200,13 +200,13 @@ def _run_case(params: TaylorParams, config: RunConfig, survey: bool = False):
     point.  The certificate refuses a case whose gate fails.
 
     The gate and the relation check run over ``config.context()``, the
-    certificate over ``config.primes()``.  ``survey`` makes the survey's two
-    choices: the ``SURVEY_PRIME`` default for the certificate, and trials
-    that stop at the first H of corank 0, which fixes both printed fields
-    over any prime (the minimum corank is then 0, and its nonzero det(H) fixes
-    the full verdict).  A survey case whose gate fails runs no later stage.
+    certificate over ``config.primes()``.  A ``survey`` command makes the
+    survey's two choices: a case whose gate fails runs no later stage, and
+    the trials stop at the first H of corank 0, which fixes both printed
+    fields over any prime (the minimum corank is then 0, and its nonzero
+    det(H) fixes the full verdict).
     """
-    ctx = config.context()
+    ctx, survey = config.context(), config.command == "survey"
     check = nondefective_hypersurface_check(
         params, trials=GATE_TRIALS, ctx=ctx,
         seed=derive_seed("gate", config.seed), stop_at_nonzero=True,
@@ -215,7 +215,7 @@ def _run_case(params: TaylorParams, config: RunConfig, survey: bool = False):
         return check, None, None, None
     essential = hess.certify_hessian_pade(
         check, trials=config.trials, seed=config.seed,
-        primes=config.primes((SURVEY_PRIME,) if survey else PRIMES_62),
+        primes=config.primes(),
         stop_at_full_rank=survey,
     )
     full = hess.full_from_essential(essential, params)
@@ -250,7 +250,7 @@ SURVEY_COLUMNS = [
 
 
 def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
-    check, essential, full, relations = _run_case(params, config, survey=True)
+    check, essential, full, relations = _run_case(params, config)
     stages = ("", "", "")
     if essential is not None:
         stages = (full.verdict, min(t.corank for t in essential.trials), relations["rank_M"])
@@ -278,7 +278,7 @@ def write_text(path: str, text: str) -> None:
 
 def cmd_export(config: RunConfig) -> dict:
     params = config.params()
-    P = pade_matrix(*params)
+    P = params.pade
     script = export_m2(P)
     path = config.out or f"pade_{params.n}_{params.d}_{params.e}_{params.m}.m2"
     write_text(path, script)

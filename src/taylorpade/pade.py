@@ -64,10 +64,6 @@ class SymbolicMatrix:
         self._occ = None
 
     @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 

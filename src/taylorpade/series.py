@@ -60,10 +60,10 @@ class SparsePoly:
 
     __slots__ = ("nvars", "coeffs")
 
-    def __init__(self, nvars: int, coeffs: dict | None = None):
+    def __init__(self, nvars: int, coeffs: dict):
         self.nvars = nvars
         clean = {}
-        for g, c in (coeffs or {}).items():
+        for g, c in coeffs.items():
             g = tuple(g)
             if len(g) != nvars:
                 raise UsageError(f"exponent {g} has wrong arity (nvars={nvars})")
@@ -109,10 +109,3 @@ class SparsePoly:
                 term = field.mul(term, pow(values[i], e, field.p))
             total = field.add(total, term)
         return total
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparsePoly)
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )

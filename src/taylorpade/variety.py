@@ -170,8 +170,7 @@ def actual_dimension(params: TaylorParams, ctx=DEFAULT_FIELD, seed=0) -> int:
     without its sigma = 0 column (the tangent-space, or Terracini,
     description of the variety).  That column adds no rank, as q is a kernel
     vector of the full Pade matrix at T with q_0 = 1; dropping it saves a
-    column.  With e = 0 there is no other column, and the rank is
-    C(d+n, n) - 1 at every pair, so nothing is sampled.
+    column.
 
     The answer is the maximum over ``DIM_TRIALS`` random pairs; rank is
     lower-semicontinuous, so the maximum is a certified lower bound and
@@ -182,8 +181,6 @@ def actual_dimension(params: TaylorParams, ctx=DEFAULT_FIELD, seed=0) -> int:
     """
     P = params.pade
     base = comb(params.d + params.n, params.n) - 1
-    if P.ncols == 1:
-        return base
     ceiling = expected_dimension(params)
     best = 0
     for t in range(DIM_TRIALS):

@@ -60,7 +60,7 @@ def criterion(num, description, budget_s):
 def test_criterion_01_golden_pade_matrix():
     with criterion(1, "15x15 golden layout matches entry law up to annotated typos", 1.0):
         P = pade_matrix(2, 5, 4, 7)
-        assert P.shape == (15, 15)
+        assert (P.nrows, P.ncols) == (15, 15)
         golden = _parse_golden()
         mismatches = {
             (r, c): (golden[r][c], P.entries[r][c])

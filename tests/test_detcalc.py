@@ -43,6 +43,8 @@ from taylorpade.variety import (
 from oracles import (
     Jet,
     JetRing,
+    _dot,
+    _perm_sign,
     det_berkowitz,
     eliminate_bareiss,
     eliminate_ring,
@@ -88,18 +90,7 @@ def _perm_det(A, ring):
     n = len(A)
     total = ring.zero
     for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if not seen[i]:
-                j, ln = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    ln += 1
-                if ln % 2 == 0:
-                    sign = -sign
-        term = ring.one if sign == 1 else ring.sub(ring.zero, ring.one)
+        term = ring.one if _perm_sign(perm) == 1 else ring.sub(ring.zero, ring.one)
         for i in range(n):
             term = ring.mul(term, A[i][perm[i]])
         total = ring.add(total, term)
@@ -121,13 +112,6 @@ def _brute_rank(A, field):
 def _matmul(X, Y, ring, cols):
     """X times Y, where Y has ``cols`` columns (and possibly no rows)."""
     return [[_dot(ring, row, [y[j] for y in Y]) for j in range(cols)] for row in X]
-
-
-def _dot(ring, xs, ys):
-    s = ring.zero
-    for x, y in zip(xs, ys):
-        s = ring.add(s, ring.mul(x, y))
-    return s
 
 
 def _entry(ring, rng):

@@ -639,7 +639,8 @@ def _count_pade_builds(monkeypatch):
     bound = [mod for name, mod in sorted(sys.modules.items())
              if name.split(".")[0] == "taylorpade"
              and getattr(mod, "pade_matrix", None) is real]
-    assert {pade_mod, cli_mod, variety_mod} <= set(bound)
+    assert {pade_mod, variety_mod} <= set(bound)
+    assert cli_mod not in bound  # the CLI reads TaylorParams.pade
     for mod in bound:
         monkeypatch.setattr(mod, "pade_matrix", counted)
     return built

@@ -377,12 +377,17 @@ def test_rational_gate_primes_per_elimination(case, actual, primes, monkeypatch,
     assert counts == list(primes)
 
 
-def test_gate_without_q_columns_ranks_nothing(monkeypatch, gf):
-    # e = 0: the rank is C(d+n,n) - 1 at every pair, so no pair is sampled
-    # and nothing is eliminated.
-    monkeypatch.setattr(variety_mod, "eliminate", None)
-    monkeypatch.setattr(variety_mod, "random_rational_pair", None)
-    assert actual_dimension(TaylorParams(2, 3, 0, 4), ctx=gf) == comb(5, 2) - 1
+def test_gate_without_q_columns_samples_one_pair(monkeypatch, gf, qq):
+    # e = 0: P has no column besides sigma = 0, so a pair ranks an N x 0
+    # matrix, 0 over GF(p) and over Q, and the first pair already reaches the
+    # expected dimension C(d+n,n) - 1.
+    pairs = []
+    real = variety_mod.random_rational_pair
+    monkeypatch.setattr(variety_mod, "random_rational_pair",
+                        lambda *args: pairs.append(args) or real(*args))
+    for ctx in (gf, qq):
+        assert actual_dimension(TaylorParams(2, 3, 0, 4), ctx=ctx) == comb(5, 2) - 1
+    assert len(pairs) == 2
 
 
 def test_square_family():
