@@ -395,14 +395,27 @@ def test_conflicting_field_options(argv, flags, capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,flag", [
+    (["hessian", *_P547, "--trials", "1", "--order", "reverse"], "--order"),
+    (["survey", "--e-max", "5", "--order", "reverse"], "--order"),
+    (["defect", *_P547, "--order", "reverse"], "--order"),
+    (["shape", *_P547, "--order", "reverse"], "--order"),
+    (["survey", "--e-max", "5", "--mode", "essential"], "--mode"),
+    (["defect", *_P547, "--mode", "essential"], "--mode"),
+    (["shape", *_P547, "--mode", "essential"], "--mode"),
+    (["export", *_P547, "--mode", "essential"], "--mode"),
     (["hessian", "--poly", str(GOLDEN / "perazzo.json"), "--mode", "essential"],
      "--mode"),
+    (["survey", "--e-max", "2", "-n", "3", "-d", "9"], "-n"),
+    (["survey", "--e-max", "5", "-m", "7"], "-m"),
     (["hessian", "--poly", str(GOLDEN / "perazzo.json"), *_P547], "-n, -d, -e or -m"),
-], ids=["poly-mode", "poly-params"])
+], ids=["hessian-order", "survey-order", "defect-order", "shape-order",
+        "survey-mode", "defect-mode", "shape-mode", "export-mode", "poly-mode",
+        "survey-params", "survey-m", "poly-params"])
 def test_ignored_option_is_refused(argv, flag, capsys, tmp_path, monkeypatch):
-    # hessian declares both options, but --poly reads neither: each used to
-    # run as if the option were absent, yet record it in the report config.
-    # An option the command does not declare is test_undeclared_option_is_refused.
+    # Each used to run as if the option were absent, yet record it in the
+    # report config.  hessian declares --mode and -n, -d, -e, -m, but --poly
+    # reads none of them; test_undeclared_option_is_refused covers every
+    # option a command does not declare.
     monkeypatch.chdir(tmp_path)
     assert flag in _usage_error(argv, capsys)
     assert list(tmp_path.iterdir()) == []
