@@ -7,7 +7,10 @@ explicit polynomials), ``survey`` (the whole pipeline over the square family),
 
 Reports are deterministic: the command line alone fixes the output, byte for
 byte (no environment variable is read).  ``--expect VERDICT`` turns the process
-exit code into an assertion for CI pipelines.
+exit code into an assertion for CI pipelines.  Exit codes: 0 on success, 1 on
+an ``--expect`` mismatch, 2 on bad input, and ``EXIT_CLOSED_STDOUT`` = 141,
+the status a shell reports for a writer that SIGPIPE ended, when the reader
+closed stdout before the report was written.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 from typing import NamedTuple
 
@@ -36,6 +40,7 @@ from .variety import (
 
 SCHEMA_VERSION = 2
 GATE_TRIALS = 8
+EXIT_CLOSED_STDOUT = 141
 
 
 class _Options(NamedTuple):
@@ -362,9 +367,15 @@ def main(argv=None) -> int:
             write_text(config.out, text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  As in the Python docs' note on SIGPIPE,
+        # point stdout at devnull, so that the flush at exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     if config.expect is not None:
         verdict = report["payload"].get("verdict")
         if verdict != config.expect:

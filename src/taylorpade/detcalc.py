@@ -15,29 +15,53 @@ integers:
   current column in the lowest slot, then the later columns, then (for an
   inverse) the augmented identity block;
 * eliminating one row is one big-int multiply-add done in C,
-  ``R_i <- (R_i >> W) + (p - f_i) * Y``, where ``f_i`` is the row's lowest
-  slot reduced mod p and ``Y`` is the pivot row's tail, reduced and scaled
-  by the pivot's inverse;
+  ``R_i <- (R_i >> W) + m_i * Y``, where ``Y`` is the pivot row's tail
+  reduced mod p and ``m_i = (-f_i * pivot^-1) mod p``, ``f_i`` being the
+  row's lowest slot reduced mod p.  The pivot's inverse rides in each
+  row's scalar multiplier, so no slot of the pivot row is scaled; the
+  Gauss-Jordan inverse ends with each row ``pivot * (row of A^-1)`` and is
+  scaled by its pivot's inverse once, as it is unpacked;
 * slots are reduced mod p only where they are read: the pivot column once
   per step, the pivot row once when it becomes the pivot, and the inverse
   at the end.  In between a slot only grows, by less than ``p * (p - 1)``
   per step, over at most ``s = min(rows, cols)`` steps;
+* the pivot row is reduced in packed form, a few big-int operations for
+  all its slots (``_reducer``).  With ``k = p.bit_length()`` and
+  ``r = 2^k - p`` (so ``0 < r < 2^(k-1)``), a slot ``hi * 2^k + lo`` is
+  congruent to ``lo + r * hi``; one fold of every slot is two masks, a
+  shift, a multiply by r and an add, and never carries.  The fold count is
+  the number of steps of ``B <- 2^k - 1 + r * floor(B / 2^k)`` from
+  ``B = 2^W - 1`` to below 4p: 2 for ``fields.PRIMES_62`` and
+  ``fields.SURVEY_PRIME``, where r has 6 bits, and up to about ``W - k``
+  for a prime just above a power of two, where r is near ``2^(k-1)``.
+  Then 2p, where that bound reaches it (at p = 3, 5 and 547, not at those
+  two), and after it p, is subtracted from each slot that reaches it:
+  adding ``2^(W-1) - c`` to every slot sets a slot's top bit exactly where
+  the slot is at least c, and those bits, shifted to the slots' bottoms,
+  times c are what to subtract.  The slots end in [0, p), so the bound
+  below holds as for a row reduced entry by entry;
 * W is the smallest multiple of 8 with ``p + s * p * (p - 1) < 2^W``, so
   no slot ever carries into its neighbour (about 136 bits for
   ``fields.PRIMES_62``, and 72, 9-byte slots, for ``fields.SURVEY_PRIME``).
 
+A matrix enters the body packed from a list of entries (``eliminate``), or
+straight from a ``SymbolicMatrix`` and a point (``eliminate_at``): each
+variable's value becomes slot bytes once, and each row is one ``b"".join``
+of its entries' bytes.
+
 The symmetric body stores and updates only the upper triangle, about half
 the slot arithmetic of the general one.  Row k holds columns k..n-1, its
-diagonal in the lowest slot.  Step k takes the pivot row's tail f
-(columns k+1.., reduced mod p), packs ``Y = f * pivot^-1`` and adds
-``(p - f_i) * Y``, shifted down by the i-k-1 slots that row i does not
-hold, to each later row i with ``f_i != 0``.  The
-Schur complement of a symmetric matrix is symmetric, so the column below the
-pivot is f itself, no row moves, and det is the product of the pivots.  At
-the first zero pivot the remaining Schur complement is mirrored into a full
-matrix for the general body, whose rank and det complete the answer: exact
-for every symmetric matrix over every GF(p), in any row order.  A slot that
-starts below ``2^W - n * p * (p - 1)`` never carries, reduced or not.
+diagonal in the lowest slot.  The Schur complement of a symmetric matrix is
+symmetric, so the column below the pivot is the pivot row's tail, no row
+moves, and det is the product of the pivots.  Step k reduces that tail
+(columns k+1..) in packed form to Y and walks the later rows i, shifting Y
+down one slot per row past the columns that row i does not hold: Y's lowest
+slot is then ``f_i``, and a row with ``f_i != 0`` gains
+``((-f_i * pivot^-1) mod p) * Y``.  At the first zero pivot the remaining
+Schur complement is mirrored into a full matrix for the general body, whose
+rank and det complete the answer: exact for every symmetric matrix over
+every GF(p), in any row order.  A slot that starts below
+``2^W - n * p * (p - 1)`` never carries, reduced or not.
 
 The derivatives of det(P) at a point come from the adjugate, or from one
 inversion plus trace products (Jacobi's formula and its second-order
@@ -117,11 +141,7 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
     """
     ncols = _columns(A)
     square = len(A) == ncols
-    if inverse and not square:
-        raise UsageError("inverse of a non-square matrix")
-    if not isinstance(field, PrimeField):
-        raise UsageError(f"no elimination over {field!r}: eliminate runs over GF(p)")
-    rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
+    rank, det, inv = _eliminate_modp(A, ncols, _modulus(field, inverse, square), inverse)
     return Elimination(rank, det if square else None, inv)
 
 
@@ -156,6 +176,14 @@ def rank_rational(A) -> int:
                 return best
 
 
+def _modulus(field, inverse, square):
+    if inverse and not square:
+        raise UsageError("inverse of a non-square matrix")
+    if not isinstance(field, PrimeField):
+        raise UsageError(f"no elimination over {field!r}: eliminate runs over GF(p)")
+    return field.p
+
+
 def _columns(A):
     ncols = len(A[0]) if A else 0
     if any(len(row) != ncols for row in A):
@@ -164,48 +192,104 @@ def _columns(A):
 
 
 def _eliminate_modp(A, ncols, p, inverse):
-    # Packed rows with delayed reduction; the module docstring gives the
-    # layout and the bound on the slot width W (``size`` bytes).
-    n = len(A)
-    size = ((p + min(n, ncols) * p * (p - 1)).bit_length() + 7) // 8
+    # The list packer: each entry reduced mod p into its slot.
+    size = _slot_size(p, len(A), ncols)
+    return _eliminate_rows([_pack([x % p for x in row], size) for row in A],
+                           ncols, size, p, inverse)
+
+
+def eliminate_at(P: SymbolicMatrix, point: dict, field, inverse: bool = False) -> Elimination:
+    """``eliminate(P.evaluate(point, field), field, inverse)``, with the rows
+    of P packed straight from the point: each variable's value becomes slot
+    bytes once, and each row is one ``b"".join`` of its entries' bytes,
+    zero bytes for an empty entry and 1 for an unassigned c_0, as in
+    ``evaluate``.  A point that misses any other variable of P raises
+    ``UsageError``, as do a field other than GF(p) and the inverse of a
+    non-square P."""
+    p = _modulus(field, inverse, P.is_square)
+    size = _slot_size(p, P.nrows, P.ncols)
+    cell = {None: bytes(size)}
+    for g in P.variables():
+        if g in point:
+            cell[g] = (point[g] % p).to_bytes(size, "little")
+        elif not any(g):
+            cell[g] = (1).to_bytes(size, "little")
+    try:
+        rows = [int.from_bytes(b"".join(map(cell.__getitem__, row)), "little")
+                for row in P.entries]
+    except KeyError as exc:  # raised at the first entry, row by row, as evaluate
+        raise UsageError(f"point does not assign variable {exc.args[0]}") from None
+    rank, det, inv = _eliminate_rows(rows, P.ncols, size, p, inverse)
+    return Elimination(rank, det if P.is_square else None, inv)
+
+
+def _slot_size(p, nrows, ncols):
+    # Slot bytes of the general body: p + s * p * (p - 1) < 2^W.
+    return ((p + min(nrows, ncols) * p * (p - 1)).bit_length() + 7) // 8
+
+
+def _eliminate_rows(rows, ncols, size, p, inverse):
+    # The general body on packed rows, each slot in [0, p); the module
+    # docstring gives the layout and the bound on the slot width W.
+    n = len(rows)
     W = 8 * size
     mask = (1 << W) - 1
-    rows = [_pack([x % p for x in row], size) for row in A]
     if inverse:
         rows = [row | 1 << W * (ncols + i) for i, row in enumerate(rows)]
-    det, rank = 1, 0
+    reduce = _reducer(p, size, ncols - 1 + (n if inverse else 0))
+    det, rank, invs = 1, 0, []
     for col in range(ncols):
         first = 0 if inverse else rank
-        low = [(row & mask) % p for row in rows]
-        piv = next((i for i in range(rank, n) if low[i]), None)
+        piv = next((i for i in range(rank, n) if (rows[i] & mask) % p), None)
         if piv is None:
             det = 0
             rows[first:] = [row >> W for row in rows[first:]]
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            low[rank], low[piv] = low[piv], low[rank]
             det = -det
-        pivot = low[rank]
+        pivot = (rows[rank] & mask) % p
         det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        tail = rows[rank] >> W
-        slots = ncols - col - 1 + (n if inverse else 0)
-        Y = _pack([x * inv % p for x in _unpack(tail, slots, size)], size)
-        for i in range(first, n):
-            f = low[i]
-            if i == rank:
-                rows[i] = Y
-            elif f:
-                rows[i] = (rows[i] >> W) + (p - f) * Y
-            else:
-                rows[i] >>= W
+        invs.append(pow(pivot, -1, p))
+        neg_inv = p - invs[-1]
+        # Every other row gains m_i * Y, m_i = 0 where f_i is, and drops
+        # its lowest slot; the pivot row becomes Y.
+        Y = reduce(rows.pop(rank) >> W)
+        rows[first:] = [(row >> W) + (row & mask) * neg_inv % p * Y for row in rows[first:]]
+        rows.insert(rank, Y)
         rank += 1
         if rank == n:
             break
     if not (inverse and rank == n):
         return rank, det, None
-    return rank, det, [[x % p for x in _unpack(row, n, size)] for row in rows]
+    return rank, det, [[x * inv % p for x in _unpack(row, n, size)]
+                       for row, inv in zip(rows, invs)]
+
+
+def _reducer(p, size, count):
+    """The packed reduction of the module docstring: a function taking an
+    int of up to ``count`` slots of ``size`` bytes, each below 2^W, to the
+    int whose slots are theirs mod p."""
+    W = 8 * size
+    k = p.bit_length()
+    r = (1 << k) - p
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+    low, high = ones * ((1 << k) - 1), ones * ((1 << W - k) - 1)
+    folds, bound = 0, (1 << W) - 1
+    while bound >= 4 * p:
+        bound = (1 << k) - 1 + r * (bound >> k)
+        folds += 1
+    top = W - 1
+    steps = [(ones * ((1 << top) - c), c) for c in (2 * p, p) if bound >= c]
+
+    def reduce(x):
+        for _ in range(folds):
+            x = (x & low) + r * (x >> k & high)
+        for offset, c in steps:
+            x -= ((x + offset) >> top & ones) * c
+        return x
+
+    return reduce
 
 
 def eliminate_symmetric(rows: list, size: int, p: int) -> tuple:
@@ -216,6 +300,7 @@ def eliminate_symmetric(rows: list, size: int, p: int) -> tuple:
     n = len(rows)
     W = 8 * size
     mask = (1 << W) - 1
+    reduce = _reducer(p, size, n - 1)
     det = 1
     for k in range(n):
         pivot = (rows[k] & mask) % p
@@ -229,13 +314,15 @@ def eliminate_symmetric(rows: list, size: int, p: int) -> tuple:
             rank, sdet, _ = _eliminate_modp(S, s, p, False)
             return k + rank, det * sdet % p
         det = det * pivot % p
-        f = [x % p for x in _unpack(rows[k] >> W, n - k - 1, size)]
+        neg_inv = p - pow(pivot, -1, p)
+        Y = reduce(rows[k] >> W)
         rows[k] = None
-        inv = pow(pivot, -1, p)
-        Y = _pack([x * inv % p for x in f], size)
-        for j, fi in enumerate(f):
-            if fi:
-                rows[k + 1 + j] += (p - fi) * (Y >> W * j)
+        for i in range(k + 1, n):
+            # Y now starts at column i, the first that row i holds.
+            f = Y & mask
+            if f:
+                rows[i] += f * neg_inv % p * Y
+            Y >>= W
     return n, det
 
 
@@ -308,7 +395,7 @@ def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
 
 def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
     """Hessian H of det(P) over GF(p) as the packed rows of K = H / det(P),
-    from ``fac = eliminate(P.evaluate(point, field), field, inverse=True)``.
+    from ``fac = eliminate_at(P, point, field, inverse=True)``.
 
     With X = A^-1, H = det(A) * K by the second-order Jacobi identity,
     ``K_ab = tr(X E_a) tr(X E_b) - tr(X E_a X E_b)`` over the variables

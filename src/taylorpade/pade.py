@@ -16,6 +16,7 @@ with the degree j-1 layer hitting the lower row degrees).
 from __future__ import annotations
 
 import random
+from itertools import chain
 from math import comb
 from typing import NamedTuple
 
@@ -79,7 +80,7 @@ class SymbolicMatrix:
         return self._occ
 
     def variables(self) -> list:
-        return sorted(self.occurrences())
+        return sorted(set(chain.from_iterable(self.entries)) - {None})
 
     def evaluate(self, point: dict, field) -> list:
         """Numeric matrix over ``field``.

@@ -27,7 +27,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .detcalc import eliminate, rank_rational
+from .detcalc import eliminate_at, rank_rational
 from .errors import UsageError
 from .fields import DEFAULT_FIELD, Rationals, derive_seed, random_point
 from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape
@@ -140,9 +140,11 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     return out
 
 
-def _rank(A, ctx) -> int:
-    """Rank of ``A`` over ``ctx``, GF(p) or Q, exact over either."""
-    return rank_rational(A) if isinstance(ctx, Rationals) else eliminate(A, ctx).rank
+def _rank(P: SymbolicMatrix, point: dict, ctx) -> int:
+    """Rank of P at ``point`` over ``ctx``, GF(p) or Q, exact over either."""
+    if isinstance(ctx, Rationals):
+        return rank_rational(P.evaluate(point, ctx))
+    return eliminate_at(P, point, ctx).rank
 
 
 def expected_dimension(params: TaylorParams) -> int:
@@ -159,7 +161,7 @@ def actual_dimension(params: TaylorParams, ctx=DEFAULT_FIELD, seed=0) -> int:
     J is never built: at each sampled pair (p, q), with T = p/q and
     P = ``params.pade``,
 
-        rank J = C(d+n, n) - 1 + rank([row[1:] for row in P.evaluate(T)]).
+        rank J = C(d+n, n) - 1 + rank of P(T) less its sigma = 0 column.
 
     Proof.  The columns of J are the series dT/dp_b = x^b/q (0 < |b| <= d)
     and dT/dq_b = -x^b p/q^2 = -x^b T/q (0 < |b| <= e), in degrees 1..m.
@@ -179,14 +181,13 @@ def actual_dimension(params: TaylorParams, ctx=DEFAULT_FIELD, seed=0) -> int:
     two; the first trial that reaches it ends the loop with the exact answer.
     Over Q each rank is ``detcalc.rank_rational``, certified mod primes.
     """
-    P = params.pade
+    A = SymbolicMatrix([row[1:] for row in params.pade.entries])
     base = comb(params.d + params.n, params.n) - 1
     ceiling = expected_dimension(params)
     best = 0
     for t in range(DIM_TRIALS):
         p, q = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
-        A = [row[1:] for row in P.evaluate(taylor_coeffs(p, q, params.m, ctx), ctx)]
-        best = max(best, base + _rank(A, ctx))
+        best = max(best, base + _rank(A, taylor_coeffs(p, q, params.m, ctx), ctx))
         if best == ceiling:
             break
     return best
@@ -230,7 +231,7 @@ def nondefective_hypersurface_check(
         for t in range(trials):
             run = t + 1
             point = random_point(variables, ctx, derive_seed("det", seed, t))
-            if _rank(P.evaluate(point, ctx), ctx) == P.nrows:
+            if _rank(P, point, ctx) == P.nrows:
                 nonzero += 1
                 if stop_at_nonzero:
                     break

@@ -341,6 +341,23 @@ def test_output_depends_on_argv_alone():
         assert json.loads(outs[0])["config"]["seed"] == 0
 
 
+def test_closed_stdout_ends_quietly():
+    # A reader that closed the pipe (``| head -c 0``): no traceback, no second
+    # error when the interpreter flushes stdout at exit, and an exit code of
+    # its own, not 1, the code of an --expect mismatch.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "taylorpade", "shape", *_P547],
+                             stdout=write, stderr=subprocess.PIPE, text=True,
+                             env=_python_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert run.returncode == cli.EXIT_CLOSED_STDOUT == 141
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.splitlines()) <= 1
+
+
 def _usage_error(argv, capsys):
     """Run argv and return stderr, asserting exit 2 with one error line."""
     code = cli.main(argv)
@@ -434,16 +451,19 @@ def test_missing_or_unusable_input_is_refused(argv, message, capsys, tmp_path, m
 
 
 def _count_eliminations(monkeypatch):
-    """Return the list that every later ``eliminate`` call appends to."""
+    """Return the list that every later ``eliminate`` or ``eliminate_at``
+    call appends to."""
     calls = []
-    real = detcalc_mod.eliminate
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(real):
+        def run(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return run
 
-    for mod in (detcalc_mod, hessian_mod, variety_mod):
-        monkeypatch.setattr(mod, "eliminate", counted)
+    for mod, name in ((detcalc_mod, "eliminate"), (hessian_mod, "eliminate"),
+                      (hessian_mod, "eliminate_at"), (variety_mod, "eliminate_at")):
+        monkeypatch.setattr(mod, name, counted(getattr(detcalc_mod, name)))
     return calls
 
 

@@ -9,19 +9,26 @@ import taylorpade.detcalc as detcalc_mod
 from taylorpade.detcalc import (
     _eliminate_modp,
     _hessian_core,
+    _pack,
+    _reducer,
+    _slot_size,
+    _unpack,
     adjugate,
     block_grad_det_at,
     eliminate,
+    eliminate_at,
     eliminate_symmetric,
     hessian_from_factor,
     rank_rational,
 )
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
+    MR_EXACT_BELOW,
     PRIMES_62,
     SURVEY_PRIME,
     PrimeField,
     Rationals,
+    derive_seed,
     is_probable_prime,
     point_hash,
     random_point,
@@ -37,7 +44,9 @@ from taylorpade.series import monomials_upto
 from taylorpade.variety import (
     TaylorParams,
     nondefective_hypersurface_check,
+    random_rational_pair,
     square_family,
+    taylor_coeffs,
 )
 
 from oracles import (
@@ -358,6 +367,81 @@ def test_eliminate_modp_matches_list_reference(p):
         for inverse in (False, True) if square else (False,):
             got = eliminate(A, field, inverse=inverse)
             assert tuple(got) == _reference_modp(A, p, inverse)
+
+
+# Every prime the program runs at, tiny ones included; 2^61 + 15, the first
+# prime above 2^61, has r = 2^k - p just below 2^(k-1), which takes the most
+# folds; the last is the largest prime below MR_EXACT_BELOW, the largest
+# --prime the command line takes.
+REDUCTION_PRIMES = [2, 3, 5, 7, 547, SURVEY_PRIME, *PRIMES_62, 2**61 + 15,
+                    MR_EXACT_BELOW - 168]
+
+
+@pytest.mark.parametrize("p", REDUCTION_PRIMES)
+def test_packed_reduction_reduces_every_slot(p):
+    assert is_probable_prime(p)
+    rng = random.Random(p)
+    # slot widths of a 1 x 1, a 2 x 2 and a 91 x 91 elimination, and wider
+    for size in sorted({_slot_size(p, s, s) + extra for s in (1, 2, 91) for extra in (0, 1)}):
+        top = (1 << 8 * size) - 1
+        slots = [x for x in (0, 1, p - 1, p, 2 * p - 1, 2 * p, 3 * p, 4 * p - 1, top)
+                 if x <= top]
+        slots += [rng.randrange(top + 1) for _ in range(30)]
+        slots += [rng.randrange(min(4 * p, top + 1)) for _ in range(10)]
+        rng.shuffle(slots)
+        # the reduction's masks may be wider than the int it reduces
+        for count in (len(slots), len(slots) + 3):
+            got = _reducer(p, size, count)(_pack(slots, size))
+            assert _unpack(got, count, size) == [x % p for x in slots] + [0] * (count - len(slots))
+
+
+# The edge patterns of the gate's oracle cases: n = 3 (det(P) = 0), e > d
+# (c_0 = 1 inside P), d = 0 with n = 1, e = 0 (no column once sigma = 0 is
+# dropped), and the paper's (2,5,4,7).
+AT_POINT_CASES = [(3, 2, 2, 3), (2, 3, 5, 4), (1, 0, 3, 4), (2, 3, 0, 4), (2, 5, 4, 7)]
+
+
+@pytest.mark.parametrize("p", [3, 547, PRIMES_62[0]])
+@pytest.mark.parametrize("case", AT_POINT_CASES, ids=lambda c: "".join(map(str, c)))
+def test_eliminate_at_matches_evaluate_then_eliminate(case, p):
+    # As the gate and the certificate call it: P at a random point (c_0
+    # assigned where P holds it), at T = p/q (c_0 unassigned, so 1), and P
+    # less its sigma = 0 column at T; values out of [0, p) are reduced.
+    field = PrimeField(p)
+    params = TaylorParams(*case)
+    P = params.pade
+    tail = SymbolicMatrix([row[1:] for row in P.entries])
+    assert ((0,) * case[0] in P.variables()) == (case[2] > case[1])
+    ranks = set()
+    for t in range(4):
+        point = random_point(P.variables(), field, derive_seed("at", t))
+        lifted = {g: x - 2 * p for g, x in point.items()}
+        T = taylor_coeffs(*random_rational_pair(params, field, derive_seed("at", t)),
+                          params.m, field)
+        for M, at in ((P, point), (P, lifted), (P, T), (tail, T)):
+            for inverse in (False, True) if M.is_square else (False,):
+                got = eliminate_at(M, at, field, inverse)
+                assert got == eliminate(M.evaluate(at, field), field, inverse)
+                ranks.add((M is P, got.rank == min(M.nrows, M.ncols)))
+    # P has full rank somewhere, except where det(P) = 0 identically
+    assert ((True, True) in ranks) == (case != (3, 2, 2, 3))
+
+
+def test_eliminate_at_refuses_what_evaluate_and_eliminate_refuse(gf, qq):
+    P = pade_matrix(2, 5, 4, 7)
+    point = random_point(P.variables(), gf, 1)
+    # two variables missing: both name the first that row-major order meets
+    missing = {g: x for g, x in point.items() if g not in P.variables()[3:5]}
+    with pytest.raises(UsageError, match="point does not assign variable") as want:
+        P.evaluate(missing, gf)
+    with pytest.raises(UsageError) as got:
+        eliminate_at(P, missing, gf)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(UsageError, match="no elimination over Rationals"):
+        eliminate_at(P, point, qq)
+    tall = pade_matrix(2, 3, 5, 4)
+    with pytest.raises(UsageError, match="inverse of a non-square matrix"):
+        eliminate_at(tall, random_point(tall.variables(), gf, 1), gf, inverse=True)
 
 
 def _symmetric_inputs(p, rng):
