@@ -8,9 +8,13 @@ explicit polynomials), ``survey`` (the whole pipeline over the square family),
 Reports are deterministic: the command line alone fixes the output, byte for
 byte (no environment variable is read).  ``--expect VERDICT`` turns the process
 exit code into an assertion for CI pipelines.  Exit codes: 0 on success, 1 on
-an ``--expect`` mismatch, 2 on bad input, and ``EXIT_CLOSED_STDOUT`` = 141,
-the status a shell reports for a writer that SIGPIPE ended, when the reader
-closed stdout before the report was written.
+an ``--expect`` mismatch, 2 on bad input (a Pade matrix above
+``pade.MAX_CELLS`` cells included) or when memory runs out,
+``EXIT_INTERRUPTED`` = 130 on an interrupt (SIGINT, Ctrl-C), and
+``EXIT_CLOSED_STDOUT`` = 141 when the reader closed stdout before the report
+was written; 130 and 141 are the statuses a shell reports for a process
+that SIGINT or SIGPIPE ended.  Each failure prints one ``error:`` line to
+stderr, except a closed stdout, which prints nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .variety import (
 
 SCHEMA_VERSION = 2
 GATE_TRIALS = 8
+EXIT_INTERRUPTED = 130
 EXIT_CLOSED_STDOUT = 141
 
 
@@ -371,6 +376,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # The reader closed stdout.  As in the Python docs' note on SIGPIPE,
         # point stdout at devnull, so that the flush at exit fails no more.

@@ -44,10 +44,12 @@ integers:
   no slot ever carries into its neighbour (about 136 bits for
   ``fields.PRIMES_62``, and 72, 9-byte slots, for ``fields.SURVEY_PRIME``).
 
-A matrix enters the body packed from a list of entries (``eliminate``), or
-straight from a ``SymbolicMatrix`` and a point (``eliminate_at``): each
-variable's value becomes slot bytes once, and each row is one ``b"".join``
-of its entries' bytes.
+Every matrix enters the general body as a list of entries, P at a point
+as ``SymbolicMatrix.evaluate`` gives it (the one place that reads P's
+entries against a point).  Each distinct value becomes its slot bytes,
+``(x % p)``, once per call, and each row is one ``b"".join`` of its
+entries' bytes: P at a point holds at most V + 2 distinct values for V
+variables.
 
 The symmetric body stores and updates only the upper triangle, about half
 the slot arithmetic of the general one.  Row k holds columns k..n-1, its
@@ -141,7 +143,11 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
     """
     ncols = _columns(A)
     square = len(A) == ncols
-    rank, det, inv = _eliminate_modp(A, ncols, _modulus(field, inverse, square), inverse)
+    if inverse and not square:
+        raise UsageError("inverse of a non-square matrix")
+    if not isinstance(field, PrimeField):
+        raise UsageError(f"no elimination over {field!r}: eliminate runs over GF(p)")
+    rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
     return Elimination(rank, det if square else None, inv)
 
 
@@ -176,14 +182,6 @@ def rank_rational(A) -> int:
                 return best
 
 
-def _modulus(field, inverse, square):
-    if inverse and not square:
-        raise UsageError("inverse of a non-square matrix")
-    if not isinstance(field, PrimeField):
-        raise UsageError(f"no elimination over {field!r}: eliminate runs over GF(p)")
-    return field.p
-
-
 def _columns(A):
     ncols = len(A[0]) if A else 0
     if any(len(row) != ncols for row in A):
@@ -191,36 +189,17 @@ def _columns(A):
     return ncols
 
 
-def _eliminate_modp(A, ncols, p, inverse):
-    # The list packer: each entry reduced mod p into its slot.
-    size = _slot_size(p, len(A), ncols)
-    return _eliminate_rows([_pack([x % p for x in row], size) for row in A],
-                           ncols, size, p, inverse)
+class _Slots(dict):
+    """Value -> its slot bytes, ``(x % p)`` in ``size`` little-endian bytes,
+    made on first sight."""
 
+    def __init__(self, p, size):
+        super().__init__()
+        self.p, self.size = p, size
 
-def eliminate_at(P: SymbolicMatrix, point: dict, field, inverse: bool = False) -> Elimination:
-    """``eliminate(P.evaluate(point, field), field, inverse)``, with the rows
-    of P packed straight from the point: each variable's value becomes slot
-    bytes once, and each row is one ``b"".join`` of its entries' bytes,
-    zero bytes for an empty entry and 1 for an unassigned c_0, as in
-    ``evaluate``.  A point that misses any other variable of P raises
-    ``UsageError``, as do a field other than GF(p) and the inverse of a
-    non-square P."""
-    p = _modulus(field, inverse, P.is_square)
-    size = _slot_size(p, P.nrows, P.ncols)
-    cell = {None: bytes(size)}
-    for g in P.variables():
-        if g in point:
-            cell[g] = (point[g] % p).to_bytes(size, "little")
-        elif not any(g):
-            cell[g] = (1).to_bytes(size, "little")
-    try:
-        rows = [int.from_bytes(b"".join(map(cell.__getitem__, row)), "little")
-                for row in P.entries]
-    except KeyError as exc:  # raised at the first entry, row by row, as evaluate
-        raise UsageError(f"point does not assign variable {exc.args[0]}") from None
-    rank, det, inv = _eliminate_rows(rows, P.ncols, size, p, inverse)
-    return Elimination(rank, det if P.is_square else None, inv)
+    def __missing__(self, x):
+        self[x] = out = (x % self.p).to_bytes(self.size, "little")
+        return out
 
 
 def _slot_size(p, nrows, ncols):
@@ -228,9 +207,12 @@ def _slot_size(p, nrows, ncols):
     return ((p + min(nrows, ncols) * p * (p - 1)).bit_length() + 7) // 8
 
 
-def _eliminate_rows(rows, ncols, size, p, inverse):
-    # The general body on packed rows, each slot in [0, p); the module
-    # docstring gives the layout and the bound on the slot width W.
+def _eliminate_modp(A, ncols, p, inverse):
+    # The general body.  It packs each row of the list A, every slot in
+    # [0, p); the module docstring gives the layout and the bound on W.
+    size = _slot_size(p, len(A), ncols)
+    cell = _Slots(p, size).__getitem__
+    rows = [int.from_bytes(b"".join(map(cell, row)), "little") for row in A]
     n = len(rows)
     W = 8 * size
     mask = (1 << W) - 1
@@ -395,7 +377,7 @@ def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
 
 def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
     """Hessian H of det(P) over GF(p) as the packed rows of K = H / det(P),
-    from ``fac = eliminate_at(P, point, field, inverse=True)``.
+    from ``fac = eliminate(P.evaluate(point, field), field, inverse=True)``.
 
     With X = A^-1, H = det(A) * K by the second-order Jacobi identity,
     ``K_ab = tr(X E_a) tr(X E_b) - tr(X E_a X E_b)`` over the variables

@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .detcalc import (
     block_grad_det_at,
     eliminate,
-    eliminate_at,
     eliminate_symmetric,
     hessian_from_factor,
 )
@@ -279,7 +278,7 @@ def certify_hessian_pade(
         seeds += [derive_seed("hessian", seed, t, "resample", r) for r in range(8)]
         for trial_seed in seeds:
             point = random_point(variables, fld, trial_seed)
-            fac = eliminate_at(P, point, fld, inverse=True)
+            fac = eliminate(P.evaluate(point, fld), fld, inverse=True)
             if fac.inverse is not None:
                 rows, size, _ = hessian_from_factor(P, fac, fld)
                 rank, det = eliminate_symmetric(rows, size, fld.p)

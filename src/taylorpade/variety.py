@@ -27,7 +27,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .detcalc import eliminate_at, rank_rational
+from .detcalc import eliminate, rank_rational
 from .errors import UsageError
 from .fields import DEFAULT_FIELD, Rationals, derive_seed, random_point
 from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape
@@ -142,9 +142,10 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
 
 def _rank(P: SymbolicMatrix, point: dict, ctx) -> int:
     """Rank of P at ``point`` over ``ctx``, GF(p) or Q, exact over either."""
+    A = P.evaluate(point, ctx)
     if isinstance(ctx, Rationals):
-        return rank_rational(P.evaluate(point, ctx))
-    return eliminate_at(P, point, ctx).rank
+        return rank_rational(A)
+    return eliminate(A, ctx).rank
 
 
 def expected_dimension(params: TaylorParams) -> int:

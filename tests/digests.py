@@ -5,8 +5,10 @@ command lines whose full output no golden file keeps.
 
 ``RUNS`` holds the runs to pin: surveys, certificates and gates at seeds,
 primes and shapes the full goldens of ``test_cli.GOLDEN_RUNS`` do not cover,
-refusals, ``export``, the ``--poly`` route, and four runs at p = 2, a prime
-below the degree bounds, whose verdicts rest on little or no evidence.  Each
+refusals, ``export``, the ``--poly`` route, four runs at p = 2, a prime
+below the degree bounds, whose verdicts rest on little or no evidence, and
+a gate over GF(p) and over Q at e > d, where P holds c_0 and the gate's
+point T = p/q leaves it at 1.  Each
 argv runs in-process through ``taylorpade.cli.main``, from a fresh directory
 that holds a copy of ``tests/golden/perazzo.json``, so that ``--poly
 perazzo.json`` reads it and ``export`` writes there.
@@ -57,6 +59,9 @@ RUNS = [
     ["defect", *_P547, "--prime", "2", "--trials", "4"],
     ["survey", "--e-max", "8", "--prime", "2", "--trials", "2"],
     ["hessian", *_P547, "--prime", "2", "--trials", "2"],
+    # e > d, so P holds c_0, which the gate's point T leaves at 1
+    ["defect", "-n", "2", "-d", "1", "-e", "3", "-m", "3", "--trials", "2"],
+    ["defect", "-n", "2", "-d", "1", "-e", "3", "-m", "3", "--trials", "2", "--field", "rational"],
 ]
 
 

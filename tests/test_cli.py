@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -358,6 +360,61 @@ def test_closed_stdout_ends_quietly():
     assert len(run.stderr.splitlines()) <= 1
 
 
+def test_interrupt_ends_in_one_line(monkeypatch, capsys):
+    # Ctrl-C inside a stage: no traceback, one error line, and 130, the
+    # status a shell reports for a process that SIGINT ended.
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(hessian_mod, "certify_hessian_pade", interrupted)
+    code = cli.main(["hessian", *_P547, "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert (captured.out, captured.err) == ("", "error: interrupted\n")
+
+
+def test_sigint_ends_a_survey_in_one_line():
+    # The same from outside: one SIGINT about 1 s into a run of about 3 s.
+    child = subprocess.Popen([sys.executable, "-m", "taylorpade", "survey", "--e-max", "13"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=_python_env())
+    try:
+        time.sleep(1)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()  # does nothing once the child has exited
+    assert (child.returncode, out, err) == (130, "", "error: interrupted\n")
+
+
+def test_out_of_memory_ends_in_one_line():
+    # A P under pade.MAX_CELLS, (3,20,12,32) at 2.2 million cells, about
+    # 110 MB, in a child whose address space is capped at 64 MB.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    run = subprocess.run([sys.executable, "-m", "taylorpade", "defect", "-n", "3", "-d", "20",
+                          "-e", "12", "-m", "32", "--trials", "1"],
+                         capture_output=True, text=True, env=_python_env(), timeout=60,
+                         preexec_fn=cap)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("command,extra", [("defect", ["--trials", "1"]),
+                                           ("hessian", ["--trials", "1"]), ("export", [])])
+def test_oversized_pade_matrix_is_refused_before_it_is_built(command, extra, capsys, tmp_path,
+                                                             monkeypatch):
+    # About 491 million cells: the run used to fill memory building P.
+    # shape builds no P and answers.
+    monkeypatch.chdir(tmp_path)
+    params = ["-n", "3", "-d", "60", "-e", "30", "-m", "90"]
+    assert "has 491340080 cells" in _usage_error([command, *params, *extra], capsys)
+    assert list(tmp_path.iterdir()) == []
+    code, out = run_cli(["shape", *params], capsys)
+    payload = json.loads(out)["payload"]
+    assert (code, payload["rows"] * payload["cols"]) == (0, 491340080)
+
+
 def _usage_error(argv, capsys):
     """Run argv and return stderr, asserting exit 2 with one error line."""
     code = cli.main(argv)
@@ -451,19 +508,16 @@ def test_missing_or_unusable_input_is_refused(argv, message, capsys, tmp_path, m
 
 
 def _count_eliminations(monkeypatch):
-    """Return the list that every later ``eliminate`` or ``eliminate_at``
-    call appends to."""
+    """Return the list that every later ``eliminate`` call appends to."""
     calls = []
+    real = detcalc_mod.eliminate
 
-    def counted(real):
-        def run(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-        return run
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    for mod, name in ((detcalc_mod, "eliminate"), (hessian_mod, "eliminate"),
-                      (hessian_mod, "eliminate_at"), (variety_mod, "eliminate_at")):
-        monkeypatch.setattr(mod, name, counted(getattr(detcalc_mod, name)))
+    for mod in (detcalc_mod, hessian_mod, variety_mod):
+        monkeypatch.setattr(mod, "eliminate", counted)
     return calls
 
 

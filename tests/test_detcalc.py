@@ -16,7 +16,6 @@ from taylorpade.detcalc import (
     adjugate,
     block_grad_det_at,
     eliminate,
-    eliminate_at,
     eliminate_symmetric,
     hessian_from_factor,
     rank_rational,
@@ -404,9 +403,10 @@ AT_POINT_CASES = [(3, 2, 2, 3), (2, 3, 5, 4), (1, 0, 3, 4), (2, 3, 0, 4), (2, 5,
 @pytest.mark.parametrize("p", [3, 547, PRIMES_62[0]])
 @pytest.mark.parametrize("case", AT_POINT_CASES, ids=lambda c: "".join(map(str, c)))
 def test_eliminate_at_matches_evaluate_then_eliminate(case, p):
-    # As the gate and the certificate call it: P at a random point (c_0
-    # assigned where P holds it), at T = p/q (c_0 unassigned, so 1), and P
-    # less its sigma = 0 column at T; values out of [0, p) are reduced.
+    # As the gate and the certificate call it, ``eliminate`` of P evaluated
+    # at a random point (c_0 assigned where P holds it), at T = p/q (c_0
+    # unassigned, so 1), and P less its sigma = 0 column at T, against the
+    # list reference; a point lifted out of [0, p) gives what it reduces to.
     field = PrimeField(p)
     params = TaylorParams(*case)
     P = params.pade
@@ -419,9 +419,14 @@ def test_eliminate_at_matches_evaluate_then_eliminate(case, p):
         T = taylor_coeffs(*random_rational_pair(params, field, derive_seed("at", t)),
                           params.m, field)
         for M, at in ((P, point), (P, lifted), (P, T), (tail, T)):
+            A = M.evaluate(at, field)
+            # each point assigns every variable of M but perhaps c_0
+            assert A == [[0 if g is None else at.get(g, 1) for g in row] for row in M.entries]
             for inverse in (False, True) if M.is_square else (False,):
-                got = eliminate_at(M, at, field, inverse)
-                assert got == eliminate(M.evaluate(at, field), field, inverse)
+                got = eliminate(A, field, inverse)
+                assert tuple(got) == _reference_modp(A, p, inverse)
+                if at is lifted:
+                    assert got == eliminate(P.evaluate(point, field), field, inverse)
                 ranks.add((M is P, got.rank == min(M.nrows, M.ncols)))
     # P has full rank somewhere, except where det(P) = 0 identically
     assert ((True, True) in ranks) == (case != (3, 2, 2, 3))
@@ -430,18 +435,19 @@ def test_eliminate_at_matches_evaluate_then_eliminate(case, p):
 def test_eliminate_at_refuses_what_evaluate_and_eliminate_refuse(gf, qq):
     P = pade_matrix(2, 5, 4, 7)
     point = random_point(P.variables(), gf, 1)
-    # two variables missing: both name the first that row-major order meets
-    missing = {g: x for g, x in point.items() if g not in P.variables()[3:5]}
-    with pytest.raises(UsageError, match="point does not assign variable") as want:
+    # two variables missing: evaluate names the first that row order meets,
+    # c_(7,0) at row 0, column 0, not the smaller exponent
+    gone = (P.variables()[0], P.entries[0][0])
+    missing = {g: x for g, x in point.items() if g not in gone}
+    with pytest.raises(UsageError) as refused:
         P.evaluate(missing, gf)
-    with pytest.raises(UsageError) as got:
-        eliminate_at(P, missing, gf)
-    assert str(got.value) == str(want.value)
+    assert str(refused.value) == "point does not assign variable (7, 0)"
+    A = P.evaluate(point, gf)
     with pytest.raises(UsageError, match="no elimination over Rationals"):
-        eliminate_at(P, point, qq)
+        eliminate(A, qq)
     tall = pade_matrix(2, 3, 5, 4)
     with pytest.raises(UsageError, match="inverse of a non-square matrix"):
-        eliminate_at(tall, random_point(tall.variables(), gf, 1), gf, inverse=True)
+        eliminate(tall.evaluate(random_point(tall.variables(), gf, 1), gf), gf, inverse=True)
 
 
 def _symmetric_inputs(p, rng):

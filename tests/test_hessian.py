@@ -295,30 +295,24 @@ def test_cross_path_agreement_2112():
 
 
 def _record_eliminations(monkeypatch, *mute):
-    """Log the shape of every ``eliminate`` and ``eliminate_at`` call, and of
-    every packed Hessian the certificate hands to ``eliminate_symmetric``.
+    """Log the shape of every ``eliminate`` call, and of every packed
+    Hessian the certificate hands to ``eliminate_symmetric``.
     Each ``mute`` pair (module, function name) is logged by its name instead,
     leaving out the eliminations made inside it."""
     shapes = []
-    real, real_at = detcalc_mod.eliminate, detcalc_mod.eliminate_at
+    real = detcalc_mod.eliminate
     symmetric = hessian_mod.eliminate_symmetric
 
     def counted(A, field, inverse=False):
         shapes.append((len(A), len(A[0])))
         return real(A, field, inverse)
 
-    def counted_at(P, point, field, inverse=False):
-        shapes.append((P.nrows, P.ncols))
-        return real_at(P, point, field, inverse)
-
     def packed(rows, size, p):
         shapes.append((len(rows), len(rows)))
         return symmetric(rows, size, p)
 
-    for mod in (detcalc_mod, hessian_mod):
+    for mod in (detcalc_mod, hessian_mod, variety_mod):
         monkeypatch.setattr(mod, "eliminate", counted)
-    for mod in (hessian_mod, variety_mod):
-        monkeypatch.setattr(mod, "eliminate_at", counted_at)
     monkeypatch.setattr(hessian_mod, "eliminate_symmetric", packed)
     for owner, name in mute:
         monkeypatch.setattr(owner, name, _muted(shapes, name, getattr(owner, name)))
@@ -376,16 +370,16 @@ def _zero_gate_dets(monkeypatch, zeros):
     rank one short of full, which is what the gate reads; return the list
     of dets the gate's trials computed."""
     dets = []
-    real = variety_mod.eliminate_at
+    real = variety_mod.eliminate
 
-    def patched(P, point, field, inverse=False):
-        out = real(P, point, field, inverse)
+    def patched(A, field, inverse=False):
+        out = real(A, field, inverse)
         if out.det is None:  # the rank of P at T, less its sigma = 0 column
             return out
         dets.append(out.det)
         return out._replace(rank=out.rank - 1, det=0) if len(dets) <= zeros else out
 
-    monkeypatch.setattr(variety_mod, "eliminate_at", patched)
+    monkeypatch.setattr(variety_mod, "eliminate", patched)
     return dets
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from taylorpade.detcalc import block_grad_det_at, eliminate
 from taylorpade.errors import UsageError
 from taylorpade.fields import random_point
+import taylorpade.pade as pade_mod
 from taylorpade.pade import (
     SymbolicMatrix,
     column_transform,
@@ -223,6 +224,23 @@ _UNLABELLED = SymbolicMatrix([[(1, 0), None], [None, (0, 1)]])
 def test_matrix_without_the_pade_structure_is_refused(call, message, gf):
     with pytest.raises(UsageError, match=message):
         call(gf)
+
+
+def test_pade_matrix_refuses_a_shape_above_the_cell_ceiling(monkeypatch):
+    # P at e = 21, the survey's largest square case timed, is built at the
+    # real ceiling; (2,5,4,7), 225 cells, is built just under a lowered one
+    # and refused just over it, before any entry is built.
+    assert pade_shape(2, 124, 21, 126) == (253, 253)
+    assert 253 * 253 < pade_mod.MAX_CELLS
+    want = pade_matrix(2, 5, 4, 7).entries
+    monkeypatch.setattr(pade_mod, "MAX_CELLS", 225)
+    assert pade_matrix(2, 5, 4, 7).entries == want
+    monkeypatch.setattr(pade_mod, "MAX_CELLS", 224)
+    monkeypatch.setattr(pade_mod, "exp_sub", None)  # building an entry would fail
+    with pytest.raises(UsageError) as refused:
+        pade_matrix(2, 5, 4, 7)
+    assert str(refused.value) == ("the Pade matrix of (2, 5, 4, 7) has 225 cells, "
+                                  "more than the 224 this package builds")
 
 
 def test_export_m2_variable_counts():

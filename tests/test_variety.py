@@ -254,13 +254,13 @@ def test_gate_stops_at_expected_dimension(params, jacobians, monkeypatch, gf):
     # does and ranks all three.  Each sample eliminates the Pade matrix at T
     # without its sigma = 0 column (rows x (cols-1)), not the Jacobian.
     shapes = []
-    real = variety_mod.eliminate_at
+    real = variety_mod.eliminate
 
-    def counted(P, point, field, inverse=False):
-        shapes.append((P.nrows, P.ncols))
-        return real(P, point, field, inverse)
+    def counted(A, field, inverse=False):
+        shapes.append((len(A), len(A[0])))
+        return real(A, field, inverse)
 
-    monkeypatch.setattr(variety_mod, "eliminate_at", counted)
+    monkeypatch.setattr(variety_mod, "eliminate", counted)
     check = nondefective_hypersurface_check(params, trials=2, ctx=gf, seed=0)
     shape = params.shape
     assert shapes.count((shape.rows, shape.cols - 1)) == jacobians
