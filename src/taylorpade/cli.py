@@ -33,7 +33,7 @@ from .fields import (
     DEFAULT_FIELD, MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals,
     derive_seed, random_point,
 )
-from .pade import export_m2
+from .pade import export_m2, require_buildable
 from .series import SparsePoly
 from .variety import (
     TaylorParams,
@@ -271,8 +271,10 @@ def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
 def cmd_survey(config: RunConfig) -> dict:
     if config.e_max is None:
         raise UsageError("survey needs --e-max")
-    # Popped, so that each case's cached Pade matrix is freed after its row.
     cases = square_family(config.e_max)
+    for params in cases:  # an oversized P is refused before any case runs
+        require_buildable(*params)
+    # Popped, so that each case's cached Pade matrix is freed after its row.
     rows = [_survey_case(cases.pop(0), config) for _ in range(len(cases))]
     payload = {"columns": SURVEY_COLUMNS, "rows": rows, "verdict": "completed"}
     return _report(config, payload, None)

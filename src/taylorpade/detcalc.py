@@ -1,10 +1,9 @@
 """Exact determinants, ranks, adjugates, and derivatives of determinants.
 
 Determinant, rank and inverse all come from one elimination kernel over
-GF(p), ``eliminate``.  The Hessian certificate calls a second body,
-``eliminate_symmetric``, directly on the packed rows it assembles.  A rank
-over Q is the GF(p) rank mod enough primes to certify it
-(``rank_rational``).
+GF(p), ``eliminate``.  ``hessian_at`` hands the packed rows of the Hessian
+it assembles to a second, private body.  A rank over Q is the GF(p) rank
+mod enough primes to certify it (``rank_rational``).
 
 Over GF(p) the kernel works on packed rows with delayed modular reduction
 (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields: the
@@ -274,7 +273,7 @@ def _reducer(p, size, count):
     return reduce
 
 
-def eliminate_symmetric(rows: list, size: int, p: int) -> tuple:
+def _eliminate_symmetric(rows: list, size: int, p: int) -> tuple:
     """(rank, det) over GF(p) of the symmetric matrix whose upper triangle
     is ``rows``: row k holds columns k..n-1 in slots of ``size`` bytes,
     W = 8 * size, each starting below ``2^W - n * p * (p - 1)`` (module
@@ -375,32 +374,31 @@ def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
     return out
 
 
-def hessian_from_factor(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
-    """Hessian H of det(P) over GF(p) as the packed rows of K = H / det(P),
-    from ``fac = eliminate(P.evaluate(point, field), field, inverse=True)``.
+def hessian_at(P: SymbolicMatrix, point: dict, field) -> tuple | None:
+    """(rank, det) over GF(p) of the Hessian H of det(P) at ``point``, over
+    ``P.variables()``, or None where P(point) is singular.
 
-    With X = A^-1, H = det(A) * K by the second-order Jacobi identity,
-    ``K_ab = tr(X E_a) tr(X E_b) - tr(X E_a X E_b)`` over the variables
-    ``P.variables()``.  Returns ``(rows, size, order)`` for
-    ``eliminate_symmetric``: ``order`` lists the variables by class,
-    single-occurrence classes last, and row k holds K[order[k]][order[j]]
-    for j >= k, unreduced, in slots of ``size`` bytes (module docstring).
-    Raises ``UsageError`` when P is singular (``fac.inverse`` is None).
-    An ambient coordinate absent from P would only add a zero row and
-    column; ``hessian.full_from_essential`` accounts for those.
+    P(point) is eliminated once, with its inverse, from which K = H / det(P)
+    is assembled into the symmetric body's packed rows; ``det H = det(P)^V *
+    det K`` for V variables (module docstring).  An ambient coordinate absent
+    from P only adds a zero row and column (``hessian.full_from_essential``).
     """
+    fac = eliminate(P.evaluate(point, field), field, inverse=True)
     if fac.inverse is None:
-        raise UsageError(
-            f"the Hessian of det(P) needs P invertible, and P is singular "
-            f"at this point over {field!r}"
-        )
-    return _hessian_core(fac.inverse, P.occurrences(), P.variables(), field.p)
+        return None
+    labels, p = P.variables(), field.p
+    rows, size, _ = _hessian_core(fac.inverse, P.occurrences(), labels, p)
+    rank, det = _eliminate_symmetric(rows, size, p)
+    return rank, pow(fac.det, len(labels), p) * det % p
 
 
 def _hessian_core(X, occ, labels, p):
-    # Class-pair assembly of K (module docstring).  A class is keyed by the
-    # columns of its members' occurrences, in order.  A lone member's getter
-    # takes a one-entry slice, as itemgetter of one index returns a bare entry.
+    # Class-pair assembly of K from X = P(point)^-1 (module docstring), as
+    # (rows, size, order): row k holds K[order[k]][order[j]] for j >= k,
+    # unreduced, in slots of ``size`` bytes, single-occurrence classes last.
+    # A class is keyed by the columns of its members' occurrences, in order.
+    # A lone member's getter takes a one-entry slice, as itemgetter of one
+    # index returns a bare entry.
     classes: dict = {}
     for g in labels:
         rs, cols = zip(*occ[g])

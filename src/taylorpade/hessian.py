@@ -23,14 +23,10 @@ import math
 import random
 from typing import NamedTuple
 
-from .detcalc import (
-    block_grad_det_at,
-    eliminate,
-    eliminate_symmetric,
-    hessian_from_factor,
-)
+from .detcalc import block_grad_det_at, eliminate, hessian_at
 from .errors import UsageError
 from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
+from .pade import lambda_shape
 from .series import SparsePoly, exp_add, monomials_of_degree
 from .variety import HypersurfaceCheck, TaylorParams
 
@@ -83,14 +79,11 @@ def build_M(params: TaylorParams, block_grad: dict) -> RelationMatrix:
     beta; every row annihilates the coefficient vector c.
     """
     _require_relation_params(params)
-    d, e, m = params.d, params.e, params.m
-    base = d - e + 2
     cols = relation_column_labels(params)
     row_labels = []
     rows = []
-    for j in range(m, base, -1):
-        dj = j - base
-        for alpha in monomials_of_degree(2, dj):
+    for j, alphas in reversed(lambda_shape(params).items()):
+        for alpha in alphas:
             row = []
             for beta in cols:
                 g = (j, exp_add(alpha, beta))
@@ -100,6 +93,7 @@ def build_M(params: TaylorParams, block_grad: dict) -> RelationMatrix:
             row_labels.append((j, alpha))
             rows.append(tuple(row))
     M = RelationMatrix(tuple(row_labels), tuple(cols), tuple(rows))
+    d, e = params.d, params.e
     expect_rows = (e + 1) * (e + 2) // 2 - 1
     expect_cols = 2 * d - 2 * e + 5
     assert M.shape == (expect_rows, expect_cols)
@@ -249,12 +243,9 @@ def certify_hessian_pade(
     Trial t samples a fresh point over GF(``primes[t % len(primes)]``),
     resampling up to 8 times while the evaluated Pade matrix is singular
     (raising ``UsageError`` if it is singular at all 9 points), and records
-    det(H) and the corank of H, the Hessian over the variables of P.  P is
-    eliminated once per sampled point, with its inverse, and H = det(P) * K
-    once per trial as K: its packed rows (``hessian_from_factor``) go
-    straight to ``eliminate_symmetric``, and the trial records ``corank K``
-    and ``det(P)^V * det K`` for V variables.  The ``full`` certificate is
-    derived from these trials (``full_from_essential``).
+    det(H) and the corank of H, the Hessian over the variables of P, from
+    one ``detcalc.hessian_at`` call per sampled point.  The ``full``
+    certificate is derived from these trials (``full_from_essential``).
 
     ``stop_at_full_rank`` ends the trials after the first H of corank 0.
     That trial fixes the minimum corank (0) and the verdicts of both
@@ -278,11 +269,9 @@ def certify_hessian_pade(
         seeds += [derive_seed("hessian", seed, t, "resample", r) for r in range(8)]
         for trial_seed in seeds:
             point = random_point(variables, fld, trial_seed)
-            fac = eliminate(P.evaluate(point, fld), fld, inverse=True)
-            if fac.inverse is not None:
-                rows, size, _ = hessian_from_factor(P, fac, fld)
-                rank, det = eliminate_symmetric(rows, size, fld.p)
-                return trial_seed, point, rank, pow(fac.det, V, fld.p) * det % fld.p
+            hessian = hessian_at(P, point, fld)
+            if hessian is not None:
+                return trial_seed, point, *hessian
         raise UsageError(
             f"Hessian trial {t}: the Pade matrix is singular mod {fld.p} at "
             f"all {len(seeds)} sampled points; use a larger prime"

@@ -48,8 +48,10 @@ class SymbolicMatrix:
 
     Instances are immutable by convention; evaluation and column operations
     return fresh data.  ``row_labels``/``col_labels``/``params`` are attached
-    by the Pade constructor and may be ``None`` for ad-hoc patterns (the
-    determinant-calculus layer only needs ``entries``).
+    by the Pade constructor and may be ``None`` for ad-hoc patterns.  The
+    determinant-calculus layer reads ``entries``, and
+    ``detcalc.block_grad_det_at`` also ``col_labels``, refusing a matrix
+    without them.
     """
 
     def __init__(self, entries, row_labels=None, col_labels=None, params=None):
@@ -126,19 +128,25 @@ def pade_shape(n: int, d: int, e: int, m: int) -> PadeShape:
 MAX_CELLS = 4_000_000
 
 
+def require_buildable(n: int, d: int, e: int, m: int) -> None:
+    """Raise ``UsageError`` when the Pade matrix of (n, d, e, m) has more
+    than ``MAX_CELLS`` cells, so that ``pade_matrix`` refuses to build it."""
+    shape = pade_shape(n, d, e, m)
+    cells = shape.rows * shape.cols
+    if cells > MAX_CELLS:
+        raise UsageError(f"the Pade matrix of {(n, d, e, m)} has {cells} cells, "
+                         f"more than the {MAX_CELLS} this package builds")
+
+
 def pade_matrix(n: int, d: int, e: int, m: int) -> SymbolicMatrix:
     """The symbolic Pade matrix for the given parameters.
 
     Rows go by decreasing degree and columns by increasing degree, both lex
     decreasing within a degree; this reproduces the reference layout for
     (2,5,4,7).  A shape of more than ``MAX_CELLS`` cells raises
-    ``UsageError`` before any entry is built.
+    ``UsageError`` before any entry is built (``require_buildable``).
     """
-    shape = pade_shape(n, d, e, m)
-    cells = shape.rows * shape.cols
-    if cells > MAX_CELLS:
-        raise UsageError(f"the Pade matrix of {(n, d, e, m)} has {cells} cells, "
-                         f"more than the {MAX_CELLS} this package builds")
+    require_buildable(n, d, e, m)
     rows = [g for deg in range(m, d, -1) for g in monomials_of_degree(n, deg)]
     col_labels = [ColumnLabel(block=m - sum(s), sigma=s) for s in monomials_upto(n, e)]
     entries = [[exp_sub(rho, lab.sigma) for lab in col_labels] for rho in rows]

@@ -54,6 +54,8 @@ RUNS = [
     ["shape"],
     ["shape", "-d", "5", "-e", "4", "-m", "7"],
     ["survey", "--trials", "2"],
+    # refused before any case runs: (2,1070,64,1072) has more than MAX_CELLS cells
+    ["survey", "--e-max", "64"],
     # at p = 2, below the degree bounds, where a verdict can rest on no evidence
     ["defect", *_P547, "--prime", "2", "--trials", "8", "--seed", "3"],
     ["defect", *_P547, "--prime", "2", "--trials", "4"],

@@ -43,9 +43,9 @@ from operator import add
 
 from taylorpade.detcalc import (
     Elimination,
+    _hessian_core,
     adjugate,
     eliminate,
-    hessian_from_factor,
 )
 from taylorpade.errors import UsageError
 from taylorpade.fields import PrimeField, Rationals
@@ -607,20 +607,24 @@ def grad_det_at(P, point: dict, field) -> dict:
 def hessian_det_at(P, point: dict, field) -> tuple:
     """(labels, H), the Hessian of det(P) at ``point`` over GF(p), by the
     program's own route: P eliminated once with its inverse, then
-    ``detcalc.hessian_from_factor``, whose packed K is unpacked
+    ``detcalc._hessian_core``, whose packed K is unpacked
     (``unpack_hessian``) and scaled by det(P).  A point where P is singular
     raises ``UsageError``."""
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
     fac = eliminate(P.evaluate(point, field), field, inverse=True)
+    if fac.inverse is None:
+        raise UsageError(f"the Hessian of det(P) needs P invertible, and P is "
+                         f"singular at this point over {field!r}")
     labels = P.variables()
-    K = unpack_hessian(labels, hessian_from_factor(P, fac, field), field.p)
+    K = unpack_hessian(labels, _hessian_core(fac.inverse, P.occurrences(), labels, field.p),
+                       field.p)
     return labels, [[fac.det * x % field.p for x in row] for row in K]
 
 
 def unpack_hessian(labels, packed, p) -> list:
     """The full matrix K over ``labels`` from the packed upper-triangle rows
-    ``(rows, size, order)`` of ``detcalc.hessian_from_factor``: row k holds
+    ``(rows, size, order)`` of ``detcalc._hessian_core``: row k holds
     K[order[k]][order[j]] for j >= k, unreduced, in little-endian slots of
     ``size`` bytes.  Each entry is reduced mod p, mirrored, and put back in
     the order of ``labels``; a row that overflows its slots raises
@@ -639,7 +643,7 @@ def unpack_hessian(labels, packed, p) -> list:
 
 
 def pack_symmetric(A, p) -> tuple:
-    """``(rows, size)`` for ``detcalc.eliminate_symmetric`` from the
+    """``(rows, size)`` for ``detcalc._eliminate_symmetric`` from the
     symmetric A: its upper triangle reduced mod p, the nonzero diagonal
     entries first (permuting rows and columns together keeps rank and det),
     in slots of the general body's width, ``p + n * p * (p - 1) < 2^W``."""

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import taylorpade.detcalc as detcalc_mod
 import taylorpade.hessian as hessian_mod
+import taylorpade.pade as pade_mod
 import taylorpade.variety as variety_mod
 from taylorpade import cli
 from taylorpade.fields import PRIMES_62
@@ -413,6 +414,18 @@ def test_oversized_pade_matrix_is_refused_before_it_is_built(command, extra, cap
     code, out = run_cli(["shape", *params], capsys)
     payload = json.loads(out)["payload"]
     assert (code, payload["rows"] * payload["cols"]) == (0, 491340080)
+
+
+def test_survey_refuses_an_oversized_case_before_running_any(capsys, monkeypatch):
+    # --e-max 8 ends at (2,20,8,22), 2025 cells, just over a lowered ceiling;
+    # the survey refuses it before its first case, (2,5,4,7), runs.
+    monkeypatch.setattr(pade_mod, "MAX_CELLS", 2024)
+    ran = []
+    monkeypatch.setattr(cli, "_run_case", lambda *args: ran.append(args))
+    err = _usage_error(["survey", "--e-max", "8"], capsys)
+    assert err == ("error: the Pade matrix of (2, 20, 8, 22) has 2025 cells, "
+                   "more than the 2024 this package builds\n")
+    assert ran == []
 
 
 def _usage_error(argv, capsys):

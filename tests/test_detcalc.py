@@ -8,6 +8,7 @@ import pytest
 import taylorpade.detcalc as detcalc_mod
 from taylorpade.detcalc import (
     _eliminate_modp,
+    _eliminate_symmetric,
     _hessian_core,
     _pack,
     _reducer,
@@ -16,8 +17,7 @@ from taylorpade.detcalc import (
     adjugate,
     block_grad_det_at,
     eliminate,
-    eliminate_symmetric,
-    hessian_from_factor,
+    hessian_at,
     rank_rational,
 )
 from taylorpade.errors import UsageError
@@ -217,7 +217,7 @@ def test_eliminate_refuses_rings_without_a_body(monkeypatch, gf, qq):
     # the general body gives an int rank, a zero matrix included; the
     # symmetric body is watched too, and no eliminate call takes it
     general = "_eliminate_modp"
-    bodies = (general, "eliminate_symmetric")
+    bodies = (general, "_eliminate_symmetric")
     taken = []
     for name in bodies:
         def run(*args, body=getattr(detcalc_mod, name), name=name):
@@ -486,7 +486,7 @@ def _symmetric_inputs(p, rng):
 
 def _packed_upper(S, p, size, rng):
     """Upper-triangle rows of the symmetric S, in its own order, for
-    ``eliminate_symmetric`` with slots of ``size`` bytes: each entry raised
+    ``_eliminate_symmetric`` with slots of ``size`` bytes: each entry raised
     by a multiple of p, often to the largest value below the slot bound
     ``2^W - n * p * (p - 1)``."""
     n, W = len(S), 8 * size
@@ -514,14 +514,14 @@ def test_symmetric_body_matches_general_body(p, monkeypatch):
 
     monkeypatch.setattr(detcalc_mod, "_eliminate_modp",
                         logged("general", _eliminate_modp))
-    monkeypatch.setattr(detcalc_mod, "eliminate_symmetric",
-                        logged("symmetric", eliminate_symmetric))
+    monkeypatch.setattr(detcalc_mod, "_eliminate_symmetric",
+                        logged("symmetric", _eliminate_symmetric))
     midway = first = 0
     for A in _symmetric_inputs(p, rng):
         n = len(A)
         want = _eliminate_modp(A, n, p, False)
         log.clear()
-        assert eliminate_symmetric(*pack_symmetric(A, p), p) == want[:2]
+        assert _eliminate_symmetric(*pack_symmetric(A, p), p) == want[:2]
         # at most one hand-off, of the Schur complement left at a zero pivot
         assert len(log) <= 1 and all(s <= n for _, s in log)
         midway += any(0 < s < n for _, s in log)
@@ -537,7 +537,7 @@ def test_symmetric_body_matches_general_body(p, monkeypatch):
         least = ((p + n * p * (p - 1)).bit_length() + 7) // 8
         for size in (least, least + 1):
             log.clear()
-            assert eliminate_symmetric(_packed_upper(A, p, size, rng), size, p) == want[:2]
+            assert _eliminate_symmetric(_packed_upper(A, p, size, rng), size, p) == want[:2]
             assert len(log) == 1 if want[0] < n else len(log) <= 1
             first += log == [("general", n)] and n > 1
     assert midway  # some Schur complement is handed off after a pivot
@@ -554,12 +554,12 @@ def test_symmetric_body_hands_off_its_schur_complement(monkeypatch, gf):
     monkeypatch.setattr(detcalc_mod, "_eliminate_modp", general)
     # pivots 1, then 0: the 2x2 Schur complement [[0, 1], [1, 0]] is left
     A = [[1, 1, 0], [1, 1, 1], [0, 1, 0]]
-    assert eliminate_symmetric(*pack_symmetric(A, gf.p), gf.p) == (3, gf.p - 1)
+    assert _eliminate_symmetric(*pack_symmetric(A, gf.p), gf.p) == (3, gf.p - 1)
     assert calls == [[[0, 1], [1, 0]]]
     # the zero diagonal entry is packed last: pivots 2, 1, -1/2, no hand-off
     calls.clear()
     B = [[0, 1, 0], [1, 2, 0], [0, 0, 1]]
-    assert eliminate_symmetric(*pack_symmetric(B, gf.p), gf.p) == (3, gf.p - 1)
+    assert _eliminate_symmetric(*pack_symmetric(B, gf.p), gf.p) == (3, gf.p - 1)
     assert calls == []
 
 
@@ -933,7 +933,7 @@ def test_hessian_orders_the_single_occurrence_classes_last(gf):
         if pt is None:
             continue
         fac = eliminate(P.evaluate(pt, gf), gf, inverse=True)
-        rows, size, order = hessian_from_factor(P, fac, gf)
+        rows, size, order = _hessian_core(fac.inverse, P.occurrences(), P.variables(), gf.p)
         occ, mask = P.occurrences(), (1 << 8 * size) - 1
         single = [len(occ[g]) == 1 for g in order]
         assert single == sorted(single)
@@ -952,15 +952,40 @@ def test_hessian_slot_width_follows_the_prime(prime, size):
     P = pade_matrix(2, 20, 8, 22)
     pt = _nonsingular_point(P, field, random.Random(17))
     fac = eliminate(P.evaluate(pt, field), field, inverse=True)
-    packed = hessian_from_factor(P, fac, field)
+    packed = _hessian_core(fac.inverse, P.occurrences(), P.variables(), prime)
     assert packed[1] == size
     labels = P.variables()
     K = unpack_hessian(labels, packed, prime)
     general = eliminate(K, field)
     assert general.rank == len(labels)
-    assert eliminate_symmetric(*packed[:2], prime) == (general.rank, general.det)
-    assert eliminate_symmetric(*pack_symmetric(K, prime), prime) == (
+    assert _eliminate_symmetric(*packed[:2], prime) == (general.rank, general.det)
+    assert _eliminate_symmetric(*pack_symmetric(K, prime), prime) == (
         general.rank, general.det)
+
+
+@pytest.mark.parametrize("prime", [SURVEY_PRIME, P62, 547], ids=["survey", "p62", "547"])
+def test_hessian_at_is_the_rank_and_det_of_the_full_hessian(prime):
+    # None exactly where P is singular, the zero point included; elsewhere
+    # the general body's (rank, det) of H = det(P) * K, built by the oracle.
+    # At 547 a random point of a large P is singular too, at times.
+    field = PrimeField(prime)
+    rng = random.Random(prime)
+    names, patterns = zip(*_hessian_core_patterns())
+    assert {"(2, 5, 4, 7)", "(2, 20, 8, 22)"} <= set(names)
+    singular = regular = 0
+    for P in patterns:
+        labels = P.variables()
+        for pt in (dict.fromkeys(labels, 0), {g: field.sample(rng) for g in labels}):
+            got = hessian_at(P, pt, field)
+            if eliminate(P.evaluate(pt, field), field).det == 0:
+                assert got is None
+                singular += 1
+                continue
+            h = eliminate(hessian_det_at(P, pt, field)[1], field)
+            assert got == (h.rank, h.det)
+            regular += 1
+    assert singular >= len(patterns) and regular
+    assert prime != 547 or singular > len(patterns)
 
 
 def _zero_padded(labels, H, ambient, field):

@@ -296,12 +296,12 @@ def test_cross_path_agreement_2112():
 
 def _record_eliminations(monkeypatch, *mute):
     """Log the shape of every ``eliminate`` call, and of every packed
-    Hessian the certificate hands to ``eliminate_symmetric``.
+    Hessian the certificate hands to ``detcalc._eliminate_symmetric``.
     Each ``mute`` pair (module, function name) is logged by its name instead,
     leaving out the eliminations made inside it."""
     shapes = []
     real = detcalc_mod.eliminate
-    symmetric = hessian_mod.eliminate_symmetric
+    symmetric = detcalc_mod._eliminate_symmetric
 
     def counted(A, field, inverse=False):
         shapes.append((len(A), len(A[0])))
@@ -313,7 +313,7 @@ def _record_eliminations(monkeypatch, *mute):
 
     for mod in (detcalc_mod, hessian_mod, variety_mod):
         monkeypatch.setattr(mod, "eliminate", counted)
-    monkeypatch.setattr(hessian_mod, "eliminate_symmetric", packed)
+    monkeypatch.setattr(detcalc_mod, "_eliminate_symmetric", packed)
     for owner, name in mute:
         monkeypatch.setattr(owner, name, _muted(shapes, name, getattr(owner, name)))
     return shapes
@@ -444,11 +444,10 @@ def _singular_hessians(monkeypatch, zero_rows):
     just before the single-occurrence classes, whose diagonal is zero.
     Return the list of the orders of K built."""
     built = []
-    real = hessian_mod.hessian_from_factor
+    real = detcalc_mod._hessian_core
 
-    def patched(P, fac, field):
-        rows, size, order = real(P, fac, field)
-        occ = P.occurrences()
+    def patched(X, occ, labels, p):
+        rows, size, order = real(X, occ, labels, p)
         end = sum(len(occ[g]) > 1 for g in order)
         assert all(len(occ[g]) > 1 for g in order[:end])
         k, W = zero_rows[len(built)], 8 * size
@@ -459,7 +458,7 @@ def _singular_hessians(monkeypatch, zero_rows):
         built.append(len(rows))
         return rows, size, order
 
-    monkeypatch.setattr(hessian_mod, "hessian_from_factor", patched)
+    monkeypatch.setattr(detcalc_mod, "_hessian_core", patched)
     return built
 
 
@@ -467,7 +466,7 @@ def _symmetric_handoffs(monkeypatch):
     """Return the list of sizes of the Schur complements that the symmetric
     GF(p) body hands to the general one, on the certificate's packed K."""
     sizes, inside = [], []
-    symmetric, general = hessian_mod.eliminate_symmetric, detcalc_mod._eliminate_modp
+    symmetric, general = detcalc_mod._eliminate_symmetric, detcalc_mod._eliminate_modp
 
     def outer(*args):
         inside.append(True)
@@ -481,7 +480,7 @@ def _symmetric_handoffs(monkeypatch):
             sizes.append(len(A))
         return general(A, *args)
 
-    monkeypatch.setattr(hessian_mod, "eliminate_symmetric", outer)
+    monkeypatch.setattr(detcalc_mod, "_eliminate_symmetric", outer)
     monkeypatch.setattr(detcalc_mod, "_eliminate_modp", inner)
     return sizes
 
