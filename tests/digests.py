@@ -64,6 +64,8 @@ RUNS = [
     # e > d, so P holds c_0, which the gate's point T leaves at 1
     ["defect", "-n", "2", "-d", "1", "-e", "3", "-m", "3", "--trials", "2"],
     ["defect", "-n", "2", "-d", "1", "-e", "3", "-m", "3", "--trials", "2", "--field", "rational"],
+    # the largest certificate pinned: one essential trial on (2,43,12,45), nonzero-certified
+    ["hessian", "-n", "2", "-d", "43", "-e", "12", "-m", "45", "--trials", "1", "--mode", "essential"],
 ]
 
 
