@@ -14,7 +14,11 @@ an ``--expect`` mismatch, 2 on bad input (a Pade matrix above
 ``EXIT_CLOSED_STDOUT`` = 141 when the reader closed stdout before the report
 was written; 130 and 141 are the statuses a shell reports for a process
 that SIGINT or SIGPIPE ended.  Each failure prints one ``error:`` line to
-stderr, except a closed stdout, which prints nothing.
+stderr, except a closed stdout, which prints nothing, and a command line that
+argparse cannot parse (a value that is not an int, no command or an unknown
+one, an option without its value): argparse prints its usage block, then a
+``taylorpade ...: error:`` line, and exits 2, so ``main`` raises
+``SystemExit(2)`` there rather than returning 2.
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
-"""Digest goldens: the sha256 of stdout and of stderr, and the exit code, of
-command lines whose full output no golden file keeps.
+"""The one table of pinned command-line runs: the exit code and the sha256 of
+stdout and of stderr of each argv, in ``tests/golden/digests.json``.
 
-    PYTHONPATH=src python tests/digests.py     # rewrite tests/golden/digests.json
+    PYTHONPATH=src python tests/digests.py     # regenerate every pin
 
-``RUNS`` holds the runs to pin: surveys, certificates and gates at seeds,
-primes and shapes the full goldens of ``test_cli.GOLDEN_RUNS`` do not cover,
-refusals, ``export``, the ``--poly`` route, four runs at p = 2, a prime
-below the degree bounds, whose verdicts rest on little or no evidence, and
-a gate over GF(p) and over Q at e > d, where P holds c_0 and the gate's
-point T = p/q leaves it at 1.  Each
-argv runs in-process through ``taylorpade.cli.main``, from a fresh directory
-that holds a copy of ``tests/golden/perazzo.json``, so that ``--poly
-perazzo.json`` reads it and ``export`` writes there.
-``tests/test_digests.py`` checks every entry.  A change that alters output on
-purpose regenerates the table with the command above and names the changed
-entries.
+Its keys are the argv of ``GOLDEN_RUNS``, each of which maps a file of
+``tests/golden`` that keeps that run's stdout byte for byte, then those of
+``RUNS``, pinned by digest alone: surveys, certificates and gates at seeds,
+primes and shapes no golden file covers, refusals, ``export``, the ``--poly``
+route, four runs at p = 2, a prime below the degree bounds, whose verdicts
+rest on little or no evidence, a gate over GF(p) and over Q at e > d, where
+P holds c_0 and the gate's point T = p/q leaves it at 1, and the largest
+certificate.  Every argv runs in-process through ``taylorpade.cli.main``
+inside ``workdir()``, a fresh directory holding a copy of
+``tests/golden/perazzo.json``, so that ``--poly perazzo.json`` reads it and
+``export`` writes there; ``tests/reach.py`` replays each in a fresh process.
+The command above runs each argv once, rewrites the table and the golden
+files, and prints the entries and files whose bytes changed, which a change
+that alters output on purpose names in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -32,7 +34,66 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 TABLE = GOLDEN / "digests.json"
 
 _P547 = ["-n", "2", "-d", "5", "-e", "4", "-m", "7"]
+_P2112 = ["-n", "2", "-d", "1", "-e", "1", "-m", "2"]
 _P20822 = ["-n", "2", "-d", "20", "-e", "8", "-m", "22"]
+
+GOLDEN_RUNS = {
+    "shape_2_5_4_7.json": ["shape", *_P547],
+    "survey_e5_t2_s7.json": ["survey", "--e-max", "5", "--trials", "2", "--seed", "7"],
+    "survey_e5_t2_s7.csv":
+        ["survey", "--e-max", "5", "--trials", "2", "--seed", "7", "--format", "csv"],
+    # recorded while every survey case ran all of its trials; the first trial
+    # of each case has full rank, so the other four are now skipped
+    "survey_e8_t5_s7.json": ["survey", "--e-max", "8", "--trials", "5", "--seed", "7"],
+    "hessian_2_5_4_7_t3_s7_full.json":
+        ["hessian", *_P547, "--trials", "3", "--seed", "7", "--mode", "full"],
+    "hessian_2_5_4_7_t3_s7_essential.json":
+        ["hessian", *_P547, "--trials", "3", "--seed", "7", "--mode", "essential"],
+    "hessian_2_1_1_2_t3_full.json":
+        ["hessian", *_P2112, "--trials", "3", "--mode", "full"],
+    "hessian_2_1_1_2_t3_essential.json":
+        ["hessian", *_P2112, "--trials", "3", "--mode", "essential"],
+    "hessian_2_20_8_22_t1_s7_full.json":
+        ["hessian", *_P20822, "--trials", "1", "--seed", "7", "--mode", "full"],
+    "hessian_2_20_8_22_t1_s7_essential.json":
+        ["hessian", *_P20822, "--trials", "1", "--seed", "7", "--mode", "essential"],
+    # P is singular (rank 44 of 45) at this run's diagnostic point, so the
+    # relation check reads the adjugate of a singular matrix: rank_M is 9
+    "hessian_2_20_8_22_t1_s280_p547_essential.json":
+        ["hessian", *_P20822, "--prime", "547", "--trials", "1", "--seed", "280",
+         "--mode", "essential"],
+    "defect_2_25_9_27_t4_s7.json":
+        ["defect", "-n", "2", "-d", "25", "-e", "9", "-m", "27",
+         "--trials", "4", "--seed", "7"],
+    # the workdir holds perazzo.json, so that config.poly is the bare name
+    "hessian_poly_perazzo_t3_s7.json":
+        ["hessian", "--poly", "perazzo.json", "--trials", "3", "--seed", "7"],
+    "defect_3_2_2_3_t4_s7_rational.json":
+        ["defect", "-n", "3", "-d", "2", "-e", "2", "-m", "3",
+         "--trials", "4", "--seed", "7", "--field", "rational"],
+    "defect_2_12_6_14_t4_s7_rational.json":
+        ["defect", "-n", "2", "-d", "12", "-e", "6", "-m", "14",
+         "--trials", "4", "--seed", "7", "--field", "rational"],
+    "defect_2_3_0_4_t4_s7.json":
+        ["defect", "-n", "2", "-d", "3", "-e", "0", "-m", "4",
+         "--trials", "4", "--seed", "7"],
+    # recorded before taylor_coeffs ran on Kronecker keys: a GF(p) gate with
+    # n = 3, and a rational one with n = 1
+    "defect_3_4_3_6_t4_s7.json":
+        ["defect", "-n", "3", "-d", "4", "-e", "3", "-m", "6",
+         "--trials", "4", "--seed", "7"],
+    "defect_1_3_2_6_t4_s7_rational.json":
+        ["defect", "-n", "1", "-d", "3", "-e", "2", "-m", "6",
+         "--trials", "4", "--seed", "7", "--field", "rational"],
+    # recorded when every rank and det over Q ran Bareiss over Fractions
+    # (about 1.3 s and 15 s); ranks over Q are now certified mod primes
+    "defect_2_25_9_27_t4_s7_rational.json":
+        ["defect", "-n", "2", "-d", "25", "-e", "9", "-m", "27",
+         "--trials", "4", "--seed", "7", "--field", "rational"],
+    "defect_2_43_12_45_t1_s7_rational.json":
+        ["defect", "-n", "2", "-d", "43", "-e", "12", "-m", "45",
+         "--trials", "1", "--seed", "7", "--field", "rational"],
+}
 
 RUNS = [
     ["survey", "--e-max", "13"],
@@ -67,6 +128,8 @@ RUNS = [
     # the largest certificate pinned: one essential trial on (2,43,12,45), nonzero-certified
     ["hessian", "-n", "2", "-d", "43", "-e", "12", "-m", "45", "--trials", "1", "--mode", "essential"],
 ]
+
+ARGVS = [*GOLDEN_RUNS.values(), *RUNS]  # the table's keys, in order
 
 
 def key(argv) -> str:
@@ -103,11 +166,33 @@ def workdir():
             os.chdir(home)
 
 
-def main() -> None:
+def check(argv) -> str:
+    """Assert that ``argv``, run in a fresh ``workdir()``, matches its entry."""
     with workdir():
-        table = {key(argv): digest(*run(argv)) for argv in RUNS}
-    TABLE.write_text(json.dumps(table, indent=2) + "\n")
-    print(f"wrote {len(table)} digests to {TABLE}")
+        code, out, err = run(argv)
+    assert digest(code, out, err) == json.loads(TABLE.read_text())[key(argv)], (
+        f"exit {code}\n--- stdout ---\n{out}--- stderr ---\n{err}")
+    return out
+
+
+def _write(path, text) -> bool:
+    """Give ``path`` the bytes of ``text``; whether they changed."""
+    changed = not path.exists() or path.read_bytes() != text.encode()
+    path.write_bytes(text.encode())
+    return changed
+
+
+def main() -> None:
+    old, table, changed = json.loads(TABLE.read_text()), {}, []
+    with workdir():
+        for name, argv in [*GOLDEN_RUNS.items(), *((None, argv) for argv in RUNS)]:
+            code, out, err = run(argv)
+            table[key(argv)] = digest(code, out, err)
+            if name and _write(GOLDEN / name, out):
+                changed.append(name)
+    _write(TABLE, json.dumps(table, indent=2) + "\n")
+    changed += [f"entry {k}" for k in {**old, **table} if old.get(k) != table.get(k)]
+    print("\n".join(f"changed: {what}" for what in changed) or "nothing changed")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Two checks too slow for tier-1: which statements of ``src/taylorpade`` run,
-and whether other interpreters print the goldens.
+and whether other interpreters make the pinned runs.
 
     python tests/reach.py lines
     python tests/reach.py interpreters PYTHON...
@@ -7,21 +7,24 @@ and whether other interpreters print the goldens.
 ``lines`` runs tier-1 under a ``sys.settrace`` line tracer and prints every
 executable line of ``src/taylorpade/*.py`` that nothing ran.  It exits 1
 unless each one is on ``ALLOWED`` with a reason.  It then traces the traffic,
-the runs people make of the program: every ``GOLDEN_RUNS`` argv of
-``tests/test_cli.py`` and ``scripts/worked_example.py --trials 2 --seed 7``,
-each checked against its golden.  It lists the lines tier-1 runs but the
+the runs people make of the program: every argv of the digest table of
+``tests/digests.py`` (the golden-file runs, then the digest-only runs), each
+as ``python -m taylorpade`` and checked against its table entry (exit code,
+stdout, stderr), and ``scripts/worked_example.py --trials 2 --seed 7``,
+checked against ``worked_example_t2_s7.txt``.  Each run starts in a fresh
+directory (``digests.workdir``).  It lists the lines tier-1 runs but the
 traffic does not.  Each child Python is traced through a ``sitecustomize.py``
 in a temporary directory put first on PYTHONPATH, so a child started with
 ``-S`` is not.  Tracing makes tier-1 several times slower.
 
-``interpreters`` replays the traffic under each interpreter given, from
-``tests/golden`` with PYTHONPATH=src, and prints a table of the runs that
-print their golden byte for byte.  Either command exits 1 when a run differs
-from its golden, and ``lines`` also when a tier-1 test fails.
+``interpreters`` replays the traffic under each interpreter given, with
+PYTHONPATH=src, and prints a table of the runs that match.  Either command
+exits 1 when a run differs, and ``lines`` also when a tier-1 test fails.
 """
 
 import argparse
 import atexit
+import json
 import os
 import subprocess
 import sys
@@ -31,7 +34,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "taylorpade"
-GOLDEN = ROOT / "tests" / "golden"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 # Lines tier-1 may leave unrun: (file, a source text that occurs exactly
@@ -141,25 +143,30 @@ def _traced_env(tmp, name):
 
 
 def traffic():
-    """(golden file, arguments after the interpreter) of each run of the
-    traffic; each runs from ``tests/golden``."""
-    sys.path[:0] = [str(SRC), str(ROOT / "tests")]
-    from test_cli import GOLDEN_RUNS
+    """(name, arguments after the interpreter, the digest it must match) of
+    each run of the traffic."""
+    import digests
 
-    runs = [(name, ["-m", "taylorpade", *argv]) for name, argv in GOLDEN_RUNS.items()]
+    table = json.loads(digests.TABLE.read_text())
+    runs = [(digests.key(argv), ["-m", "taylorpade", *argv], table[digests.key(argv)])
+            for argv in digests.ARGVS]
     example = [str(ROOT / "scripts" / "worked_example.py"), "--trials", "2", "--seed", "7"]
-    return [*runs, ("worked_example_t2_s7.txt", example)]
+    golden = (digests.GOLDEN / "worked_example_t2_s7.txt").read_bytes().decode()
+    return [*runs, ("worked_example_t2_s7.txt", example, digests.digest(0, golden, ""))]
 
 
-def replay(python, env, runs):
-    """Golden file -> "ok", "differs" or "exit N" for each run under ``python``."""
+def replay(python, env):
+    """Name -> "ok", "differs" or "exit N" for each run of the traffic under
+    ``python``."""
+    import digests
+
     out = {}
-    for name, args in runs:
-        run = subprocess.run([python, *args], cwd=GOLDEN, env=env, capture_output=True)
-        if run.returncode:
-            out[name] = f"exit {run.returncode}"
-        else:
-            out[name] = "ok" if run.stdout == (GOLDEN / name).read_bytes() else "differs"
+    for name, args, want in traffic():
+        with digests.workdir():
+            run = subprocess.run([python, *args], env=env, capture_output=True)
+        got = digests.digest(run.returncode, run.stdout.decode(), run.stderr.decode())
+        out[name] = ("ok" if got == want else "differs" if got["exit"] == want["exit"]
+                     else f"exit {run.returncode}")
     return out
 
 
@@ -175,12 +182,11 @@ def _show(found, sources, notes=None):
 
 
 def cmd_lines():
-    runs = traffic()
     with tempfile.TemporaryDirectory() as tmp:
         env, tier1_hits = _traced_env(tmp, "tier1")
         tier1 = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
         env, traffic_hits = _traced_env(tmp, "traffic")
-        replayed = replay(sys.executable, env, runs)
+        replayed = replay(sys.executable, env)
         by_tier1, by_traffic = _ran(tier1_hits), _ran(traffic_hits)
     report = tier1.stdout.splitlines()
     print("tier-1:", report[-1] if report else tier1.stderr.strip())
@@ -188,7 +194,7 @@ def cmd_lines():
         if line.startswith(("FAILED", "ERROR")):
             print(" ", line)
     differ = {name: how for name, how in replayed.items() if how != "ok"}
-    print(f"traffic: {len(replayed) - len(differ)} of {len(replayed)} runs match their golden")
+    print(f"traffic: {len(replayed) - len(differ)} of {len(replayed)} runs match")
     for name, how in differ.items():
         print(f"  {name}: {how}")
 
@@ -205,24 +211,24 @@ def cmd_lines():
 
 
 def cmd_interpreters(pythons):
-    runs = traffic()
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     columns = []
     for python in pythons:
         version = subprocess.run(
             [python, "-c", "import platform; print(platform.python_version())"],
             capture_output=True, text=True, check=True).stdout.strip()
-        columns.append((version, replay(python, env, runs)))
-    width = max(len(name) for name, _ in runs)
+        columns.append((version, replay(python, env)))
+    names = columns[0][1]  # each replay's runs, in traffic order
+    width = max(map(len, names))
     print(f"{'run':<{width}}  " + "  ".join(f"{version:<8}" for version, _ in columns).rstrip())
-    for name, _ in runs:
+    for name in names:
         print(f"{name:<{width}}  " + "  ".join(f"{cells[name]:<8}" for _, cells in columns).rstrip())
     return int(any(how != "ok" for _, cells in columns for how in cells.values()))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Statement reach of tier-1, and golden replays under other interpreters.")
+        description="Statement reach of tier-1, and the pinned runs under other interpreters.")
     commands = parser.add_subparsers(dest="command", required=True)
     commands.add_parser("lines", help="run tier-1 traced; list what it never runs")
     replays = commands.add_parser("interpreters", help="replay the traffic under each PYTHON")

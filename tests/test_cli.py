@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digests
 import taylorpade.detcalc as detcalc_mod
 import taylorpade.hessian as hessian_mod
 import taylorpade.pade as pade_mod
@@ -209,73 +210,12 @@ def test_survey_json_e_max_5(capsys, schema):
         assert row["rank_M"] == rank_M
 
 
-GOLDEN = Path(__file__).parent / "golden"
 _P547 = ["-n", "2", "-d", "5", "-e", "4", "-m", "7"]
 _P2112 = ["-n", "2", "-d", "1", "-e", "1", "-m", "2"]
-_P20822 = ["-n", "2", "-d", "20", "-e", "8", "-m", "22"]
 
 
-GOLDEN_RUNS = {
-    "shape_2_5_4_7.json": ["shape", *_P547],
-    "survey_e5_t2_s7.json": ["survey", "--e-max", "5", "--trials", "2", "--seed", "7"],
-    "survey_e5_t2_s7.csv":
-        ["survey", "--e-max", "5", "--trials", "2", "--seed", "7", "--format", "csv"],
-    # recorded while every survey case ran all of its trials; the first trial
-    # of each case has full rank, so the other four are now skipped
-    "survey_e8_t5_s7.json": ["survey", "--e-max", "8", "--trials", "5", "--seed", "7"],
-    "hessian_2_5_4_7_t3_s7_full.json":
-        ["hessian", *_P547, "--trials", "3", "--seed", "7", "--mode", "full"],
-    "hessian_2_5_4_7_t3_s7_essential.json":
-        ["hessian", *_P547, "--trials", "3", "--seed", "7", "--mode", "essential"],
-    "hessian_2_1_1_2_t3_full.json":
-        ["hessian", *_P2112, "--trials", "3", "--mode", "full"],
-    "hessian_2_1_1_2_t3_essential.json":
-        ["hessian", *_P2112, "--trials", "3", "--mode", "essential"],
-    "hessian_2_20_8_22_t1_s7_full.json":
-        ["hessian", *_P20822, "--trials", "1", "--seed", "7", "--mode", "full"],
-    "hessian_2_20_8_22_t1_s7_essential.json":
-        ["hessian", *_P20822, "--trials", "1", "--seed", "7", "--mode", "essential"],
-    # P is singular (rank 44 of 45) at this run's diagnostic point, so the
-    # relation check reads the adjugate of a singular matrix: rank_M is 9
-    "hessian_2_20_8_22_t1_s280_p547_essential.json":
-        ["hessian", *_P20822, "--prime", "547", "--trials", "1", "--seed", "280",
-         "--mode", "essential"],
-    "defect_2_25_9_27_t4_s7.json":
-        ["defect", "-n", "2", "-d", "25", "-e", "9", "-m", "27",
-         "--trials", "4", "--seed", "7"],
-    # run from the golden directory, so that config.poly is the bare name
-    "hessian_poly_perazzo_t3_s7.json":
-        ["hessian", "--poly", "perazzo.json", "--trials", "3", "--seed", "7"],
-    "defect_3_2_2_3_t4_s7_rational.json":
-        ["defect", "-n", "3", "-d", "2", "-e", "2", "-m", "3",
-         "--trials", "4", "--seed", "7", "--field", "rational"],
-    "defect_2_12_6_14_t4_s7_rational.json":
-        ["defect", "-n", "2", "-d", "12", "-e", "6", "-m", "14",
-         "--trials", "4", "--seed", "7", "--field", "rational"],
-    "defect_2_3_0_4_t4_s7.json":
-        ["defect", "-n", "2", "-d", "3", "-e", "0", "-m", "4",
-         "--trials", "4", "--seed", "7"],
-    # recorded before taylor_coeffs ran on Kronecker keys: a GF(p) gate with
-    # n = 3, and a rational one with n = 1
-    "defect_3_4_3_6_t4_s7.json":
-        ["defect", "-n", "3", "-d", "4", "-e", "3", "-m", "6",
-         "--trials", "4", "--seed", "7"],
-    "defect_1_3_2_6_t4_s7_rational.json":
-        ["defect", "-n", "1", "-d", "3", "-e", "2", "-m", "6",
-         "--trials", "4", "--seed", "7", "--field", "rational"],
-    # recorded when every rank and det over Q ran Bareiss over Fractions
-    # (about 1.3 s and 15 s); ranks over Q are now certified mod primes
-    "defect_2_25_9_27_t4_s7_rational.json":
-        ["defect", "-n", "2", "-d", "25", "-e", "9", "-m", "27",
-         "--trials", "4", "--seed", "7", "--field", "rational"],
-    "defect_2_43_12_45_t1_s7_rational.json":
-        ["defect", "-n", "2", "-d", "43", "-e", "12", "-m", "45",
-         "--trials", "1", "--seed", "7", "--field", "rational"],
-}
-
-
-@pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_report_matches_golden(name, capsys, monkeypatch):
+@pytest.mark.parametrize("name", digests.GOLDEN_RUNS)
+def test_report_matches_golden(name):
     # Reports recorded with the list-of-ints GF(p) elimination, before the
     # packed-row kernel, and (the first six) before the full certificate was
     # derived from the essential trials; both changes must reproduce them
@@ -285,15 +225,12 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     # recorded while the gate still ranked the Jacobian of the coefficient
     # map: two over Q (one defective) and one with e = 0, where the Pade
     # matrix has no column besides sigma = 0.
-    monkeypatch.chdir(GOLDEN)
-    code, out = run_cli(GOLDEN_RUNS[name], capsys)
-    assert code == 0
-    assert out == (GOLDEN / name).read_text()
+    assert digests.check(digests.GOLDEN_RUNS[name]) == (digests.GOLDEN / name).read_text()
 
 
 def test_export_writes_script(tmp_path, capsys, schema, monkeypatch):
-    # Not a GOLDEN_RUNS entry: those run from the golden directory, and
-    # export writes its script there.  Exported twice, to the same bytes.
+    # Not a GOLDEN_RUNS entry: its golden is the script it writes, not its
+    # stdout.  Exported twice, to the same bytes.
     name = "pade_2_5_4_7.m2"
     monkeypatch.chdir(tmp_path)
     for _ in range(2):
@@ -303,7 +240,7 @@ def test_export_writes_script(tmp_path, capsys, schema, monkeypatch):
         validate(report, schema)
         assert report["payload"] == {
             "path": name, "rows": 15, "cols": 15, "n_variables": 36, "verdict": "exported"}
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (digests.GOLDEN / name).read_bytes()
 
 
 def test_out_file_for_json(tmp_path, capsys, schema):
@@ -386,6 +323,24 @@ def test_sigint_ends_a_survey_in_one_line():
     finally:
         child.kill()  # does nothing once the child has exited
     assert (child.returncode, out, err) == (130, "", "error: interrupted\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["defect", "-n", "x", "-d", "1", "-e", "1", "-m", "2"],
+    [],
+    ["frobnicate"],
+    ["shape", *_P547, "--expect"],
+], ids=["not-an-int", "no-command", "unknown-command", "option-without-value"])
+def test_malformed_command_line_ends_in_argparse_usage(argv):
+    # argparse refuses these before cli.main's handlers run (cli.main raises
+    # SystemExit(2)): its usage block, then one "taylorpade ...: error:" line.
+    # Their text is argparse's, which may differ between Python versions, so
+    # no digest pins it.
+    run = subprocess.run([sys.executable, "-m", "taylorpade", *argv], capture_output=True,
+                         text=True, env=_python_env(), timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "Traceback" not in run.stderr
+    assert "error:" in run.stderr.splitlines()[-1]
 
 
 def test_out_of_memory_ends_in_one_line():
@@ -490,11 +445,11 @@ def test_conflicting_field_options(argv, flags, capsys, tmp_path, monkeypatch):
     (["defect", *_P547, "--mode", "essential"], "--mode"),
     (["shape", *_P547, "--mode", "essential"], "--mode"),
     (["export", *_P547, "--mode", "essential"], "--mode"),
-    (["hessian", "--poly", str(GOLDEN / "perazzo.json"), "--mode", "essential"],
+    (["hessian", "--poly", str(digests.GOLDEN / "perazzo.json"), "--mode", "essential"],
      "--mode"),
     (["survey", "--e-max", "2", "-n", "3", "-d", "9"], "-n"),
     (["survey", "--e-max", "5", "-m", "7"], "-m"),
-    (["hessian", "--poly", str(GOLDEN / "perazzo.json"), *_P547], "-n, -d, -e or -m"),
+    (["hessian", "--poly", str(digests.GOLDEN / "perazzo.json"), *_P547], "-n, -d, -e or -m"),
 ], ids=["hessian-order", "survey-order", "defect-order", "shape-order",
         "survey-mode", "defect-mode", "shape-mode", "export-mode", "poly-mode",
         "survey-params", "survey-m", "poly-params"])
@@ -592,7 +547,7 @@ _VALUES = {
     "-n": "2", "-d": "5", "-e": "4", "-m": "7", "--e-max": "5", "--trials": "0",
     "--seed": "9", "--prime": "4", "--prime-index": "3", "--field": "rational",
     "--mode": "essential", "--order": "reverse", "--format": "csv",
-    "--poly": str(GOLDEN / "perazzo.json"),
+    "--poly": str(digests.GOLDEN / "perazzo.json"),
 }
 _UNDECLARED = [(command, flag) for command, flags in cli.OPTIONS.items()
                for flag in _VALUES if flag not in flags]
