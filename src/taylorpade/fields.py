@@ -37,8 +37,10 @@ PRIMES_62 = (
     4611686018427387709,
 )
 
-# Survey certificate trials: below 2^30, so each multiplier p - f is one
-# CPython digit (a 31-bit prime needs two and measured slower).
+# Survey certificate trials, and the first prime of every rank over Q
+# (``detcalc.rank_rational``): below 2^30, so each multiplier p - f is one
+# CPython digit (a 31-bit prime needs two and measured slower), and an
+# elimination's slots are about half as wide as over a prime of PRIMES_62.
 SURVEY_PRIME = 2**30 - 35
 
 _BUILTIN_PRIMES = frozenset((*PRIMES_62, SURVEY_PRIME))  # PrimeField skips Miller-Rabin on these
@@ -128,8 +130,10 @@ class Rationals:
     samples or computes over Q is an integer; a caller's Fractions mix in.
 
     Random samples are uniform integers in ``[-B, B]``, B =
-    ``DEFAULT_RATIONAL_BOUND``; small integers keep down the Hadamard bound,
-    and with it the primes a rank over Q needs (``detcalc.rank_rational``).
+    ``DEFAULT_RATIONAL_BOUND``.  A rank over Q (``detcalc.rank_rational``)
+    takes a matrix of these ints as it is, with no scaling, and a full one
+    needs one prime, almost always ``SURVEY_PRIME``.  A rank short of full
+    needs primes past the Hadamard bound, which small integers keep down.
     """
 
     __slots__ = ()

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import UsageError
 from .fields import derive_seed
-from .series import Exponent, exp_sub, monomials_of_degree, monomials_upto
+from .series import Exponent, monomials_of_degree, monomials_upto
 
 
 class PadeShape(NamedTuple):
@@ -122,9 +122,11 @@ def pade_shape(n: int, d: int, e: int, m: int) -> PadeShape:
     return PadeShape(rows, cols)
 
 
-# The most cells pade_matrix builds.  A built P takes 52-66 bytes a cell
-# (tracemalloc peaks at (2,43,12,45), (2,124,21,126) and (3,20,10,30)), so
-# this is about 250 MB; P at e = 21 of the square family has 64 009 cells.
+# The most cells pade_matrix builds.  A built P takes 9-15 bytes a cell, and
+# 9-19 at the build's peak (tracemalloc at (2,43,12,45), (2,124,21,126) and
+# (3,20,10,30)); near the ceiling, at (3,30,12,40), 8.5 built and 8.9 at the
+# peak.  So this is about 40 MB; P at e = 21 of the square family has
+# 64 009 cells.  The digests pin refusals at this value.
 MAX_CELLS = 4_000_000
 
 
@@ -145,11 +147,32 @@ def pade_matrix(n: int, d: int, e: int, m: int) -> SymbolicMatrix:
     decreasing within a degree; this reproduces the reference layout for
     (2,5,4,7).  A shape of more than ``MAX_CELLS`` cells raises
     ``UsageError`` before any entry is built (``require_buildable``).
+
+    Entries are read from a table of every variable P can hold, the
+    exponents of degree max(0, d+1-e) to m, by Kronecker key: g gets
+    sum_i g_i b^i in base b = m + e + 1.  The digits rho_i - sigma_i of
+    key(rho) - key(sigma) lie in [-e, m] and those of a table key tau in
+    [0, m]; digits that differ by less than b give equal sums only when
+    they are equal, so the difference is a table key only where
+    rho - sigma = tau, which is exactly where sigma <= rho componentwise.
+    Every other difference misses the table and reads ``None``.  Each row
+    is a tuple, and all occurrences of a variable are one tuple object.
     """
     require_buildable(n, d, e, m)
     rows = [g for deg in range(m, d, -1) for g in monomials_of_degree(n, deg)]
     col_labels = [ColumnLabel(block=m - sum(s), sigma=s) for s in monomials_upto(n, e)]
-    entries = [[exp_sub(rho, lab.sigma) for lab in col_labels] for rho in rows]
+    base = m + e + 1
+
+    def key(g):
+        k = 0
+        for x in g:
+            k = k * base + x
+        return k
+
+    below = [g for deg in range(max(0, d + 1 - e), d + 1) for g in monomials_of_degree(n, deg)]
+    table = {key(g): g for g in chain(rows, below)}
+    col_keys = [key(lab.sigma) for lab in col_labels]
+    entries = [tuple(map(table.get, map(key(rho).__sub__, col_keys))) for rho in rows]
     return SymbolicMatrix(entries, rows, col_labels, params=(n, d, e, m))
 
 

@@ -8,8 +8,6 @@ of maps.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import UsageError
 
 Exponent = tuple  # tuple[int, ...]
@@ -17,16 +15,6 @@ Exponent = tuple  # tuple[int, ...]
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def exp_sub(a: Exponent, b: Exponent) -> Optional[Exponent]:
-    """Componentwise a - b, or None when b is not <= a componentwise."""
-    out = []
-    for x, y in zip(a, b):
-        if y > x:
-            return None
-        out.append(x - y)
-    return tuple(out)
 
 
 def monomials_of_degree(n: int, deg: int) -> list:

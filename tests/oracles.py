@@ -9,7 +9,9 @@ expands p/q on plain numbers with Kronecker keys
 (``variety.taylor_coeffs``) and ranks the Pade matrix at T = p/q, less its
 sigma = 0 column, instead (``variety.actual_dimension``); these give the same T and the same
 rank by another route.  Membership of a coefficient vector in the variety,
-read off the kernel of the Pade matrix at it.
+read off the kernel of the Pade matrix at it.  The entry law of a Pade
+matrix, c_{rho - sigma} where sigma <= rho, one cell at a time (``exp_sub``):
+the program reads it from a table of Kronecker keys instead.
 
 Fraction-free Bareiss elimination over Q (``eliminate_bareiss``) is the
 reference for exact determinants over Q and for the program's ranks over Q,
@@ -54,10 +56,21 @@ from taylorpade.series import (
     Exponent,
     SparsePoly,
     exp_add,
-    exp_sub,
     monomials_of_degree,
     monomials_upto,
 )
+
+
+def exp_sub(a: Exponent, b: Exponent) -> Exponent | None:
+    """Componentwise a - b, or None when b is not <= a componentwise: the
+    entry law of a Pade matrix, entry(rho, sigma) = c_{rho - sigma}, read
+    one cell at a time."""
+    out = []
+    for x, y in zip(a, b):
+        if y > x:
+            return None
+        out.append(x - y)
+    return tuple(out)
 
 
 class TruncatedSeries:

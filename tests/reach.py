@@ -19,7 +19,8 @@ in a temporary directory put first on PYTHONPATH, so a child started with
 
 ``interpreters`` replays the traffic under each interpreter given, with
 PYTHONPATH=src, and prints a table of the runs that match.  Either command
-exits 1 when a run differs, and ``lines`` also when a tier-1 test fails.
+exits 1 when a run differs, and ``lines`` also when a tier-1 test fails.  As
+the CLI does, either ends quietly with 141 when its reader closed stdout.
 """
 
 import argparse
@@ -35,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "taylorpade"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+EXIT_CLOSED_STDOUT = 141  # the CLI's status for a closed stdout, cli.EXIT_CLOSED_STDOUT
 
 # Lines tier-1 may leave unrun: (file, a source text that occurs exactly
 # once in it, reason).  Every line of that text is allowed.
@@ -240,4 +242,12 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  As in cli.main, point stdout at devnull,
+        # so that the flush at exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_CLOSED_STDOUT
+    raise SystemExit(status)

@@ -21,7 +21,7 @@ from taylorpade.hessian import (
     relation_residual,
 )
 from taylorpade.pade import column_transform, pade_matrix, random_lambda
-from taylorpade.series import SparsePoly, exp_sub, monomials_upto
+from taylorpade.series import SparsePoly, monomials_upto
 from taylorpade.variety import (
     TaylorParams,
     actual_dimension,
@@ -32,6 +32,7 @@ from test_hessian import FERMAT3, GEN_PERAZZO, PERAZZO
 from test_pade import GOLDEN_SUSPECTED_TYPOS, _parse_golden
 
 from oracles import (
+    exp_sub,
     expand_det_poly,
     grad_det_at,
     hessian_det_at,

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -19,6 +19,7 @@ from taylorpade.detcalc import (
     eliminate,
     hessian_at,
     rank_rational,
+    rational_primes,
 )
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
@@ -594,35 +595,48 @@ def test_rank_rational_needs_a_third_prime(monkeypatch):
     # Full rank over Q, rank 1 mod each of the first two primes; their
     # product is below the Hadamard bound 2 * (p0 * p1 + 1), so the answer
     # comes from the third prime, where the rank is full.
-    p0, p1 = PRIMES_62[:2]
+    p0, p1, p2 = islice(rational_primes(), 3)
+    assert (p0, p1) == (SURVEY_PRIME, PRIMES_62[0])
     A = [[Fraction(p0 * p1), Fraction(0)], [Fraction(0), Fraction(1)]]
     taken = _primes_taken(monkeypatch)
     assert rank_rational(A) == eliminate_bareiss(A).rank == 2
-    assert taken == list(PRIMES_62[:3])
+    assert taken == [p0, p1, p2]
     assert eliminate([[p0 * p1, 0], [0, 1]], PrimeField(p0)) == (1, 0, None)
+
+
+def test_rank_rational_takes_full_rank_from_the_second_prime(monkeypatch):
+    # Every maximal minor is a multiple of the first row, a multiple of
+    # SURVEY_PRIME: rank 1 there, and full rank over Q from PRIMES_62[0].
+    p0, p1 = islice(rational_primes(), 2)
+    A = [[p0 * 3, p0 * 5, p0 * 7], [2, 11, 13]]
+    taken = _primes_taken(monkeypatch)
+    assert rank_rational(A) == eliminate_bareiss(A).rank == 2
+    assert taken == [p0, p1] == [SURVEY_PRIME, PRIMES_62[0]]
+    assert eliminate(A, PrimeField(p0)).rank == 1
 
 
 def test_rank_rational_runs_past_the_listed_primes(monkeypatch):
     # Rank 1 with entries near 2^300: the Hadamard bound, about 2^603,
-    # exceeds the product of the eight PRIMES_62 (about 2^496), so the
-    # certificate takes primes below them.
+    # exceeds the product of SURVEY_PRIME and the eight PRIMES_62 (about
+    # 2^526), so the certificate takes primes below them.
     rng = random.Random(4)
     u = [2**300 + rng.randrange(2**64) for _ in range(2)]
     A = [u, [3 * x for x in u]]
     taken = _primes_taken(monkeypatch)
     assert rank_rational(A) == eliminate_bareiss(A).rank == 1
-    assert taken[:8] == list(PRIMES_62) and len(taken) > 8
+    assert taken == list(islice(rational_primes(), len(taken))) and len(taken) > 9
+    assert taken[:9] == [SURVEY_PRIME, *PRIMES_62]
     # PRIMES_62 are the eight largest primes below 2^62, and the primes
     # taken after them are every smaller one, in descending order
-    assert taken == [n for n in range(2**62 - 1, taken[-1] - 1, -1)
-                     if is_probable_prime(n)]
+    assert taken[1:] == [n for n in range(2**62 - 1, taken[-1] - 1, -1)
+                         if is_probable_prime(n)]
 
 
 def test_rank_rational_of_a_zero_matrix_takes_one_prime(monkeypatch):
     for A in ([[0, 0], [0, 0]], [[Fraction(0)] * 3]):
         taken = _primes_taken(monkeypatch)
         assert rank_rational(A) == eliminate_bareiss(A).rank == 0
-        assert taken == [PRIMES_62[0]]
+        assert taken == [next(rational_primes())]
 
 
 def test_adjugate_identity_prime_field(gf):

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taylorpade.detcalc import block_grad_det_at, eliminate
@@ -16,9 +16,9 @@ from taylorpade.pade import (
     pade_shape,
     random_lambda,
 )
-from taylorpade.series import exp_sub, monomials_of_degree, monomials_upto
+from taylorpade.series import monomials_of_degree, monomials_upto
 
-from oracles import reverse_within_degree
+from oracles import exp_sub, reverse_within_degree
 
 # The 15x15 layout for (n,d,e,m) = (2,5,4,7) as displayed in the worked
 # example, transcribed cell by cell ('.' = zero, 'ab' = c_(a,b)).  It is kept
@@ -104,7 +104,11 @@ def test_specific_entries():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 4), st.integers(1, 4))
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 9), st.integers(1, 4))
+@example(n=2, d=1, e=6, dm=2)  # e > m, and c_0 is an entry (e >= d+1)
+@example(n=3, d=0, e=3, dm=1)  # e > m = 1
+@example(n=1, d=2, e=9, dm=4)  # e > m, one variable
+@example(n=4, d=1, e=2, dm=2)  # e = d+1: c_0 on the lowest rows only
 def test_entry_law_exhaustive(n, d, e, dm):
     m = d + dm
     shape = pade_shape(n, d, e, m)
@@ -115,12 +119,15 @@ def test_entry_law_exhaustive(n, d, e, dm):
     row_set = {g for k in range(d + 1, m + 1) for g in monomials_of_degree(n, k)}
     assert set(P.row_labels) == row_set
     assert {lab.sigma for lab in P.col_labels} == set(monomials_upto(n, e))
+    assert ((0,) * n in P.variables()) == (e >= d + 1)
+    first = {}  # variable -> its first occurrence, which every other one is
     for r, rho in enumerate(P.row_labels):
         for c, lab in enumerate(P.col_labels):
             want = exp_sub(rho, lab.sigma)
             assert P.entries[r][c] == want
             if want is not None:
                 assert sum(want) == sum(rho) - sum(lab.sigma)
+                assert first.setdefault(want, P.entries[r][c]) is P.entries[r][c]
 
 
 def test_occurrence_positions_match_direct_enumeration():
@@ -236,7 +243,7 @@ def test_pade_matrix_refuses_a_shape_above_the_cell_ceiling(monkeypatch):
     monkeypatch.setattr(pade_mod, "MAX_CELLS", 225)
     assert pade_matrix(2, 5, 4, 7).entries == want
     monkeypatch.setattr(pade_mod, "MAX_CELLS", 224)
-    monkeypatch.setattr(pade_mod, "exp_sub", None)  # building an entry would fail
+    monkeypatch.setattr(pade_mod, "monomials_of_degree", None)  # building would fail
     with pytest.raises(UsageError) as refused:
         pade_matrix(2, 5, 4, 7)
     assert str(refused.value) == ("the Pade matrix of (2, 5, 4, 7) has 225 cells, "

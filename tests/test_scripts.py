@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from taylorpade.cli import EXIT_CLOSED_STDOUT
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -49,6 +51,25 @@ def test_scripts_import_no_private_name():
             private += [(path.name, name) for name in names
                         if any(part.startswith("_") for part in name.split("."))]
     assert private == []
+
+
+def test_reach_interpreters_ends_quietly_on_a_closed_stdout(tmp_path):
+    # A reader that closed the pipe (``| head -c 0``): as with the CLI, no
+    # traceback and exit 141.  The stand-in interpreter answers every run at
+    # once with its version line, so each run differs and the table is short.
+    python = tmp_path / "python"
+    python.write_text("#!/bin/sh\necho 3.11.7\n")
+    python.chmod(0o755)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, str(ROOT / "tests" / "reach.py"),
+                              "interpreters", str(python)],
+                             stdout=write, stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write)
+    assert run.returncode == EXIT_CLOSED_STDOUT == 141
+    assert run.stderr == ""
 
 
 def test_reach_allow_list_names_text_that_occurs_once():
