@@ -171,12 +171,12 @@ def rank_rational(A) -> int:
     and a full one is exact at once.  Almost always that is at the first
     prime, ``SURVEY_PRIME``, the cheapest: its multipliers are one CPython
     digit, and its slots about half as wide as a ``PRIMES_62`` prime's (9
-    bytes against 17 for 100 to 4000 rows or columns).
-    Otherwise r, the largest rank seen, is exact once the primes that gave
-    r, each dividing every (r+1)-minor, multiply past the Hadamard bound B
-    on every minor, the product over rows of ``isqrt(|row|^2) + 1``.  B is
-    computed at the first prime that misses full rank.  A zero matrix has
-    B = 1 and takes one prime.
+    bytes against 17 for 100 to 4000 rows or columns).  Otherwise r, the
+    largest rank seen, is exact once the primes that gave r, each dividing
+    every (r+1)-minor, multiply past the Hadamard bound B on every minor,
+    the product over rows of ``isqrt(|row|^2) + 1``.  B is computed at the
+    first prime that misses full rank.  A zero matrix has B = 1 and takes
+    one prime.
     """
     ncols = _columns(A)
     rows = [row if all(map(isinstance, row, repeat(int))) else _integral(row)

@@ -122,10 +122,10 @@ def pade_shape(n: int, d: int, e: int, m: int) -> PadeShape:
     return PadeShape(rows, cols)
 
 
-# The most cells pade_matrix builds.  A built P takes 9-15 bytes a cell, and
-# 9-19 at the build's peak (tracemalloc at (2,43,12,45), (2,124,21,126) and
-# (3,20,10,30)); near the ceiling, at (3,30,12,40), 8.5 built and 8.9 at the
-# peak.  So this is about 40 MB; P at e = 21 of the square family has
+# The most cells pade_matrix builds.  A built P takes 8.5-14 bytes a cell,
+# and 9-19 at the build's peak (tracemalloc at (2,43,12,45), (2,124,21,126)
+# and (3,20,10,30)); near the ceiling, at (3,30,12,40), 8.4 built and 8.7 at
+# the peak.  So this is about 35 MB; P at e = 21 of the square family has
 # 64 009 cells.  The digests pin refusals at this value.
 MAX_CELLS = 4_000_000
 
