@@ -8,6 +8,9 @@ of maps.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import chain
+
 from .errors import UsageError
 
 Exponent = tuple  # tuple[int, ...]
@@ -17,24 +20,22 @@ def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomials_of_degree(n: int, deg: int) -> list:
-    """All exponents of total degree ``deg`` in ``n`` variables, lex decreasing."""
+@cache
+def monomials_of_degree(n: int, deg: int) -> tuple:
+    """All exponents of total degree ``deg`` in ``n`` variables, lex
+    decreasing; built once per (n, deg) and shared, so callers only read it."""
     if n == 1:
-        return [(deg,)]
-    out = []
-    for first in range(deg, -1, -1):
-        for rest in monomials_of_degree(n - 1, deg - first):
-            out.append((first,) + rest)
-    return out
+        return ((deg,),)
+    return tuple((first,) + rest for first in range(deg, -1, -1)
+                 for rest in monomials_of_degree(n - 1, deg - first))
 
 
-def monomials_upto(n: int, max_deg: int) -> list:
+@cache
+def monomials_upto(n: int, max_deg: int) -> tuple:
     """All exponents of total degree <= ``max_deg``: by increasing degree, lex
-    decreasing within a degree."""
-    out = []
-    for deg in range(max_deg + 1):
-        out.extend(monomials_of_degree(n, deg))
-    return out
+    decreasing within a degree; built once per (n, max_deg) and shared."""
+    return tuple(chain.from_iterable(monomials_of_degree(n, deg)
+                                     for deg in range(max_deg + 1)))
 
 
 class SparsePoly:

@@ -13,16 +13,21 @@ because multiplying J's columns by the denominator Q turns them into x^b
 part in degrees d+1..m is that Pade matrix (proof in ``actual_dimension``).
 The gate therefore ranks a matrix of the Pade matrix's size, not J.
 
-A sampled pair is two coefficient dicts, and T = p/q is expanded on plain
-numbers (``taylor_coeffs``): exponents become Kronecker keys, so an exponent
-sum is one int addition, and products are reduced once per coefficient.
+A sampled pair is two coefficient dicts, and T = p/q is expanded one degree
+layer at a time (``taylor_coeffs``), each layer packed into one int: the
+exponents of degree k take the slots named by the Kronecker keys of their
+first n-1 exponents in base m+1, which never collide within a layer nor
+carry in a sum, so one big-int product adds up every Q_b T_h of a layer
+pair.  A slot is wide enough for the unreduced sum: fixed by p over GF(p),
+taken per layer from the bit lengths of T so far over Q, where T grows.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import repeat
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -89,54 +94,149 @@ def random_rational_pair(params: TaylorParams, ctx, seed) -> tuple:
     return sample(params.d), sample(params.e)
 
 
+@cache
+def _layout(n: int, m: int) -> tuple:
+    """The packing of degree layers 0..m, and each exponent's place in it.
+
+    Layer k lists the exponents of degree k in ``monomials_of_degree``
+    order, the slot of each (the Kronecker key of its first n-1 exponents in
+    base m+1), and, slot by slot, the position of the exponent held there
+    (one past the last, where a slot holds none).  The places map every
+    exponent g with 0 < |g| <= m to (|g|, its slot)."""
+    weights = [(m + 1) ** i for i in range(n - 1)]
+    layers, places = [], {}
+    for k in range(m + 1):
+        exps = monomials_of_degree(n, k)
+        slots = [sum(map(mul, g, weights)) for g in exps]
+        order = [len(exps)] * (max(slots) + 1)
+        for i, s in enumerate(slots):
+            order[s] = i
+        layers.append((exps, slots, order))
+        places.update((g, (k, s)) for g, s in zip(exps, slots) if k)
+    return tuple(layers), places
+
+
+def _halves(count: int, size: int) -> int:
+    """Half a slot, 2^(8 size - 1), in each of ``count`` slots of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def _pack_layer(values: list, order: list, size: int) -> int:
+    """The layer ``values`` (in output order, each in [-h, h) for h half a
+    slot) as one int, slot s holding ``values[order[s]]``."""
+    row = [*values, 0]
+    if len(order) * size <= 512:  # a short int is cheaper shifted in than joined
+        W, packed = 8 * size, 0
+        for i in reversed(order):
+            packed = (packed << W) + row[i]
+        return packed
+    half = 1 << 8 * size - 1
+    data = b"".join([(row[i] + half).to_bytes(size, "little") for i in order])
+    return int.from_bytes(data, "little") - _halves(len(order), size)
+
+
+def _unpack_layer(packed: int, slots: list, count: int, size: int) -> list:
+    """The values at ``slots`` of a layer packed in ``count`` slots, each in
+    [-h, h) for h half a slot: adding h to every slot first keeps a negative
+    value from borrowing from the slot above."""
+    half = 1 << 8 * size - 1
+    data = (packed + _halves(count, size)).to_bytes(count * size, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[s * size:s * size + size], "little") - half for s in slots]
+
+
 def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     """Coefficients (c_g, 0 < |g| <= m) of the expansion T of p/q.
 
     ``p`` and ``q`` map exponent tuples to elements of ``ctx``, integers over
     Q, and must have constant term exactly 1.  Every 0 < |g| <= m is present
-    in the result, zeros included, so it evaluates a Pade matrix directly.
+    in the result, zeros included, by increasing degree and in
+    ``monomials_of_degree`` order within one, so it evaluates a Pade matrix
+    directly.
 
     T is read off the defining identity Q*T = P modulo degree m+1 by the
-    graded recursion T_k = P_k - sum_{b != 0} Q_b T_{k-|b|}, run on ints (the
-    numerators over Q).  An exponent g with |g| <= m is keyed by the int
-    sum_i g_i (m+1)^i (Kronecker substitution), so the exponent sum h + b is
-    one int addition.  Q's nonconstant terms are sorted by degree, so the
-    layer of degree k-1, once final, pushes Q_b T_h to h + b over a prefix
-    of them (|b| <= m-k+1).  The products accumulate unreduced, and each
-    coefficient is finished by one ``ctx.sub(P_g, acc_g)``: one ``% p`` over
-    GF(p), an integer over Q, whose numerator the next layer reads.
+    graded recursion T_k = P_k - sum_{s=1..k} Q_s T_{k-s}, Q_s being the
+    degree-s layer of q, run on ints (the numerators over Q).  Each layer
+    is one packed int (``_layout``): the exponent g of degree k sits in
+    slot key(g) = sum_{i<n-1} g_i (m+1)^i.  No two exponents of a layer
+    share a key, as the last exponent is k less the others, and every
+    exponent in a layer k <= m is at most m, so key(h + b) = key(h) +
+    key(b) with no carry: a product of packed layers puts sum_{h+b=g} Q_b
+    T_h in slot key(g) and nowhere else, unreduced, so long as the sum fits
+    in half a slot (the slots are signed).  Each layer's sums are unpacked
+    once, and each coefficient is finished by one ``ctx.sub(P_g, sum)``.
+
+    The slot width, and with it the accumulation, differs by field:
+    - GF(p): q and T lie in [0, p), so a slot's sum is at most
+      count * (p-1)^2, count being q's nonconstant terms.  The width is
+      fixed by p, each layer of T is packed once, and T_k adds one big-int
+      product Q_s T_{k-s} per s.
+    - Q: q's coefficients keep the bits they are given, about 7 as drawn,
+      but T's numerators grow with k, to about 900 bits by degree 126 at
+      (2,124,21,126).  A slot's sum is below count * 2^(qbits + tbits),
+      tbits the largest bit length of T so far, so layer k takes its own
+      width, rounded up to 8-byte words so that a layer packed for one
+      width serves the next layers until it grows.  T_k adds
+      one product q_b T_{k-|b|}, shifted to b's slot, per term b: a
+      product of whole layers would multiply by a Q_s whose wide slots
+      hold a few bits each, and a width fixed in advance for every layer
+      would have to fit the last.
     """
     n = len(next(iter(p), ()))
     const = (0,) * n
     if not n or p.get(const) != ctx.one or q.get(const) != ctx.one:
         raise UsageError("P and Q must have constant term 1")
-    if any(len(g) != n or c.denominator != 1 for g, c in (*p.items(), *q.items())):
+    pk = {g: c.numerator for g, c in p.items() if len(g) == n and c.denominator == 1}
+    if len(pk) < len(p) or any(len(b) != n or c.denominator != 1 for b, c in q.items()):
         raise UsageError("P and Q need shared variables and integer coefficients")
-    weights = [(m + 1) ** i for i in range(n)]
-
-    def key(g):
-        return sum(map(mul, g, weights))
-
-    qs = sorted((sum(b), key(b), c.numerator) for b, c in q.items() if any(b) and c)
-    q_degrees = [db for db, _, _ in qs]
-    pk = {key(g): c for g, c in p.items() if 0 < sum(g) <= m}
-    sub, zero = ctx.sub, ctx.zero
-    acc: dict = {}  # acc[key(g)]: sum of Q_b T_{g-b} over the layers pushed so far
-    get = acc.get
+    layers, places = _layout(n, m)
+    rational = isinstance(ctx, Rationals)
+    terms = []  # (|b|, slot of b, q_b) over q's terms of degree 1..m
+    for b, c in q.items():
+        c = c.numerator if rational else c.numerator % ctx.p
+        if c and b in places:
+            terms.append((*places[b], c))
+    terms.sort()
+    get, sub = pk.get, ctx.sub
+    zeros = repeat(0)
     out: dict = {}
-    layer = [(0, 1)]  # (key(h), T_h) over degree k-1; T_0 = 1
-    for k in range(1, m + 1):
-        push = [(bk, c) for _, bk, c in qs[:bisect_right(q_degrees, m - k + 1)]]
-        for hk, th in layer:
-            if th:
-                for bk, qb in push:
-                    g = hk + bk
-                    acc[g] = get(g, 0) + qb * th
-        layer = []
-        for g in monomials_of_degree(n, k):
-            gk = key(g)
-            out[g] = t = sub(pk.get(gk, zero), acc.pop(gk, 0))
-            layer.append((gk, t.numerator))
+    if rational:
+        T = [[1]]  # layer j of T, in output order
+        packs = {0: (0, 1)}  # j -> (size, layer j packed at that size); T_0 = 1 at any
+        degrees = [s for s, _, _ in terms]
+        qbits = max(map(abs, [c for _, _, c in terms]), default=0).bit_length()
+        bound, tbits = qbits + len(terms).bit_length(), 1  # a sum < 2^(bound + tbits)
+        for k in range(1, m + 1):
+            exps, slots, order = layers[k]
+            used = terms[:bisect_right(degrees, k)]
+            if used:
+                size = (bound + tbits + 64) // 64 * 8  # 8-byte words, a sign bit spare
+                W = 8 * size
+                for j in range(max(k - used[-1][0], 1), k):
+                    if packs.get(j, (0,))[0] != size:
+                        packs[j] = size, _pack_layer(T[j], layers[j][2], size)
+                acc = sum(c * packs[k - s][1] << W * key for s, key, c in used)
+                sums = _unpack_layer(acc, slots, len(order), size)
+            else:
+                sums = [0] * len(exps)
+            T.append(layer := list(map(sub, map(get, exps, zeros), sums)))
+            tbits = max(tbits, max(layer).bit_length(), min(layer).bit_length())
+            out.update(zip(exps, layer))
+    else:
+        size = (max(len(terms), 1) * (ctx.p - 1) ** 2).bit_length() // 8 + 1  # T < p fits
+        W = 8 * size
+        qlayers: dict = {}  # s -> Q_s packed, by increasing s
+        for s, key, c in terms:
+            qlayers[s] = qlayers.get(s, 0) + (c << W * key)
+        packed = [1]  # layer j of T, packed
+        for k in range(1, m + 1):
+            exps, slots, order = layers[k]
+            acc = sum(Qs * packed[k - s] for s, Qs in qlayers.items() if s <= k)
+            sums = _unpack_layer(acc, slots, len(order), size)
+            layer = list(map(sub, map(get, exps, zeros), sums))
+            if k < m:
+                packed.append(_pack_layer(layer, order, size))
+            out.update(zip(exps, layer))
     return out
 
 

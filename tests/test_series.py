@@ -156,10 +156,13 @@ def test_truncation_drops_high_degrees(qq):
 
 
 def test_monomials_counts_and_order():
-    assert monomials_of_degree(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    # built once per (n, degree) and shared, so they are tuples: read-only
+    assert monomials_of_degree(2, 3) == ((3, 0), (2, 1), (1, 2), (0, 3))
     assert len(monomials_upto(2, 7)) == 36
-    assert monomials_of_degree(1, 5) == [(5,)]
-    assert monomials_upto(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert monomials_of_degree(1, 5) == ((5,),)
+    assert monomials_upto(2, 2) == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert monomials_of_degree(3, 4) is monomials_of_degree(3, 4)
+    assert monomials_upto(3, 4) is monomials_upto(3, 4)
 
 
 def test_sparse_poly_basics():

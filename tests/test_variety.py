@@ -10,6 +10,7 @@ import taylorpade.variety as variety_mod
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
     PRIMES_62,
+    SURVEY_PRIME,
     PrimeField,
     Rationals,
     derive_seed,
@@ -110,27 +111,30 @@ def test_rational_pair_validation(qq):
         RationalPair.of_dicts(*bad_pairs[0], TaylorParams(2, 1, 1, 3), qq)
 
 
-EQUALITY_FIELDS = [2, 3, 547, PRIMES_62[0], None]  # None: Q
+EQUALITY_FIELDS = [2, 3, 547, SURVEY_PRIME, 2**61 + 15, PRIMES_62[0], None]  # None: Q
 EQUALITY_CASES = [
     (1, 0, 0, 3), (1, 2, 1, 5), (1, 3, 4, 6),
-    (2, 2, 0, 4), (2, 3, 2, 6), (2, 1, 3, 4), (2, 5, 4, 7),
+    (2, 2, 0, 4), (2, 3, 2, 6), (2, 1, 3, 4), (2, 5, 4, 7), (2, 1, 5, 3),
     (3, 2, 2, 4), (3, 1, 0, 2), (3, 3, 2, 5),
     (4, 1, 2, 3), (4, 2, 1, 3), (4, 0, 2, 2),
+    (2, 20, 8, 22),
 ]
+EQUALITY_SEEDS = {(2, 20, 8, 22): 2}  # 12 seeds for every other case
 
 
 @pytest.mark.parametrize("modulus", EQUALITY_FIELDS,
                          ids=lambda p: "Q" if p is None else f"GF{p}"[:10])
 def test_taylor_coeffs_matches_ring_oracle(modulus):
-    # Kronecker keys and unreduced sums give the ring-operation expansion key
+    # Packed layers and unreduced sums give the ring-operation expansion key
     # for key, in the same order.  Over GF(2) and GF(3) zero coefficients of
-    # P, Q and T, and whole zero layers of T, occur.
+    # P, Q and T, and whole zero layers of T, occur; (2,1,5,3) has e > m;
+    # over Q, (2,20,8,22) takes T's numerators past 100 bits.
     ctx = Rationals() if modulus is None else PrimeField(modulus)
-    zero_layers = 0
+    zero_layers = widest = 0
     for case in EQUALITY_CASES:
         params = TaylorParams(*case)
         n, m = params.n, params.m
-        for seed in range(12):
+        for seed in range(EQUALITY_SEEDS.get(case, 12)):
             p, q = random_rational_pair(params, ctx, derive_seed("eq", seed))
             got = taylor_coeffs(p, q, m, ctx)
             want = taylor_coeffs_ring(RationalPair.of_dicts(p, q, params, ctx), m)
@@ -146,8 +150,19 @@ def test_taylor_coeffs_matches_ring_oracle(modulus):
             zero_layers += sum(
                 all(ctx.is_zero(got[g]) for g in monomials_of_degree(n, k))
                 for k in range(1, m + 1))
+            widest = max(widest, *(abs(c).bit_length() for c in got.values()))
     if modulus in (2, 3):
         assert zero_layers > 0
+    if modulus is None:
+        assert widest > 100
+    # caller-given ints near 2^80, as Fractions with denominator 1: over Q
+    # the slot width follows them, not DEFAULT_RATIONAL_BOUND
+    rng = random.Random(80)
+    p, q = ({g: Fraction(rng.choice((-1, 1)) * (2**80 - rng.randrange(2**16)) if any(g) else 1)
+             for g in monomials_upto(2, deg)} for deg in (5, 4))
+    got = taylor_coeffs(p, q, 7, ctx)
+    want = taylor_coeffs_ring(RationalPair.of_dicts(p, q, P547, ctx), 7)
+    assert list(got.items()) == list(want.items())
 
 
 def test_expected_dimension_examples():
@@ -361,16 +376,19 @@ def _primes_per_rank(monkeypatch):
 
 
 @pytest.mark.parametrize("case,actual,primes", [
-    ((2, 8, 5, 10), 64, (1,) * 5),
-    ((2, 12, 6, 14), 117, (1,)),
-    ((3, 4, 3, 6), 53, (1,)),
-    ((2, 25, 9, 27), 404, (1,) * 5),
-    # det(P) = 0 identically and P at T less column 0 has rank 8 of 9 at every
-    # pair over Q, so no elimination is full rank mod p: each of the four
-    # det trials and the three pairs certifies its rank with more primes,
-    # SURVEY_PRIME and PRIMES_62[0] alone (about 2^92) or with PRIMES_62[1]
-    ((3, 2, 2, 3), 17, (2, 2, 2, 2, 3, 3, 3)),
-], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else None)
+    pytest.param(*args, id="".join(map(str, args[0]))) for args in [
+        ((2, 8, 5, 10), 64, (1,) * 5),
+        ((2, 12, 6, 14), 117, (1,)),
+        ((3, 4, 3, 6), 53, (1,)),
+        ((2, 25, 9, 27), 404, (1,) * 5),
+        # det(P) = 0 identically and P at T less column 0 has rank 8 of 9 at
+        # every pair over Q, so no elimination is full rank mod p: each of
+        # the four det trials and the three pairs certifies its rank with
+        # more primes, SURVEY_PRIME and PRIMES_62[0] alone (about 2^92) or
+        # with PRIMES_62[1]
+        ((3, 2, 2, 3), 17, (2, 2, 2, 2, 3, 3, 3)),
+    ]
+])
 def test_rational_gate_primes_per_elimination(case, actual, primes, monkeypatch, qq):
     counts = _primes_per_rank(monkeypatch)
     check = nondefective_hypersurface_check(TaylorParams(*case), trials=4,
