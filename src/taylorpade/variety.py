@@ -17,9 +17,10 @@ A sampled pair is two coefficient dicts, and T = p/q is expanded one degree
 layer at a time (``taylor_coeffs``), each layer packed into one int: the
 exponents of degree k take the slots named by the Kronecker keys of their
 first n-1 exponents in base m+1, which never collide within a layer nor
-carry in a sum, so one big-int product adds up every Q_b T_h of a layer
-pair.  A slot is wide enough for the unreduced sum: fixed by p over GF(p),
-taken per layer from the bit lengths of T so far over Q, where T grows.
+carry in a sum, so a product of packed ints adds up the Q_b T_h that meet
+in each slot.  A slot is wide enough for the unreduced sum: fixed by p over
+GF(p), taken per layer from the bit lengths of T so far over Q, where T
+grows.
 """
 
 from __future__ import annotations
