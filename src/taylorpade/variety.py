@@ -26,7 +26,6 @@ grows.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from functools import cache, cached_property
 from itertools import repeat
 from math import comb
@@ -203,24 +202,22 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     out: dict = {}
     if rational:
         T = [[1]]  # layer j of T, in output order
-        packs = {0: (0, 1)}  # j -> (size, layer j packed at that size); T_0 = 1 at any
-        degrees = [s for s, _, _ in terms]
+        packed, psize = [1], 0  # packed[j]: layer j at width psize, for the j still read
         qbits = max(map(abs, [c for _, _, c in terms]), default=0).bit_length()
         bound, tbits = qbits + len(terms).bit_length(), 1  # a sum < 2^(bound + tbits)
+        reach = terms[-1][0] if terms else 0  # T_k reads T_{k-reach}..T_{k-1}
         for k in range(1, m + 1):
             exps, slots, order = layers[k]
-            used = terms[:bisect_right(degrees, k)]
-            if used:
-                size = (bound + tbits + 64) // 64 * 8  # 8-byte words, a sign bit spare
-                W = 8 * size
-                for j in range(max(k - used[-1][0], 1), k):
-                    if packs.get(j, (0,))[0] != size:
-                        packs[j] = size, _pack_layer(T[j], layers[j][2], size)
-                acc = sum(c * packs[k - s][1] << W * key for s, key, c in used)
-                sums = _unpack_layer(acc, slots, len(order), size)
+            size = (bound + tbits + 64) // 64 * 8  # 8-byte words, a sign bit spare
+            if size == psize:
+                packed.append(_pack_layer(T[k - 1], layers[k - 1][2], size))
             else:
-                sums = [0] * len(exps)
-            T.append(layer := list(map(sub, map(get, exps, zeros), sums)))
+                low, psize = max(k - reach, 1), size
+                packed[low:] = [_pack_layer(T[j], layers[j][2], size) for j in range(low, k)]
+            W = 8 * size
+            acc = sum(c * packed[k - s] << W * key for s, key, c in terms if s <= k)
+            T.append(layer := list(map(sub, map(get, exps, zeros),
+                                       _unpack_layer(acc, slots, len(order), size))))
             tbits = max(tbits, max(layer).bit_length(), min(layer).bit_length())
             out.update(zip(exps, layer))
     else:
