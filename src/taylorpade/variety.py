@@ -96,15 +96,13 @@ def random_rational_pair(params: TaylorParams, ctx, seed) -> tuple:
 
 @cache
 def _layout(n: int, m: int) -> tuple:
-    """The packing of degree layers 0..m, and each exponent's place in it.
-
-    Layer k lists the exponents of degree k in ``monomials_of_degree``
-    order, the slot of each (the Kronecker key of its first n-1 exponents in
-    base m+1), and, slot by slot, the position of the exponent held there
-    (one past the last, where a slot holds none).  The places map every
-    exponent g with 0 < |g| <= m to (|g|, its slot)."""
+    """The packing of degree layers 0..m: the weights (m+1)^i, i < n-1, and
+    per degree k the exponents of degree k in ``monomials_of_degree`` order,
+    the slot of each (its Kronecker key, the dot product of its first n-1
+    exponents with the weights), and, slot by slot, the position of the
+    exponent held there (one past the last, where a slot holds none)."""
     weights = [(m + 1) ** i for i in range(n - 1)]
-    layers, places = [], {}
+    layers = []
     for k in range(m + 1):
         exps = monomials_of_degree(n, k)
         slots = [sum(map(mul, g, weights)) for g in exps]
@@ -112,8 +110,7 @@ def _layout(n: int, m: int) -> tuple:
         for i, s in enumerate(slots):
             order[s] = i
         layers.append((exps, slots, order))
-        places.update((g, (k, s)) for g, s in zip(exps, slots) if k)
-    return tuple(layers), places
+    return weights, tuple(layers)
 
 
 def _halves(count: int, size: int) -> int:
@@ -189,13 +186,13 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     pk = {g: c.numerator for g, c in p.items() if len(g) == n and c.denominator == 1}
     if len(pk) < len(p) or any(len(b) != n or c.denominator != 1 for b, c in q.items()):
         raise UsageError("P and Q need shared variables and integer coefficients")
-    layers, places = _layout(n, m)
+    weights, layers = _layout(n, m)
     rational = isinstance(ctx, Rationals)
     terms = []  # (|b|, slot of b, q_b) over q's terms of degree 1..m
     for b, c in q.items():
-        c = c.numerator if rational else c.numerator % ctx.p
-        if c and b in places:
-            terms.append((*places[b], c))
+        s, c = sum(b), c.numerator if rational else c.numerator % ctx.p
+        if 0 < s <= m and c:
+            terms.append((s, sum(map(mul, b, weights)), c))
     terms.sort()
     get, sub = pk.get, ctx.sub
     zeros = repeat(0)
