@@ -17,10 +17,20 @@ inside ``workdir()``, a fresh directory holding a copy of
 The command above runs each argv once, rewrites the table and the golden
 files, and prints the entries and files whose bytes changed, which a change
 that alters output on purpose names in CHANGES.md.
+
+    PYTHONPATH=src python tests/digests.py --deep
+
+does the same for ``DEEP``, the deep list, pinned in ``tests/golden/deep.json``:
+runs at the paper's family up to e = 21, past every size the table reaches,
+that take minutes, so tier-1 runs none of them.  It prints each run's time
+as it ends, then the same last line.  A change to ``detcalc``, ``pade`` or
+``variety`` runs it; ``python tests/reach.py deep`` replays the same list in
+fresh processes.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -28,10 +38,12 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TABLE = GOLDEN / "digests.json"
+DEEP_TABLE = GOLDEN / "deep.json"
 
 _P547 = ["-n", "2", "-d", "5", "-e", "4", "-m", "7"]
 _P2112 = ["-n", "2", "-d", "1", "-e", "1", "-m", "2"]
@@ -131,6 +143,20 @@ RUNS = [
 
 ARGVS = [*GOLDEN_RUNS.values(), *RUNS]  # the table's keys, in order
 
+_P12421 = ["-n", "2", "-d", "124", "-e", "21", "-m", "126"]
+
+# The deep list: N up to 253, V up to 2668, the 10- and 18-byte K slots
+# (from e = 21), a 62-bit certificate past V = 553 and rank_rational past
+# (2,43,12,45).  About 3 minutes in all on a 2-core VM.
+DEEP = [
+    ["survey", "--e-max", "21"],
+    ["defect", *_P12421, "--trials", "1"],
+    ["defect", *_P12421, "--trials", "1", "--field", "rational"],
+    ["hessian", "-n", "2", "-d", "74", "-e", "16", "-m", "76", "--trials", "1",
+     "--mode", "essential"],
+    ["hessian", *_P12421, "--trials", "1", "--mode", "essential"],
+]
+
 
 def key(argv) -> str:
     return " ".join(argv)
@@ -182,16 +208,31 @@ def _write(path, text) -> bool:
     return changed
 
 
-def main() -> None:
-    old, table, changed = json.loads(TABLE.read_text()), {}, []
+def regenerate(path, named_runs, log=False) -> list:
+    """Run each (golden file name or None, argv) once in a fresh ``workdir()``,
+    rewrite the table at ``path`` and the golden files, and return the names
+    of the entries and files whose bytes changed."""
+    old, table, changed = json.loads(path.read_text()) if path.exists() else {}, {}, []
     with workdir():
-        for name, argv in [*GOLDEN_RUNS.items(), *((None, argv) for argv in RUNS)]:
+        for name, argv in named_runs:
+            start = time.perf_counter()
             code, out, err = run(argv)
+            if log:
+                print(f"{time.perf_counter() - start:8.1f} s  {key(argv)}", flush=True)
             table[key(argv)] = digest(code, out, err)
             if name and _write(GOLDEN / name, out):
                 changed.append(name)
-    _write(TABLE, json.dumps(table, indent=2) + "\n")
-    changed += [f"entry {k}" for k in {**old, **table} if old.get(k) != table.get(k)]
+    _write(path, json.dumps(table, indent=2) + "\n")
+    return changed + [f"entry {k}" for k in {**old, **table} if old.get(k) != table.get(k)]
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Regenerate the pinned runs.")
+    parser.add_argument("--deep", action="store_true", help="the deep list instead")
+    if parser.parse_args(argv).deep:
+        changed = regenerate(DEEP_TABLE, [(None, argv) for argv in DEEP], log=True)
+    else:
+        changed = regenerate(TABLE, [*GOLDEN_RUNS.items(), *((None, argv) for argv in RUNS)])
     print("\n".join(f"changed: {what}" for what in changed) or "nothing changed")
 
 

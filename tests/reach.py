@@ -3,6 +3,7 @@ and whether other interpreters make the pinned runs.
 
     python tests/reach.py lines
     python tests/reach.py interpreters PYTHON...
+    python tests/reach.py deep [PYTHON...]
 
 ``lines`` runs tier-1 under a ``sys.settrace`` line tracer and prints every
 executable line of ``src/taylorpade/*.py`` that nothing ran.  It exits 1
@@ -18,9 +19,12 @@ in a temporary directory put first on PYTHONPATH, so a child started with
 ``-S`` is not.  Tracing makes tier-1 several times slower.
 
 ``interpreters`` replays the traffic under each interpreter given, with
-PYTHONPATH=src, and prints a table of the runs that match.  Either command
-exits 1 when a run differs, and ``lines`` also when a tier-1 test fails.  As
-the CLI does, either ends quietly with 141 when its reader closed stdout.
+PYTHONPATH=src, and prints a table of the runs that match.  ``deep`` does the
+same for the deep list of ``tests/digests.py`` (``DEEP``, checked against
+``tests/golden/deep.json``), under the running interpreter when none is
+given; it takes minutes.  Each command exits 1 when a run differs, and
+``lines`` also when a tier-1 test fails.  As the CLI does, each ends quietly
+with 141 when its reader closed stdout.
 """
 
 import argparse
@@ -157,13 +161,22 @@ def traffic():
     return [*runs, ("worked_example_t2_s7.txt", example, digests.digest(0, golden, ""))]
 
 
-def replay(python, env):
-    """Name -> "ok", "differs" or "exit N" for each run of the traffic under
-    ``python``."""
+def deep():
+    """The runs of the deep list, in the form of ``traffic()``."""
+    import digests
+
+    table = json.loads(digests.DEEP_TABLE.read_text())
+    return [(digests.key(argv), ["-m", "taylorpade", *argv], table[digests.key(argv)])
+            for argv in digests.DEEP]
+
+
+def replay(python, env, runs=None):
+    """Name -> "ok", "differs" or "exit N" for each of ``runs`` (the traffic
+    by default) under ``python``."""
     import digests
 
     out = {}
-    for name, args, want in traffic():
+    for name, args, want in runs or traffic():
         with digests.workdir():
             run = subprocess.run([python, *args], env=env, capture_output=True)
         got = digests.digest(run.returncode, run.stdout.decode(), run.stderr.decode())
@@ -212,14 +225,14 @@ def cmd_lines():
     return int(bool(tier1.returncode or differ or unrun - reasons.keys()))
 
 
-def cmd_interpreters(pythons):
+def cmd_interpreters(pythons, runs=None):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     columns = []
     for python in pythons:
         version = subprocess.run(
             [python, "-c", "import platform; print(platform.python_version())"],
             capture_output=True, text=True, check=True).stdout.strip()
-        columns.append((version, replay(python, env)))
+        columns.append((version, replay(python, env, runs)))
     names = columns[0][1]  # each replay's runs, in traffic order
     width = max(map(len, names))
     print(f"{'run':<{width}}  " + "  ".join(f"{version:<8}" for version, _ in columns).rstrip())
@@ -235,10 +248,12 @@ def main(argv=None):
     commands.add_parser("lines", help="run tier-1 traced; list what it never runs")
     replays = commands.add_parser("interpreters", help="replay the traffic under each PYTHON")
     replays.add_argument("pythons", nargs="+", metavar="PYTHON")
+    deep_list = commands.add_parser("deep", help="replay the deep list under each PYTHON")
+    deep_list.add_argument("pythons", nargs="*", metavar="PYTHON", default=[sys.executable])
     args = parser.parse_args(argv)
     if args.command == "lines":
         return cmd_lines()
-    return cmd_interpreters(args.pythons)
+    return cmd_interpreters(args.pythons, deep() if args.command == "deep" else None)
 
 
 if __name__ == "__main__":
