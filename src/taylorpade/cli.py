@@ -96,6 +96,11 @@ class RunConfig(_Options):
         return TaylorParams(self.n, self.d, self.e, self.m)
 
     def context(self):
+        """The field of the gate and the relation check: Q for ``--field
+        rational``, GF(``--prime``), else ``fields.DEFAULT_FIELD``, GF(2^30 - 35).
+        None of their printed fields names the prime, and each reads the same
+        over any prime large enough (``variety.nondefective_hypersurface_check``
+        and the README give the per-trial bounds)."""
         if self.field == "rational":
             return Rationals()
         if self.prime is not None:
@@ -213,8 +218,12 @@ def _run_case(params: TaylorParams, config: RunConfig):
     ``hessian.relations_apply`` is false, reads the ``derive_seed("diag", seed)``
     point.  The certificate refuses a case whose gate fails.
 
-    The gate and the relation check run over ``config.context()``, the
-    certificate over ``config.primes()``.  A ``survey`` command makes the
+    The gate and the relation check run over ``config.context()``, GF(2^30 -
+    35) unless ``--prime`` is given, the certificate over ``config.primes()``.
+    Their positive outcomes are exact over any prime; a zero det trial, a
+    rank short of its ceiling, a zero residual or ``rank_M`` each fail with
+    probability at most degree/p per trial, below 3.4e-3 at p = 2^30 - 35 for
+    every case ``pade.MAX_CELLS`` admits.  A ``survey`` command makes the
     survey's two choices: a case whose gate fails runs no later stage, and
     the trials stop at the first H of corank 0, which fixes both printed
     fields over any prime (the minimum corank is then 0, and its nonzero

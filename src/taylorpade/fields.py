@@ -23,9 +23,9 @@ except ImportError:
         from hashlib import sha256
 
 # Fixed evaluation primes, all just below 2^62: single-word arithmetic with a
-# negligible per-trial Schwartz-Zippel failure probability.  Hessian trials
-# rotate through this list, and the other stages run over its first prime
-# (``DEFAULT_FIELD``), unless the caller picks a field.
+# negligible per-trial Schwartz-Zippel failure probability.  ``hessian``'s
+# certificate trials rotate through this list, as its reports print each
+# trial's prime, and ``detcalc.rank_rational`` tries them after SURVEY_PRIME.
 PRIMES_62 = (
     4611686018427387847,
     4611686018427387817,
@@ -37,10 +37,11 @@ PRIMES_62 = (
     4611686018427387709,
 )
 
-# Survey certificate trials, and the first prime of every rank over Q
-# (``detcalc.rank_rational``): below 2^30, so each multiplier p - f is one
-# CPython digit (a 31-bit prime needs two and measured slower), and an
-# elimination's slots are about half as wide as over a prime of PRIMES_62.
+# The default field's prime, a survey's certificate trials, and the first
+# prime of every rank over Q (``detcalc.rank_rational``): below 2^30, so each
+# multiplier p - f is one CPython digit (a 31-bit prime needs two and measured
+# slower), and an elimination's slots are about half as wide as over a prime
+# of PRIMES_62.
 SURVEY_PRIME = 2**30 - 35
 
 _BUILTIN_PRIMES = frozenset((*PRIMES_62, SURVEY_PRIME))  # PrimeField skips Miller-Rabin on these
@@ -122,7 +123,14 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-DEFAULT_FIELD = PrimeField(PRIMES_62[0])  # every stage's but the Hessian trials', unless picked
+# The gate and the relation check, unless the caller picks a field.  A
+# positive outcome (a nonzero det, a rank at its ceiling) is exact over any
+# prime.  A negative one is wrong with probability at most degree/p per trial
+# (Schwartz-Zippel), for P of order N: N/p for a det trial or the relation
+# residual, (N-1)(m+1)/p for a dimension trial and rank_M (N-1)/p for rank_M.
+# At the largest case that pade.MAX_CELLS admits, (2,974,61,976), these are
+# below 1.9e-6, 1.8e-3 and 3.4e-3 (README, "Command line").
+DEFAULT_FIELD = PrimeField(SURVEY_PRIME)
 
 
 class Rationals:

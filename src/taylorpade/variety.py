@@ -319,6 +319,15 @@ def nondefective_hypersurface_check(
 
     ``stop_at_nonzero`` ends the determinant trials at the first nonzero
     det, which fixes (b) exactly; ``det_trials`` then counts the trials run.
+
+    A nonzero det and a dimension at its ceiling are exact over any field.
+    A zero det, or a dimension short of it, is evidence only: over GF(p) a
+    trial misses the generic value with probability at most degree/p
+    (Schwartz-Zippel), where det(P) has degree N, for P of order N, and a
+    minor of at most N-1 rows of P(T) less its sigma = 0 column has degree
+    at most (N-1)(m+1) in the pair's coefficients, as T_k has degree at most
+    k+1.  At (2,124,21,126) over the default prime 2^30 - 35 these are
+    2.4e-7 and 3.0e-5 per trial.
     """
     P = params.pade
     nonzero = run = 0

@@ -566,21 +566,21 @@ def test_survey_certificate_prime_follows_the_flags(flags, prime, monkeypatch, c
     assert {p for trial_primes in primes for p in trial_primes} == {prime}
 
 
-_F0, _F547 = PrimeField(PRIMES_62[0]), PrimeField(547)
+_FS, _F547 = PrimeField(SURVEY_PRIME), PrimeField(547)
 _CASE = ["-n", "2", "-d", "5", "-e", "4", "-m", "7"]
 _PERAZZO_FILE = str(Path(__file__).parent / "golden" / "perazzo.json")
 
 
 @pytest.mark.parametrize("argv, gates, certificates, relations", [
     (["hessian", *_CASE, "--trials", "3"],
-     [_F0], [list(PRIMES_62[:3])], [_F0]),
+     [_FS], [list(PRIMES_62[:3])], [_FS]),
     (["hessian", *_CASE, "--trials", "3", "--prime", "547"],
      [_F547], [[547] * 3], [_F547]),
     (["survey", "--e-max", "5", "--trials", "2"],
-     [_F0] * 2, [[SURVEY_PRIME]] * 2, [_F0] * 2),
+     [_FS] * 2, [[SURVEY_PRIME]] * 2, [_FS] * 2),
     (["survey", "--e-max", "5", "--trials", "2", "--prime", "547"],
      [_F547] * 2, [[547]] * 2, [_F547] * 2),
-    (["defect", *_CASE], [_F0], [], []),
+    (["defect", *_CASE], [_FS], [], []),
     (["defect", *_CASE, "--prime", "547"], [_F547], [], []),
     (["defect", *_CASE, "--field", "rational"], [Rationals()], [], []),
     (["hessian", "--poly", _PERAZZO_FILE, "--trials", "3"],
@@ -591,10 +591,11 @@ _PERAZZO_FILE = str(Path(__file__).parent / "golden" / "perazzo.json")
         "defect-rational", "poly", "poly-prime"])
 def test_each_stage_runs_over_the_field_the_cli_picks(
         argv, gates, certificates, relations, monkeypatch, capsys):
-    # The gate and the relation check run over PRIMES_62[0], a certificate
-    # rotates through PRIMES_62 (a survey's over SURVEY_PRIME), and --prime
-    # replaces every one of them.  The gate's field is read where it ranks
-    # the Jacobian, once per gate.
+    # The gate and the relation check run over SURVEY_PRIME (DEFAULT_FIELD),
+    # as does a survey's certificate, while a hessian certificate rotates
+    # through PRIMES_62, whose primes its report prints; --prime replaces
+    # every one of them, and --field rational the gate's.  The gate's field
+    # is read where it ranks the Jacobian, once per gate.
     seen = {"gate": [], "relation": []}
 
     def recorder(real, stage, read_field):
@@ -613,6 +614,32 @@ def test_each_stage_runs_over_the_field_the_cli_picks(
     assert seen["gate"] == gates
     assert primes == certificates
     assert seen["relation"] == relations
+
+
+# Every square case up to e = 9, a rectangular case, a gate with n = 3 and
+# the defective (3,2,2,3).
+_AGREEMENT_CASES = [*square_family(9), TaylorParams(2, 12, 6, 14),
+                    TaylorParams(3, 4, 3, 6), TaylorParams(3, 2, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gate_and_relation_check_agree_across_default_primes(seed):
+    # The gate and the relation check run over SURVEY_PRIME unless --prime is
+    # given, and their reports read the same as over PRIMES_62[0]: a positive
+    # outcome is exact at either prime, and a negative one is the generic
+    # value when the per-trial Schwartz-Zippel bounds of the README hold.
+    outcomes = {}
+    for p in (SURVEY_PRIME, PRIMES_62[0]):
+        fld, outcomes[p] = PrimeField(p), []
+        for params in _AGREEMENT_CASES:
+            check = nondefective_hypersurface_check(params, trials=4, ctx=fld, seed=seed)
+            outcome = [check.verdict, check.det_nonzero_count, check.actual_dim]
+            if hessian_mod.relations_apply(params):
+                point = random_point(params.pade.variables(), fld, derive_seed("diag", seed))
+                relations = relation_check(params, point, fld)
+                outcome += [relations["residual_is_zero"], relations["rank_M"]]
+            outcomes[p].append(outcome)
+    assert outcomes[SURVEY_PRIME] == outcomes[PRIMES_62[0]]
 
 
 @pytest.mark.parametrize("mode", ["full", "essential"])
