@@ -218,16 +218,18 @@ def _run_case(params: TaylorParams, config: RunConfig):
     ``hessian.relations_apply`` is false, reads the ``derive_seed("diag", seed)``
     point.  The certificate refuses a case whose gate fails.
 
-    The gate and the relation check run over ``config.context()``, GF(2^30 -
-    35) unless ``--prime`` is given, the certificate over ``config.primes()``.
-    Their positive outcomes are exact over any prime; a zero det trial, a
-    rank short of its ceiling, a zero residual or ``rank_M`` each fail with
-    probability at most degree/p per trial, below 3.4e-3 at p = 2^30 - 35 for
-    every case ``pade.MAX_CELLS`` admits.  A ``survey`` command makes the
-    survey's two choices: a case whose gate fails runs no later stage, and
-    the trials stop at the first H of corank 0, which fixes both printed
-    fields over any prime (the minimum corank is then 0, and its nonzero
-    det(H) fixes the full verdict).
+    The gate and the relation check run over ``config.context()``, which is
+    GF(2^30 - 35) unless ``--prime`` is given; the certificate runs over
+    ``config.primes()``.  Their positive outcomes are exact over any prime.
+    A zero det trial, a dimension or ``rank_M`` short of its ceiling, and a
+    zero residual each miss the generic value with probability at most
+    degree/p per trial, below 3.4e-3 at 2^30 - 35 for every case that
+    ``pade.MAX_CELLS`` admits (README, "Command line").
+
+    A ``survey`` command makes the survey's two choices: a case whose gate
+    fails runs no later stage, and the trials stop at the first H of corank
+    0, which fixes both printed fields over any prime (the minimum corank is
+    then 0, and its nonzero det(H) fixes the full verdict).
     """
     ctx, survey = config.context(), config.command == "survey"
     check = nondefective_hypersurface_check(

@@ -127,7 +127,7 @@ class PrimeField:
 # positive outcome (a nonzero det, a rank at its ceiling) is exact over any
 # prime.  A negative one is wrong with probability at most degree/p per trial
 # (Schwartz-Zippel), for P of order N: N/p for a det trial or the relation
-# residual, (N-1)(m+1)/p for a dimension trial and rank_M (N-1)/p for rank_M.
+# residual, (N-1)(m+1)/p for a dimension trial and rank_M*(N-1)/p for rank_M.
 # At the largest case that pade.MAX_CELLS admits, (2,974,61,976), these are
 # below 1.9e-6, 1.8e-3 and 3.4e-3 (README, "Command line").
 DEFAULT_FIELD = PrimeField(SURVEY_PRIME)

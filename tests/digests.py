@@ -147,7 +147,7 @@ _P12421 = ["-n", "2", "-d", "124", "-e", "21", "-m", "126"]
 
 # The deep list: N up to 253, V up to 2668, the 10- and 18-byte K slots
 # (from e = 21), a 62-bit certificate past V = 553 and rank_rational past
-# (2,43,12,45).  About 3 minutes in all on a 2-core VM.
+# (2,43,12,45).  About 4 minutes in all on a 2-core VM.
 DEEP = [
     ["survey", "--e-max", "21"],
     ["defect", *_P12421, "--trials", "1"],

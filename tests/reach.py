@@ -170,13 +170,13 @@ def deep():
             for argv in digests.DEEP]
 
 
-def replay(python, env, runs=None):
-    """Name -> "ok", "differs" or "exit N" for each of ``runs`` (the traffic
-    by default) under ``python``."""
+def replay(python, env, runs):
+    """Name -> "ok", "differs" or "exit N" for each of ``runs`` (as
+    ``traffic()`` gives them) under ``python``."""
     import digests
 
     out = {}
-    for name, args, want in runs or traffic():
+    for name, args, want in runs:
         with digests.workdir():
             run = subprocess.run([python, *args], env=env, capture_output=True)
         got = digests.digest(run.returncode, run.stdout.decode(), run.stderr.decode())
@@ -201,7 +201,7 @@ def cmd_lines():
         env, tier1_hits = _traced_env(tmp, "tier1")
         tier1 = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
         env, traffic_hits = _traced_env(tmp, "traffic")
-        replayed = replay(sys.executable, env)
+        replayed = replay(sys.executable, env, traffic())
         by_tier1, by_traffic = _ran(tier1_hits), _ran(traffic_hits)
     report = tier1.stdout.splitlines()
     print("tier-1:", report[-1] if report else tier1.stderr.strip())
@@ -225,7 +225,7 @@ def cmd_lines():
     return int(bool(tier1.returncode or differ or unrun - reasons.keys()))
 
 
-def cmd_interpreters(pythons, runs=None):
+def cmd_interpreters(pythons, runs):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     columns = []
     for python in pythons:
@@ -253,7 +253,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "lines":
         return cmd_lines()
-    return cmd_interpreters(args.pythons, deep() if args.command == "deep" else None)
+    return cmd_interpreters(args.pythons, deep() if args.command == "deep" else traffic())
 
 
 if __name__ == "__main__":

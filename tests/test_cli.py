@@ -312,8 +312,9 @@ def test_interrupt_ends_in_one_line(monkeypatch, capsys):
 
 
 def test_sigint_ends_a_survey_in_one_line():
-    # The same from outside: one SIGINT about 1 s into a run of about 3 s.
-    child = subprocess.Popen([sys.executable, "-m", "taylorpade", "survey", "--e-max", "13"],
+    # The same from outside: one SIGINT about 1 s into a run of about 5 s,
+    # so that on a fast host too the signal lands mid-run.
+    child = subprocess.Popen([sys.executable, "-m", "taylorpade", "survey", "--e-max", "16"],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                              env=_python_env())
     try:
