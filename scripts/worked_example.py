@@ -49,7 +49,7 @@ def main():
 
     point = random_point(P.variables(), field, derive_seed("demo", args.seed))
     lam = random_lambda(P, field, args.seed)
-    d0 = eliminate(P.evaluate(point, field), field).det
+    d0 = eliminate(P.evaluate(point), field).det
     d1 = eliminate(column_transform(P, lam, point, field), field).det
     print(f"\ncolumn operations preserve det: {d0 == d1}")
 

@@ -107,7 +107,7 @@ from __future__ import annotations
 
 import random
 from itertools import count, repeat
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -162,16 +162,15 @@ def rational_primes():
 
 
 def rank_rational(A) -> int:
-    """Exact rank over Q of ``A`` (ints, or a caller's Fractions) from the
-    GF(p) body, mod each prime of ``rational_primes`` in turn.
+    """Exact rank over Q of the int matrix ``A`` from the GF(p) body, mod
+    each prime of ``rational_primes`` in turn.
 
-    A row of ints is eliminated as given; a row holding a Fraction is first
-    scaled to integers by the lcm of its denominators.  A minor nonzero mod
-    p is a nonzero integer, so a rank mod p never exceeds the rank over Q,
-    and a full one is exact at once.  Almost always that is at the first
-    prime, ``SURVEY_PRIME``, the cheapest: its multipliers are one CPython
-    digit, and its slots about half as wide as a ``PRIMES_62`` prime's (9
-    bytes against 17 for 100 to 4000 rows or columns).  Otherwise r, the
+    ``A`` is eliminated as given.  A minor nonzero mod p is a nonzero
+    integer, so a rank mod p never exceeds the rank over Q, and a full one
+    is exact at once.  Almost always that is at the first prime,
+    ``SURVEY_PRIME``, the cheapest: its multipliers are one CPython digit,
+    and its slots about half as wide as a ``PRIMES_62`` prime's (9 bytes
+    against 17 for 100 to 4000 rows or columns).  Otherwise r, the
     largest rank seen, is exact once the primes that gave r, each dividing
     every (r+1)-minor, multiply past the Hadamard bound B on every minor,
     the product over rows of ``isqrt(|row|^2) + 1``.  B is computed at the
@@ -179,27 +178,20 @@ def rank_rational(A) -> int:
     one prime.
     """
     ncols = _columns(A)
-    rows = [row if all(map(isinstance, row, repeat(int))) else _integral(row)
-            for row in A]
-    full = min(len(rows), ncols)
+    full = min(len(A), ncols)
     best, certified, bound = -1, 1, None
     for p in rational_primes():
-        rank = _eliminate_modp(rows, ncols, p, False)[0]
+        rank = _eliminate_modp(A, ncols, p, False)[0]
         if rank == full:
             return rank
         if bound is None:
-            bound = prod(isqrt(sum(x * x for x in row)) + 1 for row in rows)
+            bound = prod(isqrt(sum(x * x for x in row)) + 1 for row in A)
         if rank > best:
             best, certified = rank, 1
         if rank == best:
             certified *= p
             if certified > bound:
                 return best
-
-
-def _integral(row):
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _columns(A):
@@ -356,20 +348,21 @@ def adjugate(A: list, field) -> list:
     if any(len(row) != n for row in A):
         raise UsageError("adjugate of a non-square matrix")
     fac = eliminate(A, field, inverse=True)
+    p = field.p
     if fac.inverse is not None:
-        return [[field.mul(fac.det, x) for x in row] for row in fac.inverse]
+        return [[fac.det * x % p for x in row] for row in fac.inverse]
     if fac.rank < n - 1:
-        return [[field.zero] * n for _ in range(n)]
+        return [[0] * n for _ in range(n)]
     rng = random.Random(0)
     while True:
         u = [field.sample(rng) for _ in range(n)]
         v = [field.sample(rng) for _ in range(n)]
-        B = [*([*row, x] for row, x in zip(A, u)), [*v, field.zero]]
+        B = [*([*row, x] for row, x in zip(A, u)), [*v, 0]]
         border = eliminate(B, field, inverse=True)
         if border.inverse is not None:
             break
-    X, scale = border.inverse, field.p - border.det
-    return [[scale * X[i][n] * y % field.p for y in X[n][:n]] for i in range(n)]
+    X, scale = border.inverse, p - border.det
+    return [[scale * X[i][n] * y % p for y in X[n][:n]] for i in range(n)]
 
 
 def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
@@ -386,13 +379,13 @@ def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
         raise UsageError("gradient of det needs a square matrix")
     if P.col_labels is None:
         raise UsageError("block gradient needs a matrix with column blocks")
-    adj = adjugate(P.evaluate(point, field), field)
+    adj = adjugate(P.evaluate(point), field)
     out: dict = {}
     for g, occ in P.occurrences().items():
         for r, c in occ:
             k = (P.col_labels[c].block, g)
-            out[k] = field.add(out.get(k, field.zero), adj[c][r])
-    return out
+            out[k] = out.get(k, 0) + adj[c][r]
+    return {k: x % field.p for k, x in out.items()}
 
 
 def hessian_at(P: SymbolicMatrix, point: dict, field) -> tuple | None:
@@ -404,7 +397,7 @@ def hessian_at(P: SymbolicMatrix, point: dict, field) -> tuple | None:
     det K`` for V variables (module docstring).  An ambient coordinate absent
     from P only adds a zero row and column (``hessian.full_from_essential``).
     """
-    fac = eliminate(P.evaluate(point, field), field, inverse=True)
+    fac = eliminate(P.evaluate(point), field, inverse=True)
     if fac.inverse is None:
         return None
     labels, p = P.variables(), field.p

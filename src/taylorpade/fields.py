@@ -1,10 +1,9 @@
-"""Coefficient arithmetic: the rationals and word-sized prime fields.
+"""Coefficient fields: the rationals and word-sized prime fields.
 
-A *field context* bundles the operations the rest of the package needs
-(``add``, ``sub``, ``mul``, sampling, ...) while keeping the element
-representation cheap: prime-field elements are plain ints in ``[0, p)``, and
-over Q every value the package samples or computes is an integer, held as a
-plain int.  Matrix and series code is written against this context protocol.
+A field element is a plain int: in ``[0, p)`` over GF(p), and over Q every
+value the package samples or computes is an integer.  A field object names
+the field and draws its random elements (``sample``); the code that
+computes on elements reads ``p`` and reduces with ``% p`` itself.
 """
 
 from __future__ import annotations
@@ -93,25 +92,10 @@ class PrimeField:
             raise UsageError(f"modulus {p} is not prime")
         self.p = p
 
-    zero = 0
-    one = 1
-
     def of_fraction(self, fr) -> int:
         if fr.denominator % self.p == 0:
             raise UsageError(f"denominator divisible by p={self.p}")
         return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def is_zero(self, a: int) -> bool:
-        return a % self.p == 0
 
     def sample(self, rng: random.Random) -> int:
         return rng.randrange(self.p)
@@ -134,8 +118,8 @@ DEFAULT_FIELD = PrimeField(SURVEY_PRIME)
 
 
 class Rationals:
-    """Exact arithmetic over Q on plain ints, as every value the package
-    samples or computes over Q is an integer; a caller's Fractions mix in.
+    """Q, its elements plain ints: every value the package samples or
+    computes over Q is an integer.
 
     Random samples are uniform integers in ``[-B, B]``, B =
     ``DEFAULT_RATIONAL_BOUND``.  A rank over Q (``detcalc.rank_rational``)
@@ -145,21 +129,6 @@ class Rationals:
     """
 
     __slots__ = ()
-
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def sample(self, rng: random.Random) -> int:
         return rng.randint(-DEFAULT_RATIONAL_BOUND, DEFAULT_RATIONAL_BOUND)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import mul
 from typing import NamedTuple
 
 from .detcalc import block_grad_det_at, eliminate, hessian_at
@@ -80,19 +81,14 @@ def build_M(params: TaylorParams, block_grad: dict) -> RelationMatrix:
     """
     _require_relation_params(params)
     cols = relation_column_labels(params)
-    row_labels = []
-    rows = []
-    for j, alphas in reversed(lambda_shape(params).items()):
-        for alpha in alphas:
-            row = []
-            for beta in cols:
-                g = (j, exp_add(alpha, beta))
-                if g not in block_grad:
-                    raise UsageError(f"block gradient is missing {g}")
-                row.append(block_grad[g])
-            row_labels.append((j, alpha))
-            rows.append(tuple(row))
-    M = RelationMatrix(tuple(row_labels), tuple(cols), tuple(rows))
+    row_labels = tuple((j, alpha) for j, alphas in reversed(lambda_shape(params).items())
+                       for alpha in alphas)
+    try:
+        rows = tuple(tuple(block_grad[j, exp_add(alpha, beta)] for beta in cols)
+                     for j, alpha in row_labels)
+    except KeyError as exc:
+        raise UsageError(f"block gradient is missing {exc.args[0]}") from None
+    M = RelationMatrix(row_labels, tuple(cols), rows)
     d, e = params.d, params.e
     expect_rows = (e + 1) * (e + 2) // 2 - 1
     expect_cols = 2 * d - 2 * e + 5
@@ -101,15 +97,10 @@ def build_M(params: TaylorParams, block_grad: dict) -> RelationMatrix:
 
 
 def relation_residual(M: RelationMatrix, point: dict, field) -> list:
-    """M.c with c the coefficient vector read off the point."""
+    """M.c over GF(p), p = ``field.p``, with c the coefficient vector read
+    off the point."""
     c = [point[b] for b in M.col_labels]
-    out = []
-    for row in M.rows:
-        s = field.zero
-        for x, y in zip(row, c):
-            s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return out
+    return [sum(map(mul, row, c)) % field.p for row in M.rows]
 
 
 def relation_check(params: TaylorParams, point: dict, field) -> dict:
@@ -123,9 +114,7 @@ def relation_check(params: TaylorParams, point: dict, field) -> dict:
     _require_relation_params(params)
     M = build_M(params, block_grad_det_at(params.pade, point, field))
     return {
-        "residual_is_zero": all(
-            field.is_zero(x) for x in relation_residual(M, point, field)
-        ),
+        "residual_is_zero": not any(relation_residual(M, point, field)),
         "rank_M": eliminate(M.rows, field).rank,
         "rank_bound": len(M.col_labels),
     }

@@ -84,18 +84,18 @@ class SymbolicMatrix:
     def variables(self) -> list:
         return sorted(set(chain.from_iterable(self.entries)) - {None})
 
-    def evaluate(self, point: dict, field) -> list:
-        """Numeric matrix over ``field``, a fresh list of rows.
+    def evaluate(self, point: dict) -> list:
+        """The matrix at ``point``, a fresh list of rows.
 
-        This is the package's one entry law.  An empty entry (``None``) is
-        ``field.zero``.  The all-zero exponent c_0 takes its value from
-        ``point`` if assigned, else ``field.one`` (the affine chart
+        This is the package's one entry law, the same over every field.  An
+        empty entry (``None``) is 0.  The all-zero exponent c_0 takes its
+        value from ``point`` if assigned, else 1 (the affine chart
         c_0 = 1).  Every other variable takes its value from ``point``
         as given, unreduced; the first entry, in row order, whose variable
         ``point`` misses raises ``UsageError``.
         """
         first = next((g for row in self.entries for g in row if g is not None), ())
-        cell = {(0,) * len(first): field.one, **point, None: field.zero}
+        cell = {(0,) * len(first): 1, **point, None: 0}
         try:
             return [list(map(cell.__getitem__, row)) for row in self.entries]
         except KeyError as exc:
@@ -192,9 +192,9 @@ def random_lambda(P: SymbolicMatrix, field, seed) -> dict:
 
 
 def column_transform(P: SymbolicMatrix, lam: dict, point: dict, field) -> list:
-    """Evaluate P at ``point`` and add, to each column of every block C_j with
-    j above the base block, the shifted lambda-combination of the base block's
-    columns.
+    """Evaluate P at ``point`` over GF(p), p = ``field.p``, and add, to each
+    column of every block C_j with j above the base block, the shifted
+    lambda-combination of the base block's columns.
 
     Column i (1-based) of C_j receives the base block multiplied by the
     padding vector (0_{i-1}, lambda^j, 0_{e-d_j-i+1}).  These are elementary
@@ -212,7 +212,8 @@ def column_transform(P: SymbolicMatrix, lam: dict, point: dict, field) -> list:
         if set(lam[j]) != set(alphas):
             raise UsageError(f"lambda^{j} components do not match degree d_j monomials")
 
-    A = P.evaluate(point, field)
+    A = P.evaluate(point)
+    p = field.p
     base = d - e + 2
     base_cols = P.block_columns(base)
     for j, alphas in shape.items():
@@ -220,8 +221,8 @@ def column_transform(P: SymbolicMatrix, lam: dict, point: dict, field) -> list:
         for i, col in enumerate(P.block_columns(j)):  # i is 0-based
             for t, lam_c in enumerate(coeffs):
                 src = base_cols[i + t]
-                for r in range(P.nrows):
-                    A[r][col] = field.add(A[r][col], field.mul(lam_c, A[r][src]))
+                for row in A:
+                    row[col] = (row[col] + lam_c * row[src]) % p
     return A
 
 

@@ -91,10 +91,10 @@ class SparsePoly:
         into it, and each power costs O(log e) through ``pow``."""
         if len(values) != self.nvars:
             raise UsageError("wrong number of coordinate values")
-        total = field.zero
+        p, total = field.p, 0
         for g, c in self.coeffs.items():
             term = field.of_fraction(c)
-            for i, e in enumerate(g):
-                term = field.mul(term, pow(values[i], e, field.p))
-            total = field.add(total, term)
-        return total
+            for x, e in zip(values, g):
+                term = term * pow(x, e, p) % p
+            total += term
+        return total % p

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import random
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .detcalc import eliminate, rank_rational
@@ -88,7 +88,7 @@ def random_rational_pair(params: TaylorParams, ctx, seed) -> tuple:
     rng = random.Random(derive_seed("pair", seed))
 
     def sample(deg: int) -> dict:
-        return {g: ctx.sample(rng) if any(g) else ctx.one
+        return {g: ctx.sample(rng) if any(g) else 1
                 for g in monomials_upto(params.n, deg)}
 
     return sample(params.d), sample(params.e)
@@ -145,23 +145,24 @@ def _unpack_layer(packed: int, slots: list, count: int, size: int) -> list:
 def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     """Coefficients (c_g, 0 < |g| <= m) of the expansion T of p/q.
 
-    ``p`` and ``q`` map exponent tuples to elements of ``ctx``, integers over
-    Q, and must have constant term exactly 1.  Every 0 < |g| <= m is present
-    in the result, zeros included, by increasing degree and in
-    ``monomials_of_degree`` order within one, so it evaluates a Pade matrix
-    directly.
+    ``p`` and ``q`` map exponent tuples of one length to elements of
+    ``ctx``, plain ints, and must have constant term exactly 1.  Every
+    0 < |g| <= m is present in the result, zeros included, by increasing
+    degree and in ``monomials_of_degree`` order within one, so it evaluates
+    a Pade matrix directly.
 
     T is read off the defining identity Q*T = P modulo degree m+1 by the
     graded recursion T_k = P_k - sum_{s=1..k} Q_s T_{k-s}, Q_s being the
-    degree-s layer of q, run on ints (the numerators over Q).  Each layer
-    is one packed int (``_layout``): the exponent g of degree k sits in
+    degree-s layer of q, run on ints.  Each layer is one packed int
+    (``_layout``): the exponent g of degree k sits in
     slot key(g) = sum_{i<n-1} g_i (m+1)^i.  No two exponents of a layer
     share a key, as the last exponent is k less the others, and every
     exponent in a layer k <= m is at most m, so key(h + b) = key(h) +
     key(b) with no carry: a product of packed layers puts sum_{h+b=g} Q_b
     T_h in slot key(g) and nowhere else, unreduced, so long as the sum fits
     in half a slot (the slots are signed).  Each layer's sums are unpacked
-    once, and each coefficient is finished by one ``ctx.sub(P_g, sum)``.
+    once, and each coefficient is finished by one subtraction P_g - sum,
+    reduced mod p over GF(p).
 
     The slot width, and with it the accumulation, differs by field:
     - GF(p): q and T lie in [0, p), so a slot's sum is at most
@@ -169,7 +170,7 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
       fixed by p, each layer of T is packed once, and T_k adds one big-int
       product Q_s T_{k-s} per s.
     - Q: q's coefficients keep the bits they are given, about 7 as drawn,
-      but T's numerators grow with k, to about 900 bits by degree 126 at
+      but T's coefficients grow with k, to about 900 bits by degree 126 at
       (2,124,21,126).  A slot's sum is below count * 2^(qbits + tbits),
       tbits the largest bit length of T so far, so layer k takes its own
       width, rounded up to 8-byte words so that a layer packed for one
@@ -181,20 +182,19 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     """
     n = len(next(iter(p), ()))
     const = (0,) * n
-    if not n or p.get(const) != ctx.one or q.get(const) != ctx.one:
+    if not n or p.get(const) != 1 or q.get(const) != 1:
         raise UsageError("P and Q must have constant term 1")
-    pk = {g: c.numerator for g, c in p.items() if len(g) == n and c.denominator == 1}
-    if len(pk) < len(p) or any(len(b) != n or c.denominator != 1 for b, c in q.items()):
+    if any(len(g) != n or type(c) is not int for g, c in chain(p.items(), q.items())):
         raise UsageError("P and Q need shared variables and integer coefficients")
     weights, layers = _layout(n, m)
     rational = isinstance(ctx, Rationals)
     terms = []  # (|b|, slot of b, q_b) over q's terms of degree 1..m
     for b, c in q.items():
-        s, c = sum(b), c.numerator if rational else c.numerator % ctx.p
+        s, c = sum(b), c if rational else c % ctx.p
         if 0 < s <= m and c:
             terms.append((s, sum(map(mul, b, weights)), c))
     terms.sort()
-    get, sub = pk.get, ctx.sub
+    get = p.get
     zeros = repeat(0)
     out: dict = {}
     if rational:
@@ -218,7 +218,8 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
             tbits = max(tbits, max(layer).bit_length(), min(layer).bit_length())
             out.update(zip(exps, layer))
     else:
-        size = (max(len(terms), 1) * (ctx.p - 1) ** 2).bit_length() // 8 + 1  # T < p fits
+        prime = ctx.p
+        size = (max(len(terms), 1) * (prime - 1) ** 2).bit_length() // 8 + 1  # T < p fits
         W = 8 * size
         qlayers: dict = {}  # s -> Q_s packed, by increasing s
         for s, key, c in terms:
@@ -228,7 +229,7 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
             exps, slots, order = layers[k]
             acc = sum(Qs * packed[k - s] for s, Qs in qlayers.items() if s <= k)
             sums = _unpack_layer(acc, slots, len(order), size)
-            layer = list(map(sub, map(get, exps, zeros), sums))
+            layer = [(a - b) % prime for a, b in zip(map(get, exps, zeros), sums)]
             if k < m:
                 packed.append(_pack_layer(layer, order, size))
             out.update(zip(exps, layer))
@@ -237,7 +238,7 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
 
 def _rank(P: SymbolicMatrix, point: dict, ctx) -> int:
     """Rank of P at ``point`` over ``ctx``, GF(p) or Q, exact over either."""
-    A = P.evaluate(point, ctx)
+    A = P.evaluate(point)
     if isinstance(ctx, Rationals):
         return rank_rational(A)
     return eliminate(A, ctx).rank

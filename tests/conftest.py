@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import settings
 
-from taylorpade.fields import PRIMES_62, PrimeField, Rationals
+from taylorpade.fields import PRIMES_62
+
+from oracles import GF, QQ
 
 # Each property test draws the same examples on every run, seeded from the
 # test's own source, and replays no example saved by an earlier run: which
@@ -12,9 +14,9 @@ settings.load_profile("reproducible")
 
 @pytest.fixture
 def gf():
-    return PrimeField(PRIMES_62[0])
+    return GF(PRIMES_62[0])
 
 
 @pytest.fixture
 def qq():
-    return Rationals()
+    return QQ()

@@ -19,9 +19,11 @@ which ``detcalc.rank_rational`` certifies mod primes; ``rank_of`` ranks by
 it over Q and by ``detcalc.eliminate`` over GF(p).  Second-order jets
 (``Jet``, ``JetRing``) and elimination over any commutative ring with unit
 pivots (``eliminate_ring``), falling back to the division-free Berkowitz
-determinant; it also gives inverses over Q.  Its units and inverses come from
-``is_unit`` and ``ring_inv``, which also serve GF(p) and Q: the program's
-field contexts offer no inverse.  From jets and ``eliminate_ring``, the
+determinant; it also gives inverses over Q.  A ring here is a context with
+``zero``, ``one``, ``add``, ``sub``, ``mul`` and ``is_zero``: the program's
+field objects only name a field and sample it, so ``GF`` and ``QQ`` add that
+arithmetic to them, and a jet ring has its own.  Units and inverses come
+from ``is_unit`` and ``ring_inv``, which serve all three.  From jets and ``eliminate_ring``, the
 derivatives of det(P) read off jet coefficients: the gradient
 (``jet_grad_det``), single Hessian entries (``jet_hessian_entry``) and the
 bilinear form of the Hessian (``jet_bilinear``).  The program reads them
@@ -59,6 +61,46 @@ from taylorpade.series import (
     monomials_of_degree,
     monomials_upto,
 )
+
+
+class GF(PrimeField):
+    """GF(p) with the ring arithmetic the reference routes read, on ints in
+    ``[0, p)``; equal to ``PrimeField(p)``."""
+
+    __slots__ = ()
+    zero, one = 0, 1
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def is_zero(self, a: int) -> bool:
+        return a % self.p == 0
+
+
+class QQ(Rationals):
+    """Q with the ring arithmetic the reference routes read, on ints and
+    Fractions; equal to ``Rationals()``."""
+
+    __slots__ = ()
+    zero, one = 0, 1
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a) -> bool:
+        return a == 0
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent | None:
@@ -289,7 +331,7 @@ def membership(T: dict, params, ctx) -> bool:
     strictly below its column count.  The constant coordinate is taken as 1.
     """
     P = params.pade
-    return rank_of(P.evaluate(T, ctx), ctx) < P.ncols
+    return rank_of(P.evaluate(T), ctx) < P.ncols
 
 
 def rank_of(A, ctx) -> int:
@@ -609,7 +651,7 @@ def grad_det_at(P, point: dict, field) -> dict:
     """
     if not P.is_square:
         raise UsageError("gradient of det needs a square matrix")
-    adj = adjugate(P.evaluate(point, field), field)
+    adj = adjugate(P.evaluate(point), field)
     out: dict = {}
     for g, occ in P.occurrences().items():
         for r, c in occ:
@@ -625,7 +667,7 @@ def hessian_det_at(P, point: dict, field) -> tuple:
     raises ``UsageError``."""
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
-    fac = eliminate(P.evaluate(point, field), field, inverse=True)
+    fac = eliminate(P.evaluate(point), field, inverse=True)
     if fac.inverse is None:
         raise UsageError(f"the Hessian of det(P) needs P invertible, and P is "
                          f"singular at this point over {field!r}")
@@ -680,7 +722,7 @@ def jet_grad_det(P, point: dict, field) -> dict:
     ring = JetRing(field, order=1)
     vars_ = P.variables()
     idx = {g: i for i, g in enumerate(vars_)}
-    numeric = P.evaluate(point, field)
+    numeric = P.evaluate(point)
     jets = [
         [
             ring.constant(numeric[r][c])
@@ -699,7 +741,7 @@ def jet_hessian_entry(P, point: dict, field, alpha, beta):
     if not P.is_square:
         raise UsageError("Hessian of det needs a square matrix")
     ring = JetRing(field, order=2)
-    numeric = P.evaluate(point, field)
+    numeric = P.evaluate(point)
     same = alpha == beta
     jets = []
     for r, row in enumerate(P.entries):
@@ -775,7 +817,7 @@ def jet_bilinear(P, point, field, u: dict, w: dict):
     points are covered too.  For random u and w over GF(p), a wrong H passes
     with probability at most 2/p (Schwartz-Zippel in u and w).
     """
-    numeric = P.evaluate(point, field)
+    numeric = P.evaluate(point)
     jets = []
     for row, vals in zip(P.entries, numeric):
         jrow = []

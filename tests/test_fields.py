@@ -19,7 +19,7 @@ from taylorpade.fields import (
     random_point,
 )
 
-from oracles import Jet, JetRing, is_unit, ring_inv
+from oracles import GF, QQ, Jet, JetRing, is_unit, ring_inv
 
 
 def test_builtin_primes_are_prime_and_62_bit():
@@ -47,7 +47,17 @@ def test_prime_field_rejects_composite():
         PrimeField(2**62)
 
 
+def test_field_classes_carry_no_element_arithmetic(gf, qq):
+    # elements are plain ints: src/ computes on them with % p itself, and
+    # the ring arithmetic the oracles read lives in their GF and QQ
+    arithmetic = {"zero", "one", "add", "sub", "mul", "is_zero"}
+    for cls in (PrimeField, Rationals):
+        assert not arithmetic & set(dir(cls))
+    assert gf == PrimeField(gf.p) and qq == Rationals()
+
+
 def test_prime_field_ops(gf):
+    # gf.mul and gf.add are the oracles' GF arithmetic
     p = gf.p
     assert gf.mul(p - 1, p - 1) == 1
     assert gf.add(p - 1, 1) == 0
@@ -118,7 +128,7 @@ def _jet_eval_poly(ring, coeffs, x):
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(-20, 20))
 def test_jet_first_derivative_matches_analytic(coeffs, a):
     # polynomial test functions of degree <= 4, exact over the rationals
-    ring = JetRing(Rationals(), order=2)
+    ring = JetRing(QQ(), order=2)
     coeffs = [Fraction(c) for c in coeffs]
     x = ring.variable(Fraction(a), 0)
     val = _jet_eval_poly(ring, coeffs, x)
@@ -175,7 +185,7 @@ def test_first_order_ring_drops_quadratic(gf):
 )
 def test_prime_field_agrees_with_rationals_mod_p(xs):
     # random expression (a*b - c) * d + a, evaluated both ways
-    gf = PrimeField(PRIMES_62[1])
+    gf = GF(PRIMES_62[1])
 
     def of_int(k):
         return gf.of_fraction(Fraction(k))

@@ -43,7 +43,7 @@ from taylorpade.variety import (
     square_family,
 )
 
-from oracles import expand_det_poly, grad_det_at, hessian_det_at, jet_bilinear
+from oracles import GF, expand_det_poly, grad_det_at, hessian_det_at, jet_bilinear
 
 P547 = TaylorParams(2, 5, 4, 7)
 P8510 = TaylorParams(2, 8, 5, 10)
@@ -411,7 +411,7 @@ def test_hessian_bilinear_form_matches_jets_at_certificate_points(case):
     # with probability at most 2/p.
     params, P = TaylorParams(*case), pade_matrix(*case)
     (trial,) = certify_hessian_pade(_gate(params), trials=1, seed=0).trials
-    fld = PrimeField(trial.prime)
+    fld = GF(trial.prime)
     point = random_point(P.variables(), fld, trial.seed)
     assert point_hash(point) == trial.point_digest
     _assert_bilinear_form_matches_jets(P, point, fld)
@@ -422,7 +422,7 @@ def test_hessian_bilinear_form_matches_jets_at_e12():
     # trial for seed 0, where P is invertible (no resample); the certificate
     # itself is left out, as it adds 2.5 s to the 6-9 s of this check.
     P = pade_matrix(2, 43, 12, 45)
-    fld = PrimeField(PRIMES_62[0])
+    fld = GF(PRIMES_62[0])
     point = random_point(P.variables(), fld, derive_seed("hessian", 0, 0))
     _assert_bilinear_form_matches_jets(P, point, fld)
 

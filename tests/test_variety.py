@@ -11,7 +11,6 @@ from taylorpade.errors import UsageError
 from taylorpade.fields import (
     PRIMES_62,
     SURVEY_PRIME,
-    PrimeField,
     Rationals,
     derive_seed,
     random_point,
@@ -30,6 +29,8 @@ from taylorpade.variety import (
 )
 
 from oracles import (
+    GF,
+    QQ,
     Jet,
     JetRing,
     RationalPair,
@@ -76,8 +77,8 @@ def test_taylor_coeffs_p_equals_q(qq):
 
 
 def test_taylor_coeffs_geometric(qq):
-    coeffs = taylor_coeffs({(0,): Fraction(1)}, {(0,): Fraction(1), (1,): Fraction(-1)}, 4, qq)
-    assert coeffs == {(k,): Fraction(1) for k in range(1, 5)}
+    coeffs = taylor_coeffs({(0,): 1}, {(0,): 1, (1,): -1}, 4, qq)
+    assert coeffs == {(k,): 1 for k in range(1, 5)}
 
 
 def test_taylor_coeffs_defining_identity(qq):
@@ -94,14 +95,14 @@ def test_taylor_coeffs_defining_identity(qq):
 
 def test_rational_pair_validation(qq):
     # taylor_coeffs makes the checks of oracles.RationalPair on the
-    # program's coefficient dicts
-    one = Fraction(1)
+    # program's coefficient dicts, whose values are ints
+    one = 1
     bad_pairs = [
-        ({(0, 0): Fraction(2)}, {(0, 0): one}),
+        ({(0, 0): 2}, {(0, 0): one}),
         ({(0, 0): one}, {(1, 0): one}),  # no constant term
         ({}, {(0, 0): one}),
-        ({(0, 0): one}, {(0, 0): one, (1, 0, 0): Fraction(3)}),  # arity
-        ({(0, 0): one, (1, 0): Fraction(1, 2)}, {(0, 0): one}),  # not integral
+        ({(0, 0): one}, {(0, 0): one, (1, 0, 0): 3}),  # arity
+        ({(0, 0): one, (1, 0): Fraction(1, 2)}, {(0, 0): one}),  # not an int
         ({(0, 0): one}, {(0, 0): one, (0, 1): Fraction(-2, 3)}),
     ]
     for p, q in bad_pairs:
@@ -128,8 +129,8 @@ def test_taylor_coeffs_matches_ring_oracle(modulus):
     # Packed layers and unreduced sums give the ring-operation expansion key
     # for key, in the same order.  Over GF(2) and GF(3) zero coefficients of
     # P, Q and T, and whole zero layers of T, occur; (2,1,5,3) has e > m;
-    # over Q, (2,20,8,22) takes T's numerators past 100 bits.
-    ctx = Rationals() if modulus is None else PrimeField(modulus)
+    # over Q, (2,20,8,22) takes T's coefficients past 100 bits.
+    ctx = QQ() if modulus is None else GF(modulus)
     zero_layers = widest = 0
     for case in EQUALITY_CASES:
         params = TaylorParams(*case)
@@ -155,10 +156,10 @@ def test_taylor_coeffs_matches_ring_oracle(modulus):
         assert zero_layers > 0
     if modulus is None:
         assert widest > 100
-    # caller-given ints near 2^80, as Fractions with denominator 1: over Q
-    # the slot width follows them, not DEFAULT_RATIONAL_BOUND
+    # caller-given ints near 2^80: over Q the slot width follows them, not
+    # DEFAULT_RATIONAL_BOUND
     rng = random.Random(80)
-    p, q = ({g: Fraction(rng.choice((-1, 1)) * (2**80 - rng.randrange(2**16)) if any(g) else 1)
+    p, q = ({g: rng.choice((-1, 1)) * (2**80 - rng.randrange(2**16)) if any(g) else 1
              for g in monomials_upto(2, deg)} for deg in (5, 4))
     got = taylor_coeffs(p, q, 7, ctx)
     want = taylor_coeffs_ring(RationalPair.of_dicts(p, q, P547, ctx), 7)
@@ -318,7 +319,7 @@ def test_gate_rank_matches_jacobian_oracle(case, field, seed, request):
         if e == 0:
             pade_rank = 0
         else:
-            A = [row[1:] for row in P.evaluate(taylor_coeffs(p, q, m, ctx), ctx)]
+            A = [row[1:] for row in P.evaluate(taylor_coeffs(p, q, m, ctx))]
             pade_rank = rank_of(A, ctx)
         assert comb(d + n, n) - 1 + pade_rank == jac_rank
         jacobian_ranks.append(jac_rank)
@@ -342,11 +343,11 @@ def test_rational_prefilter_agrees_with_bareiss(case, seed, qq):
     # nonzero.  With e = 0 only P has columns.
     params = TaylorParams(*case)
     P = params.pade
-    matrices = [P.evaluate(random_point(P.variables(), qq, derive_seed("det", seed, 0)), qq)]
+    matrices = [P.evaluate(random_point(P.variables(), qq, derive_seed("det", seed, 0)))]
     if case[2]:
         p, q = random_rational_pair(params, qq, derive_seed("dim", seed, 0))
         T = taylor_coeffs(p, q, params.m, qq)
-        matrices.append([row[1:] for row in P.evaluate(T, qq)])
+        matrices.append([row[1:] for row in P.evaluate(T)])
     for A in matrices:
         fast, exact = rank_rational(A), eliminate_bareiss(A)
         assert fast == exact.rank
