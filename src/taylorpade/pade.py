@@ -213,7 +213,6 @@ def column_transform(P: SymbolicMatrix, lam: dict, point: dict, field) -> list:
             raise UsageError(f"lambda^{j} components do not match degree d_j monomials")
 
     A = P.evaluate(point)
-    p = field.p
     base = d - e + 2
     base_cols = P.block_columns(base)
     for j, alphas in shape.items():
@@ -222,7 +221,7 @@ def column_transform(P: SymbolicMatrix, lam: dict, point: dict, field) -> list:
             for t, lam_c in enumerate(coeffs):
                 src = base_cols[i + t]
                 for row in A:
-                    row[col] = (row[col] + lam_c * row[src]) % p
+                    row[col] = (row[col] + lam_c * row[src]) % field.p
     return A
 
 
