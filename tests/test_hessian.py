@@ -157,7 +157,7 @@ def test_relation_check_rejects_params_outside_the_family(params, gf, monkeypatc
     assert shapes == []
 
 
-def test_corruption_is_detected(gf):
+def test_corruption_is_detected(gf, monkeypatch):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 55)
     bg = block_grad_det_at(P, pt, gf)
@@ -167,23 +167,10 @@ def test_corruption_is_detected(gf):
     M = build_M(P547, bg)
     res = relation_residual(M, pt, gf)
     assert any(x != 0 for x in res)
-
-
-def test_relation_check_reports_a_corrupted_gradient(gf, monkeypatch):
-    # one per-block sum off by 1 breaks some rows of M.c = 0 but not all,
-    # and relation_check must read any nonzero row as a broken identity
-    P = pade_matrix(2, 5, 4, 7)
-    pt = random_point(P.variables(), gf, 55)
-    real = hessian_mod.block_grad_det_at
-
-    def corrupted(*args):
-        bg = real(*args)
-        bg[6, (5, 1)] = (bg[6, (5, 1)] + 1) % gf.p
-        return bg
-
-    res = relation_residual(build_M(P547, corrupted(P, pt, gf)), pt, gf)
-    assert any(res) and not all(res)
-    monkeypatch.setattr(hessian_mod, "block_grad_det_at", corrupted)
+    # some rows of M.c break, not all: relation_check reads any nonzero row
+    # as a broken identity
+    assert not all(res)
+    monkeypatch.setattr(hessian_mod, "block_grad_det_at", lambda *args: bg)
     assert relation_check(P547, pt, gf)["residual_is_zero"] is False
 
 
