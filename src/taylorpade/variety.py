@@ -154,8 +154,8 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     T is read off the defining identity Q*T = P modulo degree m+1 by the
     graded recursion T_k = P_k - sum_{s=1..k} Q_s T_{k-s}, Q_s being the
     degree-s layer of q, run on ints.  Each layer is one packed int
-    (``_layout``): the exponent g of degree k sits in
-    slot key(g) = sum_{i<n-1} g_i (m+1)^i.  No two exponents of a layer
+    (``_layout``): the exponent g of degree k sits in slot key(g) =
+    sum_{i<n-1} g_i (m+1)^i.  No two exponents of a layer
     share a key, as the last exponent is k less the others, and every
     exponent in a layer k <= m is at most m, so key(h + b) = key(h) +
     key(b) with no carry: a product of packed layers puts sum_{h+b=g} Q_b
