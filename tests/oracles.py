@@ -30,8 +30,9 @@ bilinear form of the Hessian (``jet_bilinear``).  The program reads them
 off the adjugate and P^-1 instead; ``grad_det_at`` and ``hessian_det_at``
 are those program routes at one point, over the whole matrix, the latter
 through ``unpack_hessian``, which reads the program's packed K.
-``pack_symmetric`` packs a symmetric matrix the other way, for the
-symmetric body.  The permutation expansion of a small symbolic determinant
+``trace_route_Kw`` reads K.w off two N x N products instead, the
+independent probe of the packed K.  ``pack_symmetric`` packs a symmetric
+matrix the other way, for the symmetric body.  The permutation expansion of a small symbolic determinant
 (``expand_det_poly``).  A second layout of a Pade matrix, with the lex order
 inside each degree reversed on rows and columns (``reverse_within_degree``).
 """
@@ -43,7 +44,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import permutations
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from taylorpade.detcalc import (
     Elimination,
@@ -695,6 +696,26 @@ def unpack_hessian(labels, packed, p) -> list:
             x = int.from_bytes(data[(j - k) * size:(j - k + 1) * size], "little")
             K[pos[k]][pos[j]] = K[pos[j]][pos[k]] = x % p
     return K
+
+
+def trace_route_Kw(P, fac: Elimination, w: dict, p: int) -> dict:
+    """K.w over GF(p) by the trace route, for K = H / det(P) at the point
+    that ``fac`` factors: ``(K.w)_a = t_a * (t.w) - sum (X W X)[c][r]`` over
+    the occurrences (r, c) of a, with X = P(point)^-1 read off ``fac``,
+    W = P(w) and ``t_a = sum X[c][r]`` over the same occurrences.  Two
+    N x N products, and none of ``detcalc._hessian_core``'s classes,
+    getters, offsets or packed rows.  A wrong K gives the same product at a
+    uniform w with probability at most 1/p (Freivalds' check)."""
+    X, occ, labels = fac.inverse, P.occurrences(), P.variables()
+    t = {a: sum(X[c][r] for r, c in occ[a]) % p for a in labels}
+    XWX = _matmul(_matmul(X, P.evaluate(w), p), X, p)
+    tw = sum(t[a] * w[a] for a in labels)
+    return {a: (t[a] * tw - sum(XWX[c][r] for r, c in occ[a])) % p for a in labels}
+
+
+def _matmul(A, B, p) -> list:
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in A]
 
 
 def pack_symmetric(A, p) -> tuple:

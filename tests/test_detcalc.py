@@ -69,6 +69,7 @@ from oracles import (
     jet_hessian_entry,
     pack_symmetric,
     reverse_within_degree,
+    trace_route_Kw,
     unpack_hessian,
 )
 
@@ -987,6 +988,34 @@ def test_hessian_slot_width_follows_the_prime(prime, size):
     assert _eliminate_symmetric(*packed[:2], prime) == (general.rank, general.det)
     assert _eliminate_symmetric(*pack_symmetric(K, prime), prime) == (
         general.rank, general.det)
+
+
+# Every square case up to e = 12 at both default primes, then (2,5,4,7) at
+# the largest primes below 2^33 and 2^65, where K's slot is 10 and 18 bytes:
+# the widths that the family reaches only from e = 21.
+_PROBES = [*((tuple(c), p, size) for c in square_family(12)
+             for p, size in ((SURVEY_PRIME, 9), (P62, 17))),
+           ((2, 5, 4, 7), 2**33 - 9, 10), ((2, 5, 4, 7), 2**65 - 49, 18)]
+
+
+@pytest.mark.parametrize("case, prime, size", _PROBES, ids=[
+    "-".join(map(str, case)) + f"-{size}B" for case, _, size in _PROBES])
+def test_packed_K_passes_the_trace_route_probe(case, prime, size):
+    # Freivalds' check of the packed K: K.w read off its unpacked rows, at a
+    # uniform w, equals the trace route's product from the same X, so a
+    # wrong K passes with probability at most 1/p.
+    field = PrimeField(prime)
+    P = pade_matrix(*case)
+    labels = P.variables()
+    rng = random.Random(derive_seed("probe", case, prime))
+    pt = _nonsingular_point(P, field, rng)
+    fac = eliminate(P.evaluate(pt), field, inverse=True)
+    packed = _hessian_core(fac.inverse, P.occurrences(), labels, prime)
+    assert packed[1] == size
+    w = {g: field.sample(rng) for g in labels}
+    Kw = [sum(x * w[b] for x, b in zip(row, labels)) % prime
+          for row in unpack_hessian(labels, packed, prime)]
+    assert dict(zip(labels, Kw)) == trace_route_Kw(P, fac, w, prime)
 
 
 @pytest.mark.parametrize("prime", [SURVEY_PRIME, P62, 547], ids=["survey", "p62", "547"])
