@@ -34,8 +34,7 @@ from typing import NamedTuple
 from . import hessian as hess
 from .errors import UsageError
 from .fields import (
-    DEFAULT_FIELD, MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals,
-    derive_seed, random_point,
+    DEFAULT_FIELD, MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals, derive_seed,
 )
 from .pade import export_m2, require_buildable
 from .series import SparsePoly
@@ -96,11 +95,11 @@ class RunConfig(_Options):
         return TaylorParams(self.n, self.d, self.e, self.m)
 
     def context(self):
-        """The field of the gate and the relation check: Q for ``--field
-        rational``, GF(``--prime``), else ``fields.DEFAULT_FIELD``, GF(2^30 - 35).
-        None of their printed fields names the prime, and each reads the same
-        over any prime large enough (``variety.nondefective_hypersurface_check``
-        and the README give the per-trial bounds)."""
+        """The field of the gate: Q for ``--field rational``, GF(``--prime``),
+        else ``fields.DEFAULT_FIELD``, GF(2^30 - 35).  None of its printed
+        fields names the prime, and each reads the same over any prime large
+        enough (``variety.nondefective_hypersurface_check`` and the README
+        give the per-trial bounds)."""
         if self.field == "rational":
             return Rationals()
         if self.prime is not None:
@@ -214,16 +213,17 @@ def _run_case(params: TaylorParams, config: RunConfig):
     """One Pade case as ``hessian`` and ``survey`` both run it, so that a survey
     row reproduces from a hessian run: ``(check, essential, full, relations)``.
     The gate samples ``GATE_TRIALS`` points from ``derive_seed("gate", seed)``
-    and passes at the first nonzero det; the relation check, None where
-    ``hessian.relations_apply`` is false, reads the ``derive_seed("diag", seed)``
-    point.  The certificate refuses a case whose gate fails.
+    and passes at the first nonzero det; the certificate refuses a case whose
+    gate fails.  The relation check, None where ``hessian.relations_apply``
+    is false, reads the certificate's trial 0: its point and P's elimination.
 
-    The gate and the relation check run over ``config.context()``, which is
-    GF(2^30 - 35) unless ``--prime`` is given; the certificate runs over
-    ``config.primes()``.  Their positive outcomes are exact over any prime.
-    A zero det trial, a dimension or ``rank_M`` short of its ceiling, and a
-    zero residual each miss the generic value with probability at most
-    degree/p per trial, below 3.4e-3 at 2^30 - 35 for every case that
+    The gate runs over ``config.context()``, GF(2^30 - 35) unless ``--prime``
+    is given, and the certificate over ``config.primes()``, the relation
+    check over its first: ``PRIMES_62[0]`` for ``hessian`` and 2^30 - 35 for
+    ``survey``.  Their positive outcomes are exact over any prime.  A zero
+    det trial, a dimension or ``rank_M`` short of its ceiling, and a zero
+    residual each miss the generic value with probability at most degree/p
+    per trial, below 3.4e-3 at 2^30 - 35 for every case that
     ``pade.MAX_CELLS`` admits (README, "Command line").
 
     A ``survey`` command makes the survey's two choices: a case whose gate
@@ -231,9 +231,9 @@ def _run_case(params: TaylorParams, config: RunConfig):
     0, which fixes both printed fields over any prime (the minimum corank is
     then 0, and its nonzero det(H) fixes the full verdict).
     """
-    ctx, survey = config.context(), config.command == "survey"
+    survey = config.command == "survey"
     check = nondefective_hypersurface_check(
-        params, trials=GATE_TRIALS, ctx=ctx,
+        params, trials=GATE_TRIALS, ctx=config.context(),
         seed=derive_seed("gate", config.seed), stop_at_nonzero=True,
     )
     if survey and not check.is_nondefective_hypersurface:
@@ -246,8 +246,7 @@ def _run_case(params: TaylorParams, config: RunConfig):
     full = hess.full_from_essential(essential, params)
     relations = None
     if hess.relations_apply(params):
-        point = random_point(params.pade.variables(), ctx, derive_seed("diag", config.seed))
-        relations = hess.relation_check(params, point, ctx)
+        relations = hess.relation_check(params, *essential.first)
     return check, essential, full, relations
 
 

@@ -1,4 +1,4 @@
-"""Exact determinants, ranks, adjugates, and derivatives of determinants.
+"""Exact determinants, ranks, and derivatives of determinants.
 
 Determinant, rank and inverse all come from one elimination kernel over
 GF(p), ``eliminate``.  ``hessian_at`` hands the packed rows of the Hessian
@@ -65,12 +65,12 @@ rank and det complete the answer: exact for every symmetric matrix over
 every GF(p), in any row order.  A slot that starts below
 ``2^W - n * p * (p - 1)`` never carries, reduced or not.
 
-The derivatives of det(P) at a point come from the adjugate, or from one
-inversion plus trace products (Jacobi's formula and its second-order
-extension).  The adjugate costs O(n^3) also where A is singular, through a
-bordered matrix (``adjugate``).  The Hessian at an invertible point
-A = P(x), with X = A^-1, is ``H = det(A) * K``, ``K_ab = t_a t_b - G_ab``,
-so ``rank H = rank K`` and ``det H = det(A)^V * det K`` for V variables.
+The derivatives of det(P) at a point x where A = P(x) is invertible are
+read off one factorisation of A, its ``Elimination`` with the inverse
+X = A^-1.  The gradient is Jacobi's formula with adj(A) = det(A) * X
+(``block_grad_det_at``).  The Hessian, from its second-order extension, is
+``H = det(A) * K``, ``K_ab = t_a t_b - G_ab``, so ``rank H = rank K`` and
+``det H = det(A)^V * det K`` for V variables.
 If c_a occurs at (r_a(i), cA_i) for i = 1..|cA|, then
 ``t_a = sum_i X[cA_i][r_a(i)]`` and
 
@@ -105,7 +105,6 @@ e = 20, 136 bits for ``fields.PRIMES_62`` and 72 for ``fields.SURVEY_PRIME``.
 
 from __future__ import annotations
 
-import random
 from itertools import count, repeat
 from math import isqrt, prod
 from operator import itemgetter, mul
@@ -331,77 +330,48 @@ def _unpack(row, count, size):
             for j in range(0, count * size, size)]
 
 
-def adjugate(A: list, field) -> list:
-    """adj(A) with A*adj(A) = det(A)*I over GF(p), defined also for singular
-    A, in O(n^3): one elimination of A with inverse, and at rank n - 1 one
-    more per draw of a bordered matrix.
-
-    An invertible A gives det(A) * A^-1, and rank n - 2 or less gives 0.  At
-    rank n - 1, with B = [[A, u], [v^T, 0]] for u, v drawn from a fixed
-    seed, ``adj(A)[i][j] = -det(B) * B^-1[i][n] * B^-1[n][j]``: adj(A) =
-    c * x y^T with A x = 0 and y^T A = 0, so B^-1[:n, n] = x / (v.x),
-    B^-1[n, :n] = y^T / (y.u) and det(B) = -c (v.x)(y.u).  B is invertible
-    when v.x != 0 and y.u != 0, so a draw succeeds with probability at least
-    (1 - 1/p)^2; a singular B is drawn again.  Any other field raises
-    ``UsageError``."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise UsageError("adjugate of a non-square matrix")
-    fac = eliminate(A, field, inverse=True)
-    p = field.p
-    if fac.inverse is not None:
-        return [[fac.det * x % p for x in row] for row in fac.inverse]
-    if fac.rank < n - 1:
-        return [[0] * n for _ in range(n)]
-    rng = random.Random(0)
-    while True:
-        u = [field.sample(rng) for _ in range(n)]
-        v = [field.sample(rng) for _ in range(n)]
-        B = [*([*row, x] for row, x in zip(A, u)), [*v, 0]]
-        border = eliminate(B, field, inverse=True)
-        if border.inverse is not None:
-            break
-    X, scale = border.inverse, p - border.det
-    return [[scale * X[i][n] * y % p for y in X[n][:n]] for i in range(n)]
+def _inverse(fac: Elimination) -> list:
+    if fac.inverse is None:
+        raise UsageError("derivatives of det(P) need P^-1: P is singular at this point")
+    return fac.inverse
 
 
-def block_grad_det_at(P: SymbolicMatrix, point: dict, field) -> dict:
+def block_grad_det_at(P: SymbolicMatrix, fac: Elimination, field) -> dict:
     """Per-block cofactor sums of det(P): (block j, variable g) -> value.
 
-    Sums adj(A)[c][r], A = P(point), over the occurrences (r, c) of g in the
-    columns of block j, so summing over blocks gives the partial derivative
-    of det(P) in g (Jacobi's formula: d det = tr(adj(A) dA)).  Defined also
-    when the evaluation is singular.  These block-restricted sums are
-    exactly what the derivative of a column operation supported on one
-    block produces, and they are the entries of the relation matrix.
+    ``fac`` factors A = P(point) with its inverse X, and adj(A) = det(A) * X:
+    a value is det(A) times the sum of X[c][r] over the occurrences (r, c) of
+    g in the columns of block j, so summing over blocks gives the partial
+    derivative of det(P) in g (Jacobi's formula: d det = tr(adj(A) dA)).
+    These block-restricted sums are exactly what the derivative of a column
+    operation supported on one block produces, and they are the entries of
+    the relation matrix.  ``fac`` without an inverse raises ``UsageError``.
     """
     if not P.is_square:
         raise UsageError("gradient of det needs a square matrix")
     if P.col_labels is None:
         raise UsageError("block gradient needs a matrix with column blocks")
-    adj = adjugate(P.evaluate(point), field)
+    X = _inverse(fac)
     out: dict = {}
     for g, occ in P.occurrences().items():
         for r, c in occ:
             k = (P.col_labels[c].block, g)
-            out[k] = out.get(k, 0) + adj[c][r]
-    return {k: x % field.p for k, x in out.items()}
+            out[k] = out.get(k, 0) + X[c][r]
+    return {k: fac.det * x % field.p for k, x in out.items()}
 
 
-def hessian_at(P: SymbolicMatrix, point: dict, field) -> tuple | None:
-    """(rank, det) over GF(p) of the Hessian H of det(P) at ``point``, over
-    ``P.variables()``, or None where P(point) is singular.
+def hessian_at(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
+    """(rank, det) over GF(p) of the Hessian H of det(P) over
+    ``P.variables()``, at the point where ``fac`` factors P.
 
-    P(point) is eliminated once, with its inverse, from which K = H / det(P)
-    is assembled into the symmetric body's packed rows; ``det H = det(P)^V *
-    det K`` for V variables (module docstring).  An ambient coordinate absent
-    from P only adds a zero row and column (``hessian.full_from_essential``).
+    K = H / det(P) is assembled from ``fac``'s inverse into the symmetric
+    body's packed rows; ``det H = det(P)^V * det K`` for V variables (module
+    docstring), and ``fac`` without an inverse raises ``UsageError``.  An
+    ambient coordinate absent from P only adds a zero row and column
+    (``hessian.full_from_essential``).
     """
-    fac = eliminate(P.evaluate(point), field, inverse=True)
-    if fac.inverse is None:
-        return None
     labels, p = P.variables(), field.p
-    rows, size, _ = _hessian_core(fac.inverse, P.occurrences(), labels, p)
+    rows, size, _ = _hessian_core(_inverse(fac), P.occurrences(), labels, p)
     rank, det = _eliminate_symmetric(rows, size, p)
     return rank, pow(fac.det, len(labels), p) * det % p
 

@@ -103,16 +103,16 @@ def relation_residual(M: RelationMatrix, point: dict, field) -> list:
     return [sum(map(mul, row, c)) % field.p for row in M.rows]
 
 
-def relation_check(params: TaylorParams, point: dict, field) -> dict:
-    """The relation identity M.c = 0 and the rank of M at one point.
+def relation_check(params: TaylorParams, point: dict, fac, field) -> dict:
+    """The relation identity M.c = 0 and the rank of M at ``point``.
 
-    The Pade matrix ``params.pade`` is eliminated once (for its per-block
-    gradient) and M once.  The coefficient vector c is nonzero and lies in
-    the kernel of M, so the rank of M stays below ``rank_bound``, the number
-    of columns of M.
+    M is built from ``fac``, the elimination of ``params.pade`` there with
+    its inverse (``Certificate.first`` keeps trial 0's), and eliminated once.
+    The coefficient vector c is nonzero and lies in the kernel of M, so the
+    rank of M stays below ``rank_bound``, the number of columns of M.
     """
     _require_relation_params(params)
-    M = build_M(params, block_grad_det_at(params.pade, point, field))
+    M = build_M(params, block_grad_det_at(params.pade, fac, field))
     return {
         "residual_is_zero": not any(relation_residual(M, point, field)),
         "rank_M": eliminate(M.rows, field).rank,
@@ -149,6 +149,9 @@ class Certificate(NamedTuple):
 
     A degree bound of 0 means det(H) is a constant, so one zero value proves
     it zero: the bound is then 0 and ``error_bound_log10`` is None.
+
+    ``first``, which no report prints, is a Pade certificate's trial 0 for
+    ``relation_check``: (point, elimination of P there with inverse, field).
     """
 
     target: str
@@ -158,9 +161,12 @@ class Certificate(NamedTuple):
     error_bound: float | None
     error_bound_log10: float | None
     notes: tuple = ()
+    first: tuple | None = None
 
     def to_dict(self):
-        return {**self._asdict(), "trials": [t._asdict() for t in self.trials]}
+        out = {**self._asdict(), "trials": [t._asdict() for t in self.trials]}
+        del out["first"]
+        return out
 
 
 def _finish_certificate(target, degree_bound, records):
@@ -229,12 +235,13 @@ def certify_hessian_pade(
     nonzero, Jacobian rank at the expected dimension, its upper bound), so
     one gate serves a whole case.
 
-    Trial t samples a fresh point over GF(``primes[t % len(primes)]``),
-    resampling up to 8 times while the evaluated Pade matrix is singular
-    (raising ``UsageError`` if it is singular at all 9 points), and records
-    det(H) and the corank of H, the Hessian over the variables of P, from
-    one ``detcalc.hessian_at`` call per sampled point.  The ``full``
-    certificate is derived from these trials (``full_from_essential``).
+    Trial t samples a fresh point over GF(``primes[t % len(primes)]``) and
+    eliminates P there once, with its inverse, resampling up to 8 times
+    while P is singular (raising ``UsageError`` if it is singular at all 9
+    points).  ``detcalc.hessian_at`` reads det(H) and the corank of H, the
+    Hessian over the variables of P, off that factorisation; trial 0's is
+    kept as ``first``.  The ``full`` certificate is derived from these
+    trials (``full_from_essential``).
 
     ``stop_at_full_rank`` ends the trials after the first H of corank 0.
     That trial fixes the minimum corank (0) and the verdicts of both
@@ -252,15 +259,18 @@ def certify_hessian_pade(
     P = params.pade
     variables = P.variables()
     V = len(variables)
+    first = None
 
     def sample(t, fld):
+        nonlocal first
         seeds = [derive_seed("hessian", seed, t)]
         seeds += [derive_seed("hessian", seed, t, "resample", r) for r in range(8)]
         for trial_seed in seeds:
             point = random_point(variables, fld, trial_seed)
-            hessian = hessian_at(P, point, fld)
-            if hessian is not None:
-                return trial_seed, point, *hessian
+            fac = eliminate(P.evaluate(point), fld, inverse=True)
+            if fac.inverse is not None:
+                first = first or (point, fac, fld)
+                return trial_seed, point, *hessian_at(P, fac, fld)
         raise UsageError(
             f"Hessian trial {t}: the Pade matrix is singular mod {fld.p} at "
             f"all {len(seeds)} sampled points; use a larger prime"
@@ -270,7 +280,7 @@ def certify_hessian_pade(
         f"hessian-det[pade{tuple(params)}, essential]",
         V * max(P.nrows - 2, 0),
         _hessian_trials(trials, primes, V, sample, stop_at_full_rank),
-    )
+    )._replace(first=first)
 
 
 def full_from_essential(essential: Certificate, params: TaylorParams) -> Certificate:

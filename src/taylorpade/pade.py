@@ -50,8 +50,8 @@ class SymbolicMatrix:
     return fresh data.  ``row_labels``/``col_labels``/``params`` are attached
     by the Pade constructor and may be ``None`` for ad-hoc patterns.  The
     determinant-calculus layer reads ``entries``, and
-    ``detcalc.block_grad_det_at`` also ``col_labels``, refusing a matrix
-    without them.
+    ``detcalc.block_grad_det_at``, given P's factorisation at a point, also
+    ``col_labels``, refusing a matrix without them.
     """
 
     def __init__(self, entries, row_labels=None, col_labels=None, params=None):

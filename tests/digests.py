@@ -69,8 +69,9 @@ GOLDEN_RUNS = {
         ["hessian", *_P20822, "--trials", "1", "--seed", "7", "--mode", "full"],
     "hessian_2_20_8_22_t1_s7_essential.json":
         ["hessian", *_P20822, "--trials", "1", "--seed", "7", "--mode", "essential"],
-    # P is singular (rank 44 of 45) at this run's diagnostic point, so the
-    # relation check reads the adjugate of a singular matrix: rank_M is 9
+    # a certificate at a small prime, 547: the relation check reads trial 0,
+    # where P is invertible (a trial resamples until it is), and rank_M
+    # reads 28, its generic value
     "hessian_2_20_8_22_t1_s280_p547_essential.json":
         ["hessian", *_P20822, "--prime", "547", "--trials", "1", "--seed", "280",
          "--mode", "essential"],

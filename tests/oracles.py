@@ -27,18 +27,22 @@ from ``is_unit`` and ``ring_inv``, which serve all three.  From jets and ``elimi
 derivatives of det(P) read off jet coefficients: the gradient
 (``jet_grad_det``), single Hessian entries (``jet_hessian_entry``) and the
 bilinear form of the Hessian (``jet_bilinear``).  The program reads them
-off the adjugate and P^-1 instead; ``grad_det_at`` and ``hessian_det_at``
-are those program routes at one point, over the whole matrix, the latter
-through ``unpack_hessian``, which reads the program's packed K.
-``trace_route_Kw`` reads K.w off two N x N products instead, the
-independent probe of the packed K.  ``pack_symmetric`` packs a symmetric
-matrix the other way, for the symmetric body.  The permutation expansion of a small symbolic determinant
+off P^-1 instead, and ``hessian_det_at`` is its route at one point, over
+the whole matrix, through ``unpack_hessian``, which reads the program's
+packed K; ``trace_route_Kw`` reads K.w off two N x N products, the
+independent probe of that K.  The adjugate in O(n^3), a singular matrix
+included, through a bordered matrix at rank n - 1 (``adjugate``), and the
+gradient and the per-block gradient read off it (``grad_det_at``,
+``block_grad_det_adj``), also where P is singular.  ``pack_symmetric``
+packs a symmetric matrix the other way, for the symmetric body.  The
+permutation expansion of a small symbolic determinant
 (``expand_det_poly``).  A second layout of a Pade matrix, with the lex order
 inside each degree reversed on rows and columns (``reverse_within_degree``).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -49,7 +53,6 @@ from operator import add, mul
 from taylorpade.detcalc import (
     Elimination,
     _hessian_core,
-    adjugate,
     eliminate,
 )
 from taylorpade.errors import UsageError
@@ -642,13 +645,46 @@ def _dot(ring, xs, ys):
     return s
 
 
+def adjugate(A: list, field) -> list:
+    """adj(A) with A*adj(A) = det(A)*I over GF(p), defined also for singular
+    A, in O(n^3): one elimination of A with inverse, and at rank n - 1 one
+    more per draw of a bordered matrix.
+
+    An invertible A gives det(A) * A^-1, and rank n - 2 or less gives 0.  At
+    rank n - 1, with B = [[A, u], [v^T, 0]] for u, v drawn from a fixed
+    seed, ``adj(A)[i][j] = -det(B) * B^-1[i][n] * B^-1[n][j]``: adj(A) =
+    c * x y^T with A x = 0 and y^T A = 0, so B^-1[:n, n] = x / (v.x),
+    B^-1[n, :n] = y^T / (y.u) and det(B) = -c (v.x)(y.u).  B is invertible
+    when v.x != 0 and y.u != 0, so a draw succeeds with probability at least
+    (1 - 1/p)^2; a singular B is drawn again.  Any other field raises
+    ``UsageError``."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise UsageError("adjugate of a non-square matrix")
+    fac = eliminate(A, field, inverse=True)
+    p = field.p
+    if fac.inverse is not None:
+        return [[fac.det * x % p for x in row] for row in fac.inverse]
+    if fac.rank < n - 1:
+        return [[0] * n for _ in range(n)]
+    rng = random.Random(0)
+    while True:
+        u = [field.sample(rng) for _ in range(n)]
+        v = [field.sample(rng) for _ in range(n)]
+        B = [*([*row, x] for row, x in zip(A, u)), [*v, 0]]
+        border = eliminate(B, field, inverse=True)
+        if border.inverse is not None:
+            break
+    X, scale = border.inverse, p - border.det
+    return [[scale * X[i][n] * y % p for y in X[n][:n]] for i in range(n)]
+
+
 def grad_det_at(P, point: dict, field) -> dict:
     """All partial derivatives of det(P) with respect to its variables.
 
     For each variable g, sums the cofactors of the evaluated matrix at the
     occurrence positions of g (Jacobi's formula: d det = tr(adj(A) dA)),
-    reading ``detcalc.adjugate``.  Defined also when the evaluation is
-    singular.
+    reading ``adjugate``.  Defined also when the evaluation is singular.
     """
     if not P.is_square:
         raise UsageError("gradient of det needs a square matrix")
@@ -657,6 +693,20 @@ def grad_det_at(P, point: dict, field) -> dict:
     for g, occ in P.occurrences().items():
         for r, c in occ:
             out[g] = field.add(out.get(g, field.zero), adj[c][r])
+    return out
+
+
+def block_grad_det_adj(P, point: dict, field) -> dict:
+    """``detcalc.block_grad_det_at`` read off ``adjugate``: (block j,
+    variable g) -> the sum of adj(A)[c][r], A = P(point), over the
+    occurrences (r, c) of g in the columns of block j.  Defined also when
+    the evaluation is singular."""
+    adj = adjugate(P.evaluate(point), field)
+    out: dict = {}
+    for g, occ in P.occurrences().items():
+        for r, c in occ:
+            k = (P.col_labels[c].block, g)
+            out[k] = field.add(out.get(k, field.zero), adj[c][r])
     return out
 
 

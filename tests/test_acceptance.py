@@ -124,7 +124,8 @@ def test_criterion_06_relation_identity():
             variables = P.variables()
             for t in range(50):
                 pt = random_point(variables, GF0, derive_seed("acc6", t))
-                rel = relation_check(params, pt, GF0)
+                fac = eliminate(P.evaluate(pt), GF0, inverse=True)
+                rel = relation_check(params, pt, fac, GF0)
                 assert rel["residual_is_zero"]
                 rank = rel["rank_M"]
                 assert 1 <= rank < bound
@@ -136,7 +137,7 @@ def test_criterion_06_relation_identity():
         detected = 0
         for t in range(50):
             pt = random_point(P.variables(), GF0, derive_seed("acc6-mut", t))
-            bg = block_grad_det_at(P, pt, GF0)
+            bg = block_grad_det_at(P, eliminate(P.evaluate(pt), GF0, inverse=True), GF0)
             rng = random.Random(t)
             key = rng.choice([k for k in sorted(bg) if k[0] > base_block])
             bg[key] = GF0.add(bg[key], 1)

@@ -15,7 +15,6 @@ from taylorpade.detcalc import (
     _reducer,
     _slot_size,
     _unpack,
-    adjugate,
     block_grad_det_at,
     eliminate,
     hessian_at,
@@ -37,8 +36,10 @@ from taylorpade.fields import (
 from taylorpade.hessian import (
     certify_hessian_pade,
     certify_hessian_poly,
+    build_M,
     full_from_essential,
     relation_check,
+    relation_residual,
 )
 from taylorpade.pade import SymbolicMatrix, pade_matrix
 from taylorpade.series import monomials_upto
@@ -57,6 +58,8 @@ from oracles import (
     JetRing,
     _dot,
     _perm_sign,
+    adjugate,
+    block_grad_det_adj,
     det_berkowitz,
     eliminate_bareiss,
     eliminate_ring,
@@ -296,7 +299,7 @@ def test_eliminate_non_square(gf):
     with pytest.raises(UsageError):
         eliminate([[1, 2], [3]], gf)
     with pytest.raises(UsageError, match="gradient of det needs a square matrix"):
-        block_grad_det_at(pade_matrix(2, 1, 1, 3), {}, gf)
+        block_grad_det_at(pade_matrix(2, 1, 1, 3), None, gf)
 
 
 def _reference_modp(A, p, inverse):
@@ -723,9 +726,11 @@ def test_adjugate_identity_rationals_and_singular(qq):
 
 
 def test_relation_check_at_a_singular_point_eliminates_at_most_three_times(monkeypatch):
-    # P of (2,5,4,7) is 15 x 15 and singular at both points: P once with its
-    # inverse, B = [[P, u], [v^T, 0]] once (rank 14 only) and M once, not a
-    # determinant per minor
+    # P of (2,5,4,7) is 15 x 15 and singular at both points, where the
+    # program's relation check refuses the factorisation, which has no
+    # inverse; M from the oracle's adjugate satisfies the identity there too.
+    # The adjugate eliminates P once with its inverse and B = [[P, u],
+    # [v^T, 0]] once (rank 14 only), not a determinant per minor.
     params = TaylorParams(2, 5, 4, 7)
     P = params.pade
     calls = []
@@ -736,12 +741,16 @@ def test_relation_check_at_a_singular_point_eliminates_at_most_three_times(monke
 
     monkeypatch.setattr(detcalc_mod, "_eliminate_modp", counted)
     for p, seed, rank in ((547, 301, 14), (5, 141, 13)):
-        field = PrimeField(p)
+        field = GF(p)
         point = random_point(P.variables(), field, seed)
-        assert _eliminate_modp(P.evaluate(point), 15, p, False)[0] == rank
+        fac = eliminate(P.evaluate(point), field, inverse=True)
+        assert fac.rank == rank
+        with pytest.raises(UsageError, match="singular at this point"):
+            relation_check(params, point, fac, field)
         calls.clear()
-        assert relation_check(params, point, field)["residual_is_zero"]
-        assert calls[:-1] == ([15, 16] if rank == 14 else [15])
+        M = build_M(params, block_grad_det_adj(P, point, field))
+        assert not any(relation_residual(M, point, field))
+        assert calls == ([15, 16] if rank == 14 else [15])
 
 
 def test_berkowitz_matches_elimination(gf):
@@ -1020,9 +1029,10 @@ def test_packed_K_passes_the_trace_route_probe(case, prime, size):
 
 @pytest.mark.parametrize("prime", [SURVEY_PRIME, P62, 547], ids=["survey", "p62", "547"])
 def test_hessian_at_is_the_rank_and_det_of_the_full_hessian(prime):
-    # None exactly where P is singular, the zero point included; elsewhere
-    # the general body's (rank, det) of H = det(P) * K, built by the oracle.
-    # At 547 a random point of a large P is singular too, at times.
+    # Refused exactly where P is singular, the zero point included, as the
+    # factorisation there has no inverse; elsewhere the general body's
+    # (rank, det) of H = det(P) * K, built by the oracle.  At 547 a random
+    # point of a large P is singular too, at times.
     field = PrimeField(prime)
     rng = random.Random(prime)
     names, patterns = zip(*_hessian_core_patterns())
@@ -1031,13 +1041,14 @@ def test_hessian_at_is_the_rank_and_det_of_the_full_hessian(prime):
     for P in patterns:
         labels = P.variables()
         for pt in (dict.fromkeys(labels, 0), {g: field.sample(rng) for g in labels}):
-            got = hessian_at(P, pt, field)
-            if eliminate(P.evaluate(pt), field).det == 0:
-                assert got is None
+            fac = eliminate(P.evaluate(pt), field, inverse=True)
+            if fac.det == 0:
+                with pytest.raises(UsageError, match="singular at this point"):
+                    hessian_at(P, fac, field)
                 singular += 1
                 continue
             h = eliminate(hessian_det_at(P, pt, field)[1], field)
-            assert got == (h.rank, h.det)
+            assert hessian_at(P, fac, field) == (h.rank, h.det)
             regular += 1
     assert singular >= len(patterns) and regular
     assert prime != 547 or singular > len(patterns)
@@ -1130,7 +1141,7 @@ def test_euler_identity_on_patterns(gf):
 def test_block_grad_sums_to_full_gradient(gf):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 11)
-    bg = block_grad_det_at(P, pt, gf)
+    bg = block_grad_det_at(P, eliminate(P.evaluate(pt), gf, inverse=True), gf)
     full = grad_det_at(P, pt, gf)
     agg = {}
     for (j, g), v in bg.items():

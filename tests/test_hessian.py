@@ -13,7 +13,7 @@ import taylorpade.hessian as hessian_mod
 import taylorpade.pade as pade_mod
 import taylorpade.variety as variety_mod
 
-from taylorpade.detcalc import block_grad_det_at
+from taylorpade.detcalc import block_grad_det_at, eliminate
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
     PRIMES_62,
@@ -43,10 +43,23 @@ from taylorpade.variety import (
     square_family,
 )
 
-from oracles import GF, expand_det_poly, grad_det_at, hessian_det_at, jet_bilinear
+from oracles import (
+    GF,
+    block_grad_det_adj,
+    expand_det_poly,
+    grad_det_at,
+    hessian_det_at,
+    jet_bilinear,
+)
 
 P547 = TaylorParams(2, 5, 4, 7)
 P8510 = TaylorParams(2, 8, 5, 10)
+
+
+def _factor(P, point, field):
+    """P's elimination at ``point`` with its inverse, which the relation
+    check and the per-block gradient read."""
+    return eliminate(P.evaluate(point), field, inverse=True)
 
 
 def _gate(params, trials=8, seed=0):
@@ -82,7 +95,9 @@ def test_relation_column_labels_layout():
 def test_build_M_shape_and_row_layout(gf):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 0)
-    bg = block_grad_det_at(P, pt, gf)
+    bg = block_grad_det_at(P, _factor(P, pt, gf), gf)
+    # det(P) * P^-1 is the adjugate: the reference reads the same sums
+    assert bg == block_grad_det_adj(P, pt, gf)
     M = build_M(P547, bg)
     assert M.shape == (14, 7)
     assert M.row_labels[0] == (7, (4, 0))
@@ -127,20 +142,23 @@ def test_relations_identity_random_points(gf):
     P = pade_matrix(2, 5, 4, 7)
     for t in range(10):
         pt = random_point(P.variables(), gf, derive_seed("rel", t))
-        assert relation_check(P547, pt, gf)["residual_is_zero"] is True
+        assert relation_check(P547, pt, _factor(P, pt, gf), gf)["residual_is_zero"] is True
 
 
 def test_relations_zero_point(gf):
+    # P is zero there, so the program's relation check has no factorisation
+    # to read; M from the oracle's adjugate is zero, and so is M.c
     P = pade_matrix(2, 5, 4, 7)
     pt = {g: 0 for g in P.variables()}
-    assert relation_check(P547, pt, gf)["residual_is_zero"] is True
+    M = build_M(P547, block_grad_det_adj(P, pt, gf))
+    assert not any(relation_residual(M, pt, gf))
 
 
 def test_rank_M_bounds(gf):
     P = pade_matrix(2, 5, 4, 7)
     for t in range(5):
         pt = random_point(P.variables(), gf, derive_seed("rk", t))
-        rel = relation_check(P547, pt, gf)
+        rel = relation_check(P547, pt, _factor(P, pt, gf), gf)
         assert rel["rank_bound"] == 7
         assert 1 <= rel["rank_M"] <= 6
 
@@ -153,14 +171,15 @@ def test_rank_M_bounds(gf):
 def test_relation_check_rejects_params_outside_the_family(params, gf, monkeypatch):
     shapes = _record_eliminations(monkeypatch)
     with pytest.raises(UsageError, match="relation matrix needs"):
-        relation_check(params, {}, gf)
+        relation_check(params, {}, None, gf)
     assert shapes == []
 
 
 def test_corruption_is_detected(gf, monkeypatch):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 55)
-    bg = block_grad_det_at(P, pt, gf)
+    fac = _factor(P, pt, gf)
+    bg = block_grad_det_at(P, fac, gf)
     key = (6, (5, 1))  # a variable read by block C_6 rows
     assert key in bg
     bg[key] = gf.add(bg[key], 1)
@@ -171,7 +190,7 @@ def test_corruption_is_detected(gf, monkeypatch):
     # as a broken identity
     assert not all(res)
     monkeypatch.setattr(hessian_mod, "block_grad_det_at", lambda *args: bg)
-    assert relation_check(P547, pt, gf)["residual_is_zero"] is False
+    assert relation_check(P547, pt, fac, gf)["residual_is_zero"] is False
 
 
 def test_full_gradient_does_not_satisfy_relations(gf):
@@ -300,8 +319,9 @@ def test_cross_path_agreement_2112():
 
 
 def _record_eliminations(monkeypatch, *mute):
-    """Log the shape of every ``eliminate`` call, and of every packed
-    Hessian the certificate hands to ``detcalc._eliminate_symmetric``.
+    """Log the shape of every ``eliminate`` call, with ``INVERSE`` added
+    where it asks for the inverse, and of every packed Hessian the
+    certificate hands to ``detcalc._eliminate_symmetric``.
     Each ``mute`` pair (module, function name) is logged by its name instead,
     leaving out the eliminations made inside it."""
     shapes = []
@@ -309,7 +329,7 @@ def _record_eliminations(monkeypatch, *mute):
     symmetric = detcalc_mod._eliminate_symmetric
 
     def counted(A, field, inverse=False):
-        shapes.append((len(A), len(A[0])))
+        shapes.append((len(A), len(A[0]), INVERSE) if inverse else (len(A), len(A[0])))
         return real(A, field, inverse)
 
     def packed(rows, size, p):
@@ -337,6 +357,7 @@ def _muted(shapes, name, inner):
 
 GATE = "nondefective_hypersurface_check"
 DIM = "actual_dimension"
+INVERSE = "inverse"
 
 
 @pytest.mark.parametrize("mode,hessian_size", [("full", 33), ("essential", 33)])
@@ -350,9 +371,10 @@ def test_one_elimination_of_P_and_H_per_trial(monkeypatch, capsys, mode, hessian
         derive_seed("hessian", 0, t) for t in range(3)
     ]  # no resamples
     # the gate's first det(P) is nonzero, which ends its det trials; then P
-    # and H per trial, and P and M at the diagnostic point
-    assert shapes == ([(15, 15), DIM] + [(15, 15), (hessian_size, hessian_size)] * 3
-                      + [(15, 15), (14, 7)])
+    # with its inverse and H per trial, and M, read off trial 0's P
+    assert shapes == ([(15, 15), DIM]
+                      + [(15, 15, INVERSE), (hessian_size, hessian_size)] * 3
+                      + [(14, 7)])
 
 
 def test_survey_gates_once_and_runs_one_trial_loop_per_case(monkeypatch, capsys):
@@ -361,11 +383,11 @@ def test_survey_gates_once_and_runs_one_trial_loop_per_case(monkeypatch, capsys)
     assert cli_mod.main(argv) == 0
     capsys.readouterr()
     # per case: the gate once (one det(P), nonzero, then the dimension), then
-    # one P and one H over the variables of P (the first trial has full
-    # rank, which ends the loop), then P and M at the rank_M point
+    # one P with its inverse and one H over the variables of P (the first
+    # trial has full rank, which ends the loop), then M, read off that P
     assert shapes == (
-        [(15, 15), DIM] + [(15, 15), (33, 33)] * 1 + [(15, 15), (14, 7)]
-        + [(21, 21), DIM] + [(21, 21), (56, 56)] * 1 + [(21, 21), (20, 11)]
+        [(15, 15), DIM] + [(15, 15, INVERSE), (33, 33)] * 1 + [(14, 7)]
+        + [(21, 21), DIM] + [(21, 21, INVERSE), (56, 56)] * 1 + [(20, 11)]
     )
     assert len(pade_matrix(2, 8, 5, 10).variables()) == 56
 
@@ -578,7 +600,7 @@ _PERAZZO_FILE = str(Path(__file__).parent / "golden" / "perazzo.json")
 
 @pytest.mark.parametrize("argv, gates, certificates, relations", [
     (["hessian", *_CASE, "--trials", "3"],
-     [_FS], [list(PRIMES_62[:3])], [_FS]),
+     [_FS], [list(PRIMES_62[:3])], [PrimeField(PRIMES_62[0])]),
     (["hessian", *_CASE, "--trials", "3", "--prime", "547"],
      [_F547], [[547] * 3], [_F547]),
     (["survey", "--e-max", "5", "--trials", "2"],
@@ -596,11 +618,12 @@ _PERAZZO_FILE = str(Path(__file__).parent / "golden" / "perazzo.json")
         "defect-rational", "poly", "poly-prime"])
 def test_each_stage_runs_over_the_field_the_cli_picks(
         argv, gates, certificates, relations, monkeypatch, capsys):
-    # The gate and the relation check run over SURVEY_PRIME (DEFAULT_FIELD),
-    # as does a survey's certificate, while a hessian certificate rotates
-    # through PRIMES_62, whose primes its report prints; --prime replaces
-    # every one of them, and --field rational the gate's.  The gate's field
-    # is read where it ranks the Jacobian, once per gate.
+    # The gate runs over SURVEY_PRIME (DEFAULT_FIELD), as does a survey's
+    # certificate, while a hessian certificate rotates through PRIMES_62,
+    # whose primes its report prints; the relation check runs over the
+    # certificate's first prime.  --prime replaces every one of them, and
+    # --field rational the gate's.  The gate's field is read where it ranks
+    # the Jacobian, once per gate.
     seen = {"gate": [], "relation": []}
 
     def recorder(real, stage, read_field):
@@ -612,7 +635,7 @@ def test_each_stage_runs_over_the_field_the_cli_picks(
     monkeypatch.setattr(variety_mod, "actual_dimension", recorder(
         variety_mod.actual_dimension, "gate", lambda a, kw: kw["ctx"]))
     monkeypatch.setattr(hessian_mod, "relation_check", recorder(
-        hessian_mod.relation_check, "relation", lambda a, kw: a[2]))
+        hessian_mod.relation_check, "relation", lambda a, kw: a[3]))
     primes = _certificate_primes(monkeypatch)
     assert cli_mod.main(argv) == 0
     capsys.readouterr()
@@ -629,8 +652,9 @@ _AGREEMENT_CASES = [*square_family(9), TaylorParams(2, 12, 6, 14),
 
 @pytest.mark.parametrize("seed", range(5))
 def test_gate_and_relation_check_agree_across_default_primes(seed):
-    # The gate and the relation check run over SURVEY_PRIME unless --prime is
-    # given, and their reports read the same as over PRIMES_62[0]: a positive
+    # The gate runs over SURVEY_PRIME unless --prime is given, and the
+    # relation check over SURVEY_PRIME in a survey and PRIMES_62[0] in a
+    # hessian run; their reports read the same at either prime: a positive
     # outcome is exact at either prime, and a negative one is the generic
     # value when the per-trial Schwartz-Zippel bounds of the README hold.
     outcomes = {}
@@ -641,7 +665,7 @@ def test_gate_and_relation_check_agree_across_default_primes(seed):
             outcome = [check.verdict, check.det_nonzero_count, check.actual_dim]
             if hessian_mod.relations_apply(params):
                 point = random_point(params.pade.variables(), fld, derive_seed("diag", seed))
-                relations = relation_check(params, point, fld)
+                relations = relation_check(params, point, _factor(params.pade, point, fld), fld)
                 outcome += [relations["residual_is_zero"], relations["rank_M"]]
             outcomes[p].append(outcome)
     assert outcomes[SURVEY_PRIME] == outcomes[PRIMES_62[0]]
@@ -855,5 +879,6 @@ def test_one_elimination_of_P_at_the_diagnostic_point(monkeypatch, capsys):
     argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "1"]
     assert cli_mod.main(argv) == 0
     capsys.readouterr()
-    # the gate, the certificate, then P once and the relation matrix M
-    assert shapes == [GATE, "certify_hessian_pade", (15, 15), (14, 7)]
+    # the gate, the certificate, then only the relation matrix M: the
+    # relation check reads P's factorisation at the certificate's trial 0
+    assert shapes == [GATE, "certify_hessian_pade", (14, 7)]

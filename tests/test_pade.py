@@ -225,7 +225,7 @@ _UNLABELLED = SymbolicMatrix([[(1, 0), None], [None, (0, 1)]])
      "expects a square Pade matrix"),
     (lambda gf: column_transform(_UNLABELLED, {}, {}, gf), "needs a matrix built by pade_matrix"),
     (lambda gf: export_m2(_UNLABELLED), "export needs a matrix built by pade_matrix"),
-    (lambda gf: block_grad_det_at(_UNLABELLED, {}, gf), "needs a matrix with column blocks"),
+    (lambda gf: block_grad_det_at(_UNLABELLED, None, gf), "needs a matrix with column blocks"),
 ], ids=["ragged", "transform-rectangular", "transform-unlabelled", "export-unlabelled",
         "block-grad-unlabelled"])
 def test_matrix_without_the_pade_structure_is_refused(call, message, gf):
