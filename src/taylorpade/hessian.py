@@ -150,8 +150,8 @@ class Certificate(NamedTuple):
     A degree bound of 0 means det(H) is a constant, so one zero value proves
     it zero: the bound is then 0 and ``error_bound_log10`` is None.
 
-    ``first``, which no report prints, is a Pade certificate's trial 0 for
-    ``relation_check``: (point, elimination of P there with inverse, field).
+    ``first``, never printed, holds an essential Pade certificate's trial 0
+    for ``relation_check``: (point, P's elimination there with inverse, field).
     """
 
     target: str
