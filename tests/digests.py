@@ -22,10 +22,14 @@ that alters output on purpose names in CHANGES.md.
 
 does the same for ``DEEP``, the deep list, pinned in ``tests/golden/deep.json``:
 runs at the paper's family up to e = 21, past every size the table reaches,
-that take minutes, so tier-1 runs none of them.  It prints each run's time
-as it ends, then the same last line.  A change to ``detcalc``, ``pade`` or
-``variety`` runs it; ``python tests/reach.py deep`` replays the same list in
-fresh processes.
+that take minutes, so tier-1 runs none of them.  Then it checks that
+independent routes agree at those sizes (``deep_checks``): the trace-route
+probe of the packed K, the symmetric body against the general body, and the
+two e = 21 gates, over GF(p) and over Q.  It prints each run's and each
+check's time as it ends, then the same last line, with a ``failed:`` line
+before it for each check that fails, and then exits 1.  A change to
+``detcalc``, ``pade`` or ``variety`` runs it; ``python tests/reach.py deep``
+replays the same runs in fresh processes.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import tempfile
 import time
+from itertools import repeat
+from operator import add, mul
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -209,17 +216,24 @@ def _write(path, text) -> bool:
     return changed
 
 
-def regenerate(path, named_runs, log=False) -> list:
+def _log(start, what):
+    print(f"{time.perf_counter() - start:8.1f} s  {what}", flush=True)
+
+
+def regenerate(path, named_runs, log=False, outputs=None) -> list:
     """Run each (golden file name or None, argv) once in a fresh ``workdir()``,
     rewrite the table at ``path`` and the golden files, and return the names
-    of the entries and files whose bytes changed."""
+    of the entries and files whose bytes changed.  ``outputs``, if given,
+    gains each run's stdout under its key."""
     old, table, changed = json.loads(path.read_text()) if path.exists() else {}, {}, []
     with workdir():
         for name, argv in named_runs:
             start = time.perf_counter()
             code, out, err = run(argv)
             if log:
-                print(f"{time.perf_counter() - start:8.1f} s  {key(argv)}", flush=True)
+                _log(start, key(argv))
+            if outputs is not None:
+                outputs[key(argv)] = out
             table[key(argv)] = digest(code, out, err)
             if name and _write(GOLDEN / name, out):
                 changed.append(name)
@@ -227,15 +241,96 @@ def regenerate(path, named_runs, log=False) -> list:
     return changed + [f"entry {k}" for k in {**old, **table} if old.get(k) != table.get(k)]
 
 
-def main(argv=None) -> None:
+# The cases of the deep list's trace-route probes, each over both default
+# primes: K's slots are 9 and 17 bytes at e = 16, 10 and 18 at e = 21.
+DEEP_PROBES = [(2, 74, 16, 76), (2, 124, 21, 126)]
+# The gate fields compared between the deep list's two e = 21 defect runs.
+GATE_FIELDS = ["expected_dimension", "actual_dimension", "det_trials",
+               "det_nonzero_count", "verdict"]
+
+
+def _packed_Kw(packed, w, p) -> dict:
+    """K.w over GF(p) read off the packed upper-triangle rows ``(rows,
+    size, order)`` of ``detcalc._hessian_core``, one row at a time: row k
+    adds its slots against w to entry k and its slot j times w_k to entry j,
+    so the full K is never held."""
+    from taylorpade.detcalc import _unpack
+
+    rows, size, order = packed
+    ws = [w[g] for g in order]
+    out = [0] * len(rows)
+    for k, row in enumerate(rows):
+        xs = _unpack(row, len(rows) - k, size)
+        out[k] += sum(map(mul, xs, ws[k:]))
+        out[k + 1:] = map(add, out[k + 1:], map(mul, xs[1:], repeat(ws[k])))
+    return {g: x % p for g, x in zip(order, out)}
+
+
+def deep_checks(outputs) -> list:
+    """Check that independent routes agree at the deep list's sizes, and
+    return what failed.  At each case of ``DEEP_PROBES`` over
+    ``SURVEY_PRIME`` and ``PRIMES_62[0]``, P is factored at a seeded point
+    and K assembled: its product with a uniform w must equal
+    ``oracles.trace_route_Kw`` (Freivalds' check).  At the first case over
+    ``SURVEY_PRIME``, the symmetric body's (rank, det) of the packed K and
+    of the unpacked K, repacked, must equal the general body's on the
+    unpacked K.  ``outputs`` holds the deep list's stdout by key: its two
+    e = 21 gates must agree in every field of ``GATE_FIELDS``."""
+    from oracles import pack_symmetric, trace_route_Kw, unpack_hessian
+    from taylorpade.detcalc import _eliminate_symmetric, _hessian_core, eliminate
+    from taylorpade.fields import PRIMES_62, SURVEY_PRIME, PrimeField, derive_seed
+    from taylorpade.pade import pade_matrix
+
+    failed = []
+    for case in DEEP_PROBES:
+        P = pade_matrix(*case)
+        labels = P.variables()
+        for prime in (SURVEY_PRIME, PRIMES_62[0]):
+            start, name = time.perf_counter(), f"probe {case} mod {prime}"
+            field = PrimeField(prime)
+            rng = random.Random(derive_seed("deep probe", case, prime))
+            fac = None
+            while fac is None or not fac.det:
+                point = {g: field.sample(rng) for g in labels}
+                fac = eliminate(P.evaluate(point), field, inverse=True)
+            packed = _hessian_core(fac.inverse, P.occurrences(), labels, prime)
+            w = {g: field.sample(rng) for g in labels}
+            if _packed_Kw(packed, w, prime) != trace_route_Kw(P, fac, w, prime):
+                failed.append(name)
+            _log(start, name)
+            if case == DEEP_PROBES[0] and prime == SURVEY_PRIME:
+                start, name = time.perf_counter(), f"symmetric body = general body {case}"
+                K = unpack_hessian(labels, packed, prime)
+                general = eliminate(K, field)
+                want = (general.rank, general.det)
+                if (_eliminate_symmetric(*packed[:2], prime) != want
+                        or _eliminate_symmetric(*pack_symmetric(K, prime), prime) != want):
+                    failed.append(name)
+                _log(start, name)
+    gate = " ".join(["defect", *_P12421, "--trials", "1"])
+    over = {field: json.loads(outputs[gate + suffix])["payload"]
+            for field, suffix in (("GF(p)", ""), ("Q", " --field rational"))}
+    if any(over["GF(p)"][f] != over["Q"][f] for f in GATE_FIELDS):
+        failed.append(f"the e = 21 gates over GF(p) and Q: {over}")
+    return failed
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the pinned runs.")
     parser.add_argument("--deep", action="store_true", help="the deep list instead")
+    failed = []
     if parser.parse_args(argv).deep:
-        changed = regenerate(DEEP_TABLE, [(None, argv) for argv in DEEP], log=True)
+        outputs = {}
+        changed = regenerate(DEEP_TABLE, [(None, argv) for argv in DEEP], log=True,
+                             outputs=outputs)
+        failed = deep_checks(outputs)
     else:
         changed = regenerate(TABLE, [*GOLDEN_RUNS.items(), *((None, argv) for argv in RUNS)])
+    for what in failed:
+        print(f"failed: {what}")
     print("\n".join(f"changed: {what}" for what in changed) or "nothing changed")
+    return int(bool(failed))
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
