@@ -3,8 +3,8 @@
 Determinant, rank and inverse all come from one elimination kernel over
 GF(p), ``eliminate``.  ``hessian_at`` hands the packed rows of the Hessian
 it assembles to a second, private body.  A rank over Q is the GF(p) rank
-mod enough primes to certify it (``rank_rational``): a full rank mod any
-prime is exact, so the first prime is the cheapest one, ``SURVEY_PRIME``.
+mod enough primes to certify it (``rank_rational``), of ints or residues:
+a full rank mod any prime is exact, so the first prime is the cheapest one.
 
 Over GF(p) the kernel works on packed rows with delayed modular reduction
 (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields: the
@@ -160,30 +160,34 @@ def rational_primes():
     yield from filter(is_probable_prime, count(PRIMES_62[-1] - 2, -2))
 
 
-def rank_rational(A) -> int:
+def rank_rational(A, exact=None) -> int:
     """Exact rank over Q of the int matrix ``A`` from the GF(p) body, mod
     each prime of ``rational_primes`` in turn.
 
-    ``A`` is eliminated as given.  A minor nonzero mod p is a nonzero
-    integer, so a rank mod p never exceeds the rank over Q, and a full one
-    is exact at once.  Almost always that is at the first prime,
-    ``SURVEY_PRIME``, the cheapest: its multipliers are one CPython digit,
-    and its slots about half as wide as a ``PRIMES_62`` prime's (9 bytes
-    against 17 for 100 to 4000 rows or columns).  Otherwise r, the
+    ``A`` is eliminated as given, or, with ``exact``, is a function giving
+    the matrix mod each prime p, as the gate gives P at T mod p; then
+    ``exact()`` returns the int matrix, which the first prime that misses
+    full rank asks for, and every later one reads.  A minor nonzero mod p is
+    a nonzero integer, so a rank mod p never exceeds the rank over Q, and a
+    full one is exact at once, almost always at the first prime,
+    ``SURVEY_PRIME``, the cheapest (``fields``).  Otherwise r, the
     largest rank seen, is exact once the primes that gave r, each dividing
     every (r+1)-minor, multiply past the Hadamard bound B on every minor,
     the product over rows of ``isqrt(|row|^2) + 1``.  B is computed at the
     first prime that misses full rank.  A zero matrix has B = 1 and takes
     one prime.
     """
-    ncols = _columns(A)
-    full = min(len(A), ncols)
+    residue = A if exact else None
     best, certified, bound = -1, 1, None
     for p in rational_primes():
-        rank = _eliminate_modp(A, ncols, p, False)[0]
-        if rank == full:
+        B = residue(p) if residue else A
+        ncols = _columns(B)
+        rank = _eliminate_modp(B, ncols, p, False)[0]
+        if rank == min(len(B), ncols):
             return rank
         if bound is None:
+            if residue:
+                A, residue = exact(), None
             bound = prod(isqrt(sum(x * x for x in row)) + 1 for row in A)
         if rank > best:
             best, certified = rank, 1

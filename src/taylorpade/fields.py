@@ -119,11 +119,11 @@ DEFAULT_FIELD = PrimeField(SURVEY_PRIME)
 
 class Rationals:
     """Q, its elements plain ints: every value the package samples or
-    computes over Q is an integer.
+    computes over Q is an integer, T = p/q too (q(0) = 1).
 
     Random samples are uniform integers in ``[-B, B]``, B =
     ``DEFAULT_RATIONAL_BOUND``.  A rank over Q (``detcalc.rank_rational``)
-    takes a matrix of these ints as it is, with no scaling, and a full one
+    takes a matrix of these ints as it is, or its residues, and a full one
     needs one prime, almost always ``SURVEY_PRIME``.  A rank short of full
     needs primes past the Hadamard bound, which small integers keep down.
     """

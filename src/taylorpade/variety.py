@@ -13,14 +13,12 @@ because multiplying J's columns by the denominator Q turns them into x^b
 part in degrees d+1..m is that Pade matrix (proof in ``actual_dimension``).
 The gate therefore ranks a matrix of the Pade matrix's size, not J.
 
-A sampled pair is two coefficient dicts, and T = p/q is expanded one degree
-layer at a time (``taylor_coeffs``), each layer packed into one int: the
-exponents of degree k take the slots named by the Kronecker keys of their
-first n-1 exponents in base m+1, which never collide within a layer nor
-carry in a sum, so a product of packed ints adds up the Q_b T_h that meet
-in each slot.  A slot is wide enough for the unreduced sum: fixed by p over
-GF(p), taken per layer from the bit lengths of T so far over Q, where T
-grows.
+A sampled pair is two dicts of ints, and T = p/q is expanded mod p one
+degree layer at a time (``taylor_coeffs``), each layer packed into one int
+with slots named by Kronecker keys, so a product of packed ints adds up the
+Q_b T_h that meet in each slot.  q(0) = 1 makes T integral, so over Q the
+gate ranks T mod each prime it takes, and lifts the integer T from those
+(``lift_taylor_coeffs``) only for a rank short of full.
 """
 
 from __future__ import annotations
@@ -29,12 +27,12 @@ import random
 from functools import cache, cached_property
 from itertools import chain, repeat
 from math import comb
-from operator import mul, sub
+from operator import mul
 from typing import NamedTuple
 
-from .detcalc import eliminate, rank_rational
+from .detcalc import eliminate, rank_rational, rational_primes
 from .errors import UsageError
-from .fields import DEFAULT_FIELD, Rationals, derive_seed, random_point
+from .fields import DEFAULT_FIELD, PrimeField, Rationals, derive_seed, random_point
 from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape
 from .series import monomials_of_degree, monomials_upto
 
@@ -113,72 +111,28 @@ def _layout(n: int, m: int) -> tuple:
     return weights, tuple(layers)
 
 
-def _halves(count: int, size: int) -> int:
-    """Half a slot, 2^(8 size - 1), in each of ``count`` slots of ``size`` bytes."""
-    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+def taylor_coeffs(p: dict, q: dict, m: int, field) -> dict:
+    """Coefficients (c_g, 0 < |g| <= m) of the expansion T of p/q, mod p.
 
-
-def _pack_layer(values: list, order: list, size: int) -> int:
-    """The layer ``values`` (in output order, each in [-h, h) for h half a
-    slot) as one int, slot s holding ``values[order[s]]``."""
-    row = [*values, 0]
-    if len(order) * size <= 512:  # a short int is cheaper shifted in than joined
-        W, packed = 8 * size, 0
-        for i in reversed(order):
-            packed = (packed << W) + row[i]
-        return packed
-    half = 1 << 8 * size - 1
-    data = b"".join([(row[i] + half).to_bytes(size, "little") for i in order])
-    return int.from_bytes(data, "little") - _halves(len(order), size)
-
-
-def _unpack_layer(packed: int, slots: list, count: int, size: int) -> list:
-    """The values at ``slots`` of a layer packed in ``count`` slots, each in
-    [-h, h) for h half a slot: adding h to every slot first keeps a negative
-    value from borrowing from the slot above."""
-    half = 1 << 8 * size - 1
-    data = (packed + _halves(count, size)).to_bytes(count * size, "little")
-    from_bytes = int.from_bytes
-    return [from_bytes(data[s * size:s * size + size], "little") - half for s in slots]
-
-
-def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
-    """Coefficients (c_g, 0 < |g| <= m) of the expansion T of p/q.
-
-    ``p`` and ``q`` map exponent tuples of one length to elements of
-    ``ctx``, plain ints, and must have constant term exactly 1.  Every
-    0 < |g| <= m is present in the result, zeros included, by increasing
-    degree and in ``monomials_of_degree`` order within one, so it evaluates
-    a Pade matrix directly.
+    ``p`` and ``q`` map exponent tuples of one length to plain ints, and
+    must have constant term exactly 1, so T is integral and the result is
+    T mod p, for ``field`` GF(p).  Every 0 < |g| <= m is present,
+    zeros included, by increasing degree and in ``monomials_of_degree``
+    order within one, so the result evaluates a Pade matrix directly.
 
     T is read off the defining identity Q*T = P modulo degree m+1 by the
     graded recursion T_k = P_k - sum_{s=1..k} Q_s T_{k-s}, Q_s being the
-    degree-s layer of q, run on ints.  Each layer is one packed int
+    degree-s layer of q mod p, run on ints.  Each layer is one packed int
     (``_layout``): the exponent g of degree k sits in slot key(g) =
     sum_{i<n-1} g_i (m+1)^i.  No two exponents of a layer
     share a key, as the last exponent is k less the others, and every
     exponent in a layer k <= m is at most m, so key(h + b) = key(h) +
     key(b) with no carry: a product of packed layers puts sum_{h+b=g} Q_b
-    T_h in slot key(g) and nowhere else, unreduced, so long as the sum fits
-    in half a slot (the slots are signed).  Each layer's sums are unpacked
-    once, and each coefficient is finished by one subtraction P_g - sum,
-    reduced mod p over GF(p).
-
-    The slot width, and with it the accumulation, differs by field:
-    - GF(p): q and T lie in [0, p), so a slot's sum is at most
-      count * (p-1)^2, count being q's nonconstant terms.  The width is
-      fixed by p, each layer of T is packed once, and T_k adds one big-int
-      product Q_s T_{k-s} per s.
-    - Q: q's coefficients keep the bits they are given, about 7 as drawn,
-      but T's coefficients grow with k, to about 900 bits by degree 126 at
-      (2,124,21,126).  A slot's sum is below count * 2^(qbits + tbits),
-      tbits the largest bit length of T so far, so layer k takes its own
-      width, rounded up to 8-byte words so that a layer packed for one
-      width serves the next layers until it grows.  T_k adds
-      one product q_b T_{k-|b|}, shifted to b's slot, per term b: a
-      product of whole layers would multiply by a Q_s whose wide slots
-      hold a few bits each, and a width fixed in advance for every layer
-      would have to fit the last.
+    T_h in slot key(g) and nowhere else, unreduced.  q and T lie in
+    [0, p), so a slot's sum is at most count * (p-1)^2, count being q's
+    nonconstant terms, which fixes the width.  T_k adds one big-int product
+    Q_s T_{k-s} per s; its sums are unpacked once, and each coefficient is
+    finished by (P_g - sum) mod p.
     """
     n = len(next(iter(p), ()))
     const = (0,) * n
@@ -187,53 +141,68 @@ def taylor_coeffs(p: dict, q: dict, m: int, ctx) -> dict:
     if any(len(g) != n or type(c) is not int for g, c in chain(p.items(), q.items())):
         raise UsageError("P and Q need shared variables and integer coefficients")
     weights, layers = _layout(n, m)
-    rational = isinstance(ctx, Rationals)
-    terms = []  # (|b|, slot of b, q_b) over q's terms of degree 1..m
-    for b, c in q.items():
-        s, c = sum(b), c if rational else c % ctx.p
-        if 0 < s <= m and c:
-            terms.append((s, sum(map(mul, b, weights)), c))
-    terms.sort()
-    get = p.get
-    zeros = repeat(0)
+    prime = field.p
+    terms = [(sum(b), b, c % prime) for b, c in q.items() if 0 < sum(b) <= m and c % prime]
+    size = (max(len(terms), 1) * (prime - 1) ** 2).bit_length() // 8 + 1  # T < p fits
+    W = 8 * size
+    qlayers: dict = {}  # s -> Q_s packed
+    for s, b, c in terms:
+        qlayers[s] = qlayers.get(s, 0) + (c << W * sum(map(mul, b, weights)))
+    get, zeros, from_bytes = p.get, repeat(0), int.from_bytes
     out: dict = {}
-    if rational:
-        T = [[1]]  # layer j of T, in output order
-        packed, psize = [1], 0  # packed[j]: layer j at width psize, for the j still read
-        qbits = max(map(abs, [c for _, _, c in terms]), default=0).bit_length()
-        bound, tbits = qbits + len(terms).bit_length(), 1  # a sum < 2^(bound + tbits)
-        reach = terms[-1][0] if terms else 0  # T_k reads T_{k-reach}..T_{k-1}
-        for k in range(1, m + 1):
-            exps, slots, order = layers[k]
-            size = (bound + tbits + 64) // 64 * 8  # 8-byte words, a sign bit spare
-            if size == psize:
-                packed.append(_pack_layer(T[k - 1], layers[k - 1][2], size))
-            else:
-                low, psize = max(k - reach, 1), size
-                packed[low:] = [_pack_layer(T[j], layers[j][2], size) for j in range(low, k)]
-            W = 8 * size
-            acc = sum(c * packed[k - s] << W * key for s, key, c in terms if s <= k)
-            T.append(layer := list(map(sub, map(get, exps, zeros),
-                                       _unpack_layer(acc, slots, len(order), size))))
-            tbits = max(tbits, max(layer).bit_length(), min(layer).bit_length())
-            out.update(zip(exps, layer))
-    else:
-        prime = ctx.p
-        size = (max(len(terms), 1) * (prime - 1) ** 2).bit_length() // 8 + 1  # T < p fits
-        W = 8 * size
-        qlayers: dict = {}  # s -> Q_s packed, by increasing s
-        for s, key, c in terms:
-            qlayers[s] = qlayers.get(s, 0) + (c << W * key)
-        packed = [1]  # layer j of T, packed
-        for k in range(1, m + 1):
-            exps, slots, order = layers[k]
-            acc = sum(Qs * packed[k - s] for s, Qs in qlayers.items() if s <= k)
-            sums = _unpack_layer(acc, slots, len(order), size)
-            layer = [(a - b) % prime for a, b in zip(map(get, exps, zeros), sums)]
-            if k < m:
-                packed.append(_pack_layer(layer, order, size))
-            out.update(zip(exps, layer))
+    packed = [1]  # layer j of T, packed
+    for k in range(1, m + 1):
+        exps, slots, order = layers[k]
+        data = sum(Qs * packed[k - s] for s, Qs in qlayers.items() if s <= k).to_bytes(
+            len(order) * size, "little")
+        sums = [from_bytes(data[s * size:s * size + size], "little") for s in slots]
+        layer = [(a - b) % prime for a, b in zip(map(get, exps, zeros), sums)]
+        if k < m:
+            row = [*layer, 0]
+            packed.append(from_bytes(b"".join([row[i].to_bytes(size, "little")
+                                              for i in order]), "little"))
+        out.update(zip(exps, layer))
     return out
+
+
+def majorant(p: dict, q: dict, m: int) -> list:
+    """[M_0, ..., M_m] with |T_g| <= M_|g| for T = p/q: M_0 = 1, and M_k =
+    max_{|g|=k} |p_g| + sum_{s=1..k} |Q_s| M_{k-s}, |Q_s| the sum of |q_b|
+    over |b| = s, by the triangle inequality on the recursion of
+    ``taylor_coeffs``.  At most B_p [k <= d] + sum_{s<=min(k,e)}
+    C(s+n-1, n-1) B_q M_{k-s}, for B_p and B_q the largest |p_g| and |q_b|."""
+    top, norm = [0] * (m + 1), [0] * (m + 1)
+    for g, c in p.items():
+        k = sum(g)
+        if 0 < k <= m and abs(c) > top[k]:
+            top[k] = abs(c)
+    for b, c in q.items():
+        k = sum(b)
+        if 0 < k <= m:
+            norm[k] += abs(c)
+    M = [1]
+    for k in range(1, m + 1):
+        M.append(top[k] + sum(map(mul, norm[1:k + 1], reversed(M))))
+    return M
+
+
+def lift_taylor_coeffs(p: dict, q: dict, m: int, expand) -> dict:
+    """The integer coefficients of T = p/q, as ``taylor_coeffs`` orders them,
+    remaindered from ``expand(prime)``, T mod that prime, at each prime of
+    ``rational_primes`` in turn until the product passes 2 max M_k
+    (``majorant``), where the symmetric residue is T.  For draws in
+    [-100, 100] that is one prime, ``SURVEY_PRIME``, at (3,2,2,3), three at
+    (2,25,9,27) and 15 at (2,124,21,126), each an expansion; only a rank
+    over Q short of full reads T, and no family case and no pinned run has
+    one past (3,2,2,3)."""
+    bound = 2 * max(majorant(p, q, m))
+    x, modulus = repeat(0), 1
+    for prime in rational_primes():
+        T, inv = expand(prime), pow(modulus, -1, prime)
+        x = [a + modulus * ((b - a) * inv % prime) for a, b in zip(x, T.values())]
+        modulus *= prime
+        if modulus > bound:
+            return dict(zip(T, [a - modulus if 2 * a > modulus else a for a in x]))
 
 
 def _rank(P: SymbolicMatrix, point: dict, ctx) -> int:
@@ -242,6 +211,16 @@ def _rank(P: SymbolicMatrix, point: dict, ctx) -> int:
     if isinstance(ctx, Rationals):
         return rank_rational(A)
     return eliminate(A, ctx).rank
+
+
+def _pair_rank(P: SymbolicMatrix, p: dict, q: dict, m: int, ctx) -> int:
+    """Rank of P at T = p/q over ``ctx``; over Q, at T mod each prime, and
+    at the integer T lifted from those once a prime misses full rank."""
+    if not isinstance(ctx, Rationals):
+        return _rank(P, taylor_coeffs(p, q, m, ctx), ctx)
+    expand = cache(lambda prime: taylor_coeffs(p, q, m, PrimeField(prime)))
+    return rank_rational(lambda prime: P.evaluate(expand(prime)),
+                         lambda: P.evaluate(lift_taylor_coeffs(p, q, m, expand)))
 
 
 def expected_dimension(params: TaylorParams) -> int:
@@ -276,7 +255,8 @@ def actual_dimension(params: TaylorParams, ctx=DEFAULT_FIELD, seed=0) -> int:
     generically exact.  J is (C(m+n,n)-1) x (C(d+n,n)+C(e+n,n)-2), so the
     rank never exceeds ``expected_dimension(params)``, the smaller of the
     two; the first trial that reaches it ends the loop with the exact answer.
-    Over Q each rank is ``detcalc.rank_rational``, certified mod primes.
+    Over Q each rank is ``detcalc.rank_rational``, certified mod primes at
+    T mod each, and at the integer T once its Hadamard bound is needed.
     """
     A = SymbolicMatrix([row[1:] for row in params.pade.entries])
     base = comb(params.d + params.n, params.n) - 1
@@ -284,7 +264,7 @@ def actual_dimension(params: TaylorParams, ctx=DEFAULT_FIELD, seed=0) -> int:
     best = 0
     for t in range(DIM_TRIALS):
         p, q = random_rational_pair(params, ctx, derive_seed("dim", seed, t))
-        best = max(best, base + _rank(A, taylor_coeffs(p, q, params.m, ctx), ctx))
+        best = max(best, base + _pair_rank(A, p, q, params.m, ctx))
         if best == ceiling:
             break
     return best

@@ -5,10 +5,12 @@ way over any commutative ring: truncated series (``TruncatedSeries``) and
 their sum, product and inverse, a pair with constant terms 1
 (``RationalPair``), the expansion of p/q by ring operations
 (``taylor_coeffs_ring``), and the full Jacobian of the map.  The program
-expands p/q on plain numbers with Kronecker keys
-(``variety.taylor_coeffs``) and ranks the Pade matrix at T = p/q, less its
-sigma = 0 column, instead (``variety.actual_dimension``); these give the same T and the same
-rank by another route.  Membership of a coefficient vector in the variety,
+expands p/q mod p on packed ints with Kronecker keys
+(``variety.taylor_coeffs``), lifts the integer T from those residues
+(``variety.lift_taylor_coeffs``), and ranks the Pade matrix at T = p/q,
+less its sigma = 0 column, instead (``variety.actual_dimension``); these
+give the same T and the same rank by another route.  Over ``QQ()``,
+``taylor_coeffs_ring`` is the one exact expansion over Q.  Membership of a coefficient vector in the variety,
 read off the kernel of the Pade matrix at it.  The entry law of a Pade
 matrix, c_{rho - sigma} where sigma <= rho, one cell at a time (``exp_sub``):
 the program reads it from a table of Kronecker keys instead.
@@ -274,9 +276,9 @@ class RationalPair:
 def taylor_coeffs_ring(pq: RationalPair, m: int) -> dict:
     """Coefficients (c_g, 0 < |g| <= m) of the expansion T of P/Q, every such
     g present, zeros included: ``variety.taylor_coeffs`` by ring operations
-    only, one tuple exponent and one reducing ``mul`` per product.  It also
-    runs over jets, and so reads the Jacobian of the map off first-order
-    jets.
+    only, one tuple exponent and one reducing ``mul`` per product, over any
+    ring, Q included.  It also runs over jets, and so reads the Jacobian of
+    the map off first-order jets.
     """
     f, n = pq.p.field, pq.p.nvars
     q = [(b, sum(b), c) for b, c in pq.q.coeffs.items() if any(b)]

@@ -631,6 +631,23 @@ def test_rank_rational_takes_full_rank_from_the_second_prime(monkeypatch):
     assert eliminate(A, PrimeField(p0)).rank == 1
 
 
+def test_rank_rational_reads_residues_until_a_prime_misses_full_rank(monkeypatch):
+    # Given as a residue per prime, the matrix of the test above is read
+    # mod SURVEY_PRIME only: rank 1 there calls ``exact`` once, and the next
+    # prime ranks what it returned.  A full rank at the first prime never
+    # calls it.
+    p0, p1 = islice(rational_primes(), 2)
+    A = [[p0 * 3, p0 * 5, p0 * 7], [2, 11, 13]]
+    for M, want, residues, exacts in ((A, 2, [p0], 1), ([[1, 2], [3, 4]], 2, [p0], 0)):
+        read, lifted = [], []
+        taken = _primes_taken(monkeypatch)
+        rank = rank_rational(lambda p: read.append(p) or [[x % p for x in row] for row in M],
+                             lambda: lifted.append(M) or M)
+        assert rank == want == eliminate_bareiss(M).rank
+        assert read == residues and len(lifted) == exacts
+        assert taken == [p0, p1][:exacts + 1]
+
+
 def test_rank_rational_runs_past_the_listed_primes(monkeypatch):
     # Rank 1 with entries near 2^300: the Hadamard bound, about 2^603,
     # exceeds the product of SURVEY_PRIME and the eight PRIMES_62 (about

@@ -16,12 +16,14 @@ from taylorpade.fields import (
     random_point,
 )
 from taylorpade.detcalc import rank_rational, rational_primes
-from taylorpade.pade import pade_matrix, pade_shape
+from taylorpade.pade import SymbolicMatrix, pade_matrix, pade_shape
 from taylorpade.series import monomials_of_degree, monomials_upto
 from taylorpade.variety import (
     TaylorParams,
     actual_dimension,
     expected_dimension,
+    lift_taylor_coeffs,
+    majorant,
     nondefective_hypersurface_check,
     random_rational_pair,
     square_family,
@@ -47,6 +49,11 @@ P547 = TaylorParams(2, 5, 4, 7)
 P3223 = TaylorParams(3, 2, 2, 3)
 
 
+def _lift(p, q, m):
+    """The program's integer T = p/q, lifted from ``taylor_coeffs`` mod primes."""
+    return lift_taylor_coeffs(p, q, m, lambda prime: taylor_coeffs(p, q, m, GF(prime)))
+
+
 def test_params_validation():
     with pytest.raises(UsageError):
         TaylorParams(2, 5, 4, 5)
@@ -69,31 +76,38 @@ def test_params_are_read_only_values():
     assert params.pade.params == (2, 5, 4, 7)
 
 
-def test_taylor_coeffs_p_equals_q(qq):
+def test_taylor_coeffs_p_equals_q(qq, gf):
     p, _ = random_rational_pair(TaylorParams(2, 3, 3, 5), qq, 1)
-    # every 0 < |g| <= m is present, so the Pade matrix evaluates at it
+    # every 0 < |g| <= m is present, so the Pade matrix evaluates at it,
+    # mod a prime and over Q, lifted
     coords = [g for g in monomials_upto(2, 5) if any(g)]
-    assert taylor_coeffs(p, p, 5, qq) == {g: qq.zero for g in coords}
+    assert taylor_coeffs(p, p, 5, gf) == {g: 0 for g in coords}
+    assert _lift(p, p, 5) == {g: qq.zero for g in coords}
 
 
-def test_taylor_coeffs_geometric(qq):
-    coeffs = taylor_coeffs({(0,): 1}, {(0,): 1, (1,): -1}, 4, qq)
-    assert coeffs == {(k,): 1 for k in range(1, 5)}
+def test_taylor_coeffs_geometric(gf):
+    p, q = {(0,): 1}, {(0,): 1, (1,): -1}
+    assert taylor_coeffs(p, q, 4, gf) == {(k,): 1 for k in range(1, 5)}
+    assert _lift(p, q, 4) == {(k,): 1 for k in range(1, 5)}
+    # mod 2, and over Q with alternating signs
+    assert taylor_coeffs(p, {(0,): 1, (1,): 1}, 4, GF(2)) == {(k,): 1 for k in range(1, 5)}
+    assert _lift(p, {(0,): 1, (1,): 1}, 4) == {
+        (k,): (-1) ** k for k in range(1, 5)}
 
 
 def test_taylor_coeffs_defining_identity(qq):
-    # Q * (1 + sum c_g x^g) = P modulo degree m+1, exactly
+    # Q * (1 + sum c_g x^g) = P modulo degree m+1, exactly, for the lifted T
     for seed in range(5):
         pq = RationalPair.of_dicts(*random_rational_pair(P547, qq, seed), P547, qq)
         m = 7
-        c = taylor_coeffs(pq.p.coeffs, pq.q.coeffs, m, qq)
+        c = _lift(pq.p.coeffs, pq.q.coeffs, m)
         t = TruncatedSeries(qq, 2, m, {**c, (0, 0): qq.one})
         lhs = series_mul(pq.q, t, m)
         rhs = TruncatedSeries(qq, 2, m, pq.p.coeffs)
         assert lhs == rhs
 
 
-def test_rational_pair_validation(qq):
+def test_rational_pair_validation(qq, gf):
     # taylor_coeffs makes the checks of oracles.RationalPair on the
     # program's coefficient dicts, whose values are ints
     one = 1
@@ -107,7 +121,7 @@ def test_rational_pair_validation(qq):
     ]
     for p, q in bad_pairs:
         with pytest.raises(UsageError):
-            taylor_coeffs(p, q, 3, qq)
+            taylor_coeffs(p, q, 3, gf)
     with pytest.raises(UsageError):
         RationalPair.of_dicts(*bad_pairs[0], TaylorParams(2, 1, 1, 3), qq)
 
@@ -121,6 +135,24 @@ EQUALITY_CASES = [
     (2, 20, 8, 22),
 ]
 EQUALITY_SEEDS = {(2, 20, 8, 22): 2}  # 12 seeds for every other case
+
+
+def _expands_as_oracle(p, q, m, want, modulus):
+    """The program's expansion of p/q equals the oracle's, ``want``, key for
+    key and in order, and returns it: ``taylor_coeffs`` over GF(modulus),
+    and over Q (modulus None) the lifted T, within the majorant, while the
+    exact T reduced mod each prime of ``EQUALITY_FIELDS`` is
+    ``taylor_coeffs`` there."""
+    if modulus is not None:
+        got = taylor_coeffs(p, q, m, GF(modulus))
+    else:
+        for prime in EQUALITY_FIELDS[:-1]:
+            assert list(taylor_coeffs(p, q, m, GF(prime)).items()) == [
+                (g, int(c) % prime) for g, c in want.items()]
+        got, bound = _lift(p, q, m), majorant(p, q, m)
+        assert all(abs(c) <= bound[sum(g)] for g, c in got.items())
+    assert list(got.items()) == list(want.items())
+    return got
 
 
 @pytest.mark.parametrize("modulus", EQUALITY_FIELDS,
@@ -137,9 +169,8 @@ def test_taylor_coeffs_matches_ring_oracle(modulus):
         n, m = params.n, params.m
         for seed in range(EQUALITY_SEEDS.get(case, 12)):
             p, q = random_rational_pair(params, ctx, derive_seed("eq", seed))
-            got = taylor_coeffs(p, q, m, ctx)
             want = taylor_coeffs_ring(RationalPair.of_dicts(p, q, params, ctx), m)
-            assert list(got.items()) == list(want.items())
+            got = _expands_as_oracle(p, q, m, want, modulus)
             if seed == 0:
                 # a numerator reaching degree m+1: its terms beyond m are
                 # ignored, not aliased onto lower Kronecker keys
@@ -147,7 +178,7 @@ def test_taylor_coeffs_matches_ring_oracle(modulus):
                     TaylorParams(n, m + 1, 0, m + 2), ctx, derive_seed("long", seed))[0]
                 pq = RationalPair(TruncatedSeries(ctx, n, m + 1, long_p),
                                   TruncatedSeries(ctx, n, params.e, q))
-                assert taylor_coeffs(long_p, q, m, ctx) == taylor_coeffs_ring(pq, m)
+                _expands_as_oracle(long_p, q, m, taylor_coeffs_ring(pq, m), modulus)
             zero_layers += sum(
                 all(ctx.is_zero(got[g]) for g in monomials_of_degree(n, k))
                 for k in range(1, m + 1))
@@ -156,14 +187,13 @@ def test_taylor_coeffs_matches_ring_oracle(modulus):
         assert zero_layers > 0
     if modulus is None:
         assert widest > 100
-    # caller-given ints near 2^80: over Q the slot width follows them, not
-    # DEFAULT_RATIONAL_BOUND
+    # caller-given ints near 2^80: over Q the majorant, not
+    # DEFAULT_RATIONAL_BOUND, sizes the lift
     rng = random.Random(80)
     p, q = ({g: rng.choice((-1, 1)) * (2**80 - rng.randrange(2**16)) if any(g) else 1
              for g in monomials_upto(2, deg)} for deg in (5, 4))
-    got = taylor_coeffs(p, q, 7, ctx)
     want = taylor_coeffs_ring(RationalPair.of_dicts(p, q, P547, ctx), 7)
-    assert list(got.items()) == list(want.items())
+    _expands_as_oracle(p, q, 7, want, modulus)
 
 
 def test_expected_dimension_examples():
@@ -319,8 +349,9 @@ def test_gate_rank_matches_jacobian_oracle(case, field, seed, request):
         if e == 0:
             pade_rank = 0
         else:
-            A = [row[1:] for row in P.evaluate(taylor_coeffs(p, q, m, ctx))]
-            pade_rank = rank_of(A, ctx)
+            T = (_lift(p, q, m) if field == "qq"
+                 else taylor_coeffs(p, q, m, ctx))
+            pade_rank = rank_of([row[1:] for row in P.evaluate(T)], ctx)
         assert comb(d + n, n) - 1 + pade_rank == jac_rank
         jacobian_ranks.append(jac_rank)
     assert actual_dimension(params, ctx=ctx, seed=seed) == max(jacobian_ranks)
@@ -340,14 +371,18 @@ def test_rational_prefilter_agrees_with_bareiss(case, seed, qq):
     # The gate's two matrices over Q, P without its sigma = 0 column at the
     # gate's first T and P at its first det point: the rank certified mod primes
     # is Bareiss's, and a square one is full exactly when its det is
-    # nonzero.  With e = 0 only P has columns.
+    # nonzero.  With e = 0 only P has columns.  The gate ranks the first
+    # from T mod each prime it takes, and gets Bareiss's rank too.
     params = TaylorParams(*case)
     P = params.pade
     matrices = [P.evaluate(random_point(P.variables(), qq, derive_seed("det", seed, 0)))]
     if case[2]:
         p, q = random_rational_pair(params, qq, derive_seed("dim", seed, 0))
-        T = taylor_coeffs(p, q, params.m, qq)
+        T = _lift(p, q, params.m)
         matrices.append([row[1:] for row in P.evaluate(T)])
+        tail = SymbolicMatrix([row[1:] for row in P.entries])
+        assert variety_mod._pair_rank(tail, p, q, params.m, qq) == eliminate_bareiss(
+            matrices[-1]).rank
     for A in matrices:
         fast, exact = rank_rational(A), eliminate_bareiss(A)
         assert fast == exact.rank
@@ -364,9 +399,9 @@ def _primes_per_rank(monkeypatch):
         taken.append(p)
         return body(A, ncols, p, inverse)
 
-    def counted_rank(A):
+    def counted_rank(A, exact=None):
         taken.clear()
-        out = rank(A)
+        out = rank(A, exact)
         assert taken == list(islice(rational_primes(), len(taken)))
         counts.append(len(taken))
         return out
@@ -396,6 +431,25 @@ def test_rational_gate_primes_per_elimination(case, actual, primes, monkeypatch,
                                             ctx=qq, seed=0)
     assert check.actual_dim == actual
     assert counts == list(primes)
+
+
+@pytest.mark.parametrize("case, pairs", [
+    pytest.param(case, pairs, id="".join(map(str, case))) for case, pairs in [
+        *((tuple(c), 1) for c in square_family(9)), ((3, 4, 3, 6), 1),
+        # short of full rank at every pair: the lift reads T mod
+        # SURVEY_PRIME, which alone passes twice the majorant
+        ((3, 2, 2, 3), 3),
+    ]
+])
+def test_rational_gate_expands_once_per_pair(case, pairs, monkeypatch, qq):
+    # Over Q a dimension pair expands T once, mod SURVEY_PRIME: where that
+    # prime gives full rank, and where the lift reads its residues alone.
+    fields = []
+    real = variety_mod.taylor_coeffs
+    monkeypatch.setattr(variety_mod, "taylor_coeffs",
+                        lambda p, q, m, field: fields.append(field.p) or real(p, q, m, field))
+    actual_dimension(TaylorParams(*case), ctx=qq, seed=0)
+    assert fields == [SURVEY_PRIME] * pairs
 
 
 def test_gate_without_q_columns_samples_one_pair(monkeypatch, gf, qq):
