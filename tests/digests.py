@@ -307,7 +307,7 @@ def deep_checks(outputs) -> list:
                         or _eliminate_symmetric(*pack_symmetric(K, prime), prime) != want):
                     failed.append(name)
                 _log(start, name)
-    gate = " ".join(["defect", *_P12421, "--trials", "1"])
+    gate = key(["defect", *_P12421, "--trials", "1"])
     over = {field: json.loads(outputs[gate + suffix])["payload"]
             for field, suffix in (("GF(p)", ""), ("Q", " --field rational"))}
     if any(over["GF(p)"][f] != over["Q"][f] for f in GATE_FIELDS):
