@@ -1,24 +1,17 @@
 #!/usr/bin/env python3
 """Walk the smallest square m = d+2 case, (n,d,e,m) = (2,5,4,7), end to end.
 
-Prints the matrix layout, the randomized non-defectiveness check, the column
-operation invariance, the relation identity M.c = 0 with its rank bound, and
-the Hessian certificates in both variable modes (the ambient one derived
-from the essential trials).
+Prints the matrix layout, then runs the case as ``taylorpade hessian`` does
+(``run_case``): the non-defectiveness gate, the relation identity M.c = 0
+with its rank bound at the certificate's first trial, and the Hessian
+certificates in both variable modes (the ambient one derived from the
+essential trials).  The column operation invariance is checked at a point
+of its own.
 """
 
 import argparse
 
-from taylorpade import (
-    TaylorParams,
-    certify_hessian_pade,
-    column_transform,
-    eliminate,
-    full_from_essential,
-    nondefective_hypersurface_check,
-    random_lambda,
-    relation_check,
-)
+from taylorpade import TaylorParams, column_transform, eliminate, random_lambda, run_case
 from taylorpade.fields import DEFAULT_FIELD, derive_seed, random_point
 
 
@@ -41,7 +34,7 @@ def main():
     for row in P.entries:
         print("   " + "".join(fmt(x) for x in row))
 
-    check = nondefective_hypersurface_check(params, trials=args.trials, seed=args.seed)
+    check, essential, full, rel = run_case(params, trials=args.trials, seed=args.seed)
     print(f"\nnon-defectiveness: {check.verdict}")
     print(f"  det nonzero in {check.det_nonzero_count}/{check.det_trials} trials, "
           f"dimension {check.actual_dim} (expected {check.expected_dim}, "
@@ -49,17 +42,13 @@ def main():
 
     point = random_point(P.variables(), field, derive_seed("demo", args.seed))
     lam = random_lambda(P, field, args.seed)
-    # one factorisation of P at the point serves det(P) and the relation check
-    fac = eliminate(P.evaluate(point), field, inverse=True)
+    d0 = eliminate(P.evaluate(point), field).det
     d1 = eliminate(column_transform(P, lam, point, field), field).det
-    print(f"\ncolumn operations preserve det: {fac.det == d1}")
+    print(f"\ncolumn operations preserve det: {d0 == d1}")
 
-    rel = relation_check(params, point, fac, field)
     print(f"relation identity M.c = 0: {rel['residual_is_zero']}")
     print(f"rank(M) at this point: {rel['rank_M']} (bound {rel['rank_bound']})")
 
-    essential = certify_hessian_pade(check, trials=args.trials, seed=args.seed)
-    full = full_from_essential(essential, params)
     for mode, cert in (("full", full), ("essential", essential)):
         coranks = sorted({t.corank for t in cert.trials})
         extra = (f", error bound 1e{cert.error_bound_log10:.0f}"

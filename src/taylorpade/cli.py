@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import hessian as hess
 from .errors import UsageError
 from .fields import (
-    DEFAULT_FIELD, MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals, derive_seed,
+    DEFAULT_FIELD, MR_EXACT_BELOW, PRIMES_62, SURVEY_PRIME, PrimeField, Rationals,
 )
 from .pade import export_m2, require_buildable
 from .series import SparsePoly
@@ -46,7 +46,6 @@ from .variety import (
 )
 
 SCHEMA_VERSION = 2
-GATE_TRIALS = 8
 EXIT_INTERRUPTED = 130
 EXIT_CLOSED_STDOUT = 141
 
@@ -210,44 +209,12 @@ def cmd_defect(config: RunConfig) -> dict:
 
 
 def _run_case(params: TaylorParams, config: RunConfig):
-    """One Pade case as ``hessian`` and ``survey`` both run it, so that a survey
-    row reproduces from a hessian run: ``(check, essential, full, relations)``.
-    The gate samples ``GATE_TRIALS`` points from ``derive_seed("gate", seed)``
-    and passes at the first nonzero det; the certificate refuses a case whose
-    gate fails.  The relation check, None where ``hessian.relations_apply``
-    is false, reads the certificate's trial 0: its point and P's elimination.
-
-    The gate runs over ``config.context()``, GF(2^30 - 35) unless ``--prime``
-    is given, and the certificate over ``config.primes()``, the relation
-    check over its first: ``PRIMES_62[0]`` for ``hessian`` and 2^30 - 35 for
-    ``survey``.  Their positive outcomes are exact over any prime.  A zero
-    det trial, a dimension or ``rank_M`` short of its ceiling, and a zero
-    residual each miss the generic value with probability at most degree/p
-    per trial, below 3.4e-3 at 2^30 - 35 for every case that
-    ``pade.MAX_CELLS`` admits (README, "Command line").
-
-    A ``survey`` command makes the survey's two choices: a case whose gate
-    fails runs no later stage, and the trials stop at the first H of corank
-    0, which fixes both printed fields over any prime (the minimum corank is
-    then 0, and its nonzero det(H) fixes the full verdict).
-    """
-    survey = config.command == "survey"
-    check = nondefective_hypersurface_check(
-        params, trials=GATE_TRIALS, ctx=config.context(),
-        seed=derive_seed("gate", config.seed), stop_at_nonzero=True,
-    )
-    if survey and not check.is_nondefective_hypersurface:
-        return check, None, None, None
-    essential = hess.certify_hessian_pade(
-        check, trials=config.trials, seed=config.seed,
-        primes=config.primes(),
-        stop_at_full_rank=survey,
-    )
-    full = hess.full_from_essential(essential, params)
-    relations = None
-    if hess.relations_apply(params):
-        relations = hess.relation_check(params, *essential.first)
-    return check, essential, full, relations
+    """``hessian.run_case`` with this command line's choices: the gate over
+    ``config.context()``, the certificate over ``config.primes()`` (the
+    relation check over its first: ``PRIMES_62[0]`` for ``hessian`` and
+    2^30 - 35 for ``survey``), and the survey's choices for ``survey``."""
+    return hess.run_case(params, config.context(), config.primes(), config.trials,
+                         config.seed, survey=config.command == "survey")
 
 
 def cmd_hessian(config: RunConfig) -> dict:

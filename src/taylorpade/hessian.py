@@ -13,7 +13,7 @@ as c is nonzero, the rank of M stays below its number of columns.
 Certificates report randomized polynomial identity tests: a nonzero value
 modulo any prime certifies a nonzero polynomial, while an all-zero run leaves
 a quantified Schwartz-Zippel failure probability.  A Pade certificate reads
-only the outcome of the non-defectiveness gate, which its caller runs first,
+only the outcome of the non-defectiveness gate, which ``run_case`` runs first,
 and covers the variables of det(P); the ambient one is derived from it.
 """
 
@@ -26,13 +26,14 @@ from typing import NamedTuple
 
 from .detcalc import block_grad_det_at, eliminate, hessian_at
 from .errors import UsageError
-from .fields import PRIMES_62, PrimeField, derive_seed, point_hash, random_point
+from .fields import DEFAULT_FIELD, PRIMES_62, PrimeField, derive_seed, point_hash, random_point
 from .pade import lambda_shape
 from .series import SparsePoly, exp_add, monomials_of_degree
-from .variety import HypersurfaceCheck, TaylorParams
+from .variety import HypersurfaceCheck, TaylorParams, nondefective_hypersurface_check
 
 VANISHES = "vanishes-probabilistic"
 NONZERO = "nonzero-certified"
+GATE_TRIALS = 8
 
 
 def relations_apply(params: TaylorParams) -> bool:
@@ -305,6 +306,33 @@ def full_from_essential(essential: Certificate, params: TaylorParams) -> Certifi
         params.ambient_coords * max(P.nrows - 2, 0),
         records,
     )
+
+
+def run_case(params: TaylorParams, gate_field=DEFAULT_FIELD, primes: tuple = PRIMES_62,
+             trials: int = 20, seed=0, survey: bool = False):
+    """One Pade case, as ``hessian`` and ``survey`` run it, so that a survey
+    row reproduces from a hessian run: ``(check, essential, full, relations)``.
+    The gate samples up to ``GATE_TRIALS`` points over ``gate_field`` from
+    ``derive_seed("gate", seed)`` and passes at the first nonzero det; the
+    certificate runs over ``primes`` and refuses a failing gate.  The relation
+    check, None where ``relations_apply`` is false, reads the certificate's
+    trial 0.  Positive outcomes are exact over any prime; each negative one
+    misses the generic value with probability at most degree/p per trial,
+    below 3.4e-3 at 2^30 - 35 for every case that ``pade.MAX_CELLS`` admits
+    (README, "Command line").
+
+    ``survey`` makes the survey's two choices: a failing gate runs no later
+    stage, and the trials stop at the first H of corank 0, which fixes both
+    printed fields over any prime.
+    """
+    check = nondefective_hypersurface_check(params, trials=GATE_TRIALS, ctx=gate_field,
+                                            seed=derive_seed("gate", seed), stop_at_nonzero=True)
+    if survey and not check.is_nondefective_hypersurface:
+        return check, None, None, None
+    essential = certify_hessian_pade(check, trials, seed, primes, stop_at_full_rank=survey)
+    full = full_from_essential(essential, params)
+    relations = relation_check(params, *essential.first) if relations_apply(params) else None
+    return check, essential, full, relations
 
 
 def certify_hessian_poly(

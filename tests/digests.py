@@ -147,6 +147,11 @@ RUNS = [
     ["defect", "-n", "2", "-d", "1", "-e", "3", "-m", "3", "--trials", "2", "--field", "rational"],
     # the largest certificate pinned: one essential trial on (2,43,12,45), nonzero-certified
     ["hessian", "-n", "2", "-d", "43", "-e", "12", "-m", "45", "--trials", "1", "--mode", "essential"],
+    # --expect met (exit 0) and missed (exit 1, one stderr line), and a report
+    # written to --out in the workdir, with nothing on stdout
+    ["shape", *_P547, "--expect", "square"],
+    ["defect", *_P547, "--trials", "1", "--expect", "defective"],
+    ["shape", *_P547, "--out", "shape.json"],
 ]
 
 ARGVS = [*GOLDEN_RUNS.values(), *RUNS]  # the table's keys, in order

@@ -16,7 +16,10 @@ checked against ``worked_example_t2_s7.txt``.  Each run starts in a fresh
 directory (``digests.workdir``).  It lists the lines tier-1 runs but the
 traffic does not.  Each child Python is traced through a ``sitecustomize.py``
 in a temporary directory put first on PYTHONPATH, so a child started with
-``-S`` is not.  Tracing makes tier-1 several times slower.
+``-S`` is not.  Tracing makes tier-1 several times slower.  The package's
+source is read once, before tracing: if any file of it differs afterwards,
+``lines`` says so and exits 1 without listing lines, since the traced line
+numbers need not match the new text.
 
 ``interpreters`` replays the traffic under each interpreter given, with
 PYTHONPATH=src, and prints a table of the runs that match.  ``deep`` does the
@@ -76,20 +79,25 @@ def _codes(code):
             yield from _codes(const)
 
 
-def executable_lines():
-    """(file name, line) of each line of the package that holds code."""
+def package_sources():
+    """File name -> source text, for each module of the package."""
+    return {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+
+
+def executable_lines(sources):
+    """(file name, line) of each line of ``sources`` that holds code."""
     out = set()
-    for path in PACKAGE.glob("*.py"):
-        top = compile(path.read_text(), str(path), "exec")
-        out |= {(path.name, line) for code in _codes(top) for line in _lines(code)}
+    for name, source in sources.items():
+        top = compile(source, str(PACKAGE / name), "exec")
+        out |= {(name, line) for code in _codes(top) for line in _lines(code)}
     return out
 
 
-def allowed():
+def allowed(sources):
     """(file name, line) -> reason, for each line of an ``ALLOWED`` text."""
     out = {}
     for name, text, reason in ALLOWED:
-        source = (PACKAGE / name).read_text()
+        source = sources[name]
         first = source[: source.index(text)].count("\n") + 1
         out.update({(name, line): reason for line in range(first, first + text.count("\n"))})
     return out
@@ -197,6 +205,9 @@ def _show(found, sources, notes=None):
 
 
 def cmd_lines():
+    # Read before tracing: the traced line numbers are those of this text.
+    texts = package_sources()
+    every, reasons = executable_lines(texts), allowed(texts)
     with tempfile.TemporaryDirectory() as tmp:
         env, tier1_hits = _traced_env(tmp, "tier1")
         tier1 = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
@@ -213,9 +224,10 @@ def cmd_lines():
     for name, how in differ.items():
         print(f"  {name}: {how}")
 
-    every = executable_lines()
-    sources = {path.name: path.read_text().splitlines() for path in PACKAGE.glob("*.py")}
-    reasons = allowed()
+    if package_sources() != texts:
+        print("\nsrc/taylorpade changed while tracing: its lines are not listed")
+        return 1
+    sources = {name: text.splitlines() for name, text in texts.items()}
     unrun = every - by_tier1
     print(f"\nexecutable lines in src/taylorpade: {len(every)}")
     print(f"not run by tier-1: {len(unrun)}, of which {len(unrun - reasons.keys())} not allowed")

@@ -34,6 +34,7 @@ from taylorpade.fields import (
     random_point,
 )
 from taylorpade.hessian import (
+    GATE_TRIALS,
     certify_hessian_pade,
     certify_hessian_poly,
     build_M,
@@ -1095,7 +1096,8 @@ def test_full_certificate_matches_zero_padded_hessian(case):
     if case == (2, 5, 4, 7):
         missing = set(ambient) - set(P.variables())
         assert missing == {(0, 0), (1, 0), (0, 1)}
-    check = nondefective_hypersurface_check(params, trials=8, stop_at_nonzero=True)
+    check = nondefective_hypersurface_check(params, trials=GATE_TRIALS,
+                                            stop_at_nonzero=True)
     for seed in (0, 7, 123):
         essential = certify_hessian_pade(check, trials=2, seed=seed)
         full = full_from_essential(essential, params)
@@ -1117,7 +1119,8 @@ def test_full_certificate_corank_matches_symbolic_poly_2112():
     f = expand_det_poly(P, monomials_upto(2, 2))
     poly = certify_hessian_poly(f, trials=5, seed=0)
     params = TaylorParams(2, 1, 1, 2)
-    check = nondefective_hypersurface_check(params, trials=8, stop_at_nonzero=True)
+    check = nondefective_hypersurface_check(params, trials=GATE_TRIALS,
+                                            stop_at_nonzero=True)
     full = full_from_essential(certify_hessian_pade(check, trials=5, seed=0), params)
     assert [t.corank for t in full.trials] == [t.corank for t in poly.trials]
 

@@ -25,6 +25,7 @@ from taylorpade.fields import (
     random_point,
 )
 from taylorpade.hessian import (
+    GATE_TRIALS,
     NONZERO,
     VANISHES,
     build_M,
@@ -62,7 +63,7 @@ def _factor(P, point, field):
     return eliminate(P.evaluate(point), field, inverse=True)
 
 
-def _gate(params, trials=8, seed=0):
+def _gate(params, trials=GATE_TRIALS, seed=0):
     """The gate outcome a Pade certificate takes."""
     return nondefective_hypersurface_check(params, trials=trials, seed=seed,
                                            stop_at_nonzero=True)
@@ -835,9 +836,35 @@ def test_survey_row_is_its_case_hessian_run(flags, capsys):
                 row["essential_corank"], row["rank_M"]) == want
 
 
+@pytest.mark.parametrize("mode", ["full", "essential"])
+def test_hessian_payload_renders_run_case(mode, capsys):
+    # Each printed field is its record field: the payload of hessian is
+    # run_case's certificate, verdict and relations, read with the defaults.
+    argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7",
+            "--trials", "3", "--seed", "7", "--mode", mode]
+    assert cli_mod.main(argv) == 0
+    _, essential, full, relations = hessian_mod.run_case(P547, trials=3, seed=7)
+    cert = full if mode == "full" else essential
+    want = {"certificate": cert.to_dict(), "verdict": cert.verdict, "relations": relations}
+    assert json.loads(capsys.readouterr().out)["payload"] == json.loads(json.dumps(want))
+
+
+def test_survey_row_renders_run_case(capsys):
+    rows = _survey_rows(["survey", "--e-max", "5", "--trials", "3", "--seed", "7"], capsys)
+    check, essential, full, relations = hessian_mod.run_case(
+        P547, primes=(SURVEY_PRIME,), trials=3, seed=7, survey=True)
+    assert rows[0] == {
+        "d": 5, "e": 4, "m": 7, "size": P547.shape.rows,
+        "nondefective_hypersurface": check.is_nondefective_hypersurface,
+        "hessian_full": full.verdict,
+        "essential_corank": min(t.corank for t in essential.trials),
+        "rank_M": relations["rank_M"],
+    }
+
+
 def _call_sites(name):
     """(module, innermost enclosing function) of each call of ``name`` in the
-    package, one entry per call."""
+    package and the scripts, one entry per call."""
     sites = []
 
     def visit(node, module, function):
@@ -848,7 +875,8 @@ def _call_sites(name):
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, module, child.name if inner else function)
 
-    for path in sorted(Path(cli_mod.__file__).parent.glob("*.py")):
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    for path in sorted([*Path(cli_mod.__file__).parent.glob("*.py"), *scripts.glob("*.py")]):
         visit(ast.parse(path.read_text(), str(path)), path.name, None)
     return sites
 
@@ -857,8 +885,9 @@ def _call_sites(name):
                                    "relation_check"])
 def test_each_case_stage_has_one_call_site(stage):
     # hessian and survey each used to chain the stages of a case by hand,
-    # and the two chains drifted apart; the runner is now their only caller.
-    assert _call_sites(stage) == [("cli.py", "_run_case")]
+    # and the two chains drifted apart, as did the worked example's; the
+    # library's runner is now their only caller.
+    assert _call_sites(stage) == [("hessian.py", "run_case")]
 
 
 def test_certificate_depends_on_check_only_through_params():
@@ -874,7 +903,7 @@ def test_certificate_depends_on_check_only_through_params():
 
 
 def test_one_elimination_of_P_at_the_diagnostic_point(monkeypatch, capsys):
-    shapes = _record_eliminations(monkeypatch, (cli_mod, GATE),
+    shapes = _record_eliminations(monkeypatch, (hessian_mod, GATE),
                                   (hessian_mod, "certify_hessian_pade"))
     argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7", "--trials", "1"]
     assert cli_mod.main(argv) == 0

@@ -29,8 +29,9 @@ def test_worked_example_runs():
 
 
 def test_worked_example_matches_golden():
-    # recorded before the relation check and the polar rank were read from
-    # one factorisation of P and the certificate's coranks
+    # the example runs the case through hessian.run_case, as taylorpade
+    # hessian does: the gate stops at its first nonzero det (1/1 trials), and
+    # the relation lines read the certificate's trial 0 over PRIMES_62[0]
     script = _run_script("worked_example.py", "--trials", "2", "--seed", "7")
     assert script.returncode == 0, script.stderr
     assert script.stdout == (ROOT / "tests" / "golden" / "worked_example_t2_s7.txt").read_text()
