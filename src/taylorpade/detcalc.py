@@ -90,24 +90,30 @@ K is assembled straight into the symmetric body's rows.  Classes with a
 one-column key come last: a single occurrence (r, c) gives
 ``t_a = X[c][r]`` and ``G_aa = t_a^2``, so they are K's structurally zero
 diagonal (23 of 185 entries at (2,20,8,22)) and need no diagonal scan.  Both
-gathers of X run in C: each class keeps one ``operator.itemgetter`` per index
-i, over its members' rows r_a(i).  Per class pair, B's getter j joins row cA_i
-of X, held as slot bytes, into ``Wcols[i, j]``, the w_b packed over B; A's
-getter i on row cB_j gives ``u[i, j]`` for all of A.  a's block is one C-level
-``t_a * T_B + OFF - sum(map(mul, u_a, Wcols))``: ``T_B`` packs B's t values,
-reduced mod p, and each slot of OFF holds ``|cA| * |cB| * p^2``, which keeps
-the entry nonnegative and below ``(|cA| * |cB| + 1) * p^2``.  A row joins
-its blocks, the diagonal one shifted past the members before a.  With c the
-widest class key, W is the smallest multiple of 8 with
+gathers of X are slices.  A class's members, sorted by their rows, are cut
+into runs, whose rows r_a(i) step by one from member to member at every
+index i; every class of a square-family P up to e = 21 is one run, and a
+random pattern only has more.  Each row of X is held once, as one bytes
+string of slots.  Per pair of runs A and B, ``Wcols[i, j]``, the w_b packed
+over B, is one slice of row cA_i's string, from B's first row at index j;
+``u[i, j]`` for all of A is one list slice of row cB_j of X.  So no entry of
+X becomes a bytes object of its own and no gather builds a tuple: at
+(2,20,8,22) over ``PRIMES_62[0]`` the assembly's traced peak is 430 KiB,
+against 980 KiB with a per-entry grid and itemgetters.  a's block is one
+C-level ``t_a * T_B + OFF - sum(map(mul, u_a, Wcols))``: ``T_B`` packs B's
+t values, reduced mod p, and each slot of OFF holds ``|cA| * |cB| * p^2``,
+which keeps the entry nonnegative and below ``(|cA| * |cB| + 1) * p^2``.
+A row joins its blocks, the diagonal one shifted past the members before a.
+With c the widest class key, W is the smallest multiple of 8 with
 ``(|c|^2 + 1) * p^2 + V * p * (p - 1) < 2^W``: at every family case up to
 e = 20, 136 bits for ``fields.PRIMES_62`` and 72 for ``fields.SURVEY_PRIME``.
 """
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import count, groupby, repeat
 from math import isqrt, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -384,36 +390,39 @@ def _hessian_core(X, occ, labels, p):
     # Class-pair assembly of K from X = P(point)^-1 (module docstring), as
     # (rows, size, order): row k holds K[order[k]][order[j]] for j >= k,
     # unreduced, in slots of ``size`` bytes, single-occurrence classes last.
-    # A class is keyed by the columns of its members' occurrences, in order.
-    # A lone member's getter takes a one-entry slice, as itemgetter of one
-    # index returns a bare entry.
+    # A class is keyed by the columns of its members' occurrences, in order,
+    # and cut into runs: members, sorted by their rows, whose rows step by
+    # one at every occurrence, so that their rows minus their places in the
+    # class agree.  A run is (cols, its first member's rows, its members).
     classes: dict = {}
     for g in labels:
         rs, cols = zip(*occ[g])
-        classes.setdefault(cols, []).append((g, rs))
-    groups = []
+        classes.setdefault(cols, []).append((rs, g))
+    runs = []
     for cols, members in sorted(classes.items(), key=lambda item: len(item[0]) == 1):
-        gA, rowsA = zip(*members)
-        gets = [itemgetter(*R) if len(R) > 1 else itemgetter(slice(R[0], R[0] + 1))
-                for R in zip(*rowsA)]
-        groups.append((cols, gA, gets))
+        members.sort()
+        for _, run in groupby(enumerate(members), lambda m: [r - m[0] for r in m[1][0]]):
+            rowsA, gA = zip(*(member for _, member in run))
+            runs.append((cols, rowsA[0], gA))
     t = {g: sum(X[c][r] for r, c in occ[g]) % p for g in labels}
     widest = max(map(len, classes), default=0)
     size = (((widest**2 + 1) * p * p + len(labels) * p * (p - 1)).bit_length() + 7) // 8
     W = 8 * size
-    cells = [list(map(int.to_bytes, row, repeat(size), repeat("little"))) for row in X]
+    # Row c of X once, as slot bytes: a run's slots in it are one slice.
+    Xbytes = [b"".join(map(int.to_bytes, row, repeat(size), repeat("little"))) for row in X]
     rows = []
-    for first, (cA, gA, getA) in enumerate(groups):
+    for first, (cA, RA, gA) in enumerate(runs):
         parts = [[] for _ in gA]
-        for cB, gB, getB in groups[first:]:
+        m = len(gA)
+        for cB, RB, gB in runs[first:]:
             # Wcols[i, j] packs X[cA_i][r_b(j)] over B's members b, ucols[i, j]
             # holds X[cB_j][r_a(i)] over A's members a: G_ab = sum of u_a * w_b.
             n = len(gB)
             TB = _pack([t[b] for b in gB], size)
             OFF = _pack([len(cA) * len(cB) * p * p] * n, size)
-            Wcols = [int.from_bytes(b"".join(get(cells[c])), "little")
-                     for c in cA for get in getB]
-            ucols = [get(X[c]) for get in getA for c in cB]
+            Wcols = [int.from_bytes(Xbytes[c][r * size:(r + n) * size], "little")
+                     for c in cA for r in RB]
+            ucols = [X[c][r:r + m] for r in RA for c in cB]
             for part, g, u in zip(parts, gA, zip(*ucols)):
                 block = t[g] * TB + OFF - sum(map(mul, u, Wcols))
                 part.append(block.to_bytes(n * size, "little"))
@@ -421,4 +430,4 @@ def _hessian_core(X, occ, labels, p):
         # before each member's own.
         rows += [int.from_bytes(b"".join(part), "little") >> W * i
                  for i, part in enumerate(parts)]
-    return rows, size, [g for _, gA, _ in groups for g in gA]
+    return rows, size, [g for _, _, gA in runs for g in gA]

@@ -64,7 +64,7 @@ class SymbolicMatrix:
         self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.col_labels = tuple(col_labels) if col_labels is not None else None
         self.params = params
-        self._occ = None
+        self._occ = self._vars = None
 
     @property
     def is_square(self) -> bool:
@@ -82,7 +82,10 @@ class SymbolicMatrix:
         return self._occ
 
     def variables(self) -> list:
-        return sorted(set(chain.from_iterable(self.entries)) - {None})
+        """The variables, sorted, as a fresh list."""
+        if self._vars is None:
+            self._vars = tuple(sorted(set(chain.from_iterable(self.entries)) - {None}))
+        return list(self._vars)
 
     def evaluate(self, point: dict) -> list:
         """The matrix at ``point``, a fresh list of rows.

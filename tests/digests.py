@@ -1,5 +1,6 @@
 """The one table of pinned command-line runs: the exit code and the sha256 of
-stdout and of stderr of each argv, in ``tests/golden/digests.json``.
+stdout and of stderr of each argv, and of each file it writes, in
+``tests/golden/digests.json``.
 
     PYTHONPATH=src python tests/digests.py     # regenerate every pin
 
@@ -185,11 +186,24 @@ def run(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(code, out, err) -> dict:
+def digest(code, out, err, files=None) -> dict:
+    """The pin of a run: its exit code, the sha256 of stdout and of stderr,
+    and, if it wrote any, ``files`` as ``written()`` gives them."""
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    return {"exit": code, "stderr": sha(err), "stdout": sha(out)}
+    pin = {"exit": code, "stderr": sha(err), "stdout": sha(out)}
+    return {**pin, "files": files} if files else pin
+
+
+def written() -> dict:
+    """File name -> sha256 of its bytes, for each file in the current
+    directory but an unchanged copy of ``perazzo.json``: what a run in a
+    ``workdir()`` wrote there."""
+    files = {path.name: path.read_bytes() for path in sorted(Path().iterdir())}
+    if files.get("perazzo.json") == (GOLDEN / "perazzo.json").read_bytes():
+        del files["perazzo.json"]
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
 
 
 @contextlib.contextmanager
@@ -209,8 +223,9 @@ def check(argv) -> str:
     """Assert that ``argv``, run in a fresh ``workdir()``, matches its entry."""
     with workdir():
         code, out, err = run(argv)
-    assert digest(code, out, err) == json.loads(TABLE.read_text())[key(argv)], (
-        f"exit {code}\n--- stdout ---\n{out}--- stderr ---\n{err}")
+        files = written()
+    assert digest(code, out, err, files) == json.loads(TABLE.read_text())[key(argv)], (
+        f"exit {code}\n--- stdout ---\n{out}--- stderr ---\n{err}--- files ---\n{files}")
     return out
 
 
@@ -231,17 +246,17 @@ def regenerate(path, named_runs, log=False, outputs=None) -> list:
     of the entries and files whose bytes changed.  ``outputs``, if given,
     gains each run's stdout under its key."""
     old, table, changed = json.loads(path.read_text()) if path.exists() else {}, {}, []
-    with workdir():
-        for name, argv in named_runs:
-            start = time.perf_counter()
+    for name, argv in named_runs:
+        start = time.perf_counter()
+        with workdir():
             code, out, err = run(argv)
-            if log:
-                _log(start, key(argv))
-            if outputs is not None:
-                outputs[key(argv)] = out
-            table[key(argv)] = digest(code, out, err)
-            if name and _write(GOLDEN / name, out):
-                changed.append(name)
+            table[key(argv)] = digest(code, out, err, written())
+        if log:
+            _log(start, key(argv))
+        if outputs is not None:
+            outputs[key(argv)] = out
+        if name and _write(GOLDEN / name, out):
+            changed.append(name)
     _write(path, json.dumps(table, indent=2) + "\n")
     return changed + [f"entry {k}" for k in {**old, **table} if old.get(k) != table.get(k)]
 

@@ -756,7 +756,7 @@ def trace_route_Kw(P, fac: Elimination, w: dict, p: int) -> dict:
     the occurrences (r, c) of a, with X = P(point)^-1 read off ``fac``,
     W = P(w) and ``t_a = sum X[c][r]`` over the same occurrences.  Two
     N x N products, and none of ``detcalc._hessian_core``'s classes,
-    getters, offsets or packed rows.  A wrong K gives the same product at a
+    runs, offsets or packed rows.  A wrong K gives the same product at a
     uniform w with probability at most 1/p (Freivalds' check)."""
     X, occ, labels = fac.inverse, P.occurrences(), P.variables()
     t = {a: sum(X[c][r] for r, c in occ[a]) % p for a in labels}

@@ -11,12 +11,12 @@ unless each one is on ``ALLOWED`` with a reason.  It then traces the traffic,
 the runs people make of the program: every argv of the digest table of
 ``tests/digests.py`` (the golden-file runs, then the digest-only runs), each
 as ``python -m taylorpade`` and checked against its table entry (exit code,
-stdout, stderr), and ``scripts/worked_example.py --trials 2 --seed 7``,
-checked against ``worked_example_t2_s7.txt``.  Each run starts in a fresh
-directory (``digests.workdir``).  It lists the lines tier-1 runs but the
-traffic does not.  Each child Python is traced through a ``sitecustomize.py``
-in a temporary directory put first on PYTHONPATH, so a child started with
-``-S`` is not.  Tracing makes tier-1 several times slower.  The package's
+stdout, stderr and the files it writes), and ``scripts/worked_example.py
+--trials 2 --seed 7``, checked against ``worked_example_t2_s7.txt``.  Each
+run starts in a fresh directory (``digests.workdir``).  It lists the lines
+tier-1 runs but the traffic does not.  Each child Python is traced through a
+``sitecustomize.py`` in a temporary directory put first on PYTHONPATH, so a
+child started with ``-S`` is not.  Tracing makes tier-1 several times slower.  The package's
 source is read once, before tracing: if any file of it differs afterwards,
 ``lines`` says so and exits 1 without listing lines, since the traced line
 numbers need not match the new text.
@@ -187,7 +187,8 @@ def replay(python, env, runs):
     for name, args, want in runs:
         with digests.workdir():
             run = subprocess.run([python, *args], env=env, capture_output=True)
-        got = digests.digest(run.returncode, run.stdout.decode(), run.stderr.decode())
+            files = digests.written()
+        got = digests.digest(run.returncode, run.stdout.decode(), run.stderr.decode(), files)
         out[name] = ("ok" if got == want else "differs" if got["exit"] == want["exit"]
                      else f"exit {run.returncode}")
     return out

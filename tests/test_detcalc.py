@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, pairwise, permutations
 from math import lcm
 
 import pytest
@@ -947,6 +947,16 @@ def _class_sizes(P):
     return Counter(tuple(c for _, c in ps) for ps in P.occurrences().values())
 
 
+def _class_runs(P):
+    # The runs the kernel cuts each class into: its members sorted by their
+    # rows, cut wherever a row at some occurrence does not step by one.
+    rows: dict = {}
+    for ps in P.occurrences().values():
+        rows.setdefault(tuple(c for _, c in ps), []).append(tuple(r for r, _ in ps))
+    return {key: 1 + sum(any(b != a + 1 for a, b in zip(x, y)) for x, y in pairwise(sorted(rs)))
+            for key, rs in rows.items()}
+
+
 def test_hessian_core_matches_reference():
     # The kernel is checked on any matrix X, not only on inverses: a random
     # X, X with every entry p - 1, which makes each G slot |cA| * |cB| *
@@ -958,9 +968,14 @@ def test_hessian_core_matches_reference():
     # others take all three at every prime.
     patterns = _hessian_core_patterns()
     assert any(_column_repeats(P) for _, P in patterns)
-    # A one-member class takes the getter that is not a plain itemgetter.
+    # A one-member class is a run of one, whose slices hold one slot.
     assert any(1 in _class_sizes(P).values() for _, P in patterns)
     assert any(len(key) == 1 for _, P in patterns for key in _class_sizes(P))
+    # Every class of a Pade matrix is one run, whose gathers of X are one
+    # slice per occurrence; some random class splits into several runs.
+    assert all(set(_class_runs(P).values()) == {1}
+               for name, P in patterns if not name.startswith("random"))
+    assert any(max(_class_runs(P).values()) > 1 for _, P in patterns)
     rng = random.Random(13)
     for name, P in patterns:
         labels, occ, k = P.variables(), P.occurrences(), P.nrows
@@ -976,6 +991,12 @@ def test_hessian_core_matches_reference():
             packed = _hessian_core(X, occ, labels, p)
             H = [[det * x % p for x in row] for row in unpack_hessian(labels, packed, p)]
             assert H == _reference_hessian_core(X, det, occ, labels, p), (name, p)
+        # K's order lists each class's members together, sorted by their rows.
+        cols = lambda g: tuple(c for _, c in occ[g])
+        place: dict = {}
+        for g in packed[2]:
+            place.setdefault(cols(g), len(place))
+        assert packed[2] == sorted(packed[2], key=lambda g: (place[cols(g)], occ[g])), name
 
 
 def test_hessian_orders_the_single_occurrence_classes_last(gf):

@@ -135,6 +135,11 @@ def test_occurrence_positions_match_direct_enumeration():
     rows = {g: i for i, g in enumerate(P.row_labels)}
     cols = {lab.sigma: i for i, lab in enumerate(P.col_labels)}
     occ = P.occurrences()
+    # variables() is computed once, and each call returns a fresh list.
+    labels = P.variables()
+    assert labels == sorted({g for row in P.entries for g in row} - {None}) == sorted(occ)
+    labels.clear()
+    assert P.variables() == sorted(occ) and P.variables() is not P.variables()
     for g in P.variables():
         expected = set()
         for sigma in monomials_upto(2, 4):
