@@ -34,7 +34,8 @@ def main():
     for row in P.entries:
         print("   " + "".join(fmt(x) for x in row))
 
-    check, essential, full, rel = run_case(params, trials=args.trials, seed=args.seed)
+    case = run_case(params, trials=args.trials, seed=args.seed)
+    check, rel = case.gate, case.relations
     print(f"\nnon-defectiveness: {check.verdict}")
     print(f"  det nonzero in {check.det_nonzero_count}/{check.det_trials} trials, "
           f"dimension {check.actual_dim} (expected {check.expected_dim}, "
@@ -49,7 +50,8 @@ def main():
     print(f"relation identity M.c = 0: {rel['residual_is_zero']}")
     print(f"rank(M) at this point: {rel['rank_M']} (bound {rel['rank_bound']})")
 
-    for mode, cert in (("full", full), ("essential", essential)):
+    for mode in ("full", "essential"):
+        cert = getattr(case, mode)
         coranks = sorted({t.corank for t in cert.trials})
         extra = (f", error bound 1e{cert.error_bound_log10:.0f}"
                  if cert.error_bound_log10 is not None else "")
@@ -57,7 +59,7 @@ def main():
               f"coranks {coranks}{extra}")
     # the polar map's differential is H, so its rank is V - min corank
     V = len(P.variables())
-    polar_rank = V - min(t.corank for t in essential.trials)
+    polar_rank = V - min(t.corank for t in case.essential.trials)
     print(f"polar map rank (essential variables): {polar_rank} of {V}")
 
 

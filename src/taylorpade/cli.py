@@ -226,8 +226,8 @@ def cmd_hessian(config: RunConfig) -> dict:
         )
     else:
         params = config.params()
-        _, essential, full, relations = _run_case(params, config)
-        cert = full if config.mode == "full" else essential
+        case = _run_case(params, config)
+        cert, relations = getattr(case, config.mode), case.relations
     payload = {"certificate": cert.to_dict(), "verdict": cert.verdict}
     if relations is not None:
         payload["relations"] = relations
@@ -241,12 +241,13 @@ SURVEY_COLUMNS = [
 
 
 def _survey_case(params: TaylorParams, config: RunConfig) -> dict:
-    check, essential, full, relations = _run_case(params, config)
+    case = _run_case(params, config)
     stages = ("", "", "")
-    if essential is not None:
-        stages = (full.verdict, min(t.corank for t in essential.trials), relations["rank_M"])
+    if case.essential is not None:
+        stages = (case.full.verdict, min(t.corank for t in case.essential.trials),
+                  case.relations["rank_M"])
     return dict(zip(SURVEY_COLUMNS, (params.d, params.e, params.m, params.shape.rows,
-                                     check.is_nondefective_hypersurface, *stages)))
+                                     case.gate.is_nondefective_hypersurface, *stages)))
 
 
 def cmd_survey(config: RunConfig) -> dict:

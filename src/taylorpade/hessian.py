@@ -153,6 +153,7 @@ class Certificate(NamedTuple):
 
     ``first``, never printed, holds an essential Pade certificate's trial 0
     for ``relation_check``: (point, P's elimination there with inverse, field).
+    It is the essential record's trial-0 evidence, which ``run_case`` hands on.
     """
 
     target: str
@@ -308,10 +309,20 @@ def full_from_essential(essential: Certificate, params: TaylorParams) -> Certifi
     )
 
 
+class Case(NamedTuple):
+    """One Pade case's stage records, from ``run_case``: the certificates are
+    named after ``--mode``'s choices, and a survey's failing gate is Case(gate)."""
+
+    gate: HypersurfaceCheck
+    essential: Certificate | None = None
+    full: Certificate | None = None
+    relations: dict | None = None
+
+
 def run_case(params: TaylorParams, gate_field=DEFAULT_FIELD, primes: tuple = PRIMES_62,
-             trials: int = 20, seed=0, survey: bool = False):
+             trials: int = 20, seed=0, survey: bool = False) -> Case:
     """One Pade case, as ``hessian`` and ``survey`` run it, so that a survey
-    row reproduces from a hessian run: ``(check, essential, full, relations)``.
+    row reproduces from a hessian run: a ``Case``, which reports read by field.
     The gate samples up to ``GATE_TRIALS`` points over ``gate_field`` from
     ``derive_seed("gate", seed)`` and passes at the first nonzero det; the
     certificate runs over ``primes`` and refuses a failing gate.  The relation
@@ -322,17 +333,17 @@ def run_case(params: TaylorParams, gate_field=DEFAULT_FIELD, primes: tuple = PRI
     (README, "Command line").
 
     ``survey`` makes the survey's two choices: a failing gate runs no later
-    stage, and the trials stop at the first H of corank 0, which fixes both
-    printed fields over any prime.
+    stage and returns ``Case(gate)``, and the trials stop at the first H of
+    corank 0, which fixes both printed fields over any prime.
     """
     check = nondefective_hypersurface_check(params, trials=GATE_TRIALS, ctx=gate_field,
                                             seed=derive_seed("gate", seed), stop_at_nonzero=True)
     if survey and not check.is_nondefective_hypersurface:
-        return check, None, None, None
+        return Case(check)
     essential = certify_hessian_pade(check, trials, seed, primes, stop_at_full_rank=survey)
     full = full_from_essential(essential, params)
     relations = relation_check(params, *essential.first) if relations_apply(params) else None
-    return check, essential, full, relations
+    return Case(check, essential, full, relations)
 
 
 def certify_hessian_poly(

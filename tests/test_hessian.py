@@ -16,6 +16,7 @@ import taylorpade.variety as variety_mod
 from taylorpade.detcalc import block_grad_det_at, eliminate
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
+    DEFAULT_FIELD,
     PRIMES_62,
     SURVEY_PRIME,
     PrimeField,
@@ -843,23 +844,59 @@ def test_hessian_payload_renders_run_case(mode, capsys):
     argv = ["hessian", "-n", "2", "-d", "5", "-e", "4", "-m", "7",
             "--trials", "3", "--seed", "7", "--mode", mode]
     assert cli_mod.main(argv) == 0
-    _, essential, full, relations = hessian_mod.run_case(P547, trials=3, seed=7)
-    cert = full if mode == "full" else essential
-    want = {"certificate": cert.to_dict(), "verdict": cert.verdict, "relations": relations}
+    case = hessian_mod.run_case(P547, trials=3, seed=7)
+    cert = getattr(case, mode)
+    assert cert.target.endswith(f", {mode}]")
+    want = {"certificate": cert.to_dict(), "verdict": cert.verdict, "relations": case.relations}
     assert json.loads(capsys.readouterr().out)["payload"] == json.loads(json.dumps(want))
 
 
 def test_survey_row_renders_run_case(capsys):
     rows = _survey_rows(["survey", "--e-max", "5", "--trials", "3", "--seed", "7"], capsys)
-    check, essential, full, relations = hessian_mod.run_case(
-        P547, primes=(SURVEY_PRIME,), trials=3, seed=7, survey=True)
+    case = hessian_mod.run_case(P547, primes=(SURVEY_PRIME,), trials=3, seed=7, survey=True)
     assert rows[0] == {
         "d": 5, "e": 4, "m": 7, "size": P547.shape.rows,
-        "nondefective_hypersurface": check.is_nondefective_hypersurface,
-        "hessian_full": full.verdict,
-        "essential_corank": min(t.corank for t in essential.trials),
-        "rank_M": relations["rank_M"],
+        "nondefective_hypersurface": case.gate.is_nondefective_hypersurface,
+        "hessian_full": case.full.verdict,
+        "essential_corank": min(t.corank for t in case.essential.trials),
+        "rank_M": case.relations["rank_M"],
     }
+
+
+@pytest.mark.parametrize("flags,ctx", [([], DEFAULT_FIELD), (["--field", "rational"], Rationals())],
+                         ids=["prime", "rational"])
+def test_defect_payload_renders_its_gate(flags, ctx, capsys):
+    # defect keeps its own schedule, all --trials det trials with no early
+    # stop, and prints the gate record field by field.
+    argv = ["defect", "-n", "2", "-d", "5", "-e", "4", "-m", "7",
+            "--trials", "3", "--seed", "7", *flags]
+    assert cli_mod.main(argv) == 0
+    check = nondefective_hypersurface_check(P547, trials=3, ctx=ctx, seed=7)
+    shape = check.params.shape
+    assert json.loads(capsys.readouterr().out)["payload"] == {
+        "rows": shape.rows, "cols": shape.cols, "square": shape.square,
+        "expected_dimension": check.expected_dim, "actual_dimension": check.actual_dim,
+        "det_trials": check.det_trials, "det_nonzero_count": check.det_nonzero_count,
+        "det_certified_nonzero": check.det_nonzero_count > 0, "verdict": check.verdict,
+    }
+
+
+def test_run_case_of_a_failing_gate_is_its_gate_alone(monkeypatch):
+    # A survey stops at a failing gate and returns Case(gate); without
+    # survey the certificate refuses the same gate.
+    monkeypatch.setattr(variety_mod, "actual_dimension", lambda *a, **k: 0)
+    case = hessian_mod.run_case(P547, primes=(SURVEY_PRIME,), trials=2, survey=True)
+    assert not case.gate.is_nondefective_hypersurface
+    assert case == hessian_mod.Case(case.gate)
+    assert (case.essential, case.full, case.relations) == (None, None, None)
+    with pytest.raises(UsageError, match="refusing Hessian certificate"):
+        hessian_mod.run_case(P547, trials=2)
+
+
+def test_mode_choices_are_case_fields():
+    # cmd_hessian prints getattr(case, config.mode): a rename on either side
+    # fails here rather than at run time.
+    assert set(cli_mod._ARGUMENTS["--mode"]["choices"]) <= set(hessian_mod.Case._fields)
 
 
 def _call_sites(name):
