@@ -47,8 +47,8 @@ def main():
     d1 = eliminate(column_transform(P, lam, point, field), field).det
     print(f"\ncolumn operations preserve det: {d0 == d1}")
 
-    print(f"relation identity M.c = 0: {rel['residual_is_zero']}")
-    print(f"rank(M) at this point: {rel['rank_M']} (bound {rel['rank_bound']})")
+    print(f"relation identity M.c = 0 at certificate trial 0: {rel['residual_is_zero']}")
+    print(f"rank(M) at certificate trial 0: {rel['rank_M']} (bound {rel['rank_bound']})")
 
     for mode in ("full", "essential"):
         cert = getattr(case, mode)
