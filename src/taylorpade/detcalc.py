@@ -40,9 +40,15 @@ integers:
   the slot is at least c, and those bits, shifted to the slots' bottoms,
   times c are what to subtract.  The slots end in [0, p), so the bound
   below holds as for a row reduced entry by entry;
-* W is the smallest multiple of 8 with ``p + s * p * (p - 1) < 2^W``, so
-  no slot ever carries into its neighbour (about 136 bits for
-  ``fields.PRIMES_62``, and 72, 9-byte slots, for ``fields.SURVEY_PRIME``).
+* W, the one slot-width rule of both bodies (``_slot_size``), is the
+  smallest multiple of 8 with ``start + steps * p * (p - 1) < 2^W``, where
+  every slot starts below ``start`` and is updated over at most ``steps``
+  steps, so no slot ever carries into its neighbour, reduced or not.  The
+  general body starts from reduced slots, start p over s steps: about 136
+  bits for ``fields.PRIMES_62``, and 72, 9-byte slots, for
+  ``fields.SURVEY_PRIME``.  K starts at ``(|c|^2 + 1) * p^2``, for c its
+  widest class key (below), over V steps: at every family case up to
+  e = 20 the same 136 and 72 bits, and 144 and 80 at e = 21.
 
 Every matrix enters the general body as a list of entries, P at a point
 as ``SymbolicMatrix.evaluate`` gives it (the one place that reads P's
@@ -62,8 +68,7 @@ slot is then ``f_i``, and a row with ``f_i != 0`` gains
 ``((-f_i * pivot^-1) mod p) * Y``.  At the first zero pivot the remaining
 Schur complement is mirrored into a full matrix for the general body, whose
 rank and det complete the answer: exact for every symmetric matrix over
-every GF(p), in any row order.  A slot that starts below
-``2^W - n * p * (p - 1)`` never carries, reduced or not.
+every GF(p), in any row order.
 
 The derivatives of det(P) at a point x where A = P(x) is invertible are
 read off one factorisation of A, its ``Elimination`` with the inverse
@@ -86,27 +91,30 @@ exactly when ``d+1 <= |s|+|a| <= m``, so the classes are the degrees |a|:
 185 variables fall into 10 classes at (2,20,8,22), 553 into 14 at
 (2,43,12,45).
 
-K is assembled straight into the symmetric body's rows.  Classes with a
-one-column key come last: a single occurrence (r, c) gives
-``t_a = X[c][r]`` and ``G_aa = t_a^2``, so they are K's structurally zero
-diagonal (23 of 185 entries at (2,20,8,22)) and need no diagonal scan.  Both
-gathers of X are slices.  A class's members, sorted by their rows, are cut
-into runs, whose rows r_a(i) step by one from member to member at every
-index i; every class of a square-family P up to e = 21 is one run, and a
-random pattern only has more.  Each row of X is held once, as one bytes
-string of slots.  Per pair of runs A and B, ``Wcols[i, j]``, the w_b packed
-over B, is one slice of row cA_i's string, from B's first row at index j;
-``u[i, j]`` for all of A is one list slice of row cB_j of X.  So no entry of
-X becomes a bytes object of its own and no gather builds a tuple: at
-(2,20,8,22) over ``PRIMES_62[0]`` the assembly's traced peak is 430 KiB,
-against 980 KiB with a per-entry grid and itemgetters.  a's block is one
-C-level ``t_a * T_B + OFF - sum(map(mul, u_a, Wcols))``: ``T_B`` packs B's
-t values, reduced mod p, and each slot of OFF holds ``|cA| * |cB| * p^2``,
-which keeps the entry nonnegative and below ``(|cA| * |cB| + 1) * p^2``.
-A row joins its blocks, the diagonal one shifted past the members before a.
-With c the widest class key, W is the smallest multiple of 8 with
-``(|c|^2 + 1) * p^2 + V * p * (p - 1) < 2^W``: at every family case up to
-e = 20, 136 bits for ``fields.PRIMES_62`` and 72 for ``fields.SURVEY_PRIME``.
+K is assembled straight into the symmetric body's rows, along a plan that
+depends on P's occurrence pattern alone (``hessian_plan``), built once per
+certificate: a trial only sums t along it, holds X's rows as slot bytes and
+forms the class-pair products.  Classes with a one-column key come last: a
+single occurrence (r, c) gives ``t_a = X[c][r]`` and ``G_aa = t_a^2``, so
+they are K's structurally zero diagonal (23 of 185 entries at (2,20,8,22))
+and need no diagonal scan.  Both gathers of X are slices.  A class's
+members, sorted by their rows, are cut into runs, whose rows r_a(i) step by
+one from member to member at every index i; every class of a square-family
+P up to e = 21 is one run, and a random pattern only has more.  Member j of
+a run occurs at ``(R_i + j, cA_i)``, R being its first member's rows, so the
+run's t values are sums of slices of X's rows.  Each row of X is held once,
+as one bytes string of slots.  Per pair of runs A and B, ``Wcols[i, j]``,
+the w_b packed over B, is one slice of row cA_i's string, from B's first row
+at index j; ``u[i, j]`` for all of A is one list slice of row cB_j of X.  So
+no entry of X becomes a bytes object of its own and no gather builds a
+tuple: at (2,20,8,22) over ``PRIMES_62[0]`` the assembly's traced peak is
+430 KiB, against 980 KiB with a per-entry grid and itemgetters.  a's block
+is one C-level ``t_a * T_B + OFF - sum(map(mul, u_a, Wcols))``: ``T_B``
+packs B's t values, reduced mod p, and each slot of OFF holds
+``|cA| * |cB| * p^2``, which keeps the entry nonnegative and below
+``(|cA| * |cB| + 1) * p^2``, at most ``(|c|^2 + 1) * p^2``, the start of
+K's slot width.  A row joins its blocks, the diagonal one shifted past the
+members before a.
 """
 
 from __future__ import annotations
@@ -142,9 +150,9 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
     pivot is the first remaining row whose entry is nonzero, and elimination
     stops once the rank reaches the row count.  Rows are packed with delayed
     reduction (module docstring): one multiply-add of W-bit slots per row
-    update, with ``p + min(rows, cols) * p * (p - 1) < 2^W`` so slots never
-    carry, and ``% p`` applied only to the pivot column, to each pivot row
-    and to the final inverse.  Any other field raises ``UsageError``.
+    update, W by the module docstring's slot-width rule, and ``% p`` applied
+    only to the pivot column, to each pivot row and to the final inverse.
+    Any other field raises ``UsageError``.
     """
     ncols = _columns(A)
     square = len(A) == ncols
@@ -223,15 +231,16 @@ class _Slots(dict):
         return out
 
 
-def _slot_size(p, nrows, ncols):
-    # Slot bytes of the general body: p + s * p * (p - 1) < 2^W.
-    return ((p + min(nrows, ncols) * p * (p - 1)).bit_length() + 7) // 8
+def _slot_size(p, start, steps):
+    # The slot-width rule (module docstring): the bytes of the smallest W
+    # with start + steps * p * (p - 1) < 2^W.
+    return ((start + steps * p * (p - 1)).bit_length() + 7) // 8
 
 
 def _eliminate_modp(A, ncols, p, inverse):
     # The general body.  It packs each row of the list A, every slot in
     # [0, p); the module docstring gives the layout and the bound on W.
-    size = _slot_size(p, len(A), ncols)
+    size = _slot_size(p, p, min(len(A), ncols))
     cell = _Slots(p, size).__getitem__
     rows = [int.from_bytes(b"".join(map(cell, row)), "little") for row in A]
     n = len(rows)
@@ -297,9 +306,9 @@ def _reducer(p, size, count):
 
 def _eliminate_symmetric(rows: list, size: int, p: int) -> tuple:
     """(rank, det) over GF(p) of the symmetric matrix whose upper triangle
-    is ``rows``: row k holds columns k..n-1 in slots of ``size`` bytes,
-    W = 8 * size, each starting below ``2^W - n * p * (p - 1)`` (module
-    docstring).  Pivots run in row order; ``rows`` is consumed."""
+    is ``rows``: row k holds columns k..n-1 in slots of ``size`` bytes, wide
+    enough over n steps by the module docstring's slot-width rule.  Pivots
+    run in row order; ``rows`` is consumed."""
     n = len(rows)
     W = 8 * size
     mask = (1 << W) - 1
@@ -370,9 +379,29 @@ def block_grad_det_at(P: SymbolicMatrix, fac: Elimination, field) -> dict:
     return {k: fac.det * x % field.p for k, x in out.items()}
 
 
-def hessian_at(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
+def hessian_plan(P: SymbolicMatrix) -> list:
+    """K's layout, read off P's occurrence pattern alone (module docstring):
+    its runs, each (cols, its first member's rows, its members), a class's
+    runs together, the single-occurrence classes last.  K's order is the
+    members, run by run; a certificate builds it once for all its trials."""
+    occ, classes = P.occurrences(), {}
+    for g in P.variables():
+        rs, cols = zip(*occ[g])
+        classes.setdefault(cols, []).append((rs, g))
+    runs = []
+    for cols, members in sorted(classes.items(), key=lambda item: len(item[0]) == 1):
+        members.sort()
+        # A run's members' rows minus their places in the class agree.
+        for _, run in groupby(enumerate(members), lambda m: [r - m[0] for r in m[1][0]]):
+            rowsA, gA = zip(*(member for _, member in run))
+            runs.append((cols, rowsA[0], gA))
+    return runs
+
+
+def hessian_at(plan: list, fac: Elimination, field) -> tuple:
     """(rank, det) over GF(p) of the Hessian H of det(P) over
-    ``P.variables()``, at the point where ``fac`` factors P.
+    ``P.variables()``, at the point where ``fac`` factors P, and ``plan``
+    is ``hessian_plan(P)``.
 
     K = H / det(P) is assembled from ``fac``'s inverse into the symmetric
     body's packed rows; ``det H = det(P)^V * det K`` for V variables (module
@@ -380,54 +409,43 @@ def hessian_at(P: SymbolicMatrix, fac: Elimination, field) -> tuple:
     ambient coordinate absent from P only adds a zero row and column
     (``hessian.full_from_essential``).
     """
-    labels, p = P.variables(), field.p
-    rows, size, _ = _hessian_core(_inverse(fac), P.occurrences(), labels, p)
+    p = field.p
+    rows, size, order = _hessian_core(plan, _inverse(fac), p)
     rank, det = _eliminate_symmetric(rows, size, p)
-    return rank, pow(fac.det, len(labels), p) * det % p
+    return rank, pow(fac.det, len(order), p) * det % p
 
 
-def _hessian_core(X, occ, labels, p):
-    # Class-pair assembly of K from X = P(point)^-1 (module docstring), as
-    # (rows, size, order): row k holds K[order[k]][order[j]] for j >= k,
-    # unreduced, in slots of ``size`` bytes, single-occurrence classes last.
-    # A class is keyed by the columns of its members' occurrences, in order,
-    # and cut into runs: members, sorted by their rows, whose rows step by
-    # one at every occurrence, so that their rows minus their places in the
-    # class agree.  A run is (cols, its first member's rows, its members).
-    classes: dict = {}
-    for g in labels:
-        rs, cols = zip(*occ[g])
-        classes.setdefault(cols, []).append((rs, g))
-    runs = []
-    for cols, members in sorted(classes.items(), key=lambda item: len(item[0]) == 1):
-        members.sort()
-        for _, run in groupby(enumerate(members), lambda m: [r - m[0] for r in m[1][0]]):
-            rowsA, gA = zip(*(member for _, member in run))
-            runs.append((cols, rowsA[0], gA))
-    t = {g: sum(X[c][r] for r, c in occ[g]) % p for g in labels}
-    widest = max(map(len, classes), default=0)
-    size = (((widest**2 + 1) * p * p + len(labels) * p * (p - 1)).bit_length() + 7) // 8
+def _hessian_core(plan, X, p):
+    # Class-pair assembly of K from X = P(point)^-1 along ``plan``'s runs
+    # (module docstring), as (rows, size, order): row k holds
+    # K[order[k]][order[j]] for j >= k, unreduced, in slots of ``size`` bytes.
+    # Member j of a run occurs at (RA_i + j, cA_i): its t sums X along those.
+    ts = [[sum(col) % p for col in zip(*(X[c][r:r + len(gA)] for r, c in zip(RA, cA)))]
+          for cA, RA, gA in plan]
+    order = [g for _, _, gA in plan for g in gA]
+    widest = max((len(cA) for cA, _, _ in plan), default=0)
+    size = _slot_size(p, (widest**2 + 1) * p * p, len(order))
     W = 8 * size
     # Row c of X once, as slot bytes: a run's slots in it are one slice.
     Xbytes = [b"".join(map(int.to_bytes, row, repeat(size), repeat("little"))) for row in X]
     rows = []
-    for first, (cA, RA, gA) in enumerate(runs):
+    for first, ((cA, RA, gA), tA) in enumerate(zip(plan, ts)):
         parts = [[] for _ in gA]
         m = len(gA)
-        for cB, RB, gB in runs[first:]:
+        for (cB, RB, gB), tB in zip(plan[first:], ts[first:]):
             # Wcols[i, j] packs X[cA_i][r_b(j)] over B's members b, ucols[i, j]
             # holds X[cB_j][r_a(i)] over A's members a: G_ab = sum of u_a * w_b.
             n = len(gB)
-            TB = _pack([t[b] for b in gB], size)
+            TB = _pack(tB, size)
             OFF = _pack([len(cA) * len(cB) * p * p] * n, size)
             Wcols = [int.from_bytes(Xbytes[c][r * size:(r + n) * size], "little")
                      for c in cA for r in RB]
             ucols = [X[c][r:r + m] for r in RA for c in cB]
-            for part, g, u in zip(parts, gA, zip(*ucols)):
-                block = t[g] * TB + OFF - sum(map(mul, u, Wcols))
+            for part, ta, u in zip(parts, tA, zip(*ucols)):
+                block = ta * TB + OFF - sum(map(mul, u, Wcols))
                 part.append(block.to_bytes(n * size, "little"))
         # The diagonal block starts at A's first member: drop the slots
         # before each member's own.
         rows += [int.from_bytes(b"".join(part), "little") >> W * i
                  for i, part in enumerate(parts)]
-    return rows, size, [g for _, _, gA in runs for g in gA]
+    return rows, size, order

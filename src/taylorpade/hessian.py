@@ -24,7 +24,7 @@ import random
 from operator import mul
 from typing import NamedTuple
 
-from .detcalc import block_grad_det_at, eliminate, hessian_at
+from .detcalc import block_grad_det_at, eliminate, hessian_at, hessian_plan
 from .errors import UsageError
 from .fields import DEFAULT_FIELD, PRIMES_62, PrimeField, derive_seed, point_hash, random_point
 from .pade import lambda_shape
@@ -237,13 +237,15 @@ def certify_hessian_pade(
     nonzero, Jacobian rank at the expected dimension, its upper bound), so
     one gate serves a whole case.
 
-    Trial t samples a fresh point over GF(``primes[t % len(primes)]``) and
-    eliminates P there once, with its inverse, resampling up to 8 times
-    while P is singular (raising ``UsageError`` if it is singular at all 9
-    points).  ``detcalc.hessian_at`` reads det(H) and the corank of H, the
-    Hessian over the variables of P, off that factorisation; trial 0's is
-    kept as ``first``.  The ``full`` certificate is derived from these
-    trials (``full_from_essential``).
+    K's layout, ``detcalc.hessian_plan``, is read off P's pattern once,
+    before the trials.  Trial t samples a fresh point over
+    GF(``primes[t % len(primes)]``) and eliminates P there once, with its
+    inverse, resampling up to 8 times while P is singular (raising
+    ``UsageError`` if it is singular at all 9 points).
+    ``detcalc.hessian_at`` reads det(H) and the corank of H, the Hessian
+    over the variables of P, off the plan and that factorisation; trial 0's
+    factorisation is kept as ``first``.  The ``full`` certificate is derived
+    from these trials (``full_from_essential``).
 
     ``stop_at_full_rank`` ends the trials after the first H of corank 0.
     That trial fixes the minimum corank (0) and the verdicts of both
@@ -261,7 +263,7 @@ def certify_hessian_pade(
     P = params.pade
     variables = P.variables()
     V = len(variables)
-    first = None
+    plan, first = hessian_plan(P), None
 
     def sample(t, fld):
         nonlocal first
@@ -272,7 +274,7 @@ def certify_hessian_pade(
             fac = eliminate(P.evaluate(point), fld, inverse=True)
             if fac.inverse is not None:
                 first = first or (point, fac, fld)
-                return trial_seed, point, *hessian_at(P, fac, fld)
+                return trial_seed, point, *hessian_at(plan, fac, fld)
         raise UsageError(
             f"Hessian trial {t}: the Pade matrix is singular mod {fld.p} at "
             f"all {len(seeds)} sampled points; use a larger prime"

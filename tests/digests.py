@@ -261,9 +261,9 @@ def regenerate(path, named_runs, log=False, outputs=None) -> list:
     return changed + [f"entry {k}" for k in {**old, **table} if old.get(k) != table.get(k)]
 
 
-# The cases of the deep list's trace-route probes, each over both default
-# primes: K's slots are 9 and 17 bytes at e = 16, 10 and 18 at e = 21.
-DEEP_PROBES = [(2, 74, 16, 76), (2, 124, 21, 126)]
+# The cases of the deep list's trace-route probes, each with K's slot bytes
+# over both default primes, SURVEY_PRIME and PRIMES_62[0].
+DEEP_PROBES = [((2, 74, 16, 76), (9, 17)), ((2, 124, 21, 126), (10, 18))]
 # The gate fields compared between the deep list's two e = 21 defect runs.
 GATE_FIELDS = ["expected_dimension", "actual_dimension", "det_trials",
                "det_nonzero_count", "verdict"]
@@ -290,22 +290,23 @@ def deep_checks(outputs) -> list:
     """Check that independent routes agree at the deep list's sizes, and
     return what failed.  At each case of ``DEEP_PROBES`` over
     ``SURVEY_PRIME`` and ``PRIMES_62[0]``, P is factored at a seeded point
-    and K assembled: its product with a uniform w must equal
+    and K assembled through ``detcalc.hessian_plan``: its slots must have
+    the case's width, and its product with a uniform w must equal
     ``oracles.trace_route_Kw`` (Freivalds' check).  At the first case over
     ``SURVEY_PRIME``, the symmetric body's (rank, det) of the packed K and
     of the unpacked K, repacked, must equal the general body's on the
     unpacked K.  ``outputs`` holds the deep list's stdout by key: its two
     e = 21 gates must agree in every field of ``GATE_FIELDS``."""
     from oracles import pack_symmetric, trace_route_Kw, unpack_hessian
-    from taylorpade.detcalc import _eliminate_symmetric, _hessian_core, eliminate
+    from taylorpade.detcalc import _eliminate_symmetric, _hessian_core, eliminate, hessian_plan
     from taylorpade.fields import PRIMES_62, SURVEY_PRIME, PrimeField, derive_seed
     from taylorpade.pade import pade_matrix
 
     failed = []
-    for case in DEEP_PROBES:
+    for case, sizes in DEEP_PROBES:
         P = pade_matrix(*case)
-        labels = P.variables()
-        for prime in (SURVEY_PRIME, PRIMES_62[0]):
+        labels, plan = P.variables(), hessian_plan(P)
+        for prime, size in zip((SURVEY_PRIME, PRIMES_62[0]), sizes):
             start, name = time.perf_counter(), f"probe {case} mod {prime}"
             field = PrimeField(prime)
             rng = random.Random(derive_seed("deep probe", case, prime))
@@ -313,12 +314,14 @@ def deep_checks(outputs) -> list:
             while fac is None or not fac.det:
                 point = {g: field.sample(rng) for g in labels}
                 fac = eliminate(P.evaluate(point), field, inverse=True)
-            packed = _hessian_core(fac.inverse, P.occurrences(), labels, prime)
+            packed = _hessian_core(plan, fac.inverse, prime)
+            if packed[1] != size:
+                failed.append(f"K's slots mod {prime} at {case}: {packed[1]} bytes, not {size}")
             w = {g: field.sample(rng) for g in labels}
             if _packed_Kw(packed, w, prime) != trace_route_Kw(P, fac, w, prime):
                 failed.append(name)
             _log(start, name)
-            if case == DEEP_PROBES[0] and prime == SURVEY_PRIME:
+            if case == DEEP_PROBES[0][0] and prime == SURVEY_PRIME:
                 start, name = time.perf_counter(), f"symmetric body = general body {case}"
                 K = unpack_hessian(labels, packed, prime)
                 general = eliminate(K, field)

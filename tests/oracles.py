@@ -56,6 +56,7 @@ from taylorpade.detcalc import (
     Elimination,
     _hessian_core,
     eliminate,
+    hessian_plan,
 )
 from taylorpade.errors import UsageError
 from taylorpade.fields import PrimeField, Rationals
@@ -725,8 +726,7 @@ def hessian_det_at(P, point: dict, field) -> tuple:
         raise UsageError(f"the Hessian of det(P) needs P invertible, and P is "
                          f"singular at this point over {field!r}")
     labels = P.variables()
-    K = unpack_hessian(labels, _hessian_core(fac.inverse, P.occurrences(), labels, field.p),
-                       field.p)
+    K = unpack_hessian(labels, _hessian_core(hessian_plan(P), fac.inverse, field.p), field.p)
     return labels, [[fac.det * x % field.p for x in row] for row in K]
 
 

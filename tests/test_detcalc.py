@@ -18,6 +18,7 @@ from taylorpade.detcalc import (
     block_grad_det_at,
     eliminate,
     hessian_at,
+    hessian_plan,
     rank_rational,
     rational_primes,
 )
@@ -400,7 +401,7 @@ def test_packed_reduction_reduces_every_slot(p):
     assert is_probable_prime(p)
     rng = random.Random(p)
     # slot widths of a 1 x 1, a 2 x 2 and a 91 x 91 elimination, and wider
-    for size in sorted({_slot_size(p, s, s) + extra for s in (1, 2, 91) for extra in (0, 1)}):
+    for size in sorted({_slot_size(p, p, s) + extra for s in (1, 2, 91) for extra in (0, 1)}):
         top = (1 << 8 * size) - 1
         slots = [x for x in (0, 1, p - 1, p, 2 * p - 1, 2 * p, 3 * p, 4 * p - 1, top)
                  if x <= top]
@@ -924,17 +925,19 @@ def _reference_hessian_core(Ainv, det, occ, present, p):
 HESSIAN_PRIMES = (2, 3, 2**31 - 1, 2**89 - 1, *PRIMES_62)
 
 
-def _hessian_core_patterns():
-    """Random patterns, which repeat variables within a column, and Pade
-    matrices: every square-family case with e <= 9, (2,1,1,2), and (2,8,5,10)
-    with the lex order inside each degree reversed."""
+@pytest.fixture(scope="module")
+def hessian_patterns():
+    """(name, P, its plan) of random patterns, which repeat variables within
+    a column, and of Pade matrices: every square-family case with e <= 9,
+    (2,1,1,2), and (2,8,5,10) with the lex order inside each degree
+    reversed.  Built once for the module's tests, which only read them."""
     rng = random.Random(12)
     out = [(f"random{i}", _random_pattern(rng, max_size=8)) for i in range(12)]
     out += [(str(tuple(c)), pade_matrix(*c)) for c in square_family(9)]
     out.append(("(2, 1, 1, 2)", pade_matrix(2, 1, 1, 2)))
     out.append(("(2, 8, 5, 10) within-degree reversed",
                 reverse_within_degree(pade_matrix(2, 8, 5, 10))))
-    return out
+    return [(name, P, hessian_plan(P)) for name, P in out]
 
 
 def _column_repeats(P):
@@ -957,7 +960,7 @@ def _class_runs(P):
             for key, rs in rows.items()}
 
 
-def test_hessian_core_matches_reference():
+def test_hessian_core_matches_reference(hessian_patterns):
     # The kernel is checked on any matrix X, not only on inverses: a random
     # X, X with every entry p - 1, which makes each G slot |cA| * |cB| *
     # (p - 1)^2, and X = 0, which leaves each K slot at its offset
@@ -966,7 +969,7 @@ def test_hessian_core_matches_reference():
     # (2,20,8,22) and 0.6 s at (2,25,9,27) over GF(p), so those two cases
     # take the full X at 2^89 - 1 and a random X at a 62-bit prime, and the
     # others take all three at every prime.
-    patterns = _hessian_core_patterns()
+    patterns = [(name, P) for name, P, _ in hessian_patterns]
     assert any(_column_repeats(P) for _, P in patterns)
     # A one-member class is a run of one, whose slices hold one slot.
     assert any(1 in _class_sizes(P).values() for _, P in patterns)
@@ -977,8 +980,10 @@ def test_hessian_core_matches_reference():
                for name, P in patterns if not name.startswith("random"))
     assert any(max(_class_runs(P).values()) > 1 for _, P in patterns)
     rng = random.Random(13)
-    for name, P in patterns:
+    for name, P, plan in hessian_patterns:
         labels, occ, k = P.variables(), P.occurrences(), P.nrows
+        # The plan holds each class's runs, keyed by its columns.
+        assert Counter(cols for cols, _, _ in plan) == _class_runs(P), name
         full = lambda p: [[p - 1] * k for _ in range(k)]
         zero = lambda p: [[0] * k for _ in range(k)]
         rand = lambda p: [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
@@ -988,7 +993,7 @@ def test_hessian_core_matches_reference():
             inputs = [(p, X) for p in HESSIAN_PRIMES for X in (full, zero, rand)]
         for p, make in inputs:
             X, det = make(p), rng.randrange(1, p)
-            packed = _hessian_core(X, occ, labels, p)
+            packed = _hessian_core(plan, X, p)
             H = [[det * x % p for x in row] for row in unpack_hessian(labels, packed, p)]
             assert H == _reference_hessian_core(X, det, occ, labels, p), (name, p)
         # K's order lists each class's members together, sorted by their rows.
@@ -999,16 +1004,16 @@ def test_hessian_core_matches_reference():
         assert packed[2] == sorted(packed[2], key=lambda g: (place[cols(g)], occ[g])), name
 
 
-def test_hessian_orders_the_single_occurrence_classes_last(gf):
+def test_hessian_orders_the_single_occurrence_classes_last(gf, hessian_patterns):
     # Their diagonal entries are K's structural zeros; every other class of
     # a Pade matrix has a nonzero diagonal at a random point.
     rng = random.Random(15)
-    for _, P in _hessian_core_patterns():
+    for _, P, plan in hessian_patterns:
         pt = _nonsingular_point(P, gf, rng)
         if pt is None:
             continue
         fac = eliminate(P.evaluate(pt), gf, inverse=True)
-        rows, size, order = _hessian_core(fac.inverse, P.occurrences(), P.variables(), gf.p)
+        rows, size, order = _hessian_core(plan, fac.inverse, gf.p)
         occ, mask = P.occurrences(), (1 << 8 * size) - 1
         single = [len(occ[g]) == 1 for g in order]
         assert single == sorted(single)
@@ -1027,7 +1032,7 @@ def test_hessian_slot_width_follows_the_prime(prime, size):
     P = pade_matrix(2, 20, 8, 22)
     pt = _nonsingular_point(P, field, random.Random(17))
     fac = eliminate(P.evaluate(pt), field, inverse=True)
-    packed = _hessian_core(fac.inverse, P.occurrences(), P.variables(), prime)
+    packed = _hessian_core(hessian_plan(P), fac.inverse, prime)
     assert packed[1] == size
     labels = P.variables()
     K = unpack_hessian(labels, packed, prime)
@@ -1058,7 +1063,7 @@ def test_packed_K_passes_the_trace_route_probe(case, prime, size):
     rng = random.Random(derive_seed("probe", case, prime))
     pt = _nonsingular_point(P, field, rng)
     fac = eliminate(P.evaluate(pt), field, inverse=True)
-    packed = _hessian_core(fac.inverse, P.occurrences(), labels, prime)
+    packed = _hessian_core(hessian_plan(P), fac.inverse, prime)
     assert packed[1] == size
     w = {g: field.sample(rng) for g in labels}
     Kw = [sum(x * w[b] for x, b in zip(row, labels)) % prime
@@ -1067,27 +1072,27 @@ def test_packed_K_passes_the_trace_route_probe(case, prime, size):
 
 
 @pytest.mark.parametrize("prime", [SURVEY_PRIME, P62, 547], ids=["survey", "p62", "547"])
-def test_hessian_at_is_the_rank_and_det_of_the_full_hessian(prime):
+def test_hessian_at_is_the_rank_and_det_of_the_full_hessian(prime, hessian_patterns):
     # Refused exactly where P is singular, the zero point included, as the
     # factorisation there has no inverse; elsewhere the general body's
     # (rank, det) of H = det(P) * K, built by the oracle.  At 547 a random
     # point of a large P is singular too, at times.
     field = PrimeField(prime)
     rng = random.Random(prime)
-    names, patterns = zip(*_hessian_core_patterns())
+    names, patterns, plans = zip(*hessian_patterns)
     assert {"(2, 5, 4, 7)", "(2, 20, 8, 22)"} <= set(names)
     singular = regular = 0
-    for P in patterns:
+    for P, plan in zip(patterns, plans):
         labels = P.variables()
         for pt in (dict.fromkeys(labels, 0), {g: field.sample(rng) for g in labels}):
             fac = eliminate(P.evaluate(pt), field, inverse=True)
             if fac.det == 0:
                 with pytest.raises(UsageError, match="singular at this point"):
-                    hessian_at(P, fac, field)
+                    hessian_at(plan, fac, field)
                 singular += 1
                 continue
             h = eliminate(hessian_det_at(P, pt, field)[1], field)
-            assert hessian_at(P, fac, field) == (h.rank, h.det)
+            assert hessian_at(plan, fac, field) == (h.rank, h.det)
             regular += 1
     assert singular >= len(patterns) and regular
     assert prime != 547 or singular > len(patterns)

@@ -13,7 +13,7 @@ import taylorpade.hessian as hessian_mod
 import taylorpade.pade as pade_mod
 import taylorpade.variety as variety_mod
 
-from taylorpade.detcalc import block_grad_det_at, eliminate
+from taylorpade.detcalc import block_grad_det_at, eliminate, hessian_at, hessian_plan
 from taylorpade.errors import UsageError
 from taylorpade.fields import (
     DEFAULT_FIELD,
@@ -475,10 +475,11 @@ def _singular_hessians(monkeypatch, zero_rows):
     built = []
     real = detcalc_mod._hessian_core
 
-    def patched(X, occ, labels, p):
-        rows, size, order = real(X, occ, labels, p)
-        end = sum(len(occ[g]) > 1 for g in order)
-        assert all(len(occ[g]) > 1 for g in order[:end])
+    def patched(plan, X, p):
+        rows, size, order = real(plan, X, p)
+        multi = [len(cols) > 1 for cols, _, members in plan for _ in members]
+        end = sum(multi)
+        assert all(multi[:end])
         k, W = zero_rows[len(built)], 8 * size
         # row i holds columns i.. of K, column j in slot j - i
         columns = ((1 << W * k) - 1) << W * (end - k)
@@ -560,6 +561,40 @@ def _certificate_primes(monkeypatch):
     for name in ("certify_hessian_pade", "certify_hessian_poly"):
         monkeypatch.setattr(hessian_mod, name, recorder(getattr(hessian_mod, name)))
     return primes
+
+
+def _plans_built(monkeypatch):
+    """Record the plan of each ``detcalc.hessian_plan`` call that the
+    certificate makes, and the plan that each ``hessian_at`` call reads."""
+    built, read = [], []
+
+    def plan(P):
+        built.append(hessian_plan(P))
+        return built[-1]
+
+    def at(plan, *args):
+        read.append(plan)
+        return hessian_at(plan, *args)
+
+    monkeypatch.setattr(hessian_mod, "hessian_plan", plan)
+    monkeypatch.setattr(hessian_mod, "hessian_at", at)
+    return built, read
+
+
+def test_a_certificate_builds_one_plan_for_all_its_trials(monkeypatch):
+    built, read = _plans_built(monkeypatch)
+    cert = certify_hessian_pade(_gate(P547), trials=3, primes=PRIMES_62)
+    assert [t.prime for t in cert.trials] == list(PRIMES_62[:3])
+    assert len(built) == 1 and len(read) == 3
+    assert all(plan is built[0] for plan in read)
+
+
+def test_a_survey_builds_one_plan_per_case_that_passes_its_gate(monkeypatch, capsys):
+    built, read = _plans_built(monkeypatch)
+    rows = _survey_rows(["survey", "--e-max", "5"], capsys)
+    passed = [row for row in rows if row["nondefective_hypersurface"]]
+    assert len(passed) == len(rows) == 2
+    assert len(built) == len(passed) and {id(plan) for plan in read} == set(map(id, built))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
