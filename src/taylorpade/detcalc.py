@@ -40,10 +40,11 @@ integers:
   the slot is at least c, and those bits, shifted to the slots' bottoms,
   times c are what to subtract.  The slots end in [0, p), so the bound
   below holds as for a row reduced entry by entry;
-* W, the one slot-width rule of both bodies (``_slot_size``), is the
-  smallest multiple of 8 with ``start + steps * p * (p - 1) < 2^W``, where
-  every slot starts below ``start`` and is updated over at most ``steps``
-  steps, so no slot ever carries into its neighbour, reduced or not.  The
+* W, the one slot-width rule of both bodies (``_slot_size``, which
+  ``variety.taylor_coeffs`` packs by too), is the smallest multiple of 8
+  with ``start + steps * p * (p - 1) < 2^W``, where every slot starts
+  below ``start`` and is updated over at most ``steps`` steps, so no slot
+  ever carries into its neighbour, reduced or not.  The
   general body starts from reduced slots, start p over s steps: about 136
   bits for ``fields.PRIMES_62``, and 72, 9-byte slots, for
   ``fields.SURVEY_PRIME``.  K starts at ``(|c|^2 + 1) * p^2``, for c its
@@ -130,15 +131,20 @@ from .pade import SymbolicMatrix
 
 
 class Elimination(NamedTuple):
-    """Rank, determinant and inverse read off one elimination.
+    """Rank, determinant and inverse read off one elimination, and the field
+    it ran over.
 
     ``det`` is None for a non-square matrix, else a residue mod p; ``inverse``
-    is None unless it was asked for and the matrix is invertible.
+    is None unless it was asked for and the matrix is invertible.  ``field``
+    is the GF(p) that ``eliminate`` ran over: the derivatives read off a
+    factorisation (``block_grad_det_at``, ``hessian_at``) work over it.  It
+    is None in a record built by hand.
     """
 
     rank: int
     det: object
     inverse: list | None
+    field: PrimeField | None = None
 
 
 def eliminate(A, field, inverse: bool = False) -> Elimination:
@@ -161,7 +167,7 @@ def eliminate(A, field, inverse: bool = False) -> Elimination:
     if not isinstance(field, PrimeField):
         raise UsageError(f"no elimination over {field!r}: eliminate runs over GF(p)")
     rank, det, inv = _eliminate_modp(A, ncols, field.p, inverse)
-    return Elimination(rank, det if square else None, inv)
+    return Elimination(rank, det if square else None, inv, field)
 
 
 def rational_primes():
@@ -355,8 +361,9 @@ def _inverse(fac: Elimination) -> list:
     return fac.inverse
 
 
-def block_grad_det_at(P: SymbolicMatrix, fac: Elimination, field) -> dict:
-    """Per-block cofactor sums of det(P): (block j, variable g) -> value.
+def block_grad_det_at(P: SymbolicMatrix, fac: Elimination) -> dict:
+    """Per-block cofactor sums of det(P) over ``fac.field``: (block j,
+    variable g) -> value.
 
     ``fac`` factors A = P(point) with its inverse X, and adj(A) = det(A) * X:
     a value is det(A) times the sum of X[c][r] over the occurrences (r, c) of
@@ -376,7 +383,7 @@ def block_grad_det_at(P: SymbolicMatrix, fac: Elimination, field) -> dict:
         for r, c in occ:
             k = (P.col_labels[c].block, g)
             out[k] = out.get(k, 0) + X[c][r]
-    return {k: fac.det * x % field.p for k, x in out.items()}
+    return {k: fac.det * x % fac.field.p for k, x in out.items()}
 
 
 def hessian_plan(P: SymbolicMatrix) -> list:
@@ -398,10 +405,10 @@ def hessian_plan(P: SymbolicMatrix) -> list:
     return runs
 
 
-def hessian_at(plan: list, fac: Elimination, field) -> tuple:
-    """(rank, det) over GF(p) of the Hessian H of det(P) over
-    ``P.variables()``, at the point where ``fac`` factors P, and ``plan``
-    is ``hessian_plan(P)``.
+def hessian_at(plan: list, fac: Elimination) -> tuple:
+    """(rank, det) over ``fac.field``, GF(p), of the Hessian H of det(P)
+    over ``P.variables()``, at the point where ``fac`` factors P, and
+    ``plan`` is ``hessian_plan(P)``.
 
     K = H / det(P) is assembled from ``fac``'s inverse into the symmetric
     body's packed rows; ``det H = det(P)^V * det K`` for V variables (module
@@ -409,7 +416,7 @@ def hessian_at(plan: list, fac: Elimination, field) -> tuple:
     ambient coordinate absent from P only adds a zero row and column
     (``hessian.full_from_essential``).
     """
-    p = field.p
+    p = fac.field.p
     rows, size, order = _hessian_core(plan, _inverse(fac), p)
     rank, det = _eliminate_symmetric(rows, size, p)
     return rank, pow(fac.det, len(order), p) * det % p

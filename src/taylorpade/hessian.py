@@ -20,7 +20,6 @@ and covers the variables of det(P); the ambient one is derived from it.
 from __future__ import annotations
 
 import math
-import random
 from operator import mul
 from typing import NamedTuple
 
@@ -104,19 +103,20 @@ def relation_residual(M: RelationMatrix, point: dict, field) -> list:
     return [sum(map(mul, row, c)) % field.p for row in M.rows]
 
 
-def relation_check(params: TaylorParams, point: dict, fac, field) -> dict:
+def relation_check(params: TaylorParams, point: dict, fac) -> dict:
     """The relation identity M.c = 0 and the rank of M at ``point``.
 
     M is built from ``fac``, the elimination of ``params.pade`` there with
-    its inverse (``Certificate.first`` keeps trial 0's), and eliminated once.
-    The coefficient vector c is nonzero and lies in the kernel of M, so the
-    rank of M stays below ``rank_bound``, the number of columns of M.
+    its inverse (``Certificate.first`` keeps trial 0's), and is eliminated
+    once; M and M.c are over ``fac.field``, the field that P was eliminated
+    over.  The coefficient vector c is nonzero and lies in the kernel of M,
+    so the rank of M stays below ``rank_bound``, the number of columns of M.
     """
     _require_relation_params(params)
-    M = build_M(params, block_grad_det_at(params.pade, fac, field))
+    M = build_M(params, block_grad_det_at(params.pade, fac))
     return {
-        "residual_is_zero": not any(relation_residual(M, point, field)),
-        "rank_M": eliminate(M.rows, field).rank,
+        "residual_is_zero": not any(relation_residual(M, point, fac.field)),
+        "rank_M": eliminate(M.rows, fac.field).rank,
         "rank_bound": len(M.col_labels),
     }
 
@@ -152,7 +152,8 @@ class Certificate(NamedTuple):
     it zero: the bound is then 0 and ``error_bound_log10`` is None.
 
     ``first``, never printed, holds an essential Pade certificate's trial 0
-    for ``relation_check``: (point, P's elimination there with inverse, field).
+    for ``relation_check``: (point, fac), fac being P's elimination there
+    with its inverse, over trial 0's field (``fac.field``).
     It is the essential record's trial-0 evidence, which ``run_case`` hands on.
     """
 
@@ -243,9 +244,10 @@ def certify_hessian_pade(
     inverse, resampling up to 8 times while P is singular (raising
     ``UsageError`` if it is singular at all 9 points).
     ``detcalc.hessian_at`` reads det(H) and the corank of H, the Hessian
-    over the variables of P, off the plan and that factorisation; trial 0's
-    factorisation is kept as ``first``.  The ``full`` certificate is derived
-    from these trials (``full_from_essential``).
+    over the variables of P, off the plan and that factorisation, over the
+    field it names; trial 0's point and factorisation are kept as
+    ``first``.  The ``full`` certificate is derived from these trials
+    (``full_from_essential``).
 
     ``stop_at_full_rank`` ends the trials after the first H of corank 0.
     That trial fixes the minimum corank (0) and the verdicts of both
@@ -273,8 +275,8 @@ def certify_hessian_pade(
             point = random_point(variables, fld, trial_seed)
             fac = eliminate(P.evaluate(point), fld, inverse=True)
             if fac.inverse is not None:
-                first = first or (point, fac, fld)
-                return trial_seed, point, *hessian_at(plan, fac, fld)
+                first = first or (point, fac)
+                return trial_seed, point, *hessian_at(plan, fac)
         raise UsageError(
             f"Hessian trial {t}: the Pade matrix is singular mod {fld.p} at "
             f"all {len(seeds)} sampled points; use a larger prime"
@@ -364,11 +366,11 @@ def certify_hessian_poly(
 
     def sample(t, fld):
         trial_seed = derive_seed("poly-hessian", seed, t)
-        rng = random.Random(trial_seed)
-        values = [fld.sample(rng) for _ in range(V)]
+        point = random_point(range(V), fld, trial_seed)
+        values = list(point.values())
         H = [[second[i][j].eval(fld, values) for j in range(V)] for i in range(V)]
         h = eliminate(H, fld)
-        return trial_seed, dict(enumerate(values)), h.rank, h.det
+        return trial_seed, point, h.rank, h.det
 
     records = _hessian_trials(trials, primes, V, sample)
     target = f"hessian-det[poly, {V} vars, degree {f.degree()}]"

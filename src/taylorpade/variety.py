@@ -30,7 +30,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .detcalc import eliminate, rank_rational, rational_primes
+from .detcalc import _slot_size, eliminate, rank_rational, rational_primes
 from .errors import UsageError
 from .fields import DEFAULT_FIELD, PrimeField, Rationals, derive_seed, random_point
 from .pade import PadeShape, SymbolicMatrix, pade_matrix, pade_shape
@@ -129,10 +129,11 @@ def taylor_coeffs(p: dict, q: dict, m: int, field) -> dict:
     exponent in a layer k <= m is at most m, so key(h + b) = key(h) +
     key(b) with no carry: a product of packed layers puts sum_{h+b=g} Q_b
     T_h in slot key(g) and nowhere else, unreduced.  q and T lie in
-    [0, p), so a slot's sum is at most count * (p-1)^2, count being q's
-    nonconstant terms, which fixes the width.  T_k adds one big-int product
-    Q_s T_{k-s} per s; its sums are unpacked once, and each coefficient is
-    finished by (P_g - sum) mod p.
+    [0, p), so a slot holds a value below p or a sum of at most count
+    products, each below p * (p-1), count being q's nonconstant terms: the
+    width is ``detcalc``'s slot-width rule, start p over count steps.  T_k
+    adds one big-int product Q_s T_{k-s} per s; its sums are unpacked once,
+    and each coefficient is finished by (P_g - sum) mod p.
     """
     n = len(next(iter(p), ()))
     const = (0,) * n
@@ -143,7 +144,7 @@ def taylor_coeffs(p: dict, q: dict, m: int, field) -> dict:
     weights, layers = _layout(n, m)
     prime = field.p
     terms = [(sum(b), b, c % prime) for b, c in q.items() if 0 < sum(b) <= m and c % prime]
-    size = (max(len(terms), 1) * (prime - 1) ** 2).bit_length() // 8 + 1  # T < p fits
+    size = _slot_size(prime, prime, len(terms))
     W = 8 * size
     qlayers: dict = {}  # s -> Q_s packed
     for s, b, c in terms:

@@ -445,33 +445,30 @@ class JetRing:
         return Jet(v, {idx: self.base.one})
 
     def add(self, a: Jet, b: Jet) -> Jet:
+        return self._fold(a, b, self.base.add)
+
+    def sub(self, a: Jet, b: Jet) -> Jet:
+        return self._fold(a, b, self.base.sub)
+
+    def _fold(self, a: Jet, b: Jet, op) -> Jet:
+        # a op b term by term, op being the base's add or sub: b's terms are
+        # folded into copies of a's, and a term that cancels is dropped.
         base = self.base
         d1 = dict(a.d1)
         for i, c in b.d1.items():
-            s = base.add(d1.get(i, base.zero), c)
+            s = op(d1.get(i, base.zero), c)
             if base.is_zero(s):
                 d1.pop(i, None)
             else:
                 d1[i] = s
         d2 = dict(a.d2)
         for ij, c in b.d2.items():
-            s = base.add(d2.get(ij, base.zero), c)
+            s = op(d2.get(ij, base.zero), c)
             if base.is_zero(s):
                 d2.pop(ij, None)
             else:
                 d2[ij] = s
-        return Jet(base.add(a.val, b.val), d1, d2)
-
-    def neg(self, a: Jet) -> Jet:
-        sub, zero = self.base.sub, self.base.zero
-        return Jet(
-            sub(zero, a.val),
-            {i: sub(zero, c) for i, c in a.d1.items()},
-            {ij: sub(zero, c) for ij, c in a.d2.items()},
-        )
-
-    def sub(self, a: Jet, b: Jet) -> Jet:
-        return self.add(a, self.neg(b))
+        return Jet(op(a.val, b.val), d1, d2)
 
     def mul(self, a: Jet, b: Jet) -> Jet:
         base = self.base

@@ -125,7 +125,7 @@ def test_criterion_06_relation_identity():
             for t in range(50):
                 pt = random_point(variables, GF0, derive_seed("acc6", t))
                 fac = eliminate(P.evaluate(pt), GF0, inverse=True)
-                rel = relation_check(params, pt, fac, GF0)
+                rel = relation_check(params, pt, fac)
                 assert rel["residual_is_zero"]
                 rank = rel["rank_M"]
                 assert 1 <= rank < bound
@@ -137,7 +137,7 @@ def test_criterion_06_relation_identity():
         detected = 0
         for t in range(50):
             pt = random_point(P.variables(), GF0, derive_seed("acc6-mut", t))
-            bg = block_grad_det_at(P, eliminate(P.evaluate(pt), GF0, inverse=True), GF0)
+            bg = block_grad_det_at(P, eliminate(P.evaluate(pt), GF0, inverse=True))
             rng = random.Random(t)
             key = rng.choice([k for k in sorted(bg) if k[0] > base_block])
             bg[key] = GF0.add(bg[key], 1)

@@ -301,7 +301,7 @@ def test_eliminate_non_square(gf):
     with pytest.raises(UsageError):
         eliminate([[1, 2], [3]], gf)
     with pytest.raises(UsageError, match="gradient of det needs a square matrix"):
-        block_grad_det_at(pade_matrix(2, 1, 1, 3), None, gf)
+        block_grad_det_at(pade_matrix(2, 1, 1, 3), None)
 
 
 def _reference_modp(A, p, inverse):
@@ -385,7 +385,7 @@ def test_eliminate_modp_matches_list_reference(p):
         square = len(A) == (len(A[0]) if A else 0)
         for inverse in (False, True) if square else (False,):
             got = eliminate(A, field, inverse=inverse)
-            assert tuple(got) == _reference_modp(A, p, inverse)
+            assert got[:3] == _reference_modp(A, p, inverse)
 
 
 # Every prime the program runs at, tiny ones included; 2^61 + 15, the first
@@ -444,7 +444,7 @@ def test_eliminate_at_matches_evaluate_then_eliminate(case, p):
             assert A == [[0 if g is None else at.get(g, 1) for g in row] for row in M.entries]
             for inverse in (False, True) if M.is_square else (False,):
                 got = eliminate(A, field, inverse)
-                assert tuple(got) == _reference_modp(A, p, inverse)
+                assert got[:3] == _reference_modp(A, p, inverse)
                 if at is lifted:
                     assert got == eliminate(P.evaluate(point), field, inverse)
                 ranks.add((M is P, got.rank == min(M.nrows, M.ncols)))
@@ -547,7 +547,7 @@ def test_symmetric_body_matches_general_body(p, monkeypatch):
         midway += any(0 < s < n for _, s in log)
         # eliminate takes the general body, with an inverse or without
         log.clear()
-        assert tuple(eliminate(A, field)) == want
+        assert eliminate(A, field)[:3] == want
         assert log == [("general", n)]
         log.clear()
         eliminate(A, field, inverse=True)
@@ -619,7 +619,7 @@ def test_rank_rational_needs_a_third_prime(monkeypatch):
     taken = _primes_taken(monkeypatch)
     assert rank_rational(A) == eliminate_bareiss(A).rank == 2
     assert taken == [p0, p1, p2]
-    assert eliminate([[p0 * p1, 0], [0, 1]], PrimeField(p0)) == (1, 0, None)
+    assert eliminate([[p0 * p1, 0], [0, 1]], PrimeField(p0))[:3] == (1, 0, None)
 
 
 def test_rank_rational_takes_full_rank_from_the_second_prime(monkeypatch):
@@ -765,7 +765,7 @@ def test_relation_check_at_a_singular_point_eliminates_at_most_three_times(monke
         fac = eliminate(P.evaluate(point), field, inverse=True)
         assert fac.rank == rank
         with pytest.raises(UsageError, match="singular at this point"):
-            relation_check(params, point, fac, field)
+            relation_check(params, point, fac)
         calls.clear()
         M = build_M(params, block_grad_det_adj(P, point, field))
         assert not any(relation_residual(M, point, field))
@@ -1088,11 +1088,11 @@ def test_hessian_at_is_the_rank_and_det_of_the_full_hessian(prime, hessian_patte
             fac = eliminate(P.evaluate(pt), field, inverse=True)
             if fac.det == 0:
                 with pytest.raises(UsageError, match="singular at this point"):
-                    hessian_at(plan, fac, field)
+                    hessian_at(plan, fac)
                 singular += 1
                 continue
             h = eliminate(hessian_det_at(P, pt, field)[1], field)
-            assert hessian_at(plan, fac, field) == (h.rank, h.det)
+            assert hessian_at(plan, fac) == (h.rank, h.det)
             regular += 1
     assert singular >= len(patterns) and regular
     assert prime != 547 or singular > len(patterns)
@@ -1187,7 +1187,7 @@ def test_euler_identity_on_patterns(gf):
 def test_block_grad_sums_to_full_gradient(gf):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 11)
-    bg = block_grad_det_at(P, eliminate(P.evaluate(pt), gf, inverse=True), gf)
+    bg = block_grad_det_at(P, eliminate(P.evaluate(pt), gf, inverse=True))
     full = grad_det_at(P, pt, gf)
     agg = {}
     for (j, g), v in bg.items():

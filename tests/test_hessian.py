@@ -97,7 +97,7 @@ def test_relation_column_labels_layout():
 def test_build_M_shape_and_row_layout(gf):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 0)
-    bg = block_grad_det_at(P, _factor(P, pt, gf), gf)
+    bg = block_grad_det_at(P, _factor(P, pt, gf))
     # det(P) * P^-1 is the adjugate: the reference reads the same sums
     assert bg == block_grad_det_adj(P, pt, gf)
     M = build_M(P547, bg)
@@ -144,7 +144,7 @@ def test_relations_identity_random_points(gf):
     P = pade_matrix(2, 5, 4, 7)
     for t in range(10):
         pt = random_point(P.variables(), gf, derive_seed("rel", t))
-        assert relation_check(P547, pt, _factor(P, pt, gf), gf)["residual_is_zero"] is True
+        assert relation_check(P547, pt, _factor(P, pt, gf))["residual_is_zero"] is True
 
 
 def test_relations_zero_point(gf):
@@ -160,7 +160,7 @@ def test_rank_M_bounds(gf):
     P = pade_matrix(2, 5, 4, 7)
     for t in range(5):
         pt = random_point(P.variables(), gf, derive_seed("rk", t))
-        rel = relation_check(P547, pt, _factor(P, pt, gf), gf)
+        rel = relation_check(P547, pt, _factor(P, pt, gf))
         assert rel["rank_bound"] == 7
         assert 1 <= rel["rank_M"] <= 6
 
@@ -170,10 +170,10 @@ def test_rank_M_bounds(gf):
     TaylorParams(2, 1, 1, 2),  # m = d + 1
     TaylorParams(2, 4, 4, 6),  # m = d + 2, not square
 ])
-def test_relation_check_rejects_params_outside_the_family(params, gf, monkeypatch):
+def test_relation_check_rejects_params_outside_the_family(params, monkeypatch):
     shapes = _record_eliminations(monkeypatch)
     with pytest.raises(UsageError, match="relation matrix needs"):
-        relation_check(params, {}, None, gf)
+        relation_check(params, {}, None)
     assert shapes == []
 
 
@@ -181,7 +181,7 @@ def test_corruption_is_detected(gf, monkeypatch):
     P = pade_matrix(2, 5, 4, 7)
     pt = random_point(P.variables(), gf, 55)
     fac = _factor(P, pt, gf)
-    bg = block_grad_det_at(P, fac, gf)
+    bg = block_grad_det_at(P, fac)
     key = (6, (5, 1))  # a variable read by block C_6 rows
     assert key in bg
     bg[key] = gf.add(bg[key], 1)
@@ -192,7 +192,7 @@ def test_corruption_is_detected(gf, monkeypatch):
     # as a broken identity
     assert not all(res)
     monkeypatch.setattr(hessian_mod, "block_grad_det_at", lambda *args: bg)
-    assert relation_check(P547, pt, fac, gf)["residual_is_zero"] is False
+    assert relation_check(P547, pt, fac)["residual_is_zero"] is False
 
 
 def test_full_gradient_does_not_satisfy_relations(gf):
@@ -581,6 +581,20 @@ def _plans_built(monkeypatch):
     return built, read
 
 
+@pytest.mark.parametrize("primes", [PRIMES_62, (SURVEY_PRIME,)], ids=["p62", "survey"])
+def test_a_factorisation_names_its_field_and_first_is_trial_0s(primes):
+    # The relation check reads its field off the kept factorisation, so it
+    # runs over trial 0's prime, whichever primes the certificate rotates.
+    field = PrimeField(primes[0])
+    assert eliminate([[1, 2], [3, 4]], field).field is field
+    cert = certify_hessian_pade(_gate(P547), trials=3, primes=primes)
+    point, fac = cert.first
+    trial = cert.trials[0]
+    assert fac.field.p == trial.prime == primes[0]
+    assert point_hash(point) == trial.point_digest
+    assert fac == eliminate(P547.pade.evaluate(point), field, inverse=True)
+
+
 def test_a_certificate_builds_one_plan_for_all_its_trials(monkeypatch):
     built, read = _plans_built(monkeypatch)
     cert = certify_hessian_pade(_gate(P547), trials=3, primes=PRIMES_62)
@@ -672,7 +686,7 @@ def test_each_stage_runs_over_the_field_the_cli_picks(
     monkeypatch.setattr(variety_mod, "actual_dimension", recorder(
         variety_mod.actual_dimension, "gate", lambda a, kw: kw["ctx"]))
     monkeypatch.setattr(hessian_mod, "relation_check", recorder(
-        hessian_mod.relation_check, "relation", lambda a, kw: a[3]))
+        hessian_mod.relation_check, "relation", lambda a, kw: a[2].field))
     primes = _certificate_primes(monkeypatch)
     assert cli_mod.main(argv) == 0
     capsys.readouterr()
@@ -702,7 +716,7 @@ def test_gate_and_relation_check_agree_across_default_primes(seed):
             outcome = [check.verdict, check.det_nonzero_count, check.actual_dim]
             if hessian_mod.relations_apply(params):
                 point = random_point(params.pade.variables(), fld, derive_seed("diag", seed))
-                relations = relation_check(params, point, _factor(params.pade, point, fld), fld)
+                relations = relation_check(params, point, _factor(params.pade, point, fld))
                 outcome += [relations["residual_is_zero"], relations["rank_M"]]
             outcomes[p].append(outcome)
     assert outcomes[SURVEY_PRIME] == outcomes[PRIMES_62[0]]

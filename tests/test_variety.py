@@ -95,6 +95,25 @@ def test_taylor_coeffs_geometric(gf):
         (k,): (-1) ** k for k in range(1, 5)}
 
 
+def test_taylor_coeffs_slots_follow_the_slot_width_rule(monkeypatch):
+    # At (2,5,4,7) q has 14 nonconstant terms: a slot starts below p and
+    # gains at most 14 products below p * (p - 1), 8 bytes at SURVEY_PRIME
+    # and 16 at PRIMES_62[0].  The values are the ring oracle tests' to check.
+    widths = []
+
+    def recorded(*args):
+        widths.append((args, detcalc_mod._slot_size(*args)))
+        return widths[-1][1]
+
+    monkeypatch.setattr(variety_mod, "_slot_size", recorded)
+    for prime, size in ((SURVEY_PRIME, 8), (PRIMES_62[0], 16)):
+        widths.clear()
+        p, q = random_rational_pair(P547, GF(prime), 3)
+        assert sum(c % prime != 0 for b, c in q.items() if any(b)) == 14
+        taylor_coeffs(p, q, P547.m, GF(prime))
+        assert widths == [((prime, prime, 14), size)]
+
+
 def test_taylor_coeffs_defining_identity(qq):
     # Q * (1 + sum c_g x^g) = P modulo degree m+1, exactly, for the lifted T
     for seed in range(5):
